@@ -16,20 +16,17 @@ on the t-free entry cores and never forms a negative exponent.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable
 
 from .errors import DomainError
-from .qfunctions import (combined_poch, inv_qq, inv_tq, poch_finite,
-                         poch_infinite, inv_poch_infinite, poch_ratio, qbinomial)
+from .qfunctions import (binom2, combined_poch, hermite, inv_qq, inv_tq, poch_finite,
+                         poch_infinite, inv_poch_infinite, ultraspherical)
 from .report import IdentityReport, Stopwatch, first_mismatch, series_report
 from .series import TruncatedSeries, Truncation
-
-_binom2 = lambda n: n * (n - 1) // 2
-
-_conj_pref_memo: dict = {}
 
 
 class PairFamily:
@@ -124,12 +121,12 @@ def seed_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
         tq = TruncatedSeries.monomial(trunc, 1, e_q=1, e_t=1)
         val = (one - tq2n) * poch_finite(tq, n - 1) * inv_qq(n, trunc)
         sign = -1 if n % 2 else 1
-        return val.scale(sign).shift(e_q=_binom2(n))
+        return val.scale(sign).shift(e_q=binom2(n))
 
     def beta(n: int) -> TruncatedSeries:
         return one if n == 0 else TruncatedSeries.zero(trunc)
 
-    alpha_bound = _max_n_with(trunc.max_q, _binom2)
+    alpha_bound = _max_n_with(trunc.max_q, binom2)
     return (PairFamily("alpha", trunc, alpha, support_bound=alpha_bound),
             PairFamily("beta", trunc, beta, support_bound=0))
 
@@ -205,27 +202,15 @@ def verify_bailey_pair(alpha: PairFamily, beta: PairFamily,
                           "pass", None, watch.ms(), counts)
 
 
+@functools.cache
 def _conj_prefactor_inv(trunc: Truncation) -> TruncatedSeries:
-    # 1 / (t, tq, tz, t/z; q)_inf
-    got = _conj_pref_memo.get(trunc)
-    if got is None:
-        t = TruncatedSeries.variable(trunc, "t")
-        tq = TruncatedSeries.monomial(trunc, 1, e_q=1, e_t=1)
-        tz = TruncatedSeries.monomial(trunc, 1, e_t=1, e_z=1)
-        tzi = TruncatedSeries.monomial(trunc, 1, e_t=1, e_z=-1)
-        got = (inv_poch_infinite(t) * inv_poch_infinite(tq)
-               * inv_poch_infinite(tz) * inv_poch_infinite(tzi))
-        _conj_pref_memo[trunc] = got
-    return got
-
-
-def _ultra_half_sum(n: int, trunc: Truncation, param: str) -> TruncatedSeries:
-    # sum_{j=0}^{2n} (x;q)_j (x;q)_{2n-j} / ((q;q)_j (q;q)_{2n-j}) z^(j-n)
-    total = TruncatedSeries.zero(trunc)
-    for j in range(2 * n + 1):
-        total = total + (poch_ratio(param, j, trunc)
-                         * poch_ratio(param, 2 * n - j, trunc)).shift(e_z=j - n)
-    return total
+    # 1 / (t, tq, tz, t/z; q)_inf, memoized
+    t = TruncatedSeries.variable(trunc, "t")
+    tq = TruncatedSeries.monomial(trunc, 1, e_q=1, e_t=1)
+    tz = TruncatedSeries.monomial(trunc, 1, e_t=1, e_z=1)
+    tzi = TruncatedSeries.monomial(trunc, 1, e_t=1, e_z=-1)
+    return (inv_poch_infinite(t) * inv_poch_infinite(tq)
+            * inv_poch_infinite(tz) * inv_poch_infinite(tzi))
 
 
 def hermite_conjugate_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
@@ -233,20 +218,18 @@ def hermite_conjugate_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
     the ultraspherical kernel:
     gamma_n = t^n (q;q)_{2n} (t^2;q)_inf / ((t^2;q)_{2n} (t,tq,tz,t/z;q)_inf)
               * sum_j (t;q)_j (t;q)_{2n-j} / ((q;q)_j (q;q)_{2n-j}) z^(j-n),
-    delta_n = t^n sum_j [2n,j]_q z^(j-n)."""
+    delta_n = t^n sum_j [2n,j]_q z^(j-n).
+    The j-sums are C_{2n}(z,t;q) and H_{2n}(z;q) with z^2 -> z."""
     q = TruncatedSeries.variable(trunc, "q")
 
     def gamma(n: int) -> TruncatedSeries:
         # (t^2;q)_inf / (t^2;q)_{2n} = (t^2 q^{2n};q)_inf
         tail = poch_infinite(TruncatedSeries.monomial(trunc, 1, e_q=2 * n, e_t=2))
         pref = poch_finite(q, 2 * n) * tail * _conj_prefactor_inv(trunc)
-        return (pref * _ultra_half_sum(n, trunc, "t")).shift(e_t=n)
+        return (pref * ultraspherical(2 * n, trunc, "t").halve_z()).shift(e_t=n)
 
     def delta_core(n: int) -> TruncatedSeries:
-        total = TruncatedSeries.zero(trunc)
-        for j in range(2 * n + 1):
-            total = total + qbinomial(2 * n, j, trunc).shift(e_z=j - n)
-        return total
+        return hermite(2 * n, trunc).halve_z()
 
     def delta(n: int) -> TruncatedSeries:
         return delta_core(n).shift(e_t=n)
@@ -323,14 +306,14 @@ def wp_conjugate_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
         tail = poch_infinite(TruncatedSeries.monomial(trunc, 1, e_q=2 * n, e_t=2))
         pref = (poch_finite(q, 2 * n) * tail * poch_infinite(sz)
                 * poch_infinite(szi) * _conj_prefactor_inv(trunc))
-        return (pref * _ultra_half_sum(n, trunc, "t")).shift(e_t=n)
+        return (pref * ultraspherical(2 * n, trunc, "t").halve_z()).shift(e_t=n)
 
     def delta_core(n: int) -> TruncatedSeries:
         sq2n = TruncatedSeries.monomial(trunc, 1, e_q=2 * n, e_s=1)
         num = (one - sq2n) * poch_finite(q, 2 * n) * (one + s) * poch_infinite(ssq)
         den_inv = (poch_finite(ss, n * 2).invert()
                    * inv_poch_infinite(s) * inv_poch_infinite(sq))
-        return num * den_inv * _ultra_half_sum(n, trunc, "s")
+        return num * den_inv * ultraspherical(2 * n, trunc, "s").halve_z()
 
     def delta(n: int) -> TruncatedSeries:
         return delta_core(n).shift(e_t=n)

@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import bailey, hypergeometric as hg, macdonald, qfunctions
@@ -29,25 +27,6 @@ FIXED_POINT = {"q": Fraction(2, 3), "t": Fraction(3, 5), "s": Fraction(5, 7)}
 
 IDENTITY_IDS = ("thm-main", "thm-kks", "thm-conj-pair", "thm-wp", "thm-general",
                 "appx-a", "lemma-b1", "appx-c", "multi-rr", "corollary-special")
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("QBAILEY_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(f"QBAILEY_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise DomainError("QBAILEY_THREADS must be >= 1")
-    return n
-
-
-def _map_ordered(fn, items):
-    threads = _thread_count()
-    if threads == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -82,7 +61,10 @@ def _parse_pair_id(text: str, trunc: Truncation):
         if len(parts) != 3:
             raise DomainError(
                 "chain identifier must look like chain(k;b1,..,bk;c1,..,ck)")
-        k = int(parts[0])
+        try:
+            k = int(parts[0])
+        except ValueError:
+            raise DomainError(f"chain depth must be an integer, got {parts[0]!r}")
         if k < 1:
             raise DomainError("chain depth k must be >= 1")
         b = _parse_rational_list(parts[1], k, "b")
@@ -106,31 +88,15 @@ def _parse_conjugate_id(text: str, trunc: Truncation):
 def _index_pair_check(identity: str, k: int, trunc: Truncation,
                       left: str, right: str) -> list[IdentityReport]:
     watch = Stopwatch()
-    compute = {"bosonic": macdonald.bosonic_index,
-               "fermionic": macdonald.fermionic_index,
-               "fermionic2": macdonald.fermionic2_index,
-               "original": macdonald.original_index}
-    lhs, rhs = _map_ordered(lambda rep: compute[rep](k, trunc), [left, right])
+    lhs, rhs = (macdonald.IndexSpec(k, rep, trunc).compute() for rep in (left, right))
     return [series_report(identity, lhs, rhs,
                           {"k": k, "lhs": left, "rhs": right}, watch)]
 
 
-def _grid_point_reports(check_grid, names, lmax, nmax, points, seed,
-                        max_retries: int = 64):
+def _grid_point_reports(check_grid, names, lmax, nmax, points, seed):
     fixed = hg.RationalPoint({k: v for k, v in FIXED_POINT.items() if k in names})
-    reports = [check_grid(lmax, nmax, fixed, None)]
-    rng = random.Random(seed)
-    for _ in range(points):
-        for _attempt in range(max_retries):
-            point = hg.draw_point(rng, names)
-            try:
-                reports.append(check_grid(lmax, nmax, point, seed))
-                break
-            except hg.PoleError:
-                continue
-        else:
-            raise DomainError(f"no pole-free point found in {max_retries} draws")
-    return reports
+    return [check_grid(lmax, nmax, fixed, None)] + hg.run_at_random_points(
+        lambda point, sd: check_grid(lmax, nmax, point, sd), names, points, seed)
 
 
 def _coeff_sum_grid(check_fn, identity):
@@ -154,6 +120,9 @@ def _coeff_sum_grid(check_fn, identity):
 def _verify(args) -> list[IdentityReport]:
     identity = args.identity
     nq, nt, ns = args.nq, args.nt, args.ns
+    for flag in ("nmax", "lmax", "points"):
+        if getattr(args, flag) < 0:
+            raise DomainError(f"--{flag} must be >= 0")
     if identity in ("thm-main", "thm-kks", "thm-general", "appx-a", "multi-rr"):
         if args.k < 1:
             raise DomainError("k must be >= 1")
@@ -321,8 +290,11 @@ def _cmd_table(args) -> int:
     else:
         text = json.dumps(macdonald.rows_to_json_obj(rows), sort_keys=True) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write the table: {exc}")
     else:
         sys.stdout.write(text)
     return 0

@@ -20,11 +20,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, PoleError
-from .qfunctions import inv_qq, poch_finite, poch_infinite, qbinomial
+from .qfunctions import binom2, hermite, inv_qq, poch_finite, poch_infinite, qbinomial
 from .report import IdentityReport, Stopwatch, series_report, value_mismatch
 from .series import TruncatedSeries, Truncation
-
-_binom2 = lambda n: n * (n - 1) // 2
 
 
 @dataclass
@@ -145,7 +143,7 @@ def phi_terminating(spec: PhiSpec, point: RationalPoint) -> Fraction:
         for b in spec.lower:
             term *= inv_poch_value(b, m, point)
         if extra_power:
-            term *= ((-1) ** m * q ** _binom2(m)) ** extra_power
+            term *= ((-1) ** m * q ** binom2(m)) ** extra_power
         total += term
     return total
 
@@ -372,25 +370,21 @@ def wp_expansion_coeff_check(l: int, n: int, point: RationalPoint,
 
 def b_defining_sum(n: int, trunc: Truncation) -> TruncatedSeries:
     """B_n(z;q) = sum_{s=0}^n (-1)^{n-s} q^binom(n-s,2) /
-    ((q;q)_s^2 (q;q)_{n-s}) * sum_{u1,u2} [s,u1]_q [s,u2]_q z^{2u1-2u2}."""
+    ((q;q)_s^2 (q;q)_{n-s}) * sum_{u1,u2} [s,u1]_q [s,u2]_q z^{2u1-2u2},
+    the (u1,u2)-sum being H_s(z;q)^2."""
     total = TruncatedSeries.zero(trunc)
     for sig in range(n + 1):
-        a = TruncatedSeries.zero(trunc)
-        for u in range(sig + 1):
-            a = a + qbinomial(sig, u, trunc).shift(e_z=2 * u)
-        inner = a * a.flip_z()
+        h = hermite(sig, trunc)
+        inner = h * h
         coeff = inv_qq(sig, trunc) ** 2 * inv_qq(n - sig, trunc)
         sign = -1 if (n - sig) % 2 else 1
-        total = total + (coeff * inner).scale(sign).shift(e_q=_binom2(n - sig))
+        total = total + (coeff * inner).scale(sign).shift(e_q=binom2(n - sig))
     return total
 
 
 def b_closed(n: int, trunc: Truncation) -> TruncatedSeries:
-    """H_{2n}(z;q) / (q;q)_n^2 written on even z-powers."""
-    h = TruncatedSeries.zero(trunc)
-    for j in range(2 * n + 1):
-        h = h + qbinomial(2 * n, j, trunc).shift(e_z=2 * j - 2 * n)
-    return h * inv_qq(n, trunc) ** 2
+    """H_{2n}(z;q) / (q;q)_n^2."""
+    return hermite(2 * n, trunc) * inv_qq(n, trunc) ** 2
 
 
 def phi_defining_sum(n: int, nprime: int, trunc: Truncation) -> TruncatedSeries:
@@ -402,7 +396,7 @@ def phi_defining_sum(n: int, nprime: int, trunc: Truncation) -> TruncatedSeries:
         term = (poch_finite(q, sig + nprime) * inv_qq(sig, trunc) ** 2
                 * inv_qq(n - sig, trunc))
         sign = -1 if (n - sig) % 2 else 1
-        total = total + term.scale(sign).shift(e_q=_binom2(n - sig))
+        total = total + term.scale(sign).shift(e_q=binom2(n - sig))
     return total
 
 

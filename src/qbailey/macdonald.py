@@ -12,20 +12,16 @@ canonical term order so a difference localizes to a single monomial.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InternalConsistencyError
-from .qfunctions import (combined_poch, hermite, inv_qq, inv_poch_infinite,
-                         poch_finite, poch_infinite, poch_ratio, qbinomial)
+from .qfunctions import (binom2, combined_poch, hermite, inv_qq, inv_poch_infinite,
+                         poch_finite, poch_infinite, ultraspherical)
 from .report import IdentityReport, Stopwatch, series_report
 from .series import TruncatedSeries, Truncation
-
-_binom2 = lambda n: n * (n - 1) // 2
-
-_inv_tpoch_memo: dict = {}
-_prefactor_memo: dict = {}
 
 REPRESENTATIONS = ("bosonic", "fermionic", "fermionic2", "original")
 
@@ -87,34 +83,26 @@ class IndexSpec:
         return fn[self.representation](self.k, self.trunc)
 
 
+@functools.cache
 def _inv_tpoch(n: int, trunc: Truncation) -> TruncatedSeries:
     # 1/(t;q)_n, memoized
-    key = (n, trunc)
-    got = _inv_tpoch_memo.get(key)
-    if got is None:
-        t = TruncatedSeries.variable(trunc, "t")
-        got = poch_finite(t, n).invert()
-        _inv_tpoch_memo[key] = got
-    return got
+    return poch_finite(TruncatedSeries.variable(trunc, "t"), n).invert()
 
 
+@functools.cache
 def _tq_qq_inf_power(k: int, trunc: Truncation) -> TruncatedSeries:
     # ((t;q)_inf (q;q)_inf)^k, memoized
-    key = (k, trunc)
-    got = _prefactor_memo.get(key)
-    if got is None:
-        t = TruncatedSeries.variable(trunc, "t")
-        q = TruncatedSeries.variable(trunc, "q")
-        got = (poch_infinite(t) * poch_infinite(q)) ** k
-        _prefactor_memo[key] = got
-    return got
+    t = TruncatedSeries.variable(trunc, "t")
+    q = TruncatedSeries.variable(trunc, "q")
+    return (poch_infinite(t) * poch_infinite(q)) ** k
 
 
 def bosonic_index(k: int, trunc: Truncation) -> TruncatedSeries:
     """Single-sum (alternating, product-prefactored) representation:
     1/(t,tz^2,t z^-2;q)_inf * sum_n (-1)^n t^((k+1)n) q^(k n^2 + binom(n,2))
       (q^(n+1);q)_n (t^2 q^(2n);q)_inf / ((t q^n;q)_n (t q^(2n+1);q)_inf)
-      * sum_j (t;q)_j (t;q)_{2n-j} / ((q;q)_j (q;q)_{2n-j}) z^(2j-2n)."""
+      * sum_j (t;q)_j (t;q)_{2n-j} / ((q;q)_j (q;q)_{2n-j}) z^(2j-2n),
+    the j-sum being C_{2n}(z,t;q)."""
     if k < 1:
         raise DomainError("k must be >= 1")
     t = TruncatedSeries.variable(trunc, "t")
@@ -124,7 +112,7 @@ def bosonic_index(k: int, trunc: Truncation) -> TruncatedSeries:
 
     total = TruncatedSeries.zero(trunc)
     n = 0
-    while (k + 1) * n <= trunc.max_t and k * n * n + _binom2(n) <= trunc.max_q:
+    while (k + 1) * n <= trunc.max_t and k * n * n + binom2(n) <= trunc.max_q:
         term = _bosonic_summand(k, n, trunc)
         total = total + term
         n += 1
@@ -134,18 +122,14 @@ def bosonic_index(k: int, trunc: Truncation) -> TruncatedSeries:
 def _bosonic_summand(k: int, n: int, trunc: Truncation) -> TruncatedSeries:
     sign = -1 if n % 2 else 1
     mono = TruncatedSeries.monomial(trunc, sign,
-                                    e_q=k * n * n + _binom2(n), e_t=(k + 1) * n)
+                                    e_q=k * n * n + binom2(n), e_t=(k + 1) * n)
     qn1 = TruncatedSeries.monomial(trunc, 1, e_q=n + 1)
     ttq2n = TruncatedSeries.monomial(trunc, 1, e_q=2 * n, e_t=2)
     tqn = TruncatedSeries.monomial(trunc, 1, e_q=n, e_t=1)
     tq2n1 = TruncatedSeries.monomial(trunc, 1, e_q=2 * n + 1, e_t=1)
     val = (mono * poch_finite(qn1, n) * poch_infinite(ttq2n)
            * poch_finite(tqn, n).invert() * inv_poch_infinite(tq2n1))
-    jsum = TruncatedSeries.zero(trunc)
-    for j in range(2 * n + 1):
-        jsum = jsum + (poch_ratio("t", j, trunc)
-                       * poch_ratio("t", 2 * n - j, trunc)).shift(e_z=2 * j - 2 * n)
-    return val * jsum
+    return val * ultraspherical(2 * n, trunc, "t")
 
 
 def _chains(k: int, cap: int):
@@ -182,21 +166,15 @@ def fermionic_index(k: int, trunc: Truncation) -> TruncatedSeries:
     return total
 
 
-_rsum_memo: dict = {}
-
-
+@functools.cache
 def _r_geometric(c: int, trunc: Truncation) -> TruncatedSeries:
-    # sum_{r>=0} q^(r c) / ((t;q)_r (q;q)_r), truncated at r c <= max_q
-    key = (c, trunc)
-    got = _rsum_memo.get(key)
-    if got is None:
-        got = TruncatedSeries.zero(trunc)
-        r = 0
-        while r * c <= trunc.max_q:
-            got = got + (_inv_tpoch(r, trunc) * inv_qq(r, trunc)).shift(e_q=r * c)
-            r += 1
-        _rsum_memo[key] = got
-    return got
+    # sum_{r>=0} q^(r c) / ((t;q)_r (q;q)_r), truncated at r c <= max_q, memoized
+    total = TruncatedSeries.zero(trunc)
+    r = 0
+    while r * c <= trunc.max_q:
+        total = total + (_inv_tpoch(r, trunc) * inv_qq(r, trunc)).shift(e_q=r * c)
+        r += 1
+    return total
 
 
 def fermionic2_index(k: int, trunc: Truncation) -> TruncatedSeries:
@@ -206,7 +184,8 @@ def fermionic2_index(k: int, trunc: Truncation) -> TruncatedSeries:
       (prod (t,q;q)_{r_i} * prod (q;q)_{s_i}^2)
       * sum_{u1,u2} [s_k,u1]_q [s_k,u2]_q z^(2u1-2u2),  with s_0 = 0.
 
-    The r-sums factor per level into memoized one-dimensional series."""
+    The r-sums factor per level into memoized one-dimensional series, and
+    the (u1,u2)-sum is H_{s_k}(z;q)^2."""
     if k < 1:
         raise DomainError("k must be >= 1")
     total = TruncatedSeries.zero(trunc)
@@ -216,10 +195,8 @@ def fermionic2_index(k: int, trunc: Truncation) -> TruncatedSeries:
         for i in range(k):
             val = val * _r_geometric(s_full[i] + s_full[i + 1] + 1, trunc)
             val = val * inv_qq(svec[i], trunc) ** 2
-        a = TruncatedSeries.zero(trunc)
-        for u in range(svec[-1] + 1):
-            a = a + qbinomial(svec[-1], u, trunc).shift(e_z=2 * u)
-        total = total + val * a * a.flip_z()
+        h = hermite(svec[-1], trunc)
+        total = total + val * h * h
     return _tq_qq_inf_power(k, trunc) * total
 
 
@@ -335,10 +312,10 @@ def generalized_sides(k: int, b, c,
     pref = inv_poch_infinite(t) * inv_poch_infinite(tzz) * inv_poch_infinite(tzzi)
     rhs_sum = TruncatedSeries.zero(trunc)
     n = 0
-    while (k + 1) * n <= trunc.max_t and k * n + _binom2(n) <= trunc.max_q:
+    while (k + 1) * n <= trunc.max_t and k * n + binom2(n) <= trunc.max_q:
         sign = -1 if n % 2 else 1
         mono = TruncatedSeries.monomial(trunc, sign,
-                                        e_q=k * n + _binom2(n), e_t=(k + 1) * n)
+                                        e_q=k * n + binom2(n), e_t=(k + 1) * n)
         qn1 = TruncatedSeries.monomial(trunc, 1, e_q=n + 1)
         ttq2n = TruncatedSeries.monomial(trunc, 1, e_q=2 * n, e_t=2)
         tqn = TruncatedSeries.monomial(trunc, 1, e_q=n, e_t=1)
@@ -350,11 +327,7 @@ def generalized_sides(k: int, b, c,
             val = val * combined_poch(b[i], n, trunc) * combined_poch(c[i], n, trunc)
             den = den * poch_finite(bc_mono(b[i]), n) * poch_finite(bc_mono(c[i]), n)
         val = val * den.invert()
-        jsum = TruncatedSeries.zero(trunc)
-        for j in range(2 * n + 1):
-            jsum = jsum + (poch_ratio("t", j, trunc)
-                           * poch_ratio("t", 2 * n - j, trunc)).shift(e_z=2 * j - 2 * n)
-        rhs_sum = rhs_sum + val * jsum
+        rhs_sum = rhs_sum + val * ultraspherical(2 * n, trunc, "t")
         n += 1
     return lhs, pref * rhs_sum
 
@@ -396,7 +369,7 @@ def multi_rogers_ramanujan(k: int, max_q: int) -> IdentityReport:
     bilateral = TruncatedSeries.zero(trunc)
     reach = int(math.isqrt(max_q // (k + 1))) + 2
     for n in range(-reach, reach + 1):
-        e = (k + 1) * n * n + _binom2(n)
+        e = (k + 1) * n * n + binom2(n)
         if e <= max_q:
             bilateral = bilateral + TruncatedSeries.monomial(
                 trunc, -1 if n % 2 else 1, e_q=e)

@@ -8,24 +8,24 @@ truncation.  Integrals of symmetric Laurent series against d(theta)/pi
 are realized as z-constant-term extraction; ct_z checks the symmetry
 hypothesis rather than trusting the caller.
 
-The memo tables cache immutable series keyed by (args, truncation);
-concurrent read-through population is safe (worst case recomputes a
-value that is deterministic anyway).
+The memoized builders are wrapped in functools.cache, keyed by their
+arguments including the truncation; cached series are shared between
+callers, which is safe because series are immutable.  Each builder's
+cache_info() and cache_clear() report on and empty its table.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .errors import DomainError, NonInvertible
 from .series import TruncatedSeries, Truncation
 
-_qbinom_memo: dict = {}
-_hermite_memo: dict = {}
-_inv_qq_memo: dict = {}
-_inv_tq_memo: dict = {}
-_ratio_memo: dict = {}
-_weight_memo: dict = {}
+
+def binom2(n: int) -> int:
+    """binom(n, 2) = n(n-1)/2, the q-exponent of (-1)^n q^binom(n,2)."""
+    return n * (n - 1) // 2
 
 
 def poch_finite(base: TruncatedSeries, n: int) -> TruncatedSeries:
@@ -107,6 +107,7 @@ def combined_poch(b, n: int, trunc: Truncation) -> TruncatedSeries:
     return result
 
 
+@functools.cache
 def qbinomial(M: int, N: int, trunc: Truncation) -> TruncatedSeries:
     """Gaussian binomial coefficient as a truncated q-polynomial;
     zero unless 0 <= N <= M.  q-Pascal recursion, memoized."""
@@ -114,59 +115,37 @@ def qbinomial(M: int, N: int, trunc: Truncation) -> TruncatedSeries:
         return TruncatedSeries.zero(trunc)
     if N == 0 or N == M:
         return TruncatedSeries.one(trunc)
-    key = (M, N, trunc)
-    got = _qbinom_memo.get(key)
-    if got is None:
-        got = qbinomial(M - 1, N - 1, trunc) + qbinomial(M - 1, N, trunc).shift(e_q=N)
-        _qbinom_memo[key] = got
-    return got
+    return qbinomial(M - 1, N - 1, trunc) + qbinomial(M - 1, N, trunc).shift(e_q=N)
 
 
+@functools.cache
 def inv_qq(n: int, trunc: Truncation) -> TruncatedSeries:
     """1/(q;q)_n, memoized."""
-    key = (n, trunc)
-    got = _inv_qq_memo.get(key)
-    if got is None:
-        q = TruncatedSeries.variable(trunc, "q")
-        got = poch_finite(q, n).invert()
-        _inv_qq_memo[key] = got
-    return got
+    return poch_finite(TruncatedSeries.variable(trunc, "q"), n).invert()
 
 
+@functools.cache
 def inv_tq(n: int, trunc: Truncation) -> TruncatedSeries:
     """1/(tq;q)_n, memoized."""
-    key = (n, trunc)
-    got = _inv_tq_memo.get(key)
-    if got is None:
-        tq = TruncatedSeries.monomial(trunc, 1, e_q=1, e_t=1)
-        got = poch_finite(tq, n).invert()
-        _inv_tq_memo[key] = got
-    return got
+    return poch_finite(TruncatedSeries.monomial(trunc, 1, e_q=1, e_t=1), n).invert()
 
 
+@functools.cache
 def poch_ratio(param: str, j: int, trunc: Truncation) -> TruncatedSeries:
     """(x;q)_j / (q;q)_j for a ring variable x in {t, s}, memoized."""
-    key = (param, j, trunc)
-    got = _ratio_memo.get(key)
-    if got is None:
-        x = TruncatedSeries.variable(trunc, param)
-        got = poch_finite(x, j) * inv_qq(j, trunc)
-        _ratio_memo[key] = got
-    return got
+    return poch_finite(TruncatedSeries.variable(trunc, param), j) * inv_qq(j, trunc)
 
 
+@functools.cache
 def hermite(n: int, trunc: Truncation) -> TruncatedSeries:
-    """Continuous q-Hermite polynomial H_n(z;q) = sum_j [n,j]_q z^(n-2j)."""
+    """Continuous q-Hermite polynomial H_n(z;q) = sum_j [n,j]_q z^(n-2j),
+    memoized."""
     if n < 0:
         raise DomainError("hermite degree must be >= 0")
-    key = (n, trunc)
-    got = _hermite_memo.get(key)
-    if got is None:
-        got = TruncatedSeries.zero(trunc)
-        for j in range(n + 1):
-            got = got + qbinomial(n, j, trunc).shift(e_z=n - 2 * j)
-        _hermite_memo[key] = got
-    return got
+    total = TruncatedSeries.zero(trunc)
+    for j in range(n + 1):
+        total = total + qbinomial(n, j, trunc).shift(e_z=n - 2 * j)
+    return total
 
 
 def ultraspherical(n: int, trunc: Truncation, param: str = "t") -> TruncatedSeries:
@@ -194,30 +173,22 @@ def ct_z(f: TruncatedSeries) -> TruncatedSeries:
                            {k: c for (k, c) in f._terms.items() if k[3] == 0})
 
 
+@functools.cache
 def hermite_weight(trunc: Truncation) -> TruncatedSeries:
-    """(z^2, z^-2; q)_inf, the q-Hermite orthogonality weight."""
-    key = ("hermite", trunc)
-    got = _weight_memo.get(key)
-    if got is None:
-        zz = TruncatedSeries.monomial(trunc, 1, e_z=2)
-        zzi = TruncatedSeries.monomial(trunc, 1, e_z=-2)
-        got = poch_infinite(zz) * poch_infinite(zzi)
-        _weight_memo[key] = got
-    return got
+    """(z^2, z^-2; q)_inf, the q-Hermite orthogonality weight, memoized."""
+    zz = TruncatedSeries.monomial(trunc, 1, e_z=2)
+    zzi = TruncatedSeries.monomial(trunc, 1, e_z=-2)
+    return poch_infinite(zz) * poch_infinite(zzi)
 
 
+@functools.cache
 def ultraspherical_weight(trunc: Truncation) -> TruncatedSeries:
-    """(z^2, z^-2; q)_inf / (s z^2, s z^-2; q)_inf."""
+    """(z^2, z^-2; q)_inf / (s z^2, s z^-2; q)_inf, memoized."""
     if trunc.max_s is None:
         raise DomainError("ultraspherical weight needs a truncation with s")
-    key = ("ultraspherical", trunc)
-    got = _weight_memo.get(key)
-    if got is None:
-        szz = TruncatedSeries.monomial(trunc, 1, e_s=1, e_z=2)
-        szzi = TruncatedSeries.monomial(trunc, 1, e_s=1, e_z=-2)
-        got = hermite_weight(trunc) * inv_poch_infinite(szz) * inv_poch_infinite(szzi)
-        _weight_memo[key] = got
-    return got
+    szz = TruncatedSeries.monomial(trunc, 1, e_s=1, e_z=2)
+    szzi = TruncatedSeries.monomial(trunc, 1, e_s=1, e_z=-2)
+    return hermite_weight(trunc) * inv_poch_infinite(szz) * inv_poch_infinite(szzi)
 
 
 def hermite_inner(m: int, n: int, trunc: Truncation) -> TruncatedSeries:

@@ -45,9 +45,9 @@ class Truncation:
 
     def __post_init__(self):
         if self.max_q < 0 or self.max_t < 0:
-            raise ValueError("truncation caps must be >= 0")
+            raise DomainError("truncation caps must be >= 0")
         if self.max_s is not None and self.max_s < 0:
-            raise ValueError("truncation caps must be >= 0")
+            raise DomainError("truncation caps must be >= 0")
 
     @property
     def s_cap(self) -> int:
@@ -347,6 +347,15 @@ class TruncatedSeries:
         """Negate every z-exponent (the z -> 1/z involution)."""
         return TruncatedSeries._raw(
             self.trunc, {(k[0], k[1], k[2], -k[3]): c for k, c in self._terms.items()})
+
+    def halve_z(self) -> "TruncatedSeries":
+        """Halve every z-exponent (z^2 -> z); all of them must be even."""
+        out: dict = {}
+        for (q1, t1, s1, z1), c in self._terms.items():
+            if z1 % 2:
+                raise DomainError(f"halve_z needs even z-exponents, got z^{z1}")
+            out[(q1, t1, s1, z1 // 2)] = c
+        return TruncatedSeries._raw(self.trunc, out)
 
     def specialize(self, var: str, value) -> "TruncatedSeries":
         """Substitute a variable by a rational value or by another variable.

@@ -150,27 +150,36 @@ def test_selftest_passes(capsys):
 
 
 def test_selftest_detects_mutation(capsys, monkeypatch):
-    # corrupt one q-binomial value used by the closed form of the B
-    # evaluation; the self test must fail and name the identity
-    original = hg.qbinomial
+    # corrupt H_4, which only the closed form of the B evaluation reads
+    # (as H_{2n} at n = 2); the self test must fail and name the identity
+    original = hg.hermite
 
-    def corrupted(M, N, trunc):
-        got = original(M, N, trunc)
-        if (M, N) == (4, 2):
+    def corrupted(n, trunc):
+        got = original(n, trunc)
+        if n == 4:
             return got + TruncatedSeries.monomial(trunc, 1, e_q=1)
         return got
 
-    monkeypatch.setattr(hg, "qbinomial", corrupted)
+    monkeypatch.setattr(hg, "hermite", corrupted)
     code, out, _ = run(capsys, ["selftest"])
     assert code == 1
     assert "[FAIL]" in out and "b-eva" in out
 
 
-def test_thread_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("QBAILEY_THREADS", "2")
-    code, out, _ = run(capsys, ["verify", "thm-main", "--k", "1",
-                                "--nq", "6", "--nt", "4"])
-    assert code == 0
-    monkeypatch.setenv("QBAILEY_THREADS", "zero")
-    code, _, err = run(capsys, ["verify", "thm-main", "--k", "1"])
-    assert code == 2 and "QBAILEY_THREADS" in err
+@pytest.mark.parametrize("argv", [
+    ["verify", "thm-main", "--nq", "-1"],
+    ["verify", "multi-rr", "--nq", "-5"],
+    ["verify", "thm-wp", "--ns", "-1"],
+    ["bench", "--nq", "-2"],
+    ["verify", "corollary-special", "--pair", "chain(x;0;0)"],
+    ["table", "--rep", "fermionic", "--nq", "2", "--nt", "2",
+     "--output", "/nonexistent/x.csv"],
+    ["verify", "thm-conj-pair", "--nmax", "-3"],
+    ["verify", "lemma-b1", "--lmax", "-1"],
+    ["verify", "appx-c", "--points", "-1"],
+])
+def test_bad_input_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert err.startswith("usage error:") and "Traceback" not in err
+    assert "PASS" not in out

@@ -4,6 +4,8 @@ and the constant-term layer."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbailey import qfunctions as qf
 from qbailey.errors import DomainError
@@ -187,3 +189,75 @@ def test_expansion_coeff_closed_form():
 def test_weight_expansion():
     lhs, rhs = qf.weight_expansion_sides(TR)
     assert lhs == rhs
+
+
+# -- the inline sums that hermite and ultraspherical replaced, kept as
+#    oracles for the shared builders ---------------------------------
+
+
+def delta_core_sum(n, trunc):
+    # the core of the conjugate pair's delta_n
+    total = TruncatedSeries.zero(trunc)
+    for j in range(2 * n + 1):
+        total = total + qf.qbinomial(2 * n, j, trunc).shift(e_z=j - n)
+    return total
+
+
+def b_closed_sum(n, trunc):
+    # the H sum of the closed form of B_n
+    h = TruncatedSeries.zero(trunc)
+    for j in range(2 * n + 1):
+        h = h + qf.qbinomial(2 * n, j, trunc).shift(e_z=2 * j - 2 * n)
+    return h
+
+
+def u_sum(sig, trunc):
+    # the u-sum of the second fermionic form and of B_n's defining sum
+    a = TruncatedSeries.zero(trunc)
+    for u in range(sig + 1):
+        a = a + qf.qbinomial(sig, u, trunc).shift(e_z=2 * u)
+    return a
+
+
+def ultra_half_sum(n, trunc, param):
+    # the j-sum of both conjugate pairs' gamma_n and of the wp delta_n
+    total = TruncatedSeries.zero(trunc)
+    for j in range(2 * n + 1):
+        total = total + (qf.poch_ratio(param, j, trunc)
+                         * qf.poch_ratio(param, 2 * n - j, trunc)).shift(e_z=j - n)
+    return total
+
+
+def bosonic_jsum(n, trunc):
+    # the j-sum of the bosonic summand and of the parametrized bosonic side
+    jsum = TruncatedSeries.zero(trunc)
+    for j in range(2 * n + 1):
+        jsum = jsum + (qf.poch_ratio("t", j, trunc)
+                       * qf.poch_ratio("t", 2 * n - j, trunc)).shift(e_z=2 * j - 2 * n)
+    return jsum
+
+
+_truncs = st.builds(Truncation, st.integers(0, 8), st.integers(0, 6),
+                    st.none() | st.integers(0, 4))
+_degrees = st.integers(0, 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_degrees, _truncs)
+def test_hermite_matches_inline_sums(n, trunc):
+    h2n = qf.hermite(2 * n, trunc)
+    assert h2n.halve_z() == delta_core_sum(n, trunc)
+    assert h2n == b_closed_sum(n, trunc)
+    h = qf.hermite(n, trunc)
+    a = u_sum(n, trunc)
+    assert h.shift(e_z=n) == a
+    assert h * h == a * a.flip_z()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_degrees, _truncs, st.sampled_from(["t", "s"]))
+def test_ultraspherical_matches_inline_sums(n, trunc, param):
+    c2n = qf.ultraspherical(2 * n, trunc, param)
+    assert c2n.halve_z() == ultra_half_sum(n, trunc, param)
+    if param == "t":
+        assert c2n == bosonic_jsum(n, trunc)

@@ -117,6 +117,14 @@ def test_flip_z():
     assert g.flip_z().flip_z() == g
 
 
+def test_halve_z():
+    f = S({(0, 0, 0, 4): 1, (1, 0, 0, -2): Fraction(2, 3), (0, 0, 0, 0): 1})
+    assert f.halve_z() == S({(0, 0, 0, 2): 1, (1, 0, 0, -1): Fraction(2, 3),
+                             (0, 0, 0, 0): 1})
+    with pytest.raises(DomainError):
+        S({(0, 0, 0, 2): 1, (1, 0, 0, 1): 1}).halve_z()
+
+
 def test_specialize_rational():
     tz2 = TruncatedSeries.monomial(TR, 1, e_t=1, e_z=2)
     assert tz2.specialize("z", 1) == TruncatedSeries.variable(TR, "t")
