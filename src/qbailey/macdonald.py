@@ -262,12 +262,17 @@ def _original_rho_block(k, adj, size, svec, u1, u2, trunc):
             continue
         val = TruncatedSeries.monomial(trunc, 1, e_q=e_q, e_t=e_t,
                                        e_z=2 * m[2 * k] - 2 * l[2 * k])
-        val = val * inv_qq(l[2 * k], trunc) * inv_qq(m[2 * k], trunc)
         for i in range(k):
-            val = val * inv_qq(l[2 * i + 1], trunc) * inv_qq(m[2 * i + 1], trunc)
             val = val * _inv_tpoch(l[2 * i], trunc) * inv_qq(m[2 * i], trunc)
         block = block + val
-    return block
+    if block.is_zero():
+        return block
+    # the factors of the entries that svec, u1 and u2 fix are the same
+    # for every rho: multiply them into the block sum once
+    fixed = inv_qq(l[2 * k], trunc) * inv_qq(m[2 * k], trunc)
+    for i in range(k):
+        fixed = fixed * inv_qq(l[2 * i + 1], trunc) * inv_qq(m[2 * i + 1], trunc)
+    return block * fixed
 
 
 def generalized_sides(k: int, b, c,

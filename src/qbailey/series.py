@@ -14,6 +14,8 @@ every iteration, rendering and mismatch report uses it.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Union
@@ -69,6 +71,110 @@ def _norm(c: Coeff) -> Coeff:
 
 
 _VAR_INDEX = {"q": 0, "t": 1, "s": 2, "z": 3}
+_DENOMINATOR = operator.attrgetter("denominator")
+
+
+# -- the ring product ---------------------------------------------------
+#
+# A product is formed row by row (Kronecker substitution in q): the terms
+# of each operand are grouped into q-rows keyed (e_t, e_s, e_z), brought
+# to integer numerators over the operand's common denominator, and each
+# row is packed into one signed int, one w-bit digit per power of q.  One
+# bigint multiply then forms a whole row product, the t and s caps are
+# checked once per row pair, and the packed products of one output row
+# are added as plain ints.  Every coefficient of every output row is at
+# most L1(a)*L1(b) in absolute value (L1 = sum of |numerators|), so with
+# w = bit_length(L1(a)*L1(b)) + 2 the digits, read back in balanced
+# (signed) form, never overflow into one another.  A one-term operand
+# skips all of this: its product is a shift and a scale.
+
+def _term_times(one: dict, terms: dict, trunc: Truncation) -> dict:
+    """Terms of the single term `one` times the series `terms`."""
+    ((q1, t1, s1, z1), c1), = one.items()
+    rq, rt, rs = trunc.max_q - q1, trunc.max_t - t1, trunc.s_cap - s1
+    out = {}
+    for (q2, t2, s2, z2), c2 in terms.items():
+        if q2 > rq or t2 > rt or s2 > rs:
+            continue
+        c = c1 * c2
+        if type(c) is not int and c.denominator == 1:
+            c = c.numerator
+        out[(q1 + q2, t1 + t2, s1 + s2, z1 + z2)] = c
+    return out
+
+
+def _integer_terms(terms: dict) -> tuple[int, dict, int]:
+    """(den, nums, L1): the common denominator of the coefficients, the
+    terms with their integer numerators over it, and the sum of the
+    absolute numerators."""
+    vals = terms.values()
+    if set(map(type, vals)) == {int}:
+        return 1, terms, sum(map(abs, vals))
+    den = math.lcm(*map(_DENOMINATOR, vals))
+    nums = {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+    return den, nums, sum(map(abs, nums.values()))
+
+
+def _packed_rows(nums: dict, w: int, lo: int, hi: int) -> dict:
+    """Rows keyed (e_t, e_s, e_z) of the terms with e_q <= hi, each packed
+    into one int with q^(lo+i) at bit offset w*i (lo <= every e_q)."""
+    rows: dict = {}
+    get = rows.get
+    for (q, t, s, z), c in nums.items():
+        if q > hi:
+            continue
+        key = (t, s, z)
+        rows[key] = get(key, 0) + (c << (w * (q - lo)))
+    return rows
+
+
+def _row_product(a: dict, b: dict, trunc: Truncation) -> dict:
+    """Terms of the product of two term maps."""
+    if not a or not b:
+        return {}
+    mq, mt, ms = trunc.max_q, trunc.max_t, trunc.s_cap
+    # the lowest q-exponents lo_a, lo_b offset every row; a term of one
+    # operand above mq - (lowest of the other) cannot reach the output
+    lo_a, lo_b = min(a)[0], min(b)[0]
+    room = mq - lo_a - lo_b
+    if room < 0:
+        return {}
+    den_a, nums_a, l1_a = _integer_terms(a)
+    den_b, nums_b, l1_b = _integer_terms(b)
+    w = (l1_a * l1_b).bit_length() + 2
+    rows_a = _packed_rows(nums_a, w, lo_a, lo_a + room)
+    rows_b = sorted(_packed_rows(nums_b, w, lo_b, lo_b + room).items())  # by e_t
+    acc: dict = {}
+    get = acc.get
+    for (ta, sa, za), va in rows_a.items():
+        rt, rs = mt - ta, ms - sa
+        for (tb, sb, zb), vb in rows_b:
+            if tb > rt:
+                break
+            if sb > rs:
+                continue
+            key = (ta + tb, sa + sb, za + zb)
+            acc[key] = get(key, 0) + va * vb
+
+    den = den_a * den_b
+    lo = lo_a + lo_b
+    base = 1 << w
+    half, mask = base >> 1, base - 1
+    out = {}
+    for (t, s, z), x in acc.items():
+        if not x:
+            continue
+        i = ((x & -x).bit_length() - 1) // w     # lowest nonzero digit
+        x >>= w * i
+        while x and i <= room:
+            d = x & mask
+            if d >= half:
+                d -= base
+            x = (x - d) >> w
+            if d:
+                out[(lo + i, t, s, z)] = d if den == 1 else _norm(Fraction(d, den))
+            i += 1
+    return out
 
 
 class TruncatedSeries:
@@ -216,32 +322,9 @@ class TruncatedSeries:
         small, big = self._terms, other._terms
         if len(small) > len(big):
             small, big = big, small
-        mq, mt = self.trunc.max_q, self.trunc.max_t
-        ms = self.trunc.s_cap
-        acc: dict = {}
-        big_items = list(big.items())
-        for (q1, t1, s1, z1), c1 in small.items():
-            for (q2, t2, s2, z2), c2 in big_items:
-                eq = q1 + q2
-                if eq > mq:
-                    continue
-                et = t1 + t2
-                if et > mt:
-                    continue
-                es = s1 + s2
-                if es > ms:
-                    continue
-                key = (eq, et, es, z1 + z2)
-                prev = acc.get(key)
-                if prev is None:
-                    acc[key] = c1 * c2
-                else:
-                    acc[key] = prev + c1 * c2
-        out = {}
-        for key, c in acc.items():
-            if c != 0:
-                out[key] = _norm(c)
-        return TruncatedSeries._raw(self.trunc, out)
+        if len(small) == 1:
+            return TruncatedSeries._raw(self.trunc, _term_times(small, big, self.trunc))
+        return TruncatedSeries._raw(self.trunc, _row_product(small, big, self.trunc))
 
     __rmul__ = __mul__
 

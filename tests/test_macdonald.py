@@ -87,13 +87,19 @@ def test_unrefined_matches_direct_multisum():
 
 
 def test_monotone_truncation_consistency():
-    for fn in (M.bosonic_index, M.fermionic_index, M.fermionic2_index,
-               M.original_index):
-        big = fn(1, TR)
-        assert retruncate(big, SMALL) == fn(1, SMALL)
-    for fn in (M.bosonic_index, M.fermionic_index):
-        big = fn(2, TR)
-        assert retruncate(big, SMALL) == fn(2, SMALL)
+    # a result at larger caps, cut down to smaller caps, equals the
+    # result computed at the smaller caps
+    for k in (1, 2, 3):
+        for fn in (M.bosonic_index, M.fermionic_index, M.fermionic2_index,
+                   M.original_index):
+            big, small = TR, SMALL
+            if fn is M.original_index and k == 3:
+                big, small = Truncation(6, 4), Truncation(4, 2)   # (8,6) takes seconds
+            assert retruncate(fn(k, big), small) == fn(k, small)
+    b, c = [Fraction(2, 5), Fraction(1, 3)], [Fraction(4, 7), Fraction(5, 2)]
+    for big, small in zip(M.generalized_sides(2, b, c, TR),
+                          M.generalized_sides(2, b, c, SMALL)):
+        assert retruncate(big, SMALL) == small
 
 
 def test_generalized_identity_zero_parameters_match_plain():

@@ -18,6 +18,54 @@ def S(terms, trunc=TR):
     return TruncatedSeries(trunc, terms)
 
 
+def reference_product(f, g):
+    """The ring product as a loop over term pairs: a frozen copy of the
+    dict kernel the row-packed product replaced, kept as its oracle."""
+    small, big = f._terms, g._terms
+    if len(small) > len(big):
+        small, big = big, small
+    mq, mt, ms = f.trunc.max_q, f.trunc.max_t, f.trunc.s_cap
+    acc = {}
+    big_items = list(big.items())
+    for (q1, t1, s1, z1), c1 in small.items():
+        for (q2, t2, s2, z2), c2 in big_items:
+            eq = q1 + q2
+            if eq > mq:
+                continue
+            et = t1 + t2
+            if et > mt:
+                continue
+            es = s1 + s2
+            if es > ms:
+                continue
+            key = (eq, et, es, z1 + z2)
+            prev = acc.get(key)
+            if prev is None:
+                acc[key] = c1 * c2
+            else:
+                acc[key] = prev + c1 * c2
+    out = {}
+    for key, c in acc.items():
+        if c != 0:
+            out[key] = c.numerator if type(c) is Fraction and c.denominator == 1 else c
+    return TruncatedSeries._raw(f.trunc, out)
+
+
+def assert_same_product(f, g):
+    """f * g equals the oracle term for term, with the same coefficient
+    types, and is stored canonically: no zero coefficient, no monomial
+    beyond the caps, no integral Fraction."""
+    got, want = f * g, reference_product(f, g)
+    assert got == want
+    assert [type(c) for _, c in got.terms()] == [type(c) for _, c in want.terms()]
+    tr = got.trunc
+    for (eq, et, es, _), c in got.terms():
+        assert c != 0
+        assert type(c) is int or c.denominator != 1
+        assert 0 <= eq <= tr.max_q and 0 <= et <= tr.max_t and 0 <= es <= tr.s_cap
+    return got
+
+
 def one(trunc=TR):
     return TruncatedSeries.one(trunc)
 
@@ -46,6 +94,39 @@ def test_mul_laurent():
     expected = S({(0, 0, 0, 0): 1, (0, 1, 0, 2): 1, (0, 1, 0, -2): 1,
                   (0, 2, 0, 0): 1})
     assert a * b == expected
+
+
+@pytest.mark.parametrize("x", [2**64 - 1, -(2**64 - 1), 2**63, -(2**63), 2**63 + 1,
+                               Fraction(2**64 - 1, 3), Fraction(-(2**63), 7)])
+@pytest.mark.parametrize("y", [2**64 - 1, -(2**63), 2**63 + 1, Fraction(2**63, 5)])
+def test_mul_digit_width_edges(x, y):
+    # the other terms are +-1, so the constant coefficient x*y takes
+    # almost all of the L1 bound that fixes the digit width and sits near
+    # the top of its digit; the others need a borrow from it to read back
+    f = S({(0, 0, 0, 0): x, (1, 0, 0, 0): 1, (2, 1, 0, 1): -1})
+    g = S({(0, 0, 0, 0): y, (1, 0, 0, 0): -1, (1, 1, 0, -1): 1})
+    prod = assert_same_product(f, g)
+    assert prod.coefficient((0, 0, 0, 0)) == x * y
+    assert prod.coefficient((1, 0, 0, 0)) == y - x
+    assert prod.coefficient((2, 0, 0, 0)) == -1
+
+
+def test_mul_cancellation():
+    x, y = 2**64 - 1, -(2**63)
+    a = {(0, 0, 0, 0): x, (1, 0, 0, 2): y, (3, 0, 0, -1): 7}
+    b = {(0, 0, 0, 1): y, (2, 0, 0, 0): x, (4, 0, 0, 0): -3}
+    # (A + tB)(A - tB) = A^2 - t^2 B^2: every t^1 row cancels
+    f = S({**a, **{(q, 1, s, z): c for (q, _, s, z), c in b.items()}})
+    g = S({**a, **{(q, 1, s, z): -c for (q, _, s, z), c in b.items()}})
+    prod = assert_same_product(f, g)
+    assert all(mono.e_t != 1 for mono, _ in prod.terms())
+    # (1 + xq)(1 - xq) = 1 - x^2 q^2: a zero digit inside a row
+    one_x = S({(0, 0, 0, 0): 1, (1, 0, 0, 0): x})
+    prod = assert_same_product(one_x, S({(0, 0, 0, 0): 1, (1, 0, 0, 0): -x}))
+    assert prod == S({(0, 0, 0, 0): 1, (2, 0, 0, 0): -x * x})
+    # every term pair beyond the q cap
+    high = S({(3, 0, 0, 0): x, (4, 1, 0, 0): y})
+    assert assert_same_product(high, S({(4, 0, 0, 0): 1, (5, 0, 0, 1): 2})).is_zero()
 
 
 def test_truncation_mismatch_is_usage_error():
@@ -183,6 +264,53 @@ _monos = st.tuples(st.integers(0, TRS.max_q), st.integers(0, TRS.max_t),
 
 _series = st.dictionaries(_monos, _coeffs, max_size=5).map(
     lambda d: TruncatedSeries(TRS, d))
+
+
+_BIG = 10**40
+_wide_ints = st.integers(-_BIG, _BIG)
+_wide_fractions = st.builds(Fraction, _wide_ints, st.integers(1, 10**6))
+# one coefficient kind per operand, so that all-integer operands (one
+# common denominator of 1) are as common as rational and mixed ones
+_coeff_kinds = st.sampled_from([
+    _wide_ints,
+    st.integers(-3, 3),
+    _wide_fractions,
+    st.one_of(_wide_ints, _wide_fractions,
+              st.fractions(min_value=-3, max_value=3, max_denominator=7)),
+])
+
+_truncations = st.builds(Truncation, st.integers(0, 7), st.integers(0, 4),
+                         st.one_of(st.none(), st.integers(0, 3)))
+
+
+def _exponents(cap):
+    # 0, the cap and two halves that sum to it, so that many products
+    # land exactly on a cap
+    return st.one_of(st.sampled_from([0, cap // 2, cap - cap // 2, cap]),
+                     st.integers(0, cap))
+
+
+@st.composite
+def _operand_pairs(draw):
+    tr = draw(_truncations)
+    monos = st.tuples(_exponents(tr.max_q), _exponents(tr.max_t),
+                      _exponents(tr.s_cap), st.integers(-3, 3))
+    sizes = st.sampled_from([(0, 0), (1, 1), (2, 14)])
+    pair = []
+    for _ in range(2):
+        lo, hi = draw(sizes)
+        coeffs = draw(_coeff_kinds)
+        pair.append(TruncatedSeries(
+            tr, draw(st.dictionaries(monos, coeffs, min_size=lo, max_size=hi))))
+    return pair
+
+
+@settings(max_examples=200, deadline=None)
+@given(_operand_pairs())
+def test_mul_matches_reference_product(pair):
+    f, g = pair
+    assert_same_product(f, g)
+    assert_same_product(g, f)
 
 
 @given(_series, _series)
