@@ -9,8 +9,8 @@ Two deliberately separate backends:
   never enter the series ring;
 * identities among formal series evaluate in the truncated ring.
 
-Every denominator factor at a rational point is checked and logged; a
-zero aborts with the factor named.
+Every denominator factor at a rational point is checked; a zero aborts
+with the factor named.
 """
 
 from __future__ import annotations
@@ -27,17 +27,22 @@ from .series import TruncatedSeries, Truncation
 
 @dataclass
 class RationalPoint:
-    """Exact assignment of variables to rationals, with a pole log.
+    """Exact assignment of variables to rationals.
 
     q must not be 0 or a root of unity of order up to `unity_bound`
     (for rationals that only excludes +-1, but the bound is checked
     explicitly).  Other variables may be zero; an operation that needs
     their inverse will raise a named PoleError.
+
+    The point owns the prefix tables behind `poch_value` and
+    `inv_poch_value`, keyed by base and direction; they grow only as far
+    as a call needs and are freed with the point.
     """
 
     values: dict[str, Fraction]
     unity_bound: int = 64
-    pole_log: list = field(default_factory=list)
+    _poch_tables: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         self.values = {k: Fraction(v) for k, v in self.values.items()}
@@ -62,7 +67,6 @@ class RationalPoint:
         return name in self.values
 
     def check_nonzero(self, value: Fraction, desc: str) -> Fraction:
-        self.pole_log.append(desc)
         if value == 0:
             raise PoleError(desc)
         return value
@@ -70,40 +74,68 @@ class RationalPoint:
     def describe(self) -> dict:
         return {k: f"{v.numerator}/{v.denominator}" for k, v in sorted(self.values.items())}
 
+    def _prefix_product(self, a: Fraction, n: int) -> Fraction:
+        """(a;q)_n for n >= 0; for n < 0 the product
+        (1 - a q^-1)(1 - a q^-2)...(1 - a q^n) = (a q^n;q)_{-n}."""
+        # int parts hash in C; hashing the Fraction itself runs Python code
+        key = (a.numerator, a.denominator, n >= 0)
+        table = self._poch_tables.get(key)
+        if table is None:
+            q = self.values["q"]
+            table = self._poch_tables[key] = (
+                _PrefixTable(a, q) if n >= 0 else _PrefixTable(a / q, 1 / q))
+        return table.upto(abs(n))
+
+
+class _PrefixTable:
+    """The prefix products 1, (1 - x), (1 - x)(1 - x r), ... of the
+    factors 1 - x r^k, extended only as far as a call needs."""
+
+    __slots__ = ("products", "x", "ratio")
+
+    def __init__(self, x: Fraction, ratio: Fraction):
+        self.products = [Fraction(1)]
+        self.x = x          # the next factor is 1 - x
+        self.ratio = ratio
+
+    def upto(self, m: int) -> Fraction:
+        products = self.products
+        while len(products) <= m:
+            products.append(products[-1] * (1 - self.x))
+            self.x *= self.ratio
+        return products[m]
+
+
+def _pole(a: Fraction, n: int, point: RationalPoint) -> PoleError:
+    """The error naming the first vanishing factor of a product that
+    `_prefix_product(a, n)` found to be zero."""
+    q = point["q"]
+    if n >= 0:
+        k = next(k for k in range(n) if 1 - a * q ** k == 0)
+        return PoleError(f"(1 - ({a}) * q^{k})")
+    j = next(j for j in range(1, -n + 1) if 1 - a * q ** (-j) == 0)
+    return PoleError(f"(1 - ({a}) * q^(-{j}))")
+
 
 def poch_value(a: Fraction, n: int, point: RationalPoint) -> Fraction:
     """(a;q)_n at the point; negative n via (a;q)_{-m} = 1/(aq^{-m};q)_m."""
-    q = point["q"]
+    value = point._prefix_product(a, n)
     if n >= 0:
-        prod = Fraction(1)
-        qk = Fraction(1)
-        for _ in range(n):
-            prod *= 1 - a * qk
-            qk *= q
-        return prod
-    m = -n
-    den = Fraction(1)
-    for j in range(1, m + 1):
-        den *= point.check_nonzero(1 - a * q ** (-j), f"(1 - ({a}) * q^(-{j}))")
-    return 1 / den
+        return value
+    if value == 0:
+        raise _pole(a, n, point)
+    return 1 / value
 
 
 def inv_poch_value(a: Fraction, n: int, point: RationalPoint) -> Fraction:
     """1/(a;q)_n at the point.  For negative n this is the polynomial
     (a q^{n};q)_{-n} (in particular exactly 0 when a = q and n < 0)."""
-    q = point["q"]
-    if n >= 0:
-        prod = Fraction(1)
-        qk = Fraction(1)
-        for k in range(n):
-            prod *= point.check_nonzero(1 - a * qk, f"(1 - ({a}) * q^{k})")
-            qk *= q
-        return 1 / prod
-    m = -n
-    prod = Fraction(1)
-    for j in range(1, m + 1):
-        prod *= 1 - a * q ** (-j)
-    return prod
+    value = point._prefix_product(a, n)
+    if n < 0:
+        return value
+    if value == 0:
+        raise _pole(a, n, point)
+    return 1 / value
 
 
 def qbinomial_value(M: int, N: int, point: RationalPoint) -> Fraction:
@@ -446,7 +478,7 @@ def draw_point(rng: random.Random, names: tuple[str, ...]) -> RationalPoint:
 def run_at_random_points(check, names: tuple[str, ...], n_points: int,
                          seed: int, max_retries: int = 64) -> list[IdentityReport]:
     """Run `check(point, seed)` at n_points random points, redrawing a
-    point whenever it hits a pole (rejection against the pole log)."""
+    point whenever it hits a pole."""
     rng = random.Random(seed)
     reports = []
     for _ in range(n_points):

@@ -2,8 +2,10 @@
 injection."""
 
 import json
+from fractions import Fraction
 
 import pytest
+from test_hypergeometric import reference_inv_poch_value, reference_poch_value
 
 from qbailey import cli
 from qbailey import hypergeometric as hg
@@ -14,6 +16,14 @@ def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strip_wall_time(obj):
+    if isinstance(obj, dict):
+        return {k: strip_wall_time(v) for k, v in obj.items() if k != "wall_time_ms"}
+    if isinstance(obj, list):
+        return [strip_wall_time(v) for v in obj]
+    return obj
 
 
 def test_verify_pass_and_usage_errors(capsys):
@@ -52,6 +62,27 @@ def test_verify_determinism_modulo_wall_time(capsys):
             r["wall_time_ms"] = None
         outs.append(json.dumps(reports, sort_keys=True))
     assert outs[0] == outs[1]
+
+
+def test_rational_points_match_reference_loops(capsys, monkeypatch):
+    # every rational-point report must come out the same when poch_value
+    # and inv_poch_value are the frozen factor-by-factor loops instead
+    def outputs():
+        out = []
+        for identity in ("lemma-b1", "appx-c"):
+            code, text, _ = run(capsys, ["verify", identity, "--lmax", "3",
+                                         "--nmax", "3", "--points", "4",
+                                         "--seed", "5", "--json"])
+            out.append((code, strip_wall_time(json.loads(text))))
+        point = hg.RationalPoint({"q": Fraction(2, 3), "t": Fraction(3, 5)})
+        out += [strip_wall_time(hg.s_symmetry_check(l, n, point).to_dict())
+                for l in range(3) for n in range(3)]
+        return json.dumps(out, sort_keys=True)
+
+    tables = outputs()
+    monkeypatch.setattr(hg, "poch_value", reference_poch_value)
+    monkeypatch.setattr(hg, "inv_poch_value", reference_inv_poch_value)
+    assert outputs() == tables
 
 
 def test_verify_seed_recorded_without_flag(capsys):

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbailey import hypergeometric as hg
 from qbailey.errors import DomainError, PoleError
@@ -14,6 +16,41 @@ FIXED = hg.RationalPoint({"q": Fraction(2, 3), "t": Fraction(3, 5)})
 FIXED_S = hg.RationalPoint({"q": Fraction(2, 3), "t": Fraction(3, 5),
                             "s": Fraction(5, 7)})
 TR = Truncation(6, 4)
+
+
+def reference_poch_value(a, n, point):
+    """(a;q)_n rebuilt factor by factor: a frozen copy of the loop that
+    the per-point prefix tables replaced, kept as their oracle."""
+    q = point["q"]
+    if n >= 0:
+        prod = Fraction(1)
+        qk = Fraction(1)
+        for _ in range(n):
+            prod *= 1 - a * qk
+            qk *= q
+        return prod
+    m = -n
+    den = Fraction(1)
+    for j in range(1, m + 1):
+        den *= point.check_nonzero(1 - a * q ** (-j), f"(1 - ({a}) * q^(-{j}))")
+    return 1 / den
+
+
+def reference_inv_poch_value(a, n, point):
+    """1/(a;q)_n rebuilt factor by factor; the oracle of inv_poch_value."""
+    q = point["q"]
+    if n >= 0:
+        prod = Fraction(1)
+        qk = Fraction(1)
+        for k in range(n):
+            prod *= point.check_nonzero(1 - a * qk, f"(1 - ({a}) * q^{k})")
+            qk *= q
+        return 1 / prod
+    m = -n
+    prod = Fraction(1)
+    for j in range(1, m + 1):
+        prod *= 1 - a * q ** (-j)
+    return prod
 
 
 def test_rational_point_validation():
@@ -157,11 +194,57 @@ def test_wp_reduces_at_s_zero():
 
 
 def test_pole_error_names_factor():
-    # t = 1/q makes (1 - t q) vanish inside a denominator Pochhammer
+    # q = 2/3, t = 3/2: 1/t = q makes (1 - (1/t) q^(-1)) vanish in the
+    # negative-index Pochhammer (1/t;q)_{-2}, and t q = 1 makes
+    # (1 - t q) vanish in the denominator (t;q)_n for n >= 2
     point = hg.RationalPoint({"q": Fraction(2, 3), "t": Fraction(3, 2)})
-    with pytest.raises(PoleError) as err:
-        hg.expansion_coeff_check(1, 1, point)
-    assert "1 - " in str(err.value)
+    cases = [
+        (lambda: hg.expansion_coeff_check(1, 1, point), "(1 - (2/3) * q^(-1))"),
+        (lambda: hg.poch_value(Fraction(4, 9), -3, point), "(1 - (4/9) * q^(-2))"),
+        (lambda: hg.inv_poch_value(Fraction(3, 2), 4, point), "(1 - (3/2) * q^1)"),
+        (lambda: hg.s_sum(2, 2, point), "(1 - (3/2) * q^1)"),
+    ]
+    for call, factor in cases:
+        with pytest.raises(PoleError) as err:
+            call()
+        assert err.value.factor == factor
+
+
+_q = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+               st.integers(1, 9)).filter(lambda q: abs(q) != 1)
+
+
+@st.composite
+def _point_and_calls(draw):
+    """A point, a few bases (free rationals of both signs, or pole bases
+    q^k that zero a factor of (a;q)_n or of (a q^n;q)_{-n}) and a random
+    sequence of calls that share those bases."""
+    q = draw(_q)
+    base = st.one_of(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+                     st.integers(-12, 12).map(lambda k: q ** k))
+    bases = draw(st.lists(base, min_size=1, max_size=3))
+    calls = draw(st.lists(st.tuples(st.sampled_from(bases), st.integers(-12, 12),
+                                    st.booleans()), min_size=1, max_size=12))
+    return q, calls
+
+
+def _outcome(fn, a, n, point):
+    try:
+        return fn(a, n, point)
+    except PoleError as err:
+        return ("pole", err.factor)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point_and_calls())
+def test_poch_values_match_reference_loops(case):
+    q, calls = case
+    point = hg.RationalPoint({"q": q})
+    oracle_point = hg.RationalPoint({"q": q})
+    for a, n, inverse in calls:
+        fn, ref = ((hg.inv_poch_value, reference_inv_poch_value) if inverse
+                   else (hg.poch_value, reference_poch_value))
+        assert _outcome(fn, a, n, point) == _outcome(ref, a, n, oracle_point)
 
 
 def test_b_phi_evaluations():
