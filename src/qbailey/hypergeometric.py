@@ -29,10 +29,9 @@ from .series import TruncatedSeries, Truncation
 class RationalPoint:
     """Exact assignment of variables to rationals.
 
-    q must not be 0 or a root of unity of order up to `unity_bound`
-    (for rationals that only excludes +-1, but the bound is checked
-    explicitly).  Other variables may be zero; an operation that needs
-    their inverse will raise a named PoleError.
+    q must not be 0 or a root of unity, which for a rational q means
+    +-1.  Other variables may be zero; an operation that needs their
+    inverse will raise a named PoleError.
 
     The point owns the prefix tables behind `poch_value` and
     `inv_poch_value`, keyed by base and direction; they grow only as far
@@ -40,7 +39,6 @@ class RationalPoint:
     """
 
     values: dict[str, Fraction]
-    unity_bound: int = 64
     _poch_tables: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
 
@@ -51,11 +49,8 @@ class RationalPoint:
             raise DomainError("a rational point must assign q")
         if q == 0:
             raise DomainError("q must be nonzero")
-        power = Fraction(1)
-        for j in range(1, self.unity_bound + 1):
-            power *= q
-            if power == 1:
-                raise DomainError(f"q={q} is a root of unity of order {j}")
+        if q in (1, -1):        # the only rational roots of unity
+            raise DomainError(f"q={q} is a root of unity of order {1 if q == 1 else 2}")
 
     def __getitem__(self, name: str) -> Fraction:
         try:
@@ -74,9 +69,9 @@ class RationalPoint:
     def describe(self) -> dict:
         return {k: f"{v.numerator}/{v.denominator}" for k, v in sorted(self.values.items())}
 
-    def _prefix_product(self, a: Fraction, n: int) -> Fraction:
-        """(a;q)_n for n >= 0; for n < 0 the product
-        (1 - a q^-1)(1 - a q^-2)...(1 - a q^n) = (a q^n;q)_{-n}."""
+    def _prefix_table(self, a: Fraction, n: int) -> "_PrefixTable":
+        """The table whose entry |n| is (a;q)_n for n >= 0 and, for n < 0,
+        the product (1 - a q^-1)(1 - a q^-2)...(1 - a q^n) = (a q^n;q)_{-n}."""
         # int parts hash in C; hashing the Fraction itself runs Python code
         key = (a.numerator, a.denominator, n >= 0)
         table = self._poch_tables.get(key)
@@ -84,17 +79,32 @@ class RationalPoint:
             q = self.values["q"]
             table = self._poch_tables[key] = (
                 _PrefixTable(a, q) if n >= 0 else _PrefixTable(a / q, 1 / q))
-        return table.upto(abs(n))
+        return table
+
+    def _prefix_reciprocal(self, a: Fraction, n: int) -> Fraction:
+        """The reciprocal of entry |n| of the table for a and n, computed
+        once; a zero entry raises the PoleError naming its factor."""
+        table = self._prefix_table(a, n)
+        m = abs(n)
+        value = table.upto(m)
+        inverse = table.reciprocals[m]
+        if inverse is None:
+            if value == 0:
+                raise _pole(a, n, self)
+            inverse = table.reciprocals[m] = 1 / value
+        return inverse
 
 
 class _PrefixTable:
     """The prefix products 1, (1 - x), (1 - x)(1 - x r), ... of the
-    factors 1 - x r^k, extended only as far as a call needs."""
+    factors 1 - x r^k, extended only as far as a call needs, beside a
+    column of their reciprocals, each filled in when first asked for."""
 
-    __slots__ = ("products", "x", "ratio")
+    __slots__ = ("products", "reciprocals", "x", "ratio")
 
     def __init__(self, x: Fraction, ratio: Fraction):
         self.products = [Fraction(1)]
+        self.reciprocals = [Fraction(1)]
         self.x = x          # the next factor is 1 - x
         self.ratio = ratio
 
@@ -102,13 +112,14 @@ class _PrefixTable:
         products = self.products
         while len(products) <= m:
             products.append(products[-1] * (1 - self.x))
+            self.reciprocals.append(None)
             self.x *= self.ratio
         return products[m]
 
 
 def _pole(a: Fraction, n: int, point: RationalPoint) -> PoleError:
     """The error naming the first vanishing factor of a product that
-    `_prefix_product(a, n)` found to be zero."""
+    `RationalPoint._prefix_table` holds as zero."""
     q = point["q"]
     if n >= 0:
         k = next(k for k in range(n) if 1 - a * q ** k == 0)
@@ -119,23 +130,17 @@ def _pole(a: Fraction, n: int, point: RationalPoint) -> PoleError:
 
 def poch_value(a: Fraction, n: int, point: RationalPoint) -> Fraction:
     """(a;q)_n at the point; negative n via (a;q)_{-m} = 1/(aq^{-m};q)_m."""
-    value = point._prefix_product(a, n)
     if n >= 0:
-        return value
-    if value == 0:
-        raise _pole(a, n, point)
-    return 1 / value
+        return point._prefix_table(a, n).upto(n)
+    return point._prefix_reciprocal(a, n)
 
 
 def inv_poch_value(a: Fraction, n: int, point: RationalPoint) -> Fraction:
     """1/(a;q)_n at the point.  For negative n this is the polynomial
     (a q^{n};q)_{-n} (in particular exactly 0 when a = q and n < 0)."""
-    value = point._prefix_product(a, n)
     if n < 0:
-        return value
-    if value == 0:
-        raise _pole(a, n, point)
-    return 1 / value
+        return point._prefix_table(a, n).upto(-n)
+    return point._prefix_reciprocal(a, n)
 
 
 def qbinomial_value(M: int, N: int, point: RationalPoint) -> Fraction:

@@ -52,6 +52,8 @@ class DynkinData:
         if len(self.adjacency) != size or any(len(r) != size for r in self.adjacency):
             raise InternalConsistencyError("adjacency matrix has wrong shape")
         for i in range(size):
+            if any(a not in (0, 1) for a in self.adjacency[i]):
+                raise InternalConsistencyError("adjacency entries must be 0 or 1")
             if self.adjacency[i][i] != 0:
                 raise InternalConsistencyError("adjacency diagonal must vanish")
             for j in range(size):
@@ -214,31 +216,65 @@ def _svectors(k: int, cap: int):
 def original_index(k: int, trunc: Truncation) -> TruncatedSeries:
     """Dynkin-data form of the second multisum: a sum over two index
     vectors (l, m) tied by Kronecker deltas, with the q-exponent built
-    from the adjacency quadratic form sum a_ij l_i m_j / 2.  Exponents
-    are accumulated as exact rationals and asserted integral, keeping
-    this an independent witness of the adjacency data rather than a
-    restatement of the factored multisum."""
+    from the adjacency quadratic form sum a_ij l_i m_j / 2.
+
+    The entries at the nodes 1, 3, ..., 2k-1 (1-based) form one free
+    vector rho with l = m = rho; svec, u1 and u2 fix all the others.  For
+    each such block the exponents are read off the adjacency as doubled
+    integers: a constant over pairs of fixed nodes, one weight per rho
+    node and the rho-rho couplings give the doubled q-exponent, and the
+    fixed entries the doubled t-exponent.  They are checked even once per
+    block, which makes every exponent of the block integral.  Blocks with
+    the same exponent data share one rho-sum, enumerated depth first and
+    cut off exactly at max_q.  Nothing here uses the factored r-sums of
+    fermionic2_index, so this stays an independent witness of the
+    adjacency data rather than a restatement of the factored multisum."""
     if k < 1:
         raise DomainError("k must be >= 1")
-    data = DynkinData.build(k)
-    adj = data.adjacency
-    size = 2 * k + 1
+    adj = DynkinData.build(k).adjacency
+    rho_nodes = range(0, 2 * k, 2)                  # 1-based 1, 3, ..., 2k-1
+    fixed_nodes = [j for j in range(2 * k + 1) if j % 2 or j == 2 * k]
+    # rho-rho couplings a_ij (j < i); the same for every block of this call
+    couplings = tuple(tuple(adj[r][p] for p in rho_nodes[:i])
+                      for i, r in enumerate(rho_nodes))
+    factor = [_inv_tpoch(r, trunc) * inv_qq(r, trunc) for r in range(trunc.max_q + 1)]
+    rho_sums: dict = {}
     total = TruncatedSeries.zero(trunc)
     for svec in _svectors(k, trunc.max_t):
         sigma_k = svec[-1]
         for u1 in range(sigma_k + 1):
             for u2 in range(sigma_k + 1):
-                total = total + _original_rho_block(
-                    k, adj, size, svec, u1, u2, trunc)
+                l, m = _fixed_entries(k, svec, u1, u2)
+                const2 = sum(adj[i][j] * l[i] * m[j]
+                             for i in fixed_nodes for j in fixed_nodes)
+                weights = tuple(sum(adj[r][j] * (l[j] + m[j]) for j in fixed_nodes) + 2
+                                for r in rho_nodes)
+                e_t2 = sum(l[j] + m[j] for j in fixed_nodes)
+                if const2 % 2 or e_t2 % 2 or any(w % 2 for w in weights):
+                    raise InternalConsistencyError(
+                        f"non-integral exponent for l={l}, m={m}: doubled q-constant "
+                        f"{const2}, rho weights {weights}, doubled t-exponent {e_t2}")
+                if e_t2 > 2 * trunc.max_t:
+                    continue
+                # the couplings are the same for the whole call, and for
+                # the D-series graph the weights do not depend on (u1, u2)
+                key = (const2, weights)
+                rho_sum = rho_sums.get(key)
+                if rho_sum is None:
+                    rho_sum = rho_sums[key] = _rho_sum(
+                        const2, weights, couplings, factor, trunc)
+                fixed = TruncatedSeries.one(trunc)
+                for j in fixed_nodes:
+                    fixed = fixed * inv_qq(l[j], trunc) * inv_qq(m[j], trunc)
+                total = total + rho_sum.shift(
+                    e_t=e_t2 // 2, e_z=2 * (m[2 * k] - l[2 * k])) * fixed
     return _tq_qq_inf_power(k, trunc) * total
 
 
-def _original_rho_block(k, adj, size, svec, u1, u2, trunc):
-    # sum over rho = (l_1, l_3, ..., l_{2k-1}) with the remaining
-    # entries of l and m fixed by svec, u1, u2
-    block = TruncatedSeries.zero(trunc)
-    l = [0] * size
-    m = [0] * size
+def _fixed_entries(k, svec, u1, u2):
+    # l and m with the entries that svec, u1 and u2 fix; rho entries are 0
+    l = [0] * (2 * k + 1)
+    m = [0] * (2 * k + 1)
     for i in range(k - 1):
         l[2 * i + 1] = m[2 * i + 1] = svec[i]   # l_{2i} (1-based) = s_i
     sigma_k = svec[-1]
@@ -246,33 +282,32 @@ def _original_rho_block(k, adj, size, svec, u1, u2, trunc):
     m[2 * k - 1] = u2                           # m_{2k}
     l[2 * k] = sigma_k - u1                     # l_{2k+1}
     m[2 * k] = sigma_k - u2                     # m_{2k+1}
+    return l, m
 
-    for rho in _svectors(k, trunc.max_q):
-        for i in range(k):
-            l[2 * i] = m[2 * i] = rho[i]        # l_{2i-1} (1-based) = rho_i
-        quad = sum(adj[i][j] * l[i] * m[j] for i in range(size) for j in range(size))
-        e_q = Fraction(quad, 2) + Fraction(sum(l[2 * i] + m[2 * i] for i in range(k)), 2)
-        e_t = Fraction(sum(l[2 * i + 1] + m[2 * i + 1] for i in range(k - 1))
-                       + l[2 * k - 1] + m[2 * k - 1] + l[2 * k] + m[2 * k], 2)
-        if e_q.denominator != 1 or e_t.denominator != 1:
-            raise InternalConsistencyError(
-                f"non-integral exponent for l={l}, m={m}: q^{e_q} t^{e_t}")
-        e_q, e_t = int(e_q), int(e_t)
-        if e_q > trunc.max_q or e_t > trunc.max_t:
-            continue
-        val = TruncatedSeries.monomial(trunc, 1, e_q=e_q, e_t=e_t,
-                                       e_z=2 * m[2 * k] - 2 * l[2 * k])
-        for i in range(k):
-            val = val * _inv_tpoch(l[2 * i], trunc) * inv_qq(m[2 * i], trunc)
-        block = block + val
-    if block.is_zero():
-        return block
-    # the factors of the entries that svec, u1 and u2 fix are the same
-    # for every rho: multiply them into the block sum once
-    fixed = inv_qq(l[2 * k], trunc) * inv_qq(m[2 * k], trunc)
-    for i in range(k):
-        fixed = fixed * inv_qq(l[2 * i + 1], trunc) * inv_qq(m[2 * i + 1], trunc)
-    return block * fixed
+
+def _rho_sum(const2, weights, couplings, factor, trunc):
+    # sum over rho of q^(e/2) prod_i factor[rho_i], with the doubled
+    # exponent e = const2 + sum_i rho_i (w_i + 2 sum_{j<i} a_ij rho_j).
+    # Adjacency entries are 0 or 1, so every w_i >= 2 and every increment
+    # grows with rho_i: a level stops at the first rho_i that takes e past
+    # 2 max_q, and the pruning is exact.
+    budget = 2 * trunc.max_q
+
+    def descend(rho, e2, val):
+        # val = q^(e2/2) times the factors of the entries of rho
+        i = len(rho)
+        if i == len(weights):
+            return val
+        slope = weights[i] + 2 * sum(a * r for a, r in zip(couplings[i], rho))
+        total = TruncatedSeries.zero(trunc)
+        r = 0
+        while e2 + r * slope <= budget:
+            step = val if r == 0 else val * factor[r].shift(e_q=r * slope // 2)
+            total = total + descend(rho + (r,), e2 + r * slope, step)
+            r += 1
+        return total
+
+    return descend((), const2, TruncatedSeries.monomial(trunc, 1, e_q=const2 // 2))
 
 
 def generalized_sides(k: int, b, c,

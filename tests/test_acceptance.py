@@ -43,7 +43,7 @@ def test_criterion_2_second_fermionic_form():
 
 def test_criterion_3_dynkin_data_form():
     trunc = Truncation(6, 4)
-    for k in (1, 2):
+    for k in (1, 2, 3):
         # any non-integral exponent raises InternalConsistencyError,
         # so completing at all certifies the integrality assertion
         equal = M.original_index(k, trunc) == M.fermionic2_index(k, trunc)

@@ -58,10 +58,13 @@ def test_rational_point_validation():
         hg.RationalPoint({"t": Fraction(1, 2)})
     with pytest.raises(DomainError):
         hg.RationalPoint({"q": Fraction(0)})
-    with pytest.raises(DomainError):
-        hg.RationalPoint({"q": Fraction(1)})
-    with pytest.raises(DomainError):
-        hg.RationalPoint({"q": Fraction(-1)})
+    # for a rational q the roots of unity are exactly 1 and -1
+    for q, text in ((1, "q=1 is a root of unity of order 1"),
+                    (-1, "q=-1 is a root of unity of order 2")):
+        with pytest.raises(DomainError) as info:
+            hg.RationalPoint({"q": Fraction(q)})
+        assert str(info.value) == text
+    assert hg.RationalPoint({"q": Fraction(89, 97)})["q"] == Fraction(89, 97)
 
 
 def test_poch_value_negative_convention():

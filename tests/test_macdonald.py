@@ -92,10 +92,7 @@ def test_monotone_truncation_consistency():
     for k in (1, 2, 3):
         for fn in (M.bosonic_index, M.fermionic_index, M.fermionic2_index,
                    M.original_index):
-            big, small = TR, SMALL
-            if fn is M.original_index and k == 3:
-                big, small = Truncation(6, 4), Truncation(4, 2)   # (8,6) takes seconds
-            assert retruncate(fn(k, big), small) == fn(k, small)
+            assert retruncate(fn(k, TR), SMALL) == fn(k, SMALL)
     b, c = [Fraction(2, 5), Fraction(1, 3)], [Fraction(4, 7), Fraction(5, 2)]
     for big, small in zip(M.generalized_sides(2, b, c, TR),
                           M.generalized_sides(2, b, c, SMALL)):
@@ -135,15 +132,102 @@ def test_multi_rogers_ramanujan():
 
 
 def test_original_integrality_guard(monkeypatch):
-    # a symmetric but wrong adjacency (fork edge dropped) must trip the
-    # integrality assertion instead of silently producing a series
-    good = M.DynkinData.build(1)
-    bad_matrix = [list(row) for row in good.adjacency]
-    bad_matrix[0][2] = bad_matrix[2][0] = 0
-    bad = M.DynkinData(1, tuple(tuple(r) for r in bad_matrix))
-    monkeypatch.setattr(M.DynkinData, "build", classmethod(lambda cls, k: bad))
-    with pytest.raises(InternalConsistencyError):
-        M.original_index(1, SMALL)
+    # a symmetric but wrong adjacency (the fork edge (2k-1)-(2k+1)
+    # dropped) must trip the integrality assertion instead of silently
+    # producing a series: the weight of rho node 2k-1 loses
+    # l_(2k+1) + m_(2k+1) but keeps l_2k + m_2k = u1 + u2, so it is odd
+    # for some (u1, u2).  A dropped path edge cannot be caught this way:
+    # l = m on every path node, so every weight stays even and every
+    # exponent integral.
+    bad = {}
+    for k in (1, 2, 3):
+        matrix = [list(row) for row in M.DynkinData.build(k).adjacency]
+        matrix[2 * k - 2][2 * k] = matrix[2 * k][2 * k - 2] = 0
+        bad[k] = M.DynkinData(k, tuple(tuple(r) for r in matrix))
+    monkeypatch.setattr(M.DynkinData, "build", classmethod(lambda cls, k: bad[k]))
+    for k in (1, 2, 3):
+        with pytest.raises(InternalConsistencyError):
+            M.original_index(k, SMALL)
+
+
+def reference_original_index(k, trunc):
+    # frozen copy of the dense form original_index was first written as:
+    # every rho up to max_q, the full (2k+1)^2 quadratic form per rho,
+    # and integrality asserted through Fraction exponents
+    adj = M.DynkinData.build(k).adjacency
+    size = 2 * k + 1
+    total = TruncatedSeries.zero(trunc)
+    for svec in M._svectors(k, trunc.max_t):
+        sigma_k = svec[-1]
+        for u1 in range(sigma_k + 1):
+            for u2 in range(sigma_k + 1):
+                total = total + reference_rho_block(k, adj, size, svec, u1, u2, trunc)
+    return M._tq_qq_inf_power(k, trunc) * total
+
+
+def reference_rho_block(k, adj, size, svec, u1, u2, trunc):
+    block = TruncatedSeries.zero(trunc)
+    l = [0] * size
+    m = [0] * size
+    for i in range(k - 1):
+        l[2 * i + 1] = m[2 * i + 1] = svec[i]
+    sigma_k = svec[-1]
+    l[2 * k - 1] = u1
+    m[2 * k - 1] = u2
+    l[2 * k] = sigma_k - u1
+    m[2 * k] = sigma_k - u2
+    for rho in M._svectors(k, trunc.max_q):
+        for i in range(k):
+            l[2 * i] = m[2 * i] = rho[i]
+        quad = sum(adj[i][j] * l[i] * m[j] for i in range(size) for j in range(size))
+        e_q = Fraction(quad, 2) + Fraction(sum(l[2 * i] + m[2 * i] for i in range(k)), 2)
+        e_t = Fraction(sum(l[2 * i + 1] + m[2 * i + 1] for i in range(k - 1))
+                       + l[2 * k - 1] + m[2 * k - 1] + l[2 * k] + m[2 * k], 2)
+        if e_q.denominator != 1 or e_t.denominator != 1:
+            raise InternalConsistencyError(
+                f"non-integral exponent for l={l}, m={m}: q^{e_q} t^{e_t}")
+        e_q, e_t = int(e_q), int(e_t)
+        if e_q > trunc.max_q or e_t > trunc.max_t:
+            continue
+        val = TruncatedSeries.monomial(trunc, 1, e_q=e_q, e_t=e_t,
+                                       e_z=2 * m[2 * k] - 2 * l[2 * k])
+        for i in range(k):
+            val = val * M._inv_tpoch(l[2 * i], trunc) * qf.inv_qq(m[2 * i], trunc)
+        block = block + val
+    fixed = qf.inv_qq(l[2 * k], trunc) * qf.inv_qq(m[2 * k], trunc)
+    for i in range(k):
+        fixed = fixed * qf.inv_qq(l[2 * i + 1], trunc) * qf.inv_qq(m[2 * i + 1], trunc)
+    return block * fixed
+
+
+@pytest.mark.parametrize("const2,weights,couplings", [
+    (0, (2, 2, 2), ((), (0,), (0, 0))),
+    (2, (4, 2, 6), ((), (1,), (0, 1))),
+    (0, (2, 2, 2), ((), (1,), (1, 1))),
+    (4, (2, 8), ((), (1,)))])
+def test_rho_sum_matches_brute_force(const2, weights, couplings):
+    # the D-series graph has no rho-rho edge, so couplings are tested here
+    trunc = Truncation(7, 3)
+    factor = [M._inv_tpoch(r, trunc) * qf.inv_qq(r, trunc)
+              for r in range(trunc.max_q + 1)]
+    expected = TruncatedSeries.zero(trunc)
+    for rho in M._svectors(len(weights), trunc.max_q):
+        e2 = const2 + sum(r * w for r, w in zip(rho, weights)) + 2 * sum(
+            a * rho[i] * rho[j] for i, row in enumerate(couplings) for j, a in enumerate(row))
+        val = TruncatedSeries.monomial(trunc, 1, e_q=e2 // 2)
+        for r in rho:
+            val = val * factor[r]
+        expected = expected + val
+    assert M._rho_sum(const2, weights, couplings, factor, trunc) == expected
+
+
+@pytest.mark.parametrize("k,max_q,max_t", [
+    (1, 10, 8), (1, 3, 9), (1, 0, 4), (1, 6, 0),
+    (2, 7, 6), (2, 3, 8), (2, 9, 3), (2, 0, 5),
+    (3, 6, 4), (3, 2, 7), (3, 8, 2)])
+def test_original_matches_dense_reference(k, max_q, max_t):
+    trunc = Truncation(max_q, max_t)
+    assert M.original_index(k, trunc) == reference_original_index(k, trunc)
 
 
 def test_specializations():
