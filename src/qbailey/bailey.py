@@ -24,7 +24,7 @@ from typing import Callable
 
 from .errors import DomainError
 from .qfunctions import (binom2, combined_poch, hermite, inv_qq, inv_tq, poch_finite,
-                         poch_infinite, inv_poch_infinite, ultraspherical)
+                         poch_infinite, inv_poch_infinite, qt_poch, ultraspherical)
 from .report import IdentityReport, Stopwatch, first_mismatch, series_report
 from .series import TruncatedSeries, Truncation
 
@@ -137,14 +137,11 @@ def chain_lift(alpha: PairFamily, beta: PairFamily, params: ChainParams,
     k = params.k
     one = TruncatedSeries.one(trunc)
 
-    def bc_mono(x: Fraction) -> TruncatedSeries:
-        return TruncatedSeries.monomial(trunc, x, e_q=1, e_t=1)
-
     def lifted_alpha(n: int) -> TruncatedSeries:
         val = alpha[n].shift(e_q=k * n, e_t=k * n)
         for b, c in zip(params.b, params.c):
             val = val * combined_poch(b, n, trunc) * combined_poch(c, n, trunc)
-            val = val * (poch_finite(bc_mono(b), n) * poch_finite(bc_mono(c), n)).invert()
+            val = val * (qt_poch(b, n, trunc) * qt_poch(c, n, trunc)).invert()
         return val
 
     def lifted_beta(n: int) -> TruncatedSeries:
@@ -162,11 +159,11 @@ def chain_lift(alpha: PairFamily, beta: PairFamily, params: ChainParams,
             for i in range(k):
                 d = seq[i + 1] - seq[i]
                 val = val * inv_qq(d, trunc)
-                val = val * poch_finite(bc_mono(params.b[i] * params.c[i]), d)
+                val = val * qt_poch(params.b[i] * params.c[i], d, trunc)
             den = one
             for i in range(k):
-                den = den * poch_finite(bc_mono(params.b[i]), seq[i + 1]) \
-                    * poch_finite(bc_mono(params.c[i]), seq[i + 1])
+                den = den * qt_poch(params.b[i], seq[i + 1], trunc) \
+                    * qt_poch(params.c[i], seq[i + 1], trunc)
             val = val * den.invert()
             for i in range(k):
                 val = val * combined_poch(params.b[i], seq[i], trunc) \

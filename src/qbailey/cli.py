@@ -1,8 +1,7 @@
 """Command-line entry point.
 
 Subcommands: verify (run one identity check), table (coefficient table
-export), bench (timing/term-count comparison of the representations),
-selftest (the classical-identity layer at fixed seeds).
+export), selftest (the classical-identity layer at fixed seeds).
 
 Exit codes are the untyped contract: 0 pass, 1 mathematical mismatch,
 2 usage error.  All output is produced after computation completes and
@@ -300,26 +299,6 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    rows = []
-    for k in args.k:
-        if k < 1:
-            raise DomainError("k must be >= 1")
-        for rep in args.reps:
-            watch = Stopwatch()
-            series = macdonald.IndexSpec(k, rep, Truncation(args.nq, args.nt)).compute()
-            rows.append({"k": k, "rep": rep, "wall_time_ms": watch.ms(),
-                         "terms": series.term_count()})
-    if args.json:
-        print(json.dumps(rows, sort_keys=True))
-    else:
-        print(f"{'k':>3} {'rep':>12} {'ms':>8} {'terms':>8}")
-        for row in rows:
-            print(f"{row['k']:>3} {row['rep']:>12} {row['wall_time_ms']:>8} "
-                  f"{row['terms']:>8}")
-    return 0
-
-
 def _cmd_selftest(args) -> int:
     seed = args.seed if args.seed is not None else SELFTEST_SEED
     return _emit_reports(selftest_reports(seed), args.json)
@@ -363,16 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["csv", "json"])
     p_table.add_argument("--output", type=str, default=None)
     p_table.set_defaults(fn=_cmd_table)
-
-    p_bench = sub.add_parser("bench", help="time the representations")
-    p_bench.add_argument("--k", type=int, nargs="+", default=[1, 2, 3])
-    p_bench.add_argument("--reps", type=str, nargs="+",
-                         default=["bosonic", "fermionic", "fermionic2"],
-                         choices=list(macdonald.REPRESENTATIONS))
-    p_bench.add_argument("--nq", type=int, default=8)
-    p_bench.add_argument("--nt", type=int, default=6)
-    p_bench.add_argument("--json", action="store_true")
-    p_bench.set_defaults(fn=_cmd_bench)
 
     p_self = sub.add_parser("selftest", help="run the classical-identity layer")
     p_self.add_argument("--seed", type=int, default=None)

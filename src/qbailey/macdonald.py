@@ -16,10 +16,11 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .errors import DomainError, InternalConsistencyError
 from .qfunctions import (binom2, combined_poch, hermite, inv_qq, inv_poch_infinite,
-                         poch_finite, poch_infinite, ultraspherical)
+                         poch_finite, poch_infinite, qt_poch, ultraspherical)
 from .report import IdentityReport, Stopwatch, series_report
 from .series import TruncatedSeries, Truncation
 
@@ -107,45 +108,7 @@ def bosonic_index(k: int, trunc: Truncation) -> TruncatedSeries:
     the j-sum being C_{2n}(z,t;q)."""
     if k < 1:
         raise DomainError("k must be >= 1")
-    t = TruncatedSeries.variable(trunc, "t")
-    tzz = TruncatedSeries.monomial(trunc, 1, e_t=1, e_z=2)
-    tzzi = TruncatedSeries.monomial(trunc, 1, e_t=1, e_z=-2)
-    pref = inv_poch_infinite(t) * inv_poch_infinite(tzz) * inv_poch_infinite(tzzi)
-
-    total = TruncatedSeries.zero(trunc)
-    n = 0
-    while (k + 1) * n <= trunc.max_t and k * n * n + binom2(n) <= trunc.max_q:
-        term = _bosonic_summand(k, n, trunc)
-        total = total + term
-        n += 1
-    return pref * total
-
-
-def _bosonic_summand(k: int, n: int, trunc: Truncation) -> TruncatedSeries:
-    sign = -1 if n % 2 else 1
-    mono = TruncatedSeries.monomial(trunc, sign,
-                                    e_q=k * n * n + binom2(n), e_t=(k + 1) * n)
-    qn1 = TruncatedSeries.monomial(trunc, 1, e_q=n + 1)
-    ttq2n = TruncatedSeries.monomial(trunc, 1, e_q=2 * n, e_t=2)
-    tqn = TruncatedSeries.monomial(trunc, 1, e_q=n, e_t=1)
-    tq2n1 = TruncatedSeries.monomial(trunc, 1, e_q=2 * n + 1, e_t=1)
-    val = (mono * poch_finite(qn1, n) * poch_infinite(ttq2n)
-           * poch_finite(tqn, n).invert() * inv_poch_infinite(tq2n1))
-    return val * ultraspherical(2 * n, trunc, "t")
-
-
-def _chains(k: int, cap: int):
-    # nondecreasing tuples (n_1 <= ... <= n_k) with sum <= cap
-    def rec(level, lo, left, prefix):
-        if level == 0:
-            yield prefix
-            return
-        # remaining levels must each be >= lo, so lo * level <= left
-        v = lo
-        while v * level <= left:
-            yield from rec(level - 1, v, left - v, prefix + (v,))
-            v += 1
-    yield from rec(k, 0, cap, ())
+    return _bosonic_side(k, [0] * k, [0] * k, trunc)
 
 
 def fermionic_index(k: int, trunc: Truncation) -> TruncatedSeries:
@@ -155,17 +118,7 @@ def fermionic_index(k: int, trunc: Truncation) -> TruncatedSeries:
       * sum_j [2 n_k, j]_q z^(2j-2n_k)."""
     if k < 1:
         raise DomainError("k must be >= 1")
-    total = TruncatedSeries.zero(trunc)
-    for chain in _chains(k, trunc.max_t):
-        qexp = sum(v * v for v in chain[:-1])
-        if qexp > trunc.max_q:
-            continue
-        val = TruncatedSeries.monomial(trunc, 1, e_q=qexp, e_t=sum(chain))
-        val = val * inv_qq(chain[0], trunc)
-        for a, b in zip(chain, chain[1:]):
-            val = val * inv_qq(b - a, trunc)
-        total = total + val * hermite(2 * chain[-1], trunc)
-    return total
+    return _fermionic_side(k, [0] * k, [0] * k, trunc)
 
 
 @functools.cache
@@ -314,62 +267,86 @@ def generalized_sides(k: int, b, c,
                       trunc: Truncation) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Both sides of the parametrized single-sum/multisum identity,
     computed independently.  b and c are length-k rational vectors;
-    zeros are allowed and at b = c = 0 both sides reduce bit-for-bit to
-    the plain fermionic/bosonic pair."""
+    zeros are allowed, and at b = c = 0 the sides are fermionic_index and
+    bosonic_index."""
     if k < 1:
         raise DomainError("k must be >= 1")
     b = [Fraction(x) for x in b]
     c = [Fraction(x) for x in c]
     if len(b) != k or len(c) != k:
         raise DomainError("parameter vectors must have length k")
+    return _fermionic_side(k, b, c, trunc), _bosonic_side(k, b, c, trunc)
 
-    def bc_mono(x: Fraction) -> TruncatedSeries:
-        return TruncatedSeries.monomial(trunc, x, e_q=1, e_t=1)
 
-    lhs = TruncatedSeries.zero(trunc)
-    for chain in _chains(k, trunc.max_t):
-        qexp = sum(chain[:-1])
-        if qexp > trunc.max_q:
+def _fermionic_side(k, b, c, trunc):
+    # sum over chains n_1 <= ... <= n_k (n_0 = 0) of
+    #   t^(sum n_i) q^(n_1+...+n_{k-1}) H_{2n_k}(z;q)
+    #   * prod_i (b_i c_i q t;q)_{n_i-n_{i-1}}
+    #            / ((q;q)_{n_i-n_{i-1}} (b_i q t, c_i q t;q)_{n_i})
+    #   * prod_{i>1} P(b_i, n_{i-1}) P(c_i, n_{i-1}),   P = combined_poch.
+    # A zero parameter's P is the monomial (-1)^n q^binom(n,2), folded into
+    # the leading monomial, and its Pochhammers are 1.  Every other factor
+    # starts at q^0, so the leading q-exponent is the exact pruning bound.
+    params = [[x for x in (b[i], c[i]) if x] for i in range(k)]
+    zeros = [0] + [2 - len(p) for p in params[1:]]
+    total = TruncatedSeries.zero(trunc)
+    for chain in combinations_with_replacement(range(trunc.max_t + 1), k):
+        e_t = sum(chain)
+        lower = (0,) + chain[:-1]
+        e_q = sum(n + z * binom2(n) for z, n in zip(zeros, lower))
+        if e_t > trunc.max_t or e_q > trunc.max_q:
             continue
-        val = TruncatedSeries.monomial(trunc, 1, e_q=qexp, e_t=sum(chain))
-        diffs = [chain[0]] + [y - x for x, y in zip(chain, chain[1:])]
-        for i in range(k):
-            val = val * inv_qq(diffs[i], trunc)
-            val = val * poch_finite(bc_mono(b[i] * c[i]), diffs[i])
+        sign = -1 if sum(z * n for z, n in zip(zeros, lower)) % 2 else 1
+        val = TruncatedSeries.monomial(trunc, sign, e_q=e_q, e_t=e_t)
         den = TruncatedSeries.one(trunc)
-        for i in range(k):
-            den = den * poch_finite(bc_mono(b[i]), chain[i]) \
-                * poch_finite(bc_mono(c[i]), chain[i])
-        val = val * den.invert()
-        for i in range(1, k):
-            val = val * combined_poch(b[i], chain[i - 1], trunc) \
-                * combined_poch(c[i], chain[i - 1], trunc)
-        lhs = lhs + val * hermite(2 * chain[-1], trunc)
+        for i, (prev, n) in enumerate(zip(lower, chain)):
+            val = val * inv_qq(n - prev, trunc)
+            if len(params[i]) == 2:
+                val = val * qt_poch(b[i] * c[i], n - prev, trunc)
+            for x in params[i]:
+                den = den * qt_poch(x, n, trunc)
+                if i:
+                    val = val * combined_poch(x, prev, trunc)
+        if any(params):
+            val = val * den.invert()
+        total = total + val * hermite(2 * chain[-1], trunc)
+    return total
 
+
+def _bosonic_side(k, b, c, trunc):
+    # 1/(t,tz^2,t z^-2;q)_inf * sum_n (-1)^n t^((k+1)n) q^(k n + binom(n,2))
+    #   (q^(n+1);q)_n (t^2 q^(2n);q)_inf / ((t q^n;q)_n (t q^(2n+1);q)_inf)
+    #   * prod_i P(b_i, n) P(c_i, n) / (b_i q t, c_i q t;q)_n * C_{2n}(z,t;q).
+    # Zero parameters fold into the leading monomial as in _fermionic_side;
+    # at b = c = 0 its q-exponent is k n^2 + binom(n,2).
+    params = [x for x in (*b, *c) if x]
+    fold = 1 + 2 * k - len(params)          # binom(n,2) multiples in the exponent
     t = TruncatedSeries.variable(trunc, "t")
     tzz = TruncatedSeries.monomial(trunc, 1, e_t=1, e_z=2)
     tzzi = TruncatedSeries.monomial(trunc, 1, e_t=1, e_z=-2)
     pref = inv_poch_infinite(t) * inv_poch_infinite(tzz) * inv_poch_infinite(tzzi)
-    rhs_sum = TruncatedSeries.zero(trunc)
+    total = TruncatedSeries.zero(trunc)
     n = 0
-    while (k + 1) * n <= trunc.max_t and k * n + binom2(n) <= trunc.max_q:
-        sign = -1 if n % 2 else 1
-        mono = TruncatedSeries.monomial(trunc, sign,
-                                        e_q=k * n + binom2(n), e_t=(k + 1) * n)
+    while True:
+        e_q, e_t = k * n + fold * binom2(n), (k + 1) * n
+        if e_t > trunc.max_t or e_q > trunc.max_q:
+            break
+        mono = TruncatedSeries.monomial(trunc, -1 if fold * n % 2 else 1, e_q=e_q, e_t=e_t)
         qn1 = TruncatedSeries.monomial(trunc, 1, e_q=n + 1)
         ttq2n = TruncatedSeries.monomial(trunc, 1, e_q=2 * n, e_t=2)
         tqn = TruncatedSeries.monomial(trunc, 1, e_q=n, e_t=1)
         tq2n1 = TruncatedSeries.monomial(trunc, 1, e_q=2 * n + 1, e_t=1)
         val = (mono * poch_finite(qn1, n) * poch_infinite(ttq2n)
                * poch_finite(tqn, n).invert() * inv_poch_infinite(tq2n1))
-        den = TruncatedSeries.one(trunc)
-        for i in range(k):
-            val = val * combined_poch(b[i], n, trunc) * combined_poch(c[i], n, trunc)
-            den = den * poch_finite(bc_mono(b[i]), n) * poch_finite(bc_mono(c[i]), n)
-        val = val * den.invert()
-        rhs_sum = rhs_sum + val * ultraspherical(2 * n, trunc, "t")
+        if params:
+            den = TruncatedSeries.one(trunc)
+            for x in params:
+                val = val * combined_poch(x, n, trunc)
+                den = den * qt_poch(x, n, trunc)
+            val = val * den.invert()
+        total = total + val * ultraspherical(2 * n, trunc, "t")
         n += 1
-    return lhs, pref * rhs_sum
+    return pref * total
 
 
 def generalized_identity(k: int, b, c, trunc: Truncation) -> IdentityReport:
@@ -394,8 +371,7 @@ def multi_rogers_ramanujan(k: int, max_q: int) -> IdentityReport:
     watch = Stopwatch()
     trunc = Truncation(max_q, 0)
     lhs = TruncatedSeries.zero(trunc)
-    cap = int(math.isqrt(max_q))
-    for chain in _chains(k, k * cap):
+    for chain in combinations_with_replacement(range(math.isqrt(max_q) + 1), k):
         qexp = sum(v * v for v in chain)
         if qexp > max_q:
             continue

@@ -107,6 +107,12 @@ def combined_poch(b, n: int, trunc: Truncation) -> TruncatedSeries:
     return result
 
 
+def qt_poch(x, n: int, trunc: Truncation) -> TruncatedSeries:
+    """(x q t;q)_n for rational x, the parameter Pochhammer symbol of the
+    parametrized identity and the chain lift."""
+    return poch_finite(TruncatedSeries.monomial(trunc, x, e_q=1, e_t=1), n)
+
+
 @functools.cache
 def qbinomial(M: int, N: int, trunc: Truncation) -> TruncatedSeries:
     """Gaussian binomial coefficient as a truncated q-polynomial;

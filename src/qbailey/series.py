@@ -479,15 +479,16 @@ class TruncatedSeries:
                 else:
                     out[k2] = _norm(tot)
             return TruncatedSeries._raw(self.trunc, out)
-        val = value if isinstance(value, (int, Fraction)) else Fraction(value)
-        if var == "z" and val == 0:
-            raise DomainError("z may only be specialized to a nonzero rational")
+        val = Fraction(value)
+        if val == 0:
+            if var == "z":
+                raise DomainError("z may only be specialized to a nonzero rational")
+            return TruncatedSeries._raw(
+                self.trunc, {key: c for key, c in self._terms.items() if not key[vi]})
         out = {}
         for key, c in self._terms.items():
             e = key[vi]
-            coeff = c * (Fraction(val) ** e if e else 1)
-            if coeff == 0:
-                continue
+            coeff = c * val ** e if e else c
             new = list(key)
             new[vi] = 0
             k2 = tuple(new)

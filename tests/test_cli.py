@@ -161,19 +161,6 @@ def test_table_usage_errors(capsys):
     assert code == 0
 
 
-def test_bench(capsys):
-    code, out, _ = run(capsys, ["bench", "--k", "1", "--nq", "5", "--nt", "4",
-                                "--json"])
-    assert code == 0
-    rows = json.loads(out)
-    assert {r["rep"] for r in rows} == {"bosonic", "fermionic", "fermionic2"}
-    terms = {r["terms"] for r in rows}
-    assert len(terms) == 1   # same series, same term count
-    code, out2, _ = run(capsys, ["bench", "--k", "1", "--nq", "5", "--nt", "4",
-                                 "--json"])
-    assert {r["terms"] for r in json.loads(out2)} == terms
-
-
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, ["selftest"])
     assert code == 0
@@ -201,7 +188,7 @@ def test_selftest_detects_mutation(capsys, monkeypatch):
     ["verify", "thm-main", "--nq", "-1"],
     ["verify", "multi-rr", "--nq", "-5"],
     ["verify", "thm-wp", "--ns", "-1"],
-    ["bench", "--nq", "-2"],
+    ["table", "--rep", "fermionic", "--nq", "-2"],
     ["verify", "corollary-special", "--pair", "chain(x;0;0)"],
     ["table", "--rep", "fermionic", "--nq", "2", "--nt", "2",
      "--output", "/nonexistent/x.csv"],

@@ -1,9 +1,13 @@
 """Tests for the index representations and the identities that link
 them."""
 
+import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qbailey import macdonald as M
 from qbailey import qfunctions as qf
@@ -73,7 +77,9 @@ def test_unrefined_matches_direct_multisum():
     # independent evaluation of the z = 1 multisum
     k, trunc = 2, SMALL
     direct = TruncatedSeries.zero(trunc)
-    for chain in M._chains(k, trunc.max_t):
+    for chain in combinations_with_replacement(range(trunc.max_t + 1), k):
+        if sum(chain) > trunc.max_t:
+            continue
         val = TruncatedSeries.monomial(
             trunc, 1, e_q=sum(v * v for v in chain[:-1]), e_t=sum(chain))
         val = val * qf.inv_qq(chain[0], trunc)
@@ -121,6 +127,194 @@ def test_generalized_identity_nonzero_parameters():
         M.generalized_identity(0, [], [], TR)
     with pytest.raises(DomainError):
         M.generalized_identity(2, [0], [0, 0], TR)
+
+
+def reference_chains(k, cap):
+    # frozen copy of the recursive chain enumerator the side builders
+    # used before they switched to itertools
+    def rec(level, lo, left, prefix):
+        if level == 0:
+            yield prefix
+            return
+        v = lo
+        while v * level <= left:
+            yield from rec(level - 1, v, left - v, prefix + (v,))
+            v += 1
+    yield from rec(k, 0, cap, ())
+
+
+def reference_fermionic_index(k, trunc):
+    # frozen copy of the plain chain loop fermionic_index was written as
+    total = TruncatedSeries.zero(trunc)
+    for chain in reference_chains(k, trunc.max_t):
+        qexp = sum(v * v for v in chain[:-1])
+        if qexp > trunc.max_q:
+            continue
+        val = TruncatedSeries.monomial(trunc, 1, e_q=qexp, e_t=sum(chain))
+        val = val * qf.inv_qq(chain[0], trunc)
+        for a, b in zip(chain, chain[1:]):
+            val = val * qf.inv_qq(b - a, trunc)
+        total = total + val * qf.hermite(2 * chain[-1], trunc)
+    return total
+
+
+def reference_bosonic_prefactor(trunc):
+    t = TruncatedSeries.variable(trunc, "t")
+    tzz = TruncatedSeries.monomial(trunc, 1, e_t=1, e_z=2)
+    tzzi = TruncatedSeries.monomial(trunc, 1, e_t=1, e_z=-2)
+    return (qf.inv_poch_infinite(t) * qf.inv_poch_infinite(tzz)
+            * qf.inv_poch_infinite(tzzi))
+
+
+def reference_bosonic_index(k, trunc):
+    # frozen copy of the plain n-loop bosonic_index was written as
+    total = TruncatedSeries.zero(trunc)
+    n = 0
+    while (k + 1) * n <= trunc.max_t and k * n * n + qf.binom2(n) <= trunc.max_q:
+        total = total + reference_bosonic_summand(k, n, trunc)
+        n += 1
+    return reference_bosonic_prefactor(trunc) * total
+
+
+def reference_bosonic_summand(k, n, trunc):
+    sign = -1 if n % 2 else 1
+    mono = TruncatedSeries.monomial(trunc, sign,
+                                    e_q=k * n * n + qf.binom2(n), e_t=(k + 1) * n)
+    qn1 = TruncatedSeries.monomial(trunc, 1, e_q=n + 1)
+    ttq2n = TruncatedSeries.monomial(trunc, 1, e_q=2 * n, e_t=2)
+    tqn = TruncatedSeries.monomial(trunc, 1, e_q=n, e_t=1)
+    tq2n1 = TruncatedSeries.monomial(trunc, 1, e_q=2 * n + 1, e_t=1)
+    val = (mono * qf.poch_finite(qn1, n) * qf.poch_infinite(ttq2n)
+           * qf.poch_finite(tqn, n).invert() * qf.inv_poch_infinite(tq2n1))
+    return val * qf.ultraspherical(2 * n, trunc, "t")
+
+
+def reference_generalized_sides(k, b, c, trunc):
+    # frozen copy of the two loops generalized_sides was written as, with
+    # every parameter factor formed even when the parameter is zero
+    def bc_mono(x):
+        return TruncatedSeries.monomial(trunc, x, e_q=1, e_t=1)
+
+    lhs = TruncatedSeries.zero(trunc)
+    for chain in reference_chains(k, trunc.max_t):
+        qexp = sum(chain[:-1])
+        if qexp > trunc.max_q:
+            continue
+        val = TruncatedSeries.monomial(trunc, 1, e_q=qexp, e_t=sum(chain))
+        diffs = [chain[0]] + [y - x for x, y in zip(chain, chain[1:])]
+        for i in range(k):
+            val = val * qf.inv_qq(diffs[i], trunc)
+            val = val * qf.poch_finite(bc_mono(b[i] * c[i]), diffs[i])
+        den = TruncatedSeries.one(trunc)
+        for i in range(k):
+            den = den * qf.poch_finite(bc_mono(b[i]), chain[i]) \
+                * qf.poch_finite(bc_mono(c[i]), chain[i])
+        val = val * den.invert()
+        for i in range(1, k):
+            val = val * qf.combined_poch(b[i], chain[i - 1], trunc) \
+                * qf.combined_poch(c[i], chain[i - 1], trunc)
+        lhs = lhs + val * qf.hermite(2 * chain[-1], trunc)
+
+    rhs_sum = TruncatedSeries.zero(trunc)
+    n = 0
+    while (k + 1) * n <= trunc.max_t and k * n + qf.binom2(n) <= trunc.max_q:
+        sign = -1 if n % 2 else 1
+        mono = TruncatedSeries.monomial(trunc, sign,
+                                        e_q=k * n + qf.binom2(n), e_t=(k + 1) * n)
+        qn1 = TruncatedSeries.monomial(trunc, 1, e_q=n + 1)
+        ttq2n = TruncatedSeries.monomial(trunc, 1, e_q=2 * n, e_t=2)
+        tqn = TruncatedSeries.monomial(trunc, 1, e_q=n, e_t=1)
+        tq2n1 = TruncatedSeries.monomial(trunc, 1, e_q=2 * n + 1, e_t=1)
+        val = (mono * qf.poch_finite(qn1, n) * qf.poch_infinite(ttq2n)
+               * qf.poch_finite(tqn, n).invert() * qf.inv_poch_infinite(tq2n1))
+        den = TruncatedSeries.one(trunc)
+        for i in range(k):
+            val = val * qf.combined_poch(b[i], n, trunc) * qf.combined_poch(c[i], n, trunc)
+            den = den * qf.poch_finite(bc_mono(b[i]), n) * qf.poch_finite(bc_mono(c[i]), n)
+        val = val * den.invert()
+        rhs_sum = rhs_sum + val * qf.ultraspherical(2 * n, trunc, "t")
+        n += 1
+    return lhs, reference_bosonic_prefactor(trunc) * rhs_sum
+
+
+PARAMETER = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 3), max_q=st.integers(0, 7), max_t=st.integers(0, 6),
+       data=st.data())
+@example(k=2, max_q=6, max_t=5, data=None)
+@example(k=3, max_q=0, max_t=4, data=None)
+@example(k=3, max_q=5, max_t=0, data=None)
+@example(k=1, max_q=3, max_t=6, data=None)
+def test_side_builders_match_frozen_loops(k, max_q, max_t, data):
+    # the plain forms and both parametrized sides against frozen copies of
+    # the loops they replaced; zero and nonzero parameters mix freely
+    trunc = Truncation(max_q, max_t)
+    if data is None:                     # explicit examples: fixed mixed vectors
+        b, c = [0, Fraction(1, 2), 0][:k], [3, 0, Fraction(-2, 3)][:k]
+    else:
+        b = data.draw(st.lists(PARAMETER, min_size=k, max_size=k), label="b")
+        c = data.draw(st.lists(PARAMETER, min_size=k, max_size=k), label="c")
+    assert M.fermionic_index(k, trunc).render() == reference_fermionic_index(k, trunc).render()
+    assert M.bosonic_index(k, trunc).render() == reference_bosonic_index(k, trunc).render()
+    for got, want in zip(M.generalized_sides(k, b, c, trunc),
+                         reference_generalized_sides(k, b, c, trunc)):
+        assert got.render() == want.render()
+
+
+def _clear_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qbailey."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+def _macdonald_calls_per_branch(entry, *args):
+    # qualified names of the qbailey.macdonald functions that run during
+    # entry(*args), one set per function the entry point calls directly,
+    # with every cache cleared before each such call (a cache hit would
+    # hide a shared function); the entry's own comprehensions count as
+    # the entry point
+    root = entry.__qualname__
+    branches = []
+
+    def in_entry(code):
+        return code.co_qualname == root or code.co_qualname.startswith(root + ".")
+
+    def hook(frame, event, arg):
+        if event != "call" or frame.f_globals.get("__name__") != M.__name__:
+            return
+        if in_entry(frame.f_code):
+            return
+        if in_entry(frame.f_back.f_code):
+            _clear_caches()
+            branches.append(set())
+        branches[-1].add(frame.f_code.co_qualname)
+
+    _clear_caches()
+    sys.setprofile(hook)
+    try:
+        entry(*args)
+    finally:
+        sys.setprofile(None)
+    return branches
+
+
+def test_sides_share_no_macdonald_function():
+    # the two sides of an identity are computed independently: apart from
+    # the public entry point, no macdonald function runs on both
+    k, trunc = 2, Truncation(6, 4)
+    fermionic = {"fermionic_index"}.union(
+        *_macdonald_calls_per_branch(M.fermionic_index, k, trunc))
+    bosonic = {"bosonic_index"}.union(
+        *_macdonald_calls_per_branch(M.bosonic_index, k, trunc))
+    assert not fermionic & bosonic
+    for b, c in (([0, 0], [0, 0]), ([Fraction(2, 5), 0], [3, Fraction(1, 2)])):
+        lhs, rhs = _macdonald_calls_per_branch(M.generalized_sides, k, b, c, trunc)
+        assert lhs and rhs and not lhs & rhs
 
 
 def test_multi_rogers_ramanujan():

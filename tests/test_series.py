@@ -211,7 +211,10 @@ def test_specialize_rational():
     assert tz2.specialize("z", 1) == TruncatedSeries.variable(TR, "t")
     f = one(TRS) + TruncatedSeries.variable(TRS, "s")
     assert f.specialize("s", 0) == one(TRS)
-    zi = TruncatedSeries.monomial(TR, 1, e_z=-2)
+    mixed = S({(0, 1, 0, 2): 3, (2, 1, 0, 0): 5, (0, 0, 0, -1): Fraction(1, 2),
+               (1, 0, 0, 0): -1})
+    assert mixed.specialize("q", 0) == S({(0, 1, 0, 2): 3, (0, 0, 0, -1): Fraction(1, 2)})
+    zi =TruncatedSeries.monomial(TR, 1, e_z=-2)
     assert zi.specialize("z", Fraction(1, 2)) == S({(0, 0, 0, 0): 4})
     with pytest.raises(DomainError):
         zi.specialize("z", 0)
