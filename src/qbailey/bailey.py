@@ -23,8 +23,9 @@ from itertools import combinations_with_replacement
 from typing import Callable
 
 from .errors import DomainError
-from .qfunctions import (binom2, combined_poch, hermite, inv_qq, inv_tq, poch_finite,
-                         poch_infinite, inv_poch_infinite, qt_poch, ultraspherical)
+from .qfunctions import (binom2, combined_poch, hermite, inv_poch, inv_qq, inv_tq,
+                         poch_finite, poch_infinite, inv_poch_infinite, qt_poch,
+                         ultraspherical)
 from .report import IdentityReport, Stopwatch, first_mismatch, series_report
 from .series import TruncatedSeries, Truncation
 
@@ -117,9 +118,8 @@ def seed_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
     def alpha(n: int) -> TruncatedSeries:
         if n == 0:
             return one
-        tq2n = TruncatedSeries.monomial(trunc, 1, e_q=2 * n, e_t=1)
         tq = TruncatedSeries.monomial(trunc, 1, e_q=1, e_t=1)
-        val = (one - tq2n) * poch_finite(tq, n - 1) * inv_qq(n, trunc)
+        val = poch_finite(tq, n - 1).mul_binomial(1, e_q=2 * n, e_t=1) * inv_qq(n, trunc)
         sign = -1 if n % 2 else 1
         return val.scale(sign).shift(e_q=binom2(n))
 
@@ -135,13 +135,11 @@ def chain_lift(alpha: PairFamily, beta: PairFamily, params: ChainParams,
                trunc: Truncation) -> tuple[PairFamily, PairFamily]:
     """k-fold chain lift of a Bailey pair."""
     k = params.k
-    one = TruncatedSeries.one(trunc)
 
     def lifted_alpha(n: int) -> TruncatedSeries:
         val = alpha[n].shift(e_q=k * n, e_t=k * n)
-        for b, c in zip(params.b, params.c):
-            val = val * combined_poch(b, n, trunc) * combined_poch(c, n, trunc)
-            val = val * (qt_poch(b, n, trunc) * qt_poch(c, n, trunc)).invert()
+        for x in (*params.b, *params.c):        # P(x, n) / (x q t;q)_n
+            val = val * combined_poch(x, n, trunc) * inv_poch((x, 1, 1, 0, 0), n, trunc)
         return val
 
     def lifted_beta(n: int) -> TruncatedSeries:
@@ -158,16 +156,10 @@ def chain_lift(alpha: PairFamily, beta: PairFamily, params: ChainParams,
             val = base.shift(e_q=e, e_t=e)
             for i in range(k):
                 d = seq[i + 1] - seq[i]
-                val = val * inv_qq(d, trunc)
-                val = val * qt_poch(params.b[i] * params.c[i], d, trunc)
-            den = one
-            for i in range(k):
-                den = den * qt_poch(params.b[i], seq[i + 1], trunc) \
-                    * qt_poch(params.c[i], seq[i + 1], trunc)
-            val = val * den.invert()
-            for i in range(k):
-                val = val * combined_poch(params.b[i], seq[i], trunc) \
-                    * combined_poch(params.c[i], seq[i], trunc)
+                val = val * inv_qq(d, trunc) * qt_poch(params.b[i] * params.c[i], d, trunc)
+                for x in (params.b[i], params.c[i]):    # P(x, n_i) / (x q t;q)_{n_{i+1}}
+                    val = val * inv_poch((x, 1, 1, 0, 0), seq[i + 1], trunc) \
+                        * combined_poch(x, seq[i], trunc)
             total = total + val
         return total
 
@@ -306,9 +298,9 @@ def wp_conjugate_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
         return (pref * ultraspherical(2 * n, trunc, "t").halve_z()).shift(e_t=n)
 
     def delta_core(n: int) -> TruncatedSeries:
-        sq2n = TruncatedSeries.monomial(trunc, 1, e_q=2 * n, e_s=1)
-        num = (one - sq2n) * poch_finite(q, 2 * n) * (one + s) * poch_infinite(ssq)
-        den_inv = (poch_finite(ss, n * 2).invert()
+        num = poch_finite(q, 2 * n).mul_binomial(1, e_q=2 * n, e_s=1) \
+            * (one + s) * poch_infinite(ssq)
+        den_inv = (inv_poch((1, 0, 0, 2, 0), 2 * n, trunc)      # 1/(s^2;q)_{2n}
                    * inv_poch_infinite(s) * inv_poch_infinite(sq))
         return num * den_inv * ultraspherical(2 * n, trunc, "s").halve_z()
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, PoleError
-from .qfunctions import binom2, hermite, inv_qq, poch_finite, poch_infinite, qbinomial
+from .qfunctions import (binom2, hermite, inv_poch, inv_poch_infinite, inv_qq, inv_tq,
+                         poch_finite, poch_infinite, qbinomial)
 from .report import IdentityReport, Stopwatch, series_report, value_mismatch
 from .series import TruncatedSeries, Truncation
 
@@ -281,17 +282,17 @@ def heine1_sides(a: Fraction, trunc: Truncation) -> tuple[TruncatedSeries, Trunc
     spow = one
     for n in range(trunc.s_cap + 1):
         term = (poch_finite(a_const, n) * poch_finite(t, n)
-                * inv_qq(n, trunc) * poch_finite(tq, n).invert())
+                * inv_qq(n, trunc) * inv_tq(n, trunc))
         lhs = lhs + term * spow
         spow = spow * s
 
     inner = TruncatedSeries.zero(trunc)
     tpow = one
     for m in range(trunc.max_t + 1):
-        inner = inner + poch_finite(s, m) * poch_finite(a_s, m).invert() * tpow
+        inner = inner + poch_finite(s, m) * inv_poch((a, 0, 0, 1, 0), m, trunc) * tpow
         tpow = tpow * t
     rhs = (poch_infinite(t) * poch_infinite(a_s)
-           * poch_infinite(tq).invert() * poch_infinite(s).invert() * inner)
+           * inv_poch_infinite(tq) * inv_poch_infinite(s) * inner)
     return lhs, rhs
 
 

@@ -16,11 +16,12 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 from .errors import DomainError, InternalConsistencyError
-from .qfunctions import (binom2, combined_poch, hermite, inv_qq, inv_poch_infinite,
-                         poch_finite, poch_infinite, qt_poch, ultraspherical)
+from .qfunctions import (binom2, combined_poch, hermite, inv_poch, inv_qq,
+                         inv_poch_infinite, poch_finite, poch_infinite, qt_poch,
+                         ultraspherical)
 from .report import IdentityReport, Stopwatch, series_report
 from .series import TruncatedSeries, Truncation
 
@@ -87,12 +88,6 @@ class IndexSpec:
 
 
 @functools.cache
-def _inv_tpoch(n: int, trunc: Truncation) -> TruncatedSeries:
-    # 1/(t;q)_n, memoized
-    return poch_finite(TruncatedSeries.variable(trunc, "t"), n).invert()
-
-
-@functools.cache
 def _tq_qq_inf_power(k: int, trunc: Truncation) -> TruncatedSeries:
     # ((t;q)_inf (q;q)_inf)^k, memoized
     t = TruncatedSeries.variable(trunc, "t")
@@ -127,7 +122,7 @@ def _r_geometric(c: int, trunc: Truncation) -> TruncatedSeries:
     total = TruncatedSeries.zero(trunc)
     r = 0
     while r * c <= trunc.max_q:
-        total = total + (_inv_tpoch(r, trunc) * inv_qq(r, trunc)).shift(e_q=r * c)
+        total = total + (inv_poch((1, 0, 1, 0, 0), r, trunc) * inv_qq(r, trunc)).shift(e_q=r * c)
         r += 1
     return total
 
@@ -156,14 +151,9 @@ def fermionic2_index(k: int, trunc: Truncation) -> TruncatedSeries:
 
 
 def _svectors(k: int, cap: int):
-    # all tuples (s_1..s_k) of nonnegative ints with sum <= cap
-    def rec(level, left, prefix):
-        if level == 0:
-            yield prefix
-            return
-        for v in range(left + 1):
-            yield from rec(level - 1, left - v, prefix + (v,))
-    yield from rec(k, cap, ())
+    # all tuples (s_1..s_k) of nonnegative ints with sum <= cap, in
+    # lexicographic order
+    return (v for v in product(range(cap + 1), repeat=k) if sum(v) <= cap)
 
 
 def original_index(k: int, trunc: Truncation) -> TruncatedSeries:
@@ -190,7 +180,8 @@ def original_index(k: int, trunc: Truncation) -> TruncatedSeries:
     # rho-rho couplings a_ij (j < i); the same for every block of this call
     couplings = tuple(tuple(adj[r][p] for p in rho_nodes[:i])
                       for i, r in enumerate(rho_nodes))
-    factor = [_inv_tpoch(r, trunc) * inv_qq(r, trunc) for r in range(trunc.max_q + 1)]
+    factor = [inv_poch((1, 0, 1, 0, 0), r, trunc) * inv_qq(r, trunc)    # 1/(t,q;q)_r
+              for r in range(trunc.max_q + 1)]
     rho_sums: dict = {}
     total = TruncatedSeries.zero(trunc)
     for svec in _svectors(k, trunc.max_t):
@@ -298,17 +289,14 @@ def _fermionic_side(k, b, c, trunc):
             continue
         sign = -1 if sum(z * n for z, n in zip(zeros, lower)) % 2 else 1
         val = TruncatedSeries.monomial(trunc, sign, e_q=e_q, e_t=e_t)
-        den = TruncatedSeries.one(trunc)
         for i, (prev, n) in enumerate(zip(lower, chain)):
             val = val * inv_qq(n - prev, trunc)
             if len(params[i]) == 2:
                 val = val * qt_poch(b[i] * c[i], n - prev, trunc)
             for x in params[i]:
-                den = den * qt_poch(x, n, trunc)
+                val = val * inv_poch((x, 1, 1, 0, 0), n, trunc)     # 1/(x q t;q)_n
                 if i:
                     val = val * combined_poch(x, prev, trunc)
-        if any(params):
-            val = val * den.invert()
         total = total + val * hermite(2 * chain[-1], trunc)
     return total
 
@@ -334,16 +322,11 @@ def _bosonic_side(k, b, c, trunc):
         mono = TruncatedSeries.monomial(trunc, -1 if fold * n % 2 else 1, e_q=e_q, e_t=e_t)
         qn1 = TruncatedSeries.monomial(trunc, 1, e_q=n + 1)
         ttq2n = TruncatedSeries.monomial(trunc, 1, e_q=2 * n, e_t=2)
-        tqn = TruncatedSeries.monomial(trunc, 1, e_q=n, e_t=1)
         tq2n1 = TruncatedSeries.monomial(trunc, 1, e_q=2 * n + 1, e_t=1)
         val = (mono * poch_finite(qn1, n) * poch_infinite(ttq2n)
-               * poch_finite(tqn, n).invert() * inv_poch_infinite(tq2n1))
-        if params:
-            den = TruncatedSeries.one(trunc)
-            for x in params:
-                val = val * combined_poch(x, n, trunc)
-                den = den * qt_poch(x, n, trunc)
-            val = val * den.invert()
+               * inv_poch((1, n, 1, 0, 0), n, trunc) * inv_poch_infinite(tq2n1))
+        for x in params:
+            val = val * combined_poch(x, n, trunc) * inv_poch((x, 1, 1, 0, 0), n, trunc)
         total = total + val * ultraspherical(2 * n, trunc, "t")
         n += 1
     return pref * total

@@ -11,7 +11,8 @@ hypothesis rather than trusting the caller.
 The memoized builders are wrapped in functools.cache, keyed by their
 arguments including the truncation; cached series are shared between
 callers, which is safe because series are immutable.  Each builder's
-cache_info() and cache_clear() report on and empty its table.
+cache_info() and cache_clear() report on and empty its table; inv_poch
+keeps its prefix tables in the cache of _inv_poch_prefixes.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ def poch_finite(base: TruncatedSeries, n: int) -> TruncatedSeries:
     trunc = base.trunc
     if n >= 0:
         result = TruncatedSeries.one(trunc)
+        if base.term_count() == 1:      # n binomial updates of 1
+            [((e_q, e_t, e_s, e_z), c)] = base._terms.items()
+            for k in range(n):
+                result = result.mul_binomial(c, e_q + k, e_t, e_s, e_z)
+            return result
         cur = base
         for _ in range(n):
             result = result * (TruncatedSeries.one(trunc) - cur)
@@ -63,6 +69,8 @@ def poch_infinite(base: TruncatedSeries) -> TruncatedSeries:
     """(a;q)_inf, stopping once a q-shifted copy of the base vanishes
     modulo the truncation (all later factors then equal 1)."""
     trunc = base.trunc
+    if base.term_count() == 1:
+        return poch_finite(base, trunc.max_q + 1 - min(base._terms)[0])
     guard = trunc.degree_bound() + 2
     result = TruncatedSeries.one(trunc)
     cur = base
@@ -80,17 +88,15 @@ def inv_poch_infinite(base: TruncatedSeries) -> TruncatedSeries:
     """1/(a;q)_inf.  For a single-monomial base this is Euler's series
     sum_n a^n / (q;q)_n, which is much cheaper than a generic inversion."""
     trunc = base.trunc
-    if base.term_count() == 1:
-        [(mono, coeff)] = base.terms()
-        if mono.e_q + mono.e_t + mono.e_s > 0:
-            total = TruncatedSeries.zero(trunc)
-            power = TruncatedSeries.one(trunc)
-            n = 0
-            while not power.is_zero():
-                total = total + power * inv_qq(n, trunc)
-                power = power * base
-                n += 1
-            return total
+    if base.term_count() == 1 and sum(min(base._terms)[:3]) > 0:   # (q,t,s)-degree > 0
+        total = TruncatedSeries.zero(trunc)
+        power = TruncatedSeries.one(trunc)
+        n = 0
+        while not power.is_zero():
+            total = total + power * inv_qq(n, trunc)
+            power = power * base
+            n += 1
+        return total
     return poch_infinite(base).invert()
 
 
@@ -98,13 +104,10 @@ def combined_poch(b, n: int, trunc: Truncation) -> TruncatedSeries:
     """prod_{i=0}^{n-1} (b - q^i) for rational b, the polynomial form of
     (1/b;q)_n b^n.  Valid at b = 0, where it collapses to
     (-1)^n q^(n(n-1)/2)."""
-    scalar = TruncatedSeries.monomial(trunc, b)
-    result = TruncatedSeries.one(trunc)
-    qpow = TruncatedSeries.one(trunc)
-    for _ in range(n):
-        result = result * (scalar - qpow)
-        qpow = qpow.shift(e_q=1)
-    return result
+    if not b:
+        return TruncatedSeries.monomial(trunc, -1 if n % 2 else 1, e_q=binom2(n))
+    b = Fraction(b)
+    return poch_finite(TruncatedSeries.monomial(trunc, 1 / b), n).scale(b ** n)
 
 
 def qt_poch(x, n: int, trunc: Truncation) -> TruncatedSeries:
@@ -125,15 +128,32 @@ def qbinomial(M: int, N: int, trunc: Truncation) -> TruncatedSeries:
 
 
 @functools.cache
+def _inv_poch_prefixes(a: tuple, trunc: Truncation) -> list:
+    # [1/(a;q)_0, 1/(a;q)_1, ...], extended on demand by inv_poch
+    return [TruncatedSeries.one(trunc)]
+
+
+def inv_poch(a: tuple, n: int, trunc: Truncation) -> TruncatedSeries:
+    """1/(a;q)_n for the monomial a = (c, e_q, e_t, e_s, e_z) and n >= 0,
+    memoized: each prefix is the one before divided by the binomial
+    1 - a q^(n-1), so no series is inverted."""
+    if n < 0:
+        raise DomainError("inv_poch needs n >= 0")
+    table = _inv_poch_prefixes(a, trunc)
+    c, e_q, e_t, e_s, e_z = a
+    while len(table) <= n:
+        table.append(table[-1].div_binomial(c, e_q + len(table) - 1, e_t, e_s, e_z))
+    return table[n]
+
+
 def inv_qq(n: int, trunc: Truncation) -> TruncatedSeries:
-    """1/(q;q)_n, memoized."""
-    return poch_finite(TruncatedSeries.variable(trunc, "q"), n).invert()
+    """1/(q;q)_n."""
+    return inv_poch((1, 1, 0, 0, 0), n, trunc)
 
 
-@functools.cache
 def inv_tq(n: int, trunc: Truncation) -> TruncatedSeries:
-    """1/(tq;q)_n, memoized."""
-    return poch_finite(TruncatedSeries.monomial(trunc, 1, e_q=1, e_t=1), n).invert()
+    """1/(tq;q)_n."""
+    return inv_poch((1, 1, 1, 0, 0), n, trunc)
 
 
 @functools.cache
@@ -227,14 +247,12 @@ def ultraspherical_inner_closed(m: int, n: int, trunc: Truncation) -> TruncatedS
     * delta_{m,n}."""
     if m != n:
         return TruncatedSeries.zero(trunc)
-    one = TruncatedSeries.one(trunc)
     s = TruncatedSeries.variable(trunc, "s")
     sq = TruncatedSeries.monomial(trunc, 1, e_q=1, e_s=1)
-    sqn = TruncatedSeries.monomial(trunc, 1, e_q=n, e_s=1)
     ss = TruncatedSeries.monomial(trunc, 1, e_s=2)
     q = TruncatedSeries.variable(trunc, "q")
-    num = (one - s) * poch_finite(ss, n) * poch_infinite(s) * poch_infinite(sq)
-    den_inv = ((one - sqn) * poch_finite(q, n)).invert() \
+    num = poch_finite(ss, n).mul_binomial(1, e_s=1) * poch_infinite(s) * poch_infinite(sq)
+    den_inv = inv_qq(n, trunc).div_binomial(1, e_q=n, e_s=1) \
         * inv_poch_infinite(q) * inv_poch_infinite(ss)
     return (num * den_inv).scale(2)
 
@@ -295,7 +313,6 @@ def weight_expansion_sides(trunc: Truncation) -> tuple[TruncatedSeries, Truncate
     tzzi = TruncatedSeries.monomial(trunc, 1, e_t=1, e_z=-2)
     lhs = hermite_weight(trunc) * inv_poch_infinite(tzz) * inv_poch_infinite(tzzi)
 
-    one = TruncatedSeries.one(trunc)
     t = TruncatedSeries.variable(trunc, "t")
     q = TruncatedSeries.variable(trunc, "q")
     tq = TruncatedSeries.monomial(trunc, 1, e_q=1, e_t=1)
@@ -305,24 +322,21 @@ def weight_expansion_sides(trunc: Truncation) -> tuple[TruncatedSeries, Truncate
     num = TruncatedSeries.one(trunc)
     k = 0
     while not num.is_zero():
-        bilateral = bilateral + (num * poch_finite(t, k).invert()).shift(e_z=2 * k)
+        bilateral = bilateral + (num * inv_poch((1, 0, 1, 0, 0), k, trunc)).shift(e_z=2 * k)
         num = num * (t - TruncatedSeries.monomial(trunc, 1, e_q=k))
         k += 1
     # k = -m branch
     num = TruncatedSeries.one(trunc)
-    den = TruncatedSeries.one(trunc)
     m = 1
     while True:
         num = num * (TruncatedSeries.monomial(trunc, 1, e_q=m) - t)
         if num.is_zero():
             break
-        den = den * (one - tq.shift(e_q=m - 1))
         sign = -1 if m % 2 else 1
-        bilateral = bilateral + (num * den.invert()).scale(sign).shift(e_z=-2 * m)
+        bilateral = bilateral + (num * inv_tq(m, trunc)).scale(sign).shift(e_z=-2 * m)
         m += 1
 
     tt = TruncatedSeries.monomial(trunc, 1, e_t=2)
-    pref = (poch_infinite(t) * poch_infinite(tq)
-            * (one - TruncatedSeries.monomial(trunc, 1, e_z=-2))
+    pref = ((poch_infinite(t) * poch_infinite(tq)).mul_binomial(1, e_z=-2)
             * inv_poch_infinite(q) * inv_poch_infinite(tt))
     return lhs, pref * bilateral

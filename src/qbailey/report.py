@@ -24,6 +24,8 @@ def _fmt(c) -> str:
 
 def first_mismatch(lhs: TruncatedSeries, rhs: TruncatedSeries) -> dict | None:
     """Smallest monomial (canonical order) where the two series differ."""
+    if lhs._terms == rhs._terms:
+        return None
     keys = set(lhs._terms) | set(rhs._terms)
     for key in sorted(keys):
         a = lhs._terms.get(key, 0)

@@ -365,6 +365,54 @@ class TruncatedSeries:
             out[(eq, et, es, z1 + e_z)] = c
         return TruncatedSeries._raw(self.trunc, out)
 
+    def mul_binomial(self, c: Coeff, e_q: int = 0, e_t: int = 0, e_s: int = 0,
+                     e_z: int = 0) -> "TruncatedSeries":
+        """Multiply by the binomial 1 - c q^e_q t^e_t s^e_s z^e_z: one
+        shift-and-add pass over the terms, no packing."""
+        if min(e_q, e_t, e_s) < 0:
+            raise DomainError("binomial exponents must be >= 0")
+        mq, mt, ms = self.trunc.max_q, self.trunc.max_t, self.trunc.s_cap
+        out = dict(self._terms)
+        for (q1, t1, s1, z1), v in self._terms.items():
+            eq, et, es = q1 + e_q, t1 + e_t, s1 + e_s
+            if eq > mq or et > mt or es > ms:
+                continue
+            key = (eq, et, es, z1 + e_z)
+            new = out.get(key, 0) - c * v     # each key is the image of one term
+            if new:
+                out[key] = _norm(new)
+            else:
+                out.pop(key, None)
+        return TruncatedSeries._raw(self.trunc, out)
+
+    def div_binomial(self, c: Coeff, e_q: int = 0, e_t: int = 0, e_s: int = 0,
+                     e_z: int = 0) -> "TruncatedSeries":
+        """Divide by 1 - c m, m = q^e_q t^e_t s^e_s z^e_z: h[k] = g[k] + c h[k-m]
+        along each chain k, k+m, ... from its lowest key up to the caps.  A
+        degree-0 m is a scalar; as in invert, c m = 1 or a z-only c m raise."""
+        if min(e_q, e_t, e_s) < 0:
+            raise DomainError("binomial exponents must be >= 0")
+        mq, mt, ms = self.trunc.max_q, self.trunc.max_t, self.trunc.s_cap
+        if not (e_q or e_t or e_s):
+            if c and (e_z or c == 1):
+                raise NonInvertible(f"binomial 1 - ({c}) z^{e_z} is not a unit")
+            return self.scale(1 / Fraction(1 - c))
+        terms = self._terms
+        out: dict = {}
+        for key in sorted(terms):
+            if key in out:
+                continue
+            q1, t1, s1, z1 = key
+            acc = 0
+            while q1 <= mq and t1 <= mt and s1 <= ms:
+                key = (q1, t1, s1, z1)
+                acc = terms.get(key, 0) + c * acc
+                if type(acc) is not int and acc.denominator == 1:
+                    acc = acc.numerator
+                out[key] = acc       # zeros too: they mark the chain as walked
+                q1, t1, s1, z1 = q1 + e_q, t1 + e_t, s1 + e_s, z1 + e_z
+        return TruncatedSeries._raw(self.trunc, {k: v for k, v in out.items() if v})
+
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse modulo the truncation.
 

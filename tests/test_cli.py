@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 from test_hypergeometric import reference_inv_poch_value, reference_poch_value
+from test_macdonald import _clear_caches
 
 from qbailey import cli
 from qbailey import hypergeometric as hg
@@ -182,6 +183,38 @@ def test_selftest_detects_mutation(capsys, monkeypatch):
     code, out, _ = run(capsys, ["selftest"])
     assert code == 1
     assert "[FAIL]" in out and "b-eva" in out
+
+
+_TABLE = ["--k", "2", "--nq", "14", "--nt", "10"]
+
+
+@pytest.mark.parametrize("argv", [
+    *(["verify", "thm-main", "--k", str(k), "--nq", "16", "--nt", "12"] for k in (1, 2, 3)),
+    *(["verify", "thm-kks", "--k", str(k), "--nq", "12", "--nt", "10"] for k in (1, 2)),
+    ["verify", "multi-rr", "--k", "1", "--nq", "40"],
+    *(["table", "--rep", rep, *_TABLE] for rep in ("bosonic", "fermionic", "fermionic2")),
+    *(["verify", "appx-a", "--k", str(k), "--nq", str(nq), "--nt", str(nt)]
+      for k, nq, nt in ((1, 10, 8), (2, 7, 6), (3, 7, 4))),
+    ["verify", "thm-general", "--k", "2", "--b", "2/3,7/4", "--c", "5/2,3/8",
+     "--nq", "8", "--nt", "8"],
+    ["verify", "thm-conj-pair", "--nmax", "4", "--nq", "8", "--nt", "8"],
+    ["verify", "thm-wp", "--nmax", "3", "--nq", "6", "--nt", "6", "--ns", "4"],
+    ["verify", "corollary-special", "--pair", "seed", "--nq", "8", "--nt", "8"],
+    ["verify", "corollary-special", "--pair", "chain(2;3/2,4/9;6/5,2/7)",
+     "--nq", "8", "--nt", "8"],
+    ["selftest"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_no_series_inversion_on_the_hot_paths(capsys, monkeypatch, argv):
+    # every Pochhammer inverse of the benchmark's checks comes from
+    # inv_poch's binomial divisions; the generic invert is left to
+    # general bases (caches are cleared, so every builder runs)
+    calls = []
+    invert = TruncatedSeries.invert
+    monkeypatch.setattr(TruncatedSeries, "invert", lambda self: calls.append(1) or invert(self))
+    _clear_caches()
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and "FAIL" not in out
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbailey import qfunctions as qf
-from qbailey.errors import DomainError
+from qbailey.errors import DomainError, NonInvertible
 from qbailey.series import TruncatedSeries, Truncation
 
 TR = Truncation(6, 4)
@@ -261,3 +261,74 @@ def test_ultraspherical_matches_inline_sums(n, trunc, param):
     assert c2n.halve_z() == ultra_half_sum(n, trunc, param)
     if param == "t":
         assert c2n == bosonic_jsum(n, trunc)
+
+
+# -- Pochhammer products as binomial updates --------------------------
+
+def reference_poch(base, n):
+    # frozen copy of the product loop poch_finite (n >= 0) ran before it
+    # used binomial updates; poch_infinite multiplied the same factors
+    # until the shifted base left the caps
+    result = one(base.trunc)
+    for _ in range(n):
+        result = result * (one(base.trunc) - base)
+        base = base.shift(e_q=1)
+    return result
+
+
+def reference_combined_poch(b, n, trunc):
+    # frozen copy of combined_poch's product loop: prod_{i<n} (b - q^i)
+    result = one(trunc)
+    for i in range(n):
+        result = result * (mono(b, trunc=trunc) - mono(e_q=i, trunc=trunc))
+    return result
+
+
+_rationals = st.one_of(st.just(0), st.integers(-3, 3),
+                       st.fractions(min_value=-3, max_value=3, max_denominator=7))
+
+
+@st.composite
+def _monomial_bases(draw):
+    # (trunc, c, exponents): c rational or 0, exponents on, below or past
+    # the caps, z present, s present or absent
+    trunc = draw(_truncs)
+    caps = (trunc.max_q, trunc.max_t, trunc.s_cap)
+    exps = tuple(draw(st.sampled_from([0, 1, cap, cap + 1]) | st.integers(0, cap))
+                 for cap in caps)
+    return trunc, draw(_rationals), exps + (draw(st.integers(-2, 2)),)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_monomial_bases(), st.lists(st.integers(0, 6), min_size=1, max_size=4))
+def test_inv_poch_matches_inverted_product(case, ns):
+    trunc, c, e = case
+    base = TruncatedSeries(trunc, {e: c})
+    for n in ns:            # in drawn order, so the memo is extended out of order
+        product = reference_poch(base, n)
+        assert qf.poch_finite(base, n) == product
+        try:
+            want = product.invert()
+        except NonInvertible:
+            with pytest.raises(NonInvertible):
+                qf.inv_poch((c, *e), n, trunc)
+            continue
+        assert qf.inv_poch((c, *e), n, trunc) == want
+    assert qf.poch_infinite(base) == reference_poch(base, trunc.max_q + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_truncs, _rationals, st.integers(0, 6))
+def test_combined_poch_matches_product_loop(trunc, b, n):
+    assert qf.combined_poch(b, n, trunc) == reference_combined_poch(b, n, trunc)
+
+
+def test_inv_poch_zero_base_and_errors():
+    # (0 qt;q)_n = 1, the zero-parameter factor of the chain lift
+    for n in range(4):
+        assert qf.inv_poch((0, 1, 1, 0, 0), n, TR) == one()
+        assert qf.qt_poch(0, n, TR) == one()
+    with pytest.raises(DomainError):
+        qf.inv_poch((1, 1, 0, 0, 0), -1, TR)
+    assert qf.inv_qq(3, TR) == reference_poch(mono(e_q=1), 3).invert()
+    assert qf.inv_tq(3, TRS) == reference_poch(mono(e_q=1, e_t=1, trunc=TRS), 3).invert()

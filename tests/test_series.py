@@ -353,3 +353,70 @@ def test_invert_of_unit(f):
 def test_flip_z_is_a_homomorphism(f, g):
     assert (f + g).flip_z() == f.flip_z() + g.flip_z()
     assert (f * g).flip_z() == f.flip_z() * g.flip_z()
+
+
+# -- binomial updates ---------------------------------------------------
+
+def assert_canonical(f):
+    tr = f.trunc
+    for (eq, et, es, _), c in f._terms.items():
+        assert c != 0 and not (type(c) is Fraction and c.denominator == 1)
+        assert eq <= tr.max_q and et <= tr.max_t and es <= tr.s_cap
+
+
+@st.composite
+def _binomial_cases(draw):
+    # a series g and a binomial 1 - c m: c rational or 0, m with z and with
+    # exponents on, below or just beyond the caps, s present or absent
+    tr = draw(_truncations)
+    monos = st.tuples(_exponents(tr.max_q), _exponents(tr.max_t),
+                      _exponents(tr.s_cap), st.integers(-3, 3))
+    g = TruncatedSeries(tr, draw(st.dictionaries(monos, draw(_coeff_kinds), max_size=14)))
+    c = draw(st.one_of(st.just(0), st.integers(-3, 3),
+                       st.fractions(min_value=-3, max_value=3, max_denominator=7)))
+    m = draw(st.one_of(monos, st.tuples(st.integers(0, tr.max_q + 1), st.integers(0, tr.max_t + 1),
+                                        st.integers(0, tr.s_cap + 1), st.integers(-3, 3))))
+    binomial = TruncatedSeries.one(tr) - TruncatedSeries(tr, {m: c})
+    return g, c, m, binomial
+
+
+@settings(max_examples=150, deadline=None)
+@given(_binomial_cases())
+def test_mul_binomial_matches_product(case):
+    g, c, m, binomial = case
+    got = g.mul_binomial(c, *m)
+    assert got == reference_product(g, binomial)
+    assert_canonical(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_binomial_cases())
+def test_div_binomial_matches_inverse(case):
+    g, c, m, binomial = case
+    try:
+        inverse = binomial.invert()
+    except NonInvertible:
+        with pytest.raises(NonInvertible):
+            g.div_binomial(c, *m)
+        return
+    got = g.div_binomial(c, *m)
+    assert got == reference_product(g, inverse)
+    assert_canonical(got)
+    assert got.mul_binomial(c, *m) == g
+
+
+def test_degree_zero_binomials():
+    g = S({(1, 0, 0, 0): 3, (0, 2, 0, -1): Fraction(1, 2)})
+    # 1 - c is a scalar for c != 1
+    assert g.div_binomial(Fraction(1, 3)) == g.scale(Fraction(3, 2))
+    assert g.div_binomial(3) == g.scale(Fraction(-1, 2))
+    assert g.mul_binomial(3) == g.scale(-2)
+    assert g.div_binomial(0, e_z=2) == g                 # 1 - 0 z^2 = 1
+    for c, e_z in ((1, 0), (Fraction(1), 0), (2, 1), (Fraction(1, 2), -2)):
+        with pytest.raises(NonInvertible):
+            (one() - S({(0, 0, 0, e_z): c})).invert()
+        with pytest.raises(NonInvertible):
+            g.div_binomial(c, e_z=e_z)
+    for method in (g.mul_binomial, g.div_binomial):
+        with pytest.raises(DomainError):
+            method(1, e_q=-1)
