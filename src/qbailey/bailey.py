@@ -118,8 +118,8 @@ def seed_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
     def alpha(n: int) -> TruncatedSeries:
         if n == 0:
             return one
-        tq = TruncatedSeries.monomial(trunc, 1, e_q=1, e_t=1)
-        val = poch_finite(tq, n - 1).mul_binomial(1, e_q=2 * n, e_t=1) * inv_qq(n, trunc)
+        val = poch_finite((1, 1, 1, 0, 0), n - 1, trunc).mul_binomial(1, e_q=2 * n, e_t=1) \
+            * inv_qq(n, trunc)
         sign = -1 if n % 2 else 1
         return val.scale(sign).shift(e_q=binom2(n))
 
@@ -194,12 +194,9 @@ def verify_bailey_pair(alpha: PairFamily, beta: PairFamily,
 @functools.cache
 def _conj_prefactor_inv(trunc: Truncation) -> TruncatedSeries:
     # 1 / (t, tq, tz, t/z; q)_inf, memoized
-    t = TruncatedSeries.variable(trunc, "t")
-    tq = TruncatedSeries.monomial(trunc, 1, e_q=1, e_t=1)
-    tz = TruncatedSeries.monomial(trunc, 1, e_t=1, e_z=1)
-    tzi = TruncatedSeries.monomial(trunc, 1, e_t=1, e_z=-1)
-    return (inv_poch_infinite(t) * inv_poch_infinite(tq)
-            * inv_poch_infinite(tz) * inv_poch_infinite(tzi))
+    return (inv_poch_infinite((1, 0, 1, 0, 0), trunc) * inv_poch_infinite((1, 1, 1, 0, 0), trunc)
+            * inv_poch_infinite((1, 0, 1, 0, 1), trunc)
+            * inv_poch_infinite((1, 0, 1, 0, -1), trunc))
 
 
 def hermite_conjugate_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
@@ -209,12 +206,10 @@ def hermite_conjugate_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
               * sum_j (t;q)_j (t;q)_{2n-j} / ((q;q)_j (q;q)_{2n-j}) z^(j-n),
     delta_n = t^n sum_j [2n,j]_q z^(j-n).
     The j-sums are C_{2n}(z,t;q) and H_{2n}(z;q) with z^2 -> z."""
-    q = TruncatedSeries.variable(trunc, "q")
-
     def gamma(n: int) -> TruncatedSeries:
         # (t^2;q)_inf / (t^2;q)_{2n} = (t^2 q^{2n};q)_inf
-        tail = poch_infinite(TruncatedSeries.monomial(trunc, 1, e_q=2 * n, e_t=2))
-        pref = poch_finite(q, 2 * n) * tail * _conj_prefactor_inv(trunc)
+        tail = poch_infinite((1, 2 * n, 2, 0, 0), trunc)
+        pref = poch_finite((1, 1, 0, 0, 0), 2 * n, trunc) * tail * _conj_prefactor_inv(trunc)
         return (pref * ultraspherical(2 * n, trunc, "t").halve_z()).shift(e_t=n)
 
     def delta_core(n: int) -> TruncatedSeries:
@@ -283,25 +278,21 @@ def wp_conjugate_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
     if trunc.max_s is None:
         raise DomainError("the well-poised pair needs a truncation with s")
     one = TruncatedSeries.one(trunc)
-    q = TruncatedSeries.variable(trunc, "q")
     s = TruncatedSeries.variable(trunc, "s")
-    sq = TruncatedSeries.monomial(trunc, 1, e_q=1, e_s=1)
-    ssq = TruncatedSeries.monomial(trunc, 1, e_q=1, e_s=2)
-    ss = TruncatedSeries.monomial(trunc, 1, e_s=2)
-    sz = TruncatedSeries.monomial(trunc, 1, e_s=1, e_z=1)
-    szi = TruncatedSeries.monomial(trunc, 1, e_s=1, e_z=-1)
 
     def gamma(n: int) -> TruncatedSeries:
-        tail = poch_infinite(TruncatedSeries.monomial(trunc, 1, e_q=2 * n, e_t=2))
-        pref = (poch_finite(q, 2 * n) * tail * poch_infinite(sz)
-                * poch_infinite(szi) * _conj_prefactor_inv(trunc))
+        tail = poch_infinite((1, 2 * n, 2, 0, 0), trunc)
+        pref = (poch_finite((1, 1, 0, 0, 0), 2 * n, trunc) * tail
+                * poch_infinite((1, 0, 0, 1, 1), trunc) * poch_infinite((1, 0, 0, 1, -1), trunc)
+                * _conj_prefactor_inv(trunc))
         return (pref * ultraspherical(2 * n, trunc, "t").halve_z()).shift(e_t=n)
 
     def delta_core(n: int) -> TruncatedSeries:
-        num = poch_finite(q, 2 * n).mul_binomial(1, e_q=2 * n, e_s=1) \
-            * (one + s) * poch_infinite(ssq)
+        num = poch_finite((1, 1, 0, 0, 0), 2 * n, trunc).mul_binomial(1, e_q=2 * n, e_s=1) \
+            * (one + s) * poch_infinite((1, 1, 0, 2, 0), trunc)
         den_inv = (inv_poch((1, 0, 0, 2, 0), 2 * n, trunc)      # 1/(s^2;q)_{2n}
-                   * inv_poch_infinite(s) * inv_poch_infinite(sq))
+                   * inv_poch_infinite((1, 0, 0, 1, 0), trunc)
+                   * inv_poch_infinite((1, 1, 0, 1, 0), trunc))
         return num * den_inv * ultraspherical(2 * n, trunc, "s").halve_z()
 
     def delta(n: int) -> TruncatedSeries:
@@ -337,7 +328,7 @@ def verify_wp_conjugate(gamma_p: PairFamily, delta_p: PairFamily,
                 running = running * (t - s_series.shift(e_q=l - n - 1))
                 if running.is_zero():
                     break
-            term = (running * poch_finite(s_series, l + n)
+            term = (running * poch_finite((1, 0, 0, 1, 0), l + n, trunc)
                     * inv_qq(l - n, trunc) * inv_tq(l + n, trunc)
                     * delta_p.core(l))
             rhs = rhs + term

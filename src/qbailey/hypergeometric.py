@@ -274,14 +274,11 @@ def heine1_sides(a: Fraction, trunc: Truncation) -> tuple[TruncatedSeries, Trunc
     one = TruncatedSeries.one(trunc)
     t = TruncatedSeries.variable(trunc, "t")
     s = TruncatedSeries.variable(trunc, "s")
-    tq = TruncatedSeries.monomial(trunc, 1, e_q=1, e_t=1)
-    a_const = TruncatedSeries.monomial(trunc, a)
-    a_s = TruncatedSeries.monomial(trunc, a, e_s=1)
 
     lhs = TruncatedSeries.zero(trunc)
     spow = one
     for n in range(trunc.s_cap + 1):
-        term = (poch_finite(a_const, n) * poch_finite(t, n)
+        term = (poch_finite((a, 0, 0, 0, 0), n, trunc) * poch_finite((1, 0, 1, 0, 0), n, trunc)
                 * inv_qq(n, trunc) * inv_tq(n, trunc))
         lhs = lhs + term * spow
         spow = spow * s
@@ -289,10 +286,12 @@ def heine1_sides(a: Fraction, trunc: Truncation) -> tuple[TruncatedSeries, Trunc
     inner = TruncatedSeries.zero(trunc)
     tpow = one
     for m in range(trunc.max_t + 1):
-        inner = inner + poch_finite(s, m) * inv_poch((a, 0, 0, 1, 0), m, trunc) * tpow
+        inner = inner + poch_finite((1, 0, 0, 1, 0), m, trunc) \
+            * inv_poch((a, 0, 0, 1, 0), m, trunc) * tpow
         tpow = tpow * t
-    rhs = (poch_infinite(t) * poch_infinite(a_s)
-           * inv_poch_infinite(tq) * inv_poch_infinite(s) * inner)
+    rhs = (poch_infinite((1, 0, 1, 0, 0), trunc) * poch_infinite((a, 0, 0, 1, 0), trunc)
+           * inv_poch_infinite((1, 1, 1, 0, 0), trunc)
+           * inv_poch_infinite((1, 0, 0, 1, 0), trunc) * inner)
     return lhs, rhs
 
 
@@ -428,10 +427,9 @@ def b_closed(n: int, trunc: Truncation) -> TruncatedSeries:
 def phi_defining_sum(n: int, nprime: int, trunc: Truncation) -> TruncatedSeries:
     """Phi_{n,n'}(q) = sum_{s=0}^n (-1)^{n-s} q^binom(n-s,2)
     (q;q)_{s+n'} / ((q;q)_s^2 (q;q)_{n-s})."""
-    q = TruncatedSeries.variable(trunc, "q")
     total = TruncatedSeries.zero(trunc)
     for sig in range(n + 1):
-        term = (poch_finite(q, sig + nprime) * inv_qq(sig, trunc) ** 2
+        term = (poch_finite((1, 1, 0, 0, 0), sig + nprime, trunc) * inv_qq(sig, trunc) ** 2
                 * inv_qq(n - sig, trunc))
         sign = -1 if (n - sig) % 2 else 1
         total = total + term.scale(sign).shift(e_q=binom2(n - sig))
@@ -442,8 +440,8 @@ def phi_closed(n: int, nprime: int, trunc: Truncation) -> TruncatedSeries:
     """q^(n^2) (q;q)_{n'} / (q;q)_n * [n',n]_q; zero when n > n'."""
     if n > nprime:
         return TruncatedSeries.zero(trunc)
-    q = TruncatedSeries.variable(trunc, "q")
-    out = poch_finite(q, nprime) * inv_qq(n, trunc) * qbinomial(nprime, n, trunc)
+    out = (poch_finite((1, 1, 0, 0, 0), nprime, trunc) * inv_qq(n, trunc)
+           * qbinomial(nprime, n, trunc))
     return out.shift(e_q=n * n)
 
 

@@ -25,6 +25,7 @@ from .qfunctions import (binom2, combined_poch, hermite, inv_poch, inv_qq,
 from .report import IdentityReport, Stopwatch, series_report
 from .series import TruncatedSeries, Truncation
 
+# the four representations of the index; each name's builder is <name>_index
 REPRESENTATIONS = ("bosonic", "fermionic", "fermionic2", "original")
 
 
@@ -69,30 +70,10 @@ class DynkinData:
                 if self.adjacency[i][j]}
 
 
-@dataclass(frozen=True)
-class IndexSpec:
-    k: int
-    representation: str
-    trunc: Truncation
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise DomainError("k must be >= 1")
-        if self.representation not in REPRESENTATIONS:
-            raise DomainError(f"unknown representation {self.representation!r}")
-
-    def compute(self) -> TruncatedSeries:
-        fn = {"bosonic": bosonic_index, "fermionic": fermionic_index,
-              "fermionic2": fermionic2_index, "original": original_index}
-        return fn[self.representation](self.k, self.trunc)
-
-
 @functools.cache
 def _tq_qq_inf_power(k: int, trunc: Truncation) -> TruncatedSeries:
     # ((t;q)_inf (q;q)_inf)^k, memoized
-    t = TruncatedSeries.variable(trunc, "t")
-    q = TruncatedSeries.variable(trunc, "q")
-    return (poch_infinite(t) * poch_infinite(q)) ** k
+    return (poch_infinite((1, 0, 1, 0, 0), trunc) * poch_infinite((1, 1, 0, 0, 0), trunc)) ** k
 
 
 def bosonic_index(k: int, trunc: Truncation) -> TruncatedSeries:
@@ -309,10 +290,8 @@ def _bosonic_side(k, b, c, trunc):
     # at b = c = 0 its q-exponent is k n^2 + binom(n,2).
     params = [x for x in (*b, *c) if x]
     fold = 1 + 2 * k - len(params)          # binom(n,2) multiples in the exponent
-    t = TruncatedSeries.variable(trunc, "t")
-    tzz = TruncatedSeries.monomial(trunc, 1, e_t=1, e_z=2)
-    tzzi = TruncatedSeries.monomial(trunc, 1, e_t=1, e_z=-2)
-    pref = inv_poch_infinite(t) * inv_poch_infinite(tzz) * inv_poch_infinite(tzzi)
+    pref = (inv_poch_infinite((1, 0, 1, 0, 0), trunc) * inv_poch_infinite((1, 0, 1, 0, 2), trunc)
+            * inv_poch_infinite((1, 0, 1, 0, -2), trunc))
     total = TruncatedSeries.zero(trunc)
     n = 0
     while True:
@@ -320,11 +299,9 @@ def _bosonic_side(k, b, c, trunc):
         if e_t > trunc.max_t or e_q > trunc.max_q:
             break
         mono = TruncatedSeries.monomial(trunc, -1 if fold * n % 2 else 1, e_q=e_q, e_t=e_t)
-        qn1 = TruncatedSeries.monomial(trunc, 1, e_q=n + 1)
-        ttq2n = TruncatedSeries.monomial(trunc, 1, e_q=2 * n, e_t=2)
-        tq2n1 = TruncatedSeries.monomial(trunc, 1, e_q=2 * n + 1, e_t=1)
-        val = (mono * poch_finite(qn1, n) * poch_infinite(ttq2n)
-               * inv_poch((1, n, 1, 0, 0), n, trunc) * inv_poch_infinite(tq2n1))
+        val = (mono * poch_finite((1, n + 1, 0, 0, 0), n, trunc)
+               * poch_infinite((1, 2 * n, 2, 0, 0), trunc) * inv_poch((1, n, 1, 0, 0), n, trunc)
+               * inv_poch_infinite((1, 2 * n + 1, 1, 0, 0), trunc))
         for x in params:
             val = val * combined_poch(x, n, trunc) * inv_poch((x, 1, 1, 0, 0), n, trunc)
         total = total + val * ultraspherical(2 * n, trunc, "t")
@@ -364,7 +341,6 @@ def multi_rogers_ramanujan(k: int, max_q: int) -> IdentityReport:
             val = val * inv_qq(bb - a, trunc)
         lhs = lhs + val
 
-    q = TruncatedSeries.variable(trunc, "q")
     bilateral = TruncatedSeries.zero(trunc)
     reach = int(math.isqrt(max_q // (k + 1))) + 2
     for n in range(-reach, reach + 1):
@@ -372,7 +348,7 @@ def multi_rogers_ramanujan(k: int, max_q: int) -> IdentityReport:
         if e <= max_q:
             bilateral = bilateral + TruncatedSeries.monomial(
                 trunc, -1 if n % 2 else 1, e_q=e)
-    rhs = inv_poch_infinite(q) * bilateral
+    rhs = inv_poch_infinite((1, 1, 0, 0, 0), trunc) * bilateral
     return series_report("multisum-rogers-ramanujan", lhs, rhs,
                          {"k": k, "max_q": max_q}, watch)
 

@@ -1,12 +1,13 @@
 """q-Pochhammer symbols, q-binomials, the two orthogonal polynomial
 families on the unit circle, and the constant-term functional.
 
-Infinite products terminate because multiplying the base by q
-eventually pushes every monomial past the q-cap; a hard iteration guard
-turns any failure of that argument into an error instead of a silent
-truncation.  Integrals of symmetric Laurent series against d(theta)/pi
-are realized as z-constant-term extraction; ct_z checks the symmetry
-hypothesis rather than trusting the caller.
+Every Pochhammer base is one monomial, passed as the tuple
+(c, e_q, e_t, e_s, e_z) for c q^e_q t^e_t s^e_s z^e_z.  Products are
+binomial updates of 1 and inverses are binomial divisions or Euler's
+series, so no series is inverted.  An infinite product stops at the
+q-cap, past which every factor is 1.  Integrals of symmetric Laurent
+series against d(theta)/pi are realized as z-constant-term extraction;
+ct_z checks the symmetry hypothesis rather than trusting the caller.
 
 The memoized builders are wrapped in functools.cache, keyed by their
 arguments including the truncation; cached series are shared between
@@ -29,75 +30,39 @@ def binom2(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def poch_finite(base: TruncatedSeries, n: int) -> TruncatedSeries:
-    """(a;q)_n = prod_{k=0}^{n-1} (1 - a q^k); empty product for n = 0.
-
-    Negative n uses (a;q)_{-m} = 1/(a q^{-m};q)_m, which stays inside
-    the ring only when the shifted factors have nonnegative exponents
-    and unit constant term; otherwise a DomainError is raised and the
-    rational-point backend must be used instead.
-    """
-    trunc = base.trunc
-    if n >= 0:
-        result = TruncatedSeries.one(trunc)
-        if base.term_count() == 1:      # n binomial updates of 1
-            [((e_q, e_t, e_s, e_z), c)] = base._terms.items()
-            for k in range(n):
-                result = result.mul_binomial(c, e_q + k, e_t, e_s, e_z)
-            return result
-        cur = base
-        for _ in range(n):
-            result = result * (TruncatedSeries.one(trunc) - cur)
-            cur = cur.shift(e_q=1)
-        return result
-    m = -n
-    prod = TruncatedSeries.one(trunc)
-    for j in range(1, m + 1):
-        try:
-            factor = TruncatedSeries.one(trunc) - base.shift(e_q=-j)
-        except DomainError as exc:
-            raise DomainError(
-                f"(a;q)_{n}: factor with q^(-{j}) leaves the series ring") from exc
-        prod = prod * factor
-    try:
-        return prod.invert()
-    except NonInvertible as exc:
-        raise DomainError(f"(a;q)_{n}: non-invertible factor product") from exc
-
-
-def poch_infinite(base: TruncatedSeries) -> TruncatedSeries:
-    """(a;q)_inf, stopping once a q-shifted copy of the base vanishes
-    modulo the truncation (all later factors then equal 1)."""
-    trunc = base.trunc
-    if base.term_count() == 1:
-        return poch_finite(base, trunc.max_q + 1 - min(base._terms)[0])
-    guard = trunc.degree_bound() + 2
+def poch_finite(a: tuple, n: int, trunc: Truncation) -> TruncatedSeries:
+    """(a;q)_n = prod_{k=0}^{n-1} (1 - a q^k) for the monomial
+    a = (c, e_q, e_t, e_s, e_z) and n >= 0: n binomial updates of 1."""
+    if n < 0:
+        raise DomainError("poch_finite needs n >= 0")
+    c, e_q, e_t, e_s, e_z = a
     result = TruncatedSeries.one(trunc)
-    cur = base
-    for _ in range(guard):
-        if cur.is_zero():
-            return result
-        result = result * (TruncatedSeries.one(trunc) - cur)
-        cur = cur.shift(e_q=1)
-    raise DomainError(
-        f"(a;q)_inf does not terminate within {guard} factors for base "
-        f"{base!r}")
+    for k in range(n):
+        result = result.mul_binomial(c, e_q + k, e_t, e_s, e_z)
+    return result
 
 
-def inv_poch_infinite(base: TruncatedSeries) -> TruncatedSeries:
-    """1/(a;q)_inf.  For a single-monomial base this is Euler's series
-    sum_n a^n / (q;q)_n, which is much cheaper than a generic inversion."""
-    trunc = base.trunc
-    if base.term_count() == 1 and sum(min(base._terms)[:3]) > 0:   # (q,t,s)-degree > 0
-        total = TruncatedSeries.zero(trunc)
-        power = TruncatedSeries.one(trunc)
-        n = 0
-        while not power.is_zero():
-            total = total + power * inv_qq(n, trunc)
-            power = power * base
-            n += 1
-        return total
-    return poch_infinite(base).invert()
+def poch_infinite(a: tuple, trunc: Truncation) -> TruncatedSeries:
+    """(a;q)_inf for the monomial a: the factors past the q-cap are 1."""
+    return poch_finite(a, max(trunc.max_q + 1 - a[1], 0), trunc)
+
+
+def inv_poch_infinite(a: tuple, trunc: Truncation) -> TruncatedSeries:
+    """1/(a;q)_inf for the monomial a, by Euler's series
+    sum_n a^n / (q;q)_n.  The powers of a vanish modulo the caps unless
+    a is a nonzero base of (q,t,s)-degree 0, which is not a unit."""
+    c, e_q, e_t, e_s, e_z = a
+    if c and not (e_q or e_t or e_s):
+        raise NonInvertible(f"(a;q)_inf with a = {c} z^{e_z} is not a unit")
+    base = TruncatedSeries.monomial(trunc, *a)
+    total = TruncatedSeries.zero(trunc)
+    power = TruncatedSeries.one(trunc)
+    n = 0
+    while not power.is_zero():
+        total = total + power * inv_qq(n, trunc)
+        power = power * base
+        n += 1
+    return total
 
 
 def combined_poch(b, n: int, trunc: Truncation) -> TruncatedSeries:
@@ -107,13 +72,13 @@ def combined_poch(b, n: int, trunc: Truncation) -> TruncatedSeries:
     if not b:
         return TruncatedSeries.monomial(trunc, -1 if n % 2 else 1, e_q=binom2(n))
     b = Fraction(b)
-    return poch_finite(TruncatedSeries.monomial(trunc, 1 / b), n).scale(b ** n)
+    return poch_finite((1 / b, 0, 0, 0, 0), n, trunc).scale(b ** n)
 
 
 def qt_poch(x, n: int, trunc: Truncation) -> TruncatedSeries:
     """(x q t;q)_n for rational x, the parameter Pochhammer symbol of the
     parametrized identity and the chain lift."""
-    return poch_finite(TruncatedSeries.monomial(trunc, x, e_q=1, e_t=1), n)
+    return poch_finite((x, 1, 1, 0, 0), n, trunc)
 
 
 @functools.cache
@@ -158,8 +123,9 @@ def inv_tq(n: int, trunc: Truncation) -> TruncatedSeries:
 
 @functools.cache
 def poch_ratio(param: str, j: int, trunc: Truncation) -> TruncatedSeries:
-    """(x;q)_j / (q;q)_j for a ring variable x in {t, s}, memoized."""
-    return poch_finite(TruncatedSeries.variable(trunc, param), j) * inv_qq(j, trunc)
+    """(x;q)_j / (q;q)_j for a ring variable x in {q, t, s}, memoized."""
+    a = {"q": (1, 1, 0, 0, 0), "t": (1, 0, 1, 0, 0), "s": (1, 0, 0, 1, 0)}[param]
+    return poch_finite(a, j, trunc) * inv_qq(j, trunc)
 
 
 @functools.cache
@@ -202,9 +168,7 @@ def ct_z(f: TruncatedSeries) -> TruncatedSeries:
 @functools.cache
 def hermite_weight(trunc: Truncation) -> TruncatedSeries:
     """(z^2, z^-2; q)_inf, the q-Hermite orthogonality weight, memoized."""
-    zz = TruncatedSeries.monomial(trunc, 1, e_z=2)
-    zzi = TruncatedSeries.monomial(trunc, 1, e_z=-2)
-    return poch_infinite(zz) * poch_infinite(zzi)
+    return poch_infinite((1, 0, 0, 0, 2), trunc) * poch_infinite((1, 0, 0, 0, -2), trunc)
 
 
 @functools.cache
@@ -212,9 +176,8 @@ def ultraspherical_weight(trunc: Truncation) -> TruncatedSeries:
     """(z^2, z^-2; q)_inf / (s z^2, s z^-2; q)_inf, memoized."""
     if trunc.max_s is None:
         raise DomainError("ultraspherical weight needs a truncation with s")
-    szz = TruncatedSeries.monomial(trunc, 1, e_s=1, e_z=2)
-    szzi = TruncatedSeries.monomial(trunc, 1, e_s=1, e_z=-2)
-    return hermite_weight(trunc) * inv_poch_infinite(szz) * inv_poch_infinite(szzi)
+    return (hermite_weight(trunc) * inv_poch_infinite((1, 0, 0, 1, 2), trunc)
+            * inv_poch_infinite((1, 0, 0, 1, -2), trunc))
 
 
 def hermite_inner(m: int, n: int, trunc: Truncation) -> TruncatedSeries:
@@ -238,8 +201,8 @@ def hermite_inner_closed(m: int, n: int, trunc: Truncation) -> TruncatedSeries:
     """2 (q;q)_n / (q;q)_inf * delta_{m,n}."""
     if m != n:
         return TruncatedSeries.zero(trunc)
-    q = TruncatedSeries.variable(trunc, "q")
-    return (poch_finite(q, n) * inv_poch_infinite(q)).scale(2)
+    q = (1, 1, 0, 0, 0)
+    return (poch_finite(q, n, trunc) * inv_poch_infinite(q, trunc)).scale(2)
 
 
 def ultraspherical_inner_closed(m: int, n: int, trunc: Truncation) -> TruncatedSeries:
@@ -247,13 +210,11 @@ def ultraspherical_inner_closed(m: int, n: int, trunc: Truncation) -> TruncatedS
     * delta_{m,n}."""
     if m != n:
         return TruncatedSeries.zero(trunc)
-    s = TruncatedSeries.variable(trunc, "s")
-    sq = TruncatedSeries.monomial(trunc, 1, e_q=1, e_s=1)
-    ss = TruncatedSeries.monomial(trunc, 1, e_s=2)
-    q = TruncatedSeries.variable(trunc, "q")
-    num = poch_finite(ss, n).mul_binomial(1, e_s=1) * poch_infinite(s) * poch_infinite(sq)
+    ss = (1, 0, 0, 2, 0)
+    num = (poch_finite(ss, n, trunc).mul_binomial(1, e_s=1)
+           * poch_infinite((1, 0, 0, 1, 0), trunc) * poch_infinite((1, 1, 0, 1, 0), trunc))
     den_inv = inv_qq(n, trunc).div_binomial(1, e_q=n, e_s=1) \
-        * inv_poch_infinite(q) * inv_poch_infinite(ss)
+        * inv_poch_infinite((1, 1, 0, 0, 0), trunc) * inv_poch_infinite(ss, trunc)
     return (num * den_inv).scale(2)
 
 
@@ -261,9 +222,9 @@ def hermite_linearize(m: int, n: int, trunc: Truncation) -> TruncatedSeries:
     """Expansion of H_m * H_n in the Hermite basis:
     sum_l [m,l]_q [n,l]_q (q;q)_l H_{m+n-2l}."""
     total = TruncatedSeries.zero(trunc)
-    q = TruncatedSeries.variable(trunc, "q")
     for l in range(min(m, n) + 1):
-        coeff = qbinomial(m, l, trunc) * qbinomial(n, l, trunc) * poch_finite(q, l)
+        coeff = (qbinomial(m, l, trunc) * qbinomial(n, l, trunc)
+                 * poch_finite((1, 1, 0, 0, 0), l, trunc))
         total = total + coeff * hermite(m + n - 2 * l, trunc)
     return total
 
@@ -274,13 +235,12 @@ def hermite_expansion_coeff(n: int, l: int, trunc: Truncation) -> TruncatedSerie
     route (constant-term pairing), independent of the closed form."""
     if n < 0 or l < 0:
         raise DomainError("expansion coefficient indices must be >= 0")
-    tzz = TruncatedSeries.monomial(trunc, 1, e_t=1, e_z=2)
-    tzzi = TruncatedSeries.monomial(trunc, 1, e_t=1, e_z=-2)
     integrand = (ultraspherical(2 * n, trunc, "t")
-                 * inv_poch_infinite(tzz) * inv_poch_infinite(tzzi)
+                 * inv_poch_infinite((1, 0, 1, 0, 2), trunc)
+                 * inv_poch_infinite((1, 0, 1, 0, -2), trunc)
                  * hermite(2 * l, trunc) * hermite_weight(trunc))
-    q = TruncatedSeries.variable(trunc, "q")
-    return (ct_z(integrand) * poch_infinite(q) * inv_qq(2 * l, trunc)).scale(Fraction(1, 2))
+    return (ct_z(integrand) * poch_infinite((1, 1, 0, 0, 0), trunc)
+            * inv_qq(2 * l, trunc)).scale(Fraction(1, 2))
 
 
 def hermite_expansion_coeff_closed(n: int, l: int, trunc: Truncation) -> TruncatedSeries:
@@ -289,11 +249,9 @@ def hermite_expansion_coeff_closed(n: int, l: int, trunc: Truncation) -> Truncat
     ((t^2;q)_inf (q;q)_{2n} (q;q)_{l-n} (tq;q)_{l+n}); zero for l < n."""
     if l < n:
         return TruncatedSeries.zero(trunc)
-    t = TruncatedSeries.variable(trunc, "t")
-    tq = TruncatedSeries.monomial(trunc, 1, e_q=1, e_t=1)
-    ttq2n = TruncatedSeries.monomial(trunc, 1, e_q=2 * n, e_t=2)
     # (t^2;q)_{2n} / (t^2;q)_inf = 1/(t^2 q^{2n};q)_inf
-    out = (poch_infinite(t) * poch_infinite(tq) * inv_poch_infinite(ttq2n)
+    out = (poch_infinite((1, 0, 1, 0, 0), trunc) * poch_infinite((1, 1, 1, 0, 0), trunc)
+           * inv_poch_infinite((1, 2 * n, 2, 0, 0), trunc)
            * inv_qq(2 * n, trunc) * inv_qq(l - n, trunc) * inv_tq(l + n, trunc))
     return out.shift(e_t=l - n)
 
@@ -309,13 +267,10 @@ def weight_expansion_sides(trunc: Truncation) -> tuple[TruncatedSeries, Truncate
     and each side truncates because the minimum total degree of the
     k-th term grows with |k|.
     """
-    tzz = TruncatedSeries.monomial(trunc, 1, e_t=1, e_z=2)
-    tzzi = TruncatedSeries.monomial(trunc, 1, e_t=1, e_z=-2)
-    lhs = hermite_weight(trunc) * inv_poch_infinite(tzz) * inv_poch_infinite(tzzi)
+    lhs = (hermite_weight(trunc) * inv_poch_infinite((1, 0, 1, 0, 2), trunc)
+           * inv_poch_infinite((1, 0, 1, 0, -2), trunc))
 
     t = TruncatedSeries.variable(trunc, "t")
-    q = TruncatedSeries.variable(trunc, "q")
-    tq = TruncatedSeries.monomial(trunc, 1, e_q=1, e_t=1)
     bilateral = TruncatedSeries.zero(trunc)
 
     # k >= 0 branch
@@ -336,7 +291,7 @@ def weight_expansion_sides(trunc: Truncation) -> tuple[TruncatedSeries, Truncate
         bilateral = bilateral + (num * inv_tq(m, trunc)).scale(sign).shift(e_z=-2 * m)
         m += 1
 
-    tt = TruncatedSeries.monomial(trunc, 1, e_t=2)
-    pref = ((poch_infinite(t) * poch_infinite(tq)).mul_binomial(1, e_z=-2)
-            * inv_poch_infinite(q) * inv_poch_infinite(tt))
+    t_tq = poch_infinite((1, 0, 1, 0, 0), trunc) * poch_infinite((1, 1, 1, 0, 0), trunc)
+    pref = (t_tq.mul_binomial(1, e_z=-2) * inv_poch_infinite((1, 1, 0, 0, 0), trunc)
+            * inv_poch_infinite((1, 0, 2, 0, 0), trunc))
     return lhs, pref * bilateral

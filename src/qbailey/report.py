@@ -8,7 +8,6 @@ up to the recorded wall time.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -74,9 +73,6 @@ class IdentityReport:
             "seed": self.seed,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     def summary_line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
         extra = ""
@@ -95,12 +91,9 @@ class Stopwatch:
 
 def series_report(identity: str, lhs: TruncatedSeries, rhs: TruncatedSeries,
                   params: dict, watch: Stopwatch | None = None,
-                  seed: int | None = None,
-                  mismatch_context: dict | None = None) -> IdentityReport:
+                  seed: int | None = None) -> IdentityReport:
     """Compare two series and package the verdict."""
     mismatch = first_mismatch(lhs, rhs)
-    if mismatch is not None and mismatch_context:
-        mismatch = {**mismatch_context, **mismatch}
     return IdentityReport(
         identity=identity,
         params=params,

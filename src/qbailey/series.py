@@ -371,6 +371,7 @@ class TruncatedSeries:
         shift-and-add pass over the terms, no packing."""
         if min(e_q, e_t, e_s) < 0:
             raise DomainError("binomial exponents must be >= 0")
+        c = _norm(c)        # an integral Fraction multiplies as an int
         mq, mt, ms = self.trunc.max_q, self.trunc.max_t, self.trunc.s_cap
         out = dict(self._terms)
         for (q1, t1, s1, z1), v in self._terms.items():

@@ -175,7 +175,7 @@ def test_criterion_11_positivity_and_symmetry():
     small = Truncation(6, 4)
     for k in (1, 2):
         for name in ("fermionic", "fermionic2", "original"):
-            series = M.IndexSpec(k, name, small).compute()
+            series = getattr(M, f"{name}_index")(k, small)
             _line(11, series.flip_z() == series, f"{name} z-symmetry, k={k}")
 
 

@@ -70,9 +70,8 @@ def test_chain_lift_beta_closed_form():
     b, c = Fraction(1, 2), Fraction(2, 7)
     a1, b1 = B.chain_lift(alpha, beta, B.ChainParams.of([b], [c]), TR)
     for n in range(5):
-        num = qf.poch_finite(mono(b * c, e_q=1, e_t=1), n)
-        den = qf.poch_finite(mono(b, e_q=1, e_t=1), n) * \
-            qf.poch_finite(mono(c, e_q=1, e_t=1), n)
+        num = qf.poch_finite((b * c, 1, 1, 0, 0), n, TR)
+        den = qf.poch_finite((b, 1, 1, 0, 0), n, TR) * qf.poch_finite((c, 1, 1, 0, 0), n, TR)
         expected = num * qf.inv_qq(n, TR) * den.invert()
         assert b1[n] == expected
 
@@ -111,13 +110,10 @@ def test_conjugate_pair_entries():
     q = TruncatedSeries.variable(TR, "q")
     expected_d1 = (mono(e_z=-1) + one() + q + mono(e_z=1)).shift(e_t=1)
     assert delta[1] == expected_d1
-    t = TruncatedSeries.variable(TR, "t")
-    tq = mono(e_q=1, e_t=1)
-    tz = mono(e_t=1, e_z=1)
-    tzi = mono(e_t=1, e_z=-1)
-    expected_g0 = qf.poch_infinite(mono(e_t=2)) * (
-        qf.poch_infinite(t) * qf.poch_infinite(tq)
-        * qf.poch_infinite(tz) * qf.poch_infinite(tzi)).invert()
+    expected_g0 = qf.poch_infinite((1, 0, 2, 0, 0), TR) * (
+        qf.poch_infinite((1, 0, 1, 0, 0), TR) * qf.poch_infinite((1, 1, 1, 0, 0), TR)
+        * qf.poch_infinite((1, 0, 1, 0, 1), TR)
+        * qf.poch_infinite((1, 0, 1, 0, -1), TR)).invert()
     assert gamma[0] == expected_g0
 
 
@@ -169,11 +165,9 @@ def test_transform_needs_matching_truncations():
 
 def test_wp_pair_entries_and_relation():
     gamma_p, delta_p = B.wp_conjugate_pair(TRS)
-    ss = TruncatedSeries.monomial(TRS, 1, e_s=2)
-    s = TruncatedSeries.variable(TRS, "s")
-    sq = TruncatedSeries.monomial(TRS, 1, e_q=1, e_s=1)
-    expected_d0 = qf.poch_infinite(ss) * (
-        qf.poch_infinite(s) * qf.poch_infinite(sq)).invert()
+    expected_d0 = qf.poch_infinite((1, 0, 0, 2, 0), TRS) * (
+        qf.poch_infinite((1, 0, 0, 1, 0), TRS)
+        * qf.poch_infinite((1, 1, 0, 1, 0), TRS)).invert()
     assert delta_p[0] == expected_d0
     assert B.verify_wp_conjugate(gamma_p, delta_p, 3).passed
 
@@ -191,7 +185,7 @@ def test_wp_relation_n0_by_hand():
         if l > 0:
             running = running * (t - s.shift(e_q=l - 1))
         core = delta_p.core(l)
-        rhs = rhs + (running * qf.poch_finite(s, l)
+        rhs = rhs + (running * qf.poch_finite((1, 0, 0, 1, 0), l, trunc)
                      * qf.inv_qq(l, trunc) * qf.inv_tq(l, trunc) * core)
     assert rhs == gamma_p[0]
 

@@ -199,15 +199,17 @@ _TABLE = ["--k", "2", "--nq", "14", "--nt", "10"]
      "--nq", "8", "--nt", "8"],
     ["verify", "thm-conj-pair", "--nmax", "4", "--nq", "8", "--nt", "8"],
     ["verify", "thm-wp", "--nmax", "3", "--nq", "6", "--nt", "6", "--ns", "4"],
+    pytest.param(["verify", "thm-wp", "--nmax", "2", "--nq", "6", "--nt", "6", "--ns", "0"],
+                 id="verify-thm-wp-ns0"),
     ["verify", "corollary-special", "--pair", "seed", "--nq", "8", "--nt", "8"],
     ["verify", "corollary-special", "--pair", "chain(2;3/2,4/9;6/5,2/7)",
      "--nq", "8", "--nt", "8"],
     ["selftest"],
 ], ids=lambda argv: "-".join(argv[:2]))
 def test_no_series_inversion_on_the_hot_paths(capsys, monkeypatch, argv):
-    # every Pochhammer inverse of the benchmark's checks comes from
-    # inv_poch's binomial divisions; the generic invert is left to
-    # general bases (caches are cleared, so every builder runs)
+    # every Pochhammer inverse comes from inv_poch's binomial divisions
+    # or Euler's series, also where s is absent (--ns 0); no series is
+    # inverted (caches are cleared, so every builder runs)
     calls = []
     invert = TruncatedSeries.invert
     monkeypatch.setattr(TruncatedSeries, "invert", lambda self: calls.append(1) or invert(self))

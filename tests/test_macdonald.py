@@ -160,11 +160,9 @@ def reference_fermionic_index(k, trunc):
 
 
 def reference_bosonic_prefactor(trunc):
-    t = TruncatedSeries.variable(trunc, "t")
-    tzz = TruncatedSeries.monomial(trunc, 1, e_t=1, e_z=2)
-    tzzi = TruncatedSeries.monomial(trunc, 1, e_t=1, e_z=-2)
-    return (qf.inv_poch_infinite(t) * qf.inv_poch_infinite(tzz)
-            * qf.inv_poch_infinite(tzzi))
+    return (qf.inv_poch_infinite((1, 0, 1, 0, 0), trunc)
+            * qf.inv_poch_infinite((1, 0, 1, 0, 2), trunc)
+            * qf.inv_poch_infinite((1, 0, 1, 0, -2), trunc))
 
 
 def reference_bosonic_index(k, trunc):
@@ -181,20 +179,18 @@ def reference_bosonic_summand(k, n, trunc):
     sign = -1 if n % 2 else 1
     mono = TruncatedSeries.monomial(trunc, sign,
                                     e_q=k * n * n + qf.binom2(n), e_t=(k + 1) * n)
-    qn1 = TruncatedSeries.monomial(trunc, 1, e_q=n + 1)
-    ttq2n = TruncatedSeries.monomial(trunc, 1, e_q=2 * n, e_t=2)
-    tqn = TruncatedSeries.monomial(trunc, 1, e_q=n, e_t=1)
-    tq2n1 = TruncatedSeries.monomial(trunc, 1, e_q=2 * n + 1, e_t=1)
-    val = (mono * qf.poch_finite(qn1, n) * qf.poch_infinite(ttq2n)
-           * qf.poch_finite(tqn, n).invert() * qf.inv_poch_infinite(tq2n1))
+    val = (mono * qf.poch_finite((1, n + 1, 0, 0, 0), n, trunc)
+           * qf.poch_infinite((1, 2 * n, 2, 0, 0), trunc)
+           * qf.poch_finite((1, n, 1, 0, 0), n, trunc).invert()
+           * qf.inv_poch_infinite((1, 2 * n + 1, 1, 0, 0), trunc))
     return val * qf.ultraspherical(2 * n, trunc, "t")
 
 
 def reference_generalized_sides(k, b, c, trunc):
     # frozen copy of the two loops generalized_sides was written as, with
     # every parameter factor formed even when the parameter is zero
-    def bc_mono(x):
-        return TruncatedSeries.monomial(trunc, x, e_q=1, e_t=1)
+    def bc_base(x):
+        return (x, 1, 1, 0, 0)
 
     lhs = TruncatedSeries.zero(trunc)
     for chain in reference_chains(k, trunc.max_t):
@@ -205,11 +201,11 @@ def reference_generalized_sides(k, b, c, trunc):
         diffs = [chain[0]] + [y - x for x, y in zip(chain, chain[1:])]
         for i in range(k):
             val = val * qf.inv_qq(diffs[i], trunc)
-            val = val * qf.poch_finite(bc_mono(b[i] * c[i]), diffs[i])
+            val = val * qf.poch_finite(bc_base(b[i] * c[i]), diffs[i], trunc)
         den = TruncatedSeries.one(trunc)
         for i in range(k):
-            den = den * qf.poch_finite(bc_mono(b[i]), chain[i]) \
-                * qf.poch_finite(bc_mono(c[i]), chain[i])
+            den = den * qf.poch_finite(bc_base(b[i]), chain[i], trunc) \
+                * qf.poch_finite(bc_base(c[i]), chain[i], trunc)
         val = val * den.invert()
         for i in range(1, k):
             val = val * qf.combined_poch(b[i], chain[i - 1], trunc) \
@@ -222,16 +218,15 @@ def reference_generalized_sides(k, b, c, trunc):
         sign = -1 if n % 2 else 1
         mono = TruncatedSeries.monomial(trunc, sign,
                                         e_q=k * n + qf.binom2(n), e_t=(k + 1) * n)
-        qn1 = TruncatedSeries.monomial(trunc, 1, e_q=n + 1)
-        ttq2n = TruncatedSeries.monomial(trunc, 1, e_q=2 * n, e_t=2)
-        tqn = TruncatedSeries.monomial(trunc, 1, e_q=n, e_t=1)
-        tq2n1 = TruncatedSeries.monomial(trunc, 1, e_q=2 * n + 1, e_t=1)
-        val = (mono * qf.poch_finite(qn1, n) * qf.poch_infinite(ttq2n)
-               * qf.poch_finite(tqn, n).invert() * qf.inv_poch_infinite(tq2n1))
+        val = (mono * qf.poch_finite((1, n + 1, 0, 0, 0), n, trunc)
+               * qf.poch_infinite((1, 2 * n, 2, 0, 0), trunc)
+               * qf.poch_finite((1, n, 1, 0, 0), n, trunc).invert()
+               * qf.inv_poch_infinite((1, 2 * n + 1, 1, 0, 0), trunc))
         den = TruncatedSeries.one(trunc)
         for i in range(k):
             val = val * qf.combined_poch(b[i], n, trunc) * qf.combined_poch(c[i], n, trunc)
-            den = den * qf.poch_finite(bc_mono(b[i]), n) * qf.poch_finite(bc_mono(c[i]), n)
+            den = den * qf.poch_finite(bc_base(b[i]), n, trunc) \
+                * qf.poch_finite(bc_base(c[i]), n, trunc)
         val = val * den.invert()
         rhs_sum = rhs_sum + val * qf.ultraspherical(2 * n, trunc, "t")
         n += 1
@@ -364,7 +359,7 @@ def reference_original_index(k, trunc):
 def reference_inv_tpoch(r, trunc):
     # frozen 1/(t;q)_r: the Pochhammer product inverted by the generic
     # kernel, so the oracles do not run the inv_poch under test
-    return qf.poch_finite(TruncatedSeries.variable(trunc, "t"), r).invert()
+    return qf.poch_finite((1, 0, 1, 0, 0), r, trunc).invert()
 
 
 def reference_rho_block(k, adj, size, svec, u1, u2, trunc):
@@ -474,10 +469,10 @@ def test_coefficient_table():
         M.coefficient_rows(with_s)
 
 
-def test_index_spec_validation():
-    with pytest.raises(DomainError):
-        M.IndexSpec(0, "bosonic", TR)
-    with pytest.raises(DomainError):
-        M.IndexSpec(1, "nope", TR)
-    assert M.IndexSpec(1, "fermionic", SMALL).compute() == \
-        M.fermionic_index(1, SMALL)
+def test_representation_builders():
+    # each --rep name in REPRESENTATIONS has a builder <name>_index, and
+    # every builder rejects k < 1 itself
+    assert M.REPRESENTATIONS == ("bosonic", "fermionic", "fermionic2", "original")
+    for rep in M.REPRESENTATIONS:
+        with pytest.raises(DomainError):
+            getattr(M, f"{rep}_index")(0, TR)

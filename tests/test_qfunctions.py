@@ -4,7 +4,7 @@ and the constant-term layer."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbailey import qfunctions as qf
@@ -23,57 +23,56 @@ def one(trunc=TR):
     return TruncatedSeries.one(trunc)
 
 
+# Pochhammer bases are monomial tuples (c, e_q, e_t, e_s, e_z)
+Q = (1, 1, 0, 0, 0)
+T = (1, 0, 1, 0, 0)
+
+
+def shifted(a, n):
+    # the base a q^n
+    c, e_q, *rest = a
+    return (c, e_q + n, *rest)
+
+
 def test_poch_finite_examples():
-    q = TruncatedSeries.variable(TR, "q")
-    expanded = qf.poch_finite(q, 3)
+    expanded = qf.poch_finite(Q, 3, TR)
     expected = TruncatedSeries(TR, {(0, 0, 0, 0): 1, (1, 0, 0, 0): -1,
                                     (2, 0, 0, 0): -1, (4, 0, 0, 0): 1,
                                     (5, 0, 0, 0): 1, (6, 0, 0, 0): -1})
     assert expanded == expected
-    assert qf.poch_finite(mono(e_t=1), 0) == one()
-    assert qf.poch_finite(TruncatedSeries.variable(TR, "t"), 1) == one() - mono(e_t=1)
-
-
-def test_poch_finite_negative_index():
-    # (q^2;q)_{-1} = 1/(1 - q)
-    base = mono(e_q=2)
-    assert qf.poch_finite(base, -1) == (one() - mono(e_q=1)).invert()
-    # base q cannot be shifted to q^(-1)
-    with pytest.raises(DomainError):
-        qf.poch_finite(TruncatedSeries.variable(TR, "q"), -1)
+    assert qf.poch_finite(T, 0, TR) == one()
+    assert qf.poch_finite(T, 1, TR) == one() - mono(e_t=1)
 
 
 def test_poch_infinite_euler_partial():
     tr = Truncation(3, 0)
-    q = TruncatedSeries.variable(tr, "q")
-    assert qf.poch_infinite(q) == TruncatedSeries(
+    assert qf.poch_infinite(Q, tr) == TruncatedSeries(
         tr, {(0, 0, 0, 0): 1, (1, 0, 0, 0): -1, (2, 0, 0, 0): -1})
-    assert qf.poch_infinite(TruncatedSeries.zero(TR)) == one()
+    assert qf.poch_infinite((0, 0, 0, 0, 0), TR) == one()
 
 
 def test_poch_infinite_laurent_base():
-    tz2 = mono(e_t=1, e_z=2)
     direct = one()
-    cur = tz2
+    cur = mono(e_t=1, e_z=2)
     for _ in range(TR.max_q + 1):
         direct = direct * (one() - cur)
         cur = cur.shift(e_q=1)
-    assert qf.poch_infinite(tz2) == direct
+    assert qf.poch_infinite((1, 0, 1, 0, 2), TR) == direct
 
 
 def test_poch_splitting_invariant():
-    for base in (mono(e_t=1), mono(e_q=1, e_t=1), mono(Fraction(2, 3), e_q=1)):
-        full = qf.poch_infinite(base)
+    for base in (T, (1, 1, 1, 0, 0), (Fraction(2, 3), 1, 0, 0, 0)):
+        full = qf.poch_infinite(base, TR)
         for n in (1, 3, 6):
-            assert full == qf.poch_finite(base, n) * qf.poch_infinite(base.shift(e_q=n))
+            assert full == qf.poch_finite(base, n, TR) * qf.poch_infinite(shifted(base, n), TR)
 
 
 def test_poch_index_addition():
-    for base in (mono(e_t=1), mono(e_q=1), mono(Fraction(1, 2), e_t=1, e_z=1)):
+    for base in (T, Q, (Fraction(1, 2), 0, 1, 0, 1)):
         for m in range(4):
             for n in range(4):
-                lhs = qf.poch_finite(base, m + n)
-                rhs = qf.poch_finite(base, m) * qf.poch_finite(base.shift(e_q=m), n)
+                lhs = qf.poch_finite(base, m + n, TR)
+                rhs = qf.poch_finite(base, m, TR) * qf.poch_finite(shifted(base, m), n, TR)
                 assert lhs == rhs
 
 
@@ -86,15 +85,14 @@ def test_combined_poch():
 
 
 def test_qbinomial_against_polynomial_division():
-    q = TruncatedSeries.variable(TR, "q")
     assert qf.qbinomial(2, 1, TR) == one() + mono(e_q=1)
-    division = qf.poch_finite(q, 4) * (qf.poch_finite(q, 2) ** 2).invert()
+    division = qf.poch_finite(Q, 4, TR) * (qf.poch_finite(Q, 2, TR) ** 2).invert()
     assert qf.qbinomial(4, 2, TR) == division
     assert qf.qbinomial(3, 5, TR).is_zero()
     for M in range(7):
         for N in range(M + 1):
-            division = qf.poch_finite(q, M) * (
-                qf.poch_finite(q, N) * qf.poch_finite(q, M - N)).invert()
+            division = qf.poch_finite(Q, M, TR) * (
+                qf.poch_finite(Q, N, TR) * qf.poch_finite(Q, M - N, TR)).invert()
             assert qf.qbinomial(M, N, TR) == division
 
 
@@ -144,7 +142,7 @@ def test_ct_z():
 
 def test_hermite_inner_orthogonality():
     q = TruncatedSeries.variable(TR, "q")
-    inv_euler = qf.inv_poch_infinite(q)
+    inv_euler = qf.inv_poch_infinite(Q, TR)
     assert qf.hermite_inner(0, 0, TR) == inv_euler.scale(2)
     assert qf.hermite_inner(1, 2, TR).is_zero()
     assert qf.hermite_inner(1, 1, TR) == ((one() - q) * inv_euler).scale(2)
@@ -172,10 +170,8 @@ def test_hermite_linearize():
 
 
 def test_expansion_coeff_closed_form():
-    t = TruncatedSeries.variable(TR, "t")
-    tq = mono(e_q=1, e_t=1)
-    tt = mono(e_t=2)
-    c00 = qf.poch_infinite(t) * qf.poch_infinite(tq) * qf.inv_poch_infinite(tt)
+    c00 = (qf.poch_infinite(T, TR) * qf.poch_infinite((1, 1, 1, 0, 0), TR)
+           * qf.inv_poch_infinite((1, 0, 2, 0, 0), TR))
     assert qf.hermite_expansion_coeff(0, 0, TR) == c00
     for n in range(1, 3):
         for l in range(n):
@@ -301,20 +297,32 @@ def _monomial_bases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_monomial_bases(), st.lists(st.integers(0, 6), min_size=1, max_size=4))
+@example((TRS, 0, (1, 1, 0, 0)), [3])                  # c = 0
+@example((TR, Fraction(-2, 3), (7, 0, 0, 1)), [2])     # past the q-cap
+@example((TR, 1, (0, 5, 0, -1)), [2])                  # past the t-cap
+@example((TR, 2, (0, 0, 0, 0)), [2])                   # constant base
+@example((TRS, 1, (0, 0, 0, 2)), [2])                  # z-only base
 def test_inv_poch_matches_inverted_product(case, ns):
     trunc, c, e = case
+    a = (c, *e)
     base = TruncatedSeries(trunc, {e: c})
     for n in ns:            # in drawn order, so the memo is extended out of order
         product = reference_poch(base, n)
-        assert qf.poch_finite(base, n) == product
+        assert qf.poch_finite(a, n, trunc) == product
         try:
             want = product.invert()
         except NonInvertible:
             with pytest.raises(NonInvertible):
-                qf.inv_poch((c, *e), n, trunc)
+                qf.inv_poch(a, n, trunc)
             continue
-        assert qf.inv_poch((c, *e), n, trunc) == want
-    assert qf.poch_infinite(base) == reference_poch(base, trunc.max_q + 1)
+        assert qf.inv_poch(a, n, trunc) == want
+    full = reference_poch(base, trunc.max_q + 1)
+    assert qf.poch_infinite(a, trunc) == full
+    if c and not any(e[:3]):    # nonzero base of (q,t,s)-degree 0: Euler's series diverges
+        with pytest.raises(NonInvertible):
+            qf.inv_poch_infinite(a, trunc)
+    else:
+        assert qf.inv_poch_infinite(a, trunc) == full.invert()
 
 
 @settings(max_examples=40, deadline=None)
@@ -330,5 +338,7 @@ def test_inv_poch_zero_base_and_errors():
         assert qf.qt_poch(0, n, TR) == one()
     with pytest.raises(DomainError):
         qf.inv_poch((1, 1, 0, 0, 0), -1, TR)
+    with pytest.raises(DomainError):
+        qf.poch_finite((1, 1, 0, 0, 0), -1, TR)
     assert qf.inv_qq(3, TR) == reference_poch(mono(e_q=1), 3).invert()
     assert qf.inv_tq(3, TRS) == reference_poch(mono(e_q=1, e_t=1, trunc=TRS), 3).invert()
