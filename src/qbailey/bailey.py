@@ -323,12 +323,14 @@ def verify_wp_conjugate(gamma_p: PairFamily, delta_p: PairFamily,
     for n in range(n_max + 1):
         rhs = TruncatedSeries.zero(trunc)
         running = TruncatedSeries.one(trunc)   # prod_{i<l-n} (t - s q^i)
+        s_poch = poch_finite((1, 0, 0, 1, 0), 2 * n, trunc)     # (s;q)_{l+n}
         for l in range(n, l_max + 1):
             if l > n:
                 running = running * (t - s_series.shift(e_q=l - n - 1))
                 if running.is_zero():
                     break
-            term = (running * poch_finite((1, 0, 0, 1, 0), l + n, trunc)
+                s_poch = s_poch.mul_binomial(1, e_q=l + n - 1, e_s=1)
+            term = (running * s_poch
                     * inv_qq(l - n, trunc) * inv_tq(l + n, trunc)
                     * delta_p.core(l))
             rhs = rhs + term

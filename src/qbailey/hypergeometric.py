@@ -10,7 +10,10 @@ Two deliberately separate backends:
 * identities among formal series evaluate in the truncated ring.
 
 Every denominator factor at a rational point is checked; a zero aborts
-with the factor named.
+with the factor named.  A sum or closed form at a point is evaluated
+fraction-free (`_sum_of_products`): each factor is a reduced Fraction,
+but the summands and the running sum are kept as plain integer
+numerator/denominator pairs, and each side reduces once, at the end.
 """
 
 from __future__ import annotations
@@ -144,12 +147,28 @@ def inv_poch_value(a: Fraction, n: int, point: RationalPoint) -> Fraction:
     return point._prefix_reciprocal(a, n)
 
 
+def _sum_of_products(summands) -> Fraction:
+    """The sum of the products of each summand's factors (Fractions or
+    ints), fraction-free: a summand multiplies its factors' numerators
+    and denominators as ints, the running sum (num, den) adds it as
+    num*b + a*den over den*b, and one Fraction is built at the end.
+    Each summand's factors are taken in order as it is reached."""
+    num, den = 0, 1
+    for factors in summands:
+        a = b = 1
+        for f in factors:
+            a *= f.numerator
+            b *= f.denominator
+        num, den = num * b + a * den, den * b
+    return Fraction(num, den)
+
+
 def qbinomial_value(M: int, N: int, point: RationalPoint) -> Fraction:
     if N < 0 or N > M:
         return Fraction(0)
     q = point["q"]
-    return poch_value(q, M, point) * inv_poch_value(q, N, point) \
-        * inv_poch_value(q, M - N, point)
+    return _sum_of_products([(poch_value(q, M, point), inv_poch_value(q, N, point),
+                              inv_poch_value(q, M - N, point))])
 
 
 @dataclass
@@ -172,18 +191,14 @@ def phi_terminating(spec: PhiSpec, point: RationalPoint) -> Fraction:
         raise DomainError(
             f"terminating series needs exactly one upper parameter q^(-{spec.n})")
     extra_power = 1 + len(spec.lower) - len(spec.upper)
-    total = Fraction(0)
-    for m in range(spec.n + 1):
-        term = Fraction(spec.argument) ** m
-        for a in spec.upper:
-            term *= poch_value(a, m, point)
-        term *= inv_poch_value(q, m, point)
-        for b in spec.lower:
-            term *= inv_poch_value(b, m, point)
-        if extra_power:
-            term *= ((-1) ** m * q ** binom2(m)) ** extra_power
-        total += term
-    return total
+    argument = Fraction(spec.argument)
+    return _sum_of_products(
+        (argument ** m,
+         *(poch_value(a, m, point) for a in spec.upper),
+         inv_poch_value(q, m, point),
+         *(inv_poch_value(b, m, point) for b in spec.lower),
+         ((-1) ** m * q ** binom2(m)) ** extra_power if extra_power else 1)
+        for m in range(spec.n + 1))
 
 
 def _vwp_sixphi5_sum(a: Fraction, b: Fraction, c: Fraction, n: int,
@@ -191,20 +206,18 @@ def _vwp_sixphi5_sum(a: Fraction, b: Fraction, c: Fraction, n: int,
     # very-well-poised 6phi5; the half-power parameter pair enters only
     # through (1 - a q^(2m)) / (1 - a), so the sum stays rational
     q = point["q"]
-    point.check_nonzero(1 - a, f"(1 - a) with a={a}")
+    one_minus_a = point.check_nonzero(1 - a, f"(1 - a) with a={a}")
     arg = a * q ** (n + 1) / point.check_nonzero(b * c, f"b*c with b={b}, c={c}")
-    total = Fraction(0)
-    for m in range(n + 1):
-        term = (poch_value(a, m, point) * (1 - a * q ** (2 * m)) / (1 - a)
-                * poch_value(b, m, point) * poch_value(c, m, point)
-                * poch_value(q ** (-n), m, point)
-                * inv_poch_value(q, m, point)
-                * inv_poch_value(a * q / b, m, point)
-                * inv_poch_value(a * q / c, m, point)
-                * inv_poch_value(a * q ** (n + 1), m, point)
-                * arg ** m)
-        total += term
-    return total
+    return _sum_of_products(
+        (poch_value(a, m, point), (1 - a * q ** (2 * m)) / one_minus_a,
+         poch_value(b, m, point), poch_value(c, m, point),
+         poch_value(q ** (-n), m, point),
+         inv_poch_value(q, m, point),
+         inv_poch_value(a * q / b, m, point),
+         inv_poch_value(a * q / c, m, point),
+         inv_poch_value(a * q ** (n + 1), m, point),
+         arg ** m)
+        for m in range(n + 1))
 
 
 def _value_report(identity: str, lhs: Fraction, rhs: Fraction, params: dict,
@@ -227,42 +240,46 @@ def classical_check(name: str, point: RationalPoint, n: int,
     ignored for it.
     """
     watch = Stopwatch()
-    q = point["q"]
-    params: dict = {"n": n, "point": point.describe()}
-    if name == "pfaff-saalschutz":
-        a, b, c = point["a"], point["b"], point["c"]
-        point.check_nonzero(c, "c")
-        spec = PhiSpec([a, b, q ** (-n)], [c, a * b * q ** (1 - n) / c], q, n)
-        lhs = phi_terminating(spec, point)
-        rhs = (poch_value(c / a, n, point) * poch_value(c / b, n, point)
-               * inv_poch_value(c, n, point)
-               * inv_poch_value(c / (a * b), n, point))
-        return _value_report(f"classical-{name}", lhs, rhs, params, watch, seed)
-    if name == "chu-vandermonde-2":
-        a, c = point["a"], point["c"]
-        spec = PhiSpec([a, q ** (-n)], [c], q, n)
-        lhs = phi_terminating(spec, point)
-        rhs = a ** n * poch_value(c / a, n, point) * inv_poch_value(c, n, point)
-        return _value_report(f"classical-{name}", lhs, rhs, params, watch, seed)
-    if name == "qbinomial-theorem":
-        z = point["z"]
-        spec = PhiSpec([q ** (-n)], [], z, n)
-        lhs = phi_terminating(spec, point)
-        rhs = poch_value(z * q ** (-n), n, point)
-        return _value_report(f"classical-{name}", lhs, rhs, params, watch, seed)
-    if name == "sixphi5":
-        a, b, c = point["a"], point["b"], point["c"]
-        lhs = _vwp_sixphi5_sum(a, b, c, n, point)
-        rhs = (poch_value(a * q, n, point) * poch_value(a * q / (b * c), n, point)
-               * inv_poch_value(a * q / b, n, point)
-               * inv_poch_value(a * q / c, n, point))
-        return _value_report(f"classical-{name}", lhs, rhs, params, watch, seed)
     if name == "heine-1":
         a = point["a"]
         lhs, rhs = heine1_sides(a, Truncation(8, 8, 8))
         return series_report(f"classical-{name}", lhs, rhs,
                              params={"a": f"{a.numerator}/{a.denominator}"},
                              watch=watch, seed=seed)
+    lhs, rhs = _classical_sides(name, point, n)
+    params = {"n": n, "point": point.describe()}
+    return _value_report(f"classical-{name}", lhs, rhs, params, watch, seed)
+
+
+def _classical_sides(name: str, point: RationalPoint, n: int) -> tuple[Fraction, Fraction]:
+    """(terminating sum, closed form) of a classical identity at the point."""
+    q = point["q"]
+    if name == "pfaff-saalschutz":
+        a, b, c = point["a"], point["b"], point["c"]
+        point.check_nonzero(c, "c")
+        spec = PhiSpec([a, b, q ** (-n)], [c, a * b * q ** (1 - n) / c], q, n)
+        lhs = phi_terminating(spec, point)
+        return lhs, _sum_of_products([(poch_value(c / a, n, point),
+                                       poch_value(c / b, n, point),
+                                       inv_poch_value(c, n, point),
+                                       inv_poch_value(c / (a * b), n, point))])
+    if name == "chu-vandermonde-2":
+        a, c = point["a"], point["c"]
+        spec = PhiSpec([a, q ** (-n)], [c], q, n)
+        lhs = phi_terminating(spec, point)
+        return lhs, _sum_of_products([(a ** n, poch_value(c / a, n, point),
+                                       inv_poch_value(c, n, point))])
+    if name == "qbinomial-theorem":
+        z = point["z"]
+        spec = PhiSpec([q ** (-n)], [], z, n)
+        return phi_terminating(spec, point), poch_value(z * q ** (-n), n, point)
+    if name == "sixphi5":
+        a, b, c = point["a"], point["b"], point["c"]
+        lhs = _vwp_sixphi5_sum(a, b, c, n, point)
+        return lhs, _sum_of_products([(poch_value(a * q, n, point),
+                                       poch_value(a * q / (b * c), n, point),
+                                       inv_poch_value(a * q / b, n, point),
+                                       inv_poch_value(a * q / c, n, point))])
     raise DomainError(f"unknown classical identity {name!r}")
 
 
@@ -301,16 +318,15 @@ def heine1_sides(a: Fraction, trunc: Truncation) -> tuple[TruncatedSeries, Trunc
 def s_sum(d: int, n: int, point: RationalPoint) -> Fraction:
     """Defining sum S_{d,n} = sum_{j=0}^{2n} (t;q)_j (t;q)_{2n-j}
     (1/t;q)_{j+d} t^{j+d} / ((q;q)_j (q;q)_{2n-j} (t;q)_{j+d})."""
-    t = point["t"]
+    q, t = point["q"], point["t"]
     ti = 1 / point.check_nonzero(t, "t")
-    total = Fraction(0)
-    for j in range(2 * n + 1):
-        total += (poch_value(t, j, point) * poch_value(t, 2 * n - j, point)
-                  * poch_value(ti, j + d, point) * t ** (j + d)
-                  * inv_poch_value(point["q"], j, point)
-                  * inv_poch_value(point["q"], 2 * n - j, point)
-                  * inv_poch_value(t, j + d, point))
-    return total
+    return _sum_of_products(
+        (poch_value(t, j, point), poch_value(t, 2 * n - j, point),
+         poch_value(ti, j + d, point), t ** (j + d),
+         inv_poch_value(q, j, point),
+         inv_poch_value(q, 2 * n - j, point),
+         inv_poch_value(t, j + d, point))
+        for j in range(2 * n + 1))
 
 
 def s_closed(d: int, n: int, point: RationalPoint) -> Fraction:
@@ -318,10 +334,11 @@ def s_closed(d: int, n: int, point: RationalPoint) -> Fraction:
     ((q;q)_{2n} (t;q)_{2n+d})."""
     q, t = point["q"], point["t"]
     ti = 1 / point.check_nonzero(t, "t")
-    return (poch_value(t * t, 2 * n, point) * poch_value(q ** d, 2 * n, point)
-            * poch_value(ti, d, point) * t ** d
-            * inv_poch_value(q, 2 * n, point)
-            * inv_poch_value(t, 2 * n + d, point))
+    return _sum_of_products([(poch_value(t * t, 2 * n, point),
+                              poch_value(q ** d, 2 * n, point),
+                              poch_value(ti, d, point), t ** d,
+                              inv_poch_value(q, 2 * n, point),
+                              inv_poch_value(t, 2 * n + d, point))])
 
 
 def s_closed_check(d: int, n: int, point: RationalPoint,
@@ -356,19 +373,25 @@ def expansion_coeff_check(l: int, n: int, point: RationalPoint,
       = t^{2l} / ((q;q)_{l-n} (tq;q)_{l+n}),
     both sides exactly zero when l < n."""
     watch = Stopwatch()
-    q, t = point["q"], point["t"]
-    ti = 1 / point.check_nonzero(t, "t")
-    lhs = Fraction(0)
-    for j in range(2 * l + 1):
-        lhs += (poch_value(q ** (j - l - n), 2 * n, point)
-                * poch_value(ti, j - l - n, point) * t ** j
-                * inv_poch_value(q, j, point)
-                * inv_poch_value(q, 2 * l - j, point)
-                * inv_poch_value(t, j - l + n, point))
-    rhs = (t ** (2 * l) * inv_poch_value(q, l - n, point)
-           * inv_poch_value(t * q, l + n, point))
+    lhs, rhs = _expansion_coeff_sides(l, n, point)
     params = {"l": l, "n": n, "point": point.describe()}
     return _value_report("expansion-coeff-sum", lhs, rhs, params, watch, seed)
+
+
+def _expansion_coeff_sides(l: int, n: int, point: RationalPoint) -> tuple[Fraction, Fraction]:
+    """(sum, closed form) of `expansion_coeff_check` at the point."""
+    q, t = point["q"], point["t"]
+    ti = 1 / point.check_nonzero(t, "t")
+    lhs = _sum_of_products(
+        (poch_value(q ** (j - l - n), 2 * n, point),
+         poch_value(ti, j - l - n, point), t ** j,
+         inv_poch_value(q, j, point),
+         inv_poch_value(q, 2 * l - j, point),
+         inv_poch_value(t, j - l + n, point))
+        for j in range(2 * l + 1))
+    rhs = _sum_of_products([(t ** (2 * l), inv_poch_value(q, l - n, point),
+                             inv_poch_value(t * q, l + n, point))])
+    return lhs, rhs
 
 
 def wp_expansion_coeff_check(l: int, n: int, point: RationalPoint,
@@ -379,27 +402,33 @@ def wp_expansion_coeff_check(l: int, n: int, point: RationalPoint,
       = (s/t;q)_{l-n} (s;q)_{l+n} t^{2l} / ((q;q)_{l-n} (tq;q)_{l+n});
     at s = 0 it reduces to the unweighted sum."""
     watch = Stopwatch()
+    lhs, rhs = _wp_expansion_coeff_sides(l, n, point)
+    params = {"l": l, "n": n, "point": point.describe()}
+    return _value_report("wp-expansion-coeff-sum", lhs, rhs, params, watch, seed)
+
+
+def _wp_expansion_coeff_sides(l: int, n: int,
+                              point: RationalPoint) -> tuple[Fraction, Fraction]:
+    """(sum, closed form) of `wp_expansion_coeff_check` at the point."""
     q, t, s = point["q"], point["t"], point["s"]
     ti = 1 / point.check_nonzero(t, "t")
-    lhs = Fraction(0)
-    for j in range(2 * l + 1):
-        lhs += (poch_value(s, j, point) * poch_value(s, 2 * l - j, point)
-                * poch_value(q ** (j - l - n), 2 * n, point)
-                * poch_value(ti, j - l - n, point) * t ** j
-                * inv_poch_value(q, j, point)
-                * inv_poch_value(q, 2 * l - j, point)
-                * inv_poch_value(t, j - l + n, point))
+    lhs = _sum_of_products(
+        (poch_value(s, j, point), poch_value(s, 2 * l - j, point),
+         poch_value(q ** (j - l - n), 2 * n, point),
+         poch_value(ti, j - l - n, point), t ** j,
+         inv_poch_value(q, j, point),
+         inv_poch_value(q, 2 * l - j, point),
+         inv_poch_value(t, j - l + n, point))
+        for j in range(2 * l + 1))
     # evaluate the vanishing factor first so that l < n cannot hit the
     # negative-index (s/t;q) factor behind an exact zero
     inv_qq_part = inv_poch_value(q, l - n, point)
     if inv_qq_part == 0:
-        rhs = Fraction(0)
-    else:
-        rhs = (poch_value(s * ti, l - n, point) * poch_value(s, l + n, point)
-               * t ** (2 * l) * inv_qq_part
-               * inv_poch_value(t * q, l + n, point))
-    params = {"l": l, "n": n, "point": point.describe()}
-    return _value_report("wp-expansion-coeff-sum", lhs, rhs, params, watch, seed)
+        return lhs, Fraction(0)
+    rhs = _sum_of_products([(poch_value(s * ti, l - n, point),
+                             poch_value(s, l + n, point), t ** (2 * l), inv_qq_part,
+                             inv_poch_value(t * q, l + n, point))])
+    return lhs, rhs
 
 
 # -- B and Phi evaluations (series ring) ------------------------------

@@ -65,6 +65,7 @@ def inv_poch_infinite(a: tuple, trunc: Truncation) -> TruncatedSeries:
     return total
 
 
+@functools.cache
 def combined_poch(b, n: int, trunc: Truncation) -> TruncatedSeries:
     """prod_{i=0}^{n-1} (b - q^i) for rational b, the polynomial form of
     (1/b;q)_n b^n.  Valid at b = 0, where it collapses to

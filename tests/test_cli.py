@@ -2,6 +2,7 @@
 injection."""
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -67,8 +68,25 @@ def test_verify_determinism_modulo_wall_time(capsys):
 
 def test_rational_points_match_reference_loops(capsys, monkeypatch):
     # every rational-point report must come out the same when poch_value
-    # and inv_poch_value are the frozen factor-by-factor loops instead
-    def outputs():
+    # and inv_poch_value are the frozen factor-by-factor loops instead.
+    # Every factor must reach them: live, each call through the module's
+    # names is one prefix-table lookup; swapped, no table is read and the
+    # loops run as often as the live functions did.  A sum that bypassed
+    # the names would otherwise pass vacuously.
+    prefix_table = hg.RationalPoint._prefix_table
+
+    def counted(fn, calls, name):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    def outputs(poch, inv_poch):
+        calls = Counter()
+        monkeypatch.setattr(hg, "poch_value", counted(poch, calls, "poch_value"))
+        monkeypatch.setattr(hg, "inv_poch_value", counted(inv_poch, calls, "inv_poch_value"))
+        monkeypatch.setattr(hg.RationalPoint, "_prefix_table",
+                            counted(prefix_table, calls, "table lookup"))
         out = []
         for identity in ("lemma-b1", "appx-c"):
             code, text, _ = run(capsys, ["verify", identity, "--lmax", "3",
@@ -78,12 +96,26 @@ def test_rational_points_match_reference_loops(capsys, monkeypatch):
         point = hg.RationalPoint({"q": Fraction(2, 3), "t": Fraction(3, 5)})
         out += [strip_wall_time(hg.s_symmetry_check(l, n, point).to_dict())
                 for l in range(3) for n in range(3)]
-        return json.dumps(out, sort_keys=True)
+        out += [strip_wall_time(hg.s_closed_check(d, n, point).to_dict())
+                for d in range(-3, 4) for n in range(3)]
+        point = hg.RationalPoint({"q": Fraction(2, 3), "a": Fraction(3, 5),
+                                  "b": Fraction(5, 7), "c": Fraction(7, 11),
+                                  "z": Fraction(4, 9)})
+        out += [strip_wall_time(hg.classical_check(name, point, n).to_dict())
+                for name in ("pfaff-saalschutz", "chu-vandermonde-2",
+                             "qbinomial-theorem", "sixphi5")
+                for n in (0, 3, 5)]
+        return json.dumps(out, sort_keys=True), calls
 
-    tables = outputs()
-    monkeypatch.setattr(hg, "poch_value", reference_poch_value)
-    monkeypatch.setattr(hg, "inv_poch_value", reference_inv_poch_value)
-    assert outputs() == tables
+    tables, live_calls = outputs(hg.poch_value, hg.inv_poch_value)
+    assert '"fail"' not in tables
+    oracle_tables, oracle_calls = outputs(reference_poch_value, reference_inv_poch_value)
+    assert oracle_tables == tables
+    assert live_calls["poch_value"] > 0 and live_calls["inv_poch_value"] > 0
+    assert live_calls["table lookup"] == live_calls["poch_value"] + live_calls["inv_poch_value"]
+    assert oracle_calls["table lookup"] == 0
+    assert oracle_calls["poch_value"] == live_calls["poch_value"]
+    assert oracle_calls["inv_poch_value"] == live_calls["inv_poch_value"]
 
 
 def test_verify_seed_recorded_without_flag(capsys):

@@ -231,11 +231,14 @@ def _point_and_calls(draw):
     return q, calls
 
 
-def _outcome(fn, a, n, point):
+def _outcome(fn, *args):
+    """fn's value, or the error it raised as a comparable tuple."""
     try:
-        return fn(a, n, point)
+        return fn(*args)
     except PoleError as err:
         return ("pole", err.factor)
+    except (DomainError, ZeroDivisionError) as err:
+        return (type(err).__name__, str(err))
 
 
 @settings(max_examples=300, deadline=None)
@@ -248,6 +251,182 @@ def test_poch_values_match_reference_loops(case):
         fn, ref = ((hg.inv_poch_value, reference_inv_poch_value) if inverse
                    else (hg.poch_value, reference_poch_value))
         assert _outcome(fn, a, n, point) == _outcome(ref, a, n, oracle_point)
+
+
+# -- frozen Fraction-loop evaluators: the oracles of the fraction-free sums
+#
+# Every summand and the running sum are Fractions here.  The factors are
+# called through hg.poch_value / hg.inv_poch_value in the same order as
+# in the live evaluators, so both meet a pole at the same factor.
+
+
+def reference_qbinomial_value(M, N, point):
+    if N < 0 or N > M:
+        return Fraction(0)
+    q = point["q"]
+    return hg.poch_value(q, M, point) * hg.inv_poch_value(q, N, point) \
+        * hg.inv_poch_value(q, M - N, point)
+
+
+def reference_phi_terminating(spec, point):
+    q = point["q"]
+    terminator = q ** (-spec.n)
+    if sum(1 for a in spec.upper if a == terminator) != 1:
+        raise DomainError(
+            f"terminating series needs exactly one upper parameter q^(-{spec.n})")
+    extra_power = 1 + len(spec.lower) - len(spec.upper)
+    total = Fraction(0)
+    for m in range(spec.n + 1):
+        term = Fraction(spec.argument) ** m
+        for a in spec.upper:
+            term *= hg.poch_value(a, m, point)
+        term *= hg.inv_poch_value(q, m, point)
+        for b in spec.lower:
+            term *= hg.inv_poch_value(b, m, point)
+        if extra_power:
+            term *= ((-1) ** m * q ** (m * (m - 1) // 2)) ** extra_power
+        total += term
+    return total
+
+
+def reference_vwp_sixphi5_sum(a, b, c, n, point):
+    q = point["q"]
+    point.check_nonzero(1 - a, f"(1 - a) with a={a}")
+    arg = a * q ** (n + 1) / point.check_nonzero(b * c, f"b*c with b={b}, c={c}")
+    total = Fraction(0)
+    for m in range(n + 1):
+        term = (hg.poch_value(a, m, point) * (1 - a * q ** (2 * m)) / (1 - a)
+                * hg.poch_value(b, m, point) * hg.poch_value(c, m, point)
+                * hg.poch_value(q ** (-n), m, point)
+                * hg.inv_poch_value(q, m, point)
+                * hg.inv_poch_value(a * q / b, m, point)
+                * hg.inv_poch_value(a * q / c, m, point)
+                * hg.inv_poch_value(a * q ** (n + 1), m, point)
+                * arg ** m)
+        total += term
+    return total
+
+
+def reference_classical_sides(name, point, n):
+    q = point["q"]
+    if name == "pfaff-saalschutz":
+        a, b, c = point["a"], point["b"], point["c"]
+        point.check_nonzero(c, "c")
+        spec = hg.PhiSpec([a, b, q ** (-n)], [c, a * b * q ** (1 - n) / c], q, n)
+        lhs = reference_phi_terminating(spec, point)
+        return lhs, (hg.poch_value(c / a, n, point) * hg.poch_value(c / b, n, point)
+                     * hg.inv_poch_value(c, n, point)
+                     * hg.inv_poch_value(c / (a * b), n, point))
+    if name == "chu-vandermonde-2":
+        a, c = point["a"], point["c"]
+        lhs = reference_phi_terminating(hg.PhiSpec([a, q ** (-n)], [c], q, n), point)
+        return lhs, a ** n * hg.poch_value(c / a, n, point) * hg.inv_poch_value(c, n, point)
+    if name == "qbinomial-theorem":
+        z = point["z"]
+        lhs = reference_phi_terminating(hg.PhiSpec([q ** (-n)], [], z, n), point)
+        return lhs, hg.poch_value(z * q ** (-n), n, point)
+    a, b, c = point["a"], point["b"], point["c"]     # sixphi5
+    lhs = reference_vwp_sixphi5_sum(a, b, c, n, point)
+    return lhs, (hg.poch_value(a * q, n, point) * hg.poch_value(a * q / (b * c), n, point)
+                 * hg.inv_poch_value(a * q / b, n, point)
+                 * hg.inv_poch_value(a * q / c, n, point))
+
+
+def reference_s_sum(d, n, point):
+    t = point["t"]
+    ti = 1 / point.check_nonzero(t, "t")
+    total = Fraction(0)
+    for j in range(2 * n + 1):
+        total += (hg.poch_value(t, j, point) * hg.poch_value(t, 2 * n - j, point)
+                  * hg.poch_value(ti, j + d, point) * t ** (j + d)
+                  * hg.inv_poch_value(point["q"], j, point)
+                  * hg.inv_poch_value(point["q"], 2 * n - j, point)
+                  * hg.inv_poch_value(t, j + d, point))
+    return total
+
+
+def reference_s_closed(d, n, point):
+    q, t = point["q"], point["t"]
+    ti = 1 / point.check_nonzero(t, "t")
+    return (hg.poch_value(t * t, 2 * n, point) * hg.poch_value(q ** d, 2 * n, point)
+            * hg.poch_value(ti, d, point) * t ** d
+            * hg.inv_poch_value(q, 2 * n, point)
+            * hg.inv_poch_value(t, 2 * n + d, point))
+
+
+def reference_expansion_coeff_sides(l, n, point):
+    q, t = point["q"], point["t"]
+    ti = 1 / point.check_nonzero(t, "t")
+    lhs = Fraction(0)
+    for j in range(2 * l + 1):
+        lhs += (hg.poch_value(q ** (j - l - n), 2 * n, point)
+                * hg.poch_value(ti, j - l - n, point) * t ** j
+                * hg.inv_poch_value(q, j, point)
+                * hg.inv_poch_value(q, 2 * l - j, point)
+                * hg.inv_poch_value(t, j - l + n, point))
+    rhs = (t ** (2 * l) * hg.inv_poch_value(q, l - n, point)
+           * hg.inv_poch_value(t * q, l + n, point))
+    return lhs, rhs
+
+
+def reference_wp_expansion_coeff_sides(l, n, point):
+    q, t, s = point["q"], point["t"], point["s"]
+    ti = 1 / point.check_nonzero(t, "t")
+    lhs = Fraction(0)
+    for j in range(2 * l + 1):
+        lhs += (hg.poch_value(s, j, point) * hg.poch_value(s, 2 * l - j, point)
+                * hg.poch_value(q ** (j - l - n), 2 * n, point)
+                * hg.poch_value(ti, j - l - n, point) * t ** j
+                * hg.inv_poch_value(q, j, point)
+                * hg.inv_poch_value(q, 2 * l - j, point)
+                * hg.inv_poch_value(t, j - l + n, point))
+    inv_qq_part = hg.inv_poch_value(q, l - n, point)
+    if inv_qq_part == 0:
+        return lhs, Fraction(0)
+    rhs = (hg.poch_value(s * ti, l - n, point) * hg.poch_value(s, l + n, point)
+           * t ** (2 * l) * inv_qq_part
+           * hg.inv_poch_value(t * q, l + n, point))
+    return lhs, rhs
+
+
+@st.composite
+def _point_and_indices(draw):
+    """A point over q, t, s, a, b, c, z whose values are free rationals
+    or powers q^k (which zero a factor of some Pochhammer), with small
+    indices for every fraction-free evaluator."""
+    q = draw(_q)
+    value = st.one_of(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+                      st.integers(-6, 6).map(lambda k: q ** k))
+    values = {name: draw(value) for name in ("t", "s", "a", "b", "c", "z")}
+    index = st.integers(0, 3)
+    n = draw(index)
+    spec = hg.PhiSpec(draw(st.lists(value, max_size=3)) + [q ** (-n)],
+                      draw(st.lists(value, max_size=3)), draw(value), n)
+    return (hg.RationalPoint({"q": q, **values}), spec, draw(index), draw(index),
+            draw(st.integers(-3, 3)), draw(st.integers(0, 5)), draw(st.integers(-1, 6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_point_and_indices())
+def test_fraction_free_sums_match_fraction_loops(case):
+    point, spec, l, n, d, M, N = case
+    oracle_point = hg.RationalPoint(point.values)
+    pairs = [
+        (hg.qbinomial_value, reference_qbinomial_value, (M, N)),
+        (hg.phi_terminating, reference_phi_terminating, (spec,)),
+        (hg._vwp_sixphi5_sum, reference_vwp_sixphi5_sum,
+         (point["a"], point["b"], point["c"], n)),
+        (hg.s_sum, reference_s_sum, (d, n)),
+        (hg.s_closed, reference_s_closed, (d, n)),
+        (hg._expansion_coeff_sides, reference_expansion_coeff_sides, (l, n)),
+        (hg._wp_expansion_coeff_sides, reference_wp_expansion_coeff_sides, (l, n)),
+    ]
+    pairs += [(lambda n, point, name=name: hg._classical_sides(name, point, n),
+               lambda n, point, name=name: reference_classical_sides(name, point, n), (n,))
+              for name in ("pfaff-saalschutz", "chu-vandermonde-2",
+                           "qbinomial-theorem", "sixphi5")]
+    for live, oracle, args in pairs:
+        assert _outcome(live, *args, point) == _outcome(oracle, *args, oracle_point)
 
 
 def test_b_phi_evaluations():
