@@ -143,7 +143,7 @@ def chain_lift(alpha: PairFamily, beta: PairFamily, params: ChainParams,
         return val
 
     def lifted_beta(n: int) -> TruncatedSeries:
-        total = TruncatedSeries.zero(trunc)
+        pairs = []
         for chain in combinations_with_replacement(range(n + 1), k):
             # chain = (n_0, ..., n_{k-1}); n_k = n
             seq = list(chain) + [n]
@@ -153,15 +153,18 @@ def chain_lift(alpha: PairFamily, beta: PairFamily, params: ChainParams,
             base = beta[chain[0]]
             if base.is_zero():
                 continue
-            val = base.shift(e_q=e, e_t=e)
+            factors = []
             for i in range(k):
                 d = seq[i + 1] - seq[i]
-                val = val * inv_qq(d, trunc) * qt_poch(params.b[i] * params.c[i], d, trunc)
+                factors += [inv_qq(d, trunc), qt_poch(params.b[i] * params.c[i], d, trunc)]
                 for x in (params.b[i], params.c[i]):    # P(x, n_i) / (x q t;q)_{n_{i+1}}
-                    val = val * inv_poch((x, 1, 1, 0, 0), seq[i + 1], trunc) \
-                        * combined_poch(x, seq[i], trunc)
-            total = total + val
-        return total
+                    factors += [inv_poch((x, 1, 1, 0, 0), seq[i + 1], trunc),
+                                combined_poch(x, seq[i], trunc)]
+            val = base.shift(e_q=e, e_t=e)
+            for f in factors[:-1]:
+                val = val * f
+            pairs.append((val, factors[-1]))
+        return TruncatedSeries.sum_of_products(trunc, pairs)
 
     bounds = [trunc.max_t // k, trunc.max_q // k]
     if alpha.support_bound is not None:
@@ -178,9 +181,9 @@ def verify_bailey_pair(alpha: PairFamily, beta: PairFamily,
     trunc = alpha.trunc
     counts = {}
     for n in range(n_max + 1):
-        rhs = TruncatedSeries.zero(trunc)
-        for l in range(n + 1):
-            rhs = rhs + alpha[l] * inv_qq(n - l, trunc) * inv_tq(n + l, trunc)
+        rhs = TruncatedSeries.sum_of_products(
+            trunc, ((alpha[l] * inv_qq(n - l, trunc), inv_tq(n + l, trunc))
+                    for l in range(n + 1)))
         counts = {"lhs": beta[n].term_count(), "rhs": rhs.term_count()}
         mismatch = first_mismatch(beta[n], rhs)
         if mismatch is not None:
@@ -233,9 +236,9 @@ def verify_conjugate_pair(gamma: PairFamily, delta: PairFamily,
     trunc = gamma.trunc
     counts = {}
     for n in range(n_max + 1):
-        rhs = TruncatedSeries.zero(trunc)
-        for l in range(n, delta.support_bound + 1):
-            rhs = rhs + delta[l] * inv_qq(l - n, trunc) * inv_tq(l + n, trunc)
+        rhs = TruncatedSeries.sum_of_products(
+            trunc, ((delta[l] * inv_qq(l - n, trunc), inv_tq(l + n, trunc))
+                    for l in range(n, delta.support_bound + 1)))
         counts = {"lhs": gamma[n].term_count(), "rhs": rhs.term_count()}
         mismatch = first_mismatch(gamma[n], rhs)
         if mismatch is not None:
@@ -258,12 +261,10 @@ def bailey_transform_check(alpha: PairFamily, beta: PairFamily,
     right_bounds = [b for b in (beta.support_bound, delta.support_bound) if b is not None]
     if not left_bounds or not right_bounds:
         raise DomainError("transform check needs a support bound on each side")
-    lhs = TruncatedSeries.zero(trunc)
-    for n in range(min(left_bounds) + 1):
-        lhs = lhs + alpha[n] * gamma[n]
-    rhs = TruncatedSeries.zero(trunc)
-    for n in range(min(right_bounds) + 1):
-        rhs = rhs + beta[n] * delta[n]
+    lhs = TruncatedSeries.sum_of_products(
+        trunc, ((alpha[n], gamma[n]) for n in range(min(left_bounds) + 1)))
+    rhs = TruncatedSeries.sum_of_products(
+        trunc, ((beta[n], delta[n]) for n in range(min(right_bounds) + 1)))
     return series_report("bailey-transform", lhs, rhs, params={}, watch=watch)
 
 
@@ -321,7 +322,7 @@ def verify_wp_conjugate(gamma_p: PairFamily, delta_p: PairFamily,
     l_max = trunc.max_t + trunc.s_cap
     counts = {}
     for n in range(n_max + 1):
-        rhs = TruncatedSeries.zero(trunc)
+        pairs = []
         running = TruncatedSeries.one(trunc)   # prod_{i<l-n} (t - s q^i)
         s_poch = poch_finite((1, 0, 0, 1, 0), 2 * n, trunc)     # (s;q)_{l+n}
         for l in range(n, l_max + 1):
@@ -330,11 +331,9 @@ def verify_wp_conjugate(gamma_p: PairFamily, delta_p: PairFamily,
                 if running.is_zero():
                     break
                 s_poch = s_poch.mul_binomial(1, e_q=l + n - 1, e_s=1)
-            term = (running * s_poch
-                    * inv_qq(l - n, trunc) * inv_tq(l + n, trunc)
-                    * delta_p.core(l))
-            rhs = rhs + term
-        rhs = rhs.shift(e_t=n)
+            pairs.append((running * s_poch * inv_qq(l - n, trunc) * inv_tq(l + n, trunc),
+                          delta_p.core(l)))
+        rhs = TruncatedSeries.sum_of_products(trunc, pairs).shift(e_t=n)
         counts = {"lhs": gamma_p[n].term_count(), "rhs": rhs.term_count()}
         mismatch = first_mismatch(gamma_p[n], rhs)
         if mismatch is not None:

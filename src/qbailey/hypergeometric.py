@@ -288,24 +288,14 @@ def heine1_sides(a: Fraction, trunc: Truncation) -> tuple[TruncatedSeries, Trunc
     parameters (a, t; tq) and argument s, so that both the outer series
     (powers of s) and the transformed series (powers of t) terminate
     modulo the truncation."""
-    one = TruncatedSeries.one(trunc)
-    t = TruncatedSeries.variable(trunc, "t")
-    s = TruncatedSeries.variable(trunc, "s")
-
-    lhs = TruncatedSeries.zero(trunc)
-    spow = one
-    for n in range(trunc.s_cap + 1):
-        term = (poch_finite((a, 0, 0, 0, 0), n, trunc) * poch_finite((1, 0, 1, 0, 0), n, trunc)
-                * inv_qq(n, trunc) * inv_tq(n, trunc))
-        lhs = lhs + term * spow
-        spow = spow * s
-
-    inner = TruncatedSeries.zero(trunc)
-    tpow = one
-    for m in range(trunc.max_t + 1):
-        inner = inner + poch_finite((1, 0, 0, 1, 0), m, trunc) \
-            * inv_poch((a, 0, 0, 1, 0), m, trunc) * tpow
-        tpow = tpow * t
+    lhs = TruncatedSeries.sum_of_products(
+        trunc, ((poch_finite((a, 0, 0, 0, 0), n, trunc) * poch_finite((1, 0, 1, 0, 0), n, trunc)
+                 * inv_qq(n, trunc), inv_tq(n, trunc).shift(e_s=n))
+                for n in range(trunc.s_cap + 1)))
+    inner = TruncatedSeries.sum_of_products(
+        trunc, ((poch_finite((1, 0, 0, 1, 0), m, trunc),
+                 inv_poch((a, 0, 0, 1, 0), m, trunc).shift(e_t=m))
+                for m in range(trunc.max_t + 1)))
     rhs = (poch_infinite((1, 0, 1, 0, 0), trunc) * poch_infinite((a, 0, 0, 1, 0), trunc)
            * inv_poch_infinite((1, 1, 1, 0, 0), trunc)
            * inv_poch_infinite((1, 0, 0, 1, 0), trunc) * inner)
@@ -438,14 +428,13 @@ def b_defining_sum(n: int, trunc: Truncation) -> TruncatedSeries:
     """B_n(z;q) = sum_{s=0}^n (-1)^{n-s} q^binom(n-s,2) /
     ((q;q)_s^2 (q;q)_{n-s}) * sum_{u1,u2} [s,u1]_q [s,u2]_q z^{2u1-2u2},
     the (u1,u2)-sum being H_s(z;q)^2."""
-    total = TruncatedSeries.zero(trunc)
+    pairs = []
     for sig in range(n + 1):
         h = hermite(sig, trunc)
-        inner = h * h
         coeff = inv_qq(sig, trunc) ** 2 * inv_qq(n - sig, trunc)
         sign = -1 if (n - sig) % 2 else 1
-        total = total + (coeff * inner).scale(sign).shift(e_q=binom2(n - sig))
-    return total
+        pairs.append((coeff.scale(sign).shift(e_q=binom2(n - sig)), h * h))
+    return TruncatedSeries.sum_of_products(trunc, pairs)
 
 
 def b_closed(n: int, trunc: Truncation) -> TruncatedSeries:
@@ -456,13 +445,12 @@ def b_closed(n: int, trunc: Truncation) -> TruncatedSeries:
 def phi_defining_sum(n: int, nprime: int, trunc: Truncation) -> TruncatedSeries:
     """Phi_{n,n'}(q) = sum_{s=0}^n (-1)^{n-s} q^binom(n-s,2)
     (q;q)_{s+n'} / ((q;q)_s^2 (q;q)_{n-s})."""
-    total = TruncatedSeries.zero(trunc)
+    pairs = []
     for sig in range(n + 1):
-        term = (poch_finite((1, 1, 0, 0, 0), sig + nprime, trunc) * inv_qq(sig, trunc) ** 2
-                * inv_qq(n - sig, trunc))
         sign = -1 if (n - sig) % 2 else 1
-        total = total + term.scale(sign).shift(e_q=binom2(n - sig))
-    return total
+        num = poch_finite((1, 1, 0, 0, 0), sig + nprime, trunc) * inv_qq(sig, trunc) ** 2
+        pairs.append((num, inv_qq(n - sig, trunc).scale(sign).shift(e_q=binom2(n - sig))))
+    return TruncatedSeries.sum_of_products(trunc, pairs)
 
 
 def phi_closed(n: int, nprime: int, trunc: Truncation) -> TruncatedSeries:

@@ -100,12 +100,9 @@ def fermionic_index(k: int, trunc: Truncation) -> TruncatedSeries:
 @functools.cache
 def _r_geometric(c: int, trunc: Truncation) -> TruncatedSeries:
     # sum_{r>=0} q^(r c) / ((t;q)_r (q;q)_r), truncated at r c <= max_q, memoized
-    total = TruncatedSeries.zero(trunc)
-    r = 0
-    while r * c <= trunc.max_q:
-        total = total + (inv_poch((1, 0, 1, 0, 0), r, trunc) * inv_qq(r, trunc)).shift(e_q=r * c)
-        r += 1
-    return total
+    return TruncatedSeries.sum_of_products(
+        trunc, ((inv_poch((1, 0, 1, 0, 0), r, trunc), inv_qq(r, trunc).shift(e_q=r * c))
+                for r in range(trunc.max_q // c + 1)))
 
 
 def fermionic2_index(k: int, trunc: Truncation) -> TruncatedSeries:
@@ -119,7 +116,7 @@ def fermionic2_index(k: int, trunc: Truncation) -> TruncatedSeries:
     the (u1,u2)-sum is H_{s_k}(z;q)^2."""
     if k < 1:
         raise DomainError("k must be >= 1")
-    total = TruncatedSeries.zero(trunc)
+    pairs = []
     for svec in _svectors(k, trunc.max_t):
         val = TruncatedSeries.monomial(trunc, 1, e_t=sum(svec))
         s_full = (0,) + svec
@@ -127,8 +124,8 @@ def fermionic2_index(k: int, trunc: Truncation) -> TruncatedSeries:
             val = val * _r_geometric(s_full[i] + s_full[i + 1] + 1, trunc)
             val = val * inv_qq(svec[i], trunc) ** 2
         h = hermite(svec[-1], trunc)
-        total = total + val * h * h
-    return _tq_qq_inf_power(k, trunc) * total
+        pairs.append((val * h, h))
+    return _tq_qq_inf_power(k, trunc) * TruncatedSeries.sum_of_products(trunc, pairs)
 
 
 def _svectors(k: int, cap: int):
@@ -164,7 +161,7 @@ def original_index(k: int, trunc: Truncation) -> TruncatedSeries:
     factor = [inv_poch((1, 0, 1, 0, 0), r, trunc) * inv_qq(r, trunc)    # 1/(t,q;q)_r
               for r in range(trunc.max_q + 1)]
     rho_sums: dict = {}
-    total = TruncatedSeries.zero(trunc)
+    pairs = []
     for svec in _svectors(k, trunc.max_t):
         sigma_k = svec[-1]
         for u1 in range(sigma_k + 1):
@@ -191,9 +188,9 @@ def original_index(k: int, trunc: Truncation) -> TruncatedSeries:
                 fixed = TruncatedSeries.one(trunc)
                 for j in fixed_nodes:
                     fixed = fixed * inv_qq(l[j], trunc) * inv_qq(m[j], trunc)
-                total = total + rho_sum.shift(
-                    e_t=e_t2 // 2, e_z=2 * (m[2 * k] - l[2 * k])) * fixed
-    return _tq_qq_inf_power(k, trunc) * total
+                pairs.append((rho_sum.shift(e_t=e_t2 // 2, e_z=2 * (m[2 * k] - l[2 * k])),
+                              fixed))
+    return _tq_qq_inf_power(k, trunc) * TruncatedSeries.sum_of_products(trunc, pairs)
 
 
 def _fixed_entries(k, svec, u1, u2):
@@ -215,24 +212,27 @@ def _rho_sum(const2, weights, couplings, factor, trunc):
     # exponent e = const2 + sum_i rho_i (w_i + 2 sum_{j<i} a_ij rho_j).
     # Adjacency entries are 0 or 1, so every w_i >= 2 and every increment
     # grows with rho_i: a level stops at the first rho_i that takes e past
-    # 2 max_q, and the pruning is exact.
+    # 2 max_q, and the pruning is exact.  The last level's factors pair
+    # with their prefix products in one sum of products.
     budget = 2 * trunc.max_q
+    one = TruncatedSeries.one(trunc)
+    pairs = []
 
     def descend(rho, e2, val):
         # val = q^(e2/2) times the factors of the entries of rho
         i = len(rho)
-        if i == len(weights):
-            return val
         slope = weights[i] + 2 * sum(a * r for a, r in zip(couplings[i], rho))
-        total = TruncatedSeries.zero(trunc)
         r = 0
         while e2 + r * slope <= budget:
-            step = val if r == 0 else val * factor[r].shift(e_q=r * slope // 2)
-            total = total + descend(rho + (r,), e2 + r * slope, step)
+            step = one if r == 0 else factor[r].shift(e_q=r * slope // 2)
+            if i + 1 == len(weights):
+                pairs.append((val, step))
+            else:
+                descend(rho + (r,), e2 + r * slope, val if r == 0 else val * step)
             r += 1
-        return total
 
-    return descend((), const2, TruncatedSeries.monomial(trunc, 1, e_q=const2 // 2))
+    descend((), const2, TruncatedSeries.monomial(trunc, 1, e_q=const2 // 2))
+    return TruncatedSeries.sum_of_products(trunc, pairs)
 
 
 def generalized_sides(k: int, b, c,
@@ -261,7 +261,7 @@ def _fermionic_side(k, b, c, trunc):
     # starts at q^0, so the leading q-exponent is the exact pruning bound.
     params = [[x for x in (b[i], c[i]) if x] for i in range(k)]
     zeros = [0] + [2 - len(p) for p in params[1:]]
-    total = TruncatedSeries.zero(trunc)
+    pairs = []
     for chain in combinations_with_replacement(range(trunc.max_t + 1), k):
         e_t = sum(chain)
         lower = (0,) + chain[:-1]
@@ -278,8 +278,8 @@ def _fermionic_side(k, b, c, trunc):
                 val = val * inv_poch((x, 1, 1, 0, 0), n, trunc)     # 1/(x q t;q)_n
                 if i:
                     val = val * combined_poch(x, prev, trunc)
-        total = total + val * hermite(2 * chain[-1], trunc)
-    return total
+        pairs.append((val, hermite(2 * chain[-1], trunc)))
+    return TruncatedSeries.sum_of_products(trunc, pairs)
 
 
 def _bosonic_side(k, b, c, trunc):
@@ -292,7 +292,7 @@ def _bosonic_side(k, b, c, trunc):
     fold = 1 + 2 * k - len(params)          # binom(n,2) multiples in the exponent
     pref = (inv_poch_infinite((1, 0, 1, 0, 0), trunc) * inv_poch_infinite((1, 0, 1, 0, 2), trunc)
             * inv_poch_infinite((1, 0, 1, 0, -2), trunc))
-    total = TruncatedSeries.zero(trunc)
+    pairs = []
     n = 0
     while True:
         e_q, e_t = k * n + fold * binom2(n), (k + 1) * n
@@ -304,9 +304,9 @@ def _bosonic_side(k, b, c, trunc):
                * inv_poch_infinite((1, 2 * n + 1, 1, 0, 0), trunc))
         for x in params:
             val = val * combined_poch(x, n, trunc) * inv_poch((x, 1, 1, 0, 0), n, trunc)
-        total = total + val * ultraspherical(2 * n, trunc, "t")
+        pairs.append((val, ultraspherical(2 * n, trunc, "t")))
         n += 1
-    return pref * total
+    return pref * TruncatedSeries.sum_of_products(trunc, pairs)
 
 
 def generalized_identity(k: int, b, c, trunc: Truncation) -> IdentityReport:
@@ -329,28 +329,31 @@ def multi_rogers_ramanujan(k: int, max_q: int) -> IdentityReport:
     if k < 1:
         raise DomainError("k must be >= 1")
     watch = Stopwatch()
-    trunc = Truncation(max_q, 0)
-    lhs = TruncatedSeries.zero(trunc)
+    lhs, rhs = _multi_rogers_ramanujan_sides(k, Truncation(max_q, 0))
+    return series_report("multisum-rogers-ramanujan", lhs, rhs,
+                         {"k": k, "max_q": max_q}, watch)
+
+
+def _multi_rogers_ramanujan_sides(k, trunc):
+    # (multisum, product side) of multi_rogers_ramanujan at the q-cap of trunc
+    max_q = trunc.max_q
+    pairs = []
     for chain in combinations_with_replacement(range(math.isqrt(max_q) + 1), k):
         qexp = sum(v * v for v in chain)
         if qexp > max_q:
             continue
         val = TruncatedSeries.monomial(trunc, 1, e_q=qexp)
-        val = val * inv_qq(chain[0], trunc)
         for a, bb in zip(chain, chain[1:]):
             val = val * inv_qq(bb - a, trunc)
-        lhs = lhs + val
+        pairs.append((val, inv_qq(chain[0], trunc)))
+    lhs = TruncatedSeries.sum_of_products(trunc, pairs)
 
-    bilateral = TruncatedSeries.zero(trunc)
+    # the exponents are distinct for distinct n, so each is one term
     reach = int(math.isqrt(max_q // (k + 1))) + 2
-    for n in range(-reach, reach + 1):
-        e = (k + 1) * n * n + binom2(n)
-        if e <= max_q:
-            bilateral = bilateral + TruncatedSeries.monomial(
-                trunc, -1 if n % 2 else 1, e_q=e)
-    rhs = inv_poch_infinite((1, 1, 0, 0, 0), trunc) * bilateral
-    return series_report("multisum-rogers-ramanujan", lhs, rhs,
-                         {"k": k, "max_q": max_q}, watch)
+    exps = ((n, (k + 1) * n * n + binom2(n)) for n in range(-reach, reach + 1))
+    bilateral = TruncatedSeries(trunc, {(e, 0, 0, 0): -1 if n % 2 else 1
+                                        for n, e in exps if e <= max_q})
+    return lhs, inv_poch_infinite((1, 1, 0, 0, 0), trunc) * bilateral
 
 
 def specialize_index(f: TruncatedSeries, mode: str) -> TruncatedSeries:

@@ -55,14 +55,12 @@ def inv_poch_infinite(a: tuple, trunc: Truncation) -> TruncatedSeries:
     if c and not (e_q or e_t or e_s):
         raise NonInvertible(f"(a;q)_inf with a = {c} z^{e_z} is not a unit")
     base = TruncatedSeries.monomial(trunc, *a)
-    total = TruncatedSeries.zero(trunc)
+    pairs = []
     power = TruncatedSeries.one(trunc)
-    n = 0
     while not power.is_zero():
-        total = total + power * inv_qq(n, trunc)
+        pairs.append((power, inv_qq(len(pairs), trunc)))
         power = power * base
-        n += 1
-    return total
+    return TruncatedSeries.sum_of_products(trunc, pairs)
 
 
 @functools.cache
@@ -147,11 +145,9 @@ def ultraspherical(n: int, trunc: Truncation, param: str = "t") -> TruncatedSeri
     with parameter x one of the ring variables t or s."""
     if n < 0:
         raise DomainError("ultraspherical degree must be >= 0")
-    total = TruncatedSeries.zero(trunc)
-    for j in range(n + 1):
-        term = poch_ratio(param, j, trunc) * poch_ratio(param, n - j, trunc)
-        total = total + term.shift(e_z=n - 2 * j)
-    return total
+    return TruncatedSeries.sum_of_products(
+        trunc, ((poch_ratio(param, j, trunc).shift(e_z=n - 2 * j),
+                 poch_ratio(param, n - j, trunc)) for j in range(n + 1)))
 
 
 def ct_z(f: TruncatedSeries) -> TruncatedSeries:
@@ -222,12 +218,10 @@ def ultraspherical_inner_closed(m: int, n: int, trunc: Truncation) -> TruncatedS
 def hermite_linearize(m: int, n: int, trunc: Truncation) -> TruncatedSeries:
     """Expansion of H_m * H_n in the Hermite basis:
     sum_l [m,l]_q [n,l]_q (q;q)_l H_{m+n-2l}."""
-    total = TruncatedSeries.zero(trunc)
-    for l in range(min(m, n) + 1):
-        coeff = (qbinomial(m, l, trunc) * qbinomial(n, l, trunc)
-                 * poch_finite((1, 1, 0, 0, 0), l, trunc))
-        total = total + coeff * hermite(m + n - 2 * l, trunc)
-    return total
+    return TruncatedSeries.sum_of_products(
+        trunc, ((qbinomial(m, l, trunc) * qbinomial(n, l, trunc)
+                 * poch_finite((1, 1, 0, 0, 0), l, trunc), hermite(m + n - 2 * l, trunc))
+                for l in range(min(m, n) + 1)))
 
 
 def hermite_expansion_coeff(n: int, l: int, trunc: Truncation) -> TruncatedSeries:
@@ -272,13 +266,13 @@ def weight_expansion_sides(trunc: Truncation) -> tuple[TruncatedSeries, Truncate
            * inv_poch_infinite((1, 0, 1, 0, -2), trunc))
 
     t = TruncatedSeries.variable(trunc, "t")
-    bilateral = TruncatedSeries.zero(trunc)
+    pairs = []
 
     # k >= 0 branch
     num = TruncatedSeries.one(trunc)
     k = 0
     while not num.is_zero():
-        bilateral = bilateral + (num * inv_poch((1, 0, 1, 0, 0), k, trunc)).shift(e_z=2 * k)
+        pairs.append((num.shift(e_z=2 * k), inv_poch((1, 0, 1, 0, 0), k, trunc)))
         num = num * (t - TruncatedSeries.monomial(trunc, 1, e_q=k))
         k += 1
     # k = -m branch
@@ -289,8 +283,9 @@ def weight_expansion_sides(trunc: Truncation) -> tuple[TruncatedSeries, Truncate
         if num.is_zero():
             break
         sign = -1 if m % 2 else 1
-        bilateral = bilateral + (num * inv_tq(m, trunc)).scale(sign).shift(e_z=-2 * m)
+        pairs.append((num.scale(sign).shift(e_z=-2 * m), inv_tq(m, trunc)))
         m += 1
+    bilateral = TruncatedSeries.sum_of_products(trunc, pairs)
 
     t_tq = poch_infinite((1, 0, 1, 0, 0), trunc) * poch_infinite((1, 1, 1, 0, 0), trunc)
     pref = (t_tq.mul_binomial(1, e_z=-2) * inv_poch_infinite((1, 1, 0, 0, 0), trunc)

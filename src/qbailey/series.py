@@ -76,17 +76,24 @@ _DENOMINATOR = operator.attrgetter("denominator")
 
 # -- the ring product ---------------------------------------------------
 #
-# A product is formed row by row (Kronecker substitution in q): the terms
-# of each operand are grouped into q-rows keyed (e_t, e_s, e_z), brought
-# to integer numerators over the operand's common denominator, and each
-# row is packed into one signed int, one w-bit digit per power of q.  One
-# bigint multiply then forms a whole row product, the t and s caps are
-# checked once per row pair, and the packed products of one output row
-# are added as plain ints.  Every coefficient of every output row is at
-# most L1(a)*L1(b) in absolute value (L1 = sum of |numerators|), so with
-# w = bit_length(L1(a)*L1(b)) + 2 the digits, read back in balanced
-# (signed) form, never overflow into one another.  A one-term operand
-# skips all of this: its product is a shift and a scale.
+# Products and sums of products are formed row by row (Kronecker
+# substitution in q): the terms of each operand are grouped into q-rows
+# keyed (e_t, e_s, e_z), brought to integer numerators over the operand's
+# common denominator, and each row is packed into one signed int, one
+# w-bit digit per power of q.  One bigint multiply then forms a whole row
+# product, and the t and s caps are checked once per row pair.  A sum of
+# products a*b brings every pair to one common denominator
+# D = lcm(den_a*den_b): each row product is scaled by D/(den_a*den_b),
+# shifted to its absolute q-offset and added as a plain int into one
+# packed accumulator per output row, and the accumulator is unpacked
+# once.  Every digit of it is at most the sum of
+# (D/(den_a*den_b))*L1(a)*L1(b) over the pairs in absolute value (L1 =
+# sum of |numerators|), so with w = bit_length of that sum + 2 the
+# digits, read back in balanced (signed) form, never overflow into one
+# another.  The width must come from the sum of the pair bounds, not
+# their maximum, since the pairs add into the same digits.  A product is
+# the one-pair sum; a one-term factor of a product skips all of this:
+# its product is a shift and a scale.
 
 def _term_times(one: dict, terms: dict, trunc: Truncation) -> dict:
     """Terms of the single term `one` times the series `terms`."""
@@ -115,9 +122,10 @@ def _integer_terms(terms: dict) -> tuple[int, dict, int]:
     return den, nums, sum(map(abs, nums.values()))
 
 
-def _packed_rows(nums: dict, w: int, lo: int, hi: int) -> dict:
-    """Rows keyed (e_t, e_s, e_z) of the terms with e_q <= hi, each packed
-    into one int with q^(lo+i) at bit offset w*i (lo <= every e_q)."""
+def _packed_rows(nums: dict, w: int, lo: int, hi: int) -> list:
+    """Rows keyed (e_t, e_s, e_z), sorted by key, of the terms with
+    e_q <= hi, each packed into one int with q^(lo+i) at bit offset w*i
+    (lo <= every e_q)."""
     rows: dict = {}
     get = rows.get
     for (q, t, s, z), c in nums.items():
@@ -125,39 +133,52 @@ def _packed_rows(nums: dict, w: int, lo: int, hi: int) -> dict:
             continue
         key = (t, s, z)
         rows[key] = get(key, 0) + (c << (w * (q - lo)))
-    return rows
+    return sorted(rows.items())
 
 
-def _row_product(a: dict, b: dict, trunc: Truncation) -> dict:
-    """Terms of the product of two term maps."""
-    if not a or not b:
-        return {}
+def _sum_of_products(pairs, trunc: Truncation) -> dict:
+    """Terms of the sum of a*b over the pairs (a, b) of term maps."""
     mq, mt, ms = trunc.max_q, trunc.max_t, trunc.s_cap
-    # the lowest q-exponents lo_a, lo_b offset every row; a term of one
-    # operand above mq - (lowest of the other) cannot reach the output
-    lo_a, lo_b = min(a)[0], min(b)[0]
-    room = mq - lo_a - lo_b
-    if room < 0:
+    # pass 1: the lowest q-exponents lo_a, lo_b offset every row; a term
+    # of one operand above mq - (lowest of the other) cannot reach the
+    # output, and a pair with no room left contributes nothing
+    live = []
+    for a, b in pairs:
+        if not a or not b:
+            continue
+        if len(a) > len(b):
+            a, b = b, a
+        lo_a, lo_b = min(a)[0], min(b)[0]
+        room = mq - lo_a - lo_b
+        if room >= 0:
+            live.append((room, (lo_a, *_integer_terms(a)), (lo_b, *_integer_terms(b))))
+    if not live:
         return {}
-    den_a, nums_a, l1_a = _integer_terms(a)
-    den_b, nums_b, l1_b = _integer_terms(b)
-    w = (l1_a * l1_b).bit_length() + 2
-    rows_a = _packed_rows(nums_a, w, lo_a, lo_a + room)
-    rows_b = sorted(_packed_rows(nums_b, w, lo_b, lo_b + room).items())  # by e_t
+    # each operand is (lo, den, nums, L1)
+    den = math.lcm(*(a[1] * b[1] for _, a, b in live))
+    bound = sum(den // (a[1] * b[1]) * a[3] * b[3] for _, a, b in live)
+    w = bound.bit_length() + 2
+
+    # pass 2: every row product, scaled to den and shifted to its q-offset,
+    # into one accumulator per output row
     acc: dict = {}
     get = acc.get
-    for (ta, sa, za), va in rows_a.items():
-        rt, rs = mt - ta, ms - sa
-        for (tb, sb, zb), vb in rows_b:
-            if tb > rt:
-                break
-            if sb > rs:
-                continue
-            key = (ta + tb, sa + sb, za + zb)
-            acc[key] = get(key, 0) + va * vb
+    for room, (lo_a, den_a, nums_a, _), (lo_b, den_b, nums_b, _) in live:
+        scale = den // (den_a * den_b)
+        shift = w * (lo_a + lo_b)
+        rows_b = _packed_rows(nums_b, w, lo_b, lo_b + room)
+        for (ta, sa, za), va in _packed_rows(nums_a, w, lo_a, lo_a + room):
+            rt, rs = mt - ta, ms - sa
+            if scale != 1:
+                va *= scale
+            for (tb, sb, zb), vb in rows_b:
+                if tb > rt:
+                    break
+                if sb > rs:
+                    continue
+                key = (ta + tb, sa + sb, za + zb)
+                acc[key] = get(key, 0) + (va * vb << shift)
 
-    den = den_a * den_b
-    lo = lo_a + lo_b
     base = 1 << w
     half, mask = base >> 1, base - 1
     out = {}
@@ -166,13 +187,13 @@ def _row_product(a: dict, b: dict, trunc: Truncation) -> dict:
             continue
         i = ((x & -x).bit_length() - 1) // w     # lowest nonzero digit
         x >>= w * i
-        while x and i <= room:
+        while x and i <= mq:
             d = x & mask
             if d >= half:
                 d -= base
             x = (x - d) >> w
             if d:
-                out[(lo + i, t, s, z)] = d if den == 1 else _norm(Fraction(d, den))
+                out[(i, t, s, z)] = d if den == 1 else _norm(Fraction(d, den))
             i += 1
     return out
 
@@ -218,6 +239,19 @@ class TruncatedSeries:
     @classmethod
     def one(cls, trunc: Truncation) -> "TruncatedSeries":
         return cls._raw(trunc, {(0, 0, 0, 0): 1})
+
+    @classmethod
+    def sum_of_products(cls, trunc: Truncation, pairs) -> "TruncatedSeries":
+        """The sum of a * b over the pairs (a, b) of series over trunc,
+        formed in one packed accumulator and unpacked once."""
+        maps = []
+        for a, b in pairs:
+            if a.trunc != trunc or b.trunc != trunc:
+                raise TruncationMismatch(
+                    f"cannot combine series with truncations {a.trunc} and {b.trunc} "
+                    f"in a sum over {trunc}")
+            maps.append((a._terms, b._terms))
+        return cls._raw(trunc, _sum_of_products(maps, trunc))
 
     @classmethod
     def monomial(cls, trunc: Truncation, coeff: Coeff = 1, e_q: int = 0,
@@ -324,7 +358,7 @@ class TruncatedSeries:
             small, big = big, small
         if len(small) == 1:
             return TruncatedSeries._raw(self.trunc, _term_times(small, big, self.trunc))
-        return TruncatedSeries._raw(self.trunc, _row_product(small, big, self.trunc))
+        return TruncatedSeries._raw(self.trunc, _sum_of_products([(small, big)], self.trunc))
 
     __rmul__ = __mul__
 

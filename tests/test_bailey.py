@@ -22,6 +22,34 @@ def mono(coeff=1, e_q=0, e_t=0, e_s=0, e_z=0, trunc=TR):
     return TruncatedSeries.monomial(trunc, coeff, e_q=e_q, e_t=e_t, e_s=e_s, e_z=e_z)
 
 
+def retruncate(f, small):
+    return TruncatedSeries(small, dict(f._terms))
+
+
+def test_family_truncation_projection():
+    # family entries at larger caps, cut down to smaller caps, equal the
+    # entries computed at the smaller caps
+    def families(trunc):
+        alpha, beta = B.seed_pair(trunc)
+        lifts = [B.chain_lift(alpha, beta, B.ChainParams.of(b, c), trunc)
+                 for b, c in (([Fraction(2, 5), 0], [3, Fraction(-1, 2)]),
+                              ([Fraction(1, 2), 2], [Fraction(-3, 4), Fraction(5, 3)]))]
+        return (*lifts[0], *lifts[1], *B.hermite_conjugate_pair(trunc))
+
+    for big, small in ((TR, Truncation(5, 3)), (Truncation(7, 8), Truncation(3, 5))):
+        for wide, narrow in zip(families(big), families(small)):
+            for n in range(6):
+                assert retruncate(wide[n], small) == narrow[n]
+
+    small_s = Truncation(4, 3, 2)
+    wide_g, wide_d = B.wp_conjugate_pair(TRS)
+    narrow_g, narrow_d = B.wp_conjugate_pair(small_s)
+    for n in range(4):
+        assert retruncate(wide_g[n], small_s) == narrow_g[n]
+        assert retruncate(wide_d[n], small_s) == narrow_d[n]
+        assert retruncate(wide_d.core(n), small_s) == narrow_d.core(n)
+
+
 def test_seed_pair_entries():
     alpha, beta = B.seed_pair(TR)
     assert beta[0] == one()

@@ -1,0 +1,131 @@
+"""Golden outputs: every benchmark argument vector at the default seed 1,
+run in-process through the CLI, must print exactly what the recorded
+digests say.  Performance changes keep outputs byte-identical, so a
+digest that moves means a change in what the program computes.
+
+The argument vectors are copied here, not imported from perfbench/, so
+that a change to the benchmark cannot change this test.  A digest is the
+SHA-256 of a table's CSV, or of a JSON report list with every
+`wall_time_ms` removed and re-serialized with sorted keys.  A change
+that means to alter an output records the new digest and says why.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from qbailey import cli
+
+WORKLOAD_ARGVS = {
+    "index-duality": [
+        ["table", "--rep", "bosonic", "--k", "2", "--nq", "14", "--nt", "10"],
+        ["verify", "thm-main", "--k", "2", "--nq", "16", "--nt", "12", "--json"],
+        ["table", "--rep", "fermionic", "--k", "2", "--nq", "14", "--nt", "10"],
+        ["verify", "multi-rr", "--k", "1", "--nq", "40", "--json"],
+        ["table", "--rep", "fermionic2", "--k", "2", "--nq", "14", "--nt", "10"],
+        ["verify", "thm-main", "--k", "3", "--nq", "16", "--nt", "12", "--json"],
+        ["verify", "thm-kks", "--k", "2", "--nq", "12", "--nt", "10", "--json"],
+        ["verify", "multi-rr", "--k", "2", "--nq", "40", "--json"],
+        ["verify", "thm-kks", "--k", "1", "--nq", "12", "--nt", "10", "--json"],
+        ["verify", "multi-rr", "--k", "3", "--nq", "40", "--json"],
+        ["verify", "thm-main", "--k", "1", "--nq", "16", "--nt", "12", "--json"],
+    ],
+    "dynkin-original": [
+        ["verify", "appx-a", "--k", "1", "--nq", "10", "--nt", "8", "--json"],
+        ["verify", "appx-a", "--k", "2", "--nq", "7", "--nt", "6", "--json"],
+        ["verify", "appx-a", "--k", "3", "--nq", "7", "--nt", "4", "--json"],
+    ],
+    "bailey-families": [
+        ["verify", "thm-general", "--k", "2", "--b", "6/4,2/5", "--c", "5/5,6/4",
+         "--nq", "8", "--nt", "8", "--json"],
+        ["verify", "thm-wp", "--nmax", "3", "--nq", "6", "--nt", "6", "--ns", "4", "--json"],
+        ["verify", "corollary-special", "--pair", "seed", "--nq", "8", "--nt", "8", "--json"],
+        ["verify", "thm-conj-pair", "--nmax", "4", "--nq", "8", "--nt", "8", "--json"],
+        ["selftest", "--seed", "1176680724", "--json"],
+        ["verify", "corollary-special", "--pair", "chain(2;9/2,2/8;2/3,9/6)",
+         "--nq", "8", "--nt", "8", "--json"],
+    ],
+    "rational-points": [
+        ["verify", "appx-c", "--lmax", "4", "--nmax", "4", "--points", "16",
+         "--seed", "1241640712", "--json"],
+        ["verify", "lemma-b1", "--lmax", "5", "--nmax", "5", "--points", "16",
+         "--seed", "942300927", "--json"],
+    ],
+}
+
+DIGESTS = {
+    "index-duality-0":
+        "f1cdee1df836fd67063dc89f0d49b9b7c6e18ec6d0cefd3ca8d1d7fbdd331903",
+    "index-duality-1":
+        "65ab2088070f60503909cb5a8dcb86be57c975cdbb0d01683af5cf8421b47604",
+    "index-duality-2":
+        "f1cdee1df836fd67063dc89f0d49b9b7c6e18ec6d0cefd3ca8d1d7fbdd331903",
+    "index-duality-3":
+        "6beb1df04c1060971e83d14afa275cdd7f81ea530290d3e81542f8c09dbb72f6",
+    "index-duality-4":
+        "f1cdee1df836fd67063dc89f0d49b9b7c6e18ec6d0cefd3ca8d1d7fbdd331903",
+    "index-duality-5":
+        "f77f666d95f4bd9e633b7a3c449b3a6b4a18c4497a19042769ea079fb22d9a85",
+    "index-duality-6":
+        "64bc8cb7e9328dd8364f479f519cf9c1eb728f44260df37585112e96f066f40e",
+    "index-duality-7":
+        "19d0c9e436e9d42388fb590991af49be13942e2380750e790d218329aa964e45",
+    "index-duality-8":
+        "e7780406995c1c3cf42c8886951277c220c7a8b8a6105dab8b459043c30e610f",
+    "index-duality-9":
+        "f7dded73a24197bdb37bad9d32e1b9477d51f086f7e8c5ed09fcb4dba97ed242",
+    "index-duality-10":
+        "991e157686cf633bdc015d648dcde5d6157ed0e72622e7c7b27eb50cef361f54",
+    "dynkin-original-0":
+        "3c140901eaa16250792d9793ae78059a8ff2682d50fb0a508559200c22df2b5c",
+    "dynkin-original-1":
+        "68ddbc472aba61a33666e4e2e6d3f05faa49a899d47affbcb8070f0465fe0dfa",
+    "dynkin-original-2":
+        "84a91e9a759ef10ec353887c3f3856adb33ff220b4d7204a86e693439915cfd4",
+    "bailey-families-0":
+        "dc4768e4c79bfeac8eed5a33cf55d39ab6e6fc3e91ef33a7446709ff8d2133d6",
+    "bailey-families-1":
+        "6da28eaa89c4347cf57f4bc3e44fb0508abcc56b615ea0a71296828b41a6e58f",
+    "bailey-families-2":
+        "587996ba61109f491e722b57434b43eea4508d7ce363e1955d84bb79a07b87cf",
+    "bailey-families-3":
+        "bb4ab4f6917861dd192c763dde309356dc15f29d9e142ea829b52f3d30f9b559",
+    "bailey-families-4":
+        "63fe266bd8ed70f01603380d09be4ed1a5bf971151561ecb4d19c8ea18a05543",
+    "bailey-families-5":
+        "583c87251d45fbc651b6fe413932a149bc9b2e0b57e04c212d586884a31116d3",
+    "rational-points-0":
+        "ee68d4ef8006bc20f6ab4eaa500c73ee48ce7a1bfa66a1441e94d30689742119",
+    "rational-points-1":
+        "0331e8f390be05a89749b2caca4fa59e4b9a03268251e2bc97712161839c8ff9",
+}
+
+CASES = [(f"{name}-{i}", argv) for name, argvs in WORKLOAD_ARGVS.items()
+         for i, argv in enumerate(argvs)]
+
+
+def output_digest(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    assert code == 0, argv
+    text = out.getvalue()
+    if argv[0] != "table":
+        reports = json.loads(text)
+        for report in reports:
+            report.pop("wall_time_ms")
+        text = json.dumps(reports, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_every_workload_argv_has_a_digest():
+    assert len(CASES) == 22
+    assert sorted(DIGESTS) == sorted(case for case, _ in CASES)
+
+
+@pytest.mark.parametrize("case, argv", CASES, ids=[case for case, _ in CASES])
+def test_output_matches_recorded_digest(case, argv):
+    assert output_digest(argv) == DIGESTS[case]

@@ -100,10 +100,23 @@ def test_monotone_truncation_consistency():
         for fn in (M.bosonic_index, M.fermionic_index, M.fermionic2_index,
                    M.original_index):
             assert retruncate(fn(k, TR), SMALL) == fn(k, SMALL)
-    b, c = [Fraction(2, 5), Fraction(1, 3)], [Fraction(4, 7), Fraction(5, 2)]
-    for big, small in zip(M.generalized_sides(2, b, c, TR),
-                          M.generalized_sides(2, b, c, SMALL)):
-        assert retruncate(big, SMALL) == small
+    for b, c in (([Fraction(-3, 2)], [Fraction(5, 4)]),
+                 ([Fraction(2, 5), Fraction(1, 3)], [Fraction(4, 7), Fraction(5, 2)]),
+                 ([Fraction(1, 2), 3, Fraction(-2, 3)], [2, Fraction(1, 4), Fraction(7, 5)])):
+        for big, small in zip(M.generalized_sides(len(b), b, c, TR),
+                              M.generalized_sides(len(b), b, c, SMALL)):
+            assert retruncate(big, SMALL) == small
+
+
+def test_multi_rogers_ramanujan_truncation_projection():
+    # both sides at a larger q-cap, cut down, equal the sides at the
+    # smaller cap, including caps that end between two chain exponents
+    for k in (1, 2, 3):
+        for big_q, small_q in ((30, 12), (17, 16), (9, 0)):
+            big, small = Truncation(big_q, 0), Truncation(small_q, 0)
+            for wide, narrow in zip(M._multi_rogers_ramanujan_sides(k, big),
+                                    M._multi_rogers_ramanujan_sides(k, small)):
+                assert retruncate(wide, small) == narrow
 
 
 def test_generalized_identity_zero_parameters_match_plain():

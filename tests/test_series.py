@@ -1,9 +1,10 @@
 """Ring-level tests for the truncated series core."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbailey.errors import (DomainError, NonInvertible, TruncationMismatch,
@@ -48,6 +49,72 @@ def reference_product(f, g):
     for key, c in acc.items():
         if c != 0:
             out[key] = c.numerator if type(c) is Fraction and c.denominator == 1 else c
+    return TruncatedSeries._raw(f.trunc, out)
+
+
+def reference_row_product(f, g):
+    """The row-packed product of one pair with its own digit width and
+    one unpack: a frozen copy of the kernel that the fused sum of
+    products replaced, kept as its oracle."""
+    a, b = f._terms, g._terms
+    if len(a) > len(b):
+        a, b = b, a
+    if not a or not b:
+        return TruncatedSeries.zero(f.trunc)
+    mq, mt, ms = f.trunc.max_q, f.trunc.max_t, f.trunc.s_cap
+    lo_a, lo_b = min(a)[0], min(b)[0]
+    room = mq - lo_a - lo_b
+    if room < 0:
+        return TruncatedSeries.zero(f.trunc)
+
+    def integer_terms(terms):
+        vals = terms.values()
+        if set(map(type, vals)) == {int}:
+            return 1, terms, sum(map(abs, vals))
+        den = math.lcm(*(c.denominator for c in vals))
+        nums = {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+        return den, nums, sum(map(abs, nums.values()))
+
+    def packed_rows(nums, w, lo, hi):
+        rows = {}
+        for (q, t, s, z), c in nums.items():
+            if q <= hi:
+                rows[(t, s, z)] = rows.get((t, s, z), 0) + (c << (w * (q - lo)))
+        return rows
+
+    den_a, nums_a, l1_a = integer_terms(a)
+    den_b, nums_b, l1_b = integer_terms(b)
+    w = (l1_a * l1_b).bit_length() + 2
+    rows_a = packed_rows(nums_a, w, lo_a, lo_a + room)
+    rows_b = sorted(packed_rows(nums_b, w, lo_b, lo_b + room).items())
+    acc = {}
+    for (ta, sa, za), va in rows_a.items():
+        for (tb, sb, zb), vb in rows_b:
+            if tb > mt - ta:
+                break
+            if sb > ms - sa:
+                continue
+            key = (ta + tb, sa + sb, za + zb)
+            acc[key] = acc.get(key, 0) + va * vb
+    den = den_a * den_b
+    lo = lo_a + lo_b
+    base = 1 << w
+    half, mask = base >> 1, base - 1
+    out = {}
+    for (t, s, z), x in acc.items():
+        if not x:
+            continue
+        i = ((x & -x).bit_length() - 1) // w
+        x >>= w * i
+        while x and i <= room:
+            d = x & mask
+            if d >= half:
+                d -= base
+            x = (x - d) >> w
+            if d:
+                c = Fraction(d, den)
+                out[(lo + i, t, s, z)] = c.numerator if c.denominator == 1 else c
+            i += 1
     return TruncatedSeries._raw(f.trunc, out)
 
 
@@ -314,6 +381,97 @@ def test_mul_matches_reference_product(pair):
     f, g = pair
     assert_same_product(f, g)
     assert_same_product(g, f)
+
+
+# -- sums of products ----------------------------------------------------
+
+def assert_same_sum(trunc, pairs):
+    """sum_of_products equals the +-fold of both product oracles over the
+    pairs, with the same coefficient types, and is stored canonically."""
+    got = TruncatedSeries.sum_of_products(trunc, iter(pairs))
+    want = rows = TruncatedSeries.zero(trunc)
+    for f, g in pairs:
+        want = want + reference_product(f, g)
+        rows = rows + reference_row_product(f, g)
+    assert got == want == rows
+    assert [type(c) for _, c in got.terms()] == [type(c) for _, c in want.terms()]
+    assert_canonical(got)
+    return got
+
+
+@st.composite
+def _pair_lists(draw):
+    # 0-6 pairs over one truncation; every operand draws its own
+    # coefficient kind, so the pairs' denominators differ and the scale
+    # D/(den_a*den_b) is mostly not 1.  Empty and one-term operands, and
+    # exponents biased to the caps, so that some pairs have
+    # lo_a + lo_b > max_q
+    tr = draw(_truncations)
+    monos = st.tuples(_exponents(tr.max_q), _exponents(tr.max_t),
+                      _exponents(tr.s_cap), st.integers(-3, 3))
+    sizes = st.sampled_from([(0, 0), (1, 1), (2, 14)])
+    pairs = []
+    for _ in range(draw(st.integers(0, 6))):
+        pair = []
+        for _ in range(2):
+            lo, hi = draw(sizes)
+            pair.append(TruncatedSeries(tr, draw(st.dictionaries(
+                monos, draw(_coeff_kinds), min_size=lo, max_size=hi))))
+        pairs.append(tuple(pair))
+    return tr, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pair_lists())
+@example((TRS, []))
+@example((TRS, [(S({(3, 0, 0, 0): 2, (4, 1, 0, 1): -1}, TRS),
+                 S({(2, 0, 0, 0): Fraction(1, 3), (3, 0, 1, 0): 5}, TRS)),
+                (TruncatedSeries.zero(TRS), S({(0, 0, 0, 0): 7}, TRS)),
+                (S({(1, 0, 0, 0): Fraction(2, 3), (0, 1, 0, -1): 1}, TRS),
+                 S({(0, 0, 1, 2): Fraction(-3, 5), (2, 0, 0, 0): 4}, TRS))]))
+def test_sum_of_products_matches_reference_sum(case):
+    trunc, pairs = case
+    assert_same_sum(trunc, pairs)
+
+
+def test_sum_of_products_needs_the_summed_width():
+    # six equal pairs add 6 * 2^64 into the constant digit.  One pair's
+    # bound L1(f)*L1(g) = (2^32 + 1)^2 gives w1 = 67 bits, whose balanced
+    # digits reach only 2^66 < 6 * 2^64, so a width taken from the largest
+    # pair bound instead of the sum of them would misread the digit
+    x = 2**32
+    f = S({(0, 0, 0, 0): x, (1, 0, 0, 0): 1})
+    w1 = ((x + 1) ** 2).bit_length() + 2
+    assert 6 * x * x >= 1 << (w1 - 1)
+    got = assert_same_sum(TR, [(f, f)] * 6)
+    assert got == S({(0, 0, 0, 0): 6 * x * x, (1, 0, 0, 0): 12 * x, (2, 0, 0, 0): 6})
+    # the same with rational pairs, each over its own denominator
+    g = S({(0, 0, 0, 0): Fraction(x, 3), (1, 0, 0, 0): Fraction(1, 3)})
+    h = S({(0, 0, 0, 0): Fraction(x, 5), (1, 0, 0, 0): Fraction(-1, 5)})
+    assert_same_sum(TR, [(g, g)] * 3 + [(h, h)] * 3 + [(g, h)])
+
+
+def test_sum_of_products_edges():
+    assert TruncatedSeries.sum_of_products(TR, []) == TruncatedSeries.zero(TR)
+    high = S({(4, 0, 0, 0): 3, (5, 1, 0, 0): 1})
+    low = S({(0, 0, 0, 0): 1, (1, 0, 0, 1): Fraction(1, 2)})
+    # empty operands and pairs whose lowest exponents pass the q cap add nothing
+    assert TruncatedSeries.sum_of_products(
+        TR, [(high, high), (TruncatedSeries.zero(TR), low), (low, low)]) == low * low
+    # rational coefficients that sum to integers are stored as ints
+    third = S({(0, 0, 0, 0): Fraction(1, 3), (1, 1, 0, 0): Fraction(2, 3)})
+    got = assert_same_sum(TR, [(third, one()), (third, S({(0, 0, 0, 0): 2}))])
+    assert got == S({(0, 0, 0, 0): 1, (1, 1, 0, 0): 2})
+    assert all(type(c) is int for _, c in got.terms())
+    # products that cancel leave no zero coefficient
+    assert TruncatedSeries.sum_of_products(TR, [(low, low), (-low, low)]).is_zero()
+
+
+def test_sum_of_products_truncation_mismatch():
+    other = Truncation(3, 3)
+    for pair in ((one(other), one()), (one(), one(other)), (one(other), one(other))):
+        with pytest.raises(TruncationMismatch):
+            TruncatedSeries.sum_of_products(TR, [(one(), one()), pair])
 
 
 @given(_series, _series)
