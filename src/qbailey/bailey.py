@@ -8,6 +8,12 @@ prefactor), which is what finitizes the infinite sums in the conjugate
 relation and the transform.  Verification refuses families whose bound
 is needed but missing.
 
+The k-fold chain lift is Bailey's lemma applied k times (Andrews,
+Pacific J. Math. 114 (1984)): one memoized beta table per level, each
+built from the one below, lowest first.  N entries cost about k*N^2
+summand pairs instead of C(N+k, k) chains, and no recursion.  The three
+relation verifiers share one per-n loop.
+
 The well-poised relation weight (s/t;q)_{l-n} carries a negative
 t-power; it is absorbed against the t^l prefactor of the delta entries
 through the polynomial form prod_i (t - s q^i), so the verifier works
@@ -19,13 +25,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from math import isqrt
 from typing import Callable
 
 from .errors import DomainError
 from .qfunctions import (binom2, combined_poch, hermite, inv_poch, inv_qq, inv_tq,
-                         poch_finite, poch_infinite, inv_poch_infinite, qt_poch,
-                         ultraspherical)
+                         poch_finite, poch_infinite, inv_poch_infinite, ultraspherical)
 from .report import IdentityReport, Stopwatch, first_mismatch, series_report
 from .series import TruncatedSeries, Truncation
 
@@ -63,14 +68,6 @@ class PairFamily:
             self._memo[n] = got
         return got
 
-    def regenerate(self, n: int) -> TruncatedSeries:
-        """Recompute entry n without the memo (reproducibility checks)."""
-        return self._gen(n)
-
-    @property
-    def has_core(self) -> bool:
-        return self._core_gen is not None
-
     def core(self, n: int) -> TruncatedSeries:
         if self._core_gen is None:
             raise DomainError(f"{self.kind} family carries no t-free core generator")
@@ -102,13 +99,6 @@ class ChainParams:
         return len(self.b)
 
 
-def _max_n_with(bound: int, weight: Callable[[int], int]) -> int:
-    n = 0
-    while weight(n + 1) <= bound:
-        n += 1
-    return n
-
-
 def seed_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
     """The elementary unit Bailey pair:
     alpha_n = (-1)^n q^binom(n,2) (1 - t q^(2n)) (tq;q)_{n-1} / (q;q)_n
@@ -126,14 +116,20 @@ def seed_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
     def beta(n: int) -> TruncatedSeries:
         return one if n == 0 else TruncatedSeries.zero(trunc)
 
-    alpha_bound = _max_n_with(trunc.max_q, binom2)
+    # the largest n with binom2(n) <= max_q
+    alpha_bound = (1 + isqrt(1 + 8 * trunc.max_q)) // 2
     return (PairFamily("alpha", trunc, alpha, support_bound=alpha_bound),
             PairFamily("beta", trunc, beta, support_bound=0))
 
 
 def chain_lift(alpha: PairFamily, beta: PairFamily, params: ChainParams,
                trunc: Truncation) -> tuple[PairFamily, PairFamily]:
-    """k-fold chain lift of a Bailey pair."""
+    """k-fold chain lift of a Bailey pair, one Bailey-lemma step per
+    parameter pair (b_i, c_i):
+    alpha'_n = alpha_n (q t)^n P(b_i,n) P(c_i,n) / (b_i q t, c_i q t;q)_n,
+    beta'_m = (b_i q t, c_i q t;q)_m^-1 * sum_{r<=m} q^r t^r P(b_i,r)
+              P(c_i,r) beta_r (b_i c_i q t;q)_{m-r} / (q;q)_{m-r},
+    with P(x,n) = prod_{j<n} (x - q^j) (combined_poch)."""
     k = params.k
 
     def lifted_alpha(n: int) -> TruncatedSeries:
@@ -142,29 +138,40 @@ def chain_lift(alpha: PairFamily, beta: PairFamily, params: ChainParams,
             val = val * combined_poch(x, n, trunc) * inv_poch((x, 1, 1, 0, 0), n, trunc)
         return val
 
+    # levels[i][m] = beta_m after i lemma steps; levels[0] is the input
+    # beta.  weighted[i][r] and kernel[i][d] are the two factors of a
+    # step that depend on r or on d = m - r alone.
+    levels: list = [beta] + [[] for _ in range(k)]
+    weighted: list[list] = [[] for _ in range(k)]
+    kernel: list[list] = [[] for _ in range(k)]
+    kernel_poch = [TruncatedSeries.one(trunc)] * k     # (b_i c_i q t;q)_d
+
+    def lemma_step(i: int, m: int) -> TruncatedSeries:
+        # beta'_m of the docstring, from levels[i] with b, c = b_i, c_i
+        b, c = params.b[i], params.c[i]
+        below, wts, ker = levels[i], weighted[i], kernel[i]
+        top = min(m, trunc.max_q, trunc.max_t)    # q^r t^r vanishes past it
+        while len(wts) <= top:
+            r = len(wts)
+            wts.append(below[r].shift(e_q=r, e_t=r) * combined_poch(b, r, trunc)
+                       * combined_poch(c, r, trunc))
+        while len(ker) <= m:
+            d = len(ker)
+            ker.append(kernel_poch[i] * inv_qq(d, trunc))
+            kernel_poch[i] = kernel_poch[i].mul_binomial(b * c, d + 1, 1)
+        total = TruncatedSeries.sum_of_products(
+            trunc, ((wts[r], ker[m - r]) for r in range(top + 1) if wts[r]))
+        return (total * inv_poch((b, 1, 1, 0, 0), m, trunc)
+                * inv_poch((c, 1, 1, 0, 0), m, trunc))
+
     def lifted_beta(n: int) -> TruncatedSeries:
-        pairs = []
-        for chain in combinations_with_replacement(range(n + 1), k):
-            # chain = (n_0, ..., n_{k-1}); n_k = n
-            seq = list(chain) + [n]
-            e = sum(chain)
-            if e > trunc.max_q or e > trunc.max_t:
-                continue
-            base = beta[chain[0]]
-            if base.is_zero():
-                continue
-            factors = []
-            for i in range(k):
-                d = seq[i + 1] - seq[i]
-                factors += [inv_qq(d, trunc), qt_poch(params.b[i] * params.c[i], d, trunc)]
-                for x in (params.b[i], params.c[i]):    # P(x, n_i) / (x q t;q)_{n_{i+1}}
-                    factors += [inv_poch((x, 1, 1, 0, 0), seq[i + 1], trunc),
-                                combined_poch(x, seq[i], trunc)]
-            val = base.shift(e_q=e, e_t=e)
-            for f in factors[:-1]:
-                val = val * f
-            pairs.append((val, factors[-1]))
-        return TruncatedSeries.sum_of_products(trunc, pairs)
+        # lowest level first, so no level recurses into the one below
+        for i in range(k):
+            level = levels[i + 1]
+            upto = n if i == k - 1 else min(n, trunc.max_q, trunc.max_t)
+            while len(level) <= upto:
+                level.append(lemma_step(i, len(level)))
+        return levels[k][n]
 
     bounds = [trunc.max_t // k, trunc.max_q // k]
     if alpha.support_bound is not None:
@@ -173,25 +180,36 @@ def chain_lift(alpha: PairFamily, beta: PairFamily, params: ChainParams,
             PairFamily("beta", trunc, lifted_beta))
 
 
+def _relation_report(identity: str, trunc: Truncation, n_max: int, lhs: PairFamily,
+                     rhs_at: Callable[[int], TruncatedSeries]) -> IdentityReport:
+    """Compare lhs[n] with rhs_at(n) for n = 0..n_max and stop at the
+    first n that differs.  term_counts are those of the last n compared:
+    the failing one, or n_max."""
+    watch = Stopwatch()
+    counts = {}
+    for n in range(n_max + 1):
+        rhs = rhs_at(n)
+        counts = {"lhs": lhs[n].term_count(), "rhs": rhs.term_count()}
+        mismatch = first_mismatch(lhs[n], rhs)
+        if mismatch is not None:
+            return IdentityReport(identity, {"n_max": n_max}, trunc, "fail",
+                                  {"n": n, **mismatch}, watch.ms(), counts)
+    return IdentityReport(identity, {"n_max": n_max}, trunc, "pass", None,
+                          watch.ms(), counts)
+
+
 def verify_bailey_pair(alpha: PairFamily, beta: PairFamily,
                        n_max: int) -> IdentityReport:
     """Check beta_n = sum_{l<=n} alpha_l / ((q;q)_{n-l} (tq;q)_{n+l})
     for all n <= n_max."""
-    watch = Stopwatch()
     trunc = alpha.trunc
-    counts = {}
-    for n in range(n_max + 1):
-        rhs = TruncatedSeries.sum_of_products(
+
+    def rhs_at(n: int) -> TruncatedSeries:
+        return TruncatedSeries.sum_of_products(
             trunc, ((alpha[l] * inv_qq(n - l, trunc), inv_tq(n + l, trunc))
                     for l in range(n + 1)))
-        counts = {"lhs": beta[n].term_count(), "rhs": rhs.term_count()}
-        mismatch = first_mismatch(beta[n], rhs)
-        if mismatch is not None:
-            return IdentityReport(
-                "bailey-pair-relation", {"n_max": n_max}, trunc, "fail",
-                {"n": n, **mismatch}, watch.ms(), counts)
-    return IdentityReport("bailey-pair-relation", {"n_max": n_max}, trunc,
-                          "pass", None, watch.ms(), counts)
+
+    return _relation_report("bailey-pair-relation", trunc, n_max, beta, rhs_at)
 
 
 @functools.cache
@@ -230,23 +248,16 @@ def verify_conjugate_pair(gamma: PairFamily, delta: PairFamily,
                           n_max: int) -> IdentityReport:
     """Check gamma_n = sum_{l>=n} delta_l / ((q;q)_{l-n} (tq;q)_{l+n})
     for n <= n_max, the sum finitized by delta's support bound."""
-    watch = Stopwatch()
     if delta.support_bound is None:
         raise DomainError("conjugate verification needs a support bound on delta")
     trunc = gamma.trunc
-    counts = {}
-    for n in range(n_max + 1):
-        rhs = TruncatedSeries.sum_of_products(
+
+    def rhs_at(n: int) -> TruncatedSeries:
+        return TruncatedSeries.sum_of_products(
             trunc, ((delta[l] * inv_qq(l - n, trunc), inv_tq(l + n, trunc))
                     for l in range(n, delta.support_bound + 1)))
-        counts = {"lhs": gamma[n].term_count(), "rhs": rhs.term_count()}
-        mismatch = first_mismatch(gamma[n], rhs)
-        if mismatch is not None:
-            return IdentityReport(
-                "conjugate-pair-relation", {"n_max": n_max}, trunc, "fail",
-                {"n": n, **mismatch}, watch.ms(), counts)
-    return IdentityReport("conjugate-pair-relation", {"n_max": n_max}, trunc,
-                          "pass", None, watch.ms(), counts)
+
+    return _relation_report("conjugate-pair-relation", trunc, n_max, gamma, rhs_at)
 
 
 def bailey_transform_check(alpha: PairFamily, beta: PairFamily,
@@ -313,15 +324,12 @@ def verify_wp_conjugate(gamma_p: PairFamily, delta_p: PairFamily,
     against the t^l prefactor of delta'_l, so only the t-free cores and
     nonnegative powers appear.  Contributions run past delta's own
     support bound, up to l = max_t + max_s."""
-    watch = Stopwatch()
-    if not delta_p.has_core:
-        raise DomainError("well-poised verification needs delta's t-free cores")
     trunc = gamma_p.trunc
     t = TruncatedSeries.variable(trunc, "t")
     s_series = TruncatedSeries.variable(trunc, "s")
     l_max = trunc.max_t + trunc.s_cap
-    counts = {}
-    for n in range(n_max + 1):
+
+    def rhs_at(n: int) -> TruncatedSeries:
         pairs = []
         running = TruncatedSeries.one(trunc)   # prod_{i<l-n} (t - s q^i)
         s_poch = poch_finite((1, 0, 0, 1, 0), 2 * n, trunc)     # (s;q)_{l+n}
@@ -333,15 +341,9 @@ def verify_wp_conjugate(gamma_p: PairFamily, delta_p: PairFamily,
                 s_poch = s_poch.mul_binomial(1, e_q=l + n - 1, e_s=1)
             pairs.append((running * s_poch * inv_qq(l - n, trunc) * inv_tq(l + n, trunc),
                           delta_p.core(l)))
-        rhs = TruncatedSeries.sum_of_products(trunc, pairs).shift(e_t=n)
-        counts = {"lhs": gamma_p[n].term_count(), "rhs": rhs.term_count()}
-        mismatch = first_mismatch(gamma_p[n], rhs)
-        if mismatch is not None:
-            return IdentityReport(
-                "wp-conjugate-pair-relation", {"n_max": n_max}, trunc, "fail",
-                {"n": n, **mismatch}, watch.ms(), counts)
-    return IdentityReport("wp-conjugate-pair-relation", {"n_max": n_max}, trunc,
-                          "pass", None, watch.ms(), counts)
+        return TruncatedSeries.sum_of_products(trunc, pairs).shift(e_t=n)
+
+    return _relation_report("wp-conjugate-pair-relation", trunc, n_max, gamma_p, rhs_at)
 
 
 def wp_collapse_check(trunc: Truncation, n_max: int) -> IdentityReport:

@@ -11,7 +11,7 @@ Two deliberately separate backends:
 
 Every denominator factor at a rational point is checked; a zero aborts
 with the factor named.  A sum or closed form at a point is evaluated
-fraction-free (`_sum_of_products`): each factor is a reduced Fraction,
+fraction-free (`_fraction_free_sum`): each factor is a reduced Fraction,
 but the summands and the running sum are kept as plain integer
 numerator/denominator pairs, and each side reduces once, at the end.
 """
@@ -61,9 +61,6 @@ class RationalPoint:
             return self.values[name]
         except KeyError:
             raise DomainError(f"rational point has no value for {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.values
 
     def check_nonzero(self, value: Fraction, desc: str) -> Fraction:
         if value == 0:
@@ -147,7 +144,7 @@ def inv_poch_value(a: Fraction, n: int, point: RationalPoint) -> Fraction:
     return point._prefix_reciprocal(a, n)
 
 
-def _sum_of_products(summands) -> Fraction:
+def _fraction_free_sum(summands) -> Fraction:
     """The sum of the products of each summand's factors (Fractions or
     ints), fraction-free: a summand multiplies its factors' numerators
     and denominators as ints, the running sum (num, den) adds it as
@@ -167,8 +164,8 @@ def qbinomial_value(M: int, N: int, point: RationalPoint) -> Fraction:
     if N < 0 or N > M:
         return Fraction(0)
     q = point["q"]
-    return _sum_of_products([(poch_value(q, M, point), inv_poch_value(q, N, point),
-                              inv_poch_value(q, M - N, point))])
+    return _fraction_free_sum([(poch_value(q, M, point), inv_poch_value(q, N, point),
+                                inv_poch_value(q, M - N, point))])
 
 
 @dataclass
@@ -192,7 +189,7 @@ def phi_terminating(spec: PhiSpec, point: RationalPoint) -> Fraction:
             f"terminating series needs exactly one upper parameter q^(-{spec.n})")
     extra_power = 1 + len(spec.lower) - len(spec.upper)
     argument = Fraction(spec.argument)
-    return _sum_of_products(
+    return _fraction_free_sum(
         (argument ** m,
          *(poch_value(a, m, point) for a in spec.upper),
          inv_poch_value(q, m, point),
@@ -208,7 +205,7 @@ def _vwp_sixphi5_sum(a: Fraction, b: Fraction, c: Fraction, n: int,
     q = point["q"]
     one_minus_a = point.check_nonzero(1 - a, f"(1 - a) with a={a}")
     arg = a * q ** (n + 1) / point.check_nonzero(b * c, f"b*c with b={b}, c={c}")
-    return _sum_of_products(
+    return _fraction_free_sum(
         (poch_value(a, m, point), (1 - a * q ** (2 * m)) / one_minus_a,
          poch_value(b, m, point), poch_value(c, m, point),
          poch_value(q ** (-n), m, point),
@@ -259,16 +256,16 @@ def _classical_sides(name: str, point: RationalPoint, n: int) -> tuple[Fraction,
         point.check_nonzero(c, "c")
         spec = PhiSpec([a, b, q ** (-n)], [c, a * b * q ** (1 - n) / c], q, n)
         lhs = phi_terminating(spec, point)
-        return lhs, _sum_of_products([(poch_value(c / a, n, point),
-                                       poch_value(c / b, n, point),
-                                       inv_poch_value(c, n, point),
-                                       inv_poch_value(c / (a * b), n, point))])
+        return lhs, _fraction_free_sum([(poch_value(c / a, n, point),
+                                         poch_value(c / b, n, point),
+                                         inv_poch_value(c, n, point),
+                                         inv_poch_value(c / (a * b), n, point))])
     if name == "chu-vandermonde-2":
         a, c = point["a"], point["c"]
         spec = PhiSpec([a, q ** (-n)], [c], q, n)
         lhs = phi_terminating(spec, point)
-        return lhs, _sum_of_products([(a ** n, poch_value(c / a, n, point),
-                                       inv_poch_value(c, n, point))])
+        return lhs, _fraction_free_sum([(a ** n, poch_value(c / a, n, point),
+                                         inv_poch_value(c, n, point))])
     if name == "qbinomial-theorem":
         z = point["z"]
         spec = PhiSpec([q ** (-n)], [], z, n)
@@ -276,10 +273,10 @@ def _classical_sides(name: str, point: RationalPoint, n: int) -> tuple[Fraction,
     if name == "sixphi5":
         a, b, c = point["a"], point["b"], point["c"]
         lhs = _vwp_sixphi5_sum(a, b, c, n, point)
-        return lhs, _sum_of_products([(poch_value(a * q, n, point),
-                                       poch_value(a * q / (b * c), n, point),
-                                       inv_poch_value(a * q / b, n, point),
-                                       inv_poch_value(a * q / c, n, point))])
+        return lhs, _fraction_free_sum([(poch_value(a * q, n, point),
+                                         poch_value(a * q / (b * c), n, point),
+                                         inv_poch_value(a * q / b, n, point),
+                                         inv_poch_value(a * q / c, n, point))])
     raise DomainError(f"unknown classical identity {name!r}")
 
 
@@ -310,7 +307,7 @@ def s_sum(d: int, n: int, point: RationalPoint) -> Fraction:
     (1/t;q)_{j+d} t^{j+d} / ((q;q)_j (q;q)_{2n-j} (t;q)_{j+d})."""
     q, t = point["q"], point["t"]
     ti = 1 / point.check_nonzero(t, "t")
-    return _sum_of_products(
+    return _fraction_free_sum(
         (poch_value(t, j, point), poch_value(t, 2 * n - j, point),
          poch_value(ti, j + d, point), t ** (j + d),
          inv_poch_value(q, j, point),
@@ -324,11 +321,11 @@ def s_closed(d: int, n: int, point: RationalPoint) -> Fraction:
     ((q;q)_{2n} (t;q)_{2n+d})."""
     q, t = point["q"], point["t"]
     ti = 1 / point.check_nonzero(t, "t")
-    return _sum_of_products([(poch_value(t * t, 2 * n, point),
-                              poch_value(q ** d, 2 * n, point),
-                              poch_value(ti, d, point), t ** d,
-                              inv_poch_value(q, 2 * n, point),
-                              inv_poch_value(t, 2 * n + d, point))])
+    return _fraction_free_sum([(poch_value(t * t, 2 * n, point),
+                                poch_value(q ** d, 2 * n, point),
+                                poch_value(ti, d, point), t ** d,
+                                inv_poch_value(q, 2 * n, point),
+                                inv_poch_value(t, 2 * n + d, point))])
 
 
 def s_closed_check(d: int, n: int, point: RationalPoint,
@@ -372,15 +369,15 @@ def _expansion_coeff_sides(l: int, n: int, point: RationalPoint) -> tuple[Fracti
     """(sum, closed form) of `expansion_coeff_check` at the point."""
     q, t = point["q"], point["t"]
     ti = 1 / point.check_nonzero(t, "t")
-    lhs = _sum_of_products(
+    lhs = _fraction_free_sum(
         (poch_value(q ** (j - l - n), 2 * n, point),
          poch_value(ti, j - l - n, point), t ** j,
          inv_poch_value(q, j, point),
          inv_poch_value(q, 2 * l - j, point),
          inv_poch_value(t, j - l + n, point))
         for j in range(2 * l + 1))
-    rhs = _sum_of_products([(t ** (2 * l), inv_poch_value(q, l - n, point),
-                             inv_poch_value(t * q, l + n, point))])
+    rhs = _fraction_free_sum([(t ** (2 * l), inv_poch_value(q, l - n, point),
+                               inv_poch_value(t * q, l + n, point))])
     return lhs, rhs
 
 
@@ -402,7 +399,7 @@ def _wp_expansion_coeff_sides(l: int, n: int,
     """(sum, closed form) of `wp_expansion_coeff_check` at the point."""
     q, t, s = point["q"], point["t"], point["s"]
     ti = 1 / point.check_nonzero(t, "t")
-    lhs = _sum_of_products(
+    lhs = _fraction_free_sum(
         (poch_value(s, j, point), poch_value(s, 2 * l - j, point),
          poch_value(q ** (j - l - n), 2 * n, point),
          poch_value(ti, j - l - n, point), t ** j,
@@ -415,9 +412,9 @@ def _wp_expansion_coeff_sides(l: int, n: int,
     inv_qq_part = inv_poch_value(q, l - n, point)
     if inv_qq_part == 0:
         return lhs, Fraction(0)
-    rhs = _sum_of_products([(poch_value(s * ti, l - n, point),
-                             poch_value(s, l + n, point), t ** (2 * l), inv_qq_part,
-                             inv_poch_value(t * q, l + n, point))])
+    rhs = _fraction_free_sum([(poch_value(s * ti, l - n, point),
+                               poch_value(s, l + n, point), t ** (2 * l), inv_qq_part,
+                               inv_poch_value(t * q, l + n, point))])
     return lhs, rhs
 
 
@@ -460,12 +457,6 @@ def phi_closed(n: int, nprime: int, trunc: Truncation) -> TruncatedSeries:
     out = (poch_finite((1, 1, 0, 0, 0), nprime, trunc) * inv_qq(n, trunc)
            * qbinomial(nprime, n, trunc))
     return out.shift(e_q=n * n)
-
-
-def b_phi_defining_sums(n: int, nprime: int,
-                        trunc: Truncation) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """(B_n as defining sum, Phi_{n,n'} as defining sum)."""
-    return b_defining_sum(n, trunc), phi_defining_sum(n, nprime, trunc)
 
 
 def b_phi_check(n: int, nprime: int, trunc: Truncation) -> list[IdentityReport]:

@@ -16,7 +16,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 
 from .errors import DomainError, InternalConsistencyError
 from .qfunctions import (binom2, combined_poch, hermite, inv_poch, inv_qq,
@@ -62,12 +62,6 @@ class DynkinData:
             for j in range(size):
                 if self.adjacency[i][j] != self.adjacency[j][i]:
                     raise InternalConsistencyError("adjacency must be symmetric")
-
-    def edges(self) -> set[tuple[int, int]]:
-        """1-based edge set {(i, j) : i < j, a_ij = 1}."""
-        size = 2 * self.k + 1
-        return {(i + 1, j + 1) for i in range(size) for j in range(i + 1, size)
-                if self.adjacency[i][j]}
 
 
 @functools.cache
@@ -130,8 +124,11 @@ def fermionic2_index(k: int, trunc: Truncation) -> TruncatedSeries:
 
 def _svectors(k: int, cap: int):
     # all tuples (s_1..s_k) of nonnegative ints with sum <= cap, in
-    # lexicographic order
-    return (v for v in product(range(cap + 1), repeat=k) if sum(v) <= cap)
+    # lexicographic order: the gaps p_i - p_{i-1} (p_0 = 0) of the
+    # nondecreasing tuples p_1 <= ... <= p_k <= cap, which are the
+    # partial sums of s and come in the same order
+    for p in combinations_with_replacement(range(cap + 1), k):
+        yield tuple(b - a for a, b in zip((0, *p), p))
 
 
 def original_index(k: int, trunc: Truncation) -> TruncatedSeries:

@@ -279,20 +279,10 @@ class TruncatedSeries:
         """Stored coefficient of the monomial, or exact zero."""
         return self._terms.get(tuple(mono), 0)
 
-    def constant_term(self) -> Coeff:
-        return self._terms.get((0, 0, 0, 0), 0)
-
     def terms(self) -> Iterator[tuple[Monomial, Coeff]]:
         """Iterate (monomial, coefficient) in canonical order."""
         for key in sorted(self._terms):
             yield Monomial(*key), self._terms[key]
-
-    def z_support(self) -> tuple[int, int]:
-        """(min, max) z-exponent over stored terms; (0, 0) for the zero series."""
-        if not self._terms:
-            return (0, 0)
-        zs = [k[3] for k in self._terms]
-        return (min(zs), max(zs))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TruncatedSeries):

@@ -2,6 +2,7 @@
 transform, and the well-poised variant."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -63,8 +64,9 @@ def test_seed_pair_entries():
 
 def test_family_reproducibility_and_bounds():
     alpha, beta = B.seed_pair(TR)
+    fresh, _ = B.seed_pair(TR)
     for n in (0, 2, 4):
-        assert alpha.regenerate(n) == alpha[n]
+        assert fresh[n] == alpha[n]
     # q^binom(n,2) kills entries past the declared bound
     bound = alpha.support_bound
     assert not alpha[bound].is_zero() or bound == 0
@@ -130,6 +132,53 @@ def test_chain_lift_composes():
         assert twice[0][n] == direct[0][n]
         assert twice[1][n] == direct[1][n]
     assert B.verify_bailey_pair(twice[0], twice[1], 4).passed
+
+
+def reference_lifted_beta(beta, params, trunc, n):
+    """The k-fold chain lift of beta_n summed chain by chain, frozen as
+    the oracle of the lemma-step lift: a sum over all chains
+    n_0 <= ... <= n_{k-1} <= n_k = n of
+    beta_{n_0} q^e t^e prod_i (b_i c_i q t;q)_{d_i} P(b_i,n_i) P(c_i,n_i)
+    / ((q;q)_{d_i} (b_i q t, c_i q t;q)_{n_{i+1}}), with d_i = n_{i+1} - n_i
+    and e = n_0 + ... + n_{k-1}."""
+    k = params.k
+    total = TruncatedSeries.zero(trunc)
+    for chain in combinations_with_replacement(range(n + 1), k):
+        seq = list(chain) + [n]
+        e = sum(chain)
+        if e > trunc.max_q or e > trunc.max_t:
+            continue
+        val = beta[chain[0]].shift(e_q=e, e_t=e)
+        for i in range(k):
+            d = seq[i + 1] - seq[i]
+            val = val * qf.inv_qq(d, trunc) * qf.qt_poch(params.b[i] * params.c[i], d, trunc)
+            for x in (params.b[i], params.c[i]):
+                val = val * qf.inv_poch((x, 1, 1, 0, 0), seq[i + 1], trunc) \
+                    * qf.combined_poch(x, seq[i], trunc)
+        total = total + val
+    return total
+
+
+@pytest.mark.parametrize("trunc", [TR, Truncation(5, 7)], ids=["8x6", "5x7"])
+@pytest.mark.parametrize("b, c", [
+    ([0], [0]),
+    ([Fraction(2, 3)], [Fraction(-5, 4)]),
+    ([0, 0], [0, 0]),
+    ([Fraction(1, 3), Fraction(3, 2)], [Fraction(2, 5), 0]),
+    ([0, 0, 0], [0, 0, 0]),
+    ([Fraction(9, 2), Fraction(1, 4), 2], [Fraction(2, 3), Fraction(3, 2), Fraction(-1, 7)]),
+])
+def test_lifted_beta_matches_chain_enumeration(trunc, b, c):
+    # the lemma-step lift equals the frozen chain-by-chain sum, entry by
+    # entry, also when the base beta is nonzero at every index
+    params = B.ChainParams.of(b, c)
+    alpha, beta = B.seed_pair(trunc)
+    once = B.chain_lift(alpha, beta, B.ChainParams.of([Fraction(1, 2)], [Fraction(2, 7)]),
+                        trunc)
+    for base in (beta, once[1]):
+        _, lifted = B.chain_lift(alpha, base, params, trunc)
+        for n in range(trunc.max_t + 1):
+            assert lifted[n] == reference_lifted_beta(base, params, trunc, n)
 
 
 def test_conjugate_pair_entries():
@@ -234,3 +283,51 @@ def test_wp_needs_s_truncation_and_cores():
     no_core = B.PairFamily("delta", TRS, delta_p._gen, support_bound=TRS.max_t)
     with pytest.raises(DomainError):
         B.verify_wp_conjugate(gamma_p, no_core, 2)
+
+
+def _raise_one_coefficient(family, n_bad):
+    """The family with the coefficient of the smallest monomial of entry
+    n_bad raised by one; every other entry is unchanged."""
+    mono_bad, _ = next(family[n_bad].terms())
+    bump = TruncatedSeries.monomial(family.trunc, 1, *mono_bad)
+
+    def gen(n):
+        return family[n] + bump if n == n_bad else family[n]
+
+    return B.PairFamily(family.kind, family.trunc, gen, family.support_bound), mono_bad
+
+
+def _bailey_case():
+    alpha, beta = B.seed_pair(TR)
+    a1, b1 = B.chain_lift(alpha, beta, B.ChainParams.of([0], [0]), TR)
+    bad, mono_bad = _raise_one_coefficient(b1, 2)
+    return B.verify_bailey_pair(a1, bad, 4), b1[2], mono_bad
+
+
+def _conjugate_case():
+    gamma, delta = B.hermite_conjugate_pair(TR)
+    bad, mono_bad = _raise_one_coefficient(gamma, 2)
+    return B.verify_conjugate_pair(bad, delta, 4), gamma[2], mono_bad
+
+
+def _wp_case():
+    gamma_p, delta_p = B.wp_conjugate_pair(TRS)
+    bad, mono_bad = _raise_one_coefficient(gamma_p, 2)
+    return B.verify_wp_conjugate(bad, delta_p, 3), gamma_p[2], mono_bad
+
+
+@pytest.mark.parametrize("case", [_bailey_case, _conjugate_case, _wp_case],
+                         ids=["bailey-pair", "conjugate-pair", "wp-conjugate"])
+def test_relation_verifier_reports_first_failing_n(case):
+    # a one-coefficient change at n = 2 fails there: the report names
+    # n = 2, the changed monomial with both coefficients, and the term
+    # counts of n = 2 (the right-hand side equals the unchanged entry)
+    report, entry, mono_bad = case()
+    assert report.status == "fail"
+    coeff = entry.coefficient(mono_bad)
+    assert report.first_mismatch == {
+        "n": 2, "monomial": list(mono_bad),
+        "lhs": f"{Fraction(coeff + 1).numerator}/{Fraction(coeff + 1).denominator}",
+        "rhs": f"{Fraction(coeff).numerator}/{Fraction(coeff).denominator}"}
+    assert report.term_counts == {"lhs": entry.term_count() - (coeff == -1),
+                                  "rhs": entry.term_count()}

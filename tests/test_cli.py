@@ -2,6 +2,7 @@
 injection."""
 
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -141,6 +142,15 @@ def test_verify_grid_ids(capsys):
                                 "--pair", "chain(2;0,1/2;0,0)",
                                 "--nq", "6", "--nt", "4"])
     assert code == 0
+
+
+def test_chain_deeper_than_the_recursion_limit(capsys):
+    # the lift builds its levels iteratively, lowest first, so the chain
+    # depth is not bounded by the interpreter's recursion limit
+    depth = sys.getrecursionlimit() + 1
+    code, out, _ = run(capsys, ["verify", "corollary-special",
+                                "--pair", f"chain({depth};;)", "--nq", "4", "--nt", "4"])
+    assert code == 0 and "[PASS] bailey-transform" in out
 
 
 def test_verify_pair_grammar_errors(capsys):

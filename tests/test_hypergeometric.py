@@ -448,5 +448,5 @@ def test_b_phi_evaluations():
         for nprime in range(6):
             assert hg.phi_defining_sum(n, nprime, TR) == \
                 hg.phi_closed(n, nprime, TR)
-    b, phi = hg.b_phi_defining_sums(2, 3, TR)
+    b, phi = hg.b_defining_sum(2, TR), hg.phi_defining_sum(2, 3, TR)
     assert b == hg.b_closed(2, TR) and phi == hg.phi_closed(2, 3, TR)

@@ -4,7 +4,7 @@ them."""
 import functools
 import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,13 +23,17 @@ def retruncate(f, small):
     return TruncatedSeries(small, dict(f._terms))
 
 
+def edges(dynkin):
+    """1-based edge set {(i, j) : i < j, a_ij = 1}."""
+    adj = dynkin.adjacency
+    return {(i + 1, j + 1) for i in range(len(adj)) for j in range(i + 1, len(adj))
+            if adj[i][j]}
+
+
 def test_dynkin_adjacency():
-    d1 = M.DynkinData.build(1)
-    assert d1.edges() == {(1, 2), (1, 3)}
-    d2 = M.DynkinData.build(2)
-    assert d2.edges() == {(1, 2), (2, 3), (3, 4), (3, 5)}
-    d3 = M.DynkinData.build(3)
-    assert d3.edges() == {(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7)}
+    assert edges(M.DynkinData.build(1)) == {(1, 2), (1, 3)}
+    assert edges(M.DynkinData.build(2)) == {(1, 2), (2, 3), (3, 4), (3, 5)}
+    assert edges(M.DynkinData.build(3)) == {(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7)}
     with pytest.raises(InternalConsistencyError):
         M.DynkinData(1, ((0, 1, 0), (0, 0, 1), (0, 1, 0)))   # asymmetric
 
@@ -438,6 +442,15 @@ def test_rho_sum_matches_brute_force(const2, weights, couplings):
 def test_original_matches_dense_reference(k, max_q, max_t):
     trunc = Truncation(max_q, max_t)
     assert M.original_index(k, trunc) == reference_original_index(k, trunc)
+
+
+def test_svectors_match_the_filtered_product():
+    # the s-vectors are exactly the tuples with sum <= cap, in
+    # lexicographic order
+    for k in range(1, 5):
+        for cap in range(7):
+            expected = [v for v in product(range(cap + 1), repeat=k) if sum(v) <= cap]
+            assert list(M._svectors(k, cap)) == expected
 
 
 def test_specializations():

@@ -1,0 +1,81 @@
+"""Every public function and method under src/qbailey is used by the
+package itself or is deliberate library API.  A helper that only the
+tests call belongs in the tests; this guard finds one by parsing the
+sources, so none can creep back into src/."""
+
+import ast
+import pathlib
+
+import qbailey
+
+SRC = pathlib.Path(qbailey.__file__).parent
+
+# Public names no src/qbailey module calls: the API shown in README
+# "Library use", the per-representation builders the CLI looks up by
+# name (macdonald.REPRESENTATIONS), and the test oracle `invert` with
+# the degree bound it needs, kept while perfbench/tracer.py wraps it.
+LIBRARY_API = frozenset({
+    "bailey.verify_bailey_pair",
+    "bailey.verify_conjugate_pair",
+    "bailey.hermite_conjugate_pair",
+    "macdonald.bosonic_index",
+    "macdonald.fermionic_index",
+    "macdonald.fermionic2_index",
+    "macdonald.original_index",
+    "report.IdentityReport.summary_line",
+    "series.TruncatedSeries.coefficient",
+    "series.TruncatedSeries.terms",
+    "series.TruncatedSeries.render",
+    "series.TruncatedSeries.sum_of_products",
+    "series.TruncatedSeries.mul_binomial",
+    "series.TruncatedSeries.div_binomial",
+    "series.TruncatedSeries.invert",
+    "series.Truncation.degree_bound",
+})
+
+
+def _definitions(tree, module):
+    """(qualified name, bare name) of the public top-level functions and
+    the public methods of top-level classes; dunders are left out."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{module}.{node.name}", node.name
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{module}.{node.name}.{item.name}", item.name
+
+
+def _references(node, inside, out):
+    """Every name and attribute read in the tree, except a function's
+    reads of its own name from within its own body."""
+    if isinstance(node, ast.FunctionDef):
+        inside = inside | {node.name}
+    if isinstance(node, ast.Name) and node.id not in inside:
+        out.add(node.id)
+    elif isinstance(node, ast.Attribute) and node.attr not in inside:
+        out.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        _references(child, inside, out)
+
+
+def _surface():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        _references(tree, frozenset(), referenced)
+    defined = dict(d for module, tree in trees.items() for d in _definitions(tree, module))
+    return defined, referenced
+
+
+def test_public_callables_are_used_or_library_api():
+    defined, referenced = _surface()
+    unused = sorted(qual for qual, name in defined.items()
+                    if not name.startswith("_") and name not in referenced
+                    and qual not in LIBRARY_API)
+    assert unused == []
+
+
+def test_library_api_names_exist():
+    defined, _ = _surface()
+    assert sorted(LIBRARY_API - set(defined)) == []

@@ -499,7 +499,7 @@ def test_mul_distributes(f, g, h):
 @given(_series)
 def test_invert_of_unit(f):
     g = f + TruncatedSeries.one(TRS) - TruncatedSeries(
-        TRS, {(0, 0, 0, 0): f.constant_term()})
+        TRS, {(0, 0, 0, 0): f.coefficient((0, 0, 0, 0))})
     # g now has constant term exactly 1; drop degree-zero z-terms that
     # would make it a non-unit
     g = TruncatedSeries(TRS, {k: c for k, c in g._terms.items()
