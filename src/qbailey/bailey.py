@@ -12,7 +12,8 @@ The k-fold chain lift is Bailey's lemma applied k times (Andrews,
 Pacific J. Math. 114 (1984)): one memoized beta table per level, each
 built from the one below, lowest first.  N entries cost about k*N^2
 summand pairs instead of C(N+k, k) chains, and no recursion.  The three
-relation verifiers share one per-n loop.
+relation verifiers share one per-n sub-check generator, which the report
+layer runs up to the first n that fails.
 
 The well-poised relation weight (s/t;q)_{l-n} carries a negative
 t-power; it is absorbed against the t^l prefactor of the delta entries
@@ -31,7 +32,7 @@ from typing import Callable
 from .errors import DomainError
 from .qfunctions import (binom2, combined_poch, hermite, inv_poch, inv_qq, inv_tq,
                          poch_finite, poch_infinite, inv_poch_infinite, ultraspherical)
-from .report import IdentityReport, Stopwatch, first_mismatch, series_report
+from .report import IdentityReport, Stopwatch, _first_failure, first_mismatch, series_report
 from .series import TruncatedSeries, Truncation
 
 
@@ -182,20 +183,15 @@ def chain_lift(alpha: PairFamily, beta: PairFamily, params: ChainParams,
 
 def _relation_report(identity: str, trunc: Truncation, n_max: int, lhs: PairFamily,
                      rhs_at: Callable[[int], TruncatedSeries]) -> IdentityReport:
-    """Compare lhs[n] with rhs_at(n) for n = 0..n_max and stop at the
-    first n that differs.  term_counts are those of the last n compared:
-    the failing one, or n_max."""
-    watch = Stopwatch()
-    counts = {}
-    for n in range(n_max + 1):
-        rhs = rhs_at(n)
-        counts = {"lhs": lhs[n].term_count(), "rhs": rhs.term_count()}
-        mismatch = first_mismatch(lhs[n], rhs)
-        if mismatch is not None:
-            return IdentityReport(identity, {"n_max": n_max}, trunc, "fail",
-                                  {"n": n, **mismatch}, watch.ms(), counts)
-    return IdentityReport(identity, {"n_max": n_max}, trunc, "pass", None,
-                          watch.ms(), counts)
+    """Compare lhs[n] with rhs_at(n) for n = 0..n_max, each n one
+    sub-check labelled n and counting the terms of both sides."""
+    def subchecks():
+        for n in range(n_max + 1):
+            rhs = rhs_at(n)
+            yield ({"n": n}, first_mismatch(lhs[n], rhs),
+                   {"lhs": lhs[n].term_count(), "rhs": rhs.term_count()})
+
+    return _first_failure(identity, {"n_max": n_max}, trunc, subchecks(), Stopwatch())
 
 
 def verify_bailey_pair(alpha: PairFamily, beta: PairFamily,
@@ -352,13 +348,9 @@ def wp_collapse_check(trunc: Truncation, n_max: int) -> IdentityReport:
     watch = Stopwatch()
     gamma_p, delta_p = wp_conjugate_pair(trunc)
     gamma, delta = hermite_conjugate_pair(trunc)
-    for n in range(n_max + 1):
-        for label, wp_fam, plain_fam in (("gamma", gamma_p, gamma),
-                                         ("delta", delta_p, delta)):
-            mismatch = first_mismatch(wp_fam[n].specialize("s", 0), plain_fam[n])
-            if mismatch is not None:
-                return IdentityReport(
-                    "wp-collapse-s0", {"n_max": n_max}, trunc, "fail",
-                    {"n": n, "family": label, **mismatch}, watch.ms(), {})
-    return IdentityReport("wp-collapse-s0", {"n_max": n_max}, trunc,
-                          "pass", None, watch.ms(), {})
+    subchecks = (({"n": n, "family": label},
+                  first_mismatch(wp_fam[n].specialize("s", 0), plain_fam[n]), {})
+                 for n in range(n_max + 1)
+                 for label, wp_fam, plain_fam in (("gamma", gamma_p, gamma),
+                                                  ("delta", delta_p, delta)))
+    return _first_failure("wp-collapse-s0", {"n_max": n_max}, trunc, subchecks, watch)

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import bailey, hypergeometric as hg, macdonald, qfunctions
 from .errors import DomainError, QBaileyError
-from .report import IdentityReport, Stopwatch, series_report
+from .report import IdentityReport, Stopwatch, _first_failure, series_report
 from .series import Truncation
 
 FIXED_POINT = {"q": Fraction(2, 3), "t": Fraction(3, 5), "s": Fraction(5, 7)}
@@ -90,28 +90,24 @@ def _index_pair_check(identity: str, k: int, trunc: Truncation,
                           {"k": k, "lhs": left, "rhs": right}, watch)]
 
 
-def _grid_point_reports(check_grid, names, lmax, nmax, points, seed):
-    fixed = hg.RationalPoint({k: v for k, v in FIXED_POINT.items() if k in names})
-    return [check_grid(lmax, nmax, fixed, None)] + hg.run_at_random_points(
-        lambda point, sd: check_grid(lmax, nmax, point, sd), names, points, seed)
+def _grid_reports(identity: str, check, names: tuple[str, ...],
+                  args) -> list[IdentityReport]:
+    """One report per point, the fixed point first and then args.points
+    random ones: check(l, n, point, seed) over l <= lmax, n <= nmax,
+    each (l, n) one sub-check labelled l and n."""
+    lmax, nmax = args.lmax, args.nmax
 
-
-def _coeff_sum_grid(check_fn, identity):
-    def grid(lmax, nmax, point, seed):
+    def grid(point, seed):
         watch = Stopwatch()
-        for l in range(lmax + 1):
-            for n in range(nmax + 1):
-                sub = check_fn(l, n, point, seed)
-                if not sub.passed:
-                    return IdentityReport(
-                        identity, {"lmax": lmax, "nmax": nmax,
-                                   "point": point.describe()},
-                        None, "fail", {"l": l, "n": n, **sub.first_mismatch},
-                        watch.ms(), {}, seed)
-        return IdentityReport(identity,
-                              {"lmax": lmax, "nmax": nmax, "point": point.describe()},
-                              None, "pass", None, watch.ms(), {}, seed)
-    return grid
+        subchecks = (({"l": l, "n": n}, check(l, n, point, seed).first_mismatch, {})
+                     for l in range(lmax + 1) for n in range(nmax + 1))
+        return _first_failure(identity, {"lmax": lmax, "nmax": nmax,
+                                         "point": point.describe()},
+                              None, subchecks, watch, seed)
+
+    fixed = hg.RationalPoint({k: v for k, v in FIXED_POINT.items() if k in names})
+    seed = _resolve_seed(args)
+    return [grid(fixed, None)] + hg.run_at_random_points(grid, names, args.points, seed)
 
 
 def _verify(args) -> list[IdentityReport]:
@@ -147,23 +143,16 @@ def _verify(args) -> list[IdentityReport]:
     if identity == "corollary-special":
         trunc = Truncation(nq, nt)
         alpha, beta = _parse_pair_id(args.pair, trunc)
-        if args.conjugate != "thm31":
-            raise DomainError("the transform check uses the ordinary conjugate "
-                              "pair; --conjugate must be thm31")
+        # every family is paired with the ordinary conjugate pair, which
+        # the report names thm31
         gamma, delta = bailey.hermite_conjugate_pair(trunc)
         report = bailey.bailey_transform_check(alpha, beta, gamma, delta)
-        report.params = {"pair": args.pair, "conjugate": args.conjugate}
+        report.params = {"pair": args.pair, "conjugate": "thm31"}
         return [report]
     if identity == "lemma-b1":
-        seed = _resolve_seed(args)
-        return _grid_point_reports(
-            _coeff_sum_grid(hg.expansion_coeff_check, "lemma-b1"),
-            ("q", "t"), args.lmax, args.nmax, args.points, seed)
+        return _grid_reports(identity, hg.expansion_coeff_check, ("q", "t"), args)
     if identity == "appx-c":
-        seed = _resolve_seed(args)
-        return _grid_point_reports(
-            _coeff_sum_grid(hg.wp_expansion_coeff_check, "appx-c"),
-            ("q", "t", "s"), args.lmax, args.nmax, args.points, seed)
+        return _grid_reports(identity, hg.wp_expansion_coeff_check, ("q", "t", "s"), args)
     if identity == "multi-rr":
         return [macdonald.multi_rogers_ramanujan(args.k, nq)]
     raise DomainError(f"unknown identity {identity!r}")
@@ -318,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--c", type=str, default="")
     p_verify.add_argument("--pair", type=str, default="seed",
                           help="seed or chain(k;b1,..,bk;c1,..,ck)")
-    p_verify.add_argument("--conjugate", type=str, default="thm31",
-                          help="thm31, the ordinary conjugate pair")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(fn=_cmd_verify)
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .errors import DomainError, PoleError
 from .qfunctions import (binom2, hermite, inv_poch, inv_poch_infinite, inv_qq, inv_tq,
                          poch_finite, poch_infinite, qbinomial)
-from .report import IdentityReport, Stopwatch, series_report, value_mismatch
+from .report import IdentityReport, Stopwatch, series_report, value_report
 from .series import TruncatedSeries, Truncation
 
 
@@ -217,16 +217,6 @@ def _vwp_sixphi5_sum(a: Fraction, b: Fraction, c: Fraction, n: int,
         for m in range(n + 1))
 
 
-def _value_report(identity: str, lhs: Fraction, rhs: Fraction, params: dict,
-                  watch: Stopwatch, seed: int | None = None) -> IdentityReport:
-    mismatch = value_mismatch(lhs, rhs)
-    return IdentityReport(
-        identity=identity, params=params, truncation=None,
-        status="pass" if mismatch is None else "fail",
-        first_mismatch=mismatch, wall_time_ms=watch.ms(),
-        term_counts={}, seed=seed)
-
-
 def classical_check(name: str, point: RationalPoint, n: int,
                     seed: int | None = None) -> IdentityReport:
     """Check one classical summation/transformation at the point.
@@ -245,7 +235,7 @@ def classical_check(name: str, point: RationalPoint, n: int,
                              watch=watch, seed=seed)
     lhs, rhs = _classical_sides(name, point, n)
     params = {"n": n, "point": point.describe()}
-    return _value_report(f"classical-{name}", lhs, rhs, params, watch, seed)
+    return value_report(f"classical-{name}", lhs, rhs, params, watch, seed)
 
 
 def _classical_sides(name: str, point: RationalPoint, n: int) -> tuple[Fraction, Fraction]:
@@ -332,8 +322,8 @@ def s_closed_check(d: int, n: int, point: RationalPoint,
                    seed: int | None = None) -> IdentityReport:
     watch = Stopwatch()
     params = {"d": d, "n": n, "point": point.describe()}
-    return _value_report("s-closed-form", s_sum(d, n, point),
-                         s_closed(d, n, point), params, watch, seed)
+    return value_report("s-closed-form", s_sum(d, n, point),
+                        s_closed(d, n, point), params, watch, seed)
 
 
 def s_symmetry_check(l: int, n: int, point: RationalPoint,
@@ -341,12 +331,13 @@ def s_symmetry_check(l: int, n: int, point: RationalPoint,
     """The pairing identity
     sum_j [2l,j]_q S_{j-l-n,n} = -sum_j [2l,j]_q S_{j-l-n+1,n}."""
     watch = Stopwatch()
-    lhs = sum((qbinomial_value(2 * l, j, point) * s_sum(j - l - n, n, point)
-               for j in range(2 * l + 1)), Fraction(0))
-    rhs = -sum((qbinomial_value(2 * l, j, point) * s_sum(j - l - n + 1, n, point)
-                for j in range(2 * l + 1)), Fraction(0))
+    lhs = _fraction_free_sum((qbinomial_value(2 * l, j, point), s_sum(j - l - n, n, point))
+                             for j in range(2 * l + 1))
+    rhs = -_fraction_free_sum((qbinomial_value(2 * l, j, point),
+                               s_sum(j - l - n + 1, n, point))
+                              for j in range(2 * l + 1))
     params = {"l": l, "n": n, "point": point.describe()}
-    return _value_report("s-symmetry", lhs, rhs, params, watch, seed)
+    return value_report("s-symmetry", lhs, rhs, params, watch, seed)
 
 
 # -- expansion-coefficient summation identities -----------------------
@@ -362,7 +353,7 @@ def expansion_coeff_check(l: int, n: int, point: RationalPoint,
     watch = Stopwatch()
     lhs, rhs = _expansion_coeff_sides(l, n, point)
     params = {"l": l, "n": n, "point": point.describe()}
-    return _value_report("expansion-coeff-sum", lhs, rhs, params, watch, seed)
+    return value_report("expansion-coeff-sum", lhs, rhs, params, watch, seed)
 
 
 def _expansion_coeff_sides(l: int, n: int, point: RationalPoint) -> tuple[Fraction, Fraction]:
@@ -391,7 +382,7 @@ def wp_expansion_coeff_check(l: int, n: int, point: RationalPoint,
     watch = Stopwatch()
     lhs, rhs = _wp_expansion_coeff_sides(l, n, point)
     params = {"l": l, "n": n, "point": point.describe()}
-    return _value_report("wp-expansion-coeff-sum", lhs, rhs, params, watch, seed)
+    return value_report("wp-expansion-coeff-sum", lhs, rhs, params, watch, seed)
 
 
 def _wp_expansion_coeff_sides(l: int, n: int,
@@ -487,14 +478,18 @@ def draw_point(rng: random.Random, names: tuple[str, ...]) -> RationalPoint:
     return RationalPoint(values)
 
 
+# draws per random point before a check that keeps meeting poles gives up
+MAX_DRAWS = 64
+
+
 def run_at_random_points(check, names: tuple[str, ...], n_points: int,
-                         seed: int, max_retries: int = 64) -> list[IdentityReport]:
+                         seed: int) -> list[IdentityReport]:
     """Run `check(point, seed)` at n_points random points, redrawing a
     point whenever it hits a pole."""
     rng = random.Random(seed)
     reports = []
     for _ in range(n_points):
-        for _attempt in range(max_retries):
+        for _attempt in range(MAX_DRAWS):
             point = draw_point(rng, names)
             try:
                 reports.append(check(point, seed))
@@ -502,5 +497,5 @@ def run_at_random_points(check, names: tuple[str, ...], n_points: int,
             except PoleError:
                 continue
         else:
-            raise DomainError(f"could not draw a pole-free point after {max_retries} tries")
+            raise DomainError(f"could not draw a pole-free point after {MAX_DRAWS} tries")
     return reports

@@ -20,8 +20,7 @@ from itertools import combinations_with_replacement
 
 from .errors import DomainError, InternalConsistencyError
 from .qfunctions import (binom2, combined_poch, hermite, inv_poch, inv_qq,
-                         inv_poch_infinite, poch_finite, poch_infinite, qt_poch,
-                         ultraspherical)
+                         inv_poch_infinite, poch_finite, poch_infinite, ultraspherical)
 from .report import IdentityReport, Stopwatch, series_report
 from .series import TruncatedSeries, Truncation
 
@@ -214,21 +213,25 @@ def _rho_sum(const2, weights, couplings, factor, trunc):
     budget = 2 * trunc.max_q
     one = TruncatedSeries.one(trunc)
     pairs = []
-
-    def descend(rho, e2, val):
-        # val = q^(e2/2) times the factors of the entries of rho
+    # depth first over nodes (rho, e2, val), val = q^(e2/2) times the
+    # factors of rho's entries, on an explicit stack so that k is not
+    # bounded by the recursion limit; children go on in reverse, so the
+    # pairs are formed in ascending rho order.
+    stack = [((), const2, TruncatedSeries.monomial(trunc, 1, e_q=const2 // 2))]
+    while stack:
+        rho, e2, val = stack.pop()
         i = len(rho)
         slope = weights[i] + 2 * sum(a * r for a, r in zip(couplings[i], rho))
+        children = []
         r = 0
         while e2 + r * slope <= budget:
             step = one if r == 0 else factor[r].shift(e_q=r * slope // 2)
             if i + 1 == len(weights):
                 pairs.append((val, step))
             else:
-                descend(rho + (r,), e2 + r * slope, val if r == 0 else val * step)
+                children.append((rho + (r,), e2 + r * slope, val if r == 0 else val * step))
             r += 1
-
-    descend((), const2, TruncatedSeries.monomial(trunc, 1, e_q=const2 // 2))
+        stack.extend(reversed(children))
     return TruncatedSeries.sum_of_products(trunc, pairs)
 
 
@@ -270,7 +273,7 @@ def _fermionic_side(k, b, c, trunc):
         for i, (prev, n) in enumerate(zip(lower, chain)):
             val = val * inv_qq(n - prev, trunc)
             if len(params[i]) == 2:
-                val = val * qt_poch(b[i] * c[i], n - prev, trunc)
+                val = val * poch_finite((b[i] * c[i], 1, 1, 0, 0), n - prev, trunc)
             for x in params[i]:
                 val = val * inv_poch((x, 1, 1, 0, 0), n, trunc)     # 1/(x q t;q)_n
                 if i:

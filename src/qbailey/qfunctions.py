@@ -74,12 +74,6 @@ def combined_poch(b, n: int, trunc: Truncation) -> TruncatedSeries:
     return poch_finite((1 / b, 0, 0, 0, 0), n, trunc).scale(b ** n)
 
 
-def qt_poch(x, n: int, trunc: Truncation) -> TruncatedSeries:
-    """(x q t;q)_n for rational x, the parameter Pochhammer symbol of the
-    parametrized identity and the chain lift."""
-    return poch_finite((x, 1, 1, 0, 0), n, trunc)
-
-
 @functools.cache
 def qbinomial(M: int, N: int, trunc: Truncation) -> TruncatedSeries:
     """Gaussian binomial coefficient as a truncated q-polynomial;

@@ -1,9 +1,11 @@
 """Machine-readable verdicts for identity checks.
 
 A report either passes or carries the canonically smallest mismatching
-monomial with both coefficients, so a failure localizes to one term.
-Serialization sorts keys, which makes reports byte-stable across runs
-up to the recorded wall time.
+monomial with both coefficients, so a failure localizes to one term;
+its status is read off that mismatch.  Every report is built here: one
+comparison of two series or two values, or a chain of sub-checks that
+stops at the first one that fails.  Serialization sorts keys, which
+makes reports byte-stable across runs up to the recorded wall time.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ class IdentityReport:
     identity: str
     params: dict
     truncation: Truncation | None
-    status: str  # "pass" | "fail"
     first_mismatch: dict | None
     wall_time_ms: int
     term_counts: dict = field(default_factory=dict)
@@ -54,7 +55,11 @@ class IdentityReport:
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return self.first_mismatch is None
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.passed else "fail"
 
     def to_dict(self) -> dict:
         trunc = None
@@ -93,14 +98,29 @@ def series_report(identity: str, lhs: TruncatedSeries, rhs: TruncatedSeries,
                   params: dict, watch: Stopwatch | None = None,
                   seed: int | None = None) -> IdentityReport:
     """Compare two series and package the verdict."""
-    mismatch = first_mismatch(lhs, rhs)
-    return IdentityReport(
-        identity=identity,
-        params=params,
-        truncation=lhs.trunc,
-        status="pass" if mismatch is None else "fail",
-        first_mismatch=mismatch,
-        wall_time_ms=watch.ms() if watch else 0,
-        term_counts={"lhs": lhs.term_count(), "rhs": rhs.term_count()},
-        seed=seed,
-    )
+    return IdentityReport(identity, params, lhs.trunc, first_mismatch(lhs, rhs),
+                          watch.ms() if watch else 0,
+                          {"lhs": lhs.term_count(), "rhs": rhs.term_count()}, seed)
+
+
+def value_report(identity: str, lhs: Fraction, rhs: Fraction, params: dict,
+                 watch: Stopwatch, seed: int | None = None) -> IdentityReport:
+    """Compare two exact values and package the verdict."""
+    return IdentityReport(identity, params, None, value_mismatch(lhs, rhs),
+                          watch.ms(), {}, seed)
+
+
+def _first_failure(identity: str, params: dict, truncation: Truncation | None,
+                   subchecks, watch: Stopwatch, seed: int | None = None) -> IdentityReport:
+    """The verdict of a chain of sub-checks.  `subchecks` yields
+    (labels, mismatch, term_counts) lazily; the chain stops at the first
+    mismatch and reports it as {**labels, **mismatch}.  term_counts are
+    those of the last sub-check run.  The sub-checks' sums run inside
+    this frame, so it stays private: a profiler that wraps public names
+    charges them to the caller."""
+    counts, failure = {}, None
+    for labels, mismatch, counts in subchecks:
+        if mismatch is not None:
+            failure = {**labels, **mismatch}
+            break
+    return IdentityReport(identity, params, truncation, failure, watch.ms(), counts, seed)

@@ -151,7 +151,8 @@ def reference_lifted_beta(beta, params, trunc, n):
         val = beta[chain[0]].shift(e_q=e, e_t=e)
         for i in range(k):
             d = seq[i + 1] - seq[i]
-            val = val * qf.inv_qq(d, trunc) * qf.qt_poch(params.b[i] * params.c[i], d, trunc)
+            val = val * qf.inv_qq(d, trunc) \
+                * qf.poch_finite((params.b[i] * params.c[i], 1, 1, 0, 0), d, trunc)
             for x in (params.b[i], params.c[i]):
                 val = val * qf.inv_poch((x, 1, 1, 0, 0), seq[i + 1], trunc) \
                     * qf.combined_poch(x, seq[i], trunc)
@@ -331,3 +332,42 @@ def test_relation_verifier_reports_first_failing_n(case):
         "rhs": f"{Fraction(coeff).numerator}/{Fraction(coeff).denominator}"}
     assert report.term_counts == {"lhs": entry.term_count() - (coeff == -1),
                                   "rhs": entry.term_count()}
+
+
+def test_relation_verifier_stops_at_the_first_failing_n():
+    # after the mismatch at n = 2 no later entry is compared, so neither
+    # family is asked for n = 3 or n = 4
+    gamma, delta = B.hermite_conjugate_pair(TR)
+    bad, _ = _raise_one_coefficient(gamma, 2)
+    asked = []
+
+    def gen(n):
+        asked.append(n)
+        return bad[n]
+
+    report = B.verify_conjugate_pair(B.PairFamily("gamma", TR, gen, bad.support_bound),
+                                     delta, 4)
+    assert report.first_mismatch["n"] == 2
+    assert asked == [0, 1, 2]
+
+
+def test_wp_collapse_reports_the_failing_family(monkeypatch):
+    # a changed ordinary delta_1 fails the s = 0 collapse there: the
+    # report names n and the family, and carries no term counts
+    plain = B.hermite_conjugate_pair
+
+    def changed(trunc):
+        gamma, delta = plain(trunc)
+        bad, _ = _raise_one_coefficient(delta, 1)
+        return gamma, bad
+
+    monkeypatch.setattr(B, "hermite_conjugate_pair", changed)
+    report = B.wp_collapse_check(TRS, 3)
+    assert report.status == "fail" and not report.passed
+    assert report.identity == "wp-collapse-s0"
+    assert report.params == {"n_max": 3}
+    assert report.truncation == TRS
+    assert set(report.first_mismatch) == {"n", "family", "monomial", "lhs", "rhs"}
+    assert (report.first_mismatch["n"], report.first_mismatch["family"]) == (1, "delta")
+    assert report.term_counts == {}
+    assert report.to_dict()["status"] == "fail"

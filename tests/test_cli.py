@@ -144,6 +144,38 @@ def test_verify_grid_ids(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("identity, sides", [("lemma-b1", "_expansion_coeff_sides"),
+                                             ("appx-c", "_wp_expansion_coeff_sides")])
+def test_failing_grid_names_l_n_and_the_point(capsys, monkeypatch, identity, sides):
+    # sides that differ at (l, n) = (2, 1) fail the grid of every point
+    # there: the report names l and n beside the mismatch, keeps the
+    # point in its params, and no later (l, n) of that point is run
+    original = getattr(hg, sides)
+    ran = []
+
+    def failing(l, n, point):
+        ran.append((l, n))
+        return (Fraction(1), Fraction(0)) if (l, n) == (2, 1) else original(l, n, point)
+
+    monkeypatch.setattr(hg, sides, failing)
+    code, out, _ = run(capsys, ["verify", identity, "--lmax", "3", "--nmax", "3",
+                                "--points", "2", "--seed", "5", "--json"])
+    assert code == 1
+    reports = json.loads(out)
+    assert len(reports) == 3
+    for r in reports:
+        assert r["status"] == "fail" and r["identity"] == identity
+        assert r["first_mismatch"] == {"l": 2, "n": 1, "monomial": [0, 0, 0, 0],
+                                       "lhs": "1/1", "rhs": "0/1"}
+        assert set(r["params"]) == {"lmax", "nmax", "point"}
+        assert r["truncation"] is None and r["term_counts"] == {}
+    fixed = {"q": "2/3", "t": "3/5", "s": "5/7"}
+    assert reports[0]["params"]["point"] == {k: fixed[k] for k in ("q", "t", "s")
+                                             if identity == "appx-c" or k != "s"}
+    per_point = [(l, n) for l in range(3) for n in range(4)][:10]
+    assert ran == per_point * 3
+
+
 def test_chain_deeper_than_the_recursion_limit(capsys):
     # the lift builds its levels iteratively, lowest first, so the chain
     # depth is not bounded by the interpreter's recursion limit
@@ -153,6 +185,14 @@ def test_chain_deeper_than_the_recursion_limit(capsys):
     assert code == 0 and "[PASS] bailey-transform" in out
 
 
+def test_rho_levels_deeper_than_the_recursion_limit(capsys):
+    # the rho sum of the original form walks its levels with an explicit
+    # stack, so k is not bounded by the interpreter's recursion limit
+    k = sys.getrecursionlimit() + 1
+    code, out, _ = run(capsys, ["verify", "appx-a", "--k", str(k), "--nq", "0", "--nt", "0"])
+    assert code == 0 and "[PASS] appx-a" in out
+
+
 def test_verify_pair_grammar_errors(capsys):
     code, _, err = run(capsys, ["verify", "corollary-special",
                                 "--pair", "chain(2;0;0)"])
@@ -160,9 +200,19 @@ def test_verify_pair_grammar_errors(capsys):
     code, _, err = run(capsys, ["verify", "corollary-special",
                                 "--pair", "mystery"])
     assert code == 2
-    code, _, err = run(capsys, ["verify", "corollary-special",
-                                "--conjugate", "thm61"])
-    assert code == 2
+
+
+@pytest.mark.parametrize("value", ["thm31", "thm61"])
+def test_conjugate_flag_is_a_usage_error(capsys, value):
+    # the transform always uses the ordinary conjugate pair, so there is
+    # no --conjugate flag; the report still names the pair thm31
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "corollary-special", "--conjugate", value])
+    assert exc.value.code == 2
+    code, out, _ = run(capsys, ["verify", "corollary-special", "--nq", "4", "--nt", "4",
+                                "--json"])
+    assert code == 0
+    assert json.loads(out)[0]["params"] == {"pair": "seed", "conjugate": "thm31"}
 
 
 def test_table_csv_and_equality_across_reps(capsys, tmp_path):

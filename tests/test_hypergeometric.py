@@ -213,6 +213,20 @@ def test_pole_error_names_factor():
         assert err.value.factor == factor
 
 
+def test_a_check_that_always_meets_a_pole_is_a_domain_error():
+    # every draw meets a pole, so the driver gives up after MAX_DRAWS
+    # draws for the first point and names what it could not do
+    drawn = []
+
+    def pole(point, seed):
+        drawn.append(point)
+        raise PoleError("(1 - t)")
+
+    with pytest.raises(DomainError, match="could not draw a pole-free point"):
+        hg.run_at_random_points(pole, ("q", "t"), 2, 11)
+    assert len(drawn) == hg.MAX_DRAWS
+
+
 _q = st.builds(Fraction, st.integers(-9, 9).filter(bool),
                st.integers(1, 9)).filter(lambda q: abs(q) != 1)
 

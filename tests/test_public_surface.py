@@ -79,3 +79,17 @@ def test_public_callables_are_used_or_library_api():
 def test_library_api_names_exist():
     defined, _ = _surface()
     assert sorted(LIBRARY_API - set(defined)) == []
+
+
+def test_only_the_report_module_builds_reports():
+    # every verdict is assembled in report.py, so that what a report
+    # holds, and how its status follows from the mismatch, has one home
+    builders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name == "IdentityReport":
+                    builders.append(path.stem)
+    assert builders and set(builders) == {"report"}

@@ -336,7 +336,7 @@ def test_inv_poch_zero_base_and_errors():
     # (0 qt;q)_n = 1, the zero-parameter factor of the chain lift
     for n in range(4):
         assert qf.inv_poch((0, 1, 1, 0, 0), n, TR) == one()
-        assert qf.qt_poch(0, n, TR) == one()
+        assert qf.poch_finite((0, 1, 1, 0, 0), n, TR) == one()
     with pytest.raises(DomainError):
         qf.inv_poch((1, 1, 0, 0, 0), -1, TR)
     with pytest.raises(DomainError):
