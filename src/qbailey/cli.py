@@ -113,7 +113,7 @@ def _grid_reports(identity: str, check, names: tuple[str, ...],
 def _verify(args) -> list[IdentityReport]:
     identity = args.identity
     nq, nt, ns = args.nq, args.nt, args.ns
-    for flag in ("nmax", "lmax", "points"):
+    for flag in ("nq", "nt", "ns", "nmax", "lmax", "points"):
         if getattr(args, flag) < 0:
             raise DomainError(f"--{flag} must be >= 0")
     if identity in ("thm-main", "thm-kks", "thm-general", "appx-a", "multi-rr"):

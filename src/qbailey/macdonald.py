@@ -63,12 +63,6 @@ class DynkinData:
                     raise InternalConsistencyError("adjacency must be symmetric")
 
 
-@functools.cache
-def _tq_qq_inf_power(k: int, trunc: Truncation) -> TruncatedSeries:
-    # ((t;q)_inf (q;q)_inf)^k, memoized
-    return (poch_infinite((1, 0, 1, 0, 0), trunc) * poch_infinite((1, 1, 0, 0, 0), trunc)) ** k
-
-
 def bosonic_index(k: int, trunc: Truncation) -> TruncatedSeries:
     """Single-sum (alternating, product-prefactored) representation:
     1/(t,tz^2,t z^-2;q)_inf * sum_n (-1)^n t^((k+1)n) q^(k n^2 + binom(n,2))
@@ -105,20 +99,26 @@ def fermionic2_index(k: int, trunc: Truncation) -> TruncatedSeries:
       (prod (t,q;q)_{r_i} * prod (q;q)_{s_i}^2)
       * sum_{u1,u2} [s_k,u1]_q [s_k,u2]_q z^(2u1-2u2),  with s_0 = 0.
 
-    The r-sums factor per level into memoized one-dimensional series, and
-    the (u1,u2)-sum is H_{s_k}(z;q)^2."""
+    Each r_i-sum is the memoized series G(s_{i-1}+s_i+1), G = _r_geometric,
+    and the (u1,u2)-sum is H_{s_k}(z;q)^2.  The s-sums run one level at a
+    time from F_0 = {0: 1}: F_i(s) = t^s/(q;q)_s^2 sum_p F_{i-1}(p) G(p+s+1),
+    and the multisum is sum_s F_k(s) H_s^2."""
     if k < 1:
         raise DomainError("k must be >= 1")
-    pairs = []
-    for svec in _svectors(k, trunc.max_t):
-        val = TruncatedSeries.monomial(trunc, 1, e_t=sum(svec))
-        s_full = (0,) + svec
-        for i in range(k):
-            val = val * _r_geometric(s_full[i] + s_full[i + 1] + 1, trunc)
-            val = val * inv_qq(svec[i], trunc) ** 2
-        h = hermite(svec[-1], trunc)
-        pairs.append((val * h, h))
-    return _tq_qq_inf_power(k, trunc) * TruncatedSeries.sum_of_products(trunc, pairs)
+    level = [TruncatedSeries.one(trunc)]
+    for _ in range(k):
+        next_level = []
+        for s in range(trunc.max_t + 1):
+            # F_{i-1}(p) t^s is past the t-cap once p + s > max_t
+            inner = TruncatedSeries.sum_of_products(
+                trunc, ((f, _r_geometric(p + s + 1, trunc))
+                        for p, f in enumerate(level[:trunc.max_t - s + 1])))
+            next_level.append(inner.shift(e_t=s) * inv_qq(s, trunc) ** 2)
+        level = next_level
+    total = TruncatedSeries.sum_of_products(
+        trunc, ((f * hermite(s, trunc), hermite(s, trunc)) for s, f in enumerate(level)))
+    pref = (poch_infinite((1, 0, 1, 0, 0), trunc) * poch_infinite((1, 1, 0, 0, 0), trunc)) ** k
+    return pref * total
 
 
 def _svectors(k: int, cap: int):
@@ -140,12 +140,13 @@ def original_index(k: int, trunc: Truncation) -> TruncatedSeries:
     each such block the exponents are read off the adjacency as doubled
     integers: a constant over pairs of fixed nodes, one weight per rho
     node and the rho-rho couplings give the doubled q-exponent, and the
-    fixed entries the doubled t-exponent.  They are checked even once per
-    block, which makes every exponent of the block integral.  Blocks with
-    the same exponent data share one rho-sum, enumerated depth first and
-    cut off exactly at max_q.  Nothing here uses the factored r-sums of
-    fermionic2_index, so this stays an independent witness of the
-    adjacency data rather than a restatement of the factored multisum."""
+    fixed entries the doubled t-exponent e_t.  They are checked even once per
+    block, which makes every exponent of the block integral.  A block is
+    a rho-sum times t^(e_t/2) z^(2(m_{2k+1}-l_{2k+1})) and 1/(q;q) of each
+    fixed entry.  Blocks with the same exponent data share one rho-sum,
+    enumerated depth first and cut off exactly at max_q; it pairs once
+    with the sum of their fixed factors.  Nothing here uses the level
+    sums of fermionic2_index, so this stays an independent witness."""
     if k < 1:
         raise DomainError("k must be >= 1")
     adj = DynkinData.build(k).adjacency
@@ -156,8 +157,8 @@ def original_index(k: int, trunc: Truncation) -> TruncatedSeries:
                       for i, r in enumerate(rho_nodes))
     factor = [inv_poch((1, 0, 1, 0, 0), r, trunc) * inv_qq(r, trunc)    # 1/(t,q;q)_r
               for r in range(trunc.max_q + 1)]
-    rho_sums: dict = {}
-    pairs = []
+    fixed_sums: dict = {}
+    zero = TruncatedSeries.zero(trunc)
     for svec in _svectors(k, trunc.max_t):
         sigma_k = svec[-1]
         for u1 in range(sigma_k + 1):
@@ -174,19 +175,17 @@ def original_index(k: int, trunc: Truncation) -> TruncatedSeries:
                         f"{const2}, rho weights {weights}, doubled t-exponent {e_t2}")
                 if e_t2 > 2 * trunc.max_t:
                     continue
-                # the couplings are the same for the whole call, and for
-                # the D-series graph the weights do not depend on (u1, u2)
-                key = (const2, weights)
-                rho_sum = rho_sums.get(key)
-                if rho_sum is None:
-                    rho_sum = rho_sums[key] = _rho_sum(
-                        const2, weights, couplings, factor, trunc)
-                fixed = TruncatedSeries.one(trunc)
+                fixed = TruncatedSeries.monomial(trunc, 1, e_t=e_t2 // 2,
+                                                 e_z=2 * (m[2 * k] - l[2 * k]))
                 for j in fixed_nodes:
                     fixed = fixed * inv_qq(l[j], trunc) * inv_qq(m[j], trunc)
-                pairs.append((rho_sum.shift(e_t=e_t2 // 2, e_z=2 * (m[2 * k] - l[2 * k])),
-                              fixed))
-    return _tq_qq_inf_power(k, trunc) * TruncatedSeries.sum_of_products(trunc, pairs)
+                # for the D-series graph the weights do not depend on (u1, u2)
+                key = (const2, weights)
+                fixed_sums[key] = fixed_sums.get(key, zero) + fixed
+    pairs = [(_rho_sum(const2, weights, couplings, factor, trunc), fixed)
+             for (const2, weights), fixed in fixed_sums.items()]
+    pref = (poch_infinite((1, 0, 1, 0, 0), trunc) * poch_infinite((1, 1, 0, 0, 0), trunc)) ** k
+    return pref * TruncatedSeries.sum_of_products(trunc, pairs)
 
 
 def _fixed_entries(k, svec, u1, u2):

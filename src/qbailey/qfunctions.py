@@ -116,8 +116,8 @@ def inv_tq(n: int, trunc: Truncation) -> TruncatedSeries:
 
 @functools.cache
 def poch_ratio(param: str, j: int, trunc: Truncation) -> TruncatedSeries:
-    """(x;q)_j / (q;q)_j for a ring variable x in {q, t, s}, memoized."""
-    a = {"q": (1, 1, 0, 0, 0), "t": (1, 0, 1, 0, 0), "s": (1, 0, 0, 1, 0)}[param]
+    """(x;q)_j / (q;q)_j for a ring variable x in {t, s}, memoized."""
+    a = {"t": (1, 0, 1, 0, 0), "s": (1, 0, 0, 1, 0)}[param]
     return poch_finite(a, j, trunc) * inv_qq(j, trunc)
 
 

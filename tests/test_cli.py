@@ -1,12 +1,16 @@
 """CLI contract tests: exit codes, formats, determinism, fault
 injection."""
 
+import contextlib
+import io
 import json
 import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_hypergeometric import reference_inv_poch_value, reference_poch_value
 from test_macdonald import _clear_caches
 
@@ -328,3 +332,113 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     assert code == 2
     assert err.startswith("usage error:") and "Traceback" not in err
     assert "PASS" not in out
+
+
+# -- the argument grammar, property-tested -----------------------------
+#
+# Every argument vector exits 0, 1 or 2 without a traceback; malformed
+# pair ids, bad rationals, wrong list lengths and negative caps exit 2.
+# Depths and caps stay small: a chain of depth k allocates k-long
+# parameter lists.  Values go in as --flag=value, because argparse reads
+# a separate value such as -1/2 as an option.
+
+
+def run_quiet(argv):
+    # exit code and stderr of one in-process run, without capsys, which
+    # hypothesis does not reset between examples; argparse's own usage
+    # errors leave through SystemExit
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+GOOD_RATIONAL = st.one_of(st.integers(-9, 9).map(str),
+                          st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9)))
+BAD_RATIONAL = st.sampled_from(["x", "1/0", "1//2", "1/", "/2", "1.2.3", "(1)", "nan", "inf"])
+
+
+@st.composite
+def rational_lists(draw, k):
+    # (text, well_formed) for a --b/--c value or a chain's parameter list
+    kind = draw(st.sampled_from(["zeros", "good", "length", "bad"]))
+    if kind == "zeros":
+        return "", True
+    if kind == "good":
+        return ",".join(draw(st.lists(GOOD_RATIONAL, min_size=k, max_size=k))), True
+    if kind == "length":
+        n = draw(st.integers(1, 4).filter(lambda n: n != k))
+        return ",".join(draw(st.lists(GOOD_RATIONAL, min_size=n, max_size=n))), False
+    items = draw(st.lists(GOOD_RATIONAL, min_size=k - 1, max_size=k - 1))
+    items.insert(draw(st.integers(0, k - 1)), draw(BAD_RATIONAL))
+    return ",".join(items), False
+
+
+@st.composite
+def pair_ids(draw):
+    # (identifier, well_formed) for --pair
+    kind = draw(st.sampled_from(["seed", "chain", "depth", "parts", "other"]))
+    if kind == "seed":
+        return "seed", True
+    if kind == "depth":                 # not an integer, or below 1
+        k = draw(st.sampled_from(["x", "", "1.5", "2/1"]) | st.integers(-3, 0).map(str))
+        return f"chain({k};;)", False
+    if kind == "parts":
+        return draw(st.sampled_from(["chain()", "chain(1)", "chain(1;0)", "chain(1;0;0;0)"])), False
+    if kind == "other":
+        text = draw(st.text(max_size=12).filter(
+            lambda t: t != "seed" and not (t.startswith("chain(") and t.endswith(")"))))
+        return text, False
+    k = draw(st.integers(1, 3))
+    (b, b_ok), (c, c_ok) = draw(rational_lists(k)), draw(rational_lists(k))
+    return f"chain({k};{b};{c})", b_ok and c_ok
+
+
+def assert_exit(argv, well_formed):
+    code, err = run_quiet(argv)
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if well_formed:
+        assert code == 0, (argv, err)
+    else:
+        assert code == 2 and err.startswith("usage error:"), (argv, err)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=pair_ids())
+def test_pair_id_grammar(pair):
+    text, well_formed = pair
+    assert_exit(["verify", "corollary-special", f"--pair={text}", "--nq", "3", "--nt", "3"],
+                well_formed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 3), data=st.data())
+def test_rational_list_grammar(k, data):
+    (b, b_ok), (c, c_ok) = data.draw(rational_lists(k)), data.draw(rational_lists(k))
+    assert_exit(["verify", "thm-general", "--k", str(k), f"--b={b}", f"--c={c}",
+                 "--nq", "3", "--nt", "3"], b_ok and c_ok)
+
+
+CAP_FLAGS = ("--nq", "--nt", "--ns", "--nmax", "--lmax", "--points")
+
+
+@settings(max_examples=60, deadline=None)
+@given(identity=st.sampled_from(cli.IDENTITY_IDS), k=st.integers(1, 2),
+       caps=st.lists(st.integers(-2, 3), min_size=len(CAP_FLAGS), max_size=len(CAP_FLAGS)))
+def test_verify_cap_grammar(identity, k, caps):
+    # a negative cap is a usage error whether or not the identity reads it
+    flags = [x for flag, cap in zip(CAP_FLAGS, caps) for x in (flag, str(cap))]
+    assert_exit(["verify", identity, "--k", str(k), "--seed", "1", *flags],
+                min(caps) >= 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rep=st.sampled_from(["bosonic", "fermionic", "fermionic2", "original",
+                            "hall-littlewood"]),
+       k=st.integers(1, 2), nq=st.integers(-2, 4), nt=st.integers(-2, 4))
+def test_table_cap_grammar(rep, k, nq, nt):
+    argv = ["table", "--rep", rep, "--k", str(k), "--nq", str(nq), "--nt", str(nt)]
+    assert_exit(argv, min(nq, nt) >= 0)

@@ -318,13 +318,14 @@ def _macdonald_calls_per_branch(entry, *args):
 
 def test_sides_share_no_macdonald_function():
     # the two sides of an identity are computed independently: apart from
-    # the public entry point, no macdonald function runs on both
+    # the public entry points, no macdonald function runs on both
     k, trunc = 2, Truncation(6, 4)
-    fermionic = {"fermionic_index"}.union(
-        *_macdonald_calls_per_branch(M.fermionic_index, k, trunc))
-    bosonic = {"bosonic_index"}.union(
-        *_macdonald_calls_per_branch(M.bosonic_index, k, trunc))
-    assert not fermionic & bosonic
+    for left, right in ((M.fermionic_index, M.bosonic_index),       # thm-main
+                        (M.fermionic_index, M.fermionic2_index),    # thm-kks
+                        (M.original_index, M.fermionic2_index)):    # appx-a
+        lhs, rhs = ({side.__name__}.union(*_macdonald_calls_per_branch(side, k, trunc))
+                    for side in (left, right))
+        assert not lhs & rhs, (left.__name__, right.__name__, lhs & rhs)
     for b, c in (([0, 0], [0, 0]), ([Fraction(2, 5), 0], [3, Fraction(1, 2)])):
         lhs, rhs = _macdonald_calls_per_branch(M.generalized_sides, k, b, c, trunc)
         assert lhs and rhs and not lhs & rhs
@@ -369,7 +370,35 @@ def reference_original_index(k, trunc):
         for u1 in range(sigma_k + 1):
             for u2 in range(sigma_k + 1):
                 total = total + reference_rho_block(k, adj, size, svec, u1, u2, trunc)
-    return M._tq_qq_inf_power(k, trunc) * total
+    return reference_tq_qq_inf_power(k, trunc) * total
+
+
+def reference_tq_qq_inf_power(k, trunc):
+    # ((t;q)_inf (q;q)_inf)^k, the prefactor of both Dynkin-side forms
+    return (qf.poch_infinite((1, 0, 1, 0, 0), trunc)
+            * qf.poch_infinite((1, 1, 0, 0, 0), trunc)) ** k
+
+
+def reference_fermionic2_index(k, trunc):
+    # frozen copy of the per-s-vector loop fermionic2_index was written
+    # as: one product chain of 2k factors for each s-vector
+    pairs = []
+    for svec in M._svectors(k, trunc.max_t):
+        val = TruncatedSeries.monomial(trunc, 1, e_t=sum(svec))
+        s_full = (0,) + svec
+        for i in range(k):
+            val = val * M._r_geometric(s_full[i] + s_full[i + 1] + 1, trunc)
+            val = val * qf.inv_qq(svec[i], trunc) ** 2
+        h = qf.hermite(svec[-1], trunc)
+        pairs.append((val * h, h))
+    return reference_tq_qq_inf_power(k, trunc) * TruncatedSeries.sum_of_products(trunc, pairs)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("max_q,max_t", [(4, 7), (8, 5), (0, 6), (7, 0)])
+def test_fermionic2_levels_match_svector_loop(k, max_q, max_t):
+    trunc = Truncation(max_q, max_t)
+    assert M.fermionic2_index(k, trunc).render() == reference_fermionic2_index(k, trunc).render()
 
 
 @functools.cache

