@@ -6,7 +6,11 @@ constructor declares a sound support bound: the smallest index beyond
 which entries vanish modulo the truncation (typically forced by a t^n
 prefactor), which is what finitizes the infinite sums in the conjugate
 relation and the transform.  Verification refuses families whose bound
-is needed but missing.
+is needed but missing.  A family builds its n-free factors once, and a
+delta entry t^n core(n) reads its core through the family's memo, so
+each entry and each core is generated once per family.  The s = 0
+collapse check takes the well-poised families the relation check has
+verified and compares them with an ordinary pair it builds itself.
 
 The k-fold chain lift is Bailey's lemma applied k times (Andrews,
 Pacific J. Math. 114 (1984)): one memoized beta table per level, each
@@ -18,7 +22,10 @@ layer runs up to the first n that fails.
 The well-poised relation weight (s/t;q)_{l-n} carries a negative
 t-power; it is absorbed against the t^l prefactor of the delta entries
 through the polynomial form prod_i (t - s q^i), so the verifier works
-on the t-free entry cores and never forms a negative exponent.
+on the t-free entry cores and never forms a negative exponent.  The
+weights are tabulated once per check, A[d] = prod_{i<d} (t - s q^i) /
+(q;q)_d and B[j] = (s;q)_j / (tq;q)_j, and the term l of the relation
+at n is the one pair (A[l-n] B[l+n], core(l)).
 """
 
 from __future__ import annotations
@@ -216,6 +223,15 @@ def _conj_prefactor_inv(trunc: Truncation) -> TruncatedSeries:
             * inv_poch_infinite((1, 0, 1, 0, -1), trunc))
 
 
+def _delta_family(trunc: Truncation,
+                  core_gen: Callable[[int], TruncatedSeries]) -> PairFamily:
+    # delta_n = t^n * core(n), the core read through the family's own
+    # memo, so an entry and its core are built once between them
+    family = PairFamily("delta", trunc, lambda n: family.core(n).shift(e_t=n),
+                        support_bound=trunc.max_t, core_gen=core_gen)
+    return family
+
+
 def hermite_conjugate_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
     """The conjugate Bailey pair built from the q-Hermite expansion of
     the ultraspherical kernel:
@@ -226,18 +242,15 @@ def hermite_conjugate_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
     def gamma(n: int) -> TruncatedSeries:
         # (t^2;q)_inf / (t^2;q)_{2n} = (t^2 q^{2n};q)_inf
         tail = poch_infinite((1, 2 * n, 2, 0, 0), trunc)
-        pref = poch_finite((1, 1, 0, 0, 0), 2 * n, trunc) * tail * _conj_prefactor_inv(trunc)
-        return (pref * ultraspherical(2 * n, trunc, "t").halve_z()).shift(e_t=n)
+        pref = poch_finite((1, 1, 0, 0, 0), 2 * n, trunc) * tail
+        return (pref * ultraspherical(2 * n, trunc, "t").halve_z()
+                * _conj_prefactor_inv(trunc)).shift(e_t=n)
 
     def delta_core(n: int) -> TruncatedSeries:
         return hermite(2 * n, trunc).halve_z()
 
-    def delta(n: int) -> TruncatedSeries:
-        return delta_core(n).shift(e_t=n)
-
     return (PairFamily("gamma", trunc, gamma, support_bound=trunc.max_t),
-            PairFamily("delta", trunc, delta, support_bound=trunc.max_t,
-                       core_gen=delta_core))
+            _delta_family(trunc, delta_core))
 
 
 def verify_conjugate_pair(gamma: PairFamily, delta: PairFamily,
@@ -285,30 +298,28 @@ def wp_conjugate_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
     any inversion."""
     if trunc.max_s is None:
         raise DomainError("the well-poised pair needs a truncation with s")
-    one = TruncatedSeries.one(trunc)
     s = TruncatedSeries.variable(trunc, "s")
+    # the n-free factors, built once per family:
+    # (sz, s/z;q)_inf / (t,tq,tz,t/z;q)_inf of gamma' and
+    # (1+s) (s^2 q;q)_inf / (s,sq;q)_inf of delta'
+    gamma_inf = (poch_infinite((1, 0, 0, 1, 1), trunc) * poch_infinite((1, 0, 0, 1, -1), trunc)
+                 * _conj_prefactor_inv(trunc))
+    delta_inf = ((s + 1) * poch_infinite((1, 1, 0, 2, 0), trunc)
+                 * inv_poch_infinite((1, 0, 0, 1, 0), trunc)
+                 * inv_poch_infinite((1, 1, 0, 1, 0), trunc))
 
     def gamma(n: int) -> TruncatedSeries:
         tail = poch_infinite((1, 2 * n, 2, 0, 0), trunc)
-        pref = (poch_finite((1, 1, 0, 0, 0), 2 * n, trunc) * tail
-                * poch_infinite((1, 0, 0, 1, 1), trunc) * poch_infinite((1, 0, 0, 1, -1), trunc)
-                * _conj_prefactor_inv(trunc))
-        return (pref * ultraspherical(2 * n, trunc, "t").halve_z()).shift(e_t=n)
+        pref = poch_finite((1, 1, 0, 0, 0), 2 * n, trunc) * tail
+        return (pref * ultraspherical(2 * n, trunc, "t").halve_z() * gamma_inf).shift(e_t=n)
 
     def delta_core(n: int) -> TruncatedSeries:
         num = poch_finite((1, 1, 0, 0, 0), 2 * n, trunc).mul_binomial(1, e_q=2 * n, e_s=1) \
-            * (one + s) * poch_infinite((1, 1, 0, 2, 0), trunc)
-        den_inv = (inv_poch((1, 0, 0, 2, 0), 2 * n, trunc)      # 1/(s^2;q)_{2n}
-                   * inv_poch_infinite((1, 0, 0, 1, 0), trunc)
-                   * inv_poch_infinite((1, 1, 0, 1, 0), trunc))
-        return num * den_inv * ultraspherical(2 * n, trunc, "s").halve_z()
-
-    def delta(n: int) -> TruncatedSeries:
-        return delta_core(n).shift(e_t=n)
+            * inv_poch((1, 0, 0, 2, 0), 2 * n, trunc)      # / (s^2;q)_{2n}
+        return num * delta_inf * ultraspherical(2 * n, trunc, "s").halve_z()
 
     return (PairFamily("gamma", trunc, gamma, support_bound=trunc.max_t),
-            PairFamily("delta", trunc, delta, support_bound=trunc.max_t,
-                       core_gen=delta_core))
+            _delta_family(trunc, delta_core))
 
 
 def verify_wp_conjugate(gamma_p: PairFamily, delta_p: PairFamily,
@@ -319,34 +330,49 @@ def verify_wp_conjugate(gamma_p: PairFamily, delta_p: PairFamily,
     with (s/t;q)_{l-n} t^{l-n} realized as prod_i (t - s q^i), absorbed
     against the t^l prefactor of delta'_l, so only the t-free cores and
     nonnegative powers appear.  Contributions run past delta's own
-    support bound, up to l = max_t + max_s."""
+    support bound, up to l = max_t + max_s.
+
+    The weight factors into two tables shared by every n:
+    A[d] = prod_{i<d} (t - s q^i) / (q;q)_d, which ends at the first d
+    whose product vanishes modulo the truncation, and
+    B[j] = (s;q)_j / (tq;q)_j, so each l costs the one pair
+    (A[l-n] B[l+n], core(l))."""
     trunc = gamma_p.trunc
     t = TruncatedSeries.variable(trunc, "t")
     s_series = TruncatedSeries.variable(trunc, "s")
     l_max = trunc.max_t + trunc.s_cap
 
+    a_table = [TruncatedSeries.one(trunc)]
+    running = a_table[0]                     # prod_{i<d} (t - s q^i)
+    while len(a_table) <= l_max:
+        running = running * (t - s_series.shift(e_q=len(a_table) - 1))
+        if running.is_zero():
+            break
+        a_table.append(running * inv_qq(len(a_table), trunc))
+
+    b_table = [TruncatedSeries.one(trunc)]
+    s_poch = b_table[0]                      # (s;q)_j
+    for j in range(1, l_max + min(n_max, l_max) + 1):
+        s_poch = s_poch.mul_binomial(1, e_q=j - 1, e_s=1)
+        b_table.append(s_poch * inv_tq(j, trunc))
+
     def rhs_at(n: int) -> TruncatedSeries:
-        pairs = []
-        running = TruncatedSeries.one(trunc)   # prod_{i<l-n} (t - s q^i)
-        s_poch = poch_finite((1, 0, 0, 1, 0), 2 * n, trunc)     # (s;q)_{l+n}
-        for l in range(n, l_max + 1):
-            if l > n:
-                running = running * (t - s_series.shift(e_q=l - n - 1))
-                if running.is_zero():
-                    break
-                s_poch = s_poch.mul_binomial(1, e_q=l + n - 1, e_s=1)
-            pairs.append((running * s_poch * inv_qq(l - n, trunc) * inv_tq(l + n, trunc),
-                          delta_p.core(l)))
-        return TruncatedSeries.sum_of_products(trunc, pairs).shift(e_t=n)
+        top = min(l_max, n + len(a_table) - 1)
+        return TruncatedSeries.sum_of_products(
+            trunc, ((a_table[l - n] * b_table[l + n], delta_p.core(l))
+                    for l in range(n, top + 1))).shift(e_t=n)
 
     return _relation_report("wp-conjugate-pair-relation", trunc, n_max, gamma_p, rhs_at)
 
 
-def wp_collapse_check(trunc: Truncation, n_max: int) -> IdentityReport:
+def wp_collapse_check(gamma_p: PairFamily, delta_p: PairFamily,
+                      n_max: int) -> IdentityReport:
     """Setting s = 0 must collapse the well-poised families entrywise
-    to the ordinary conjugate pair (exact term-map equality)."""
+    to the ordinary conjugate pair (exact term-map equality).  The wp
+    families are the caller's, typically the ones the relation check
+    has just verified; the ordinary pair is built here, independently."""
     watch = Stopwatch()
-    gamma_p, delta_p = wp_conjugate_pair(trunc)
+    trunc = gamma_p.trunc
     gamma, delta = hermite_conjugate_pair(trunc)
     subchecks = (({"n": n, "family": label},
                   first_mismatch(wp_fam[n].specialize("s", 0), plain_fam[n]), {})

@@ -135,7 +135,7 @@ def _verify(args) -> list[IdentityReport]:
         trunc = Truncation(nq, nt, ns)
         gamma_p, delta_p = bailey.wp_conjugate_pair(trunc)
         return [bailey.verify_wp_conjugate(gamma_p, delta_p, args.nmax),
-                bailey.wp_collapse_check(trunc, args.nmax)]
+                bailey.wp_collapse_check(gamma_p, delta_p, args.nmax)]
     if identity == "thm-general":
         b = _parse_rational_list(args.b, args.k, "--b")
         c = _parse_rational_list(args.c, args.k, "--c")
@@ -330,9 +330,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_list_values(argv: list[str]) -> list[str]:
+    """`--b -1/2` as `--b=-1/2`, and so for --c: argparse reads a
+    separate value that starts with a minus sign and is not a plain
+    number as an option, although a rational list may start with one."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--b", "--c") and arg.startswith("-") \
+                and not arg.startswith("--"):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except DomainError as exc:

@@ -18,13 +18,14 @@ numerator/denominator pairs, and each side reduces once, at the end.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, PoleError
 from .qfunctions import (binom2, hermite, inv_poch, inv_poch_infinite, inv_qq, inv_tq,
-                         poch_finite, poch_infinite, qbinomial)
+                         poch_finite, poch_infinite, poch_ratio, qbinomial)
 from .report import IdentityReport, Stopwatch, series_report, value_report
 from .series import TruncatedSeries, Truncation
 
@@ -276,17 +277,22 @@ def heine1_sides(a: Fraction, trunc: Truncation) -> tuple[TruncatedSeries, Trunc
     (powers of s) and the transformed series (powers of t) terminate
     modulo the truncation."""
     lhs = TruncatedSeries.sum_of_products(
-        trunc, ((poch_finite((a, 0, 0, 0, 0), n, trunc) * poch_finite((1, 0, 1, 0, 0), n, trunc)
-                 * inv_qq(n, trunc), inv_tq(n, trunc).shift(e_s=n))
+        trunc, ((poch_finite((a, 0, 0, 0, 0), n, trunc) * poch_ratio("t", n, trunc),
+                 inv_tq(n, trunc).shift(e_s=n))
                 for n in range(trunc.s_cap + 1)))
     inner = TruncatedSeries.sum_of_products(
         trunc, ((poch_finite((1, 0, 0, 1, 0), m, trunc),
                  inv_poch((a, 0, 0, 1, 0), m, trunc).shift(e_t=m))
                 for m in range(trunc.max_t + 1)))
-    rhs = (poch_infinite((1, 0, 1, 0, 0), trunc) * poch_infinite((a, 0, 0, 1, 0), trunc)
-           * inv_poch_infinite((1, 1, 1, 0, 0), trunc)
-           * inv_poch_infinite((1, 0, 0, 1, 0), trunc) * inner)
+    rhs = _heine1_prefactor(trunc) * poch_infinite((a, 0, 0, 1, 0), trunc) * inner
     return lhs, rhs
+
+
+@functools.cache
+def _heine1_prefactor(trunc: Truncation) -> TruncatedSeries:
+    # (t;q)_inf / (tq, s;q)_inf, the a-free factor of heine1_sides' rhs
+    return (poch_infinite((1, 0, 1, 0, 0), trunc) * inv_poch_infinite((1, 1, 1, 0, 0), trunc)
+            * inv_poch_infinite((1, 0, 0, 1, 0), trunc))
 
 
 # -- the S_{d,n} layer ------------------------------------------------

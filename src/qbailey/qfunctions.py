@@ -224,12 +224,22 @@ def hermite_expansion_coeff(n: int, l: int, trunc: Truncation) -> TruncatedSerie
     route (constant-term pairing), independent of the closed form."""
     if n < 0 or l < 0:
         raise DomainError("expansion coefficient indices must be >= 0")
-    integrand = (ultraspherical(2 * n, trunc, "t")
-                 * inv_poch_infinite((1, 0, 1, 0, 2), trunc)
-                 * inv_poch_infinite((1, 0, 1, 0, -2), trunc)
-                 * hermite(2 * l, trunc) * hermite_weight(trunc))
+    integrand = _expansion_n_factor(n, trunc) * _expansion_l_factor(l, trunc)
     return (ct_z(integrand) * poch_infinite((1, 1, 0, 0, 0), trunc)
             * inv_qq(2 * l, trunc)).scale(Fraction(1, 2))
+
+
+@functools.cache
+def _expansion_n_factor(n: int, trunc: Truncation) -> TruncatedSeries:
+    # C_{2n}(z,t;q) / (t z^2, t z^-2;q)_inf, the integrand's n-part
+    return (ultraspherical(2 * n, trunc, "t") * inv_poch_infinite((1, 0, 1, 0, 2), trunc)
+            * inv_poch_infinite((1, 0, 1, 0, -2), trunc))
+
+
+@functools.cache
+def _expansion_l_factor(l: int, trunc: Truncation) -> TruncatedSeries:
+    # H_{2l}(z;q) (z^2, z^-2;q)_inf, the integrand's l-part
+    return hermite(2 * l, trunc) * hermite_weight(trunc)
 
 
 def hermite_expansion_coeff_closed(n: int, l: int, trunc: Truncation) -> TruncatedSeries:
@@ -239,10 +249,15 @@ def hermite_expansion_coeff_closed(n: int, l: int, trunc: Truncation) -> Truncat
     if l < n:
         return TruncatedSeries.zero(trunc)
     # (t^2;q)_{2n} / (t^2;q)_inf = 1/(t^2 q^{2n};q)_inf
-    out = (poch_infinite((1, 0, 1, 0, 0), trunc) * poch_infinite((1, 1, 1, 0, 0), trunc)
-           * inv_poch_infinite((1, 2 * n, 2, 0, 0), trunc)
+    out = (_t_tq_infinite(trunc) * inv_poch_infinite((1, 2 * n, 2, 0, 0), trunc)
            * inv_qq(2 * n, trunc) * inv_qq(l - n, trunc) * inv_tq(l + n, trunc))
     return out.shift(e_t=l - n)
+
+
+@functools.cache
+def _t_tq_infinite(trunc: Truncation) -> TruncatedSeries:
+    # (t, tq;q)_inf
+    return poch_infinite((1, 0, 1, 0, 0), trunc) * poch_infinite((1, 1, 1, 0, 0), trunc)
 
 
 def weight_expansion_sides(trunc: Truncation) -> tuple[TruncatedSeries, TruncatedSeries]:
@@ -281,7 +296,7 @@ def weight_expansion_sides(trunc: Truncation) -> tuple[TruncatedSeries, Truncate
         m += 1
     bilateral = TruncatedSeries.sum_of_products(trunc, pairs)
 
-    t_tq = poch_infinite((1, 0, 1, 0, 0), trunc) * poch_infinite((1, 1, 1, 0, 0), trunc)
-    pref = (t_tq.mul_binomial(1, e_z=-2) * inv_poch_infinite((1, 1, 0, 0, 0), trunc)
+    pref = (_t_tq_infinite(trunc).mul_binomial(1, e_z=-2)
+            * inv_poch_infinite((1, 1, 0, 0, 0), trunc)
             * inv_poch_infinite((1, 0, 2, 0, 0), trunc))
     return lhs, pref * bilateral

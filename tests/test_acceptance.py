@@ -98,7 +98,7 @@ def test_criterion_7_wp_conjugate_pair():
     gamma_p, delta_p = B.wp_conjugate_pair(trunc)
     report = B.verify_wp_conjugate(gamma_p, delta_p, 4)
     _line(7, report.passed, "wp conjugate relation, n <= 4, (nq,nt,ns)=(8,8,6)")
-    collapse = B.wp_collapse_check(trunc, 4)
+    collapse = B.wp_collapse_check(gamma_p, delta_p, 4)
     _line(7, collapse.passed, "s=0 collapses wp families entrywise")
 
 

@@ -1,10 +1,12 @@
 """Tests for pair families, chain lifts, conjugate pairs, the
 transform, and the well-poised variant."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from conftest import clear_caches
 
 from qbailey import bailey as B
 from qbailey import qfunctions as qf
@@ -268,8 +270,147 @@ def test_wp_relation_n0_by_hand():
     assert rhs == gamma_p[0]
 
 
+def reference_wp_families(trunc):
+    """The well-poised gamma' and delta' cores as first written, every
+    n-free factor built again for each n; the frozen oracle of
+    bailey.wp_conjugate_pair."""
+    one = TruncatedSeries.one(trunc)
+    s = TruncatedSeries.variable(trunc, "s")
+
+    def gamma(n):
+        tail = qf.poch_infinite((1, 2 * n, 2, 0, 0), trunc)
+        pref = (qf.poch_finite((1, 1, 0, 0, 0), 2 * n, trunc) * tail
+                * qf.poch_infinite((1, 0, 0, 1, 1), trunc)
+                * qf.poch_infinite((1, 0, 0, 1, -1), trunc)
+                * qf.inv_poch_infinite((1, 0, 1, 0, 0), trunc)
+                * qf.inv_poch_infinite((1, 1, 1, 0, 0), trunc)
+                * qf.inv_poch_infinite((1, 0, 1, 0, 1), trunc)
+                * qf.inv_poch_infinite((1, 0, 1, 0, -1), trunc))
+        return (pref * qf.ultraspherical(2 * n, trunc, "t").halve_z()).shift(e_t=n)
+
+    def delta_core(n):
+        num = qf.poch_finite((1, 1, 0, 0, 0), 2 * n, trunc).mul_binomial(1, e_q=2 * n, e_s=1) \
+            * (one + s) * qf.poch_infinite((1, 1, 0, 2, 0), trunc)
+        den_inv = (qf.inv_poch((1, 0, 0, 2, 0), 2 * n, trunc)
+                   * qf.inv_poch_infinite((1, 0, 0, 1, 0), trunc)
+                   * qf.inv_poch_infinite((1, 1, 0, 1, 0), trunc))
+        return num * den_inv * qf.ultraspherical(2 * n, trunc, "s").halve_z()
+
+    return gamma, delta_core
+
+
+def test_wp_families_match_reference():
+    clear_caches()
+    gamma_p, delta_p = B.wp_conjugate_pair(TRS)
+    gamma, delta_core = reference_wp_families(TRS)
+    for n in range(TRS.max_t + 2):
+        assert gamma_p[n].render() == gamma(n).render()
+        assert delta_p.core(n).render() == delta_core(n).render()
+        assert delta_p[n].render() == delta_core(n).shift(e_t=n).render()
+
+
+def reference_wp_rhs(delta_p, n):
+    """The right-hand side of the well-poised relation at n by the
+    per-l loop as first written: the running product prod_i (t - s q^i)
+    and (s;q)_{l+n} updated per l, four factors per weight, stopping
+    at the first vanishing product; the frozen oracle of the tabulated
+    weights in bailey.verify_wp_conjugate."""
+    trunc = delta_p.trunc
+    t = TruncatedSeries.variable(trunc, "t")
+    s_series = TruncatedSeries.variable(trunc, "s")
+    pairs = []
+    running = TruncatedSeries.one(trunc)
+    s_poch = qf.poch_finite((1, 0, 0, 1, 0), 2 * n, trunc)
+    for l in range(n, trunc.max_t + trunc.s_cap + 1):
+        if l > n:
+            running = running * (t - s_series.shift(e_q=l - n - 1))
+            if running.is_zero():
+                break
+            s_poch = s_poch.mul_binomial(1, e_q=l + n - 1, e_s=1)
+        pairs.append((running * s_poch * qf.inv_qq(l - n, trunc) * qf.inv_tq(l + n, trunc),
+                      delta_p.core(l)))
+    return TruncatedSeries.sum_of_products(trunc, pairs).shift(e_t=n)
+
+
+def relation_rhs(monkeypatch, verify, lhs, rhs_family, n_max):
+    # the right-hand sides a relation verifier forms for n = 0..n_max,
+    # captured where it compares them; every n compares equal
+    seen = []
+    monkeypatch.setattr(B, "first_mismatch", lambda left, right: seen.append(right))
+    verify(lhs, rhs_family, n_max)
+    return seen
+
+
+@pytest.mark.parametrize("trunc", [TRS, Truncation(8, 8, 6), Truncation(6, 6, 0),
+                                   Truncation(2, 3, 4)],
+                         ids=["6x6x4", "8x8x6", "ns0", "early-zero"])
+def test_wp_rhs_matches_reference(monkeypatch, trunc):
+    clear_caches()
+    gamma_p, delta_p = B.wp_conjugate_pair(trunc)
+    n_max = trunc.max_t
+    got = relation_rhs(monkeypatch, B.verify_wp_conjugate, gamma_p, delta_p, n_max)
+    assert len(got) == n_max + 1
+    for n, rhs in enumerate(got):
+        assert rhs.render() == reference_wp_rhs(delta_p, n).render()
+
+
+def test_wp_weights_end_early_at_the_early_zero_truncation():
+    # at (2,3,4) prod_{i<d} (t - s q^i) vanishes already at
+    # d = max_t + max_s - 1, so the "early-zero" case above covers the
+    # tables ending before l_max
+    trunc = Truncation(2, 3, 4)
+    t = TruncatedSeries.variable(trunc, "t")
+    s = TruncatedSeries.variable(trunc, "s")
+    running = TruncatedSeries.one(trunc)
+    for i in range(trunc.max_t + trunc.s_cap - 1):
+        running = running * (t - s.shift(e_q=i))
+    assert running.is_zero()
+
+
+def count_generator_calls(family, attr):
+    # replaces the family's entry or core generator by one that counts
+    # its calls per index
+    calls = Counter()
+    gen = getattr(family, attr)
+
+    def counted(n):
+        calls[n] += 1
+        return gen(n)
+
+    setattr(family, attr, counted)
+    return calls
+
+
+def test_wp_families_are_built_once_across_relation_and_collapse(monkeypatch):
+    # the collapse check reads the families the relation check verified:
+    # no gamma' entry and no delta' core is generated twice, a delta'
+    # entry reads its core through the memo, and the s-weighted
+    # ultraspherical polynomial of each degree is built once
+    clear_caches()
+    gamma_p, delta_p = B.wp_conjugate_pair(TRS)
+    gamma_calls = count_generator_calls(gamma_p, "_gen")
+    core_calls = count_generator_calls(delta_p, "_core_gen")
+    degrees = Counter()
+    ultraspherical = B.ultraspherical
+
+    def counted_ultraspherical(n, trunc, param="t"):
+        degrees[n, param] += 1
+        return ultraspherical(n, trunc, param)
+
+    monkeypatch.setattr(B, "ultraspherical", counted_ultraspherical)
+    assert B.verify_wp_conjugate(gamma_p, delta_p, 3).passed
+    assert B.wp_collapse_check(gamma_p, delta_p, 3).passed
+    assert set(gamma_calls) == set(range(4)) and max(gamma_calls.values()) == 1
+    assert set(core_calls) == set(range(TRS.max_t + TRS.s_cap + 1))
+    assert max(core_calls.values()) == 1
+    assert max(count for (_, param), count in degrees.items() if param == "s") == 1
+    # the ordinary gamma of the collapse check is the independent side:
+    # it builds C_{2n}(z,t) once more for each n
+    assert {n: degrees[2 * n, "t"] for n in range(4)} == dict.fromkeys(range(4), 2)
+
+
 def test_wp_collapse_to_ordinary():
-    assert B.wp_collapse_check(TRS, 3).passed
+    assert B.wp_collapse_check(*B.wp_conjugate_pair(TRS), 3).passed
     gamma_p, delta_p = B.wp_conjugate_pair(TRS)
     gamma, delta = B.hermite_conjugate_pair(TRS)
     for n in range(4):
@@ -362,7 +503,7 @@ def test_wp_collapse_reports_the_failing_family(monkeypatch):
         return gamma, bad
 
     monkeypatch.setattr(B, "hermite_conjugate_pair", changed)
-    report = B.wp_collapse_check(TRS, 3)
+    report = B.wp_collapse_check(*B.wp_conjugate_pair(TRS), 3)
     assert report.status == "fail" and not report.passed
     assert report.identity == "wp-collapse-s0"
     assert report.params == {"n_max": 3}

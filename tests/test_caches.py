@@ -1,0 +1,44 @@
+"""The shared cache-clearing helper reaches every memo table of the
+package, the private prefactor caches included, so a test that clears
+before it compares or watches builders never runs against a warm
+cache."""
+
+import contextlib
+import functools
+import gc
+import io
+
+from conftest import clear_caches
+
+from qbailey import cli
+
+# loop-invariant factors kept in private caches, one side of an
+# identity each
+PRIVATE_CACHES = {"bailey._conj_prefactor_inv", "hypergeometric._heine1_prefactor",
+                  "qfunctions._expansion_n_factor", "qfunctions._expansion_l_factor",
+                  "qfunctions._t_tq_infinite"}
+
+
+def package_caches():
+    # every functools.cache of a qbailey module, found on the heap
+    # rather than through the module namespaces clear_caches walks
+    return {f"{obj.__module__.removeprefix('qbailey.')}.{obj.__qualname__}": obj
+            for obj in gc.get_objects()
+            if isinstance(obj, functools._lru_cache_wrapper)
+            and (obj.__module__ or "").startswith("qbailey.")}
+
+
+def test_clear_caches_empties_every_package_cache():
+    argvs = [["selftest"],
+             ["verify", "thm-wp", "--nmax", "2", "--nq", "4", "--nt", "4", "--ns", "2"],
+             ["verify", "corollary-special", "--pair", "chain(1;1/2;3)", "--nq", "4", "--nt", "4"],
+             ["table", "--rep", "fermionic2", "--k", "2", "--nq", "4", "--nt", "4"]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in argvs:
+            assert cli.main(argv) == 0
+    caches = package_caches()
+    assert PRIVATE_CACHES <= set(caches)
+    assert [name for name, cache in caches.items() if not cache.cache_info().currsize] == []
+    clear_caches()
+    assert {name: cache.cache_info().currsize for name, cache in caches.items()} \
+        == dict.fromkeys(caches, 0)

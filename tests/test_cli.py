@@ -9,10 +9,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from conftest import clear_caches
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_hypergeometric import reference_inv_poch_value, reference_poch_value
-from test_macdonald import _clear_caches
 
 from qbailey import cli
 from qbailey import hypergeometric as hg
@@ -309,7 +309,7 @@ def test_no_series_inversion_on_the_hot_paths(capsys, monkeypatch, argv):
     calls = []
     invert = TruncatedSeries.invert
     monkeypatch.setattr(TruncatedSeries, "invert", lambda self: calls.append(1) or invert(self))
-    _clear_caches()
+    clear_caches()
     code, out, _ = run(capsys, argv)
     assert code == 0 and "FAIL" not in out
     assert calls == []
@@ -339,8 +339,9 @@ def test_bad_input_is_a_usage_error(capsys, argv):
 # Every argument vector exits 0, 1 or 2 without a traceback; malformed
 # pair ids, bad rationals, wrong list lengths and negative caps exit 2.
 # Depths and caps stay small: a chain of depth k allocates k-long
-# parameter lists.  Values go in as --flag=value, because argparse reads
-# a separate value such as -1/2 as an option.
+# parameter lists.  --pair values go in as --pair=value, because argparse
+# reads a separate value that starts with a minus sign as an option;
+# --b and --c take either form.
 
 
 def run_quiet(argv):
@@ -415,11 +416,34 @@ def test_pair_id_grammar(pair):
 
 
 @settings(max_examples=60, deadline=None)
-@given(k=st.integers(1, 3), data=st.data())
-def test_rational_list_grammar(k, data):
+@given(k=st.integers(1, 3), joined=st.booleans(), data=st.data())
+def test_rational_list_grammar(k, joined, data):
     (b, b_ok), (c, c_ok) = data.draw(rational_lists(k)), data.draw(rational_lists(k))
-    assert_exit(["verify", "thm-general", "--k", str(k), f"--b={b}", f"--c={c}",
-                 "--nq", "3", "--nt", "3"], b_ok and c_ok)
+    lists = [f"--b={b}", f"--c={c}"] if joined else ["--b", b, "--c", c]
+    assert_exit(["verify", "thm-general", "--k", str(k), *lists, "--nq", "3", "--nt", "3"],
+                b_ok and c_ok)
+
+
+@pytest.mark.parametrize("separate, joined", [
+    (["--k", "1", "--b", "-1/2", "--c", "0"], ["--k", "1", "--b=-1/2", "--c=0"]),
+    (["--k", "2", "--c", "-1,2"], ["--k", "2", "--c=-1,2"]),
+    (["--k", "2", "--b", "-3/4,-1", "--c", "-1/2,2"], ["--k", "2", "--b=-3/4,-1", "--c=-1/2,2"]),
+], ids=["b-minus-half", "c-minus-one-two", "both"])
+def test_list_may_start_with_a_minus_sign(capsys, separate, joined):
+    # a separate list that starts with a minus sign is read as the value
+    # of --b or --c, and prints what the --flag=value form prints
+    caps = ["--nq", "5", "--nt", "4"]
+    code, out, err = run(capsys, ["verify", "thm-general", *separate, *caps])
+    assert (code, err) == (0, "")
+    assert run(capsys, ["verify", "thm-general", *joined, *caps]) == (code, out, err)
+
+
+def test_missing_list_value_stays_an_argparse_error(capsys):
+    # an option in place of the list is not taken as its value
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "thm-general", "--k", "1", "--b", "--json"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 CAP_FLAGS = ("--nq", "--nt", "--ns", "--nmax", "--lmax", "--points")

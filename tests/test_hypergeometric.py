@@ -5,10 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import clear_caches
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbailey import hypergeometric as hg
+from qbailey import qfunctions as qf
 from qbailey.errors import DomainError, PoleError
 from qbailey.series import TruncatedSeries, Truncation
 
@@ -122,6 +124,34 @@ def test_classical_checks_fixed_and_random():
                     hg.classical_check(name, point, n, seed),
                 names, 4, rng.randrange(2 ** 31))
             assert all(r.passed for r in reports), name
+
+
+def reference_heine1_sides(a, trunc):
+    # Heine's first transformation as first written: (t;q)_n / (q;q)_n
+    # formed per n on the left and every infinite product per call on
+    # the right
+    lhs = TruncatedSeries.sum_of_products(
+        trunc, ((qf.poch_finite((a, 0, 0, 0, 0), n, trunc)
+                 * qf.poch_finite((1, 0, 1, 0, 0), n, trunc) * qf.inv_qq(n, trunc),
+                 qf.inv_tq(n, trunc).shift(e_s=n))
+                for n in range(trunc.s_cap + 1)))
+    inner = TruncatedSeries.sum_of_products(
+        trunc, ((qf.poch_finite((1, 0, 0, 1, 0), m, trunc),
+                 qf.inv_poch((a, 0, 0, 1, 0), m, trunc).shift(e_t=m))
+                for m in range(trunc.max_t + 1)))
+    rhs = (qf.poch_infinite((1, 0, 1, 0, 0), trunc) * qf.poch_infinite((a, 0, 0, 1, 0), trunc)
+           * qf.inv_poch_infinite((1, 1, 1, 0, 0), trunc)
+           * qf.inv_poch_infinite((1, 0, 0, 1, 0), trunc) * inner)
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("trunc", [Truncation(8, 8, 8), Truncation(5, 3, 6)],
+                         ids=["8x8x8", "5x3x6"])
+def test_heine1_sides_match_reference(trunc):
+    clear_caches()
+    for a in (Fraction(0), Fraction(3, 7), Fraction(9, 4), Fraction(-2, 5), Fraction(1)):
+        for got, want in zip(hg.heine1_sides(a, trunc), reference_heine1_sides(a, trunc)):
+            assert got.render() == want.render()
 
 
 def test_heine_first_transformation():

@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import pytest
+from conftest import clear_caches
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -277,14 +278,6 @@ def test_side_builders_match_frozen_loops(k, max_q, max_t, data):
         assert got.render() == want.render()
 
 
-def _clear_caches():
-    for name, module in list(sys.modules.items()):
-        if name.startswith("qbailey."):
-            for obj in vars(module).values():
-                if callable(getattr(obj, "cache_clear", None)):
-                    obj.cache_clear()
-
-
 def _macdonald_calls_per_branch(entry, *args):
     # qualified names of the qbailey.macdonald functions that run during
     # entry(*args), one set per function the entry point calls directly,
@@ -303,11 +296,11 @@ def _macdonald_calls_per_branch(entry, *args):
         if in_entry(frame.f_code):
             return
         if in_entry(frame.f_back.f_code):
-            _clear_caches()
+            clear_caches()
             branches.append(set())
         branches[-1].add(frame.f_code.co_qualname)
 
-    _clear_caches()
+    clear_caches()
     sys.setprofile(hook)
     try:
         entry(*args)

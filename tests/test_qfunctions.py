@@ -4,6 +4,7 @@ and the constant-term layer."""
 from fractions import Fraction
 
 import pytest
+from conftest import clear_caches
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -185,6 +186,38 @@ def test_expansion_coeff_closed_form():
         for l in range(4):
             assert qf.hermite_expansion_coeff(n, l, TR) == \
                 qf.hermite_expansion_coeff_closed(n, l, TR)
+
+
+def reference_hermite_expansion_coeff(n, l, trunc):
+    # the orthogonality route as first written: the four-factor
+    # integrand formed for each (n, l)
+    integrand = (qf.ultraspherical(2 * n, trunc, "t")
+                 * qf.inv_poch_infinite((1, 0, 1, 0, 2), trunc)
+                 * qf.inv_poch_infinite((1, 0, 1, 0, -2), trunc)
+                 * qf.hermite(2 * l, trunc) * qf.hermite_weight(trunc))
+    return (qf.ct_z(integrand) * qf.poch_infinite(Q, trunc)
+            * qf.inv_qq(2 * l, trunc)).scale(Fraction(1, 2))
+
+
+def reference_hermite_expansion_coeff_closed(n, l, trunc):
+    # the closed form as first written, (t,tq;q)_inf formed per (n, l)
+    if l < n:
+        return TruncatedSeries.zero(trunc)
+    out = (qf.poch_infinite(T, trunc) * qf.poch_infinite((1, 1, 1, 0, 0), trunc)
+           * qf.inv_poch_infinite((1, 2 * n, 2, 0, 0), trunc)
+           * qf.inv_qq(2 * n, trunc) * qf.inv_qq(l - n, trunc) * qf.inv_tq(l + n, trunc))
+    return out.shift(e_t=l - n)
+
+
+@pytest.mark.parametrize("trunc", [TR, Truncation(8, 6)], ids=["6x4", "8x6"])
+def test_expansion_coeff_sides_match_reference(trunc):
+    clear_caches()
+    for n in range(4):
+        for l in range(4):
+            assert qf.hermite_expansion_coeff(n, l, trunc).render() == \
+                reference_hermite_expansion_coeff(n, l, trunc).render()
+            assert qf.hermite_expansion_coeff_closed(n, l, trunc).render() == \
+                reference_hermite_expansion_coeff_closed(n, l, trunc).render()
 
 
 def test_weight_expansion():
