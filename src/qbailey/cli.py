@@ -230,8 +230,7 @@ def selftest_reports(seed: int = SELFTEST_SEED) -> list[IdentityReport]:
                 qfunctions.hermite_expansion_coeff_closed(n, l, trunc),
                 {"n": n, "l": l}, watch))
     for n in range(4):
-        for nprime in range(4):
-            reports.extend(hg.b_phi_check(n, nprime, trunc))
+        reports.extend(hg.b_phi_check(n, range(4), trunc))
     return reports
 
 

@@ -456,16 +456,16 @@ def phi_closed(n: int, nprime: int, trunc: Truncation) -> TruncatedSeries:
     return out.shift(e_q=n * n)
 
 
-def b_phi_check(n: int, nprime: int, trunc: Truncation) -> list[IdentityReport]:
+def b_phi_check(n: int, nprimes, trunc: Truncation) -> list[IdentityReport]:
+    """[B(n), Phi(n, n'_0), B(n), Phi(n, n'_1), ...] over n' in nprimes;
+    B does not depend on n', so its sides are built and compared once."""
     watch = Stopwatch()
-    reports = [
-        series_report("b-eva", b_defining_sum(n, trunc), b_closed(n, trunc),
-                      params={"n": n}, watch=watch),
-        series_report("phi-eva", phi_defining_sum(n, nprime, trunc),
-                      phi_closed(n, nprime, trunc),
-                      params={"n": n, "nprime": nprime}, watch=watch),
-    ]
-    return reports
+    b_report = series_report("b-eva", b_defining_sum(n, trunc), b_closed(n, trunc),
+                             params={"n": n}, watch=watch)
+    return [report for nprime in nprimes for report in (
+        b_report, series_report("phi-eva", phi_defining_sum(n, nprime, trunc),
+                                phi_closed(n, nprime, trunc),
+                                params={"n": n, "nprime": nprime}, watch=watch))]
 
 
 # -- random-point machinery -------------------------------------------

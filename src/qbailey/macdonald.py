@@ -5,9 +5,12 @@ identity, and the multisum Rogers-Ramanujan identity.
 Summation bounds are derived from exponent prefactors, never guessed:
 a summand is enumerated only while its guaranteed minimum q- and
 t-degree fits the caps, and the enumeration orders make those tails
-monotone.  The four representations are computed independently so that
-their equality is a genuine cross-check, and all outputs share one
-canonical term order so a difference localizes to a single monomial.
+monotone.  The fermionic multisum is the beta-delta side of the Bailey
+transform, the lift bailey.chain_lift against t^n H_{2n}(z;q).  The
+four representations are computed independently, sharing only the ring
+kernel and the primitive builders, so that their equality is a genuine
+cross-check; all outputs share one canonical term order so a difference
+localizes to a single monomial.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+from .bailey import ChainParams, chain_lift, seed_pair
 from .errors import DomainError, InternalConsistencyError
 from .qfunctions import (binom2, combined_poch, hermite, inv_poch, inv_qq,
                          inv_poch_infinite, poch_finite, poch_infinite, ultraspherical)
@@ -78,10 +82,12 @@ def fermionic_index(k: int, trunc: Truncation) -> TruncatedSeries:
     """Multisum ("exclusion") representation over chains
     n_k >= ... >= n_1 >= 0:
     t^(sum n_i) q^(n_1^2+...+n_{k-1}^2) / ((q;q)_{n_k-n_{k-1}} ... (q;q)_{n_1})
-      * sum_j [2 n_k, j]_q z^(2j-2n_k)."""
+      * sum_j [2 n_k, j]_q z^(2j-2n_k),
+    summed as sum_n beta_n t^n H_{2n}(z;q), beta the k-fold Bailey-lemma
+    lift of the unit pair at b = c = 0 (Andrews, Pacific J. Math. 114 (1984))."""
     if k < 1:
         raise DomainError("k must be >= 1")
-    return _fermionic_side(k, [0] * k, [0] * k, trunc)
+    return _fermionic_side([0] * k, [0] * k, trunc)
 
 
 @functools.cache
@@ -246,47 +252,25 @@ def generalized_sides(k: int, b, c,
     c = [Fraction(x) for x in c]
     if len(b) != k or len(c) != k:
         raise DomainError("parameter vectors must have length k")
-    return _fermionic_side(k, b, c, trunc), _bosonic_side(k, b, c, trunc)
+    return _fermionic_side(b, c, trunc), _bosonic_side(k, b, c, trunc)
 
 
-def _fermionic_side(k, b, c, trunc):
-    # sum over chains n_1 <= ... <= n_k (n_0 = 0) of
-    #   t^(sum n_i) q^(n_1+...+n_{k-1}) H_{2n_k}(z;q)
-    #   * prod_i (b_i c_i q t;q)_{n_i-n_{i-1}}
-    #            / ((q;q)_{n_i-n_{i-1}} (b_i q t, c_i q t;q)_{n_i})
-    #   * prod_{i>1} P(b_i, n_{i-1}) P(c_i, n_{i-1}),   P = combined_poch.
-    # A zero parameter's P is the monomial (-1)^n q^binom(n,2), folded into
-    # the leading monomial, and its Pochhammers are 1.  Every other factor
-    # starts at q^0, so the leading q-exponent is the exact pruning bound.
-    params = [[x for x in (b[i], c[i]) if x] for i in range(k)]
-    zeros = [0] + [2 - len(p) for p in params[1:]]
-    pairs = []
-    for chain in combinations_with_replacement(range(trunc.max_t + 1), k):
-        e_t = sum(chain)
-        lower = (0,) + chain[:-1]
-        e_q = sum(n + z * binom2(n) for z, n in zip(zeros, lower))
-        if e_t > trunc.max_t or e_q > trunc.max_q:
-            continue
-        sign = -1 if sum(z * n for z, n in zip(zeros, lower)) % 2 else 1
-        val = TruncatedSeries.monomial(trunc, sign, e_q=e_q, e_t=e_t)
-        for i, (prev, n) in enumerate(zip(lower, chain)):
-            val = val * inv_qq(n - prev, trunc)
-            if len(params[i]) == 2:
-                val = val * poch_finite((b[i] * c[i], 1, 1, 0, 0), n - prev, trunc)
-            for x in params[i]:
-                val = val * inv_poch((x, 1, 1, 0, 0), n, trunc)     # 1/(x q t;q)_n
-                if i:
-                    val = val * combined_poch(x, prev, trunc)
-        pairs.append((val, hermite(2 * chain[-1], trunc)))
-    return TruncatedSeries.sum_of_products(trunc, pairs)
+def _fermionic_side(b, c, trunc):
+    # sum_n beta_n t^n H_{2n}(z;q), beta the k-fold Bailey-lemma lift of
+    # the unit pair with the parameter pairs (b_i, c_i); t^n past the
+    # t-cap ends the sum
+    _, beta = chain_lift(*seed_pair(trunc), ChainParams.of(b, c), trunc)
+    return TruncatedSeries.sum_of_products(
+        trunc, ((beta[n].shift(e_t=n), hermite(2 * n, trunc))
+                for n in range(trunc.max_t + 1)))
 
 
 def _bosonic_side(k, b, c, trunc):
     # 1/(t,tz^2,t z^-2;q)_inf * sum_n (-1)^n t^((k+1)n) q^(k n + binom(n,2))
     #   (q^(n+1);q)_n (t^2 q^(2n);q)_inf / ((t q^n;q)_n (t q^(2n+1);q)_inf)
     #   * prod_i P(b_i, n) P(c_i, n) / (b_i q t, c_i q t;q)_n * C_{2n}(z,t;q).
-    # Zero parameters fold into the leading monomial as in _fermionic_side;
-    # at b = c = 0 its q-exponent is k n^2 + binom(n,2).
+    # A zero's P is (-1)^n q^binom(n,2) and its Pochhammers are 1, folded into
+    # the leading monomial; at b = c = 0 its q-exponent is k n^2 + binom(n,2).
     params = [x for x in (*b, *c) if x]
     fold = 1 + 2 * k - len(params)          # binom(n,2) multiples in the exponent
     pref = (inv_poch_infinite((1, 0, 1, 0, 0), trunc) * inv_poch_infinite((1, 0, 1, 0, 2), trunc)

@@ -71,6 +71,7 @@ def _norm(c: Coeff) -> Coeff:
 
 
 _VAR_INDEX = {"q": 0, "t": 1, "s": 2, "z": 3}
+_UNIT = {(0, 0, 0, 0): 1}
 _DENOMINATOR = operator.attrgetter("denominator")
 
 
@@ -251,6 +252,8 @@ class TruncatedSeries:
                     f"cannot combine series with truncations {a.trunc} and {b.trunc} "
                     f"in a sum over {trunc}")
             maps.append((a._terms, b._terms))
+        if len(maps) == 1:          # one pair is a product, which skips packing
+            return a * b            # when a factor is 1 or a single term
         return cls._raw(trunc, _sum_of_products(maps, trunc))
 
     @classmethod
@@ -343,12 +346,13 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
-        small, big = self._terms, other._terms
-        if len(small) > len(big):
-            small, big = big, small
-        if len(small) == 1:
-            return TruncatedSeries._raw(self.trunc, _term_times(small, big, self.trunc))
-        return TruncatedSeries._raw(self.trunc, _sum_of_products([(small, big)], self.trunc))
+        small, big = (self, other) if len(self._terms) <= len(other._terms) else (other, self)
+        if small._terms == _UNIT:           # 1 * big is big
+            return big
+        pair = (small._terms, big._terms)
+        if len(pair[0]) == 1:
+            return TruncatedSeries._raw(self.trunc, _term_times(*pair, self.trunc))
+        return TruncatedSeries._raw(self.trunc, _sum_of_products([pair], self.trunc))
 
     __rmul__ = __mul__
 
@@ -395,6 +399,8 @@ class TruncatedSeries:
         shift-and-add pass over the terms, no packing."""
         if min(e_q, e_t, e_s) < 0:
             raise DomainError("binomial exponents must be >= 0")
+        if not c:           # the binomial is 1
+            return self
         c = _norm(c)        # an integral Fraction multiplies as an int
         mq, mt, ms = self.trunc.max_q, self.trunc.max_t, self.trunc.s_cap
         out = dict(self._terms)
@@ -417,9 +423,11 @@ class TruncatedSeries:
         degree-0 m is a scalar; as in invert, c m = 1 or a z-only c m raise."""
         if min(e_q, e_t, e_s) < 0:
             raise DomainError("binomial exponents must be >= 0")
+        if not c:           # the binomial is 1
+            return self
         mq, mt, ms = self.trunc.max_q, self.trunc.max_t, self.trunc.s_cap
         if not (e_q or e_t or e_s):
-            if c and (e_z or c == 1):
+            if e_z or c == 1:
                 raise NonInvertible(f"binomial 1 - ({c}) z^{e_z} is not a unit")
             return self.scale(1 / Fraction(1 - c))
         terms = self._terms

@@ -13,6 +13,12 @@ The `bailey-families` argument vectors at the held-out seed 7919 are
 pinned too, recorded before the Bailey families and the classical
 prefactors were hoisted: they draw other rational chain, thm-general
 and selftest parameters than seed 1.
+
+The fermionic argument vectors reach the fermionic multisum outside the
+benchmark: the Schur and Hall-Littlewood tables, a parametrized
+identity at k = 3 with zero, negative and fractional parameters, and
+thm-main at larger caps.  They were recorded while the fermionic side
+was still a loop over chains, before it became the Bailey-lemma lift.
 """
 
 import contextlib
@@ -128,6 +134,21 @@ HELD_OUT_DIGESTS = [
     "6da28eaa89c4347cf57f4bc3e44fb0508abcc56b615ea0a71296828b41a6e58f",
 ]
 
+FERMIONIC_ARGVS = [
+    ["table", "--rep", "schur", "--k", "2", "--nq", "10", "--nt", "10"],
+    ["table", "--rep", "hall-littlewood", "--k", "2", "--nq", "10", "--nt", "10"],
+    ["verify", "thm-general", "--k", "3", "--b", "0,-1/2,3/4", "--c", "2,0,-5/3",
+     "--nq", "8", "--nt", "8", "--json"],
+    ["verify", "thm-main", "--k", "3", "--nq", "40", "--nt", "30", "--json"],
+]
+
+FERMIONIC_DIGESTS = [
+    "c2f220aed0b736bb5dd213bc3839699e9455749be46cb201ab56c7a5d45b959e",
+    "7a49e433dd386513e9e9bd12df081aac12983fb43019869a41cff6b8114e3926",
+    "50942d95e92dc1ea7dca047db00211f92fbe9802e2f00cd660ea1189028c5da0",
+    "23de6a3b95084e3b5d1292aa1de36154c3d842e3b0f8d6bda2536f3146f0fa92",
+]
+
 CASES = [(f"{name}-{i}", argv) for name, argvs in WORKLOAD_ARGVS.items()
          for i, argv in enumerate(argvs)]
 
@@ -159,4 +180,11 @@ def test_output_matches_recorded_digest(case, argv):
 @pytest.mark.parametrize("argv, digest", zip(HELD_OUT_ARGVS, HELD_OUT_DIGESTS),
                          ids=[f"bailey-families-7919-{i}" for i in range(len(HELD_OUT_ARGVS))])
 def test_held_out_output_matches_recorded_digest(argv, digest):
+    assert output_digest(argv) == digest
+
+
+@pytest.mark.parametrize("argv, digest", zip(FERMIONIC_ARGVS, FERMIONIC_DIGESTS),
+                         ids=["schur-table", "hall-littlewood-table",
+                              "thm-general-k3-mixed", "thm-main-k3-40-30"])
+def test_fermionic_output_matches_recorded_digest(argv, digest):
     assert output_digest(argv) == digest

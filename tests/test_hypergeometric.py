@@ -494,3 +494,10 @@ def test_b_phi_evaluations():
                 hg.phi_closed(n, nprime, TR)
     b, phi = hg.b_defining_sum(2, TR), hg.phi_defining_sum(2, 3, TR)
     assert b == hg.b_closed(2, TR) and phi == hg.phi_closed(2, 3, TR)
+
+
+def test_b_phi_check_pairs_one_b_report_with_each_phi():
+    reports = hg.b_phi_check(2, range(3), TR)
+    assert [r.identity for r in reports] == ["b-eva", "phi-eva"] * 3
+    assert [r.params for r in reports[1::2]] == [{"n": 2, "nprime": p} for p in range(3)]
+    assert all(r is reports[0] for r in reports[::2]) and all(r.passed for r in reports)

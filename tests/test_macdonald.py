@@ -262,12 +262,16 @@ PARAMETER = st.one_of(st.just(Fraction(0)),
 @example(k=3, max_q=0, max_t=4, data=None)
 @example(k=3, max_q=5, max_t=0, data=None)
 @example(k=1, max_q=3, max_t=6, data=None)
+@example(k=5, max_q=7, max_t=6, data=None)
+@example(k=5, max_q=3, max_t=8, data=None)
 def test_side_builders_match_frozen_loops(k, max_q, max_t, data):
     # the plain forms and both parametrized sides against frozen copies of
-    # the loops they replaced; zero and nonzero parameters mix freely
+    # the loops they replaced; zero and nonzero parameters mix freely.  The
+    # k = 5 examples take the fermionic lift deeper than the drawn k <= 3.
     trunc = Truncation(max_q, max_t)
     if data is None:                     # explicit examples: fixed mixed vectors
-        b, c = [0, Fraction(1, 2), 0][:k], [3, 0, Fraction(-2, 3)][:k]
+        b = [0, Fraction(1, 2), 0, -1, Fraction(5, 4)][:k]
+        c = [3, 0, Fraction(-2, 3), 0, 0][:k]
     else:
         b = data.draw(st.lists(PARAMETER, min_size=k, max_size=k), label="b")
         c = data.draw(st.lists(PARAMETER, min_size=k, max_size=k), label="c")
@@ -278,27 +282,34 @@ def test_side_builders_match_frozen_loops(k, max_q, max_t, data):
         assert got.render() == want.render()
 
 
-def _macdonald_calls_per_branch(entry, *args):
-    # qualified names of the qbailey.macdonald functions that run during
-    # entry(*args), one set per function the entry point calls directly,
-    # with every cache cleared before each such call (a cache hit would
-    # hide a shared function); the entry's own comprehensions count as
-    # the entry point
+# the ring kernel and the primitive builders, the only modules the two
+# sides of an identity may share
+SHARED_MODULES = ("qbailey.series", "qbailey.qfunctions")
+
+
+def _calls_per_branch(entry, *args):
+    # qualified names "module.qualname" of the qbailey functions outside
+    # SHARED_MODULES that run during entry(*args), one set per function
+    # the entry point calls directly, with every cache cleared before each
+    # such call (a cache hit would hide a shared function); the entry's
+    # own comprehensions count as the entry point
     root = entry.__qualname__
     branches = []
 
     def in_entry(code):
         return code.co_qualname == root or code.co_qualname.startswith(root + ".")
 
+    def audited(frame):
+        module = frame.f_globals.get("__name__", "")
+        return module.startswith("qbailey.") and module not in SHARED_MODULES
+
     def hook(frame, event, arg):
-        if event != "call" or frame.f_globals.get("__name__") != M.__name__:
-            return
-        if in_entry(frame.f_code):
+        if event != "call" or not audited(frame) or in_entry(frame.f_code):
             return
         if in_entry(frame.f_back.f_code):
             clear_caches()
             branches.append(set())
-        branches[-1].add(frame.f_code.co_qualname)
+        branches[-1].add(f"{frame.f_globals['__name__']}.{frame.f_code.co_qualname}")
 
     clear_caches()
     sys.setprofile(hook)
@@ -309,19 +320,26 @@ def _macdonald_calls_per_branch(entry, *args):
     return branches
 
 
-def test_sides_share_no_macdonald_function():
+LIFT = "qbailey.bailey.chain_lift"
+
+
+def test_sides_share_only_kernel_and_primitives():
     # the two sides of an identity are computed independently: apart from
-    # the public entry points, no macdonald function runs on both
+    # the public entry points, no function of any qbailey module but the
+    # ring kernel and the primitive builders runs on both, and only the
+    # fermionic side runs the Bailey-lemma lift
     k, trunc = 2, Truncation(6, 4)
     for left, right in ((M.fermionic_index, M.bosonic_index),       # thm-main
                         (M.fermionic_index, M.fermionic2_index),    # thm-kks
                         (M.original_index, M.fermionic2_index)):    # appx-a
-        lhs, rhs = ({side.__name__}.union(*_macdonald_calls_per_branch(side, k, trunc))
+        lhs, rhs = ({f"{M.__name__}.{side.__name__}"}.union(*_calls_per_branch(side, k, trunc))
                     for side in (left, right))
         assert not lhs & rhs, (left.__name__, right.__name__, lhs & rhs)
+        assert (LIFT in lhs) == (left is M.fermionic_index) and LIFT not in rhs
     for b, c in (([0, 0], [0, 0]), ([Fraction(2, 5), 0], [3, Fraction(1, 2)])):
-        lhs, rhs = _macdonald_calls_per_branch(M.generalized_sides, k, b, c, trunc)
-        assert lhs and rhs and not lhs & rhs
+        lhs, rhs = _calls_per_branch(M.generalized_sides, k, b, c, trunc)
+        assert lhs and rhs and not lhs & rhs, lhs & rhs
+        assert LIFT in lhs and LIFT not in rhs
 
 
 def test_multi_rogers_ramanujan():

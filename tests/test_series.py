@@ -578,3 +578,13 @@ def test_degree_zero_binomials():
     for method in (g.mul_binomial, g.div_binomial):
         with pytest.raises(DomainError):
             method(1, e_q=-1)
+
+
+def test_unit_factors_return_the_operand():
+    # a factor 1, a binomial 1 - 0 m and a one-pair sum with a factor 1
+    # cost no pass over the terms: each returns the operand itself
+    g = S({(1, 0, 0, 0): 3, (0, 2, 0, -1): Fraction(1, 2)})
+    assert one() * g is g and g * one() is g
+    assert TruncatedSeries.sum_of_products(TR, [(one(), g)]) is g
+    assert g.mul_binomial(0, e_q=1, e_t=1) is g and g.div_binomial(0, e_q=1) is g
+    assert one() * one() == one() and (one() * TruncatedSeries.zero(TR)).is_zero()
