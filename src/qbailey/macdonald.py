@@ -149,9 +149,12 @@ def original_index(k: int, trunc: Truncation) -> TruncatedSeries:
     fixed entries the doubled t-exponent e_t.  They are checked even once per
     block, which makes every exponent of the block integral.  A block is
     a rho-sum times t^(e_t/2) z^(2(m_{2k+1}-l_{2k+1})) and 1/(q;q) of each
-    fixed entry.  Blocks with the same exponent data share one rho-sum,
-    enumerated depth first and cut off exactly at max_q; it pairs once
-    with the sum of their fixed factors.  Nothing here uses the level
+    fixed entry.  Blocks with the same exponent data share one rho-sum.
+    Their fixed factors are grouped by the sorted tuple of fixed entries:
+    a group's monomials are counted into one integer series, which pairs
+    once with the group's product of 1/(q;q), and the products are
+    memoized by prefix across the call.  The rho-sums share one memo of
+    node values and steps (see _rho_sum).  Nothing here uses the level
     sums of fermionic2_index, so this stays an independent witness."""
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -163,8 +166,8 @@ def original_index(k: int, trunc: Truncation) -> TruncatedSeries:
                       for i, r in enumerate(rho_nodes))
     factor = [inv_poch((1, 0, 1, 0, 0), r, trunc) * inv_qq(r, trunc)    # 1/(t,q;q)_r
               for r in range(trunc.max_q + 1)]
-    fixed_sums: dict = {}
-    zero = TruncatedSeries.zero(trunc)
+    # (const2, weights) -> sorted nonzero fixed entries -> monomial -> count
+    groups: dict = {}
     for svec in _svectors(k, trunc.max_t):
         sigma_k = svec[-1]
         for u1 in range(sigma_k + 1):
@@ -181,17 +184,35 @@ def original_index(k: int, trunc: Truncation) -> TruncatedSeries:
                         f"{const2}, rho weights {weights}, doubled t-exponent {e_t2}")
                 if e_t2 > 2 * trunc.max_t:
                     continue
-                fixed = TruncatedSeries.monomial(trunc, 1, e_t=e_t2 // 2,
-                                                 e_z=2 * (m[2 * k] - l[2 * k]))
-                for j in fixed_nodes:
-                    fixed = fixed * inv_qq(l[j], trunc) * inv_qq(m[j], trunc)
                 # for the D-series graph the weights do not depend on (u1, u2)
-                key = (const2, weights)
-                fixed_sums[key] = fixed_sums.get(key, zero) + fixed
-    pairs = [(_rho_sum(const2, weights, couplings, factor, trunc), fixed)
-             for (const2, weights), fixed in fixed_sums.items()]
+                entries = tuple(sorted(e for j in fixed_nodes for e in (l[j], m[j]) if e))
+                counts = groups.setdefault((const2, weights), {}).setdefault(entries, {})
+                mono = (0, e_t2 // 2, 0, 2 * (m[2 * k] - l[2 * k]))
+                counts[mono] = counts.get(mono, 0) + 1
+    products = {(): TruncatedSeries.one(trunc)}
+    memo: dict = {}
+    pairs = []
+    for (const2, weights), by_entries in groups.items():
+        fixed = TruncatedSeries.sum_of_products(
+            trunc, ((TruncatedSeries(trunc, counts), _inv_qq_product(entries, products, trunc))
+                    for entries, counts in by_entries.items()))
+        pairs.append((_rho_sum(const2, weights, couplings, factor, trunc, memo), fixed))
     pref = (poch_infinite((1, 0, 1, 0, 0), trunc) * poch_infinite((1, 1, 0, 0, 0), trunc)) ** k
     return pref * TruncatedSeries.sum_of_products(trunc, pairs)
+
+
+def _inv_qq_product(entries, products, trunc):
+    # prod 1/(q;q)_e over the sorted tuple entries; products maps every
+    # prefix formed so far to its product, so each new prefix costs one
+    # product
+    n = len(entries)
+    while entries[:n] not in products:
+        n -= 1
+    val = products[entries[:n]]
+    for i in range(n, len(entries)):
+        val = val * inv_qq(entries[i], trunc)
+        products[entries[:i + 1]] = val
+    return val
 
 
 def _fixed_entries(k, svec, u1, u2):
@@ -208,36 +229,60 @@ def _fixed_entries(k, svec, u1, u2):
     return l, m
 
 
-def _rho_sum(const2, weights, couplings, factor, trunc):
+def _rho_sum(const2, weights, couplings, factor, trunc, memo):
     # sum over rho of q^(e/2) prod_i factor[rho_i], with the doubled
     # exponent e = const2 + sum_i rho_i (w_i + 2 sum_{j<i} a_ij rho_j).
     # Adjacency entries are 0 or 1, so every w_i >= 2 and every increment
     # grows with rho_i: a level stops at the first rho_i that takes e past
-    # 2 max_q, and the pruning is exact.  The last level's factors pair
-    # with their prefix products in one sum of products.
+    # 2 max_q, and the pruning is exact.  Level i multiplies by the step
+    # factor[rho_i] q^(rho_i slope_i / 2), so a last-level parent at e2
+    # pairs once with the partial sum of its steps up to
+    # (2 max_q - e2) // slope.  memo is shared by the calls with the same
+    # couplings, factor and trunc; it maps (const2, weights[:i], rho) to
+    # the node value q^(const2/2) prod_{j<i} step_j, (r, slope) to a step
+    # and slope to the list of partial sums of its steps, so calls whose
+    # weights share a prefix share their inner products.
     budget = 2 * trunc.max_q
-    one = TruncatedSeries.one(trunc)
+    last = len(weights) - 1
     pairs = []
-    # depth first over nodes (rho, e2, val), val = q^(e2/2) times the
-    # factors of rho's entries, on an explicit stack so that k is not
-    # bounded by the recursion limit; children go on in reverse, so the
-    # pairs are formed in ascending rho order.
-    stack = [((), const2, TruncatedSeries.monomial(trunc, 1, e_q=const2 // 2))]
+    # depth first over nodes (rho, e2) on an explicit stack, so that k is
+    # not bounded by the recursion limit
+    memo.setdefault((const2, (), ()), TruncatedSeries.monomial(trunc, 1, e_q=const2 // 2))
+    stack = [((), const2)]
     while stack:
-        rho, e2, val = stack.pop()
+        rho, e2 = stack.pop()
         i = len(rho)
         slope = weights[i] + 2 * sum(a * r for a, r in zip(couplings[i], rho))
-        children = []
-        r = 0
-        while e2 + r * slope <= budget:
-            step = one if r == 0 else factor[r].shift(e_q=r * slope // 2)
-            if i + 1 == len(weights):
-                pairs.append((val, step))
-            else:
-                children.append((rho + (r,), e2 + r * slope, val if r == 0 else val * step))
-            r += 1
-        stack.extend(reversed(children))
+        val = memo[const2, weights[:i], rho]
+        top = (budget - e2) // slope
+        if i == last:
+            if top >= 0:
+                pairs.append((val, _partial_step_sum(top, slope, factor, memo)))
+            continue
+        prefix = weights[:i + 1]
+        for r in range(top + 1):
+            key = (const2, prefix, rho + (r,))
+            if key not in memo:
+                memo[key] = val if r == 0 else val * _step(r, slope, factor, memo)
+            stack.append((key[2], e2 + r * slope))
     return TruncatedSeries.sum_of_products(trunc, pairs)
+
+
+def _step(r, slope, factor, memo):
+    # factor[r] q^(r slope / 2), memoized under (r, slope)
+    key = (r, slope)
+    if key not in memo:
+        memo[key] = factor[r].shift(e_q=r * slope // 2)
+    return memo[key]
+
+
+def _partial_step_sum(top, slope, factor, memo):
+    # sum of the steps r = 0..top of one slope, memoized under slope; the
+    # r = 0 step is factor[0] = 1
+    sums = memo.setdefault(slope, [factor[0]])
+    while len(sums) <= top:
+        sums.append(sums[-1] + _step(len(sums), slope, factor, memo))
+    return sums[top]
 
 
 def generalized_sides(k: int, b, c,

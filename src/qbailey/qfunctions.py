@@ -124,13 +124,13 @@ def poch_ratio(param: str, j: int, trunc: Truncation) -> TruncatedSeries:
 @functools.cache
 def hermite(n: int, trunc: Truncation) -> TruncatedSeries:
     """Continuous q-Hermite polynomial H_n(z;q) = sum_j [n,j]_q z^(n-2j),
-    memoized."""
+    memoized.  The terms of distinct j have distinct z-exponents, so they
+    go into one dict without any addition."""
     if n < 0:
         raise DomainError("hermite degree must be >= 0")
-    total = TruncatedSeries.zero(trunc)
-    for j in range(n + 1):
-        total = total + qbinomial(n, j, trunc).shift(e_z=n - 2 * j)
-    return total
+    return TruncatedSeries._raw(trunc, {
+        (q, t, s, z + n - 2 * j): c
+        for j in range(n + 1) for (q, t, s, z), c in qbinomial(n, j, trunc)._terms.items()})
 
 
 def ultraspherical(n: int, trunc: Truncation, param: str = "t") -> TruncatedSeries:

@@ -19,6 +19,12 @@ benchmark: the Schur and Hall-Littlewood tables, a parametrized
 identity at k = 3 with zero, negative and fractional parameters, and
 thm-main at larger caps.  They were recorded while the fermionic side
 was still a loop over chains, before it became the Bailey-lemma lift.
+
+The Dynkin-data tables pin the coefficients of the Dynkin-data form
+itself, which the `appx-a` reports cover only through their verdict.
+They were recorded while that form still built one product chain per
+block and one pair per rho leaf.  At (k, nq, nt) = (2, 14, 10) its table
+is the one the other three representations print.
 """
 
 import contextlib
@@ -149,6 +155,18 @@ FERMIONIC_DIGESTS = [
     "23de6a3b95084e3b5d1292aa1de36154c3d842e3b0f8d6bda2536f3146f0fa92",
 ]
 
+DYNKIN_TABLE_ARGVS = [
+    ["table", "--rep", "original", "--k", "2", "--nq", "14", "--nt", "10"],
+    ["table", "--rep", "original", "--k", "3", "--nq", "10", "--nt", "8"],
+    ["table", "--rep", "original", "--k", "1", "--nq", "20", "--nt", "16"],
+]
+
+DYNKIN_TABLE_DIGESTS = [
+    DIGESTS["index-duality-0"],
+    "a5c97e5a79dc99e7c8eedf112987826f6a38528a01819adbe37c62d567711e2a",
+    "b71a39a3a74dc3f0b259bed7bafc403dd90567c1317ec08feca3b353655a3709",
+]
+
 CASES = [(f"{name}-{i}", argv) for name, argvs in WORKLOAD_ARGVS.items()
          for i, argv in enumerate(argvs)]
 
@@ -187,4 +205,10 @@ def test_held_out_output_matches_recorded_digest(argv, digest):
                          ids=["schur-table", "hall-littlewood-table",
                               "thm-general-k3-mixed", "thm-main-k3-40-30"])
 def test_fermionic_output_matches_recorded_digest(argv, digest):
+    assert output_digest(argv) == digest
+
+
+@pytest.mark.parametrize("argv, digest", zip(DYNKIN_TABLE_ARGVS, DYNKIN_TABLE_DIGESTS),
+                         ids=["original-k2-14-10", "original-k3-10-8", "original-k1-20-16"])
+def test_dynkin_table_matches_recorded_digest(argv, digest):
     assert output_digest(argv) == digest

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from qbailey import macdonald as M
 from qbailey import qfunctions as qf
+from qbailey import series as S
 from qbailey.errors import DomainError, InternalConsistencyError, TruncationOverflow
 from qbailey.series import TruncatedSeries, Truncation
 
@@ -454,16 +455,14 @@ def reference_rho_block(k, adj, size, svec, u1, u2, trunc):
     return block * fixed
 
 
-@pytest.mark.parametrize("const2,weights,couplings", [
-    (0, (2, 2, 2), ((), (0,), (0, 0))),
-    (2, (4, 2, 6), ((), (1,), (0, 1))),
-    (0, (2, 2, 2), ((), (1,), (1, 1))),
-    (4, (2, 8), ((), (1,)))])
-def test_rho_sum_matches_brute_force(const2, weights, couplings):
-    # the D-series graph has no rho-rho edge, so couplings are tested here
-    trunc = Truncation(7, 3)
-    factor = [reference_inv_tpoch(r, trunc) * qf.inv_qq(r, trunc)
-              for r in range(trunc.max_q + 1)]
+def rho_factors(trunc):
+    return [reference_inv_tpoch(r, trunc) * qf.inv_qq(r, trunc)
+            for r in range(trunc.max_q + 1)]
+
+
+def brute_rho_sum(const2, weights, couplings, factor, trunc):
+    # every rho with entries summing to at most max_q, its full doubled
+    # exponent formed per rho and its factors multiplied out
     expected = TruncatedSeries.zero(trunc)
     for rho in M._svectors(len(weights), trunc.max_q):
         e2 = const2 + sum(r * w for r, w in zip(rho, weights)) + 2 * sum(
@@ -472,7 +471,53 @@ def test_rho_sum_matches_brute_force(const2, weights, couplings):
         for r in rho:
             val = val * factor[r]
         expected = expected + val
-    assert M._rho_sum(const2, weights, couplings, factor, trunc) == expected
+    return expected
+
+
+@pytest.mark.parametrize("const2,weights,couplings", [
+    (0, (2, 2, 2), ((), (0,), (0, 0))),
+    (2, (4, 2, 6), ((), (1,), (0, 1))),
+    (0, (2, 2, 2), ((), (1,), (1, 1))),
+    (4, (2, 8), ((), (1,)))])
+def test_rho_sum_matches_brute_force(const2, weights, couplings):
+    # the D-series graph has no rho-rho edge, so couplings are tested here
+    trunc = Truncation(7, 3)
+    factor = rho_factors(trunc)
+    assert M._rho_sum(const2, weights, couplings, factor, trunc, {}) == \
+        brute_rho_sum(const2, weights, couplings, factor, trunc)
+
+
+@pytest.mark.parametrize("couplings", [((), (1,), (1, 1)), ((), (1,), (0, 1))])
+def test_rho_sums_sharing_one_memo_match_brute_force(couplings):
+    # original_index passes one memo to every rho-sum of a call; the
+    # D-series graph has no rho-rho edge, so only here do coupled slopes
+    # meet in its node, step and partial-sum entries.  The keys share
+    # constants, weight prefixes and slopes, and the first is asked again
+    # at the end, when all of its entries are memoized.
+    trunc = Truncation(9, 3)
+    factor = rho_factors(trunc)
+    memo = {}
+    keys = [(0, (2, 2, 2)), (0, (2, 2, 4)), (0, (2, 4, 2)), (2, (2, 2, 2)),
+            (2, (2, 2, 4)), (4, (4, 2, 2)), (0, (4, 4, 4)), (0, (2, 2, 2))]
+    for const2, weights in keys:
+        assert M._rho_sum(const2, weights, couplings, factor, trunc, memo) == \
+            brute_rho_sum(const2, weights, couplings, factor, trunc), (const2, weights)
+
+
+def test_original_forms_each_product_once(monkeypatch):
+    # the Dynkin-data form groups fixed factors and shares rho prefixes;
+    # at the benchmark caps it makes at most a quarter of the packed sums
+    # (698, 1104 and 812) of the form that built one product chain per
+    # block and one pair per rho leaf
+    packed = S._sum_of_products
+    calls = []
+    monkeypatch.setattr(S, "_sum_of_products",
+                        lambda pairs, trunc: calls.append(1) or packed(pairs, trunc))
+    for (k, max_q, max_t), limit in (((1, 10, 8), 174), ((2, 7, 6), 276), ((3, 7, 4), 203)):
+        clear_caches()
+        calls.clear()
+        M.original_index(k, Truncation(max_q, max_t))
+        assert len(calls) <= limit, (k, max_q, max_t, len(calls))
 
 
 @pytest.mark.parametrize("k,max_q,max_t", [
