@@ -8,7 +8,13 @@ prefactor), which is what finitizes the infinite sums in the conjugate
 relation and the transform.  Verification refuses families whose bound
 is needed but missing.  A family builds its n-free factors once, and a
 delta entry t^n core(n) reads its core through the family's memo, so
-each entry and each core is generated once per family.  The s = 0
+each entry and each core is generated once per family.  Entry n is
+factor * part(n), factor the family's n-free factor (1 unless given):
+the gammas keep their conjugate prefactor there, and the transform
+multiplies the factors in once, after its sum over the parts.  A
+monomial such as t^n or q^binom(n,2) goes on a narrow factor before a
+product, never on the product after it, so no product forms terms that
+a shift would drop past a cap.  The s = 0
 collapse check takes the well-poised families the relation check has
 verified and compares them with an ordinary pair it builds itself.
 
@@ -25,7 +31,7 @@ through the polynomial form prod_i (t - s q^i), so the verifier works
 on the t-free entry cores and never forms a negative exponent.  The
 weights are tabulated once per check, A[d] = prod_{i<d} (t - s q^i) /
 (q;q)_d and B[j] = (s;q)_j / (tq;q)_j, and the term l of the relation
-at n is the one pair (A[l-n] B[l+n], core(l)).
+at n is the one pair (t^n A[l-n] B[l+n], core(l)).
 """
 
 from __future__ import annotations
@@ -44,36 +50,49 @@ from .series import TruncatedSeries, Truncation
 
 
 class PairFamily:
-    """A memoized sequence n -> TruncatedSeries.
+    """A memoized sequence n -> TruncatedSeries, entry n = factor * part(n).
 
-    support_bound, when set, promises that entries with index beyond it
-    are identically zero modulo the truncation.  core_gen, when set,
-    generates the t-free core of entry n (entry = t^n * core); the
-    well-poised verifier needs cores past the point where the entries
-    themselves have vanished.
+    factor is the family's n-free factor, 1 unless given, and gen
+    generates part(n); both the parts and the entries are memoized.  A
+    sum over n of products with the entries can read the parts and
+    multiply the factor in once, after the sum.  support_bound, when
+    set, promises that entries with index beyond it are identically zero
+    modulo the truncation.  core_gen, when set, generates the t-free
+    core of entry n (entry = t^n * core); the well-poised verifier needs
+    cores past the point where the entries themselves have vanished.
     """
 
     def __init__(self, kind: str, trunc: Truncation,
                  gen: Callable[[int], TruncatedSeries],
                  support_bound: int | None = None,
-                 core_gen: Callable[[int], TruncatedSeries] | None = None):
+                 core_gen: Callable[[int], TruncatedSeries] | None = None,
+                 factor: TruncatedSeries | None = None):
         if kind not in ("alpha", "beta", "gamma", "delta"):
             raise DomainError(f"unknown family kind {kind!r}")
         self.kind = kind
         self.trunc = trunc
         self.support_bound = support_bound
+        self.factor = TruncatedSeries.one(trunc) if factor is None else factor
         self._gen = gen
         self._core_gen = core_gen
         self._memo: dict[int, TruncatedSeries] = {}
+        self._part_memo: dict[int, TruncatedSeries] = {}
         self._core_memo: dict[int, TruncatedSeries] = {}
 
     def __getitem__(self, n: int) -> TruncatedSeries:
-        if n < 0:
-            raise DomainError("family indices are nonnegative")
         got = self._memo.get(n)
         if got is None:
-            got = self._gen(n)
+            got = self.factor * self.part(n)      # 1 * part is part itself
             self._memo[n] = got
+        return got
+
+    def part(self, n: int) -> TruncatedSeries:
+        if n < 0:
+            raise DomainError("family indices are nonnegative")
+        got = self._part_memo.get(n)
+        if got is None:
+            got = self._gen(n)
+            self._part_memo[n] = got
         return got
 
     def core(self, n: int) -> TruncatedSeries:
@@ -116,10 +135,9 @@ def seed_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
     def alpha(n: int) -> TruncatedSeries:
         if n == 0:
             return one
-        val = poch_finite((1, 1, 1, 0, 0), n - 1, trunc).mul_binomial(1, e_q=2 * n, e_t=1) \
-            * inv_qq(n, trunc)
+        num = poch_finite((1, 1, 1, 0, 0), n - 1, trunc).mul_binomial(1, e_q=2 * n, e_t=1)
         sign = -1 if n % 2 else 1
-        return val.scale(sign).shift(e_q=binom2(n))
+        return num.scale(sign).shift(e_q=binom2(n)) * inv_qq(n, trunc)
 
     def beta(n: int) -> TruncatedSeries:
         return one if n == 0 else TruncatedSeries.zero(trunc)
@@ -239,17 +257,19 @@ def hermite_conjugate_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
               * sum_j (t;q)_j (t;q)_{2n-j} / ((q;q)_j (q;q)_{2n-j}) z^(j-n),
     delta_n = t^n sum_j [2n,j]_q z^(j-n).
     The j-sums are C_{2n}(z,t;q) and H_{2n}(z;q) with z^2 -> z."""
-    def gamma(n: int) -> TruncatedSeries:
+    def gamma_part(n: int) -> TruncatedSeries:
+        # gamma_n over its n-free factor 1/(t,tq,tz,t/z;q)_inf, with t^n
+        # on the narrow (q;q)_{2n} (t^2 q^{2n};q)_inf, where
         # (t^2;q)_inf / (t^2;q)_{2n} = (t^2 q^{2n};q)_inf
         tail = poch_infinite((1, 2 * n, 2, 0, 0), trunc)
-        pref = poch_finite((1, 1, 0, 0, 0), 2 * n, trunc) * tail
-        return (pref * ultraspherical(2 * n, trunc, "t").halve_z()
-                * _conj_prefactor_inv(trunc)).shift(e_t=n)
+        pref = poch_finite((1, 1, 0, 0, 0), 2 * n, trunc).shift(e_t=n) * tail
+        return pref * ultraspherical(2 * n, trunc, "t").halve_z()
 
     def delta_core(n: int) -> TruncatedSeries:
         return hermite(2 * n, trunc).halve_z()
 
-    return (PairFamily("gamma", trunc, gamma, support_bound=trunc.max_t),
+    return (PairFamily("gamma", trunc, gamma_part, support_bound=trunc.max_t,
+                       factor=_conj_prefactor_inv(trunc)),
             _delta_family(trunc, delta_core))
 
 
@@ -281,10 +301,12 @@ def bailey_transform_check(alpha: PairFamily, beta: PairFamily,
     right_bounds = [b for b in (beta.support_bound, delta.support_bound) if b is not None]
     if not left_bounds or not right_bounds:
         raise DomainError("transform check needs a support bound on each side")
-    lhs = TruncatedSeries.sum_of_products(
-        trunc, ((alpha[n], gamma[n]) for n in range(min(left_bounds) + 1)))
-    rhs = TruncatedSeries.sum_of_products(
-        trunc, ((beta[n], delta[n]) for n in range(min(right_bounds) + 1)))
+    # entry n = factor * part(n): the n-free factors multiply in once,
+    # after the sum over the parts
+    lhs = alpha.factor * gamma.factor * TruncatedSeries.sum_of_products(
+        trunc, ((alpha.part(n), gamma.part(n)) for n in range(min(left_bounds) + 1)))
+    rhs = beta.factor * delta.factor * TruncatedSeries.sum_of_products(
+        trunc, ((beta.part(n), delta.part(n)) for n in range(min(right_bounds) + 1)))
     return series_report("bailey-transform", lhs, rhs, params={}, watch=watch)
 
 
@@ -308,17 +330,19 @@ def wp_conjugate_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
                  * inv_poch_infinite((1, 0, 0, 1, 0), trunc)
                  * inv_poch_infinite((1, 1, 0, 1, 0), trunc))
 
-    def gamma(n: int) -> TruncatedSeries:
+    def gamma_part(n: int) -> TruncatedSeries:
+        # gamma'_n over gamma_inf, t^n on the narrow factor
         tail = poch_infinite((1, 2 * n, 2, 0, 0), trunc)
-        pref = poch_finite((1, 1, 0, 0, 0), 2 * n, trunc) * tail
-        return (pref * ultraspherical(2 * n, trunc, "t").halve_z() * gamma_inf).shift(e_t=n)
+        pref = poch_finite((1, 1, 0, 0, 0), 2 * n, trunc).shift(e_t=n) * tail
+        return pref * ultraspherical(2 * n, trunc, "t").halve_z()
 
     def delta_core(n: int) -> TruncatedSeries:
         num = poch_finite((1, 1, 0, 0, 0), 2 * n, trunc).mul_binomial(1, e_q=2 * n, e_s=1) \
             * inv_poch((1, 0, 0, 2, 0), 2 * n, trunc)      # / (s^2;q)_{2n}
         return num * delta_inf * ultraspherical(2 * n, trunc, "s").halve_z()
 
-    return (PairFamily("gamma", trunc, gamma, support_bound=trunc.max_t),
+    return (PairFamily("gamma", trunc, gamma_part, support_bound=trunc.max_t,
+                       factor=gamma_inf),
             _delta_family(trunc, delta_core))
 
 
@@ -336,7 +360,7 @@ def verify_wp_conjugate(gamma_p: PairFamily, delta_p: PairFamily,
     A[d] = prod_{i<d} (t - s q^i) / (q;q)_d, which ends at the first d
     whose product vanishes modulo the truncation, and
     B[j] = (s;q)_j / (tq;q)_j, so each l costs the one pair
-    (A[l-n] B[l+n], core(l))."""
+    (t^n A[l-n] B[l+n], core(l)), t^n on the narrow A[l-n]."""
     trunc = gamma_p.trunc
     t = TruncatedSeries.variable(trunc, "t")
     s_series = TruncatedSeries.variable(trunc, "s")
@@ -359,8 +383,8 @@ def verify_wp_conjugate(gamma_p: PairFamily, delta_p: PairFamily,
     def rhs_at(n: int) -> TruncatedSeries:
         top = min(l_max, n + len(a_table) - 1)
         return TruncatedSeries.sum_of_products(
-            trunc, ((a_table[l - n] * b_table[l + n], delta_p.core(l))
-                    for l in range(n, top + 1))).shift(e_t=n)
+            trunc, ((a_table[l - n].shift(e_t=n) * b_table[l + n], delta_p.core(l))
+                    for l in range(n, top + 1)))
 
     return _relation_report("wp-conjugate-pair-relation", trunc, n_max, gamma_p, rhs_at)
 

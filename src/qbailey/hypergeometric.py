@@ -425,9 +425,9 @@ def b_defining_sum(n: int, trunc: Truncation) -> TruncatedSeries:
     pairs = []
     for sig in range(n + 1):
         h = hermite(sig, trunc)
-        coeff = inv_qq(sig, trunc) ** 2 * inv_qq(n - sig, trunc)
         sign = -1 if (n - sig) % 2 else 1
-        pairs.append((coeff.scale(sign).shift(e_q=binom2(n - sig)), h * h))
+        signed = inv_qq(n - sig, trunc).scale(sign).shift(e_q=binom2(n - sig))
+        pairs.append((inv_qq(sig, trunc) ** 2 * signed, h * h))
     return TruncatedSeries.sum_of_products(trunc, pairs)
 
 
@@ -451,9 +451,8 @@ def phi_closed(n: int, nprime: int, trunc: Truncation) -> TruncatedSeries:
     """q^(n^2) (q;q)_{n'} / (q;q)_n * [n',n]_q; zero when n > n'."""
     if n > nprime:
         return TruncatedSeries.zero(trunc)
-    out = (poch_finite((1, 1, 0, 0, 0), nprime, trunc) * inv_qq(n, trunc)
-           * qbinomial(nprime, n, trunc))
-    return out.shift(e_q=n * n)
+    return (poch_finite((1, 1, 0, 0, 0), nprime, trunc).shift(e_q=n * n) * inv_qq(n, trunc)
+            * qbinomial(nprime, n, trunc))
 
 
 def b_phi_check(n: int, nprimes, trunc: Truncation) -> list[IdentityReport]:

@@ -115,11 +115,12 @@ def fermionic2_index(k: int, trunc: Truncation) -> TruncatedSeries:
     for _ in range(k):
         next_level = []
         for s in range(trunc.max_t + 1):
-            # F_{i-1}(p) t^s is past the t-cap once p + s > max_t
+            # F_{i-1}(p) t^s is past the t-cap once p + s > max_t; t^s
+            # goes on F_{i-1}(p), so no term past the t-cap is formed
             inner = TruncatedSeries.sum_of_products(
-                trunc, ((f, _r_geometric(p + s + 1, trunc))
+                trunc, ((f.shift(e_t=s), _r_geometric(p + s + 1, trunc))
                         for p, f in enumerate(level[:trunc.max_t - s + 1])))
-            next_level.append(inner.shift(e_t=s) * inv_qq(s, trunc) ** 2)
+            next_level.append(inner * inv_qq(s, trunc) ** 2)
         level = next_level
     total = TruncatedSeries.sum_of_products(
         trunc, ((f * hermite(s, trunc), hermite(s, trunc)) for s, f in enumerate(level)))

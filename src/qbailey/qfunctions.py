@@ -7,7 +7,9 @@ binomial updates of 1 and inverses are binomial divisions or Euler's
 series, so no series is inverted.  An infinite product stops at the
 q-cap, past which every factor is 1.  Integrals of symmetric Laurent
 series against d(theta)/pi are realized as z-constant-term extraction;
-ct_z checks the symmetry hypothesis rather than trusting the caller.
+ct_z(a, b) checks the symmetry hypothesis on each factor rather than
+trusting the caller, and forms only the z^0 terms of a * b, from the
+z-slices of a and b whose exponents cancel.
 
 The memoized builders are wrapped in functools.cache, keyed by their
 arguments including the truncation; cached series are shared between
@@ -144,16 +146,29 @@ def ultraspherical(n: int, trunc: Truncation, param: str = "t") -> TruncatedSeri
                  poch_ratio(param, n - j, trunc)) for j in range(n + 1)))
 
 
-def ct_z(f: TruncatedSeries) -> TruncatedSeries:
-    """z-constant term of a series symmetric under z -> 1/z.
+def ct_z(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """z-constant term of the product a * b of two series symmetric
+    under z -> 1/z.
 
     On such series this equals the normalized circle integral
-    (1/pi) * int_0^pi (.) d(theta); the symmetry hypothesis is checked.
+    (1/pi) * int_0^pi (a b) d(theta); the symmetry hypothesis is checked
+    on each factor, and a product of symmetric factors is symmetric.
+    Only the terms that reach z^0 are formed: the sum over j of the
+    z^j-slice of a times the z^-j-slice of b, in one sum of products.
     """
-    if f.flip_z() != f:
-        raise DomainError("ct_z requires a series symmetric under z -> 1/z")
-    return TruncatedSeries(f.trunc,
-                           {k: c for (k, c) in f._terms.items() if k[3] == 0})
+    if a.flip_z() != a or b.flip_z() != b:
+        raise DomainError("ct_z requires factors symmetric under z -> 1/z")
+    slices_b = _z_slices(b)
+    return TruncatedSeries.sum_of_products(
+        a.trunc, ((part, slices_b[-z]) for z, part in _z_slices(a).items() if -z in slices_b))
+
+
+def _z_slices(f: TruncatedSeries) -> dict:
+    # z-exponent -> the series of the terms of f with that exponent
+    slices: dict = {}
+    for key, c in f._terms.items():
+        slices.setdefault(key[3], {})[key] = c
+    return {z: TruncatedSeries._raw(f.trunc, terms) for z, terms in slices.items()}
 
 
 @functools.cache
@@ -175,7 +190,7 @@ def hermite_inner(m: int, n: int, trunc: Truncation) -> TruncatedSeries:
     """Constant-term pairing of H_m and H_n against the Hermite weight."""
     if m < 0 or n < 0:
         raise DomainError("inner product degrees must be >= 0")
-    return ct_z(hermite(m, trunc) * hermite(n, trunc) * hermite_weight(trunc))
+    return ct_z(hermite(m, trunc) * hermite(n, trunc), hermite_weight(trunc))
 
 
 def ultraspherical_inner(m: int, n: int, trunc: Truncation) -> TruncatedSeries:
@@ -185,7 +200,7 @@ def ultraspherical_inner(m: int, n: int, trunc: Truncation) -> TruncatedSeries:
         raise DomainError("inner product degrees must be >= 0")
     cm = ultraspherical(m, trunc, "s")
     cn = ultraspherical(n, trunc, "s")
-    return ct_z(cm * cn * ultraspherical_weight(trunc))
+    return ct_z(cm * cn, ultraspherical_weight(trunc))
 
 
 def hermite_inner_closed(m: int, n: int, trunc: Truncation) -> TruncatedSeries:
@@ -224,8 +239,8 @@ def hermite_expansion_coeff(n: int, l: int, trunc: Truncation) -> TruncatedSerie
     route (constant-term pairing), independent of the closed form."""
     if n < 0 or l < 0:
         raise DomainError("expansion coefficient indices must be >= 0")
-    integrand = _expansion_n_factor(n, trunc) * _expansion_l_factor(l, trunc)
-    return (ct_z(integrand) * poch_infinite((1, 1, 0, 0, 0), trunc)
+    integral = ct_z(_expansion_n_factor(n, trunc), _expansion_l_factor(l, trunc))
+    return (integral * poch_infinite((1, 1, 0, 0, 0), trunc)
             * inv_qq(2 * l, trunc)).scale(Fraction(1, 2))
 
 
@@ -248,10 +263,12 @@ def hermite_expansion_coeff_closed(n: int, l: int, trunc: Truncation) -> Truncat
     ((t^2;q)_inf (q;q)_{2n} (q;q)_{l-n} (tq;q)_{l+n}); zero for l < n."""
     if l < n:
         return TruncatedSeries.zero(trunc)
-    # (t^2;q)_{2n} / (t^2;q)_inf = 1/(t^2 q^{2n};q)_inf
-    out = (_t_tq_infinite(trunc) * inv_poch_infinite((1, 2 * n, 2, 0, 0), trunc)
-           * inv_qq(2 * n, trunc) * inv_qq(l - n, trunc) * inv_tq(l + n, trunc))
-    return out.shift(e_t=l - n)
+    # (t^2;q)_{2n} / (t^2;q)_inf = 1/(t^2 q^{2n};q)_inf; t^(l-n) goes on
+    # the narrow 1/(q;q)_{l-n}, the first factor, so no product forms a
+    # term past the t-cap
+    return (inv_qq(l - n, trunc).shift(e_t=l - n) * inv_tq(l + n, trunc)
+            * inv_qq(2 * n, trunc) * inv_poch_infinite((1, 2 * n, 2, 0, 0), trunc)
+            * _t_tq_infinite(trunc))
 
 
 @functools.cache

@@ -1,15 +1,22 @@
 """Tests for pair families, chain lifts, conjugate pairs, the
 transform, and the well-poised variant."""
 
+import contextlib
+import io
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from unittest import mock
 
 import pytest
 from conftest import clear_caches
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbailey import bailey as B
+from qbailey import cli
 from qbailey import qfunctions as qf
+from qbailey import series as S
 from qbailey.errors import DomainError
 from qbailey.series import TruncatedSeries, Truncation
 
@@ -243,6 +250,107 @@ def test_transform_needs_matching_truncations():
         B.bailey_transform_check(alpha, beta, gamma, delta)
 
 
+def frozen_gammas(trunc):
+    """gamma_n of hermite_conjugate_pair and gamma'_n of wp_conjugate_pair
+    as the builders formed them before t^n moved onto a narrow factor and
+    the n-free factor was kept apart: the whole product, shifted last;
+    the frozen oracle of both gamma builders.  gamma'_n needs s in trunc."""
+    conj = (qf.inv_poch_infinite((1, 0, 1, 0, 0), trunc)
+            * qf.inv_poch_infinite((1, 1, 1, 0, 0), trunc)
+            * qf.inv_poch_infinite((1, 0, 1, 0, 1), trunc)
+            * qf.inv_poch_infinite((1, 0, 1, 0, -1), trunc))
+
+    def pref(n):
+        return (qf.poch_finite((1, 1, 0, 0, 0), 2 * n, trunc)
+                * qf.poch_infinite((1, 2 * n, 2, 0, 0), trunc))
+
+    def gamma(n):
+        return (pref(n) * qf.ultraspherical(2 * n, trunc, "t").halve_z() * conj).shift(e_t=n)
+
+    def gamma_wp(n):
+        gamma_inf = (qf.poch_infinite((1, 0, 0, 1, 1), trunc)
+                     * qf.poch_infinite((1, 0, 0, 1, -1), trunc) * conj)
+        return (pref(n) * qf.ultraspherical(2 * n, trunc, "t").halve_z()
+                * gamma_inf).shift(e_t=n)
+
+    return gamma, gamma_wp
+
+
+CAPS = st.tuples(st.integers(0, 7), st.integers(0, 6), st.integers(0, 4))
+
+
+@settings(max_examples=25, deadline=None)
+@given(caps=CAPS)
+def test_gamma_builders_match_frozen_products(caps):
+    # entry n, its factor times its part, equals the whole product
+    # shifted last, also past the t-cap, where both vanish
+    max_q, max_t, max_s = caps
+    plain, wp = Truncation(max_q, max_t), Truncation(max_q, max_t, max_s)
+    gamma, _ = B.hermite_conjugate_pair(plain)
+    gamma_p, _ = B.wp_conjugate_pair(wp)
+    frozen, _ = frozen_gammas(plain)
+    _, frozen_wp = frozen_gammas(wp)
+    for n in range(max_t + 3):
+        assert gamma[n].render() == frozen(n).render()
+        assert gamma_p[n].render() == frozen_wp(n).render()
+    assert gamma[max_t + 1].is_zero() and gamma_p[max_t + 2].is_zero()
+
+
+def test_pair_family_entry_is_factor_times_part():
+    # entry n is factor * part(n), the factor 1 unless given; parts and
+    # entries are memoized, so each family generates a part once
+    q = TruncatedSeries.variable(TR, "q")
+    factor = one() - q
+
+    def part(n):
+        return mono(e_q=n) + one()
+
+    family = B.PairFamily("gamma", TR, part, factor=factor)
+    plain = B.PairFamily("gamma", TR, part)
+    calls = [count_generator_calls(f, "_gen") for f in (family, plain)]
+    for n in (0, 3, 3):
+        assert family[n] == factor * part(n)
+        assert family.part(n) == part(n)
+        assert plain[n] is plain.part(n)
+    assert plain.factor == one()
+    assert calls == [{0: 1, 3: 1}] * 2
+    with pytest.raises(DomainError):
+        family[-1]
+
+
+RATIONAL = st.one_of(st.just(Fraction(0)),
+                     st.fractions(-3, 3, max_denominator=4).filter(lambda x: x not in (0, 1)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(caps=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+       params=st.lists(st.tuples(RATIONAL, RATIONAL), max_size=2))
+def test_transform_sides_match_the_unfactored_sums(caps, params):
+    # the transform multiplies the conjugate prefactor in once, after the
+    # sum over the parts; its sides equal sum_n alpha_n gamma_n with the
+    # frozen whole gamma_n, and sum_n beta_n delta_n
+    trunc = Truncation(*caps)
+    alpha, beta = B.seed_pair(trunc)
+    if params:
+        alpha, beta = B.chain_lift(alpha, beta, B.ChainParams.of(*zip(*params)), trunc)
+    gamma, delta = B.hermite_conjugate_pair(trunc)
+    frozen, _ = frozen_gammas(trunc)
+    left = min(alpha.support_bound, gamma.support_bound)
+    right = min(b for b in (beta.support_bound, delta.support_bound) if b is not None)
+    expected_lhs = TruncatedSeries.sum_of_products(
+        trunc, ((alpha[n], frozen(n)) for n in range(left + 1)))
+    expected_rhs = TruncatedSeries.sum_of_products(
+        trunc, ((beta[n], delta[n]) for n in range(right + 1)))
+    sides = []
+    with mock.patch.object(B, "series_report",
+                           lambda name, lhs, rhs, **kw: sides.append((lhs, rhs))):
+        B.bailey_transform_check(alpha, beta, gamma, delta)
+    (lhs, rhs), = sides
+    assert lhs.render() == expected_lhs.render()
+    assert rhs.render() == expected_rhs.render()
+    assert lhs == rhs
+
+
 def test_wp_pair_entries_and_relation():
     gamma_p, delta_p = B.wp_conjugate_pair(TRS)
     expected_d0 = qf.poch_infinite((1, 0, 0, 2, 0), TRS) * (
@@ -349,6 +457,22 @@ def test_wp_rhs_matches_reference(monkeypatch, trunc):
     gamma_p, delta_p = B.wp_conjugate_pair(trunc)
     n_max = trunc.max_t
     got = relation_rhs(monkeypatch, B.verify_wp_conjugate, gamma_p, delta_p, n_max)
+    assert len(got) == n_max + 1
+    for n, rhs in enumerate(got):
+        assert rhs.render() == reference_wp_rhs(delta_p, n).render()
+
+
+@settings(max_examples=20, deadline=None)
+@given(caps=CAPS)
+def test_wp_rhs_matches_reference_past_the_t_cap(caps):
+    # t^n on the weight A[l-n] before the product: the right-hand sides
+    # equal the frozen per-l loop, shifted last, for n up to max_t + 2
+    trunc = Truncation(*caps)
+    gamma_p, delta_p = B.wp_conjugate_pair(trunc)
+    n_max = trunc.max_t + 2
+    got = []
+    with mock.patch.object(B, "first_mismatch", lambda left, right: got.append(right)):
+        B.verify_wp_conjugate(gamma_p, delta_p, n_max)
     assert len(got) == n_max + 1
     for n, rhs in enumerate(got):
         assert rhs.render() == reference_wp_rhs(delta_p, n).render()
@@ -512,3 +636,38 @@ def test_wp_collapse_reports_the_failing_family(monkeypatch):
     assert (report.first_mismatch["n"], report.first_mismatch["family"]) == (1, "delta")
     assert report.term_counts == {}
     assert report.to_dict()["status"] == "fail"
+
+
+# the output terms of the packed ring sums each argv forms, caches
+# cleared: at most what the Bailey-family, orthogonality and level-sum
+# products make when each forms only terms that survive.  Before the
+# shifts moved onto narrow factors, ct_z paired matching z-slices and
+# the transform multiplied the conjugate prefactor once, the counts were
+# 39,771, 12,855, 33,661 and 12,590.  Restoring any one post-product
+# shift adds at least one term to one of them.
+FORMED_TERMS = (
+    (["verify", "thm-wp", "--nmax", "3", "--nq", "6", "--nt", "6", "--ns", "4", "--json"],
+     31020),
+    (["verify", "corollary-special", "--pair", "chain(2;9/2,2/8;2/3,9/6)",
+      "--nq", "8", "--nt", "8", "--json"], 7744),
+    (["selftest", "--seed", "1176680724", "--json"], 16926),
+    (["verify", "thm-kks", "--k", "2", "--nq", "12", "--nt", "10", "--json"], 11930),
+)
+
+
+def test_products_form_only_surviving_terms(monkeypatch):
+    packed = S._sum_of_products
+    formed = []
+
+    def counted(pairs, trunc):
+        out = packed(pairs, trunc)
+        formed.append(len(out))
+        return out
+
+    monkeypatch.setattr(S, "_sum_of_products", counted)
+    for argv, limit in FORMED_TERMS:
+        clear_caches()
+        formed.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert sum(formed) <= limit, (argv, sum(formed))

@@ -25,6 +25,14 @@ itself, which the `appx-a` reports cover only through their verdict.
 They were recorded while that form still built one product chain per
 block and one pair per rho leaf.  At (k, nq, nt) = (2, 14, 10) its table
 is the one the other three representations print.
+
+The product-order argument vectors reach the Bailey-family,
+orthogonality and level-sum products at caps above the benchmark's: the
+well-poised and ordinary conjugate relations, a depth-3 chain through
+the transform, the default selftest and a k = 3 fermionic2 table.  They
+were recorded while those products were still formed whole and shifted
+last, their constant terms read off the whole integrand, and the
+conjugate prefactor multiplied into every gamma entry.
 """
 
 import contextlib
@@ -167,6 +175,23 @@ DYNKIN_TABLE_DIGESTS = [
     "b71a39a3a74dc3f0b259bed7bafc403dd90567c1317ec08feca3b353655a3709",
 ]
 
+PRODUCT_ORDER_ARGVS = [
+    ["verify", "thm-wp", "--nmax", "4", "--nq", "8", "--nt", "8", "--ns", "6", "--json"],
+    ["verify", "thm-conj-pair", "--nmax", "6", "--nq", "10", "--nt", "10", "--json"],
+    ["verify", "corollary-special", "--pair", "chain(3;1/2,2/3,3/4;4/5,5/6,6/7)",
+     "--nq", "10", "--nt", "10", "--json"],
+    ["selftest", "--json"],
+    ["table", "--rep", "fermionic2", "--k", "3", "--nq", "12", "--nt", "10"],
+]
+
+PRODUCT_ORDER_DIGESTS = [
+    "7e7060d6ffa869bafdc6ff6195c7f8a401296ffc67c5751477b42ed74478cc0a",
+    "9c366aac36f45129ca6a61afdcfa4dd8cf0496c6106a848b99faffeb62415c87",
+    "45436ca27ac9ccb478f1852201161c428e9c44631d767fe10686cc37c4b0d359",
+    "e9752376e85e2463d42bea2e6c1208d10b7d23befc75b0ca001bdeea055b9c85",
+    "44b93a8f90b259e0e1eca63419a843a0f47553deec367922b372c970fc632ae8",
+]
+
 CASES = [(f"{name}-{i}", argv) for name, argvs in WORKLOAD_ARGVS.items()
          for i, argv in enumerate(argvs)]
 
@@ -211,4 +236,11 @@ def test_fermionic_output_matches_recorded_digest(argv, digest):
 @pytest.mark.parametrize("argv, digest", zip(DYNKIN_TABLE_ARGVS, DYNKIN_TABLE_DIGESTS),
                          ids=["original-k2-14-10", "original-k3-10-8", "original-k1-20-16"])
 def test_dynkin_table_matches_recorded_digest(argv, digest):
+    assert output_digest(argv) == digest
+
+
+@pytest.mark.parametrize("argv, digest", zip(PRODUCT_ORDER_ARGVS, PRODUCT_ORDER_DIGESTS),
+                         ids=["thm-wp-8-8-6", "thm-conj-pair-10-10", "chain3-10-10",
+                              "selftest-default", "fermionic2-k3-12-10"])
+def test_product_order_output_matches_recorded_digest(argv, digest):
     assert output_digest(argv) == digest

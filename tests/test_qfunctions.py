@@ -136,14 +136,49 @@ def test_ultraspherical():
         assert c.flip_z() == c
 
 
+def reference_ct_z(f):
+    """The one-factor constant term as first written: the z^0 terms of a
+    whole product, its symmetry checked on the product; the frozen
+    oracle of the two-factor qf.ct_z."""
+    if f.flip_z() != f:
+        raise DomainError("ct_z requires a series symmetric under z -> 1/z")
+    return TruncatedSeries(f.trunc, {k: c for (k, c) in f._terms.items() if k[3] == 0})
+
+
 def test_ct_z():
     f = mono(e_z=2) + mono(3) + mono(e_z=-2)
-    assert qf.ct_z(f) == mono(3)
+    assert qf.ct_z(f, one()) == mono(3)
     with pytest.raises(DomainError):
-        qf.ct_z(mono(e_z=2) + mono(3))
+        qf.ct_z(mono(e_z=2) + mono(3), one())
     # weight at q-cap zero is (1-z^2)(1-z^-2) with constant term 2
     tr0 = Truncation(0, 0)
-    assert qf.ct_z(qf.hermite_weight(tr0)) == TruncatedSeries.monomial(tr0, 2)
+    assert qf.ct_z(qf.hermite_weight(tr0), one(tr0)) == TruncatedSeries.monomial(tr0, 2)
+    # each factor is checked, not only the product: (3 + z)(3 + z^-1)
+    # is symmetric, its factors are not
+    with pytest.raises(DomainError):
+        qf.ct_z(mono(3) + mono(e_z=1), mono(3) + mono(e_z=-1))
+    with pytest.raises(DomainError):
+        qf.ct_z(f, mono(e_z=1) + mono(3))
+
+
+@st.composite
+def symmetric_series(draw, trunc):
+    """f + f(1/z) for a random sparse f with rational coefficients."""
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, trunc.max_q), st.integers(0, trunc.max_t),
+                  st.integers(0, trunc.s_cap), st.integers(-4, 4)),
+        st.fractions(-5, 5, max_denominator=6), max_size=12))
+    f = TruncatedSeries(trunc, terms)
+    return f + f.flip_z()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), caps=st.tuples(st.integers(0, 5), st.integers(0, 4), st.integers(0, 2)))
+def test_ct_z_matches_the_constant_term_of_the_product(data, caps):
+    trunc = Truncation(*caps)
+    a = data.draw(symmetric_series(trunc))
+    b = data.draw(symmetric_series(trunc))
+    assert qf.ct_z(a, b).render() == reference_ct_z(a * b).render()
 
 
 def test_hermite_inner_orthogonality():
@@ -195,7 +230,7 @@ def reference_hermite_expansion_coeff(n, l, trunc):
                  * qf.inv_poch_infinite((1, 0, 1, 0, 2), trunc)
                  * qf.inv_poch_infinite((1, 0, 1, 0, -2), trunc)
                  * qf.hermite(2 * l, trunc) * qf.hermite_weight(trunc))
-    return (qf.ct_z(integrand) * qf.poch_infinite(Q, trunc)
+    return (reference_ct_z(integrand) * qf.poch_infinite(Q, trunc)
             * qf.inv_qq(2 * l, trunc)).scale(Fraction(1, 2))
 
 
