@@ -19,7 +19,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from .bailey import ChainParams, chain_lift, seed_pair
 from .errors import DomainError, InternalConsistencyError
@@ -36,7 +36,9 @@ REPRESENTATIONS = ("bosonic", "fermionic", "fermionic2", "original")
 class DynkinData:
     """Adjacency matrix of the odd D-series Dynkin diagram on 2k+1
     nodes: a path 1..(2k-1) with the two fork nodes 2k and 2k+1 both
-    attached to node 2k-1."""
+    attached to node 2k-1.  The tree is bipartite: the odd path nodes
+    1, 3, ..., 2k-1 form one colour class and the even path nodes with
+    both fork nodes the other, so every edge joins the two classes."""
 
     k: int
     adjacency: tuple
@@ -143,77 +145,91 @@ def original_index(k: int, trunc: Truncation) -> TruncatedSeries:
     from the adjacency quadratic form sum a_ij l_i m_j / 2.
 
     The entries at the nodes 1, 3, ..., 2k-1 (1-based) form one free
-    vector rho with l = m = rho; svec, u1 and u2 fix all the others.  For
-    each such block the exponents are read off the adjacency as doubled
-    integers: a constant over pairs of fixed nodes, one weight per rho
-    node and the rho-rho couplings give the doubled q-exponent, and the
-    fixed entries the doubled t-exponent e_t.  They are checked even once per
-    block, which makes every exponent of the block integral.  A block is
-    a rho-sum times t^(e_t/2) z^(2(m_{2k+1}-l_{2k+1})) and 1/(q;q) of each
-    fixed entry.  Blocks with the same exponent data share one rho-sum.
-    Their fixed factors are grouped by the sorted tuple of fixed entries:
-    a group's monomials are counted into one integer series, which pairs
-    once with the group's product of 1/(q;q), and the products are
-    memoized by prefix across the call.  The rho-sums share one memo of
-    node values and steps (see _rho_sum).  Nothing here uses the level
-    sums of fermionic2_index, so this stays an independent witness."""
+    vector rho with l = m = rho; svec, u1 and u2 fix all the others.
+    These rho nodes and the fixed nodes are the two colour classes of
+    the graph, which is checked once per call, so the quadratic form
+    has no rho-rho and no fixed-fixed term.  For each block the
+    exponents are read off the adjacency as doubled integers: one weight
+    w_i per rho node gives the doubled q-exponent sum_i rho_i w_i, and
+    the fixed entries the doubled t-exponent e_t.  They are checked even
+    once per block, which makes every exponent integral.  A block is a
+    rho-sum times t^(e_t/2) z^(2(m_{2k+1}-l_{2k+1})) and 1/(q;q) of each
+    fixed entry, and with no rho-rho term its rho-sum is the product of
+    the node sums S(w_i) = sum_r q^(r w_i/2) / (t,q;q)_r.  Blocks with
+    the same sorted weights share one rho-sum.  Their fixed factors are
+    grouped by the sorted tuple of fixed entries: a group's monomials
+    are counted into one integer series, which pairs once with the
+    group's product of 1/(q;q).  Both kinds of product are memoized by
+    prefix across the call.  Nothing here uses the level sums of
+    fermionic2_index, so this stays an independent witness."""
     if k < 1:
         raise DomainError("k must be >= 1")
     adj = DynkinData.build(k).adjacency
     rho_nodes = range(0, 2 * k, 2)                  # 1-based 1, 3, ..., 2k-1
     fixed_nodes = [j for j in range(2 * k + 1) if j % 2 or j == 2 * k]
-    # rho-rho couplings a_ij (j < i); the same for every block of this call
-    couplings = tuple(tuple(adj[r][p] for p in rho_nodes[:i])
-                      for i, r in enumerate(rho_nodes))
-    factor = [inv_poch((1, 0, 1, 0, 0), r, trunc) * inv_qq(r, trunc)    # 1/(t,q;q)_r
-              for r in range(trunc.max_q + 1)]
-    # (const2, weights) -> sorted nonzero fixed entries -> monomial -> count
+    for part in (rho_nodes, fixed_nodes):
+        for i, j in combinations(part, 2):
+            if adj[i][j]:
+                raise InternalConsistencyError(
+                    f"adjacency joins nodes {i + 1} and {j + 1} of one colour class")
+    # sorted weights -> sorted nonzero fixed entries -> monomial -> count
     groups: dict = {}
     for svec in _svectors(k, trunc.max_t):
         sigma_k = svec[-1]
         for u1 in range(sigma_k + 1):
             for u2 in range(sigma_k + 1):
                 l, m = _fixed_entries(k, svec, u1, u2)
-                const2 = sum(adj[i][j] * l[i] * m[j]
-                             for i in fixed_nodes for j in fixed_nodes)
                 weights = tuple(sum(adj[r][j] * (l[j] + m[j]) for j in fixed_nodes) + 2
                                 for r in rho_nodes)
                 e_t2 = sum(l[j] + m[j] for j in fixed_nodes)
-                if const2 % 2 or e_t2 % 2 or any(w % 2 for w in weights):
+                if e_t2 % 2 or any(w % 2 for w in weights):
                     raise InternalConsistencyError(
-                        f"non-integral exponent for l={l}, m={m}: doubled q-constant "
-                        f"{const2}, rho weights {weights}, doubled t-exponent {e_t2}")
+                        f"non-integral exponent for l={l}, m={m}: rho weights "
+                        f"{weights}, doubled t-exponent {e_t2}")
                 if e_t2 > 2 * trunc.max_t:
                     continue
                 # for the D-series graph the weights do not depend on (u1, u2)
                 entries = tuple(sorted(e for j in fixed_nodes for e in (l[j], m[j]) if e))
-                counts = groups.setdefault((const2, weights), {}).setdefault(entries, {})
+                counts = groups.setdefault(tuple(sorted(weights)), {}).setdefault(entries, {})
                 mono = (0, e_t2 // 2, 0, 2 * (m[2 * k] - l[2 * k]))
                 counts[mono] = counts.get(mono, 0) + 1
-    products = {(): TruncatedSeries.one(trunc)}
-    memo: dict = {}
+    factor = [inv_poch((1, 0, 1, 0, 0), r, trunc) * inv_qq(r, trunc)    # 1/(t,q;q)_r
+              for r in range(trunc.max_q + 1)]
+    node_sums = {w: _node_sum(w, factor, trunc) for w in set().union(*groups)}
+    fixed_products = {(): TruncatedSeries.one(trunc)}
+    rho_products = {(): TruncatedSeries.one(trunc)}
     pairs = []
-    for (const2, weights), by_entries in groups.items():
+    for weights, by_entries in groups.items():
         fixed = TruncatedSeries.sum_of_products(
-            trunc, ((TruncatedSeries(trunc, counts), _inv_qq_product(entries, products, trunc))
+            trunc, ((TruncatedSeries(trunc, counts),
+                     _prefix_product(entries, fixed_products, lambda e: inv_qq(e, trunc)))
                     for entries, counts in by_entries.items()))
-        pairs.append((_rho_sum(const2, weights, couplings, factor, trunc, memo), fixed))
+        pairs.append((_prefix_product(weights, rho_products, node_sums.__getitem__), fixed))
     pref = (poch_infinite((1, 0, 1, 0, 0), trunc) * poch_infinite((1, 1, 0, 0, 0), trunc)) ** k
     return pref * TruncatedSeries.sum_of_products(trunc, pairs)
 
 
-def _inv_qq_product(entries, products, trunc):
-    # prod 1/(q;q)_e over the sorted tuple entries; products maps every
-    # prefix formed so far to its product, so each new prefix costs one
-    # product
-    n = len(entries)
-    while entries[:n] not in products:
+def _prefix_product(keys, products, build):
+    # prod build(key) over the tuple keys; products maps every prefix
+    # formed so far to its product, the empty one to 1, so each new
+    # prefix costs one product and the loop does not recurse
+    n = len(keys)
+    while keys[:n] not in products:
         n -= 1
-    val = products[entries[:n]]
-    for i in range(n, len(entries)):
-        val = val * inv_qq(entries[i], trunc)
-        products[entries[:i + 1]] = val
+    val = products[keys[:n]]
+    for i in range(n, len(keys)):
+        val = val * build(keys[i])
+        products[keys[:i + 1]] = val
     return val
+
+
+def _node_sum(w, factor, trunc):
+    # S(w) = sum_r factor[r] q^(r w/2) for an even weight w >= 2; a term
+    # starts at q^(r w/2), so the sum stops at the q-cap and a weight
+    # above 2 max_q leaves factor[0] = 1
+    half = w // 2
+    return sum((factor[r].shift(e_q=r * half) for r in range(1, trunc.max_q // half + 1)),
+               factor[0])
 
 
 def _fixed_entries(k, svec, u1, u2):
@@ -228,62 +244,6 @@ def _fixed_entries(k, svec, u1, u2):
     l[2 * k] = sigma_k - u1                     # l_{2k+1}
     m[2 * k] = sigma_k - u2                     # m_{2k+1}
     return l, m
-
-
-def _rho_sum(const2, weights, couplings, factor, trunc, memo):
-    # sum over rho of q^(e/2) prod_i factor[rho_i], with the doubled
-    # exponent e = const2 + sum_i rho_i (w_i + 2 sum_{j<i} a_ij rho_j).
-    # Adjacency entries are 0 or 1, so every w_i >= 2 and every increment
-    # grows with rho_i: a level stops at the first rho_i that takes e past
-    # 2 max_q, and the pruning is exact.  Level i multiplies by the step
-    # factor[rho_i] q^(rho_i slope_i / 2), so a last-level parent at e2
-    # pairs once with the partial sum of its steps up to
-    # (2 max_q - e2) // slope.  memo is shared by the calls with the same
-    # couplings, factor and trunc; it maps (const2, weights[:i], rho) to
-    # the node value q^(const2/2) prod_{j<i} step_j, (r, slope) to a step
-    # and slope to the list of partial sums of its steps, so calls whose
-    # weights share a prefix share their inner products.
-    budget = 2 * trunc.max_q
-    last = len(weights) - 1
-    pairs = []
-    # depth first over nodes (rho, e2) on an explicit stack, so that k is
-    # not bounded by the recursion limit
-    memo.setdefault((const2, (), ()), TruncatedSeries.monomial(trunc, 1, e_q=const2 // 2))
-    stack = [((), const2)]
-    while stack:
-        rho, e2 = stack.pop()
-        i = len(rho)
-        slope = weights[i] + 2 * sum(a * r for a, r in zip(couplings[i], rho))
-        val = memo[const2, weights[:i], rho]
-        top = (budget - e2) // slope
-        if i == last:
-            if top >= 0:
-                pairs.append((val, _partial_step_sum(top, slope, factor, memo)))
-            continue
-        prefix = weights[:i + 1]
-        for r in range(top + 1):
-            key = (const2, prefix, rho + (r,))
-            if key not in memo:
-                memo[key] = val if r == 0 else val * _step(r, slope, factor, memo)
-            stack.append((key[2], e2 + r * slope))
-    return TruncatedSeries.sum_of_products(trunc, pairs)
-
-
-def _step(r, slope, factor, memo):
-    # factor[r] q^(r slope / 2), memoized under (r, slope)
-    key = (r, slope)
-    if key not in memo:
-        memo[key] = factor[r].shift(e_q=r * slope // 2)
-    return memo[key]
-
-
-def _partial_step_sum(top, slope, factor, memo):
-    # sum of the steps r = 0..top of one slope, memoized under slope; the
-    # r = 0 step is factor[0] = 1
-    sums = memo.setdefault(slope, [factor[0]])
-    while len(sums) <= top:
-        sums.append(sums[-1] + _step(len(sums), slope, factor, memo))
-    return sums[top]
 
 
 def generalized_sides(k: int, b, c,

@@ -190,8 +190,8 @@ def test_chain_deeper_than_the_recursion_limit(capsys):
 
 
 def test_rho_levels_deeper_than_the_recursion_limit(capsys):
-    # the rho sum of the original form walks its levels with an explicit
-    # stack, so k is not bounded by the interpreter's recursion limit
+    # the original form builds its rho products prefix by prefix in a
+    # loop, so k is not bounded by the interpreter's recursion limit
     k = sys.getrecursionlimit() + 1
     code, out, _ = run(capsys, ["verify", "appx-a", "--k", str(k), "--nq", "0", "--nt", "0"])
     assert code == 0 and "[PASS] appx-a" in out

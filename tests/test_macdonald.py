@@ -370,6 +370,24 @@ def test_original_integrality_guard(monkeypatch):
             M.original_index(k, SMALL)
 
 
+def test_original_bipartition_guard(monkeypatch):
+    # the rho nodes and the fixed nodes are the two colour classes of the
+    # D-series graph; an adjacency with a rho-rho edge (nodes 1-3, 1-based)
+    # or a fixed-fixed edge (the fork nodes 2k, 2k+1) must be refused
+    # instead of silently producing a series
+    def with_edge(k, i, j):
+        matrix = [list(row) for row in M.DynkinData.build(k).adjacency]
+        matrix[i][j] = matrix[j][i] = 1
+        return M.DynkinData(k, tuple(tuple(r) for r in matrix))
+
+    bad = [with_edge(k, 0, 2) for k in (2, 3)] + \
+        [with_edge(k, 2 * k - 1, 2 * k) for k in (1, 2, 3)]
+    for data in bad:
+        monkeypatch.setattr(M.DynkinData, "build", classmethod(lambda cls, k: data))
+        with pytest.raises(InternalConsistencyError, match="colour class"):
+            M.original_index(data.k, SMALL)
+
+
 def reference_original_index(k, trunc):
     # frozen copy of the dense form original_index was first written as:
     # every rho up to max_q, the full (2k+1)^2 quadratic form per rho,
@@ -480,35 +498,50 @@ def brute_rho_sum(const2, weights, couplings, factor, trunc):
     (0, (2, 2, 2), ((), (1,), (1, 1))),
     (4, (2, 8), ((), (1,)))])
 def test_rho_sum_matches_brute_force(const2, weights, couplings):
-    # the D-series graph has no rho-rho edge, so couplings are tested here
+    # a block's rho-sum is the product of its node sums exactly when the
+    # fixed-fixed constant and the rho-rho couplings are zero, as on the
+    # bipartite D-series graph: the product matches brute_rho_sum with
+    # both zeroed, and differs from it when either is kept, which is why
+    # original_index refuses such a graph (test_original_bipartition_guard)
     trunc = Truncation(7, 3)
     factor = rho_factors(trunc)
-    assert M._rho_sum(const2, weights, couplings, factor, trunc, {}) == \
-        brute_rho_sum(const2, weights, couplings, factor, trunc)
+    zero = tuple((0,) * i for i in range(len(weights)))
+    rho_sum = M._prefix_product(weights, {(): TruncatedSeries.one(trunc)},
+                                lambda w: M._node_sum(w, factor, trunc))
+    assert rho_sum == brute_rho_sum(0, weights, zero, factor, trunc)
+    assert (rho_sum == brute_rho_sum(const2, weights, couplings, factor, trunc)) == \
+        (const2 == 0 and couplings == zero)
 
 
 @pytest.mark.parametrize("couplings", [((), (1,), (1, 1)), ((), (1,), (0, 1))])
 def test_rho_sums_sharing_one_memo_match_brute_force(couplings):
-    # original_index passes one memo to every rho-sum of a call; the
-    # D-series graph has no rho-rho edge, so only here do coupled slopes
-    # meet in its node, step and partial-sum entries.  The keys share
-    # constants, weight prefixes and slopes, and the first is asked again
-    # at the end, when all of its entries are memoized.
+    # original_index forms its rho-sums as prefix products of node sums on
+    # one memo.  The tuples here are unsorted, repeated (the second time
+    # every prefix is memoized), share prefixes, and include a weight above
+    # 2 max_q, whose node sum is 1.  Each product matches brute_rho_sum with
+    # zero couplings; with the given rho-rho couplings the memoized
+    # three-node product no longer does, so the memo, keyed by weights
+    # alone, holds only for a bipartite graph
     trunc = Truncation(9, 3)
     factor = rho_factors(trunc)
-    memo = {}
-    keys = [(0, (2, 2, 2)), (0, (2, 2, 4)), (0, (2, 4, 2)), (2, (2, 2, 2)),
-            (2, (2, 2, 4)), (4, (4, 2, 2)), (0, (4, 4, 4)), (0, (2, 2, 2))]
-    for const2, weights in keys:
-        assert M._rho_sum(const2, weights, couplings, factor, trunc, memo) == \
-            brute_rho_sum(const2, weights, couplings, factor, trunc), (const2, weights)
+    assert M._node_sum(20, factor, trunc) == TruncatedSeries.one(trunc)
+    products = {(): TruncatedSeries.one(trunc)}
+    keys = [(2, 2, 2), (4, 2, 6), (2, 2, 4), (2, 4, 2), (4, 4), (6, 4, 2), (2, 20),
+            (2, 20, 2), (6, 2), (4, 2, 6), (2, 2), (2, 2, 2)]
+    for weights in keys:
+        zero = tuple((0,) * i for i in range(len(weights)))
+        assert M._prefix_product(weights, products,
+                                 lambda w: M._node_sum(w, factor, trunc)) == \
+            brute_rho_sum(0, weights, zero, factor, trunc), weights
+    assert products[(2, 2, 2)] != brute_rho_sum(0, (2, 2, 2), couplings, factor, trunc)
 
 
 def test_original_forms_each_product_once(monkeypatch):
-    # the Dynkin-data form groups fixed factors and shares rho prefixes;
-    # at the benchmark caps it makes at most a quarter of the packed sums
-    # (698, 1104 and 812) of the form that built one product chain per
-    # block and one pair per rho leaf
+    # the Dynkin-data form groups fixed factors and forms each prefix
+    # product of fixed factors and of node sums once; at the benchmark
+    # caps it makes at most a quarter of the packed sums (698, 1104 and
+    # 812) of the form that built one product chain per block and one
+    # pair per rho leaf
     packed = S._sum_of_products
     calls = []
     monkeypatch.setattr(S, "_sum_of_products",
@@ -523,7 +556,8 @@ def test_original_forms_each_product_once(monkeypatch):
 @pytest.mark.parametrize("k,max_q,max_t", [
     (1, 10, 8), (1, 3, 9), (1, 0, 4), (1, 6, 0),
     (2, 7, 6), (2, 3, 8), (2, 9, 3), (2, 0, 5),
-    (3, 6, 4), (3, 2, 7), (3, 8, 2)])
+    (3, 6, 4), (3, 2, 7), (3, 8, 2),
+    (4, 5, 3), (4, 2, 6)])
 def test_original_matches_dense_reference(k, max_q, max_t):
     trunc = Truncation(max_q, max_t)
     assert M.original_index(k, trunc) == reference_original_index(k, trunc)
