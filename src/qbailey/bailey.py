@@ -30,8 +30,9 @@ t-power; it is absorbed against the t^l prefactor of the delta entries
 through the polynomial form prod_i (t - s q^i), so the verifier works
 on the t-free entry cores and never forms a negative exponent.  The
 weights are tabulated once per check, A[d] = prod_{i<d} (t - s q^i) /
-(q;q)_d and B[j] = (s;q)_j / (tq;q)_j, and the term l of the relation
-at n is the one pair (t^n A[l-n] B[l+n], core(l)).
+(q;q)_d and B[j] = (s;q)_j / (tq;q)_j, the latter from the shared
+Pochhammer prefix tables, and the term l of the relation at n is the
+one pair (t^n A[l-n] B[l+n], core(l)).
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from typing import Callable
 
 from .errors import DomainError
 from .qfunctions import (binom2, combined_poch, hermite, inv_poch, inv_qq, inv_tq,
-                         poch_finite, poch_infinite, inv_poch_infinite, ultraspherical)
+                         poch_finite, poch_infinite, poch_ratio, inv_poch_infinite,
+                         ultraspherical)
 from .report import IdentityReport, Stopwatch, _first_failure, first_mismatch, series_report
 from .series import TruncatedSeries, Truncation
 
@@ -165,28 +167,24 @@ def chain_lift(alpha: PairFamily, beta: PairFamily, params: ChainParams,
         return val
 
     # levels[i][m] = beta_m after i lemma steps; levels[0] is the input
-    # beta.  weighted[i][r] and kernel[i][d] are the two factors of a
-    # step that depend on r or on d = m - r alone.
+    # beta.  weighted[i][r] is the factor of a step that depends on r
+    # alone; the one that depends on d = m - r alone is the memoized
+    # poch_ratio((b_i c_i, 1, 1, 0, 0), d) = (b_i c_i q t;q)_d / (q;q)_d.
     levels: list = [beta] + [[] for _ in range(k)]
     weighted: list[list] = [[] for _ in range(k)]
-    kernel: list[list] = [[] for _ in range(k)]
-    kernel_poch = [TruncatedSeries.one(trunc)] * k     # (b_i c_i q t;q)_d
 
     def lemma_step(i: int, m: int) -> TruncatedSeries:
         # beta'_m of the docstring, from levels[i] with b, c = b_i, c_i
         b, c = params.b[i], params.c[i]
-        below, wts, ker = levels[i], weighted[i], kernel[i]
+        below, wts = levels[i], weighted[i]
         top = min(m, trunc.max_q, trunc.max_t)    # q^r t^r vanishes past it
         while len(wts) <= top:
             r = len(wts)
             wts.append(below[r].shift(e_q=r, e_t=r) * combined_poch(b, r, trunc)
                        * combined_poch(c, r, trunc))
-        while len(ker) <= m:
-            d = len(ker)
-            ker.append(kernel_poch[i] * inv_qq(d, trunc))
-            kernel_poch[i] = kernel_poch[i].mul_binomial(b * c, d + 1, 1)
         total = TruncatedSeries.sum_of_products(
-            trunc, ((wts[r], ker[m - r]) for r in range(top + 1) if wts[r]))
+            trunc, ((wts[r], poch_ratio((b * c, 1, 1, 0, 0), m - r, trunc))
+                    for r in range(top + 1) if wts[r]))
         return (total * inv_poch((b, 1, 1, 0, 0), m, trunc)
                 * inv_poch((c, 1, 1, 0, 0), m, trunc))
 
@@ -359,7 +357,8 @@ def verify_wp_conjugate(gamma_p: PairFamily, delta_p: PairFamily,
     The weight factors into two tables shared by every n:
     A[d] = prod_{i<d} (t - s q^i) / (q;q)_d, which ends at the first d
     whose product vanishes modulo the truncation, and
-    B[j] = (s;q)_j / (tq;q)_j, so each l costs the one pair
+    B[j] = (s;q)_j / (tq;q)_j, read from the Pochhammer prefix tables,
+    so each l costs the one pair
     (t^n A[l-n] B[l+n], core(l)), t^n on the narrow A[l-n]."""
     trunc = gamma_p.trunc
     t = TruncatedSeries.variable(trunc, "t")
@@ -374,11 +373,8 @@ def verify_wp_conjugate(gamma_p: PairFamily, delta_p: PairFamily,
             break
         a_table.append(running * inv_qq(len(a_table), trunc))
 
-    b_table = [TruncatedSeries.one(trunc)]
-    s_poch = b_table[0]                      # (s;q)_j
-    for j in range(1, l_max + min(n_max, l_max) + 1):
-        s_poch = s_poch.mul_binomial(1, e_q=j - 1, e_s=1)
-        b_table.append(s_poch * inv_tq(j, trunc))
+    b_table = [poch_finite((1, 0, 0, 1, 0), j, trunc) * inv_tq(j, trunc)
+               for j in range(l_max + min(n_max, l_max) + 1)]
 
     def rhs_at(n: int) -> TruncatedSeries:
         top = min(l_max, n + len(a_table) - 1)

@@ -277,7 +277,7 @@ def heine1_sides(a: Fraction, trunc: Truncation) -> tuple[TruncatedSeries, Trunc
     (powers of s) and the transformed series (powers of t) terminate
     modulo the truncation."""
     lhs = TruncatedSeries.sum_of_products(
-        trunc, ((poch_finite((a, 0, 0, 0, 0), n, trunc) * poch_ratio("t", n, trunc),
+        trunc, ((poch_finite((a, 0, 0, 0, 0), n, trunc) * poch_ratio((1, 0, 1, 0, 0), n, trunc),
                  inv_tq(n, trunc).shift(e_s=n))
                 for n in range(trunc.s_cap + 1)))
     inner = TruncatedSeries.sum_of_products(

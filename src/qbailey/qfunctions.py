@@ -14,8 +14,9 @@ z-slices of a and b whose exponents cancel.
 The memoized builders are wrapped in functools.cache, keyed by their
 arguments including the truncation; cached series are shared between
 callers, which is safe because series are immutable.  Each builder's
-cache_info() and cache_clear() report on and empty its table; inv_poch
-keeps its prefix tables in the cache of _inv_poch_prefixes.
+cache_info() and cache_clear() report on and empty its table.  Every
+finite Pochhammer (a;q)_n and 1/(a;q)_n is a read of one prefix table
+per base, direction and truncation, kept in the cache of _prefixes.
 """
 
 from __future__ import annotations
@@ -32,16 +33,29 @@ def binom2(n: int) -> int:
     return n * (n - 1) // 2
 
 
+@functools.cache
+def _prefixes(a: tuple, step, trunc: Truncation) -> list:
+    # [1, step(1, a), step(step(1, a), a q), ...], extended on demand by _prefix
+    return [TruncatedSeries.one(trunc)]
+
+
+def _prefix(a: tuple, n: int, trunc: Truncation, step) -> TruncatedSeries:
+    # entry n of the prefix table of base a in direction step: each
+    # entry is the one before updated by the binomial 1 - a q^(n-1)
+    if n < 0:
+        raise DomainError("a finite Pochhammer needs n >= 0")
+    table = _prefixes(a, step, trunc)
+    c, e_q, e_t, e_s, e_z = a
+    while len(table) <= n:
+        table.append(step(table[-1], c, e_q + len(table) - 1, e_t, e_s, e_z))
+    return table[n]
+
+
 def poch_finite(a: tuple, n: int, trunc: Truncation) -> TruncatedSeries:
     """(a;q)_n = prod_{k=0}^{n-1} (1 - a q^k) for the monomial
-    a = (c, e_q, e_t, e_s, e_z) and n >= 0: n binomial updates of 1."""
-    if n < 0:
-        raise DomainError("poch_finite needs n >= 0")
-    c, e_q, e_t, e_s, e_z = a
-    result = TruncatedSeries.one(trunc)
-    for k in range(n):
-        result = result.mul_binomial(c, e_q + k, e_t, e_s, e_z)
-    return result
+    a = (c, e_q, e_t, e_s, e_z) and n >= 0, memoized: binomial updates
+    of 1."""
+    return _prefix(a, n, trunc, TruncatedSeries.mul_binomial)
 
 
 def poch_infinite(a: tuple, trunc: Truncation) -> TruncatedSeries:
@@ -87,23 +101,10 @@ def qbinomial(M: int, N: int, trunc: Truncation) -> TruncatedSeries:
     return qbinomial(M - 1, N - 1, trunc) + qbinomial(M - 1, N, trunc).shift(e_q=N)
 
 
-@functools.cache
-def _inv_poch_prefixes(a: tuple, trunc: Truncation) -> list:
-    # [1/(a;q)_0, 1/(a;q)_1, ...], extended on demand by inv_poch
-    return [TruncatedSeries.one(trunc)]
-
-
 def inv_poch(a: tuple, n: int, trunc: Truncation) -> TruncatedSeries:
     """1/(a;q)_n for the monomial a = (c, e_q, e_t, e_s, e_z) and n >= 0,
-    memoized: each prefix is the one before divided by the binomial
-    1 - a q^(n-1), so no series is inverted."""
-    if n < 0:
-        raise DomainError("inv_poch needs n >= 0")
-    table = _inv_poch_prefixes(a, trunc)
-    c, e_q, e_t, e_s, e_z = a
-    while len(table) <= n:
-        table.append(table[-1].div_binomial(c, e_q + len(table) - 1, e_t, e_s, e_z))
-    return table[n]
+    memoized: binomial divisions of 1, so no series is inverted."""
+    return _prefix(a, n, trunc, TruncatedSeries.div_binomial)
 
 
 def inv_qq(n: int, trunc: Truncation) -> TruncatedSeries:
@@ -117,9 +118,8 @@ def inv_tq(n: int, trunc: Truncation) -> TruncatedSeries:
 
 
 @functools.cache
-def poch_ratio(param: str, j: int, trunc: Truncation) -> TruncatedSeries:
-    """(x;q)_j / (q;q)_j for a ring variable x in {t, s}, memoized."""
-    a = {"t": (1, 0, 1, 0, 0), "s": (1, 0, 0, 1, 0)}[param]
+def poch_ratio(a: tuple, j: int, trunc: Truncation) -> TruncatedSeries:
+    """(a;q)_j / (q;q)_j for the monomial a, memoized."""
     return poch_finite(a, j, trunc) * inv_qq(j, trunc)
 
 
@@ -141,9 +141,10 @@ def ultraspherical(n: int, trunc: Truncation, param: str = "t") -> TruncatedSeri
     with parameter x one of the ring variables t or s."""
     if n < 0:
         raise DomainError("ultraspherical degree must be >= 0")
+    x = {"t": (1, 0, 1, 0, 0), "s": (1, 0, 0, 1, 0)}[param]
     return TruncatedSeries.sum_of_products(
-        trunc, ((poch_ratio(param, j, trunc).shift(e_z=n - 2 * j),
-                 poch_ratio(param, n - j, trunc)) for j in range(n + 1)))
+        trunc, ((poch_ratio(x, j, trunc).shift(e_z=n - 2 * j),
+                 poch_ratio(x, n - j, trunc)) for j in range(n + 1)))
 
 
 def ct_z(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:

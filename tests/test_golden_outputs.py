@@ -33,6 +33,13 @@ the transform, the default selftest and a k = 3 fermionic2 table.  They
 were recorded while those products were still formed whole and shifted
 last, their constant terms read off the whole integrand, and the
 conjugate prefactor multiplied into every gamma entry.
+
+The Pochhammer-table argument vectors reach the chain lift when its
+kernel (b_i c_i q t;q)_d / (q;q)_d comes from the shared prefix tables:
+a depth-3 chain and a k = 3 thm-general whose parameters all have
+b_i c_i = 1, so every lift level reads one kernel table, on the base
+of 1/(tq;q)_n.  They were recorded while each lift level still kept
+its own running product of the kernel.
 """
 
 import contextlib
@@ -192,6 +199,18 @@ PRODUCT_ORDER_DIGESTS = [
     "44b93a8f90b259e0e1eca63419a843a0f47553deec367922b372c970fc632ae8",
 ]
 
+POCH_TABLE_ARGVS = [
+    ["verify", "corollary-special", "--pair", "chain(3;1/2,2,1/3;2,1/2,3)",
+     "--nq", "10", "--nt", "10", "--json"],
+    ["verify", "thm-general", "--k", "3", "--b", "1/2,2,1/3", "--c", "2,1/2,3",
+     "--nq", "10", "--nt", "8", "--json"],
+]
+
+POCH_TABLE_DIGESTS = [
+    "6538c10fac379ddac38679e90aca758261a1b577780a2793ec77d1b5ee201181",
+    "66da1d1a1dc4b05bd217fcdbcc0a241bd71b5899d4042c5b52f28fd757920072",
+]
+
 CASES = [(f"{name}-{i}", argv) for name, argvs in WORKLOAD_ARGVS.items()
          for i, argv in enumerate(argvs)]
 
@@ -243,4 +262,10 @@ def test_dynkin_table_matches_recorded_digest(argv, digest):
                          ids=["thm-wp-8-8-6", "thm-conj-pair-10-10", "chain3-10-10",
                               "selftest-default", "fermionic2-k3-12-10"])
 def test_product_order_output_matches_recorded_digest(argv, digest):
+    assert output_digest(argv) == digest
+
+
+@pytest.mark.parametrize("argv, digest", zip(POCH_TABLE_ARGVS, POCH_TABLE_DIGESTS),
+                         ids=["chain3-unit-kernel-10-10", "thm-general-k3-unit-kernel-10-8"])
+def test_poch_table_output_matches_recorded_digest(argv, digest):
     assert output_digest(argv) == digest

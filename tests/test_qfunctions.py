@@ -290,10 +290,11 @@ def u_sum(sig, trunc):
 
 def ultra_half_sum(n, trunc, param):
     # the j-sum of both conjugate pairs' gamma_n and of the wp delta_n
+    x = {"t": T, "s": (1, 0, 0, 1, 0)}[param]
     total = TruncatedSeries.zero(trunc)
     for j in range(2 * n + 1):
-        total = total + (qf.poch_ratio(param, j, trunc)
-                         * qf.poch_ratio(param, 2 * n - j, trunc)).shift(e_z=j - n)
+        total = total + (qf.poch_ratio(x, j, trunc)
+                         * qf.poch_ratio(x, 2 * n - j, trunc)).shift(e_z=j - n)
     return total
 
 
@@ -301,8 +302,8 @@ def bosonic_jsum(n, trunc):
     # the j-sum of the bosonic summand and of the parametrized bosonic side
     jsum = TruncatedSeries.zero(trunc)
     for j in range(2 * n + 1):
-        jsum = jsum + (qf.poch_ratio("t", j, trunc)
-                       * qf.poch_ratio("t", 2 * n - j, trunc)).shift(e_z=2 * j - 2 * n)
+        jsum = jsum + (qf.poch_ratio(T, j, trunc)
+                       * qf.poch_ratio(T, 2 * n - j, trunc)).shift(e_z=2 * j - 2 * n)
     return jsum
 
 
@@ -396,6 +397,31 @@ def test_inv_poch_matches_inverted_product(case, ns):
             qf.inv_poch_infinite(a, trunc)
     else:
         assert qf.inv_poch_infinite(a, trunc) == full.invert()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_monomial_bases(), st.lists(st.integers(0, 6), min_size=1, max_size=4))
+@example((TRS, 0, (1, 1, 0, 0)), [3, 1])               # c = 0
+@example((TRS, Fraction(2, 3), (1, 1, 1, -2)), [4, 0, 2])
+@example((TRS, 1, (0, 0, 1, 2)), [2, 5])               # the wp relation's (s;q)_j
+def test_poch_ratio_and_both_tables_match_the_products(case, js):
+    # poch_ratio(a, j) = (a;q)_j / (q;q)_j for any monomial base; the
+    # product and the division table of one base, each extended out of
+    # order, stay two tables: their entries at each n multiply to 1
+    trunc, c, e = case
+    a = (c, *e)
+    base = TruncatedSeries(trunc, {e: c})
+    clear_caches()
+    for j in js:            # in drawn order, so the tables grow out of order
+        want = reference_poch(base, j) * reference_poch(mono(e_q=1, trunc=trunc), j).invert()
+        assert qf.poch_ratio(a, j, trunc) == want
+    # 1 - a is a unit unless a is a nonzero base of (q,t,s)-degree 0
+    # that is z-dependent or equal to 1
+    unit = not c or any(e[:3]) or not (e[3] or c == 1)
+    for n in sorted(js, reverse=True):
+        if n and not unit:
+            continue
+        assert qf.inv_poch(a, n, trunc) * qf.poch_finite(a, n, trunc) == one(trunc)
 
 
 @settings(max_examples=40, deadline=None)
