@@ -37,15 +37,14 @@ one pair (t^n A[l-n] B[l+n], core(l)).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Callable
 
 from .errors import DomainError
-from .qfunctions import (binom2, combined_poch, hermite, inv_poch, inv_qq, inv_tq,
-                         poch_finite, poch_infinite, poch_ratio, inv_poch_infinite,
+from .qfunctions import (binom2, combined_poch, hermite, infinite_product, inv_poch, inv_qq,
+                         inv_tq, poch_finite, poch_infinite, poch_ratio, inv_poch_infinite,
                          ultraspherical)
 from .report import IdentityReport, Stopwatch, _first_failure, first_mismatch, series_report
 from .series import TruncatedSeries, Truncation
@@ -231,12 +230,17 @@ def verify_bailey_pair(alpha: PairFamily, beta: PairFamily,
     return _relation_report("bailey-pair-relation", trunc, n_max, beta, rhs_at)
 
 
-@functools.cache
-def _conj_prefactor_inv(trunc: Truncation) -> TruncatedSeries:
-    # 1 / (t, tq, tz, t/z; q)_inf, memoized
-    return (inv_poch_infinite((1, 0, 1, 0, 0), trunc) * inv_poch_infinite((1, 1, 1, 0, 0), trunc)
-            * inv_poch_infinite((1, 0, 1, 0, 1), trunc)
-            * inv_poch_infinite((1, 0, 1, 0, -1), trunc))
+# the bases t, tq, tz, t/z of the conjugate prefactor 1/(t,tq,tz,t/z;q)_inf
+_CONJ_DEN = ((1, 0, 1, 0, 0), (1, 1, 1, 0, 0), (1, 0, 1, 0, 1), (1, 0, 1, 0, -1))
+
+
+def _gamma_part(n: int, trunc: Truncation) -> TruncatedSeries:
+    # gamma_n over its n-free factor, the same for gamma and gamma':
+    # t^n on the narrow (q;q)_{2n} (t^2 q^{2n};q)_inf, where
+    # (t^2;q)_inf / (t^2;q)_{2n} = (t^2 q^{2n};q)_inf
+    tail = poch_infinite((1, 2 * n, 2, 0, 0), trunc)
+    pref = poch_finite((1, 1, 0, 0, 0), 2 * n, trunc).shift(e_t=n) * tail
+    return pref * ultraspherical(2 * n, trunc, "t").halve_z()
 
 
 def _delta_family(trunc: Truncation,
@@ -255,19 +259,11 @@ def hermite_conjugate_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
               * sum_j (t;q)_j (t;q)_{2n-j} / ((q;q)_j (q;q)_{2n-j}) z^(j-n),
     delta_n = t^n sum_j [2n,j]_q z^(j-n).
     The j-sums are C_{2n}(z,t;q) and H_{2n}(z;q) with z^2 -> z."""
-    def gamma_part(n: int) -> TruncatedSeries:
-        # gamma_n over its n-free factor 1/(t,tq,tz,t/z;q)_inf, with t^n
-        # on the narrow (q;q)_{2n} (t^2 q^{2n};q)_inf, where
-        # (t^2;q)_inf / (t^2;q)_{2n} = (t^2 q^{2n};q)_inf
-        tail = poch_infinite((1, 2 * n, 2, 0, 0), trunc)
-        pref = poch_finite((1, 1, 0, 0, 0), 2 * n, trunc).shift(e_t=n) * tail
-        return pref * ultraspherical(2 * n, trunc, "t").halve_z()
-
     def delta_core(n: int) -> TruncatedSeries:
         return hermite(2 * n, trunc).halve_z()
 
-    return (PairFamily("gamma", trunc, gamma_part, support_bound=trunc.max_t,
-                       factor=_conj_prefactor_inv(trunc)),
+    return (PairFamily("gamma", trunc, lambda n: _gamma_part(n, trunc),
+                       support_bound=trunc.max_t, factor=infinite_product((), _CONJ_DEN, trunc)),
             _delta_family(trunc, delta_core))
 
 
@@ -322,25 +318,19 @@ def wp_conjugate_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
     # the n-free factors, built once per family:
     # (sz, s/z;q)_inf / (t,tq,tz,t/z;q)_inf of gamma' and
     # (1+s) (s^2 q;q)_inf / (s,sq;q)_inf of delta'
-    gamma_inf = (poch_infinite((1, 0, 0, 1, 1), trunc) * poch_infinite((1, 0, 0, 1, -1), trunc)
-                 * _conj_prefactor_inv(trunc))
+    gamma_inf = (infinite_product(((1, 0, 0, 1, 1), (1, 0, 0, 1, -1)), (), trunc)
+                 * infinite_product((), _CONJ_DEN, trunc))
     delta_inf = ((s + 1) * poch_infinite((1, 1, 0, 2, 0), trunc)
                  * inv_poch_infinite((1, 0, 0, 1, 0), trunc)
                  * inv_poch_infinite((1, 1, 0, 1, 0), trunc))
-
-    def gamma_part(n: int) -> TruncatedSeries:
-        # gamma'_n over gamma_inf, t^n on the narrow factor
-        tail = poch_infinite((1, 2 * n, 2, 0, 0), trunc)
-        pref = poch_finite((1, 1, 0, 0, 0), 2 * n, trunc).shift(e_t=n) * tail
-        return pref * ultraspherical(2 * n, trunc, "t").halve_z()
 
     def delta_core(n: int) -> TruncatedSeries:
         num = poch_finite((1, 1, 0, 0, 0), 2 * n, trunc).mul_binomial(1, e_q=2 * n, e_s=1) \
             * inv_poch((1, 0, 0, 2, 0), 2 * n, trunc)      # / (s^2;q)_{2n}
         return num * delta_inf * ultraspherical(2 * n, trunc, "s").halve_z()
 
-    return (PairFamily("gamma", trunc, gamma_part, support_bound=trunc.max_t,
-                       factor=gamma_inf),
+    return (PairFamily("gamma", trunc, lambda n: _gamma_part(n, trunc),
+                       support_bound=trunc.max_t, factor=gamma_inf),
             _delta_family(trunc, delta_core))
 
 

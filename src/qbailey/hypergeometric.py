@@ -18,13 +18,12 @@ numerator/denominator pairs, and each side reduces once, at the end.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, PoleError
-from .qfunctions import (binom2, hermite, inv_poch, inv_poch_infinite, inv_qq, inv_tq,
+from .qfunctions import (binom2, hermite, infinite_product, inv_poch, inv_qq, inv_tq,
                          poch_finite, poch_infinite, poch_ratio, qbinomial)
 from .report import IdentityReport, Stopwatch, series_report, value_report
 from .series import TruncatedSeries, Truncation
@@ -284,15 +283,10 @@ def heine1_sides(a: Fraction, trunc: Truncation) -> tuple[TruncatedSeries, Trunc
         trunc, ((poch_finite((1, 0, 0, 1, 0), m, trunc),
                  inv_poch((a, 0, 0, 1, 0), m, trunc).shift(e_t=m))
                 for m in range(trunc.max_t + 1)))
-    rhs = _heine1_prefactor(trunc) * poch_infinite((a, 0, 0, 1, 0), trunc) * inner
+    # (t;q)_inf / (tq, s;q)_inf, the a-free factor, then (as;q)_inf
+    rhs = (infinite_product(((1, 0, 1, 0, 0),), ((1, 1, 1, 0, 0), (1, 0, 0, 1, 0)), trunc)
+           * poch_infinite((a, 0, 0, 1, 0), trunc) * inner)
     return lhs, rhs
-
-
-@functools.cache
-def _heine1_prefactor(trunc: Truncation) -> TruncatedSeries:
-    # (t;q)_inf / (tq, s;q)_inf, the a-free factor of heine1_sides' rhs
-    return (poch_infinite((1, 0, 1, 0, 0), trunc) * inv_poch_infinite((1, 1, 1, 0, 0), trunc)
-            * inv_poch_infinite((1, 0, 0, 1, 0), trunc))
 
 
 # -- the S_{d,n} layer ------------------------------------------------

@@ -23,7 +23,7 @@ from itertools import combinations, combinations_with_replacement
 
 from .bailey import ChainParams, chain_lift, seed_pair
 from .errors import DomainError, InternalConsistencyError
-from .qfunctions import (binom2, combined_poch, hermite, inv_poch, inv_qq,
+from .qfunctions import (binom2, combined_poch, hermite, infinite_product, inv_poch, inv_qq,
                          inv_poch_infinite, poch_finite, poch_infinite, ultraspherical)
 from .report import IdentityReport, Stopwatch, series_report
 from .series import TruncatedSeries, Truncation
@@ -126,7 +126,7 @@ def fermionic2_index(k: int, trunc: Truncation) -> TruncatedSeries:
         level = next_level
     total = TruncatedSeries.sum_of_products(
         trunc, ((f * hermite(s, trunc), hermite(s, trunc)) for s, f in enumerate(level)))
-    pref = (poch_infinite((1, 0, 1, 0, 0), trunc) * poch_infinite((1, 1, 0, 0, 0), trunc)) ** k
+    pref = infinite_product(((1, 0, 1, 0, 0), (1, 1, 0, 0, 0)), (), trunc) ** k
     return pref * total
 
 
@@ -205,7 +205,7 @@ def original_index(k: int, trunc: Truncation) -> TruncatedSeries:
                      _prefix_product(entries, fixed_products, lambda e: inv_qq(e, trunc)))
                     for entries, counts in by_entries.items()))
         pairs.append((_prefix_product(weights, rho_products, node_sums.__getitem__), fixed))
-    pref = (poch_infinite((1, 0, 1, 0, 0), trunc) * poch_infinite((1, 1, 0, 0, 0), trunc)) ** k
+    pref = infinite_product(((1, 0, 1, 0, 0), (1, 1, 0, 0, 0)), (), trunc) ** k
     return pref * TruncatedSeries.sum_of_products(trunc, pairs)
 
 
@@ -279,8 +279,7 @@ def _bosonic_side(k, b, c, trunc):
     # the leading monomial; at b = c = 0 its q-exponent is k n^2 + binom(n,2).
     params = [x for x in (*b, *c) if x]
     fold = 1 + 2 * k - len(params)          # binom(n,2) multiples in the exponent
-    pref = (inv_poch_infinite((1, 0, 1, 0, 0), trunc) * inv_poch_infinite((1, 0, 1, 0, 2), trunc)
-            * inv_poch_infinite((1, 0, 1, 0, -2), trunc))
+    pref = infinite_product((), ((1, 0, 1, 0, 0), (1, 0, 1, 0, 2), (1, 0, 1, 0, -2)), trunc)
     pairs = []
     n = 0
     while True:

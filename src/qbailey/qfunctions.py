@@ -17,6 +17,10 @@ callers, which is safe because series are immutable.  Each builder's
 cache_info() and cache_clear() report on and empty its table.  Every
 finite Pochhammer (a;q)_n and 1/(a;q)_n is a read of one prefix table
 per base, direction and truncation, kept in the cache of _prefixes.
+Every n-free product of infinite Pochhammers,
+(a_1,...;q)_inf / (b_1,...;q)_inf, is a read of infinite_product, keyed
+by its two tuples of bases in their order; the orthogonality weights
+and the package's prefactors are such reads.
 """
 
 from __future__ import annotations
@@ -77,6 +81,19 @@ def inv_poch_infinite(a: tuple, trunc: Truncation) -> TruncatedSeries:
         pairs.append((power, inv_qq(len(pairs), trunc)))
         power = power * base
     return TruncatedSeries.sum_of_products(trunc, pairs)
+
+
+@functools.cache
+def infinite_product(num: tuple, den: tuple, trunc: Truncation) -> TruncatedSeries:
+    """(num;q)_inf / (den;q)_inf for tuples of monomial bases, memoized:
+    (a;q)_inf for each a in num, then 1/(b;q)_inf for each b in den,
+    multiplied in the order given."""
+    product = TruncatedSeries.one(trunc)
+    for a in num:
+        product = product * poch_infinite(a, trunc)
+    for b in den:
+        product = product * inv_poch_infinite(b, trunc)
+    return product
 
 
 @functools.cache
@@ -172,19 +189,17 @@ def _z_slices(f: TruncatedSeries) -> dict:
     return {z: TruncatedSeries._raw(f.trunc, terms) for z, terms in slices.items()}
 
 
-@functools.cache
 def hermite_weight(trunc: Truncation) -> TruncatedSeries:
-    """(z^2, z^-2; q)_inf, the q-Hermite orthogonality weight, memoized."""
-    return poch_infinite((1, 0, 0, 0, 2), trunc) * poch_infinite((1, 0, 0, 0, -2), trunc)
+    """(z^2, z^-2; q)_inf, the q-Hermite orthogonality weight."""
+    return infinite_product(((1, 0, 0, 0, 2), (1, 0, 0, 0, -2)), (), trunc)
 
 
-@functools.cache
 def ultraspherical_weight(trunc: Truncation) -> TruncatedSeries:
-    """(z^2, z^-2; q)_inf / (s z^2, s z^-2; q)_inf, memoized."""
+    """(z^2, z^-2; q)_inf / (s z^2, s z^-2; q)_inf."""
     if trunc.max_s is None:
         raise DomainError("ultraspherical weight needs a truncation with s")
-    return (hermite_weight(trunc) * inv_poch_infinite((1, 0, 0, 1, 2), trunc)
-            * inv_poch_infinite((1, 0, 0, 1, -2), trunc))
+    return infinite_product(((1, 0, 0, 0, 2), (1, 0, 0, 0, -2)),
+                            ((1, 0, 0, 1, 2), (1, 0, 0, 1, -2)), trunc)
 
 
 def hermite_inner(m: int, n: int, trunc: Truncation) -> TruncatedSeries:
@@ -218,11 +233,10 @@ def ultraspherical_inner_closed(m: int, n: int, trunc: Truncation) -> TruncatedS
     if m != n:
         return TruncatedSeries.zero(trunc)
     ss = (1, 0, 0, 2, 0)
-    num = (poch_finite(ss, n, trunc).mul_binomial(1, e_s=1)
-           * poch_infinite((1, 0, 0, 1, 0), trunc) * poch_infinite((1, 1, 0, 1, 0), trunc))
-    den_inv = inv_qq(n, trunc).div_binomial(1, e_q=n, e_s=1) \
-        * inv_poch_infinite((1, 1, 0, 0, 0), trunc) * inv_poch_infinite(ss, trunc)
-    return (num * den_inv).scale(2)
+    num = poch_finite(ss, n, trunc).mul_binomial(1, e_s=1)
+    den_inv = inv_qq(n, trunc).div_binomial(1, e_q=n, e_s=1)
+    return (num * den_inv * infinite_product(((1, 0, 0, 1, 0), (1, 1, 0, 1, 0)),
+                                             ((1, 1, 0, 0, 0), ss), trunc)).scale(2)
 
 
 def hermite_linearize(m: int, n: int, trunc: Truncation) -> TruncatedSeries:
@@ -248,8 +262,8 @@ def hermite_expansion_coeff(n: int, l: int, trunc: Truncation) -> TruncatedSerie
 @functools.cache
 def _expansion_n_factor(n: int, trunc: Truncation) -> TruncatedSeries:
     # C_{2n}(z,t;q) / (t z^2, t z^-2;q)_inf, the integrand's n-part
-    return (ultraspherical(2 * n, trunc, "t") * inv_poch_infinite((1, 0, 1, 0, 2), trunc)
-            * inv_poch_infinite((1, 0, 1, 0, -2), trunc))
+    return (ultraspherical(2 * n, trunc, "t")
+            * infinite_product((), ((1, 0, 1, 0, 2), (1, 0, 1, 0, -2)), trunc))
 
 
 @functools.cache
@@ -269,13 +283,7 @@ def hermite_expansion_coeff_closed(n: int, l: int, trunc: Truncation) -> Truncat
     # term past the t-cap
     return (inv_qq(l - n, trunc).shift(e_t=l - n) * inv_tq(l + n, trunc)
             * inv_qq(2 * n, trunc) * inv_poch_infinite((1, 2 * n, 2, 0, 0), trunc)
-            * _t_tq_infinite(trunc))
-
-
-@functools.cache
-def _t_tq_infinite(trunc: Truncation) -> TruncatedSeries:
-    # (t, tq;q)_inf
-    return poch_infinite((1, 0, 1, 0, 0), trunc) * poch_infinite((1, 1, 1, 0, 0), trunc)
+            * infinite_product(((1, 0, 1, 0, 0), (1, 1, 1, 0, 0)), (), trunc))
 
 
 def weight_expansion_sides(trunc: Truncation) -> tuple[TruncatedSeries, TruncatedSeries]:
@@ -289,8 +297,8 @@ def weight_expansion_sides(trunc: Truncation) -> tuple[TruncatedSeries, Truncate
     and each side truncates because the minimum total degree of the
     k-th term grows with |k|.
     """
-    lhs = (hermite_weight(trunc) * inv_poch_infinite((1, 0, 1, 0, 2), trunc)
-           * inv_poch_infinite((1, 0, 1, 0, -2), trunc))
+    lhs = infinite_product(((1, 0, 0, 0, 2), (1, 0, 0, 0, -2)),
+                           ((1, 0, 1, 0, 2), (1, 0, 1, 0, -2)), trunc)
 
     t = TruncatedSeries.variable(trunc, "t")
     pairs = []
@@ -314,7 +322,6 @@ def weight_expansion_sides(trunc: Truncation) -> tuple[TruncatedSeries, Truncate
         m += 1
     bilateral = TruncatedSeries.sum_of_products(trunc, pairs)
 
-    pref = (_t_tq_infinite(trunc).mul_binomial(1, e_z=-2)
-            * inv_poch_infinite((1, 1, 0, 0, 0), trunc)
-            * inv_poch_infinite((1, 0, 2, 0, 0), trunc))
+    pref = infinite_product(((1, 0, 1, 0, 0), (1, 1, 1, 0, 0)),
+                            ((1, 1, 0, 0, 0), (1, 0, 2, 0, 0)), trunc).mul_binomial(1, e_z=-2)
     return lhs, pref * bilateral

@@ -1,5 +1,5 @@
 """The shared cache-clearing helper reaches every memo table of the
-package, the private prefactor caches included, so a test that clears
+package, the private ones included, so a test that clears
 before it compares or watches builders never runs against a warm
 cache."""
 
@@ -10,13 +10,12 @@ import io
 
 from conftest import clear_caches
 
-from qbailey import cli
+from qbailey import cli, qfunctions
 
-# loop-invariant factors kept in private caches, one side of an
-# identity each
-PRIVATE_CACHES = {"bailey._conj_prefactor_inv", "hypergeometric._heine1_prefactor",
-                  "qfunctions._expansion_n_factor", "qfunctions._expansion_l_factor",
-                  "qfunctions._t_tq_infinite"}
+# the private per-n integrand factors, and the one builder that every
+# n-free product of infinite Pochhammers is a read of
+PRIVATE_CACHES = {"qfunctions._expansion_n_factor", "qfunctions._expansion_l_factor",
+                  "qfunctions.infinite_product"}
 
 
 def package_caches():
@@ -42,3 +41,14 @@ def test_clear_caches_empties_every_package_cache():
     clear_caches()
     assert {name: cache.cache_info().currsize for name, cache in caches.items()} \
         == dict.fromkeys(caches, 0)
+
+
+def test_bosonic_prefactor_is_built_once_per_truncation():
+    # 1/(t,tz^2,t/z^2;q)_inf is the same for every k: three thm-main
+    # runs at one truncation build it once and read it twice
+    clear_caches()
+    with contextlib.redirect_stdout(io.StringIO()):
+        for k in ("1", "2", "3"):
+            assert cli.main(["verify", "thm-main", "--k", k, "--nq", "16", "--nt", "12"]) == 0
+    info = qfunctions.infinite_product.cache_info()
+    assert (info.misses, info.hits) == (1, 2)

@@ -424,6 +424,45 @@ def test_poch_ratio_and_both_tables_match_the_products(case, js):
         assert qf.inv_poch(a, n, trunc) * qf.poch_finite(a, n, trunc) == one(trunc)
 
 
+@st.composite
+def _infinite_products(draw):
+    # (trunc, num, den): 0-3 bases each over one truncation; a
+    # denominator base has positive (q,t,s)-degree, so it is invertible
+    trunc = draw(_truncs)
+    caps = (trunc.max_q, trunc.max_t, trunc.s_cap)
+
+    def base(positive):
+        exps = tuple(draw(st.integers(0, cap + 1)) for cap in caps)
+        if positive and not any(exps):
+            exps = (1, *exps[1:])
+        return (draw(_rationals), *exps, draw(st.integers(-2, 2)))
+
+    num = tuple(base(False) for _ in range(draw(st.integers(0, 3))))
+    den = tuple(base(True) for _ in range(draw(st.integers(0, 3))))
+    return trunc, num, den
+
+
+@settings(max_examples=60, deadline=None)
+@given(_infinite_products())
+@example((TR, (), ()))
+@example((TRS, ((1, 0, 0, 0, 2), (1, 0, 0, 0, -2)), ((1, 0, 0, 1, 2), (1, 0, 0, 1, -2))))
+def test_infinite_product_matches_the_product_loops(case):
+    # (num;q)_inf / (den;q)_inf against the frozen product loop, each
+    # denominator factor inverted; the factor order does not change the
+    # series, and a repeated call reads the memo
+    trunc, num, den = case
+    want = one(trunc)
+    for c, *e in num:
+        want = want * reference_poch(TruncatedSeries(trunc, {tuple(e): c}), trunc.max_q + 1)
+    for c, *e in den:
+        want = want * reference_poch(TruncatedSeries(trunc, {tuple(e): c}),
+                                     trunc.max_q + 1).invert()
+    got = qf.infinite_product(num, den, trunc)
+    assert got == want
+    assert qf.infinite_product(num[::-1], den[::-1], trunc) == want
+    assert qf.infinite_product(num, den, trunc) is got
+
+
 @settings(max_examples=40, deadline=None)
 @given(_truncs, _rationals, st.integers(0, 6))
 def test_combined_poch_matches_product_loop(trunc, b, n):
