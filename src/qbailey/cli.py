@@ -12,6 +12,7 @@ up to the recorded wall times.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -284,7 +285,10 @@ def _cmd_selftest(args) -> int:
     return _emit_reports(selftest_reports(seed), args.json)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps
+    no state between calls, and each call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="qbailey",
         description="Exact verification of q-series identities and the "

@@ -110,7 +110,12 @@ def fermionic2_index(k: int, trunc: Truncation) -> TruncatedSeries:
     Each r_i-sum is the memoized series G(s_{i-1}+s_i+1), G = _r_geometric,
     and the (u1,u2)-sum is H_{s_k}(z;q)^2.  The s-sums run one level at a
     time from F_0 = {0: 1}: F_i(s) = t^s/(q;q)_s^2 sum_p F_{i-1}(p) G(p+s+1),
-    and the multisum is sum_s F_k(s) H_s^2."""
+    and the multisum is sum_s F_k(s) H_s^2.  A packed product costs about
+    one bigint multiply per pair of (t, s, z)-rows, so F_k(s), wide in t
+    and z, meets the narrow H_s^2 (2s+1 rows) once, rather than
+    F_k(s) H_s, as wide as F_k(s), meeting H_s.  The prefactor keeps one
+    product: multiplying its factors into the sum one at a time measured
+    slower."""
     if k < 1:
         raise DomainError("k must be >= 1")
     level = [TruncatedSeries.one(trunc)]
@@ -125,7 +130,7 @@ def fermionic2_index(k: int, trunc: Truncation) -> TruncatedSeries:
             next_level.append(inner * inv_qq(s, trunc) ** 2)
         level = next_level
     total = TruncatedSeries.sum_of_products(
-        trunc, ((f * hermite(s, trunc), hermite(s, trunc)) for s, f in enumerate(level)))
+        trunc, ((f, hermite(s, trunc) ** 2) for s, f in enumerate(level)))
     pref = infinite_product(((1, 0, 1, 0, 0), (1, 1, 0, 0, 0)), (), trunc) ** k
     return pref * total
 
@@ -277,9 +282,12 @@ def _bosonic_side(k, b, c, trunc):
     #   * prod_i P(b_i, n) P(c_i, n) / (b_i q t, c_i q t;q)_n * C_{2n}(z,t;q).
     # A zero's P is (-1)^n q^binom(n,2) and its Pochhammers are 1, folded into
     # the leading monomial; at b = c = 0 its q-exponent is k n^2 + binom(n,2).
+    # A packed product costs about one bigint multiply per pair of
+    # (t, s, z)-rows, so the three Euler factors, one row per power of t,
+    # go into the sum one at a time: their product has (max_t + 1)^2
+    # rows (169 at (16,12)) and would meet the wide sum in one product.
     params = [x for x in (*b, *c) if x]
     fold = 1 + 2 * k - len(params)          # binom(n,2) multiples in the exponent
-    pref = infinite_product((), ((1, 0, 1, 0, 0), (1, 0, 1, 0, 2), (1, 0, 1, 0, -2)), trunc)
     pairs = []
     n = 0
     while True:
@@ -294,7 +302,10 @@ def _bosonic_side(k, b, c, trunc):
             val = val * combined_poch(x, n, trunc) * inv_poch((x, 1, 1, 0, 0), n, trunc)
         pairs.append((val, ultraspherical(2 * n, trunc, "t")))
         n += 1
-    return pref * TruncatedSeries.sum_of_products(trunc, pairs)
+    total = TruncatedSeries.sum_of_products(trunc, pairs)
+    for base in ((1, 0, 1, 0, 0), (1, 0, 1, 0, 2), (1, 0, 1, 0, -2)):
+        total = total * infinite_product((), (base,), trunc)
+    return total
 
 
 def generalized_identity(k: int, b, c, trunc: Truncation) -> IdentityReport:

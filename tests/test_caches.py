@@ -7,10 +7,12 @@ import contextlib
 import functools
 import gc
 import io
+from collections import Counter
 
 from conftest import clear_caches
+from test_macdonald import EULER_BASES
 
-from qbailey import cli, qfunctions
+from qbailey import cli, macdonald, qfunctions
 
 # the private per-n integrand factors, and the one builder that every
 # n-free product of infinite Pochhammers is a read of
@@ -43,12 +45,19 @@ def test_clear_caches_empties_every_package_cache():
         == dict.fromkeys(caches, 0)
 
 
-def test_bosonic_prefactor_is_built_once_per_truncation():
-    # 1/(t,tz^2,t/z^2;q)_inf is the same for every k: three thm-main
-    # runs at one truncation build it once and read it twice
+def test_bosonic_prefactor_is_built_once_per_truncation(monkeypatch):
+    # the Euler factors 1/(t;q)_inf, 1/(tz^2;q)_inf and 1/(t/z^2;q)_inf
+    # are the same for every k: three thm-main runs at one truncation
+    # build each once and read it twice.  The bosonic side multiplies
+    # them into its sum one at a time, so it never reads their product
     clear_caches()
+    built = qfunctions.infinite_product
+    read = []
+    monkeypatch.setattr(macdonald, "infinite_product",
+                        lambda num, den, trunc: read.append((num, den)) or built(num, den, trunc))
     with contextlib.redirect_stdout(io.StringIO()):
         for k in ("1", "2", "3"):
             assert cli.main(["verify", "thm-main", "--k", k, "--nq", "16", "--nt", "12"]) == 0
-    info = qfunctions.infinite_product.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    info = built.cache_info()
+    assert (info.misses, info.hits) == (3, 6)
+    assert Counter(read) == {((), (base,)): 3 for base in EULER_BASES}

@@ -446,6 +446,31 @@ def test_missing_list_value_stays_an_argparse_error(capsys):
     assert "expected one argument" in capsys.readouterr().err
 
 
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process; an argparse error, a usage
+    # error raised after parsing and a passing run, called in turn, give
+    # the same exit codes and output every time, and none leaves state
+    # in the parser for the next call
+    def outcome(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    argvs = (["verify", "thm-main", "--k", "one"],
+             ["verify", "thm-main", "--k", "0"],
+             ["table", "--rep", "bosonic", "--k", "2", "--nq", "5", "--nt", "4"])
+    first = [outcome(argv) for argv in argvs]
+    assert [code for code, _, _ in first] == [2, 2, 0]
+    assert "invalid int value" in first[0][2] and "k must be >= 1" in first[1][2]
+    assert first[2][1].startswith("0,0,0,1,1\n")
+    for _ in range(2):
+        assert [outcome(argv) for argv in argvs] == first
+    assert cli.build_parser() is cli.build_parser()
+
+
 CAP_FLAGS = ("--nq", "--nt", "--ns", "--nmax", "--lmax", "--points")
 
 

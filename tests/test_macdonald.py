@@ -1,7 +1,9 @@
 """Tests for the index representations and the identities that link
 them."""
 
+import contextlib
 import functools
+import io
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -11,6 +13,7 @@ from conftest import clear_caches
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qbailey import cli
 from qbailey import macdonald as M
 from qbailey import qfunctions as qf
 from qbailey import series as S
@@ -551,6 +554,61 @@ def test_original_forms_each_product_once(monkeypatch):
         calls.clear()
         M.original_index(k, Truncation(max_q, max_t))
         assert len(calls) <= limit, (k, max_q, max_t, len(calls))
+
+
+# the bases t, tz^2 and t/z^2 of the bosonic Euler factors
+EULER_BASES = ((1, 0, 1, 0, 0), (1, 0, 1, 0, 2), (1, 0, 1, 0, -2))
+
+
+@pytest.mark.parametrize("k,b,c,caps", [
+    (1, [0], [0], (12, 9)), (3, [0] * 3, [0] * 3, (10, 8)),
+    (2, [Fraction(2, 5), 0], [3, Fraction(1, 2)], (7, 7)),
+    (2, [Fraction(6, 9), Fraction(7, 5)], [Fraction(7, 2), Fraction(7, 9)], (8, 8))])
+def test_bosonic_euler_factors_in_turn_match_the_prefactor(monkeypatch, k, b, c, caps):
+    # the frozen order: the three-base prefactor times the sum that the
+    # bosonic side forms with every Euler factor read as 1
+    trunc = Truncation(*caps)
+    side = M._bosonic_side(k, b, c, trunc)
+    monkeypatch.setattr(M, "infinite_product", lambda num, den, tr: TruncatedSeries.one(tr))
+    total = M._bosonic_side(k, b, c, trunc)
+    assert side == qf.infinite_product((), EULER_BASES, trunc) * total
+
+
+# argv, and a bound on the row pairs it lines up: between the counts
+# of the product orders that formed the bosonic prefactor
+# 1/(t,tz^2,t/z^2;q)_inf before multiplying it into the sum, and
+# (F_k(s) H_s) H_s in fermionic2 (8,870, 109,064, 5,716 and 6,827), and
+# of the orders that multiply the narrow factors in one at a time
+# (3,423, 27,844, 1,932 and 5,847)
+ROW_PAIRS = (
+    (["verify", "thm-main", "--k", "3", "--nq", "16", "--nt", "12"], 4200),
+    (["verify", "thm-main", "--k", "3", "--nq", "40", "--nt", "30"], 34000),
+    (["table", "--rep", "bosonic", "--k", "2", "--nq", "14", "--nt", "10"], 2400),
+    (["table", "--rep", "fermionic2", "--k", "2", "--nq", "14", "--nt", "10"], 6300),
+)
+
+
+def test_narrow_factors_go_into_wide_sums_one_at_a_time(monkeypatch):
+    # a packed product costs about one bigint multiply per pair of rows
+    # (e_t, e_s, e_z), so a wide operand should meet only narrow ones.
+    # The kernel packs the rows of the two operands of each product in
+    # turn; their lengths multiply to the pairs it lines up
+    packed = S._packed_rows
+    lengths = []
+
+    def counted(nums, w, lo, hi):
+        rows = packed(nums, w, lo, hi)
+        lengths.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(S, "_packed_rows", counted)
+    for argv, limit in ROW_PAIRS:
+        clear_caches()
+        lengths.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        pairs = sum(a * b for a, b in zip(lengths[::2], lengths[1::2]))
+        assert pairs <= limit, (argv, pairs)
 
 
 @pytest.mark.parametrize("k,max_q,max_t", [
