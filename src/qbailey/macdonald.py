@@ -135,37 +135,34 @@ def fermionic2_index(k: int, trunc: Truncation) -> TruncatedSeries:
     return pref * total
 
 
-def _svectors(k: int, cap: int):
-    # all tuples (s_1..s_k) of nonnegative ints with sum <= cap, in
-    # lexicographic order: the gaps p_i - p_{i-1} (p_0 = 0) of the
-    # nondecreasing tuples p_1 <= ... <= p_k <= cap, which are the
-    # partial sums of s and come in the same order
-    for p in combinations_with_replacement(range(cap + 1), k):
-        yield tuple(b - a for a, b in zip((0, *p), p))
-
-
 def original_index(k: int, trunc: Truncation) -> TruncatedSeries:
     """Dynkin-data form of the second multisum: a sum over two index
     vectors (l, m) tied by Kronecker deltas, with the q-exponent built
     from the adjacency quadratic form sum a_ij l_i m_j / 2.
 
     The entries at the nodes 1, 3, ..., 2k-1 (1-based) form one free
-    vector rho with l = m = rho; svec, u1 and u2 fix all the others.
-    These rho nodes and the fixed nodes are the two colour classes of
-    the graph, which is checked once per call, so the quadratic form
-    has no rho-rho and no fixed-fixed term.  For each block the
-    exponents are read off the adjacency as doubled integers: one weight
-    w_i per rho node gives the doubled q-exponent sum_i rho_i w_i, and
-    the fixed entries the doubled t-exponent e_t.  They are checked even
-    once per block, which makes every exponent integral.  A block is a
-    rho-sum times t^(e_t/2) z^(2(m_{2k+1}-l_{2k+1})) and 1/(q;q) of each
-    fixed entry, and with no rho-rho term its rho-sum is the product of
-    the node sums S(w_i) = sum_r q^(r w_i/2) / (t,q;q)_r.  Blocks with
-    the same sorted weights share one rho-sum.  Their fixed factors are
-    grouped by the sorted tuple of fixed entries: a group's monomials
-    are counted into one integer series, which pairs once with the
-    group's product of 1/(q;q).  Both kinds of product are memoized by
-    prefix across the call.  Nothing here uses the level sums of
+    vector rho with l = m = rho.  The others are fixed: l = m = s at a
+    path node, and l = (u1, sigma - u1), m = (u2, sigma - u2) at the two
+    fork nodes.  These rho nodes and the fixed nodes are the two colour
+    classes of the graph, which is checked once per call, so the
+    quadratic form has no rho-rho and no fixed-fixed term.  The sum over
+    one rho entry is then the node sum S(w) = sum_r q^(r w/2) / (t,q;q)_r
+    of its doubled weight w = sum_j a_rj (l_j + m_j) + 2 over its fixed
+    neighbours j, read off the adjacency and checked even, which makes
+    every exponent integral.
+
+    A rho node couples only its fixed neighbours, so the sum is done one
+    node at a time along the tree (variable elimination), in the order
+    that _dynkin_walk reads off the adjacency.  A path fixed node with
+    l = m = s gives t^s/(q;q)_s^2, and from Phi = {0: 1} its level is
+    Phi'(s') = t^s'/(q;q)_s'^2 sum_s Phi(s) S(w(s, s')), one
+    sum_of_products per s'.  The last rho node carries the fork.  Its
+    weight, read at the fork entries, must not depend on (u1, u2); being
+    linear in them, it is checked at (0,0), (1,0) and (0,1).  The
+    (u1, u2)-sum then splits into t^sigma L_sigma flip_z(L_sigma), with
+    L_sigma = sum_u z^(-2(sigma-u)) / ((q;q)_u (q;q)_(sigma-u)) over the
+    l-entries of the fork nodes, and z^(2(m_(2k+1) - l_(2k+1))) read at
+    the second one.  Nothing here uses the level sums of
     fermionic2_index, so this stays an independent witness."""
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -177,55 +174,84 @@ def original_index(k: int, trunc: Truncation) -> TruncatedSeries:
             if adj[i][j]:
                 raise InternalConsistencyError(
                     f"adjacency joins nodes {i + 1} and {j + 1} of one colour class")
-    # sorted weights -> sorted nonzero fixed entries -> monomial -> count
-    groups: dict = {}
-    for svec in _svectors(k, trunc.max_t):
-        sigma_k = svec[-1]
-        for u1 in range(sigma_k + 1):
-            for u2 in range(sigma_k + 1):
-                l, m = _fixed_entries(k, svec, u1, u2)
-                weights = tuple(sum(adj[r][j] * (l[j] + m[j]) for j in fixed_nodes) + 2
-                                for r in rho_nodes)
-                e_t2 = sum(l[j] + m[j] for j in fixed_nodes)
-                if e_t2 % 2 or any(w % 2 for w in weights):
-                    raise InternalConsistencyError(
-                        f"non-integral exponent for l={l}, m={m}: rho weights "
-                        f"{weights}, doubled t-exponent {e_t2}")
-                if e_t2 > 2 * trunc.max_t:
-                    continue
-                # for the D-series graph the weights do not depend on (u1, u2)
-                entries = tuple(sorted(e for j in fixed_nodes for e in (l[j], m[j]) if e))
-                counts = groups.setdefault(tuple(sorted(weights)), {}).setdefault(entries, {})
-                mono = (0, e_t2 // 2, 0, 2 * (m[2 * k] - l[2 * k]))
-                counts[mono] = counts.get(mono, 0) + 1
+    path, (last, (a, b)) = _dynkin_walk(adj)
+
+    def weight(r, entries):
+        # sum_j a_rj (l_j + m_j) + 2 over the fixed entries (j, l_j, m_j)
+        w = sum(adj[r][j] * (l + m) for j, l, m in entries) + 2
+        if w % 2:
+            raise InternalConsistencyError(
+                f"odd weight {w} of rho node {r + 1} at the fixed entries "
+                f"{[(j + 1, l, m) for j, l, m in entries]}")
+        return w
+
     factor = [inv_poch((1, 0, 1, 0, 0), r, trunc) * inv_qq(r, trunc)    # 1/(t,q;q)_r
               for r in range(trunc.max_q + 1)]
-    node_sums = {w: _node_sum(w, factor, trunc) for w in set().union(*groups)}
-    fixed_products = {(): TruncatedSeries.one(trunc)}
-    rho_products = {(): TruncatedSeries.one(trunc)}
+    node_sum = functools.cache(lambda w: _node_sum(w, factor, trunc))
+    square = functools.cache(lambda s: inv_qq(s, trunc) * inv_qq(s, trunc))
+    # Phi(s) carries t^s, so the entries past the t-cap are skipped; the
+    # t-power of the next node goes on Phi(s) before its product.  Node 1
+    # has no fixed node before it, so Phi starts as {0: 1}.
+    cap = trunc.max_t
+    level, before = [TruncatedSeries.one(trunc)], []
+    for r, fixed in path:
+        level = [TruncatedSeries.sum_of_products(
+            trunc, ((phi.shift(e_t=s2),
+                     node_sum(weight(r, [(j, s, s) for j in before] + [(fixed, s2, s2)])))
+                    for s, phi in enumerate(level[:cap - s2 + 1]))) * square(s2)
+            for s2 in range(cap + 1)]
+        before = [fixed]
     pairs = []
-    for weights, by_entries in groups.items():
-        fixed = TruncatedSeries.sum_of_products(
-            trunc, ((TruncatedSeries(trunc, counts),
-                     _prefix_product(entries, fixed_products, lambda e: inv_qq(e, trunc)))
-                    for entries, counts in by_entries.items()))
-        pairs.append((_prefix_product(weights, rho_products, node_sums.__getitem__), fixed))
+    for sigma in range(cap + 1):
+        inner = []
+        for s, phi in enumerate(level[:cap - sigma + 1]):
+            w00, w10, w01 = (weight(last, [(j, s, s) for j in before]
+                                    + [(a, u1, u2), (b, sigma - u1, sigma - u2)])
+                             for u1, u2 in ((0, 0), (1, 0), (0, 1)))
+            if not w00 == w10 == w01:
+                raise InternalConsistencyError(
+                    f"the weight of rho node {last + 1} depends on the fork entries: "
+                    f"{w00}, {w10}, {w01} at (u1, u2) = (0,0), (1,0), (0,1)")
+            inner.append((phi.shift(e_t=sigma), node_sum(w00)))
+        # L_sigma over the l-entries (u, sigma - u) of the fork nodes; the
+        # m-side of the fork sum is its z-mirror
+        l_side = TruncatedSeries.sum_of_products(
+            trunc, ((inv_qq(u, trunc).shift(e_z=2 * (u - sigma)), inv_qq(sigma - u, trunc))
+                    for u in range(sigma + 1)))
+        pairs.append((TruncatedSeries.sum_of_products(trunc, inner), l_side * l_side.flip_z()))
     pref = infinite_product(((1, 0, 1, 0, 0), (1, 1, 0, 0, 0)), (), trunc) ** k
     return pref * TruncatedSeries.sum_of_products(trunc, pairs)
 
 
-def _prefix_product(keys, products, build):
-    # prod build(key) over the tuple keys; products maps every prefix
-    # formed so far to its product, the empty one to 1, so each new
-    # prefix costs one product and the loop does not recurse
-    n = len(keys)
-    while keys[:n] not in products:
-        n -= 1
-    val = products[keys[:n]]
-    for i in range(n, len(keys)):
-        val = val * build(keys[i])
-        products[keys[:i + 1]] = val
-    return val
+def _dynkin_walk(adj):
+    # the elimination order read off the adjacency: from node 1 (1-based),
+    # the end of the path, the pairs (rho node, its fixed neighbour ahead)
+    # up to the rho node whose two neighbours ahead are leaves, returned
+    # with those fork nodes.  Every node the walk passes has no neighbour
+    # but the one behind and the one ahead, and the walk must reach every
+    # node, so each rho node couples only its two slots.
+    size = len(adj)
+    nbrs = [[j for j in range(size) if adj[i][j]] for i in range(size)]
+    path, rho, behind = [], 0, None
+    while True:
+        ahead = [j for j in nbrs[rho] if j != behind]
+        if len(ahead) == 2 and all(nbrs[j] == [rho] for j in ahead):
+            break
+        if len(ahead) != 1:
+            raise InternalConsistencyError(
+                f"rho node {rho + 1} has the fixed neighbours {[j + 1 for j in ahead]} "
+                f"ahead, not one path node or two fork nodes")
+        fixed = ahead[0]
+        beyond = [j for j in nbrs[fixed] if j != rho]
+        if len(beyond) != 1:
+            raise InternalConsistencyError(
+                f"the walk along the path cannot continue at node {fixed + 1}")
+        path.append((rho, fixed))
+        behind, rho = fixed, beyond[0]
+    if 2 * len(path) + 3 != size:
+        raise InternalConsistencyError(
+            f"the walk from node 1 reaches {2 * len(path) + 3} of the {size} nodes")
+    return path, (rho, tuple(ahead))
 
 
 def _node_sum(w, factor, trunc):
@@ -235,20 +261,6 @@ def _node_sum(w, factor, trunc):
     half = w // 2
     return sum((factor[r].shift(e_q=r * half) for r in range(1, trunc.max_q // half + 1)),
                factor[0])
-
-
-def _fixed_entries(k, svec, u1, u2):
-    # l and m with the entries that svec, u1 and u2 fix; rho entries are 0
-    l = [0] * (2 * k + 1)
-    m = [0] * (2 * k + 1)
-    for i in range(k - 1):
-        l[2 * i + 1] = m[2 * i + 1] = svec[i]   # l_{2i} (1-based) = s_i
-    sigma_k = svec[-1]
-    l[2 * k - 1] = u1                           # l_{2k}
-    m[2 * k - 1] = u2                           # m_{2k}
-    l[2 * k] = sigma_k - u1                     # l_{2k+1}
-    m[2 * k] = sigma_k - u2                     # m_{2k+1}
-    return l, m
 
 
 def generalized_sides(k: int, b, c,

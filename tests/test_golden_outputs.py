@@ -174,12 +174,16 @@ DYNKIN_TABLE_ARGVS = [
     ["table", "--rep", "original", "--k", "2", "--nq", "14", "--nt", "10"],
     ["table", "--rep", "original", "--k", "3", "--nq", "10", "--nt", "8"],
     ["table", "--rep", "original", "--k", "1", "--nq", "20", "--nt", "16"],
+    ["table", "--rep", "original", "--k", "6", "--nq", "14", "--nt", "10"],
+    ["table", "--rep", "original", "--k", "2", "--nq", "24", "--nt", "18"],
 ]
 
 DYNKIN_TABLE_DIGESTS = [
     DIGESTS["index-duality-0"],
     "a5c97e5a79dc99e7c8eedf112987826f6a38528a01819adbe37c62d567711e2a",
     "b71a39a3a74dc3f0b259bed7bafc403dd90567c1317ec08feca3b353655a3709",
+    "ef0a318d3ba26e415594ce14abed8a6277b917a9618b1fa56aedda27078df8eb",
+    "0a648ef2073d61b5d9f81dce98af9821406f30a13e3ee71f3c8cb530db466028",
 ]
 
 PRODUCT_ORDER_ARGVS = [
@@ -253,7 +257,8 @@ def test_fermionic_output_matches_recorded_digest(argv, digest):
 
 
 @pytest.mark.parametrize("argv, digest", zip(DYNKIN_TABLE_ARGVS, DYNKIN_TABLE_DIGESTS),
-                         ids=["original-k2-14-10", "original-k3-10-8", "original-k1-20-16"])
+                         ids=["original-k2-14-10", "original-k3-10-8", "original-k1-20-16",
+                              "original-k6-14-10", "original-k2-24-18"])
 def test_dynkin_table_matches_recorded_digest(argv, digest):
     assert output_digest(argv) == digest
 

@@ -391,6 +391,48 @@ def test_original_bipartition_guard(monkeypatch):
             M.original_index(data.k, SMALL)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("i,j,edge", [(1, 2, 0), (0, 3, 1)], ids=["drop-2-3", "add-1-4"])
+def test_original_perturbed_adjacency(monkeypatch, k, i, j, edge):
+    # the walk order and the weights come from the adjacency: a dropped
+    # path edge (nodes 2-3, 1-based), which keeps every exponent integral,
+    # or an extra edge across the colour classes (nodes 1-4) must raise
+    # or change the series
+    matrix = [list(row) for row in M.DynkinData.build(k).adjacency]
+    matrix[i][j] = matrix[j][i] = edge
+    bad = M.DynkinData(k, tuple(tuple(r) for r in matrix))
+    monkeypatch.setattr(M.DynkinData, "build", classmethod(lambda cls, k: bad))
+    try:
+        series = M.original_index(k, TR)
+    except InternalConsistencyError:
+        return
+    assert series != M.fermionic2_index(k, TR)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_original_weight_guard_stands_apart_from_the_walk(monkeypatch, k):
+    # the weights are read off the adjacency, not off the walk: with the
+    # walk of the intact graph and the fork edge (2k-1)-(2k+1) dropped,
+    # the fork weight is odd at (u1, u2) = (1, 0) and must raise
+    walk = M._dynkin_walk(M.DynkinData.build(k).adjacency)
+    matrix = [list(row) for row in M.DynkinData.build(k).adjacency]
+    matrix[2 * k - 2][2 * k] = matrix[2 * k][2 * k - 2] = 0
+    bad = M.DynkinData(k, tuple(tuple(r) for r in matrix))
+    monkeypatch.setattr(M.DynkinData, "build", classmethod(lambda cls, k: bad))
+    monkeypatch.setattr(M, "_dynkin_walk", lambda adj: walk)
+    with pytest.raises(InternalConsistencyError, match="odd weight"):
+        M.original_index(k, SMALL)
+
+
+def svectors(k, cap):
+    # all tuples (s_1..s_k) of nonnegative ints with sum <= cap, in
+    # lexicographic order: the gaps p_i - p_{i-1} (p_0 = 0) of the
+    # nondecreasing tuples p_1 <= ... <= p_k <= cap, which are the
+    # partial sums of s and come in the same order
+    for p in combinations_with_replacement(range(cap + 1), k):
+        yield tuple(b - a for a, b in zip((0, *p), p))
+
+
 def reference_original_index(k, trunc):
     # frozen copy of the dense form original_index was first written as:
     # every rho up to max_q, the full (2k+1)^2 quadratic form per rho,
@@ -398,7 +440,7 @@ def reference_original_index(k, trunc):
     adj = M.DynkinData.build(k).adjacency
     size = 2 * k + 1
     total = TruncatedSeries.zero(trunc)
-    for svec in M._svectors(k, trunc.max_t):
+    for svec in svectors(k, trunc.max_t):
         sigma_k = svec[-1]
         for u1 in range(sigma_k + 1):
             for u2 in range(sigma_k + 1):
@@ -416,7 +458,7 @@ def reference_fermionic2_index(k, trunc):
     # frozen copy of the per-s-vector loop fermionic2_index was written
     # as: one product chain of 2k factors for each s-vector
     pairs = []
-    for svec in M._svectors(k, trunc.max_t):
+    for svec in svectors(k, trunc.max_t):
         val = TruncatedSeries.monomial(trunc, 1, e_t=sum(svec))
         s_full = (0,) + svec
         for i in range(k):
@@ -452,7 +494,7 @@ def reference_rho_block(k, adj, size, svec, u1, u2, trunc):
     m[2 * k - 1] = u2
     l[2 * k] = sigma_k - u1
     m[2 * k] = sigma_k - u2
-    for rho in M._svectors(k, trunc.max_q):
+    for rho in svectors(k, trunc.max_q):
         for i in range(k):
             l[2 * i] = m[2 * i] = rho[i]
         quad = sum(adj[i][j] * l[i] * m[j] for i in range(size) for j in range(size))
@@ -476,6 +518,14 @@ def reference_rho_block(k, adj, size, svec, u1, u2, trunc):
     return block * fixed
 
 
+def node_sum_product(weights, node_sum, trunc):
+    # the rho-sum as the product of the node sums of its weights
+    val = TruncatedSeries.one(trunc)
+    for w in weights:
+        val = val * node_sum(w)
+    return val
+
+
 def rho_factors(trunc):
     return [reference_inv_tpoch(r, trunc) * qf.inv_qq(r, trunc)
             for r in range(trunc.max_q + 1)]
@@ -485,7 +535,7 @@ def brute_rho_sum(const2, weights, couplings, factor, trunc):
     # every rho with entries summing to at most max_q, its full doubled
     # exponent formed per rho and its factors multiplied out
     expected = TruncatedSeries.zero(trunc)
-    for rho in M._svectors(len(weights), trunc.max_q):
+    for rho in svectors(len(weights), trunc.max_q):
         e2 = const2 + sum(r * w for r, w in zip(rho, weights)) + 2 * sum(
             a * rho[i] * rho[j] for i, row in enumerate(couplings) for j, a in enumerate(row))
         val = TruncatedSeries.monomial(trunc, 1, e_q=e2 // 2)
@@ -509,8 +559,7 @@ def test_rho_sum_matches_brute_force(const2, weights, couplings):
     trunc = Truncation(7, 3)
     factor = rho_factors(trunc)
     zero = tuple((0,) * i for i in range(len(weights)))
-    rho_sum = M._prefix_product(weights, {(): TruncatedSeries.one(trunc)},
-                                lambda w: M._node_sum(w, factor, trunc))
+    rho_sum = node_sum_product(weights, lambda w: M._node_sum(w, factor, trunc), trunc)
     assert rho_sum == brute_rho_sum(0, weights, zero, factor, trunc)
     assert (rho_sum == brute_rho_sum(const2, weights, couplings, factor, trunc)) == \
         (const2 == 0 and couplings == zero)
@@ -518,38 +567,39 @@ def test_rho_sum_matches_brute_force(const2, weights, couplings):
 
 @pytest.mark.parametrize("couplings", [((), (1,), (1, 1)), ((), (1,), (0, 1))])
 def test_rho_sums_sharing_one_memo_match_brute_force(couplings):
-    # original_index forms its rho-sums as prefix products of node sums on
-    # one memo.  The tuples here are unsorted, repeated (the second time
-    # every prefix is memoized), share prefixes, and include a weight above
-    # 2 max_q, whose node sum is 1.  Each product matches brute_rho_sum with
-    # zero couplings; with the given rho-rho couplings the memoized
-    # three-node product no longer does, so the memo, keyed by weights
-    # alone, holds only for a bipartite graph
+    # original_index reads each node sum from one memo keyed by the
+    # weight alone.  The tuples here are unsorted, repeated (the second
+    # time every node sum is memoized), share weights, and include a
+    # weight above 2 max_q, whose node sum is 1.  Each product of memoized
+    # node sums matches brute_rho_sum with zero couplings; with the given
+    # rho-rho couplings the three-node product no longer does, so the
+    # memo, keyed by weights alone, holds only for a bipartite graph
     trunc = Truncation(9, 3)
     factor = rho_factors(trunc)
     assert M._node_sum(20, factor, trunc) == TruncatedSeries.one(trunc)
-    products = {(): TruncatedSeries.one(trunc)}
+    node_sum = functools.cache(lambda w: M._node_sum(w, factor, trunc))
     keys = [(2, 2, 2), (4, 2, 6), (2, 2, 4), (2, 4, 2), (4, 4), (6, 4, 2), (2, 20),
             (2, 20, 2), (6, 2), (4, 2, 6), (2, 2), (2, 2, 2)]
     for weights in keys:
         zero = tuple((0,) * i for i in range(len(weights)))
-        assert M._prefix_product(weights, products,
-                                 lambda w: M._node_sum(w, factor, trunc)) == \
+        assert node_sum_product(weights, node_sum, trunc) == \
             brute_rho_sum(0, weights, zero, factor, trunc), weights
-    assert products[(2, 2, 2)] != brute_rho_sum(0, (2, 2, 2), couplings, factor, trunc)
+    assert node_sum_product((2, 2, 2), node_sum, trunc) != \
+        brute_rho_sum(0, (2, 2, 2), couplings, factor, trunc)
 
 
 def test_original_forms_each_product_once(monkeypatch):
-    # the Dynkin-data form groups fixed factors and forms each prefix
-    # product of fixed factors and of node sums once; at the benchmark
-    # caps it makes at most a quarter of the packed sums (698, 1104 and
-    # 812) of the form that built one product chain per block and one
-    # pair per rho leaf
+    # the Dynkin-data form sums node by node along the path, so its work
+    # grows polynomially in k and the caps: at most twice the packed sums
+    # of fermionic2_index at the same caps (36, 48, 48 at the benchmark
+    # caps, 132 at k=2 (24,18) and 202 at k=6 (14,10)).  Enumerating the
+    # s-vectors made 112, 143, 93 and 3,625 of them.
     packed = S._sum_of_products
     calls = []
     monkeypatch.setattr(S, "_sum_of_products",
                         lambda pairs, trunc: calls.append(1) or packed(pairs, trunc))
-    for (k, max_q, max_t), limit in (((1, 10, 8), 174), ((2, 7, 6), 276), ((3, 7, 4), 203)):
+    for (k, max_q, max_t), limit in (((1, 10, 8), 72), ((2, 7, 6), 96), ((3, 7, 4), 96),
+                                     ((2, 24, 18), 264), ((6, 14, 10), 404)):
         clear_caches()
         calls.clear()
         M.original_index(k, Truncation(max_q, max_t))
@@ -627,7 +677,7 @@ def test_svectors_match_the_filtered_product():
     for k in range(1, 5):
         for cap in range(7):
             expected = [v for v in product(range(cap + 1), repeat=k) if sum(v) <= cap]
-            assert list(M._svectors(k, cap)) == expected
+            assert list(svectors(k, cap)) == expected
 
 
 def test_specializations():
