@@ -19,7 +19,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
 
 from .bailey import ChainParams, chain_lift, seed_pair
 from .errors import DomainError, InternalConsistencyError
@@ -36,9 +35,9 @@ REPRESENTATIONS = ("bosonic", "fermionic", "fermionic2", "original")
 class DynkinData:
     """Adjacency matrix of the odd D-series Dynkin diagram on 2k+1
     nodes: a path 1..(2k-1) with the two fork nodes 2k and 2k+1 both
-    attached to node 2k-1.  The tree is bipartite: the odd path nodes
-    1, 3, ..., 2k-1 form one colour class and the even path nodes with
-    both fork nodes the other, so every edge joins the two classes."""
+    attached to node 2k-1.  original_index reads its summation order off
+    this matrix by a walk from node 1, so the structure, not the node
+    numbers, decides which entries are free and which are fixed."""
 
     k: int
     adjacency: tuple
@@ -140,26 +139,26 @@ def original_index(k: int, trunc: Truncation) -> TruncatedSeries:
     vectors (l, m) tied by Kronecker deltas, with the q-exponent built
     from the adjacency quadratic form sum a_ij l_i m_j / 2.
 
-    The entries at the nodes 1, 3, ..., 2k-1 (1-based) form one free
-    vector rho with l = m = rho.  The others are fixed: l = m = s at a
-    path node, and l = (u1, sigma - u1), m = (u2, sigma - u2) at the two
-    fork nodes.  These rho nodes and the fixed nodes are the two colour
-    classes of the graph, which is checked once per call, so the
-    quadratic form has no rho-rho and no fixed-fixed term.  The sum over
-    one rho entry is then the node sum S(w) = sum_r q^(r w/2) / (t,q;q)_r
-    of its doubled weight w = sum_j a_rj (l_j + m_j) + 2 over its fixed
+    _dynkin_walk, the one structural check, splits the tree into its
+    two colour classes: the rho nodes, with l = m = rho free, and the
+    fixed nodes, with l = m = s at a path node and l = (u1, sigma - u1),
+    m = (u2, sigma - u2) at the two fork nodes.  So the quadratic form
+    has no rho-rho and no fixed-fixed term.  The sum over one rho entry
+    is then the node sum S(w) = sum_r q^(r w/2) / (t,q;q)_r of its
+    doubled weight w = sum_j a_rj (l_j + m_j) + 2 over its fixed
     neighbours j, read off the adjacency and checked even, which makes
     every exponent integral.
 
     A rho node couples only its fixed neighbours, so the sum is done one
-    node at a time along the tree (variable elimination), in the order
-    that _dynkin_walk reads off the adjacency.  A path fixed node with
-    l = m = s gives t^s/(q;q)_s^2, and from Phi = {0: 1} its level is
+    node at a time along the tree (variable elimination), in the walk's
+    order.  A path fixed node with l = m = s gives t^s/(q;q)_s^2, and
+    from Phi = {0: 1} its level is
     Phi'(s') = t^s'/(q;q)_s'^2 sum_s Phi(s) S(w(s, s')), one
     sum_of_products per s'.  The last rho node carries the fork.  Its
-    weight, read at the fork entries, must not depend on (u1, u2); being
-    linear in them, it is checked at (0,0), (1,0) and (0,1).  The
-    (u1, u2)-sum then splits into t^sigma L_sigma flip_z(L_sigma), with
+    weight is linear in (u1, u2), and a unit of either moves it by
+    a_(r,2k) - a_(r,2k+1), which is -1, 0 or 1, so it is read at (0,0)
+    and (1,0): any dependence on the fork entries makes it odd at (1,0).
+    The (u1, u2)-sum then splits into t^sigma L_sigma flip_z(L_sigma), with
     L_sigma = sum_u z^(-2(sigma-u)) / ((q;q)_u (q;q)_(sigma-u)) over the
     l-entries of the fork nodes, and z^(2(m_(2k+1) - l_(2k+1))) read at
     the second one.  Nothing here uses the level sums of
@@ -167,13 +166,6 @@ def original_index(k: int, trunc: Truncation) -> TruncatedSeries:
     if k < 1:
         raise DomainError("k must be >= 1")
     adj = DynkinData.build(k).adjacency
-    rho_nodes = range(0, 2 * k, 2)                  # 1-based 1, 3, ..., 2k-1
-    fixed_nodes = [j for j in range(2 * k + 1) if j % 2 or j == 2 * k]
-    for part in (rho_nodes, fixed_nodes):
-        for i, j in combinations(part, 2):
-            if adj[i][j]:
-                raise InternalConsistencyError(
-                    f"adjacency joins nodes {i + 1} and {j + 1} of one colour class")
     path, (last, (a, b)) = _dynkin_walk(adj)
 
     def weight(r, entries):
@@ -205,14 +197,11 @@ def original_index(k: int, trunc: Truncation) -> TruncatedSeries:
     for sigma in range(cap + 1):
         inner = []
         for s, phi in enumerate(level[:cap - sigma + 1]):
-            w00, w10, w01 = (weight(last, [(j, s, s) for j in before]
-                                    + [(a, u1, u2), (b, sigma - u1, sigma - u2)])
-                             for u1, u2 in ((0, 0), (1, 0), (0, 1)))
-            if not w00 == w10 == w01:
-                raise InternalConsistencyError(
-                    f"the weight of rho node {last + 1} depends on the fork entries: "
-                    f"{w00}, {w10}, {w01} at (u1, u2) = (0,0), (1,0), (0,1)")
-            inner.append((phi.shift(e_t=sigma), node_sum(w00)))
+            path_entries = [(j, s, s) for j in before]
+            # odd if the weight depends on the fork entries
+            weight(last, path_entries + [(a, 1, 0), (b, sigma - 1, sigma)])
+            w = weight(last, path_entries + [(a, 0, 0), (b, sigma, sigma)])
+            inner.append((phi.shift(e_t=sigma), node_sum(w)))
         # L_sigma over the l-entries (u, sigma - u) of the fork nodes; the
         # m-side of the fork sum is its z-mirror
         l_side = TruncatedSeries.sum_of_products(
@@ -239,7 +228,7 @@ def _dynkin_walk(adj):
             break
         if len(ahead) != 1:
             raise InternalConsistencyError(
-                f"rho node {rho + 1} has the fixed neighbours {[j + 1 for j in ahead]} "
+                f"rho node {rho + 1} has the neighbours {[j + 1 for j in ahead]} "
                 f"ahead, not one path node or two fork nodes")
         fixed = ahead[0]
         beyond = [j for j in nbrs[fixed] if j != rho]
@@ -346,18 +335,19 @@ def multi_rogers_ramanujan(k: int, max_q: int) -> IdentityReport:
 
 
 def _multi_rogers_ramanujan_sides(k, trunc):
-    # (multisum, product side) of multi_rogers_ramanujan at the q-cap of trunc
+    # (multisum, product side) of multi_rogers_ramanujan at the q-cap of
+    # trunc.  The chains n_1 <= ... <= n_k are summed one level at a time
+    # from F_0 = {0: 1}: F_i(m) = sum_{n <= m} F_(i-1)(n) q^(m^2)/(q;q)_(m-n),
+    # one sum_of_products per m up to m^2 <= max_q, and the multisum is
+    # sum_m F_k(m).  q^(m^2) goes on the narrow 1/(q;q)_(m-n).
     max_q = trunc.max_q
-    pairs = []
-    for chain in combinations_with_replacement(range(math.isqrt(max_q) + 1), k):
-        qexp = sum(v * v for v in chain)
-        if qexp > max_q:
-            continue
-        val = TruncatedSeries.monomial(trunc, 1, e_q=qexp)
-        for a, bb in zip(chain, chain[1:]):
-            val = val * inv_qq(bb - a, trunc)
-        pairs.append((val, inv_qq(chain[0], trunc)))
-    lhs = TruncatedSeries.sum_of_products(trunc, pairs)
+    level = [TruncatedSeries.one(trunc)]
+    for _ in range(k):
+        level = [TruncatedSeries.sum_of_products(
+            trunc, ((f, inv_qq(m - n, trunc).shift(e_q=m * m))
+                    for n, f in enumerate(level[:m + 1])))
+            for m in range(math.isqrt(max_q) + 1)]
+    lhs = sum(level[1:], level[0])
 
     # the exponents are distinct for distinct n, so each is one term
     reach = int(math.isqrt(max_q // (k + 1))) + 2

@@ -4,6 +4,7 @@ them."""
 import contextlib
 import functools
 import io
+import math
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -346,6 +347,31 @@ def test_sides_share_only_kernel_and_primitives():
         assert LIFT in lhs and LIFT not in rhs
 
 
+def reference_multi_rr_lhs(k, trunc):
+    # frozen copy of the chain loop the multisum side was first written
+    # as: every chain n_1 <= ... <= n_k with n_i^2 <= max_q, one product
+    # chain of k factors each
+    max_q = trunc.max_q
+    pairs = []
+    for chain in combinations_with_replacement(range(math.isqrt(max_q) + 1), k):
+        qexp = sum(v * v for v in chain)
+        if qexp > max_q:
+            continue
+        val = TruncatedSeries.monomial(trunc, 1, e_q=qexp)
+        for a, bb in zip(chain, chain[1:]):
+            val = val * qf.inv_qq(bb - a, trunc)
+        pairs.append((val, qf.inv_qq(chain[0], trunc)))
+    return TruncatedSeries.sum_of_products(trunc, pairs)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("max_q", [0, 1, 16, 17, 40, 80])
+def test_multi_rogers_ramanujan_levels_match_chain_loop(k, max_q):
+    trunc = Truncation(max_q, 0)
+    lhs = M._multi_rogers_ramanujan_sides(k, trunc)[0]
+    assert lhs.render() == reference_multi_rr_lhs(k, trunc).render()
+
+
 def test_multi_rogers_ramanujan():
     for k in (1, 2, 3):
         report = M.multi_rogers_ramanujan(k, 20)
@@ -356,12 +382,13 @@ def test_multi_rogers_ramanujan():
 
 def test_original_integrality_guard(monkeypatch):
     # a symmetric but wrong adjacency (the fork edge (2k-1)-(2k+1)
-    # dropped) must trip the integrality assertion instead of silently
-    # producing a series: the weight of rho node 2k-1 loses
-    # l_(2k+1) + m_(2k+1) but keeps l_2k + m_2k = u1 + u2, so it is odd
-    # for some (u1, u2).  A dropped path edge cannot be caught this way:
-    # l = m on every path node, so every weight stays even and every
-    # exponent integral.
+    # dropped) must be refused instead of silently producing a series.
+    # _dynkin_walk refuses it first: node 2k+1 hangs off no fork, so the
+    # walk cannot continue at node 2k.  Past the walk, the weight of rho
+    # node 2k-1 would lose l_(2k+1) + m_(2k+1) but keep l_2k + m_2k =
+    # u1 + u2, so it would be odd at (u1, u2) = (1, 0); that evenness
+    # check is covered by
+    # test_original_weight_guard_stands_apart_from_the_walk.
     bad = {}
     for k in (1, 2, 3):
         matrix = [list(row) for row in M.DynkinData.build(k).adjacency]
@@ -377,7 +404,9 @@ def test_original_bipartition_guard(monkeypatch):
     # the rho nodes and the fixed nodes are the two colour classes of the
     # D-series graph; an adjacency with a rho-rho edge (nodes 1-3, 1-based)
     # or a fixed-fixed edge (the fork nodes 2k, 2k+1) must be refused
-    # instead of silently producing a series
+    # instead of silently producing a series.  The walk refuses both: node
+    # 1, or the node before the fork, then has two neighbours ahead that
+    # are not two leaves.
     def with_edge(k, i, j):
         matrix = [list(row) for row in M.DynkinData.build(k).adjacency]
         matrix[i][j] = matrix[j][i] = 1
@@ -387,8 +416,24 @@ def test_original_bipartition_guard(monkeypatch):
         [with_edge(k, 2 * k - 1, 2 * k) for k in (1, 2, 3)]
     for data in bad:
         monkeypatch.setattr(M.DynkinData, "build", classmethod(lambda cls, k: data))
-        with pytest.raises(InternalConsistencyError, match="colour class"):
+        with pytest.raises(InternalConsistencyError,
+                           match="not one path node or two fork nodes"):
             M.original_index(data.k, SMALL)
+
+
+@pytest.mark.parametrize("k,caps", [(2, (6, 4)), (3, (7, 6))])
+def test_original_relabelled_dynkin_graph(monkeypatch, k, caps):
+    # D_{2k+1} with the labels of nodes 2 and 3 (1-based) swapped is the
+    # same graph: the walk from node 1 steps on 3 as the first fixed node
+    # and on 2 as the next rho node, so the series is unchanged
+    trunc = Truncation(*caps)
+    adj = M.DynkinData.build(k).adjacency
+    label = list(range(2 * k + 1))
+    label[1], label[2] = 2, 1
+    swapped = M.DynkinData(k, tuple(tuple(adj[i][j] for j in label) for i in label))
+    assert swapped.adjacency != adj
+    monkeypatch.setattr(M.DynkinData, "build", classmethod(lambda cls, k: swapped))
+    assert M.original_index(k, trunc) == M.fermionic2_index(k, trunc)
 
 
 @pytest.mark.parametrize("k", [2, 3])
