@@ -1,7 +1,7 @@
 """Bailey pairs, conjugate pairs, chain lifts, the transform, and the
 well-poised (s-parameter) conjugate pair.
 
-Families are lazily generated, memoized sequences n -> series.  Each
+Families are lazily generated sequences n -> series.  Each
 constructor declares a sound support bound: the smallest index beyond
 which entries vanish modulo the truncation (typically forced by a t^n
 prefactor), which is what finitizes the infinite sums in the conjugate
@@ -11,7 +11,8 @@ delta entry t^n core(n) reads its core through the family's memo, so
 each entry and each core is generated once per family.  Entry n is
 factor * part(n), factor the family's n-free factor (1 unless given):
 the gammas keep their conjugate prefactor there, and the transform
-multiplies the factors in once, after its sum over the parts.  A
+reads each part once, unmemoized, and multiplies the factors in once,
+after its sum over the parts.  A
 monomial such as t^n or q^binom(n,2) goes on a narrow factor before a
 product, never on the product after it, so no product forms terms that
 a shift would drop past a cap.  The s = 0
@@ -44,8 +45,7 @@ from typing import Callable
 
 from .errors import DomainError
 from .qfunctions import (binom2, combined_poch, hermite, infinite_product, inv_poch, inv_qq,
-                         inv_tq, poch_finite, poch_infinite, poch_ratio, inv_poch_infinite,
-                         ultraspherical)
+                         inv_tq, poch_finite, poch_infinite, poch_ratio, ultraspherical)
 from .report import IdentityReport, Stopwatch, _first_failure, first_mismatch, series_report
 from .series import TruncatedSeries, Truncation
 
@@ -54,30 +54,26 @@ class PairFamily:
     """A memoized sequence n -> TruncatedSeries, entry n = factor * part(n).
 
     factor is the family's n-free factor, 1 unless given, and gen
-    generates part(n); both the parts and the entries are memoized.  A
-    sum over n of products with the entries can read the parts and
-    multiply the factor in once, after the sum.  support_bound, when
-    set, promises that entries with index beyond it are identically zero
-    modulo the truncation.  core_gen, when set, generates the t-free
+    generates part(n); the entries and the cores are memoized, and a
+    part is formed on each read.  A sum over n of products with the
+    entries can read the parts, once per n, and multiply the factor in
+    once, after the sum.  support_bound, when set, promises that
+    entries with index beyond it are identically zero modulo the
+    truncation.  core_gen, when set, generates the t-free
     core of entry n (entry = t^n * core); the well-poised verifier needs
     cores past the point where the entries themselves have vanished.
     """
 
-    def __init__(self, kind: str, trunc: Truncation,
-                 gen: Callable[[int], TruncatedSeries],
+    def __init__(self, trunc: Truncation, gen: Callable[[int], TruncatedSeries],
                  support_bound: int | None = None,
                  core_gen: Callable[[int], TruncatedSeries] | None = None,
                  factor: TruncatedSeries | None = None):
-        if kind not in ("alpha", "beta", "gamma", "delta"):
-            raise DomainError(f"unknown family kind {kind!r}")
-        self.kind = kind
         self.trunc = trunc
         self.support_bound = support_bound
         self.factor = TruncatedSeries.one(trunc) if factor is None else factor
         self._gen = gen
         self._core_gen = core_gen
         self._memo: dict[int, TruncatedSeries] = {}
-        self._part_memo: dict[int, TruncatedSeries] = {}
         self._core_memo: dict[int, TruncatedSeries] = {}
 
     def __getitem__(self, n: int) -> TruncatedSeries:
@@ -90,15 +86,11 @@ class PairFamily:
     def part(self, n: int) -> TruncatedSeries:
         if n < 0:
             raise DomainError("family indices are nonnegative")
-        got = self._part_memo.get(n)
-        if got is None:
-            got = self._gen(n)
-            self._part_memo[n] = got
-        return got
+        return self._gen(n)
 
     def core(self, n: int) -> TruncatedSeries:
         if self._core_gen is None:
-            raise DomainError(f"{self.kind} family carries no t-free core generator")
+            raise DomainError("this family carries no t-free core generator")
         got = self._core_memo.get(n)
         if got is None:
             got = self._core_gen(n)
@@ -145,8 +137,8 @@ def seed_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
 
     # the largest n with binom2(n) <= max_q
     alpha_bound = (1 + isqrt(1 + 8 * trunc.max_q)) // 2
-    return (PairFamily("alpha", trunc, alpha, support_bound=alpha_bound),
-            PairFamily("beta", trunc, beta, support_bound=0))
+    return (PairFamily(trunc, alpha, support_bound=alpha_bound),
+            PairFamily(trunc, beta, support_bound=0))
 
 
 def chain_lift(alpha: PairFamily, beta: PairFamily, params: ChainParams,
@@ -199,8 +191,8 @@ def chain_lift(alpha: PairFamily, beta: PairFamily, params: ChainParams,
     bounds = [trunc.max_t // k, trunc.max_q // k]
     if alpha.support_bound is not None:
         bounds.append(alpha.support_bound)
-    return (PairFamily("alpha", trunc, lifted_alpha, support_bound=min(bounds)),
-            PairFamily("beta", trunc, lifted_beta))
+    return (PairFamily(trunc, lifted_alpha, support_bound=min(bounds)),
+            PairFamily(trunc, lifted_beta))
 
 
 def _relation_report(identity: str, trunc: Truncation, n_max: int, lhs: PairFamily,
@@ -247,7 +239,7 @@ def _delta_family(trunc: Truncation,
                   core_gen: Callable[[int], TruncatedSeries]) -> PairFamily:
     # delta_n = t^n * core(n), the core read through the family's own
     # memo, so an entry and its core are built once between them
-    family = PairFamily("delta", trunc, lambda n: family.core(n).shift(e_t=n),
+    family = PairFamily(trunc, lambda n: family.core(n).shift(e_t=n),
                         support_bound=trunc.max_t, core_gen=core_gen)
     return family
 
@@ -262,7 +254,7 @@ def hermite_conjugate_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
     def delta_core(n: int) -> TruncatedSeries:
         return hermite(2 * n, trunc).halve_z()
 
-    return (PairFamily("gamma", trunc, lambda n: _gamma_part(n, trunc),
+    return (PairFamily(trunc, lambda n: _gamma_part(n, trunc),
                        support_bound=trunc.max_t, factor=infinite_product((), _CONJ_DEN, trunc)),
             _delta_family(trunc, delta_core))
 
@@ -308,28 +300,24 @@ def wp_conjugate_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
     """The well-poised lift of the conjugate pair, relative to (s,t,q):
     gamma'_n gains the numerator (sz, s/z;q)_inf, and
     delta'_n = t^n (1-s q^(2n)) (q;q)_{2n} (s^2;q)_inf /
-               ((1-s) (s^2;q)_{2n} (s,sq;q)_inf) * [s-weighted j-sum].
-    The standalone 1/(1-s) is cancelled against the leading factor of
-    (s^2;q)_inf, via (s^2;q)_inf / (1-s) = (1+s) (s^2 q;q)_inf, before
-    any inversion."""
+               ((1-s) (s^2;q)_{2n} (s,sq;q)_inf) * [s-weighted j-sum],
+    whose n-free factor is (s^2;q)_inf / (s;q)_inf^2, as
+    (1-s) (sq;q)_inf = (s;q)_inf."""
     if trunc.max_s is None:
         raise DomainError("the well-poised pair needs a truncation with s")
-    s = TruncatedSeries.variable(trunc, "s")
     # the n-free factors, built once per family:
     # (sz, s/z;q)_inf / (t,tq,tz,t/z;q)_inf of gamma' and
-    # (1+s) (s^2 q;q)_inf / (s,sq;q)_inf of delta'
+    # (s^2;q)_inf / (s;q)_inf^2 of delta'
     gamma_inf = (infinite_product(((1, 0, 0, 1, 1), (1, 0, 0, 1, -1)), (), trunc)
                  * infinite_product((), _CONJ_DEN, trunc))
-    delta_inf = ((s + 1) * poch_infinite((1, 1, 0, 2, 0), trunc)
-                 * inv_poch_infinite((1, 0, 0, 1, 0), trunc)
-                 * inv_poch_infinite((1, 1, 0, 1, 0), trunc))
+    delta_inf = infinite_product(((1, 0, 0, 2, 0),), ((1, 0, 0, 1, 0), (1, 0, 0, 1, 0)), trunc)
 
     def delta_core(n: int) -> TruncatedSeries:
         num = poch_finite((1, 1, 0, 0, 0), 2 * n, trunc).mul_binomial(1, e_q=2 * n, e_s=1) \
             * inv_poch((1, 0, 0, 2, 0), 2 * n, trunc)      # / (s^2;q)_{2n}
         return num * delta_inf * ultraspherical(2 * n, trunc, "s").halve_z()
 
-    return (PairFamily("gamma", trunc, lambda n: _gamma_part(n, trunc),
+    return (PairFamily(trunc, lambda n: _gamma_part(n, trunc),
                        support_bound=trunc.max_t, factor=gamma_inf),
             _delta_family(trunc, delta_core))
 

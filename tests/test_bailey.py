@@ -89,9 +89,9 @@ def test_seed_pair_relation():
 
 def test_trivial_pair_relation_at_zero():
     trunc = TR
-    const = B.PairFamily("alpha", trunc, lambda n: one())
+    const = B.PairFamily(trunc, lambda n: one())
     # n = 0 relation is beta_0 = alpha_0
-    beta = B.PairFamily("beta", trunc, lambda n: one())
+    beta = B.PairFamily(trunc, lambda n: one())
     assert B.verify_bailey_pair(const, beta, 0).passed
 
 
@@ -218,7 +218,7 @@ def test_conjugate_pair_relation_and_symmetry():
 
 def test_conjugate_verifier_requires_bound():
     gamma, delta = B.hermite_conjugate_pair(TR)
-    unbounded = B.PairFamily("delta", TR, delta._gen)
+    unbounded = B.PairFamily(TR, delta._gen)
     with pytest.raises(DomainError):
         B.verify_conjugate_pair(gamma, unbounded, 2)
 
@@ -238,8 +238,8 @@ def test_transform_seed_and_chains():
 def test_transform_trivial_zero_conjugate():
     zero = TruncatedSeries.zero(TR)
     alpha, beta = B.seed_pair(TR)
-    gamma = B.PairFamily("gamma", TR, lambda n: zero, support_bound=0)
-    delta = B.PairFamily("delta", TR, lambda n: zero, support_bound=0)
+    gamma = B.PairFamily(TR, lambda n: zero, support_bound=0)
+    delta = B.PairFamily(TR, lambda n: zero, support_bound=0)
     assert B.bailey_transform_check(alpha, beta, gamma, delta).passed
 
 
@@ -297,23 +297,27 @@ def test_gamma_builders_match_frozen_products(caps):
 
 
 def test_pair_family_entry_is_factor_times_part():
-    # entry n is factor * part(n), the factor 1 unless given; parts and
-    # entries are memoized, so each family generates a part once
+    # entry n is factor * part(n), the factor 1 unless given; entries
+    # are memoized, so an entry read twice generates its part once, and
+    # a part is generated again on each read
     q = TruncatedSeries.variable(TR, "q")
     factor = one() - q
 
     def part(n):
         return mono(e_q=n) + one()
 
-    family = B.PairFamily("gamma", TR, part, factor=factor)
-    plain = B.PairFamily("gamma", TR, part)
+    family = B.PairFamily(TR, part, factor=factor)
+    plain = B.PairFamily(TR, part)
     calls = [count_generator_calls(f, "_gen") for f in (family, plain)]
     for n in (0, 3, 3):
         assert family[n] == factor * part(n)
-        assert family.part(n) == part(n)
-        assert plain[n] is plain.part(n)
-    assert plain.factor == one()
+        assert plain[n] is plain[n]
     assert calls == [{0: 1, 3: 1}] * 2
+    for n in (0, 3, 3):
+        assert family.part(n) == part(n)
+        assert plain[n] == plain.part(n)
+    assert calls == [{0: 2, 3: 3}] * 2
+    assert plain.factor == one()
     with pytest.raises(DomainError):
         family[-1]
 
@@ -415,6 +419,22 @@ def test_wp_families_match_reference():
         assert gamma_p[n].render() == gamma(n).render()
         assert delta_p.core(n).render() == delta_core(n).render()
         assert delta_p[n].render() == delta_core(n).shift(e_t=n).render()
+
+
+@pytest.mark.parametrize("caps", [(6, 6, 4), (8, 5, 7), (3, 2, 9)])
+def test_wp_delta_factor_is_one_infinite_product_read(caps):
+    # (s^2;q)_inf / (s;q)_inf^2 equals the n-free factor of delta' as
+    # first multiplied out, (1+s) (s^2 q;q)_inf / (s,sq;q)_inf, and
+    # core(0) is (1-s) times it
+    trunc = Truncation(*caps)
+    s = TruncatedSeries.variable(trunc, "s")
+    frozen = ((s + 1) * qf.poch_infinite((1, 1, 0, 2, 0), trunc)
+              * qf.inv_poch_infinite((1, 0, 0, 1, 0), trunc)
+              * qf.inv_poch_infinite((1, 1, 0, 1, 0), trunc))
+    read = qf.infinite_product(((1, 0, 0, 2, 0),), ((1, 0, 0, 1, 0),) * 2, trunc)
+    assert read.render() == frozen.render()
+    _, delta_p = B.wp_conjugate_pair(trunc)
+    assert delta_p.core(0).render() == (frozen - s * frozen).render()
 
 
 def reference_wp_rhs(delta_p, n):
@@ -533,6 +553,19 @@ def test_wp_families_are_built_once_across_relation_and_collapse(monkeypatch):
     assert {n: degrees[2 * n, "t"] for n in range(4)} == dict.fromkeys(range(4), 2)
 
 
+def test_relation_check_keeps_no_part():
+    # the relation reads each entry once; a later part read, as the
+    # transform makes, generates that part again
+    trunc = Truncation(8, 8)
+    gamma, delta = B.hermite_conjugate_pair(trunc)
+    calls = count_generator_calls(gamma, "_gen")
+    assert B.verify_conjugate_pair(gamma, delta, 4).passed
+    assert calls == dict.fromkeys(range(5), 1)
+    for n in range(5):
+        assert gamma.factor * gamma.part(n) == gamma[n]
+    assert calls == dict.fromkeys(range(5), 2)
+
+
 def test_wp_collapse_to_ordinary():
     assert B.wp_collapse_check(*B.wp_conjugate_pair(TRS), 3).passed
     gamma_p, delta_p = B.wp_conjugate_pair(TRS)
@@ -546,7 +579,7 @@ def test_wp_needs_s_truncation_and_cores():
     with pytest.raises(DomainError):
         B.wp_conjugate_pair(TR)
     gamma_p, delta_p = B.wp_conjugate_pair(TRS)
-    no_core = B.PairFamily("delta", TRS, delta_p._gen, support_bound=TRS.max_t)
+    no_core = B.PairFamily(TRS, delta_p._gen, support_bound=TRS.max_t)
     with pytest.raises(DomainError):
         B.verify_wp_conjugate(gamma_p, no_core, 2)
 
@@ -560,7 +593,7 @@ def _raise_one_coefficient(family, n_bad):
     def gen(n):
         return family[n] + bump if n == n_bad else family[n]
 
-    return B.PairFamily(family.kind, family.trunc, gen, family.support_bound), mono_bad
+    return B.PairFamily(family.trunc, gen, family.support_bound), mono_bad
 
 
 def _bailey_case():
@@ -610,7 +643,7 @@ def test_relation_verifier_stops_at_the_first_failing_n():
         asked.append(n)
         return bad[n]
 
-    report = B.verify_conjugate_pair(B.PairFamily("gamma", TR, gen, bad.support_bound),
+    report = B.verify_conjugate_pair(B.PairFamily(TR, gen, bad.support_bound),
                                      delta, 4)
     assert report.first_mismatch["n"] == 2
     assert asked == [0, 1, 2]

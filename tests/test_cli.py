@@ -264,6 +264,14 @@ def test_selftest_passes(capsys):
     assert "checks passed" in out
 
 
+def test_selftest_passes_where_a_point_draws_a_second_terminator(capsys):
+    # seed 46522 draws q = 4/2 and a = 2/16 = q^(-3) for a terminating sum
+    code, out, _ = run(capsys, ["selftest", "--seed", "46522", "--json"])
+    assert code == 0
+    reports = json.loads(out)
+    assert len(reports) == 170 and all(r["status"] == "pass" for r in reports)
+
+
 def test_selftest_detects_mutation(capsys, monkeypatch):
     # corrupt H_4, which only the closed form of the B evaluation reads
     # (as H_{2n} at n = 2); the self test must fail and name the identity
