@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from . import bailey, hypergeometric as hg, macdonald, qfunctions
 from .errors import DomainError, QBaileyError
-from .report import IdentityReport, Stopwatch, _first_failure, series_report
+from .report import (IdentityReport, Stopwatch, _first_failure, series_report, value_mismatch,
+                     value_report)
 from .series import Truncation
 
 FIXED_POINT = {"q": Fraction(2, 3), "t": Fraction(3, 5), "s": Fraction(5, 7)}
@@ -91,16 +92,16 @@ def _index_pair_check(identity: str, k: int, trunc: Truncation,
                           {"k": k, "lhs": left, "rhs": right}, watch)]
 
 
-def _grid_reports(identity: str, check, names: tuple[str, ...],
+def _grid_reports(identity: str, sides, names: tuple[str, ...],
                   args) -> list[IdentityReport]:
     """One report per point, the fixed point first and then args.points
-    random ones: check(l, n, point, seed) over l <= lmax, n <= nmax,
-    each (l, n) one sub-check labelled l and n."""
+    random ones: the two values of sides(l, n, point) compared over
+    l <= lmax, n <= nmax, each (l, n) one sub-check labelled l and n."""
     lmax, nmax = args.lmax, args.nmax
 
     def grid(point, seed):
         watch = Stopwatch()
-        subchecks = (({"l": l, "n": n}, check(l, n, point, seed).first_mismatch, {})
+        subchecks = (({"l": l, "n": n}, value_mismatch(*sides(l, n, point)), {})
                      for l in range(lmax + 1) for n in range(nmax + 1))
         return _first_failure(identity, {"lmax": lmax, "nmax": nmax,
                                          "point": point.describe()},
@@ -151,9 +152,9 @@ def _verify(args) -> list[IdentityReport]:
         report.params = {"pair": args.pair, "conjugate": "thm31"}
         return [report]
     if identity == "lemma-b1":
-        return _grid_reports(identity, hg.expansion_coeff_check, ("q", "t"), args)
+        return _grid_reports(identity, hg.expansion_coeff_sides, ("q", "t"), args)
     if identity == "appx-c":
-        return _grid_reports(identity, hg.wp_expansion_coeff_check, ("q", "t", "s"), args)
+        return _grid_reports(identity, hg.wp_expansion_coeff_sides, ("q", "t", "s"), args)
     if identity == "multi-rr":
         return [macdonald.multi_rogers_ramanujan(args.k, nq)]
     raise DomainError(f"unknown identity {identity!r}")
@@ -176,23 +177,38 @@ def selftest_reports(seed: int = SELFTEST_SEED) -> list[IdentityReport]:
         "chu-vandermonde-2": ("a", "c"),
         "qbinomial-theorem": ("z",),
         "sixphi5": ("a", "b", "c"),
-        "heine-1": ("a",),
     }
     for name, extra in classical_points.items():
         for n in (0, 3, 5):
             def check(point, sd, name=name, n=n):
-                return hg.classical_check(name, point, n, sd)
+                watch = Stopwatch()
+                lhs, rhs = hg.classical_sides(name, point, n)
+                return value_report(f"classical-{name}", lhs, rhs,
+                                    {"n": n, "point": point.describe()}, watch, sd)
             reports.extend(hg.run_at_random_points(
                 check, ("q",) + extra, 3, seed + n))
-            if name == "heine-1":
-                break   # the series check does not depend on n
+
+    def heine(point, sd):
+        # a series identity: only a comes from the point, and n plays no part
+        watch = Stopwatch()
+        a = point["a"]
+        lhs, rhs = hg.heine1_sides(a, Truncation(8, 8, 8))
+        return series_report("classical-heine-1", lhs, rhs,
+                             {"a": f"{a.numerator}/{a.denominator}"}, watch, sd)
+    reports.extend(hg.run_at_random_points(heine, ("q", "a"), 3, seed))
 
     for d in range(-4, 5):
         for n in range(3):
-            reports.append(hg.s_closed_check(d, n, fixed_qt))
+            watch = Stopwatch()
+            reports.append(value_report(
+                "s-closed-form", hg.s_sum(d, n, fixed_qt), hg.s_closed(d, n, fixed_qt),
+                {"d": d, "n": n, "point": fixed_qt.describe()}, watch))
     for l in range(3):
         for n in range(3):
-            reports.append(hg.s_symmetry_check(l, n, fixed_qt))
+            watch = Stopwatch()
+            lhs, rhs = hg.s_symmetry_sides(l, n, fixed_qt)
+            reports.append(value_report("s-symmetry", lhs, rhs,
+                                        {"l": l, "n": n, "point": fixed_qt.describe()}, watch))
 
     trunc = Truncation(8, 6, 4)
     watch = Stopwatch()
@@ -231,7 +247,14 @@ def selftest_reports(seed: int = SELFTEST_SEED) -> list[IdentityReport]:
                 qfunctions.hermite_expansion_coeff_closed(n, l, trunc),
                 {"n": n, "l": l}, watch))
     for n in range(4):
-        reports.extend(hg.b_phi_check(n, range(4), trunc))
+        # B_n does not depend on n': one report, paired with each Phi_{n,n'}
+        watch = Stopwatch()
+        b_report = series_report("b-eva", hg.b_defining_sum(n, trunc), hg.b_closed(n, trunc),
+                                 {"n": n}, watch)
+        for nprime in range(4):
+            reports += [b_report, series_report(
+                "phi-eva", hg.phi_defining_sum(n, nprime, trunc),
+                hg.phi_closed(n, nprime, trunc), {"n": n, "nprime": nprime}, watch)]
     return reports
 
 
@@ -354,6 +377,11 @@ def main(argv=None) -> int:
         return args.fn(args)
     except DomainError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except (OverflowError, MemoryError) as exc:
+        # a --k or chain depth too large for a list fails its size check
+        print(f"usage error: a size is too large: {type(exc).__name__} {exc}".rstrip(),
+              file=sys.stderr)
         return 2
     except QBaileyError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,10 @@
 """Terminating basic hypergeometric evaluation and the rational-point
 backend for finite summation identities.
 
+The module returns values and the two sides of each identity; it
+builds no report.  The caller compares the sides and labels the
+verdict (cli.py, through report.py).
+
 Two deliberately separate backends:
 
 * identities that are rational functions of the parameters and involve
@@ -25,7 +29,6 @@ from fractions import Fraction
 from .errors import DomainError, PoleError
 from .qfunctions import (binom2, hermite, infinite_product, inv_poch, inv_qq, inv_tq,
                          poch_finite, poch_infinite, poch_ratio, qbinomial)
-from .report import IdentityReport, Stopwatch, series_report, value_report
 from .series import TruncatedSeries, Truncation
 
 
@@ -168,36 +171,25 @@ def qbinomial_value(M: int, N: int, point: RationalPoint) -> Fraction:
                                 inv_poch_value(q, M - N, point))])
 
 
-@dataclass
-class PhiSpec:
-    """A terminating r-phi-s series: at least one upper parameter must
-    equal q^(-n) with n the termination index."""
-
-    upper: list[Fraction]
-    lower: list[Fraction]
-    argument: Fraction
-    n: int
-
-
-def phi_terminating(spec: PhiSpec, point: RationalPoint) -> Fraction:
-    """Exact value of the terminating series, Gasper--Rahman convention:
-    the m-th term carries ((-1)^m q^binom(m,2))^(1 + s - r).  At least
-    one upper parameter is q^(-n); a second one (a random point can
-    draw it) ends the series at n all the same."""
+def phi_terminating(upper: list[Fraction], lower: list[Fraction], argument: Fraction,
+                    n: int, point: RationalPoint) -> Fraction:
+    """Exact value of the terminating r-phi-s series with these upper
+    and lower parameters, Gasper--Rahman convention: the m-th term
+    carries ((-1)^m q^binom(m,2))^(1 + s - r).  At least one upper
+    parameter must be q^(-n), n the termination index; a second one (a
+    random point can draw it) ends the series at n all the same."""
     q = point["q"]
-    terminator = q ** (-spec.n)
-    if terminator not in spec.upper:
-        raise DomainError(
-            f"terminating series needs an upper parameter q^(-{spec.n})")
-    extra_power = 1 + len(spec.lower) - len(spec.upper)
-    argument = Fraction(spec.argument)
+    if q ** (-n) not in upper:
+        raise DomainError(f"terminating series needs an upper parameter q^(-{n})")
+    extra_power = 1 + len(lower) - len(upper)
+    argument = Fraction(argument)
     return _fraction_free_sum(
         (argument ** m,
-         *(poch_value(a, m, point) for a in spec.upper),
+         *(poch_value(a, m, point) for a in upper),
          inv_poch_value(q, m, point),
-         *(inv_poch_value(b, m, point) for b in spec.lower),
+         *(inv_poch_value(b, m, point) for b in lower),
          ((-1) ** m * q ** binom2(m)) ** extra_power if extra_power else 1)
-        for m in range(spec.n + 1))
+        for m in range(n + 1))
 
 
 def _vwp_sixphi5_sum(a: Fraction, b: Fraction, c: Fraction, n: int,
@@ -219,49 +211,29 @@ def _vwp_sixphi5_sum(a: Fraction, b: Fraction, c: Fraction, n: int,
         for m in range(n + 1))
 
 
-def classical_check(name: str, point: RationalPoint, n: int,
-                    seed: int | None = None) -> IdentityReport:
-    """Check one classical summation/transformation at the point.
-
-    heine-1 is nonterminating on both sides, so it is checked in the
-    truncated ring with the argument and two parameters kept formal
-    (b = t, c = tq, argument = s) and a taken from the point; n is
-    ignored for it.
-    """
-    watch = Stopwatch()
-    if name == "heine-1":
-        a = point["a"]
-        lhs, rhs = heine1_sides(a, Truncation(8, 8, 8))
-        return series_report(f"classical-{name}", lhs, rhs,
-                             params={"a": f"{a.numerator}/{a.denominator}"},
-                             watch=watch, seed=seed)
-    lhs, rhs = _classical_sides(name, point, n)
-    params = {"n": n, "point": point.describe()}
-    return value_report(f"classical-{name}", lhs, rhs, params, watch, seed)
-
-
-def _classical_sides(name: str, point: RationalPoint, n: int) -> tuple[Fraction, Fraction]:
-    """(terminating sum, closed form) of a classical identity at the point."""
+def classical_sides(name: str, point: RationalPoint, n: int) -> tuple[Fraction, Fraction]:
+    """(terminating sum, closed form) of a classical summation at the
+    point: pfaff-saalschutz (3phi2), chu-vandermonde-2 (2phi1),
+    qbinomial-theorem (1phi0) or sixphi5 (very-well-poised 6phi5), each
+    terminating at n."""
     q = point["q"]
     if name == "pfaff-saalschutz":
         a, b, c = point["a"], point["b"], point["c"]
         point.check_nonzero(c, "c")
-        spec = PhiSpec([a, b, q ** (-n)], [c, a * b * q ** (1 - n) / c], q, n)
-        lhs = phi_terminating(spec, point)
+        lhs = phi_terminating([a, b, q ** (-n)], [c, a * b * q ** (1 - n) / c], q, n, point)
         return lhs, _fraction_free_sum([(poch_value(c / a, n, point),
                                          poch_value(c / b, n, point),
                                          inv_poch_value(c, n, point),
                                          inv_poch_value(c / (a * b), n, point))])
     if name == "chu-vandermonde-2":
         a, c = point["a"], point["c"]
-        spec = PhiSpec([a, q ** (-n)], [c], q, n)
-        lhs = phi_terminating(spec, point)
+        lhs = phi_terminating([a, q ** (-n)], [c], q, n, point)
         return lhs, _fraction_free_sum([(a ** n, poch_value(c / a, n, point),
                                          inv_poch_value(c, n, point))])
     if name == "qbinomial-theorem":
         z = point["z"]
-        spec = PhiSpec([q ** (-n)], [], z, n)
-        return phi_terminating(spec, point), poch_value(z * q ** (-n), n, point)
+        return (phi_terminating([q ** (-n)], [], z, n, point),
+                poch_value(z * q ** (-n), n, point))
     if name == "sixphi5":
         a, b, c = point["a"], point["b"], point["c"]
         lhs = _vwp_sixphi5_sum(a, b, c, n, point)
@@ -320,46 +292,27 @@ def s_closed(d: int, n: int, point: RationalPoint) -> Fraction:
                                 inv_poch_value(t, 2 * n + d, point))])
 
 
-def s_closed_check(d: int, n: int, point: RationalPoint,
-                   seed: int | None = None) -> IdentityReport:
-    watch = Stopwatch()
-    params = {"d": d, "n": n, "point": point.describe()}
-    return value_report("s-closed-form", s_sum(d, n, point),
-                        s_closed(d, n, point), params, watch, seed)
-
-
-def s_symmetry_check(l: int, n: int, point: RationalPoint,
-                     seed: int | None = None) -> IdentityReport:
-    """The pairing identity
+def s_symmetry_sides(l: int, n: int, point: RationalPoint) -> tuple[Fraction, Fraction]:
+    """Both sides of the pairing identity
     sum_j [2l,j]_q S_{j-l-n,n} = -sum_j [2l,j]_q S_{j-l-n+1,n}."""
-    watch = Stopwatch()
     lhs = _fraction_free_sum((qbinomial_value(2 * l, j, point), s_sum(j - l - n, n, point))
                              for j in range(2 * l + 1))
     rhs = -_fraction_free_sum((qbinomial_value(2 * l, j, point),
                                s_sum(j - l - n + 1, n, point))
                               for j in range(2 * l + 1))
-    params = {"l": l, "n": n, "point": point.describe()}
-    return value_report("s-symmetry", lhs, rhs, params, watch, seed)
+    return lhs, rhs
 
 
 # -- expansion-coefficient summation identities -----------------------
 
 
-def expansion_coeff_check(l: int, n: int, point: RationalPoint,
-                          seed: int | None = None) -> IdentityReport:
-    """The terminating sum behind the Hermite expansion coefficients:
+def expansion_coeff_sides(l: int, n: int, point: RationalPoint) -> tuple[Fraction, Fraction]:
+    """(sum, closed form) of the terminating sum behind the Hermite
+    expansion coefficients:
     sum_{j=0}^{2l} (q^{j-l-n};q)_{2n} (1/t;q)_{j-l-n} t^j /
                    ((q;q)_j (q;q)_{2l-j} (t;q)_{j-l+n})
       = t^{2l} / ((q;q)_{l-n} (tq;q)_{l+n}),
     both sides exactly zero when l < n."""
-    watch = Stopwatch()
-    lhs, rhs = _expansion_coeff_sides(l, n, point)
-    params = {"l": l, "n": n, "point": point.describe()}
-    return value_report("expansion-coeff-sum", lhs, rhs, params, watch, seed)
-
-
-def _expansion_coeff_sides(l: int, n: int, point: RationalPoint) -> tuple[Fraction, Fraction]:
-    """(sum, closed form) of `expansion_coeff_check` at the point."""
     q, t = point["q"], point["t"]
     ti = 1 / point.check_nonzero(t, "t")
     lhs = _fraction_free_sum(
@@ -374,22 +327,13 @@ def _expansion_coeff_sides(l: int, n: int, point: RationalPoint) -> tuple[Fracti
     return lhs, rhs
 
 
-def wp_expansion_coeff_check(l: int, n: int, point: RationalPoint,
-                             seed: int | None = None) -> IdentityReport:
-    """The s-weighted variant of the same sum:
+def wp_expansion_coeff_sides(l: int, n: int,
+                             point: RationalPoint) -> tuple[Fraction, Fraction]:
+    """(sum, closed form) of the s-weighted variant of the same sum:
     sum_{j=0}^{2l} (s;q)_j (s;q)_{2l-j} (q^{j-l-n};q)_{2n} (1/t;q)_{j-l-n} t^j /
                    ((q;q)_j (q;q)_{2l-j} (t;q)_{j-l+n})
       = (s/t;q)_{l-n} (s;q)_{l+n} t^{2l} / ((q;q)_{l-n} (tq;q)_{l+n});
     at s = 0 it reduces to the unweighted sum."""
-    watch = Stopwatch()
-    lhs, rhs = _wp_expansion_coeff_sides(l, n, point)
-    params = {"l": l, "n": n, "point": point.describe()}
-    return value_report("wp-expansion-coeff-sum", lhs, rhs, params, watch, seed)
-
-
-def _wp_expansion_coeff_sides(l: int, n: int,
-                              point: RationalPoint) -> tuple[Fraction, Fraction]:
-    """(sum, closed form) of `wp_expansion_coeff_check` at the point."""
     q, t, s = point["q"], point["t"], point["s"]
     ti = 1 / point.check_nonzero(t, "t")
     lhs = _fraction_free_sum(
@@ -451,18 +395,6 @@ def phi_closed(n: int, nprime: int, trunc: Truncation) -> TruncatedSeries:
             * qbinomial(nprime, n, trunc))
 
 
-def b_phi_check(n: int, nprimes, trunc: Truncation) -> list[IdentityReport]:
-    """[B(n), Phi(n, n'_0), B(n), Phi(n, n'_1), ...] over n' in nprimes;
-    B does not depend on n', so its sides are built and compared once."""
-    watch = Stopwatch()
-    b_report = series_report("b-eva", b_defining_sum(n, trunc), b_closed(n, trunc),
-                             params={"n": n}, watch=watch)
-    return [report for nprime in nprimes for report in (
-        b_report, series_report("phi-eva", phi_defining_sum(n, nprime, trunc),
-                                phi_closed(n, nprime, trunc),
-                                params={"n": n, "nprime": nprime}, watch=watch))]
-
-
 # -- random-point machinery -------------------------------------------
 
 
@@ -483,20 +415,19 @@ def draw_point(rng: random.Random, names: tuple[str, ...]) -> RationalPoint:
 MAX_DRAWS = 64
 
 
-def run_at_random_points(check, names: tuple[str, ...], n_points: int,
-                         seed: int) -> list[IdentityReport]:
-    """Run `check(point, seed)` at n_points random points, redrawing a
-    point whenever it hits a pole."""
+def run_at_random_points(check, names: tuple[str, ...], n_points: int, seed: int) -> list:
+    """The results of `check(point, seed)` at n_points random points,
+    redrawing a point whenever it hits a pole."""
     rng = random.Random(seed)
-    reports = []
+    results = []
     for _ in range(n_points):
         for _attempt in range(MAX_DRAWS):
             point = draw_point(rng, names)
             try:
-                reports.append(check(point, seed))
+                results.append(check(point, seed))
                 break
             except PoleError:
                 continue
         else:
             raise DomainError(f"could not draw a pole-free point after {MAX_DRAWS} tries")
-    return reports
+    return results

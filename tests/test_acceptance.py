@@ -11,6 +11,7 @@ from qbailey import bailey as B
 from qbailey import cli
 from qbailey import hypergeometric as hg
 from qbailey import macdonald as M
+from qbailey.report import Stopwatch, value_report
 from qbailey.series import Truncation
 
 
@@ -105,39 +106,30 @@ def test_criterion_7_wp_conjugate_pair():
 def test_criterion_8_expansion_coefficient_sums():
     fixed = hg.RationalPoint({"q": Fraction(2, 3), "t": Fraction(3, 5),
                               "s": Fraction(5, 7)})
-    ok = all(hg.expansion_coeff_check(l, n, fixed).passed
-             for l in range(7) for n in range(7))
-    _line(8, ok, "coefficient sum, l,n <= 6 at (q,t)=(2/3,3/5)")
-    ok = all(hg.wp_expansion_coeff_check(l, n, fixed).passed
-             for l in range(5) for n in range(5))
-    _line(8, ok, "s-weighted coefficient sum, l,n <= 4 at (2/3,3/5,5/7)")
+
+    def equal(sides, lmax, point):
+        return all(lhs == rhs for lhs, rhs in (sides(l, n, point) for l in range(lmax + 1)
+                                               for n in range(lmax + 1)))
+
+    _line(8, equal(hg.expansion_coeff_sides, 6, fixed),
+          "coefficient sum, l,n <= 6 at (q,t)=(2/3,3/5)")
+    _line(8, equal(hg.wp_expansion_coeff_sides, 4, fixed),
+          "s-weighted coefficient sum, l,n <= 4 at (2/3,3/5,5/7)")
     # l < n cases are exact 0 = 0, not merely equal
-    zero_zero = [(hg.expansion_coeff_check(l, n, fixed), l, n)
-                 for n in range(1, 7) for l in range(n)]
-    lhs_zero = all(r.passed for r, _, _ in zero_zero)
-    _line(8, lhs_zero, "l < n cases return exact 0 = 0")
+    zero_zero = all(hg.expansion_coeff_sides(l, n, fixed) == (0, 0)
+                    for n in range(1, 7) for l in range(n))
+    _line(8, zero_zero, "l < n cases return exact 0 = 0")
+    zero_zero = all(hg.wp_expansion_coeff_sides(l, n, fixed) == (0, 0)
+                    for n in range(1, 5) for l in range(n))
+    _line(8, zero_zero, "s-weighted l < n cases return exact 0 = 0")
 
-    def b1(point, seed):
-        for l in range(7):
-            for n in range(7):
-                r = hg.expansion_coeff_check(l, n, point, seed)
-                if not r.passed:
-                    return r
-        return r
-
-    def c_sum(point, seed):
-        for l in range(5):
-            for n in range(5):
-                r = hg.wp_expansion_coeff_check(l, n, point, seed)
-                if not r.passed:
-                    return r
-        return r
-
-    reports = hg.run_at_random_points(b1, ("q", "t"), 10, seed=8801)
-    _line(8, all(r.passed for r in reports), "coefficient sum at 10 seeded points")
-    reports = hg.run_at_random_points(c_sum, ("q", "t", "s"), 10, seed=8802)
-    _line(8, all(r.passed for r in reports),
-          "s-weighted coefficient sum at 10 seeded points")
+    equal_at = hg.run_at_random_points(
+        lambda point, seed: equal(hg.expansion_coeff_sides, 6, point), ("q", "t"), 10, 8801)
+    _line(8, equal_at == [True] * 10, "coefficient sum at 10 seeded points")
+    equal_at = hg.run_at_random_points(
+        lambda point, seed: equal(hg.wp_expansion_coeff_sides, 4, point), ("q", "t", "s"), 10,
+        8802)
+    _line(8, equal_at == [True] * 10, "s-weighted coefficient sum at 10 seeded points")
 
 
 def test_criterion_9_classical_layer_selftest():
@@ -200,7 +192,9 @@ def test_criterion_12_determinism():
 
     def run_points():
         def check(point, seed):
-            return hg.expansion_coeff_check(3, 2, point, seed)
+            lhs, rhs = hg.expansion_coeff_sides(3, 2, point)
+            return value_report("expansion-coeff-sum", lhs, rhs,
+                                {"l": 3, "n": 2, "point": point.describe()}, Stopwatch(), seed)
         return hg.run_at_random_points(check, ("q", "t"), 5, seed=777)
 
     _line(12, _strip_times(run_points()) == _strip_times(run_points()),

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_hypergeometric import reference_inv_poch_value, reference_poch_value
 
-from qbailey import cli
+from qbailey import cli, report
 from qbailey import hypergeometric as hg
 from qbailey.series import TruncatedSeries
 
@@ -99,17 +99,18 @@ def test_rational_points_match_reference_loops(capsys, monkeypatch):
                                          "--seed", "5", "--json"])
             out.append((code, strip_wall_time(json.loads(text))))
         point = hg.RationalPoint({"q": Fraction(2, 3), "t": Fraction(3, 5)})
-        out += [strip_wall_time(hg.s_symmetry_check(l, n, point).to_dict())
-                for l in range(3) for n in range(3)]
-        out += [strip_wall_time(hg.s_closed_check(d, n, point).to_dict())
-                for d in range(-3, 4) for n in range(3)]
+        sides = [hg.s_symmetry_sides(l, n, point) for l in range(3) for n in range(3)]
+        sides += [(hg.s_sum(d, n, point), hg.s_closed(d, n, point))
+                  for d in range(-3, 4) for n in range(3)]
         point = hg.RationalPoint({"q": Fraction(2, 3), "a": Fraction(3, 5),
                                   "b": Fraction(5, 7), "c": Fraction(7, 11),
                                   "z": Fraction(4, 9)})
-        out += [strip_wall_time(hg.classical_check(name, point, n).to_dict())
-                for name in ("pfaff-saalschutz", "chu-vandermonde-2",
-                             "qbinomial-theorem", "sixphi5")
-                for n in (0, 3, 5)]
+        sides += [hg.classical_sides(name, point, n)
+                  for name in ("pfaff-saalschutz", "chu-vandermonde-2",
+                               "qbinomial-theorem", "sixphi5")
+                  for n in (0, 3, 5)]
+        assert all(lhs == rhs for lhs, rhs in sides)
+        out += [[str(lhs), str(rhs)] for lhs, rhs in sides]
         return json.dumps(out, sort_keys=True), calls
 
     tables, live_calls = outputs(hg.poch_value, hg.inv_poch_value)
@@ -148,8 +149,8 @@ def test_verify_grid_ids(capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("identity, sides", [("lemma-b1", "_expansion_coeff_sides"),
-                                             ("appx-c", "_wp_expansion_coeff_sides")])
+@pytest.mark.parametrize("identity, sides", [("lemma-b1", "expansion_coeff_sides"),
+                                             ("appx-c", "wp_expansion_coeff_sides")])
 def test_failing_grid_names_l_n_and_the_point(capsys, monkeypatch, identity, sides):
     # sides that differ at (l, n) = (2, 1) fail the grid of every point
     # there: the report names l and n beside the mismatch, keeps the
@@ -178,6 +179,23 @@ def test_failing_grid_names_l_n_and_the_point(capsys, monkeypatch, identity, sid
                                              if identity == "appx-c" or k != "s"}
     per_point = [(l, n) for l in range(3) for n in range(4)][:10]
     assert ran == per_point * 3
+
+
+def test_grid_builds_one_report_per_point(capsys, monkeypatch):
+    # each (l, n) of a point is compared as two values, with no report of
+    # its own: two random points and the fixed one make three reports
+    built = []
+
+    class Counting(report.IdentityReport):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(report, "IdentityReport", Counting)
+    code, out, _ = run(capsys, ["verify", "lemma-b1", "--lmax", "2", "--nmax", "2",
+                                "--points", "2", "--seed", "5"])
+    assert code == 0 and out.endswith("3/3 checks passed\n")
+    assert len(built) == 3
 
 
 def test_chain_deeper_than_the_recursion_limit(capsys):
@@ -270,6 +288,21 @@ def test_selftest_passes_where_a_point_draws_a_second_terminator(capsys):
     assert code == 0
     reports = json.loads(out)
     assert len(reports) == 170 and all(r["status"] == "pass" for r in reports)
+
+
+# k = 10**19 does not fit an index and k = 2**63 - 1 fails the size check
+# of a list of k Fractions, so both fail before anything is allocated
+@pytest.mark.parametrize("argv", [
+    ["verify", "thm-main", "--k", str(10 ** 19), "--nq", "1", "--nt", "1"],
+    ["verify", "appx-a", "--k", str(10 ** 19)],
+    ["table", "--rep", "original", "--k", str(10 ** 19)],
+    ["verify", "thm-general", "--k", str(2 ** 63 - 1), "--nq", "1", "--nt", "1"],
+    ["verify", "corollary-special", "--pair", f"chain({2 ** 63 - 1};;)"],
+], ids=["thm-main", "appx-a", "table-original", "thm-general", "corollary-special"])
+def test_huge_k_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: a size is too large") and "Traceback" not in err
 
 
 def test_selftest_detects_mutation(capsys, monkeypatch):

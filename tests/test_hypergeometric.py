@@ -9,6 +9,7 @@ from conftest import clear_caches
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qbailey import cli
 from qbailey import hypergeometric as hg
 from qbailey import qfunctions as qf
 from qbailey.errors import DomainError, PoleError
@@ -85,13 +86,12 @@ def test_phi_terminating():
     point = FIXED
     q = point["q"]
     # empty-Pochhammer case: termination index 0
-    assert hg.phi_terminating(hg.PhiSpec([Fraction(1)], [], q, 0), point) == 1
+    assert hg.phi_terminating([Fraction(1)], [], q, 0, point) == 1
     # 1phi0(q^{-n};-;q,q) = (q^{1-n};q)_n = 0 for n >= 1
     for n in (1, 2, 5):
-        spec = hg.PhiSpec([q ** (-n)], [], q, n)
-        assert hg.phi_terminating(spec, point) == 0
-    with pytest.raises(DomainError):
-        hg.phi_terminating(hg.PhiSpec([Fraction(5)], [], q, 2), point)
+        assert hg.phi_terminating([q ** (-n)], [], q, n, point) == 0
+    with pytest.raises(DomainError, match=r"needs an upper parameter q\^\(-2\)"):
+        hg.phi_terminating([Fraction(5)], [], q, 2, point)
 
 
 def test_chu_vandermonde_against_direct_sum():
@@ -105,10 +105,9 @@ def test_chu_vandermonde_against_direct_sum():
                        * hg.poch_value(q ** (-n), m, point)
                        * hg.inv_poch_value(q, m, point)
                        * hg.inv_poch_value(c, m, point) * q ** m)
-        assert direct == a ** n * hg.poch_value(c / a, n, point) \
-            * hg.inv_poch_value(c, n, point)
-        report = hg.classical_check("chu-vandermonde-2", point, n)
-        assert report.passed
+        closed = a ** n * hg.poch_value(c / a, n, point) * hg.inv_poch_value(c, n, point)
+        assert direct == closed
+        assert hg.classical_sides("chu-vandermonde-2", point, n) == (direct, closed)
 
 
 @pytest.mark.parametrize("name, values", [
@@ -120,7 +119,8 @@ def test_classical_checks_with_a_second_terminating_parameter(name, values):
     # at q = 2 a parameter 1/8 is q^(-3) too: the series still ends at
     # n = 3, and the identity holds
     point = hg.RationalPoint({"q": Fraction(2), **values})
-    assert hg.classical_check(name, point, 3).passed
+    lhs, rhs = hg.classical_sides(name, point, 3)
+    assert lhs == rhs
 
 
 def test_classical_checks_fixed_and_random():
@@ -131,11 +131,10 @@ def test_classical_checks_fixed_and_random():
              "sixphi5": ("q", "a", "b", "c")}
     for name, names in cases.items():
         for n in (0, 3, 6):
-            reports = hg.run_at_random_points(
-                lambda point, seed, name=name, n=n:
-                    hg.classical_check(name, point, n, seed),
+            sides = hg.run_at_random_points(
+                lambda point, seed, name=name, n=n: hg.classical_sides(name, point, n),
                 names, 4, rng.randrange(2 ** 31))
-            assert all(r.passed for r in reports), name
+            assert len(sides) == 4 and all(lhs == rhs for lhs, rhs in sides), name
 
 
 def reference_heine1_sides(a, trunc):
@@ -170,9 +169,6 @@ def test_heine_first_transformation():
     for a in (Fraction(3, 7), Fraction(9, 4), Fraction(-2, 5)):
         lhs, rhs = hg.heine1_sides(a, Truncation(8, 8, 8))
         assert lhs == rhs
-    report = hg.classical_check(
-        "heine-1", hg.RationalPoint({"q": Fraction(2, 3), "a": Fraction(3, 7)}), 0)
-    assert report.passed
 
 
 def test_s_closed_form():
@@ -185,27 +181,28 @@ def test_s_closed_form():
         expected = hg.poch_value(1 / t, d, FIXED) * t ** d \
             * hg.inv_poch_value(t, d, FIXED)
         assert hg.s_sum(d, 0, FIXED) == expected
-    reports = hg.run_at_random_points(
-        lambda point, seed: hg.s_closed_check(3, 2, point, seed),
+    equal = hg.run_at_random_points(
+        lambda point, seed: hg.s_sum(3, 2, point) == hg.s_closed(3, 2, point),
         ("q", "t"), 10, 7)
-    assert all(r.passed for r in reports)
+    assert equal == [True] * 10
 
 
 def test_s_symmetry():
     for l in range(4):
         for n in range(4):
-            assert hg.s_symmetry_check(l, n, FIXED).passed
+            lhs, rhs = hg.s_symmetry_sides(l, n, FIXED)
+            assert lhs == rhs
 
 
 def test_expansion_coeff_identity():
     for l in range(5):
         for n in range(5):
-            assert hg.expansion_coeff_check(l, n, FIXED).passed
+            lhs, rhs = hg.expansion_coeff_sides(l, n, FIXED)
+            assert lhs == rhs
     # l = 1, n = 0: both sides equal t^2 / ((1-q)(1-tq))
     q, t = FIXED["q"], FIXED["t"]
     expected = t ** 2 / ((1 - q) * (1 - t * q))
-    report = hg.expansion_coeff_check(1, 0, FIXED)
-    assert report.passed
+    assert hg.expansion_coeff_sides(1, 0, FIXED) == (expected, expected)
     assert hg.s_sum(0, 0, FIXED) == 1   # sanity on the backend itself
     lhs = Fraction(0)
     for j in range(3):
@@ -220,12 +217,13 @@ def test_expansion_coeff_identity():
 def test_wp_expansion_coeff_identity():
     for l in range(4):
         for n in range(4):
-            assert hg.wp_expansion_coeff_check(l, n, FIXED_S).passed
-    assert hg.wp_expansion_coeff_check(0, 0, FIXED_S).passed
-    reports = hg.run_at_random_points(
-        lambda point, seed: hg.wp_expansion_coeff_check(3, 1, point, seed),
+            lhs, rhs = hg.wp_expansion_coeff_sides(l, n, FIXED_S)
+            assert lhs == rhs
+    assert hg.wp_expansion_coeff_sides(0, 0, FIXED_S) == (1, 1)
+    sides = hg.run_at_random_points(
+        lambda point, seed: hg.wp_expansion_coeff_sides(3, 1, point),
         ("q", "t", "s"), 8, 11)
-    assert all(r.passed for r in reports)
+    assert len(sides) == 8 and all(lhs == rhs for lhs, rhs in sides)
 
 
 def test_wp_reduces_at_s_zero():
@@ -233,9 +231,9 @@ def test_wp_reduces_at_s_zero():
                                "s": Fraction(0)})
     for l in range(4):
         for n in range(3):
-            wp = hg.wp_expansion_coeff_check(l, n, zero_s)
-            plain = hg.expansion_coeff_check(l, n, FIXED)
-            assert wp.passed and plain.passed
+            lhs, rhs = hg.wp_expansion_coeff_sides(l, n, zero_s)
+            assert lhs == rhs
+            assert (lhs, rhs) == hg.expansion_coeff_sides(l, n, FIXED)
 
 
 def test_pole_error_names_factor():
@@ -244,7 +242,7 @@ def test_pole_error_names_factor():
     # (1 - t q) vanish in the denominator (t;q)_n for n >= 2
     point = hg.RationalPoint({"q": Fraction(2, 3), "t": Fraction(3, 2)})
     cases = [
-        (lambda: hg.expansion_coeff_check(1, 1, point), "(1 - (2/3) * q^(-1))"),
+        (lambda: hg.expansion_coeff_sides(1, 1, point), "(1 - (2/3) * q^(-1))"),
         (lambda: hg.poch_value(Fraction(4, 9), -3, point), "(1 - (4/9) * q^(-2))"),
         (lambda: hg.inv_poch_value(Fraction(3, 2), 4, point), "(1 - (3/2) * q^1)"),
         (lambda: hg.s_sum(2, 2, point), "(1 - (3/2) * q^1)"),
@@ -324,20 +322,20 @@ def reference_qbinomial_value(M, N, point):
         * hg.inv_poch_value(q, M - N, point)
 
 
-def reference_phi_terminating(spec, point):
+def reference_phi_terminating(upper, lower, argument, n, point):
     q = point["q"]
-    terminator = q ** (-spec.n)
-    if terminator not in spec.upper:
+    terminator = q ** (-n)
+    if terminator not in upper:
         raise DomainError(
-            f"terminating series needs an upper parameter q^(-{spec.n})")
-    extra_power = 1 + len(spec.lower) - len(spec.upper)
+            f"terminating series needs an upper parameter q^(-{n})")
+    extra_power = 1 + len(lower) - len(upper)
     total = Fraction(0)
-    for m in range(spec.n + 1):
-        term = Fraction(spec.argument) ** m
-        for a in spec.upper:
+    for m in range(n + 1):
+        term = Fraction(argument) ** m
+        for a in upper:
             term *= hg.poch_value(a, m, point)
         term *= hg.inv_poch_value(q, m, point)
-        for b in spec.lower:
+        for b in lower:
             term *= hg.inv_poch_value(b, m, point)
         if extra_power:
             term *= ((-1) ** m * q ** (m * (m - 1) // 2)) ** extra_power
@@ -368,18 +366,18 @@ def reference_classical_sides(name, point, n):
     if name == "pfaff-saalschutz":
         a, b, c = point["a"], point["b"], point["c"]
         point.check_nonzero(c, "c")
-        spec = hg.PhiSpec([a, b, q ** (-n)], [c, a * b * q ** (1 - n) / c], q, n)
-        lhs = reference_phi_terminating(spec, point)
+        lhs = reference_phi_terminating([a, b, q ** (-n)], [c, a * b * q ** (1 - n) / c],
+                                        q, n, point)
         return lhs, (hg.poch_value(c / a, n, point) * hg.poch_value(c / b, n, point)
                      * hg.inv_poch_value(c, n, point)
                      * hg.inv_poch_value(c / (a * b), n, point))
     if name == "chu-vandermonde-2":
         a, c = point["a"], point["c"]
-        lhs = reference_phi_terminating(hg.PhiSpec([a, q ** (-n)], [c], q, n), point)
+        lhs = reference_phi_terminating([a, q ** (-n)], [c], q, n, point)
         return lhs, a ** n * hg.poch_value(c / a, n, point) * hg.inv_poch_value(c, n, point)
     if name == "qbinomial-theorem":
         z = point["z"]
-        lhs = reference_phi_terminating(hg.PhiSpec([q ** (-n)], [], z, n), point)
+        lhs = reference_phi_terminating([q ** (-n)], [], z, n, point)
         return lhs, hg.poch_value(z * q ** (-n), n, point)
     a, b, c = point["a"], point["b"], point["c"]     # sixphi5
     lhs = reference_vwp_sixphi5_sum(a, b, c, n, point)
@@ -456,8 +454,9 @@ def _point_and_indices(draw):
     values = {name: draw(value) for name in ("t", "s", "a", "b", "c", "z")}
     index = st.integers(0, 3)
     n = draw(index)
-    spec = hg.PhiSpec(draw(st.lists(value, max_size=3)) + [q ** (-n)],
-                      draw(st.lists(value, max_size=3)), draw(value), n)
+    # the arguments of phi_terminating before the point
+    spec = (draw(st.lists(value, max_size=3)) + [q ** (-n)],
+            draw(st.lists(value, max_size=3)), draw(value), n)
     return (hg.RationalPoint({"q": q, **values}), spec, draw(index), draw(index),
             draw(st.integers(-3, 3)), draw(st.integers(0, 5)), draw(st.integers(-1, 6)))
 
@@ -469,15 +468,15 @@ def test_fraction_free_sums_match_fraction_loops(case):
     oracle_point = hg.RationalPoint(point.values)
     pairs = [
         (hg.qbinomial_value, reference_qbinomial_value, (M, N)),
-        (hg.phi_terminating, reference_phi_terminating, (spec,)),
+        (hg.phi_terminating, reference_phi_terminating, spec),
         (hg._vwp_sixphi5_sum, reference_vwp_sixphi5_sum,
          (point["a"], point["b"], point["c"], n)),
         (hg.s_sum, reference_s_sum, (d, n)),
         (hg.s_closed, reference_s_closed, (d, n)),
-        (hg._expansion_coeff_sides, reference_expansion_coeff_sides, (l, n)),
-        (hg._wp_expansion_coeff_sides, reference_wp_expansion_coeff_sides, (l, n)),
+        (hg.expansion_coeff_sides, reference_expansion_coeff_sides, (l, n)),
+        (hg.wp_expansion_coeff_sides, reference_wp_expansion_coeff_sides, (l, n)),
     ]
-    pairs += [(lambda n, point, name=name: hg._classical_sides(name, point, n),
+    pairs += [(lambda n, point, name=name: hg.classical_sides(name, point, n),
                lambda n, point, name=name: reference_classical_sides(name, point, n), (n,))
               for name in ("pfaff-saalschutz", "chu-vandermonde-2",
                            "qbinomial-theorem", "sixphi5")]
@@ -509,7 +508,13 @@ def test_b_phi_evaluations():
 
 
 def test_b_phi_check_pairs_one_b_report_with_each_phi():
-    reports = hg.b_phi_check(2, range(3), TR)
-    assert [r.identity for r in reports] == ["b-eva", "phi-eva"] * 3
-    assert [r.params for r in reports[1::2]] == [{"n": 2, "nprime": p} for p in range(3)]
-    assert all(r is reports[0] for r in reports[::2]) and all(r.passed for r in reports)
+    # selftest compares B_n once per n, as it does not depend on n', and
+    # pairs that one report object with the Phi_{n,n'} report of each n'
+    reports = [r for r in cli.selftest_reports() if r.identity in ("b-eva", "phi-eva")]
+    assert [r.identity for r in reports] == ["b-eva", "phi-eva"] * 16
+    for n in range(4):
+        block = reports[8 * n:8 * n + 8]
+        assert block[0].params == {"n": n}
+        assert all(r is block[0] for r in block[::2])
+        assert [r.params for r in block[1::2]] == [{"n": n, "nprime": p} for p in range(4)]
+    assert len({id(r) for r in reports[::2]}) == 4 and all(r.passed for r in reports)

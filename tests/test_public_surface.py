@@ -93,3 +93,15 @@ def test_only_the_report_module_builds_reports():
                 if name == "IdentityReport":
                     builders.append(path.stem)
     assert builders and set(builders) == {"report"}
+
+
+def test_hypergeometric_builds_no_report():
+    # the rational-point module returns values and sides; the caller
+    # labels them, so it imports nothing from the report module
+    imported = []
+    for node in ast.walk(ast.parse((SRC / "hypergeometric.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported and [name for name in imported if "report" in name.split(".")] == []
