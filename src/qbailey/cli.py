@@ -141,7 +141,11 @@ def _verify(args) -> list[IdentityReport]:
     if identity == "thm-general":
         b = _parse_rational_list(args.b, args.k, "--b")
         c = _parse_rational_list(args.c, args.k, "--c")
-        return [macdonald.generalized_identity(args.k, b, c, Truncation(nq, nt))]
+        watch = Stopwatch()
+        sides = macdonald.generalized_sides(args.k, b, c, Truncation(nq, nt))
+        params = {"k": args.k, "b": [f"{x.numerator}/{x.denominator}" for x in b],
+                  "c": [f"{x.numerator}/{x.denominator}" for x in c]}
+        return [series_report("parametrized-duality", *sides, params, watch)]
     if identity == "corollary-special":
         trunc = Truncation(nq, nt)
         alpha, beta = _parse_pair_id(args.pair, trunc)
@@ -156,7 +160,10 @@ def _verify(args) -> list[IdentityReport]:
     if identity == "appx-c":
         return _grid_reports(identity, hg.wp_expansion_coeff_sides, ("q", "t", "s"), args)
     if identity == "multi-rr":
-        return [macdonald.multi_rogers_ramanujan(args.k, nq)]
+        watch = Stopwatch()
+        sides = macdonald.multi_rogers_ramanujan(args.k, nq)
+        return [series_report("multisum-rogers-ramanujan", *sides,
+                              {"k": args.k, "max_q": nq}, watch)]
     raise DomainError(f"unknown identity {identity!r}")
 
 
@@ -211,25 +218,25 @@ def selftest_reports(seed: int = SELFTEST_SEED) -> list[IdentityReport]:
                                         {"l": l, "n": n, "point": fixed_qt.describe()}, watch))
 
     trunc = Truncation(8, 6, 4)
-    watch = Stopwatch()
     for m in range(4):
         for n in range(4):
+            watch = Stopwatch()
             reports.append(series_report(
                 "hermite-orthogonality",
                 qfunctions.hermite_inner(m, n, trunc),
                 qfunctions.hermite_inner_closed(m, n, trunc),
                 {"m": m, "n": n}, watch))
-    watch = Stopwatch()
     for m in range(3):
         for n in range(3):
+            watch = Stopwatch()
             reports.append(series_report(
                 "ultraspherical-orthogonality",
                 qfunctions.ultraspherical_inner(m, n, trunc),
                 qfunctions.ultraspherical_inner_closed(m, n, trunc),
                 {"m": m, "n": n}, watch))
-    watch = Stopwatch()
     for m in range(5):
         for n in range(5):
+            watch = Stopwatch()
             reports.append(series_report(
                 "hermite-linearization",
                 qfunctions.hermite_linearize(m, n, trunc),
@@ -238,9 +245,9 @@ def selftest_reports(seed: int = SELFTEST_SEED) -> list[IdentityReport]:
     watch = Stopwatch()
     lhs, rhs = qfunctions.weight_expansion_sides(trunc)
     reports.append(series_report("weight-expansion", lhs, rhs, {}, watch))
-    watch = Stopwatch()
     for n in range(3):
         for l in range(4):
+            watch = Stopwatch()
             reports.append(series_report(
                 "expansion-coeff-closed-form",
                 qfunctions.hermite_expansion_coeff(n, l, trunc),
@@ -252,6 +259,7 @@ def selftest_reports(seed: int = SELFTEST_SEED) -> list[IdentityReport]:
         b_report = series_report("b-eva", hg.b_defining_sum(n, trunc), hg.b_closed(n, trunc),
                                  {"n": n}, watch)
         for nprime in range(4):
+            watch = Stopwatch()
             reports += [b_report, series_report(
                 "phi-eva", hg.phi_defining_sum(n, nprime, trunc),
                 hg.phi_closed(n, nprime, trunc), {"n": n, "nprime": nprime}, watch)]
@@ -283,15 +291,21 @@ def _cmd_table(args) -> int:
     rep = args.rep
     if rep in macdonald.REPRESENTATIONS:
         series = _index(rep, args.k, trunc)
-    else:                               # schur or hall-littlewood
-        if rep == "schur" and args.nq > args.nt:
+    elif rep == "schur":
+        if args.nq > args.nt:
             raise DomainError("--rep schur requires nq <= nt")
-        series = macdonald.specialize_index(macdonald.fermionic_index(args.k, trunc), rep)
-    rows = macdonald.coefficient_rows(series)
+        series = macdonald.fermionic_index(args.k, trunc).specialize("t", "q")
+    else:                               # hall-littlewood
+        series = macdonald.fermionic_index(args.k, trunc).specialize("q", 0)
+    # one row (e_q, e_t, e_z, num, den) per term in canonical monomial
+    # order; an index series carries no s
+    rows = [(mono.e_q, mono.e_t, mono.e_z, coeff.numerator, coeff.denominator)
+            for mono, coeff in series.terms()]
     if args.format == "csv":
-        text = macdonald.rows_to_csv(rows)
+        text = "".join(f"{eq},{et},{ez},{num},{den}\n" for eq, et, ez, num, den in rows)
     else:
-        text = json.dumps(macdonald.rows_to_json_obj(rows), sort_keys=True) + "\n"
+        text = json.dumps({"columns": ["e_q", "e_t", "e_z", "num", "den"], "rows": rows},
+                          sort_keys=True) + "\n"
     if args.output:
         try:
             with open(args.output, "w") as fh:

@@ -1,6 +1,8 @@
 """The four series representations of the rank-one Macdonald-type index
-for odd D-series Dynkin data, the parametrized single-sum/multisum
-identity, and the multisum Rogers-Ramanujan identity.
+for odd D-series Dynkin data, and both sides of the parametrized
+single-sum/multisum identity and of the multisum Rogers-Ramanujan
+identity.  The module builds series only: it returns each index and each
+pair of sides, and the caller (cli.py) compares, labels and formats them.
 
 Summation bounds are derived from exponent prefactors, never guessed:
 a summand is enumerated only while its guaranteed minimum q- and
@@ -24,7 +26,6 @@ from .bailey import ChainParams, chain_lift, seed_pair
 from .errors import DomainError, InternalConsistencyError
 from .qfunctions import (binom2, combined_poch, hermite, infinite_product, inv_poch, inv_qq,
                          inv_poch_infinite, poch_finite, poch_infinite, ultraspherical)
-from .report import IdentityReport, Stopwatch, series_report
 from .series import TruncatedSeries, Truncation
 
 # the four representations of the index; each name's builder is <name>_index
@@ -309,38 +310,18 @@ def _bosonic_side(k, b, c, trunc):
     return total
 
 
-def generalized_identity(k: int, b, c, trunc: Truncation) -> IdentityReport:
-    """Compare the two independently computed sides of the parametrized
-    identity."""
-    watch = Stopwatch()
-    lhs, rhs = generalized_sides(k, b, c, trunc)
-    b = [Fraction(x) for x in b]
-    c = [Fraction(x) for x in c]
-    params = {"k": k,
-              "b": [f"{x.numerator}/{x.denominator}" for x in b],
-              "c": [f"{x.numerator}/{x.denominator}" for x in c]}
-    return series_report("parametrized-duality", lhs, rhs, params, watch)
-
-
-def multi_rogers_ramanujan(k: int, max_q: int) -> IdentityReport:
-    """Multisum Rogers-Ramanujan identity in the single variable q:
+def multi_rogers_ramanujan(k: int, max_q: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """Both sides of the multisum Rogers-Ramanujan identity in the single
+    variable q, over Truncation(max_q, 0):
     sum over chains of q^(n_1^2+...+n_k^2) / ((q;q)_{n_k-n_{k-1}} ...)
       = (1/(q;q)_inf) sum_{n in Z} (-1)^n q^((k+1)n^2 + binom(n,2))."""
     if k < 1:
         raise DomainError("k must be >= 1")
-    watch = Stopwatch()
-    lhs, rhs = _multi_rogers_ramanujan_sides(k, Truncation(max_q, 0))
-    return series_report("multisum-rogers-ramanujan", lhs, rhs,
-                         {"k": k, "max_q": max_q}, watch)
-
-
-def _multi_rogers_ramanujan_sides(k, trunc):
-    # (multisum, product side) of multi_rogers_ramanujan at the q-cap of
-    # trunc.  The chains n_1 <= ... <= n_k are summed one level at a time
-    # from F_0 = {0: 1}: F_i(m) = sum_{n <= m} F_(i-1)(n) q^(m^2)/(q;q)_(m-n),
+    trunc = Truncation(max_q, 0)
+    # the chains n_1 <= ... <= n_k are summed one level at a time from
+    # F_0 = {0: 1}: F_i(m) = sum_{n <= m} F_(i-1)(n) q^(m^2)/(q;q)_(m-n),
     # one sum_of_products per m up to m^2 <= max_q, and the multisum is
     # sum_m F_k(m).  q^(m^2) goes on the narrow 1/(q;q)_(m-n).
-    max_q = trunc.max_q
     level = [TruncatedSeries.one(trunc)]
     for _ in range(k):
         level = [TruncatedSeries.sum_of_products(
@@ -356,36 +337,3 @@ def _multi_rogers_ramanujan_sides(k, trunc):
                                         for n, e in exps if e <= max_q})
     return lhs, inv_poch_infinite((1, 1, 0, 0, 0), trunc) * bilateral
 
-
-def specialize_index(f: TruncatedSeries, mode: str) -> TruncatedSeries:
-    """Standard specializations: schur (t -> q; needs max_t >= max_q),
-    hall-littlewood (q -> 0), unrefined (z -> 1)."""
-    if mode == "schur":
-        return f.specialize("t", "q")
-    if mode == "hall-littlewood":
-        return f.specialize("q", 0)
-    if mode == "unrefined":
-        return f.specialize("z", 1)
-    raise DomainError(f"unknown specialization mode {mode!r}")
-
-
-def coefficient_rows(f: TruncatedSeries) -> list[tuple[int, int, int, int, int]]:
-    """Coefficient table rows (e_q, e_t, e_z, num, den) in canonical
-    monomial order.  Index series carry no s-exponent."""
-    rows = []
-    for mono, coeff in f.terms():
-        if mono.e_s != 0:
-            raise DomainError("coefficient tables are for s-free series")
-        num, den = (coeff, 1) if isinstance(coeff, int) else \
-            (coeff.numerator, coeff.denominator)
-        rows.append((mono.e_q, mono.e_t, mono.e_z, num, den))
-    return rows
-
-
-def rows_to_csv(rows) -> str:
-    return "".join(f"{eq},{et},{ez},{num},{den}\n" for eq, et, ez, num, den in rows)
-
-
-def rows_to_json_obj(rows) -> dict:
-    return {"columns": ["e_q", "e_t", "e_z", "num", "den"],
-            "rows": [list(r) for r in rows]}

@@ -56,10 +56,6 @@ class Truncation:
         """Effective cap on the s-exponent (0 when s is absent)."""
         return 0 if self.max_s is None else self.max_s
 
-    def degree_bound(self) -> int:
-        """Largest total (q,t,s)-degree a stored monomial can have."""
-        return self.max_q + self.max_t + self.s_cap
-
     def cap(self, var: str) -> int:
         return {"q": self.max_q, "t": self.max_t, "s": self.s_cap}[var]
 
@@ -470,7 +466,8 @@ class TruncatedSeries:
         g_by_deg: dict[int, dict] = {0: {(0, 0, 0, 0): inv_c}}
         mq, mt = self.trunc.max_q, self.trunc.max_t
         ms = self.trunc.s_cap
-        for d in range(1, self.trunc.degree_bound() + 1):
+        # a stored monomial has total (q,t,s)-degree at most mq + mt + ms
+        for d in range(1, mq + mt + ms + 1):
             acc: dict = {}
             for j, f_terms in by_deg.items():
                 if j > d:

@@ -198,6 +198,22 @@ def test_grid_builds_one_report_per_point(capsys, monkeypatch):
     assert len(built) == 3
 
 
+def test_selftest_times_each_report_on_its_own_stopwatch(monkeypatch):
+    # a stopwatch shared by a loop would charge the k-th report with the
+    # time of all k checks; each distinct report starts its own
+    started = []
+
+    class Counting(report.Stopwatch):
+        def __init__(self):
+            started.append(1)
+            super().__init__()
+
+    monkeypatch.setattr(cli, "Stopwatch", Counting)
+    reports = cli.selftest_reports()
+    assert len({id(r) for r in reports}) == 158
+    assert len(started) == 158
+
+
 def test_chain_deeper_than_the_recursion_limit(capsys):
     # the lift builds its levels iteratively, lowest first, so the chain
     # depth is not bounded by the interpreter's recursion limit

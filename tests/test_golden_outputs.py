@@ -40,6 +40,11 @@ a depth-3 chain and a k = 3 thm-general whose parameters all have
 b_i c_i = 1, so every lift level reads one kernel table, on the base
 of 1/(tq;q)_n.  They were recorded while each lift level still kept
 its own running product of the kernel.
+
+The JSON-table argument vectors pin the `--format json` text of a
+coefficient table, which the CSV digests above do not reach.  They were
+recorded while macdonald.py still formatted the tables and mapped the
+schur and hall-littlewood modes to their substitutions.
 """
 
 import contextlib
@@ -215,6 +220,17 @@ POCH_TABLE_DIGESTS = [
     "66da1d1a1dc4b05bd217fcdbcc0a241bd71b5899d4042c5b52f28fd757920072",
 ]
 
+JSON_TABLE_ARGVS = [
+    ["table", "--rep", rep, "--k", "2", "--nq", "10", "--nt", "10", "--format", "json"]
+    for rep in ("fermionic", "schur", "hall-littlewood")
+]
+
+JSON_TABLE_DIGESTS = [
+    "c82593f0548a8e9b3ec3157dc5b9351118347afebb662e8c20c12653268d07bd",
+    "0c95b55068a40cbe5e30c06c3a8910b2ace1bf78f4210812c2fd79e60217af4f",
+    "010200fe076105fa5b67bf3c23a71902ff1405cef5ccb3fb68e241555b31bd20",
+]
+
 CASES = [(f"{name}-{i}", argv) for name, argvs in WORKLOAD_ARGVS.items()
          for i, argv in enumerate(argvs)]
 
@@ -273,4 +289,11 @@ def test_product_order_output_matches_recorded_digest(argv, digest):
 @pytest.mark.parametrize("argv, digest", zip(POCH_TABLE_ARGVS, POCH_TABLE_DIGESTS),
                          ids=["chain3-unit-kernel-10-10", "thm-general-k3-unit-kernel-10-8"])
 def test_poch_table_output_matches_recorded_digest(argv, digest):
+    assert output_digest(argv) == digest
+
+
+@pytest.mark.parametrize("argv, digest", zip(JSON_TABLE_ARGVS, JSON_TABLE_DIGESTS),
+                         ids=["fermionic-json-k2-10-10", "schur-json-k2-10-10",
+                              "hall-littlewood-json-k2-10-10"])
+def test_json_table_matches_recorded_digest(argv, digest):
     assert output_digest(argv) == digest

@@ -4,6 +4,7 @@ them."""
 import contextlib
 import functools
 import io
+import json
 import math
 import sys
 from fractions import Fraction
@@ -100,7 +101,7 @@ def test_unrefined_matches_direct_multisum():
         for j in range(2 * chain[-1] + 1):
             inner = inner + qf.qbinomial(2 * chain[-1], j, trunc)
         direct = direct + val * inner
-    assert M.specialize_index(M.fermionic_index(k, trunc), "unrefined") == direct
+    assert M.fermionic_index(k, trunc).specialize("z", 1) == direct
 
 
 def test_monotone_truncation_consistency():
@@ -123,34 +124,32 @@ def test_multi_rogers_ramanujan_truncation_projection():
     # smaller cap, including caps that end between two chain exponents
     for k in (1, 2, 3):
         for big_q, small_q in ((30, 12), (17, 16), (9, 0)):
-            big, small = Truncation(big_q, 0), Truncation(small_q, 0)
-            for wide, narrow in zip(M._multi_rogers_ramanujan_sides(k, big),
-                                    M._multi_rogers_ramanujan_sides(k, small)):
-                assert retruncate(wide, small) == narrow
+            for wide, narrow in zip(M.multi_rogers_ramanujan(k, big_q),
+                                    M.multi_rogers_ramanujan(k, small_q)):
+                assert wide.trunc == Truncation(big_q, 0)
+                assert retruncate(wide, narrow.trunc) == narrow
 
 
 def test_generalized_identity_zero_parameters_match_plain():
     for k in (1, 2, 3):
-        report = M.generalized_identity(k, [0] * k, [0] * k, TR)
-        assert report.passed
-    # at b = c = 0 the two sides are bit-for-bit the plain representations
-    report = M.generalized_identity(2, [0, 0], [0, 0], TR)
-    assert report.passed
-    # reproduce by comparing the series themselves
-    f = M.fermionic_index(2, TR)
-    b = M.bosonic_index(2, TR)
-    assert f == b
+        lhs, rhs = M.generalized_sides(k, [0] * k, [0] * k, TR)
+        assert lhs == rhs
+    # at b = c = 0 the two sides are the plain representations
+    lhs, rhs = M.generalized_sides(2, [0, 0], [0, 0], TR)
+    assert lhs == M.fermionic_index(2, TR) == M.bosonic_index(2, TR) == rhs
 
 
 def test_generalized_identity_nonzero_parameters():
-    assert M.generalized_identity(1, [1], [0], TR).passed
-    assert M.generalized_identity(
+    lhs, rhs = M.generalized_sides(1, [1], [0], TR)
+    assert lhs == rhs
+    lhs, rhs = M.generalized_sides(
         2, [Fraction(2, 5), Fraction(1, 3)], [Fraction(4, 7), Fraction(5, 2)],
-        Truncation(6, 5)).passed
+        Truncation(6, 5))
+    assert lhs == rhs
     with pytest.raises(DomainError):
-        M.generalized_identity(0, [], [], TR)
+        M.generalized_sides(0, [], [], TR)
     with pytest.raises(DomainError):
-        M.generalized_identity(2, [0], [0, 0], TR)
+        M.generalized_sides(2, [0], [0, 0], TR)
 
 
 def reference_chains(k, cap):
@@ -367,15 +366,14 @@ def reference_multi_rr_lhs(k, trunc):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("max_q", [0, 1, 16, 17, 40, 80])
 def test_multi_rogers_ramanujan_levels_match_chain_loop(k, max_q):
-    trunc = Truncation(max_q, 0)
-    lhs = M._multi_rogers_ramanujan_sides(k, trunc)[0]
-    assert lhs.render() == reference_multi_rr_lhs(k, trunc).render()
+    lhs = M.multi_rogers_ramanujan(k, max_q)[0]
+    assert lhs.render() == reference_multi_rr_lhs(k, Truncation(max_q, 0)).render()
 
 
 def test_multi_rogers_ramanujan():
     for k in (1, 2, 3):
-        report = M.multi_rogers_ramanujan(k, 20)
-        assert report.passed
+        lhs, rhs = M.multi_rogers_ramanujan(k, 20)
+        assert lhs == rhs
     with pytest.raises(DomainError):
         M.multi_rogers_ramanujan(0, 10)
 
@@ -731,7 +729,7 @@ def test_specializations():
     # (1-t^2) / ((1-t)(1-t z^2)(1-t z^-2)) = (1+t)/((1-t z^2)(1-t z^-2))
     trunc = TR
     b = M.bosonic_index(1, trunc)
-    hl = M.specialize_index(b, "hall-littlewood")
+    hl = b.specialize("q", 0)
     one = TruncatedSeries.one(trunc)
     t = TruncatedSeries.variable(trunc, "t")
     tz2 = TruncatedSeries.monomial(trunc, 1, e_t=1, e_z=2)
@@ -741,30 +739,33 @@ def test_specializations():
 
     schur_tr = Truncation(6, 6)
     f = M.fermionic_index(1, schur_tr)
-    schur = M.specialize_index(f, "schur")
+    schur = f.specialize("t", "q")
     assert schur.coefficient((0, 0, 0, 0)) == 1
     mono_t = TruncatedSeries.monomial(schur_tr, 1, e_t=2)
-    assert M.specialize_index(mono_t, "schur") == \
-        TruncatedSeries.monomial(schur_tr, 1, e_q=2)
+    assert mono_t.specialize("t", "q") == TruncatedSeries.monomial(schur_tr, 1, e_q=2)
     with pytest.raises(TruncationOverflow):
-        M.specialize_index(M.fermionic_index(1, Truncation(6, 4)), "schur")
-    with pytest.raises(DomainError):
-        M.specialize_index(f, "bogus")
+        M.fermionic_index(1, Truncation(6, 4)).specialize("t", "q")
 
 
 def test_coefficient_table():
+    # one row (e_q, e_t, e_z, num, den) per term, in canonical order
     f = M.fermionic_index(1, Truncation(4, 3))
-    rows = M.coefficient_rows(f)
-    assert rows[0] == (0, 0, 0, 1, 1)
-    assert rows == sorted(rows)
-    csv_text = M.rows_to_csv(rows)
+    expected = [[m.e_q, m.e_t, m.e_z, c, 1] for m, c in f.terms()]
+    assert expected[0] == [0, 0, 0, 1, 1]
+    assert expected == sorted(expected)
+
+    def table(fmt):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["table", "--rep", "fermionic", "--k", "1", "--nq", "4",
+                             "--nt", "3", "--format", fmt]) == 0
+        return out.getvalue()
+
+    csv_text = table("csv")
     assert csv_text.splitlines()[0] == "0,0,0,1,1"
-    obj = M.rows_to_json_obj(rows)
-    assert obj["columns"] == ["e_q", "e_t", "e_z", "num", "den"]
-    assert obj["rows"][0] == [0, 0, 0, 1, 1]
-    with_s = TruncatedSeries.monomial(Truncation(2, 2, 2), 1, e_s=1)
-    with pytest.raises(DomainError):
-        M.coefficient_rows(with_s)
+    assert csv_text == "".join(",".join(map(str, row)) + "\n" for row in expected)
+    obj = json.loads(table("json"))
+    assert obj == {"columns": ["e_q", "e_t", "e_z", "num", "den"], "rows": expected}
 
 
 def test_representation_builders():

@@ -12,8 +12,8 @@ SRC = pathlib.Path(qbailey.__file__).parent
 
 # Public names no src/qbailey module calls: the API shown in README
 # "Library use", the per-representation builders the CLI looks up by
-# name (macdonald.REPRESENTATIONS), and the test oracle `invert` with
-# the degree bound it needs, kept while perfbench/tracer.py wraps it.
+# name (macdonald.REPRESENTATIONS), and the test oracle `invert`, kept
+# while perfbench/tracer.py wraps it.
 LIBRARY_API = frozenset({
     "bailey.verify_bailey_pair",
     "bailey.verify_conjugate_pair",
@@ -30,7 +30,6 @@ LIBRARY_API = frozenset({
     "series.TruncatedSeries.mul_binomial",
     "series.TruncatedSeries.div_binomial",
     "series.TruncatedSeries.invert",
-    "series.Truncation.degree_bound",
 })
 
 
@@ -95,13 +94,24 @@ def test_only_the_report_module_builds_reports():
     assert builders and set(builders) == {"report"}
 
 
-def test_hypergeometric_builds_no_report():
-    # the rational-point module returns values and sides; the caller
-    # labels them, so it imports nothing from the report module
+def report_imports(module: str) -> list[str]:
+    """The names a module imports from the report module.  A module
+    with no import at all fails: the parse saw nothing to check."""
     imported = []
-    for node in ast.walk(ast.parse((SRC / "hypergeometric.py").read_text())):
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
         if isinstance(node, ast.ImportFrom):
             imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
         elif isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
-    assert imported and [name for name in imported if "report" in name.split(".")] == []
+    assert imported
+    return [name for name in imported if "report" in name.split(".")]
+
+
+def test_hypergeometric_builds_no_report():
+    # the rational-point and index modules return values and sides;
+    # cli.py labels them, so neither imports from the report module
+    assert report_imports("hypergeometric") == []
+
+
+def test_macdonald_builds_no_report():
+    assert report_imports("macdonald") == []
