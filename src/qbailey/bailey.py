@@ -24,7 +24,7 @@ Pacific J. Math. 114 (1984)): one memoized beta table per level, each
 built from the one below, lowest first.  N entries cost about k*N^2
 summand pairs instead of C(N+k, k) chains, and no recursion.  The three
 relation verifiers share one per-n sub-check generator, which the report
-layer runs up to the first n that fails.
+layer runs, and times, up to the first n that fails.
 
 The well-poised relation weight (s/t;q)_{l-n} carries a negative
 t-power; it is absorbed against the t^l prefactor of the delta entries
@@ -205,7 +205,7 @@ def _relation_report(identity: str, trunc: Truncation, n_max: int, lhs: PairFami
             yield ({"n": n}, first_mismatch(lhs[n], rhs),
                    {"lhs": lhs[n].term_count(), "rhs": rhs.term_count()})
 
-    return _first_failure(identity, {"n_max": n_max}, trunc, subchecks(), Stopwatch())
+    return _first_failure(identity, {"n_max": n_max}, trunc, subchecks())
 
 
 def verify_bailey_pair(alpha: PairFamily, beta: PairFamily,
@@ -369,7 +369,6 @@ def wp_collapse_check(gamma_p: PairFamily, delta_p: PairFamily,
     to the ordinary conjugate pair (exact term-map equality).  The wp
     families are the caller's, typically the ones the relation check
     has just verified; the ordinary pair is built here, independently."""
-    watch = Stopwatch()
     trunc = gamma_p.trunc
     gamma, delta = hermite_conjugate_pair(trunc)
     subchecks = (({"n": n, "family": label},
@@ -377,4 +376,4 @@ def wp_collapse_check(gamma_p: PairFamily, delta_p: PairFamily,
                  for n in range(n_max + 1)
                  for label, wp_fam, plain_fam in (("gamma", gamma_p, gamma),
                                                   ("delta", delta_p, delta)))
-    return _first_failure("wp-collapse-s0", {"n_max": n_max}, trunc, subchecks, watch)
+    return _first_failure("wp-collapse-s0", {"n_max": n_max}, trunc, subchecks)

@@ -6,7 +6,9 @@ export), selftest (the classical-identity layer at fixed seeds).
 Exit codes are the untyped contract: 0 pass, 1 mathematical mismatch,
 2 usage error.  All output is produced after computation completes and
 reports serialize with sorted keys, so repeated runs are byte-identical
-up to the recorded wall times.
+up to the recorded wall times.  Every comparison report built here goes
+through `_timed`, whose clock starts before the two sides are built;
+a chain of sub-checks times itself in `report._first_failure`.
 """
 
 from __future__ import annotations
@@ -28,6 +30,11 @@ FIXED_POINT = {"q": Fraction(2, 3), "t": Fraction(3, 5), "s": Fraction(5, 7)}
 
 IDENTITY_IDS = ("thm-main", "thm-kks", "thm-conj-pair", "thm-wp", "thm-general",
                 "appx-a", "lemma-b1", "appx-c", "multi-rr", "corollary-special")
+
+# the verify ids that compare two index representations, and the two
+# representations' names (not builders: `_index` looks them up per call)
+_INDEX_PAIRS = {"thm-main": ("fermionic", "bosonic"), "thm-kks": ("fermionic", "fermionic2"),
+                "appx-a": ("original", "fermionic2")}
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -81,15 +88,15 @@ def _index(rep: str, k: int, trunc: Truncation):
     return getattr(macdonald, f"{rep}_index")(k, trunc)
 
 
-# -- verify dispatch ---------------------------------------------------
-
-
-def _index_pair_check(identity: str, k: int, trunc: Truncation,
-                      left: str, right: str) -> list[IdentityReport]:
+def _timed(report, identity: str, sides, params: dict, seed: int | None = None) -> IdentityReport:
+    """report (series_report or value_report) of the two sides that
+    sides() builds, on a clock started before it builds them."""
     watch = Stopwatch()
-    lhs, rhs = (_index(rep, k, trunc) for rep in (left, right))
-    return [series_report(identity, lhs, rhs,
-                          {"k": k, "lhs": left, "rhs": right}, watch)]
+    lhs, rhs = sides()
+    return report(identity, lhs, rhs, params, watch, seed)
+
+
+# -- verify dispatch ---------------------------------------------------
 
 
 def _grid_reports(identity: str, sides, names: tuple[str, ...],
@@ -100,12 +107,10 @@ def _grid_reports(identity: str, sides, names: tuple[str, ...],
     lmax, nmax = args.lmax, args.nmax
 
     def grid(point, seed):
-        watch = Stopwatch()
         subchecks = (({"l": l, "n": n}, value_mismatch(*sides(l, n, point)), {})
                      for l in range(lmax + 1) for n in range(nmax + 1))
         return _first_failure(identity, {"lmax": lmax, "nmax": nmax,
-                                         "point": point.describe()},
-                              None, subchecks, watch, seed)
+                                         "point": point.describe()}, None, subchecks, seed)
 
     fixed = hg.RationalPoint({k: v for k, v in FIXED_POINT.items() if k in names})
     seed = _resolve_seed(args)
@@ -121,15 +126,12 @@ def _verify(args) -> list[IdentityReport]:
     if identity in ("thm-main", "thm-kks", "thm-general", "appx-a", "multi-rr"):
         if args.k < 1:
             raise DomainError("k must be >= 1")
-    if identity == "thm-main":
-        return _index_pair_check(identity, args.k, Truncation(nq, nt),
-                                 "fermionic", "bosonic")
-    if identity == "thm-kks":
-        return _index_pair_check(identity, args.k, Truncation(nq, nt),
-                                 "fermionic", "fermionic2")
-    if identity == "appx-a":
-        return _index_pair_check(identity, args.k, Truncation(nq, nt),
-                                 "original", "fermionic2")
+    if identity in _INDEX_PAIRS:
+        left, right = _INDEX_PAIRS[identity]
+        trunc = Truncation(nq, nt)
+        return [_timed(series_report, identity,
+                       lambda: (_index(left, args.k, trunc), _index(right, args.k, trunc)),
+                       {"k": args.k, "lhs": left, "rhs": right})]
     if identity == "thm-conj-pair":
         gamma, delta = bailey.hermite_conjugate_pair(Truncation(nq, nt))
         return [bailey.verify_conjugate_pair(gamma, delta, args.nmax)]
@@ -141,11 +143,11 @@ def _verify(args) -> list[IdentityReport]:
     if identity == "thm-general":
         b = _parse_rational_list(args.b, args.k, "--b")
         c = _parse_rational_list(args.c, args.k, "--c")
-        watch = Stopwatch()
-        sides = macdonald.generalized_sides(args.k, b, c, Truncation(nq, nt))
         params = {"k": args.k, "b": [f"{x.numerator}/{x.denominator}" for x in b],
                   "c": [f"{x.numerator}/{x.denominator}" for x in c]}
-        return [series_report("parametrized-duality", *sides, params, watch)]
+        return [_timed(series_report, "parametrized-duality",
+                       lambda: macdonald.generalized_sides(args.k, b, c, Truncation(nq, nt)),
+                       params)]
     if identity == "corollary-special":
         trunc = Truncation(nq, nt)
         alpha, beta = _parse_pair_id(args.pair, trunc)
@@ -160,10 +162,9 @@ def _verify(args) -> list[IdentityReport]:
     if identity == "appx-c":
         return _grid_reports(identity, hg.wp_expansion_coeff_sides, ("q", "t", "s"), args)
     if identity == "multi-rr":
-        watch = Stopwatch()
-        sides = macdonald.multi_rogers_ramanujan(args.k, nq)
-        return [series_report("multisum-rogers-ramanujan", *sides,
-                              {"k": args.k, "max_q": nq}, watch)]
+        return [_timed(series_report, "multisum-rogers-ramanujan",
+                       lambda: macdonald.multi_rogers_ramanujan(args.k, nq),
+                       {"k": args.k, "max_q": nq})]
     raise DomainError(f"unknown identity {identity!r}")
 
 
@@ -188,81 +189,59 @@ def selftest_reports(seed: int = SELFTEST_SEED) -> list[IdentityReport]:
     for name, extra in classical_points.items():
         for n in (0, 3, 5):
             def check(point, sd, name=name, n=n):
-                watch = Stopwatch()
-                lhs, rhs = hg.classical_sides(name, point, n)
-                return value_report(f"classical-{name}", lhs, rhs,
-                                    {"n": n, "point": point.describe()}, watch, sd)
+                return _timed(value_report, f"classical-{name}",
+                              lambda: hg.classical_sides(name, point, n),
+                              {"n": n, "point": point.describe()}, sd)
             reports.extend(hg.run_at_random_points(
                 check, ("q",) + extra, 3, seed + n))
 
     def heine(point, sd):
         # a series identity: only a comes from the point, and n plays no part
-        watch = Stopwatch()
         a = point["a"]
-        lhs, rhs = hg.heine1_sides(a, Truncation(8, 8, 8))
-        return series_report("classical-heine-1", lhs, rhs,
-                             {"a": f"{a.numerator}/{a.denominator}"}, watch, sd)
+        return _timed(series_report, "classical-heine-1",
+                      lambda: hg.heine1_sides(a, Truncation(8, 8, 8)),
+                      {"a": f"{a.numerator}/{a.denominator}"}, sd)
     reports.extend(hg.run_at_random_points(heine, ("q", "a"), 3, seed))
 
-    for d in range(-4, 5):
-        for n in range(3):
-            watch = Stopwatch()
-            reports.append(value_report(
-                "s-closed-form", hg.s_sum(d, n, fixed_qt), hg.s_closed(d, n, fixed_qt),
-                {"d": d, "n": n, "point": fixed_qt.describe()}, watch))
-    for l in range(3):
-        for n in range(3):
-            watch = Stopwatch()
-            lhs, rhs = hg.s_symmetry_sides(l, n, fixed_qt)
-            reports.append(value_report("s-symmetry", lhs, rhs,
-                                        {"l": l, "n": n, "point": fixed_qt.describe()}, watch))
+    def grid(report, identity, rows, cols, sides, point=None):
+        # one report per (i, j), row by row, over rows = (name, range)
+        # and cols, labelled by both names and, if given, the point
+        (row, row_range), (col, col_range) = rows, cols
+        for i in row_range:
+            for j in col_range:
+                params = {row: i, col: j}
+                if point is not None:
+                    params["point"] = point.describe()
+                reports.append(_timed(report, identity, lambda: sides(i, j), params))
 
+    grid(value_report, "s-closed-form", ("d", range(-4, 5)), ("n", range(3)),
+         lambda d, n: (hg.s_sum(d, n, fixed_qt), hg.s_closed(d, n, fixed_qt)), fixed_qt)
+    grid(value_report, "s-symmetry", ("l", range(3)), ("n", range(3)),
+         lambda l, n: hg.s_symmetry_sides(l, n, fixed_qt), fixed_qt)
     trunc = Truncation(8, 6, 4)
-    for m in range(4):
-        for n in range(4):
-            watch = Stopwatch()
-            reports.append(series_report(
-                "hermite-orthogonality",
-                qfunctions.hermite_inner(m, n, trunc),
-                qfunctions.hermite_inner_closed(m, n, trunc),
-                {"m": m, "n": n}, watch))
-    for m in range(3):
-        for n in range(3):
-            watch = Stopwatch()
-            reports.append(series_report(
-                "ultraspherical-orthogonality",
-                qfunctions.ultraspherical_inner(m, n, trunc),
-                qfunctions.ultraspherical_inner_closed(m, n, trunc),
-                {"m": m, "n": n}, watch))
-    for m in range(5):
-        for n in range(5):
-            watch = Stopwatch()
-            reports.append(series_report(
-                "hermite-linearization",
-                qfunctions.hermite_linearize(m, n, trunc),
-                qfunctions.hermite(m, trunc) * qfunctions.hermite(n, trunc),
-                {"m": m, "n": n}, watch))
-    watch = Stopwatch()
-    lhs, rhs = qfunctions.weight_expansion_sides(trunc)
-    reports.append(series_report("weight-expansion", lhs, rhs, {}, watch))
-    for n in range(3):
-        for l in range(4):
-            watch = Stopwatch()
-            reports.append(series_report(
-                "expansion-coeff-closed-form",
-                qfunctions.hermite_expansion_coeff(n, l, trunc),
-                qfunctions.hermite_expansion_coeff_closed(n, l, trunc),
-                {"n": n, "l": l}, watch))
+    grid(series_report, "hermite-orthogonality", ("m", range(4)), ("n", range(4)),
+         lambda m, n: (qfunctions.hermite_inner(m, n, trunc),
+                       qfunctions.hermite_inner_closed(m, n, trunc)))
+    grid(series_report, "ultraspherical-orthogonality", ("m", range(3)), ("n", range(3)),
+         lambda m, n: (qfunctions.ultraspherical_inner(m, n, trunc),
+                       qfunctions.ultraspherical_inner_closed(m, n, trunc)))
+    grid(series_report, "hermite-linearization", ("m", range(5)), ("n", range(5)),
+         lambda m, n: (qfunctions.hermite_linearize(m, n, trunc),
+                       qfunctions.hermite(m, trunc) * qfunctions.hermite(n, trunc)))
+    reports.append(_timed(series_report, "weight-expansion",
+                          lambda: qfunctions.weight_expansion_sides(trunc), {}))
+    grid(series_report, "expansion-coeff-closed-form", ("n", range(3)), ("l", range(4)),
+         lambda n, l: (qfunctions.hermite_expansion_coeff(n, l, trunc),
+                       qfunctions.hermite_expansion_coeff_closed(n, l, trunc)))
     for n in range(4):
         # B_n does not depend on n': one report, paired with each Phi_{n,n'}
-        watch = Stopwatch()
-        b_report = series_report("b-eva", hg.b_defining_sum(n, trunc), hg.b_closed(n, trunc),
-                                 {"n": n}, watch)
+        b_report = _timed(series_report, "b-eva",
+                          lambda: (hg.b_defining_sum(n, trunc), hg.b_closed(n, trunc)), {"n": n})
         for nprime in range(4):
-            watch = Stopwatch()
-            reports += [b_report, series_report(
-                "phi-eva", hg.phi_defining_sum(n, nprime, trunc),
-                hg.phi_closed(n, nprime, trunc), {"n": n, "nprime": nprime}, watch)]
+            reports += [b_report, _timed(
+                series_report, "phi-eva",
+                lambda: (hg.phi_defining_sum(n, nprime, trunc), hg.phi_closed(n, nprime, trunc)),
+                {"n": n, "nprime": nprime})]
     return reports
 
 

@@ -4,8 +4,11 @@ A report either passes or carries the canonically smallest mismatching
 monomial with both coefficients, so a failure localizes to one term;
 its status is read off that mismatch.  Every report is built here: one
 comparison of two series or two values, or a chain of sub-checks that
-stops at the first one that fails.  Serialization sorts keys, which
-makes reports byte-stable across runs up to the recorded wall time.
+stops at the first one that fails.  A comparison is timed by the
+Stopwatch its caller started before building the two sides; a chain
+times itself, and one that ran no sub-check is a usage error, not a
+pass.  Serialization sorts keys, which makes reports byte-stable across
+runs up to the recorded wall time.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import DomainError
 from .series import TruncatedSeries, Truncation
 
 
@@ -95,11 +99,10 @@ class Stopwatch:
 
 
 def series_report(identity: str, lhs: TruncatedSeries, rhs: TruncatedSeries,
-                  params: dict, watch: Stopwatch | None = None,
+                  params: dict, watch: Stopwatch,
                   seed: int | None = None) -> IdentityReport:
     """Compare two series and package the verdict."""
-    return IdentityReport(identity, params, lhs.trunc, first_mismatch(lhs, rhs),
-                          watch.ms() if watch else 0,
+    return IdentityReport(identity, params, lhs.trunc, first_mismatch(lhs, rhs), watch.ms(),
                           {"lhs": lhs.term_count(), "rhs": rhs.term_count()}, seed)
 
 
@@ -111,16 +114,20 @@ def value_report(identity: str, lhs: Fraction, rhs: Fraction, params: dict,
 
 
 def _first_failure(identity: str, params: dict, truncation: Truncation | None,
-                   subchecks, watch: Stopwatch, seed: int | None = None) -> IdentityReport:
-    """The verdict of a chain of sub-checks.  `subchecks` yields
-    (labels, mismatch, term_counts) lazily; the chain stops at the first
-    mismatch and reports it as {**labels, **mismatch}.  term_counts are
-    those of the last sub-check run.  The sub-checks' sums run inside
-    this frame, so it stays private: a profiler that wraps public names
-    charges them to the caller."""
-    counts, failure = {}, None
+                   subchecks, seed: int | None = None) -> IdentityReport:
+    """The verdict of a chain of sub-checks, timed from this call.
+    `subchecks` yields (labels, mismatch, term_counts) lazily, so their
+    sums run inside this frame and on its clock; the chain stops at the
+    first mismatch and reports it as {**labels, **mismatch}, with the
+    term_counts of the last sub-check run.  A chain that yields none
+    checked nothing and raises DomainError.  The frame stays private: a
+    profiler that wraps public names charges the sums to the caller."""
+    watch = Stopwatch()
+    failure = labels = None
     for labels, mismatch, counts in subchecks:
         if mismatch is not None:
             failure = {**labels, **mismatch}
             break
+    if labels is None:
+        raise DomainError(f"{identity}: the chain ran no sub-check")
     return IdentityReport(identity, params, truncation, failure, watch.ms(), counts, seed)

@@ -46,9 +46,10 @@ class Truncation:
     max_s: int | None = None
 
     def __post_init__(self):
-        if self.max_q < 0 or self.max_t < 0:
-            raise DomainError("truncation caps must be >= 0")
-        if self.max_s is not None and self.max_s < 0:
+        caps = (self.max_q, self.max_t) + (() if self.max_s is None else (self.max_s,))
+        if not all(isinstance(cap, int) for cap in caps):
+            raise DomainError(f"truncation caps must be integers, got {caps}")
+        if min(caps) < 0:
             raise DomainError("truncation caps must be >= 0")
 
     @property
@@ -58,6 +59,14 @@ class Truncation:
 
     def cap(self, var: str) -> int:
         return {"q": self.max_q, "t": self.max_t, "s": self.s_cap}[var]
+
+
+def _exact(c) -> Coeff:
+    """c itself if it is an int or a Fraction; anything else, a float
+    above all, would enter the exact ring inexactly, so it is refused."""
+    if not isinstance(c, (int, Fraction)):
+        raise DomainError(f"coefficients must be int or Fraction, got {type(c).__name__} {c!r}")
+    return c
 
 
 def _norm(c: Coeff) -> Coeff:
@@ -216,7 +225,7 @@ class TruncatedSeries:
                     continue
                 if eq < 0 or et < 0 or es < 0:
                     raise DomainError(f"negative exponent in monomial {tuple(mono)}")
-                c = _norm(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
+                c = _norm(_exact(c))
                 if c != 0:
                     clean[(eq, et, es, ez)] = c
         self._terms = clean
@@ -353,7 +362,7 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def scale(self, c: Coeff) -> "TruncatedSeries":
-        c = _norm(c if isinstance(c, (int, Fraction)) else Fraction(c))
+        c = _norm(_exact(c))
         if c == 0:
             return TruncatedSeries.zero(self.trunc)
         return TruncatedSeries._raw(
@@ -395,7 +404,7 @@ class TruncatedSeries:
         shift-and-add pass over the terms, no packing."""
         if min(e_q, e_t, e_s) < 0:
             raise DomainError("binomial exponents must be >= 0")
-        if not c:           # the binomial is 1
+        if not _exact(c):   # the binomial is 1
             return self
         c = _norm(c)        # an integral Fraction multiplies as an int
         mq, mt, ms = self.trunc.max_q, self.trunc.max_t, self.trunc.s_cap
@@ -419,7 +428,7 @@ class TruncatedSeries:
         degree-0 m is a scalar; as in invert, c m = 1 or a z-only c m raise."""
         if min(e_q, e_t, e_s) < 0:
             raise DomainError("binomial exponents must be >= 0")
-        if not c:           # the binomial is 1
+        if not _exact(c):   # the binomial is 1
             return self
         mq, mt, ms = self.trunc.max_q, self.trunc.max_t, self.trunc.s_cap
         if not (e_q or e_t or e_s):

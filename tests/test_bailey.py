@@ -704,3 +704,17 @@ def test_products_form_only_surviving_terms(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
         assert sum(formed) <= limit, (argv, sum(formed))
+
+
+def test_verifiers_refuse_an_empty_range_of_n():
+    # n_max < 0 leaves no n to compare: the check ran nothing, so it
+    # raises rather than reporting a pass
+    gamma, delta = B.hermite_conjugate_pair(TR)
+    alpha, beta = B.seed_pair(TR)
+    gamma_p, delta_p = B.wp_conjugate_pair(TRS)
+    for verify in (lambda: B.verify_conjugate_pair(gamma, delta, -1),
+                   lambda: B.verify_bailey_pair(alpha, beta, -3),
+                   lambda: B.verify_wp_conjugate(gamma_p, delta_p, -1),
+                   lambda: B.wp_collapse_check(gamma_p, delta_p, -1)):
+        with pytest.raises(DomainError, match="ran no sub-check"):
+            verify()

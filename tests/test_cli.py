@@ -16,7 +16,7 @@ from test_hypergeometric import reference_inv_poch_value, reference_poch_value
 
 from qbailey import cli, report
 from qbailey import hypergeometric as hg
-from qbailey.series import TruncatedSeries
+from qbailey.series import TruncatedSeries, Truncation
 
 
 def run(capsys, argv):
@@ -548,3 +548,19 @@ def test_verify_cap_grammar(identity, k, caps):
 def test_table_cap_grammar(rep, k, nq, nt):
     argv = ["table", "--rep", rep, "--k", str(k), "--nq", str(nq), "--nt", str(nt)]
     assert_exit(argv, min(nq, nt) >= 0)
+
+
+@pytest.mark.parametrize("build, one", [(report.series_report, TruncatedSeries.one(Truncation(2, 2))),
+                                         (report.value_report, Fraction(1))])
+def test_timed_reports_time_their_side_builders(monkeypatch, build, one):
+    # `_timed` starts the clock before sides() runs, so the report's wall
+    # time covers building both sides, not only comparing them
+    now = [100.0]
+    monkeypatch.setattr(report.time, "perf_counter", lambda: now[0])
+
+    def sides():
+        now[0] += 0.75
+        return one, one
+
+    got = cli._timed(build, "x", sides, {"n": 1}, seed=3)
+    assert (got.passed, got.wall_time_ms, got.params, got.seed) == (True, 750, {"n": 1}, 3)

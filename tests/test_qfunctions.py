@@ -480,3 +480,10 @@ def test_inv_poch_zero_base_and_errors():
         qf.poch_finite((1, 1, 0, 0, 0), -1, TR)
     assert qf.inv_qq(3, TR) == reference_poch(mono(e_q=1), 3).invert()
     assert qf.inv_tq(3, TRS) == reference_poch(mono(e_q=1, e_t=1, trunc=TRS), 3).invert()
+
+
+def test_inexact_pochhammer_base_is_refused():
+    # a float base would store float coefficients, which render() cannot
+    # format; 0.3 equals no exact base whose prefix table may be cached
+    with pytest.raises(DomainError, match="int or Fraction"):
+        qf.poch_finite((0.3, 1, 0, 0, 0), 2, TR)

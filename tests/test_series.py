@@ -588,3 +588,22 @@ def test_unit_factors_return_the_operand():
     assert TruncatedSeries.sum_of_products(TR, [(one(), g)]) is g
     assert g.mul_binomial(0, e_q=1, e_t=1) is g and g.div_binomial(0, e_q=1) is g
     assert one() * one() == one() and (one() * TruncatedSeries.zero(TR)).is_zero()
+
+
+def test_truncation_caps_must_be_integers():
+    for caps in ((2.5, 2), (2, Fraction(3)), (2, 2, 1.5)):
+        with pytest.raises(DomainError, match="integers"):
+            Truncation(*caps)
+
+
+def test_inexact_coefficients_are_refused():
+    # a float would enter the exact ring as its binary expansion, e.g.
+    # 0.1 as 3602879701896397/36028797018963968
+    f = S({(1, 0, 0, 0): 1})
+    for build in (lambda: TruncatedSeries.monomial(TR, 0.1),
+                  lambda: S({(0, 0, 0, 0): 0.5}),
+                  lambda: f.scale(0.5),
+                  lambda: f.mul_binomial(0.5, e_q=1),
+                  lambda: f.div_binomial(0.5, e_q=1)):
+        with pytest.raises(DomainError, match="int or Fraction"):
+            build()
