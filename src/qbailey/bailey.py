@@ -30,10 +30,11 @@ The well-poised relation weight (s/t;q)_{l-n} carries a negative
 t-power; it is absorbed against the t^l prefactor of the delta entries
 through the polynomial form prod_i (t - s q^i), so the verifier works
 on the t-free entry cores and never forms a negative exponent.  The
-weights are tabulated once per check, A[d] = prod_{i<d} (t - s q^i) /
-(q;q)_d and B[j] = (s;q)_j / (tq;q)_j, the latter from the shared
-Pochhammer prefix tables, and the term l of the relation at n is the
-one pair (t^n A[l-n] B[l+n], core(l)).
+weights are tabulated once per check, at its first sub-check and so on
+its clock, A[d] = prod_{i<d} (t - s q^i) / (q;q)_d and
+B[j] = (s;q)_j / (tq;q)_j, the latter from the shared Pochhammer prefix
+tables, and the term l of the relation at n is the one pair
+(t^n A[l-n] B[l+n], core(l)).
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from math import isqrt
 from typing import Callable
 
 from .errors import DomainError
-from .qfunctions import (binom2, combined_poch, hermite, infinite_product, inv_poch, inv_qq,
-                         inv_tq, poch_finite, poch_infinite, poch_ratio, ultraspherical)
+from .qfunctions import (_exact, binom2, combined_poch, hermite, infinite_product, inv_poch,
+                         inv_qq, inv_tq, poch_finite, poch_infinite, poch_ratio, ultraspherical)
 from .report import IdentityReport, Stopwatch, _first_failure, first_mismatch, series_report
 from .series import TruncatedSeries, Truncation
 
@@ -101,7 +102,9 @@ class PairFamily:
 @dataclass(frozen=True)
 class ChainParams:
     """Rational lift parameters; zeros are first-class (handled through
-    the combined polynomial form of (1/b;q)_n b^n)."""
+    the combined polynomial form of (1/b;q)_n b^n).  `of` takes ints and
+    Fractions only, since Fraction(0.1) would store the binary expansion
+    of 0.1."""
 
     b: tuple
     c: tuple
@@ -112,7 +115,7 @@ class ChainParams:
 
     @classmethod
     def of(cls, b, c) -> "ChainParams":
-        return cls(tuple(Fraction(x) for x in b), tuple(Fraction(x) for x in c))
+        return cls(tuple(Fraction(_exact(x)) for x in b), tuple(Fraction(_exact(x)) for x in c))
 
     @property
     def k(self) -> int:
@@ -322,6 +325,23 @@ def wp_conjugate_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
             _delta_family(trunc, delta_core))
 
 
+def _wp_weight_tables(trunc: Truncation, l_max: int, j_max: int) -> tuple[list, list]:
+    # A[d] for d <= l_max, up to the first vanishing product, and B[j]
+    # for j <= j_max, the weight tables of verify_wp_conjugate
+    t = TruncatedSeries.variable(trunc, "t")
+    s_series = TruncatedSeries.variable(trunc, "s")
+    a_table = [TruncatedSeries.one(trunc)]
+    running = a_table[0]                     # prod_{i<d} (t - s q^i)
+    while len(a_table) <= l_max:
+        running = running * (t - s_series.shift(e_q=len(a_table) - 1))
+        if running.is_zero():
+            break
+        a_table.append(running * inv_qq(len(a_table), trunc))
+    b_table = [poch_finite((1, 0, 0, 1, 0), j, trunc) * inv_tq(j, trunc)
+               for j in range(j_max + 1)]
+    return a_table, b_table
+
+
 def verify_wp_conjugate(gamma_p: PairFamily, delta_p: PairFamily,
                         n_max: int) -> IdentityReport:
     """Check the well-poised conjugate relation
@@ -337,24 +357,16 @@ def verify_wp_conjugate(gamma_p: PairFamily, delta_p: PairFamily,
     whose product vanishes modulo the truncation, and
     B[j] = (s;q)_j / (tq;q)_j, read from the Pochhammer prefix tables,
     so each l costs the one pair
-    (t^n A[l-n] B[l+n], core(l)), t^n on the narrow A[l-n]."""
+    (t^n A[l-n] B[l+n], core(l)), t^n on the narrow A[l-n].  The tables
+    are built at the first rhs_at call, so on the chain's clock."""
     trunc = gamma_p.trunc
-    t = TruncatedSeries.variable(trunc, "t")
-    s_series = TruncatedSeries.variable(trunc, "s")
     l_max = trunc.max_t + trunc.s_cap
-
-    a_table = [TruncatedSeries.one(trunc)]
-    running = a_table[0]                     # prod_{i<d} (t - s q^i)
-    while len(a_table) <= l_max:
-        running = running * (t - s_series.shift(e_q=len(a_table) - 1))
-        if running.is_zero():
-            break
-        a_table.append(running * inv_qq(len(a_table), trunc))
-
-    b_table = [poch_finite((1, 0, 0, 1, 0), j, trunc) * inv_tq(j, trunc)
-               for j in range(l_max + min(n_max, l_max) + 1)]
+    tables: list = []
 
     def rhs_at(n: int) -> TruncatedSeries:
+        if not tables:
+            tables.extend(_wp_weight_tables(trunc, l_max, l_max + min(n_max, l_max)))
+        a_table, b_table = tables
         top = min(l_max, n + len(a_table) - 1)
         return TruncatedSeries.sum_of_products(
             trunc, ((a_table[l - n].shift(e_t=n) * b_table[l + n], delta_p.core(l))

@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from .bailey import ChainParams, chain_lift, seed_pair
 from .errors import DomainError, InternalConsistencyError
-from .qfunctions import (binom2, combined_poch, hermite, infinite_product, inv_poch, inv_qq,
-                         inv_poch_infinite, poch_finite, poch_infinite, ultraspherical)
+from .qfunctions import (_exact, binom2, combined_poch, hermite, infinite_product, inv_poch,
+                         inv_qq, inv_poch_infinite, poch_finite, poch_infinite, ultraspherical)
 from .series import TruncatedSeries, Truncation
 
 # the four representations of the index; each name's builder is <name>_index
@@ -256,13 +256,13 @@ def _node_sum(w, factor, trunc):
 def generalized_sides(k: int, b, c,
                       trunc: Truncation) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Both sides of the parametrized single-sum/multisum identity,
-    computed independently.  b and c are length-k rational vectors;
-    zeros are allowed, and at b = c = 0 the sides are fermionic_index and
-    bosonic_index."""
+    computed independently.  b and c are length-k vectors of ints and
+    Fractions; zeros are allowed, and at b = c = 0 the sides are
+    fermionic_index and bosonic_index."""
     if k < 1:
         raise DomainError("k must be >= 1")
-    b = [Fraction(x) for x in b]
-    c = [Fraction(x) for x in c]
+    b = [Fraction(_exact(x)) for x in b]
+    c = [Fraction(_exact(x)) for x in c]
     if len(b) != k or len(c) != k:
         raise DomainError("parameter vectors must have length k")
     return _fermionic_side(b, c, trunc), _bosonic_side(k, b, c, trunc)

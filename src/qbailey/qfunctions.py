@@ -2,14 +2,15 @@
 families on the unit circle, and the constant-term functional.
 
 Every Pochhammer base is one monomial, passed as the tuple
-(c, e_q, e_t, e_s, e_z) for c q^e_q t^e_t s^e_s z^e_z.  Products are
-binomial updates of 1 and inverses are binomial divisions or Euler's
+(c, e_q, e_t, e_s, e_z) for c q^e_q t^e_t s^e_s z^e_z, c an int or a
+Fraction: any other c is refused before a memo table is read.  Products
+are binomial updates of 1 and inverses are binomial divisions or Euler's
 series, so no series is inverted.  An infinite product stops at the
 q-cap, past which every factor is 1.  Integrals of symmetric Laurent
 series against d(theta)/pi are realized as z-constant-term extraction;
 ct_z(a, b) checks the symmetry hypothesis on each factor rather than
 trusting the caller, and forms only the z^0 terms of a * b, from the
-z-slices of a and b whose exponents cancel.
+z-slices of a and b whose exponents cancel (TruncatedSeries.z_slices).
 
 The memoized builders are wrapped in functools.cache, keyed by their
 arguments including the truncation; cached series are shared between
@@ -32,6 +33,16 @@ from .errors import DomainError, NonInvertible
 from .series import TruncatedSeries, Truncation
 
 
+def _exact(x):
+    """x itself if it is an int or a Fraction.  A float base coefficient
+    or chain parameter is refused: it would enter the exact ring as its
+    binary expansion, or read a table cached under an equal exact key."""
+    if not isinstance(x, (int, Fraction)):
+        raise DomainError(f"bases and parameters must be int or Fraction, "
+                          f"got {type(x).__name__} {x!r}")
+    return x
+
+
 def binom2(n: int) -> int:
     """binom(n, 2) = n(n-1)/2, the q-exponent of (-1)^n q^binom(n,2)."""
     return n * (n - 1) // 2
@@ -48,8 +59,9 @@ def _prefix(a: tuple, n: int, trunc: Truncation, step) -> TruncatedSeries:
     # entry is the one before updated by the binomial 1 - a q^(n-1)
     if n < 0:
         raise DomainError("a finite Pochhammer needs n >= 0")
-    table = _prefixes(a, step, trunc)
     c, e_q, e_t, e_s, e_z = a
+    _exact(c)       # before the read: 0.5 would hit a cached table of Fraction(1, 2)
+    table = _prefixes(a, step, trunc)
     while len(table) <= n:
         table.append(step(table[-1], c, e_q + len(table) - 1, e_t, e_s, e_z))
     return table[n]
@@ -72,7 +84,7 @@ def inv_poch_infinite(a: tuple, trunc: Truncation) -> TruncatedSeries:
     sum_n a^n / (q;q)_n.  The powers of a vanish modulo the caps unless
     a is a nonzero base of (q,t,s)-degree 0, which is not a unit."""
     c, e_q, e_t, e_s, e_z = a
-    if c and not (e_q or e_t or e_s):
+    if _exact(c) and not (e_q or e_t or e_s):
         raise NonInvertible(f"(a;q)_inf with a = {c} z^{e_z} is not a unit")
     base = TruncatedSeries.monomial(trunc, *a)
     pairs = []
@@ -96,11 +108,15 @@ def infinite_product(num: tuple, den: tuple, trunc: Truncation) -> TruncatedSeri
     return product
 
 
-@functools.cache
 def combined_poch(b, n: int, trunc: Truncation) -> TruncatedSeries:
     """prod_{i=0}^{n-1} (b - q^i) for rational b, the polynomial form of
     (1/b;q)_n b^n.  Valid at b = 0, where it collapses to
-    (-1)^n q^(n(n-1)/2)."""
+    (-1)^n q^(n(n-1)/2).  Memoized; b is checked before the table read."""
+    return _combined_poch(_exact(b), n, trunc)
+
+
+@functools.cache
+def _combined_poch(b, n: int, trunc: Truncation) -> TruncatedSeries:
     if not b:
         return TruncatedSeries.monomial(trunc, -1 if n % 2 else 1, e_q=binom2(n))
     b = Fraction(b)
@@ -143,13 +159,11 @@ def poch_ratio(a: tuple, j: int, trunc: Truncation) -> TruncatedSeries:
 @functools.cache
 def hermite(n: int, trunc: Truncation) -> TruncatedSeries:
     """Continuous q-Hermite polynomial H_n(z;q) = sum_j [n,j]_q z^(n-2j),
-    memoized.  The terms of distinct j have distinct z-exponents, so they
-    go into one dict without any addition."""
+    memoized: the q-binomials are its z-slices."""
     if n < 0:
         raise DomainError("hermite degree must be >= 0")
-    return TruncatedSeries._raw(trunc, {
-        (q, t, s, z + n - 2 * j): c
-        for j in range(n + 1) for (q, t, s, z), c in qbinomial(n, j, trunc)._terms.items()})
+    return TruncatedSeries.from_z_slices(
+        trunc, {n - 2 * j: qbinomial(n, j, trunc) for j in range(n + 1)})
 
 
 def ultraspherical(n: int, trunc: Truncation, param: str = "t") -> TruncatedSeries:
@@ -172,21 +186,13 @@ def ct_z(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     (1/pi) * int_0^pi (a b) d(theta); the symmetry hypothesis is checked
     on each factor, and a product of symmetric factors is symmetric.
     Only the terms that reach z^0 are formed: the sum over j of the
-    z^j-slice of a times the z^-j-slice of b, in one sum of products.
+    z-free z^j-slice of a times the z^-j-slice of b, in one sum of products.
     """
     if a.flip_z() != a or b.flip_z() != b:
         raise DomainError("ct_z requires factors symmetric under z -> 1/z")
-    slices_b = _z_slices(b)
+    slices_b = b.z_slices()
     return TruncatedSeries.sum_of_products(
-        a.trunc, ((part, slices_b[-z]) for z, part in _z_slices(a).items() if -z in slices_b))
-
-
-def _z_slices(f: TruncatedSeries) -> dict:
-    # z-exponent -> the series of the terms of f with that exponent
-    slices: dict = {}
-    for key, c in f._terms.items():
-        slices.setdefault(key[3], {})[key] = c
-    return {z: TruncatedSeries._raw(f.trunc, terms) for z, terms in slices.items()}
+        a.trunc, ((part, slices_b[-j]) for j, part in a.z_slices().items() if -j in slices_b))
 
 
 def hermite_weight(trunc: Truncation) -> TruncatedSeries:

@@ -29,14 +29,12 @@ def _fmt(c) -> str:
 
 def first_mismatch(lhs: TruncatedSeries, rhs: TruncatedSeries) -> dict | None:
     """Smallest monomial (canonical order) where the two series differ."""
-    if lhs._terms == rhs._terms:
+    if lhs == rhs:
         return None
-    keys = set(lhs._terms) | set(rhs._terms)
-    for key in sorted(keys):
-        a = lhs._terms.get(key, 0)
-        b = rhs._terms.get(key, 0)
+    for mono in sorted({m for m, _ in lhs.terms()} | {m for m, _ in rhs.terms()}):
+        a, b = lhs.coefficient(mono), rhs.coefficient(mono)
         if a != b:
-            return {"monomial": list(key), "lhs": _fmt(a), "rhs": _fmt(b)}
+            return {"monomial": list(mono), "lhs": _fmt(a), "rhs": _fmt(b)}
     return None
 
 

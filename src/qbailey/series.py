@@ -262,6 +262,20 @@ class TruncatedSeries:
         return cls._raw(trunc, _sum_of_products(maps, trunc))
 
     @classmethod
+    def from_z_slices(cls, trunc: Truncation, slices: dict) -> "TruncatedSeries":
+        """sum_j c_j z^j over the items j: c_j of z-free series over trunc,
+        in one pass with no addition; the inverse of z_slices."""
+        out = {}
+        for j, part in slices.items():
+            if part.trunc != trunc:
+                raise TruncationMismatch(f"z-slice {j} is over {part.trunc}, not {trunc}")
+            for (q, t, s, z), c in part._terms.items():
+                if z:
+                    raise DomainError(f"z-slice {j} has a term in z^{z}")
+                out[(q, t, s, j)] = c
+        return cls._raw(trunc, out)
+
+    @classmethod
     def monomial(cls, trunc: Truncation, coeff: Coeff = 1, e_q: int = 0,
                  e_t: int = 0, e_s: int = 0, e_z: int = 0) -> "TruncatedSeries":
         return cls(trunc, {(e_q, e_t, e_s, e_z): coeff})
@@ -291,6 +305,14 @@ class TruncatedSeries:
         """Iterate (monomial, coefficient) in canonical order."""
         for key in sorted(self._terms):
             yield Monomial(*key), self._terms[key]
+
+    def z_slices(self) -> dict:
+        """{j: c_j}, each c_j z-free and self = sum_j c_j z^j, in one pass
+        over the terms; the inverse of from_z_slices."""
+        slices: dict = {}
+        for (q, t, s, z), c in self._terms.items():
+            slices.setdefault(z, {})[(q, t, s, 0)] = c
+        return {z: TruncatedSeries._raw(self.trunc, terms) for z, terms in slices.items()}
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TruncatedSeries):

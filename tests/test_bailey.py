@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from qbailey import bailey as B
 from qbailey import cli
 from qbailey import qfunctions as qf
+from qbailey import report
 from qbailey import series as S
 from qbailey.errors import DomainError
 from qbailey.series import TruncatedSeries, Truncation
@@ -718,3 +719,25 @@ def test_verifiers_refuse_an_empty_range_of_n():
                    lambda: B.wp_collapse_check(gamma_p, delta_p, -1)):
         with pytest.raises(DomainError, match="ran no sub-check"):
             verify()
+
+
+def test_chain_parameters_must_be_exact():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    for b, c in (([0.1], [0.2]), ([Fraction(1, 2)], [0.5]), ([0, "1/3"], [0, 0])):
+        with pytest.raises(DomainError, match="int or Fraction"):
+            B.ChainParams.of(b, c)
+    assert B.ChainParams.of([1, Fraction(1, 10)], [0, 2]).b == (Fraction(1), Fraction(1, 10))
+
+
+def test_wp_weight_tables_are_built_on_the_chain_clock(monkeypatch):
+    # the A/B tables read inv_qq and inv_tq; no read may come before the
+    # chain starts its clock, or the report's wall time would miss it
+    gamma_p, delta_p = B.wp_conjugate_pair(TRS)
+    events = []
+    clock = report.Stopwatch
+    monkeypatch.setattr(report, "Stopwatch", lambda: events.append("clock") or clock())
+    for name in ("inv_qq", "inv_tq"):
+        monkeypatch.setattr(B, name, lambda *args, built=getattr(B, name), name=name:
+                            events.append(name) or built(*args))
+    assert B.verify_wp_conjugate(gamma_p, delta_p, 2).passed
+    assert events[0] == "clock" and {"inv_qq", "inv_tq"} <= set(events)

@@ -152,6 +152,13 @@ def test_generalized_identity_nonzero_parameters():
         M.generalized_sides(2, [0], [0, 0], TR)
 
 
+def test_generalized_sides_refuse_float_parameters():
+    # the bosonic side reads b and c itself, not through ChainParams
+    for b, c in (([0.1], [0]), ([0], [0.5]), ([Fraction(1, 2), 0.5], [0, 0])):
+        with pytest.raises(DomainError, match="int or Fraction"):
+            M.generalized_sides(len(b), b, c, Truncation(3, 2))
+
+
 def reference_chains(k, cap):
     # frozen copy of the recursive chain enumerator the side builders
     # used before they switched to itertools

@@ -487,3 +487,42 @@ def test_inexact_pochhammer_base_is_refused():
     # format; 0.3 equals no exact base whose prefix table may be cached
     with pytest.raises(DomainError, match="int or Fraction"):
         qf.poch_finite((0.3, 1, 0, 0, 0), 2, TR)
+
+
+HALF = (Fraction(1, 2), 1, 0, 0, 0)
+FLOAT_HALF = (0.5, 1, 0, 0, 0)
+
+
+@pytest.mark.parametrize("n", [0, 2])
+@pytest.mark.parametrize("exact_first", [False, True], ids=["float-first", "exact-first"])
+def test_float_base_is_refused_whatever_the_cache_holds(n, exact_first):
+    # 0.5 == Fraction(1, 2) with equal hashes, so a check made only when
+    # a table is extended would let 0.5 read the exact base's table, and
+    # at n = 0 no table is extended at all
+    clear_caches()
+    builders = (qf.poch_finite, qf.inv_poch)
+    if exact_first:
+        exact = [build(HALF, n, TR) for build in builders]
+    for build in builders:
+        with pytest.raises(DomainError, match="int or Fraction"):
+            build(FLOAT_HALF, n, TR)
+    if not exact_first:
+        exact = [build(HALF, n, TR) for build in builders]
+    assert exact == [reference_poch(mono(Fraction(1, 2), e_q=1), n),
+                     reference_poch(mono(Fraction(1, 2), e_q=1), n).invert()]
+
+
+def test_float_bases_and_parameters_are_refused():
+    # (0.5 q^9;q)_inf at q-cap 4 is the empty product, (a;q)_0; the
+    # exact values equal to the floats are cached first
+    qf.poch_infinite(HALF, TR)
+    qf.combined_poch(Fraction(1, 2), 2, TR)
+    for build in (lambda: qf.poch_infinite((0.5, 9, 0, 0, 0), Truncation(4, 2)),
+                  lambda: qf.poch_infinite(FLOAT_HALF, TR),
+                  lambda: qf.inv_poch_infinite(FLOAT_HALF, TR),
+                  lambda: qf.inv_poch_infinite((0.5, 0, 0, 0, 0), TR),
+                  lambda: qf.combined_poch(0.5, 2, TR),
+                  lambda: qf.combined_poch(0.1, 1, TR),
+                  lambda: qf.combined_poch(0.0, 2, TR)):
+        with pytest.raises(DomainError, match="int or Fraction"):
+            build()

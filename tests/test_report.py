@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from qbailey.errors import DomainError
-from qbailey.report import IdentityReport, Stopwatch, _first_failure, value_report
+from qbailey.report import (IdentityReport, Stopwatch, _first_failure, first_mismatch,
+                            value_report)
+from qbailey.series import TruncatedSeries, Truncation
 
 MISMATCH = {"monomial": [0, 0, 0, 0], "lhs": "1/1", "rhs": "0/1"}
 
@@ -70,3 +72,31 @@ def test_first_failure_times_the_subchecks_it_runs(monkeypatch):
 
     now[0] += 1.0           # work before the call is not the chain's
     assert _first_failure("x", {}, None, slow_subchecks()).wall_time_ms == 500
+
+
+TR = Truncation(3, 2)
+
+
+def test_first_mismatch_of_equal_series_is_none():
+    terms = {(0, 0, 0, 0): 1, (1, 0, 0, -2): Fraction(2, 3), (2, 1, 0, 1): -4}
+    assert first_mismatch(TruncatedSeries(TR, terms), TruncatedSeries(TR, dict(terms))) is None
+    assert first_mismatch(TruncatedSeries.zero(TR), TruncatedSeries.zero(TR)) is None
+
+
+def test_first_mismatch_names_the_smallest_differing_monomial():
+    # canonical order is lexicographic on (e_q, e_t, e_s, e_z): of the
+    # three differing monomials, q z^-2 comes first
+    lhs = TruncatedSeries(TR, {(0, 2, 0, 0): 5, (1, 0, 0, -2): 2, (1, 0, 0, 3): 1,
+                               (2, 1, 0, -1): Fraction(1, 2)})
+    rhs = TruncatedSeries(TR, {(0, 2, 0, 0): 5, (1, 0, 0, -2): Fraction(7, 3),
+                               (1, 0, 0, 3): 4, (2, 1, 0, -1): Fraction(1, 3)})
+    assert first_mismatch(lhs, rhs) == {"monomial": [1, 0, 0, -2], "lhs": "2/1", "rhs": "7/3"}
+    assert first_mismatch(rhs, lhs) == {"monomial": [1, 0, 0, -2], "lhs": "7/3", "rhs": "2/1"}
+
+
+def test_first_mismatch_reports_a_one_sided_monomial_as_zero():
+    common = {(0, 0, 0, 0): 1, (2, 0, 0, 0): 3}
+    lhs = TruncatedSeries(TR, {**common, (1, 1, 0, -1): Fraction(-1, 2)})
+    rhs = TruncatedSeries(TR, common)
+    assert first_mismatch(lhs, rhs) == {"monomial": [1, 1, 0, -1], "lhs": "-1/2", "rhs": "0/1"}
+    assert first_mismatch(rhs, lhs) == {"monomial": [1, 1, 0, -1], "lhs": "0/1", "rhs": "-1/2"}

@@ -607,3 +607,30 @@ def test_inexact_coefficients_are_refused():
                   lambda: f.div_binomial(0.5, e_q=1)):
         with pytest.raises(DomainError, match="int or Fraction"):
             build()
+
+
+_z_free_series = st.dictionaries(
+    st.tuples(st.integers(0, TRS.max_q), st.integers(0, TRS.max_t), st.integers(0, TRS.max_s),
+              st.just(0)), _coeffs, max_size=4).map(lambda d: TruncatedSeries(TRS, d))
+
+
+@given(_series)
+def test_z_slices_split_a_series_by_its_powers_of_z(f):
+    slices = f.z_slices()
+    assert all(part and all(m.e_z == 0 for m, _ in part.terms()) for part in slices.values())
+    assert sum((part.shift(e_z=j) for j, part in slices.items()),
+               TruncatedSeries.zero(TRS)) == f
+    assert TruncatedSeries.from_z_slices(TRS, slices) == f
+
+
+@given(st.dictionaries(st.integers(-3, 3), _z_free_series, max_size=4))
+def test_from_z_slices_is_the_inverse_of_z_slices(slices):
+    f = TruncatedSeries.from_z_slices(TRS, slices)
+    assert f.z_slices() == {j: part for j, part in slices.items() if part}
+
+
+def test_from_z_slices_refuses_a_part_with_a_z_term():
+    with pytest.raises(DomainError, match="z-slice 2"):
+        TruncatedSeries.from_z_slices(TR, {0: S({(1, 0, 0, 0): 1}), 2: S({(0, 1, 0, -1): 3})})
+    with pytest.raises(TruncationMismatch):
+        TruncatedSeries.from_z_slices(TR, {0: TruncatedSeries.one(TRS)})
