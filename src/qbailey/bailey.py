@@ -6,7 +6,8 @@ constructor declares a sound support bound: the smallest index beyond
 which entries vanish modulo the truncation (typically forced by a t^n
 prefactor), which is what finitizes the infinite sums in the conjugate
 relation and the transform.  Verification refuses families whose bound
-is needed but missing.  A family builds its n-free factors once, and a
+is needed but missing.  A family builds its n-free factor once, at its
+first read, so on the clock of the check that reads it, and a
 delta entry t^n core(n) reads its core through the family's memo, so
 each entry and each core is generated once per family.  Entry n is
 factor * part(n), factor the family's n-free factor (1 unless given):
@@ -39,6 +40,7 @@ tables, and the term l of the relation at n is the one pair
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -47,16 +49,17 @@ from typing import Callable
 from .errors import DomainError
 from .qfunctions import (_exact, binom2, combined_poch, hermite, infinite_product, inv_poch,
                          inv_qq, inv_tq, poch_finite, poch_infinite, poch_ratio, ultraspherical)
-from .report import IdentityReport, Stopwatch, _first_failure, first_mismatch, series_report
+from .report import IdentityReport, _compare, _first_failure, first_mismatch
 from .series import TruncatedSeries, Truncation
 
 
 class PairFamily:
     """A memoized sequence n -> TruncatedSeries, entry n = factor * part(n).
 
-    factor is the family's n-free factor, 1 unless given, and gen
-    generates part(n); the entries and the cores are memoized, and a
-    part is formed on each read.  A sum over n of products with the
+    factor is the family's n-free factor, built by the zero-argument
+    build_factor at its first read (1 unless given), and gen generates
+    part(n); the entries and the cores are memoized, and a part is
+    formed on each read.  A sum over n of products with the
     entries can read the parts, once per n, and multiply the factor in
     once, after the sum.  support_bound, when set, promises that
     entries with index beyond it are identically zero modulo the
@@ -68,10 +71,10 @@ class PairFamily:
     def __init__(self, trunc: Truncation, gen: Callable[[int], TruncatedSeries],
                  support_bound: int | None = None,
                  core_gen: Callable[[int], TruncatedSeries] | None = None,
-                 factor: TruncatedSeries | None = None):
+                 build_factor: Callable[[], TruncatedSeries] | None = None):
         self.trunc = trunc
         self.support_bound = support_bound
-        self.factor = TruncatedSeries.one(trunc) if factor is None else factor
+        self._build_factor = build_factor or (lambda: TruncatedSeries.one(trunc))
         self._gen = gen
         self._core_gen = core_gen
         self._memo: dict[int, TruncatedSeries] = {}
@@ -83,6 +86,10 @@ class PairFamily:
             got = self.factor * self.part(n)      # 1 * part is part itself
             self._memo[n] = got
         return got
+
+    @functools.cached_property
+    def factor(self) -> TruncatedSeries:
+        return self._build_factor()
 
     def part(self, n: int) -> TruncatedSeries:
         if n < 0:
@@ -257,8 +264,8 @@ def hermite_conjugate_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
     def delta_core(n: int) -> TruncatedSeries:
         return hermite(2 * n, trunc).halve_z()
 
-    return (PairFamily(trunc, lambda n: _gamma_part(n, trunc),
-                       support_bound=trunc.max_t, factor=infinite_product((), _CONJ_DEN, trunc)),
+    return (PairFamily(trunc, lambda n: _gamma_part(n, trunc), support_bound=trunc.max_t,
+                       build_factor=lambda: infinite_product((), _CONJ_DEN, trunc)),
             _delta_family(trunc, delta_core))
 
 
@@ -278,11 +285,10 @@ def verify_conjugate_pair(gamma: PairFamily, delta: PairFamily,
     return _relation_report("conjugate-pair-relation", trunc, n_max, gamma, rhs_at)
 
 
-def bailey_transform_check(alpha: PairFamily, beta: PairFamily,
-                           gamma: PairFamily, delta: PairFamily) -> IdentityReport:
+def bailey_transform_check(alpha: PairFamily, beta: PairFamily, gamma: PairFamily,
+                           delta: PairFamily, params: dict) -> IdentityReport:
     """Check sum_n alpha_n gamma_n = sum_n beta_n delta_n, both sides
-    finitized by the declared support bounds."""
-    watch = Stopwatch()
+    finitized by the declared support bounds; params label the report."""
     trunc = alpha.trunc
     if not (alpha.trunc == beta.trunc == gamma.trunc == delta.trunc):
         raise DomainError("transform check needs families over one truncation")
@@ -290,13 +296,15 @@ def bailey_transform_check(alpha: PairFamily, beta: PairFamily,
     right_bounds = [b for b in (beta.support_bound, delta.support_bound) if b is not None]
     if not left_bounds or not right_bounds:
         raise DomainError("transform check needs a support bound on each side")
-    # entry n = factor * part(n): the n-free factors multiply in once,
-    # after the sum over the parts
-    lhs = alpha.factor * gamma.factor * TruncatedSeries.sum_of_products(
-        trunc, ((alpha.part(n), gamma.part(n)) for n in range(min(left_bounds) + 1)))
-    rhs = beta.factor * delta.factor * TruncatedSeries.sum_of_products(
-        trunc, ((beta.part(n), delta.part(n)) for n in range(min(right_bounds) + 1)))
-    return series_report("bailey-transform", lhs, rhs, params={}, watch=watch)
+
+    def side(x: PairFamily, y: PairFamily, bound: int) -> TruncatedSeries:
+        # entry n = factor * part(n): the n-free factors multiply in
+        # once, after the sum over the parts
+        return x.factor * y.factor * TruncatedSeries.sum_of_products(
+            trunc, ((x.part(n), y.part(n)) for n in range(bound + 1)))
+
+    return _compare("bailey-transform", lambda: (side(alpha, gamma, min(left_bounds)),
+                                                 side(beta, delta, min(right_bounds))), params)
 
 
 def wp_conjugate_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
@@ -308,20 +316,22 @@ def wp_conjugate_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
     (1-s) (sq;q)_inf = (s;q)_inf."""
     if trunc.max_s is None:
         raise DomainError("the well-poised pair needs a truncation with s")
-    # the n-free factors, built once per family:
-    # (sz, s/z;q)_inf / (t,tq,tz,t/z;q)_inf of gamma' and
-    # (s^2;q)_inf / (s;q)_inf^2 of delta'
-    gamma_inf = (infinite_product(((1, 0, 0, 1, 1), (1, 0, 0, 1, -1)), (), trunc)
-                 * infinite_product((), _CONJ_DEN, trunc))
-    delta_inf = infinite_product(((1, 0, 0, 2, 0),), ((1, 0, 0, 1, 0), (1, 0, 0, 1, 0)), trunc)
 
     def delta_core(n: int) -> TruncatedSeries:
         num = poch_finite((1, 1, 0, 0, 0), 2 * n, trunc).mul_binomial(1, e_q=2 * n, e_s=1) \
             * inv_poch((1, 0, 0, 2, 0), 2 * n, trunc)      # / (s^2;q)_{2n}
+        # the memoized n-free factor (s^2;q)_inf / (s;q)_inf^2
+        delta_inf = infinite_product(((1, 0, 0, 2, 0),), ((1, 0, 0, 1, 0), (1, 0, 0, 1, 0)),
+                                     trunc)
         return num * delta_inf * ultraspherical(2 * n, trunc, "s").halve_z()
 
-    return (PairFamily(trunc, lambda n: _gamma_part(n, trunc),
-                       support_bound=trunc.max_t, factor=gamma_inf),
+    def gamma_inf() -> TruncatedSeries:
+        # gamma'_n's n-free factor (sz, s/z;q)_inf / (t,tq,tz,t/z;q)_inf
+        return (infinite_product(((1, 0, 0, 1, 1), (1, 0, 0, 1, -1)), (), trunc)
+                * infinite_product((), _CONJ_DEN, trunc))
+
+    return (PairFamily(trunc, lambda n: _gamma_part(n, trunc), support_bound=trunc.max_t,
+                       build_factor=gamma_inf),
             _delta_family(trunc, delta_core))
 
 

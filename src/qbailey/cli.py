@@ -6,9 +6,10 @@ export), selftest (the classical-identity layer at fixed seeds).
 Exit codes are the untyped contract: 0 pass, 1 mathematical mismatch,
 2 usage error.  All output is produced after computation completes and
 reports serialize with sorted keys, so repeated runs are byte-identical
-up to the recorded wall times.  Every comparison report built here goes
-through `_timed`, whose clock starts before the two sides are built;
-a chain of sub-checks times itself in `report._first_failure`.
+up to the recorded wall times.  No report is built or timed here: a
+comparison goes through `report._compare`, whose clock starts before it
+builds the two sides, and a chain of sub-checks through
+`report._first_failure`.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from fractions import Fraction
 
 from . import bailey, hypergeometric as hg, macdonald, qfunctions
 from .errors import DomainError, QBaileyError
-from .report import (IdentityReport, Stopwatch, _first_failure, series_report, value_mismatch,
-                     value_report)
+from .report import IdentityReport, _compare, _first_failure, value_mismatch
 from .series import Truncation
 
 FIXED_POINT = {"q": Fraction(2, 3), "t": Fraction(3, 5), "s": Fraction(5, 7)}
@@ -88,14 +88,6 @@ def _index(rep: str, k: int, trunc: Truncation):
     return getattr(macdonald, f"{rep}_index")(k, trunc)
 
 
-def _timed(report, identity: str, sides, params: dict, seed: int | None = None) -> IdentityReport:
-    """report (series_report or value_report) of the two sides that
-    sides() builds, on a clock started before it builds them."""
-    watch = Stopwatch()
-    lhs, rhs = sides()
-    return report(identity, lhs, rhs, params, watch, seed)
-
-
 # -- verify dispatch ---------------------------------------------------
 
 
@@ -129,9 +121,9 @@ def _verify(args) -> list[IdentityReport]:
     if identity in _INDEX_PAIRS:
         left, right = _INDEX_PAIRS[identity]
         trunc = Truncation(nq, nt)
-        return [_timed(series_report, identity,
-                       lambda: (_index(left, args.k, trunc), _index(right, args.k, trunc)),
-                       {"k": args.k, "lhs": left, "rhs": right})]
+        return [_compare(identity,
+                         lambda: (_index(left, args.k, trunc), _index(right, args.k, trunc)),
+                         {"k": args.k, "lhs": left, "rhs": right})]
     if identity == "thm-conj-pair":
         gamma, delta = bailey.hermite_conjugate_pair(Truncation(nq, nt))
         return [bailey.verify_conjugate_pair(gamma, delta, args.nmax)]
@@ -145,26 +137,25 @@ def _verify(args) -> list[IdentityReport]:
         c = _parse_rational_list(args.c, args.k, "--c")
         params = {"k": args.k, "b": [f"{x.numerator}/{x.denominator}" for x in b],
                   "c": [f"{x.numerator}/{x.denominator}" for x in c]}
-        return [_timed(series_report, "parametrized-duality",
-                       lambda: macdonald.generalized_sides(args.k, b, c, Truncation(nq, nt)),
-                       params)]
+        return [_compare("parametrized-duality",
+                         lambda: macdonald.generalized_sides(args.k, b, c, Truncation(nq, nt)),
+                         params)]
     if identity == "corollary-special":
         trunc = Truncation(nq, nt)
         alpha, beta = _parse_pair_id(args.pair, trunc)
         # every family is paired with the ordinary conjugate pair, which
         # the report names thm31
         gamma, delta = bailey.hermite_conjugate_pair(trunc)
-        report = bailey.bailey_transform_check(alpha, beta, gamma, delta)
-        report.params = {"pair": args.pair, "conjugate": "thm31"}
-        return [report]
+        return [bailey.bailey_transform_check(alpha, beta, gamma, delta,
+                                              {"pair": args.pair, "conjugate": "thm31"})]
     if identity == "lemma-b1":
         return _grid_reports(identity, hg.expansion_coeff_sides, ("q", "t"), args)
     if identity == "appx-c":
         return _grid_reports(identity, hg.wp_expansion_coeff_sides, ("q", "t", "s"), args)
     if identity == "multi-rr":
-        return [_timed(series_report, "multisum-rogers-ramanujan",
-                       lambda: macdonald.multi_rogers_ramanujan(args.k, nq),
-                       {"k": args.k, "max_q": nq})]
+        return [_compare("multisum-rogers-ramanujan",
+                         lambda: macdonald.multi_rogers_ramanujan(args.k, nq),
+                         {"k": args.k, "max_q": nq})]
     raise DomainError(f"unknown identity {identity!r}")
 
 
@@ -189,21 +180,19 @@ def selftest_reports(seed: int = SELFTEST_SEED) -> list[IdentityReport]:
     for name, extra in classical_points.items():
         for n in (0, 3, 5):
             def check(point, sd, name=name, n=n):
-                return _timed(value_report, f"classical-{name}",
-                              lambda: hg.classical_sides(name, point, n),
-                              {"n": n, "point": point.describe()}, sd)
+                return _compare(f"classical-{name}", lambda: hg.classical_sides(name, point, n),
+                                {"n": n, "point": point.describe()}, sd)
             reports.extend(hg.run_at_random_points(
                 check, ("q",) + extra, 3, seed + n))
 
     def heine(point, sd):
         # a series identity: only a comes from the point, and n plays no part
         a = point["a"]
-        return _timed(series_report, "classical-heine-1",
-                      lambda: hg.heine1_sides(a, Truncation(8, 8, 8)),
-                      {"a": f"{a.numerator}/{a.denominator}"}, sd)
+        return _compare("classical-heine-1", lambda: hg.heine1_sides(a, Truncation(8, 8, 8)),
+                        {"a": f"{a.numerator}/{a.denominator}"}, sd)
     reports.extend(hg.run_at_random_points(heine, ("q", "a"), 3, seed))
 
-    def grid(report, identity, rows, cols, sides, point=None):
+    def grid(identity, rows, cols, sides, point=None):
         # one report per (i, j), row by row, over rows = (name, range)
         # and cols, labelled by both names and, if given, the point
         (row, row_range), (col, col_range) = rows, cols
@@ -212,34 +201,34 @@ def selftest_reports(seed: int = SELFTEST_SEED) -> list[IdentityReport]:
                 params = {row: i, col: j}
                 if point is not None:
                     params["point"] = point.describe()
-                reports.append(_timed(report, identity, lambda: sides(i, j), params))
+                reports.append(_compare(identity, lambda: sides(i, j), params))
 
-    grid(value_report, "s-closed-form", ("d", range(-4, 5)), ("n", range(3)),
+    grid("s-closed-form", ("d", range(-4, 5)), ("n", range(3)),
          lambda d, n: (hg.s_sum(d, n, fixed_qt), hg.s_closed(d, n, fixed_qt)), fixed_qt)
-    grid(value_report, "s-symmetry", ("l", range(3)), ("n", range(3)),
+    grid("s-symmetry", ("l", range(3)), ("n", range(3)),
          lambda l, n: hg.s_symmetry_sides(l, n, fixed_qt), fixed_qt)
     trunc = Truncation(8, 6, 4)
-    grid(series_report, "hermite-orthogonality", ("m", range(4)), ("n", range(4)),
+    grid("hermite-orthogonality", ("m", range(4)), ("n", range(4)),
          lambda m, n: (qfunctions.hermite_inner(m, n, trunc),
                        qfunctions.hermite_inner_closed(m, n, trunc)))
-    grid(series_report, "ultraspherical-orthogonality", ("m", range(3)), ("n", range(3)),
+    grid("ultraspherical-orthogonality", ("m", range(3)), ("n", range(3)),
          lambda m, n: (qfunctions.ultraspherical_inner(m, n, trunc),
                        qfunctions.ultraspherical_inner_closed(m, n, trunc)))
-    grid(series_report, "hermite-linearization", ("m", range(5)), ("n", range(5)),
+    grid("hermite-linearization", ("m", range(5)), ("n", range(5)),
          lambda m, n: (qfunctions.hermite_linearize(m, n, trunc),
                        qfunctions.hermite(m, trunc) * qfunctions.hermite(n, trunc)))
-    reports.append(_timed(series_report, "weight-expansion",
-                          lambda: qfunctions.weight_expansion_sides(trunc), {}))
-    grid(series_report, "expansion-coeff-closed-form", ("n", range(3)), ("l", range(4)),
+    reports.append(_compare("weight-expansion", lambda: qfunctions.weight_expansion_sides(trunc),
+                            {}))
+    grid("expansion-coeff-closed-form", ("n", range(3)), ("l", range(4)),
          lambda n, l: (qfunctions.hermite_expansion_coeff(n, l, trunc),
                        qfunctions.hermite_expansion_coeff_closed(n, l, trunc)))
     for n in range(4):
         # B_n does not depend on n': one report, paired with each Phi_{n,n'}
-        b_report = _timed(series_report, "b-eva",
-                          lambda: (hg.b_defining_sum(n, trunc), hg.b_closed(n, trunc)), {"n": n})
+        b_report = _compare("b-eva", lambda: (hg.b_defining_sum(n, trunc), hg.b_closed(n, trunc)),
+                            {"n": n})
         for nprime in range(4):
-            reports += [b_report, _timed(
-                series_report, "phi-eva",
+            reports += [b_report, _compare(
+                "phi-eva",
                 lambda: (hg.phi_defining_sum(n, nprime, trunc), hg.phi_closed(n, nprime, trunc)),
                 {"n": n, "nprime": nprime})]
     return reports

@@ -3,8 +3,9 @@ families on the unit circle, and the constant-term functional.
 
 Every Pochhammer base is one monomial, passed as the tuple
 (c, e_q, e_t, e_s, e_z) for c q^e_q t^e_t s^e_s z^e_z, c an int or a
-Fraction: any other c is refused before a memo table is read.  Products
-are binomial updates of 1 and inverses are binomial divisions or Euler's
+Fraction: any other c is refused before a memo table is read, since a
+float equal to a cached exact c would hit its table.  Products are
+binomial updates of 1 and inverses are binomial divisions or Euler's
 series, so no series is inverted.  An infinite product stops at the
 q-cap, past which every factor is 1.  Integrals of symmetric Laurent
 series against d(theta)/pi are realized as z-constant-term extraction;
@@ -13,15 +14,18 @@ trusting the caller, and forms only the z^0 terms of a * b, from the
 z-slices of a and b whose exponents cancel (TruncatedSeries.z_slices).
 
 The memoized builders are wrapped in functools.cache, keyed by their
-arguments including the truncation; cached series are shared between
-callers, which is safe because series are immutable.  Each builder's
-cache_info() and cache_clear() report on and empty its table.  Every
+arguments including the truncation, or check their bases and then read
+such a private table (_infinite_product, _combined_poch, _poch_ratio);
+cached series are shared between callers, which is safe because series
+are immutable.  Each table's cache_info() and cache_clear() report on
+and empty it.  Every
 finite Pochhammer (a;q)_n and 1/(a;q)_n is a read of one prefix table
 per base, direction and truncation, kept in the cache of _prefixes.
 Every n-free product of infinite Pochhammers,
-(a_1,...;q)_inf / (b_1,...;q)_inf, is a read of infinite_product, keyed
-by its two tuples of bases in their order; the orthogonality weights
-and the package's prefactors are such reads.
+(a_1,...;q)_inf / (b_1,...;q)_inf, is a read of infinite_product, kept
+in the cache of _infinite_product keyed by its two tuples of bases in
+their order; the orthogonality weights and the package's prefactors
+are such reads.
 """
 
 from __future__ import annotations
@@ -95,11 +99,18 @@ def inv_poch_infinite(a: tuple, trunc: Truncation) -> TruncatedSeries:
     return TruncatedSeries.sum_of_products(trunc, pairs)
 
 
-@functools.cache
 def infinite_product(num: tuple, den: tuple, trunc: Truncation) -> TruncatedSeries:
     """(num;q)_inf / (den;q)_inf for tuples of monomial bases, memoized:
     (a;q)_inf for each a in num, then 1/(b;q)_inf for each b in den,
-    multiplied in the order given."""
+    multiplied in the order given.  The bases are checked before the
+    table read."""
+    for a in num + den:
+        _exact(a[0])
+    return _infinite_product(num, den, trunc)
+
+
+@functools.cache
+def _infinite_product(num: tuple, den: tuple, trunc: Truncation) -> TruncatedSeries:
     product = TruncatedSeries.one(trunc)
     for a in num:
         product = product * poch_infinite(a, trunc)
@@ -150,9 +161,15 @@ def inv_tq(n: int, trunc: Truncation) -> TruncatedSeries:
     return inv_poch((1, 1, 1, 0, 0), n, trunc)
 
 
-@functools.cache
 def poch_ratio(a: tuple, j: int, trunc: Truncation) -> TruncatedSeries:
-    """(a;q)_j / (q;q)_j for the monomial a, memoized."""
+    """(a;q)_j / (q;q)_j for the monomial a, memoized; a is checked
+    before the table read."""
+    _exact(a[0])
+    return _poch_ratio(a, j, trunc)
+
+
+@functools.cache
+def _poch_ratio(a: tuple, j: int, trunc: Truncation) -> TruncatedSeries:
     return poch_finite(a, j, trunc) * inv_qq(j, trunc)
 
 
@@ -166,13 +183,15 @@ def hermite(n: int, trunc: Truncation) -> TruncatedSeries:
         trunc, {n - 2 * j: qbinomial(n, j, trunc) for j in range(n + 1)})
 
 
-def ultraspherical(n: int, trunc: Truncation, param: str = "t") -> TruncatedSeries:
+def ultraspherical(n: int, trunc: Truncation, param: str) -> TruncatedSeries:
     """Continuous q-ultraspherical polynomial
     C_n(z,x;q) = sum_j (x;q)_j (x;q)_{n-j} / ((q;q)_j (q;q)_{n-j}) z^(n-2j),
-    with parameter x one of the ring variables t or s."""
+    with parameter x one of the ring variables t or s, named by param."""
     if n < 0:
         raise DomainError("ultraspherical degree must be >= 0")
-    x = {"t": (1, 0, 1, 0, 0), "s": (1, 0, 0, 1, 0)}[param]
+    x = {"t": (1, 0, 1, 0, 0), "s": (1, 0, 0, 1, 0)}.get(param)
+    if x is None:
+        raise DomainError(f"ultraspherical parameter must be 't' or 's', got {param!r}")
     return TruncatedSeries.sum_of_products(
         trunc, ((poch_ratio(x, j, trunc).shift(e_z=n - 2 * j),
                  poch_ratio(x, n - j, trunc)) for j in range(n + 1)))

@@ -2,13 +2,11 @@
 
 A report either passes or carries the canonically smallest mismatching
 monomial with both coefficients, so a failure localizes to one term;
-its status is read off that mismatch.  Every report is built here: one
-comparison of two series or two values, or a chain of sub-checks that
-stops at the first one that fails.  A comparison is timed by the
-Stopwatch its caller started before building the two sides; a chain
-times itself, and one that ran no sub-check is a usage error, not a
-pass.  Serialization sorts keys, which makes reports byte-stable across
-runs up to the recorded wall time.
+its status is read off that mismatch.  Reports are built here alone,
+each on one clock: `_compare` times building and comparing two sides,
+`_first_failure` a chain of sub-checks up to the first that fails (a
+chain that ran none is a usage error, not a pass).  Serialization
+sorts keys, which makes reports byte-stable up to the wall time.
 """
 
 from __future__ import annotations
@@ -96,19 +94,16 @@ class Stopwatch:
         return int((time.perf_counter() - self._start) * 1000)
 
 
-def series_report(identity: str, lhs: TruncatedSeries, rhs: TruncatedSeries,
-                  params: dict, watch: Stopwatch,
-                  seed: int | None = None) -> IdentityReport:
-    """Compare two series and package the verdict."""
-    return IdentityReport(identity, params, lhs.trunc, first_mismatch(lhs, rhs), watch.ms(),
-                          {"lhs": lhs.term_count(), "rhs": rhs.term_count()}, seed)
-
-
-def value_report(identity: str, lhs: Fraction, rhs: Fraction, params: dict,
-                 watch: Stopwatch, seed: int | None = None) -> IdentityReport:
-    """Compare two exact values and package the verdict."""
-    return IdentityReport(identity, params, None, value_mismatch(lhs, rhs),
-                          watch.ms(), {}, seed)
+def _compare(identity: str, sides, params: dict, seed: int | None = None) -> IdentityReport:
+    """The verdict on the two series, or two exact values, that sides()
+    builds, timed from before it builds them.  Private, as _first_failure
+    is: a profiler that wraps public names charges the sides to the caller."""
+    watch = Stopwatch()
+    lhs, rhs = sides()
+    if isinstance(lhs, TruncatedSeries):
+        return IdentityReport(identity, params, lhs.trunc, first_mismatch(lhs, rhs), watch.ms(),
+                              {"lhs": lhs.term_count(), "rhs": rhs.term_count()}, seed)
+    return IdentityReport(identity, params, None, value_mismatch(lhs, rhs), watch.ms(), {}, seed)
 
 
 def _first_failure(identity: str, params: dict, truncation: Truncation | None,

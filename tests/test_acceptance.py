@@ -11,7 +11,7 @@ from qbailey import bailey as B
 from qbailey import cli
 from qbailey import hypergeometric as hg
 from qbailey import macdonald as M
-from qbailey.report import Stopwatch, value_report
+from qbailey.report import _compare
 from qbailey.series import Truncation
 
 
@@ -62,7 +62,7 @@ def test_criterion_5_transform_corollary():
     trunc = Truncation(10, 8)
     gamma, delta = B.hermite_conjugate_pair(trunc)
     alpha, beta = B.seed_pair(trunc)
-    ok = B.bailey_transform_check(alpha, beta, gamma, delta).passed
+    ok = B.bailey_transform_check(alpha, beta, gamma, delta, {}).passed
     _line(5, ok, "transform: seed pair")
     rng = random.Random(20240315)
     for k in (1, 2):
@@ -72,7 +72,7 @@ def test_criterion_5_transform_corollary():
                     [Fraction(rng.randint(2, 9), rng.randint(2, 9)) for _ in range(k)],
                     [Fraction(rng.randint(2, 9), rng.randint(2, 9)) for _ in range(k)]))):
             ak, bk = B.chain_lift(alpha, beta, params, trunc)
-            ok = B.bailey_transform_check(ak, bk, gamma, delta).passed
+            ok = B.bailey_transform_check(ak, bk, gamma, delta, {}).passed
             _line(5, ok, f"transform: chain k={k}, (b,c) {tag}")
 
 
@@ -192,9 +192,8 @@ def test_criterion_12_determinism():
 
     def run_points():
         def check(point, seed):
-            lhs, rhs = hg.expansion_coeff_sides(3, 2, point)
-            return value_report("expansion-coeff-sum", lhs, rhs,
-                                {"l": 3, "n": 2, "point": point.describe()}, Stopwatch(), seed)
+            return _compare("expansion-coeff-sum", lambda: hg.expansion_coeff_sides(3, 2, point),
+                            {"l": 3, "n": 2, "point": point.describe()}, seed)
         return hg.run_at_random_points(check, ("q", "t"), 5, seed=777)
 
     _line(12, _strip_times(run_points()) == _strip_times(run_points()),

@@ -227,13 +227,13 @@ def test_conjugate_verifier_requires_bound():
 def test_transform_seed_and_chains():
     alpha, beta = B.seed_pair(TR)
     gamma, delta = B.hermite_conjugate_pair(TR)
-    assert B.bailey_transform_check(alpha, beta, gamma, delta).passed
+    assert B.bailey_transform_check(alpha, beta, gamma, delta, {}).passed
     a1, b1 = B.chain_lift(alpha, beta, B.ChainParams.of([0], [0]), TR)
-    assert B.bailey_transform_check(a1, b1, gamma, delta).passed
+    assert B.bailey_transform_check(a1, b1, gamma, delta, {}).passed
     a2, b2 = B.chain_lift(alpha, beta,
                           B.ChainParams.of([Fraction(3, 4), Fraction(1, 6)],
                                            [0, Fraction(5, 2)]), TR)
-    assert B.bailey_transform_check(a2, b2, gamma, delta).passed
+    assert B.bailey_transform_check(a2, b2, gamma, delta, {}).passed
 
 
 def test_transform_trivial_zero_conjugate():
@@ -241,14 +241,14 @@ def test_transform_trivial_zero_conjugate():
     alpha, beta = B.seed_pair(TR)
     gamma = B.PairFamily(TR, lambda n: zero, support_bound=0)
     delta = B.PairFamily(TR, lambda n: zero, support_bound=0)
-    assert B.bailey_transform_check(alpha, beta, gamma, delta).passed
+    assert B.bailey_transform_check(alpha, beta, gamma, delta, {}).passed
 
 
 def test_transform_needs_matching_truncations():
     alpha, beta = B.seed_pair(TR)
     gamma, delta = B.hermite_conjugate_pair(Truncation(4, 4))
     with pytest.raises(DomainError):
-        B.bailey_transform_check(alpha, beta, gamma, delta)
+        B.bailey_transform_check(alpha, beta, gamma, delta, {})
 
 
 def frozen_gammas(trunc):
@@ -307,7 +307,7 @@ def test_pair_family_entry_is_factor_times_part():
     def part(n):
         return mono(e_q=n) + one()
 
-    family = B.PairFamily(TR, part, factor=factor)
+    family = B.PairFamily(TR, part, build_factor=lambda: factor)
     plain = B.PairFamily(TR, part)
     calls = [count_generator_calls(f, "_gen") for f in (family, plain)]
     for n in (0, 3, 3):
@@ -347,9 +347,9 @@ def test_transform_sides_match_the_unfactored_sums(caps, params):
     expected_rhs = TruncatedSeries.sum_of_products(
         trunc, ((beta[n], delta[n]) for n in range(right + 1)))
     sides = []
-    with mock.patch.object(B, "series_report",
-                           lambda name, lhs, rhs, **kw: sides.append((lhs, rhs))):
-        B.bailey_transform_check(alpha, beta, gamma, delta)
+    with mock.patch.object(B, "_compare",
+                           lambda name, build, params: sides.append(build())):
+        B.bailey_transform_check(alpha, beta, gamma, delta, {})
     (lhs, rhs), = sides
     assert lhs.render() == expected_lhs.render()
     assert rhs.render() == expected_rhs.render()
@@ -538,7 +538,7 @@ def test_wp_families_are_built_once_across_relation_and_collapse(monkeypatch):
     degrees = Counter()
     ultraspherical = B.ultraspherical
 
-    def counted_ultraspherical(n, trunc, param="t"):
+    def counted_ultraspherical(n, trunc, param):
         degrees[n, param] += 1
         return ultraspherical(n, trunc, param)
 
@@ -741,3 +741,22 @@ def test_wp_weight_tables_are_built_on_the_chain_clock(monkeypatch):
                             events.append(name) or built(*args))
     assert B.verify_wp_conjugate(gamma_p, delta_p, 2).passed
     assert events[0] == "clock" and {"inv_qq", "inv_tq"} <= set(events)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "thm-conj-pair", "--nmax", "2", "--nq", "4", "--nt", "4"],
+    ["verify", "thm-wp", "--nmax", "2", "--nq", "4", "--nt", "4", "--ns", "2"],
+    ["verify", "corollary-special", "--pair", "chain(1;1/2;3)", "--nq", "4", "--nt", "4"]],
+    ids=["thm-conj-pair", "thm-wp", "corollary-special"])
+def test_pair_factors_are_built_on_the_report_clock(monkeypatch, argv):
+    # the n-free factors of the conjugate pairs are infinite_product
+    # reads; building a pair reads none of them, so no read comes before
+    # the first report starts its clock
+    events = []
+    clock = report.Stopwatch
+    monkeypatch.setattr(report, "Stopwatch", lambda: events.append("clock") or clock())
+    monkeypatch.setattr(B, "infinite_product", lambda *args, built=B.infinite_product:
+                        events.append("infinite_product") or built(*args))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert events[0] == "clock" and "infinite_product" in events

@@ -14,10 +14,11 @@ from test_macdonald import EULER_BASES
 
 from qbailey import cli, macdonald, qfunctions
 
-# the private per-n integrand factors, and the one builder that every
-# n-free product of infinite Pochhammers is a read of
+# the private per-n integrand factors, and the memo behind
+# infinite_product, which every n-free product of infinite Pochhammers
+# reads
 PRIVATE_CACHES = {"qfunctions._expansion_n_factor", "qfunctions._expansion_l_factor",
-                  "qfunctions.infinite_product"}
+                  "qfunctions._infinite_product"}
 
 
 def package_caches():
@@ -58,6 +59,6 @@ def test_bosonic_prefactor_is_built_once_per_truncation(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         for k in ("1", "2", "3"):
             assert cli.main(["verify", "thm-main", "--k", k, "--nq", "16", "--nt", "12"]) == 0
-    info = built.cache_info()
+    info = qfunctions._infinite_product.cache_info()
     assert (info.misses, info.hits) == (3, 6)
     assert Counter(read) == {((), (base,)): 3 for base in EULER_BASES}

@@ -208,7 +208,7 @@ def test_selftest_times_each_report_on_its_own_stopwatch(monkeypatch):
             started.append(1)
             super().__init__()
 
-    monkeypatch.setattr(cli, "Stopwatch", Counting)
+    monkeypatch.setattr(report, "Stopwatch", Counting)
     reports = cli.selftest_reports()
     assert len({id(r) for r in reports}) == 158
     assert len(started) == 158
@@ -549,18 +549,3 @@ def test_table_cap_grammar(rep, k, nq, nt):
     argv = ["table", "--rep", rep, "--k", str(k), "--nq", str(nq), "--nt", str(nt)]
     assert_exit(argv, min(nq, nt) >= 0)
 
-
-@pytest.mark.parametrize("build, one", [(report.series_report, TruncatedSeries.one(Truncation(2, 2))),
-                                         (report.value_report, Fraction(1))])
-def test_timed_reports_time_their_side_builders(monkeypatch, build, one):
-    # `_timed` starts the clock before sides() runs, so the report's wall
-    # time covers building both sides, not only comparing them
-    now = [100.0]
-    monkeypatch.setattr(report.time, "perf_counter", lambda: now[0])
-
-    def sides():
-        now[0] += 0.75
-        return one, one
-
-    got = cli._timed(build, "x", sides, {"n": 1}, seed=3)
-    assert (got.passed, got.wall_time_ms, got.params, got.seed) == (True, 750, {"n": 1}, 3)

@@ -388,11 +388,13 @@ def test_multi_rogers_ramanujan():
 def test_original_integrality_guard(monkeypatch):
     # a symmetric but wrong adjacency (the fork edge (2k-1)-(2k+1)
     # dropped) must be refused instead of silently producing a series.
-    # _dynkin_walk refuses it first: node 2k+1 hangs off no fork, so the
-    # walk cannot continue at node 2k.  Past the walk, the weight of rho
-    # node 2k-1 would lose l_(2k+1) + m_(2k+1) but keep l_2k + m_2k =
-    # u1 + u2, so it would be odd at (u1, u2) = (1, 0); that evenness
-    # check is covered by
+    # _dynkin_walk refuses it before any weight is read: node 2k+1 is cut
+    # off, so rho node 2k-1 has node 2k alone ahead, which the walk takes
+    # for a path node, and "the walk along the path cannot continue at
+    # node 2k".  The integrality (evenness) check never runs.  Past the
+    # walk, the weight of rho node 2k-1 would lose l_(2k+1) + m_(2k+1)
+    # but keep l_2k + m_2k = u1 + u2, so it would be odd at
+    # (u1, u2) = (1, 0); that evenness check is covered by
     # test_original_weight_guard_stands_apart_from_the_walk.
     bad = {}
     for k in (1, 2, 3):

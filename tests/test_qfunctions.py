@@ -116,11 +116,11 @@ def test_hermite_support_and_symmetry():
 
 
 def test_ultraspherical():
-    assert qf.ultraspherical(0, TR) == one()
+    assert qf.ultraspherical(0, TR, "t") == one()
     t = TruncatedSeries.variable(TR, "t")
     q = TruncatedSeries.variable(TR, "q")
     ratio = (one() - t) * (one() - q).invert()
-    assert qf.ultraspherical(1, TR) == ratio * (mono(e_z=1) + mono(e_z=-1))
+    assert qf.ultraspherical(1, TR, "t") == ratio * (mono(e_z=1) + mono(e_z=-1))
     # parameter equal to q collapses every Pochhammer ratio, and with it
     # the ultraspherical sum to sum_j z^(n-2j)
     ratios = [qf.poch_finite(Q, j, TR) * qf.inv_qq(j, TR) for j in range(4)]
@@ -132,8 +132,15 @@ def test_ultraspherical():
                        TruncatedSeries.zero(TR))
         assert collapsed == expected
     for n in range(5):
-        c = qf.ultraspherical(n, TR)
+        c = qf.ultraspherical(n, TR, "t")
         assert c.flip_z() == c
+
+
+def test_ultraspherical_parameter_is_t_or_s():
+    # q is a ring variable too, but not a parameter of the family
+    for param in ("q", "z", "T"):
+        with pytest.raises(DomainError, match="'t' or 's'"):
+            qf.ultraspherical(2, TR, param)
 
 
 def reference_ct_z(f):
@@ -510,6 +517,28 @@ def test_float_base_is_refused_whatever_the_cache_holds(n, exact_first):
         exact = [build(HALF, n, TR) for build in builders]
     assert exact == [reference_poch(mono(Fraction(1, 2), e_q=1), n),
                      reference_poch(mono(Fraction(1, 2), e_q=1), n).invert()]
+
+
+@pytest.mark.parametrize("exact_first", [False, True], ids=["float-first", "exact-first"])
+def test_memoized_products_refuse_a_float_base_whatever_the_cache_holds(exact_first):
+    # poch_ratio and infinite_product keep tables keyed by their bases,
+    # and 0.5 == Fraction(1, 2) with equal hashes: the base is checked
+    # before the read, so 0.5 is refused cold and warm alike
+    clear_caches()
+    trunc = Truncation(4, 3)
+    builders = ((lambda c: qf.poch_ratio((c, 1, 1, 0, 0), 2, trunc)),
+                (lambda c: qf.infinite_product(((c, 1, 0, 0, 0),), (), trunc)),
+                (lambda c: qf.infinite_product((), ((c, 1, 0, 0, 0),), trunc)))
+    if exact_first:
+        exact = [build(Fraction(1, 2)) for build in builders]
+    for build in builders:
+        with pytest.raises(DomainError, match="int or Fraction"):
+            build(0.5)
+    if not exact_first:
+        exact = [build(Fraction(1, 2)) for build in builders]
+    assert exact == [qf.poch_finite((Fraction(1, 2), 1, 1, 0, 0), 2, trunc) * qf.inv_qq(2, trunc),
+                     qf.poch_infinite((Fraction(1, 2), 1, 0, 0, 0), trunc),
+                     qf.inv_poch_infinite((Fraction(1, 2), 1, 0, 0, 0), trunc)]
 
 
 def test_float_bases_and_parameters_are_refused():

@@ -7,8 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qbailey.errors import DomainError
-from qbailey.report import (IdentityReport, Stopwatch, _first_failure, first_mismatch,
-                            value_report)
+from qbailey.report import IdentityReport, _compare, _first_failure, first_mismatch
 from qbailey.series import TruncatedSeries, Truncation
 
 MISMATCH = {"monomial": [0, 0, 0, 0], "lhs": "1/1", "rhs": "0/1"}
@@ -23,13 +22,13 @@ def test_status_is_derived_from_the_mismatch():
 
 
 def test_value_report():
-    watch = Stopwatch()
-    passed = value_report("v", Fraction(1, 3), Fraction(1, 3), {"n": 1}, watch).to_dict()
+    # two exact values: no truncation, no term counts
+    passed = _compare("v", lambda: (Fraction(1, 3), Fraction(1, 3)), {"n": 1}).to_dict()
     del passed["wall_time_ms"]
     assert passed == {"identity": "v", "params": {"n": 1}, "truncation": None,
                       "status": "pass", "first_mismatch": None, "term_counts": {},
                       "seed": None}
-    failed = value_report("v", Fraction(1), Fraction(0), {}, watch, seed=3)
+    failed = _compare("v", lambda: (Fraction(1), Fraction(0)), {}, seed=3)
     assert (failed.status, failed.first_mismatch, failed.seed) == ("fail", MISMATCH, 3)
 
 
@@ -72,6 +71,25 @@ def test_first_failure_times_the_subchecks_it_runs(monkeypatch):
 
     now[0] += 1.0           # work before the call is not the chain's
     assert _first_failure("x", {}, None, slow_subchecks()).wall_time_ms == 500
+
+
+@pytest.mark.parametrize("one, truncation, counts", [
+    (TruncatedSeries.one(Truncation(2, 2)), Truncation(2, 2), {"lhs": 1, "rhs": 1}),
+    (Fraction(1), None, {})], ids=["series", "value"])
+def test_compare_times_its_side_builders(monkeypatch, one, truncation, counts):
+    # the clock starts before sides() runs, so the report's wall time
+    # covers building both sides, not only comparing them
+    now = [100.0]
+    monkeypatch.setattr(time, "perf_counter", lambda: now[0])
+
+    def sides():
+        now[0] += 0.75
+        return one, one
+
+    now[0] += 1.0           # work before the call is not the comparison's
+    got = _compare("x", sides, {"n": 1}, seed=3)
+    assert (got.passed, got.wall_time_ms, got.params, got.seed) == (True, 750, {"n": 1}, 3)
+    assert (got.truncation, got.term_counts) == (truncation, counts)
 
 
 TR = Truncation(3, 2)
