@@ -14,18 +14,18 @@ trusting the caller, and forms only the z^0 terms of a * b, from the
 z-slices of a and b whose exponents cancel (TruncatedSeries.z_slices).
 
 The memoized builders are wrapped in functools.cache, keyed by their
-arguments including the truncation, or check their bases and then read
-such a private table (_infinite_product, _combined_poch, _poch_ratio);
-cached series are shared between callers, which is safe because series
-are immutable.  Each table's cache_info() and cache_clear() report on
-and empty it.  Every
-finite Pochhammer (a;q)_n and 1/(a;q)_n is a read of one prefix table
-per base, direction and truncation, kept in the cache of _prefixes.
-Every n-free product of infinite Pochhammers,
-(a_1,...;q)_inf / (b_1,...;q)_inf, is a read of infinite_product, kept
-in the cache of _infinite_product keyed by its two tuples of bases in
-their order; the orthogonality weights and the package's prefactors
-are such reads.
+arguments including the truncation; cached series are shared between
+callers, which is safe because series are immutable.  Each table's
+cache_info() and cache_clear() report on and empty it.  Every finite
+Pochhammer-type product is a read of one prefix table per base, kind and
+truncation, kept in the cache of _prefixes.  The four kinds are (a;q)_n
+(poch_finite), 1/(a;q)_n (inv_poch), (a;q)_j / (q;q)_j (poch_ratio) and
+prod_{i<n} (b - q^i) (combined_poch).  Every n-free product of infinite
+Pochhammers, (a_1,...;q)_inf / (b_1,...;q)_inf, is a read of
+infinite_product, kept in the cache of _infinite_product keyed by its
+two tuples of bases in their order; the orthogonality weights and the
+package's prefactors are such reads.  These two reads check their bases
+before they read a table.
 """
 
 from __future__ import annotations
@@ -54,28 +54,43 @@ def binom2(n: int) -> int:
 
 @functools.cache
 def _prefixes(a: tuple, step, trunc: Truncation) -> list:
-    # [1, step(1, a), step(step(1, a), a q), ...], extended on demand by _prefix
+    # [1, step(1, a, 0), step(step(1, a, 0), a, 1), ...], extended on demand by _prefix
     return [TruncatedSeries.one(trunc)]
 
 
 def _prefix(a: tuple, n: int, trunc: Truncation, step) -> TruncatedSeries:
-    # entry n of the prefix table of base a in direction step: each
-    # entry is the one before updated by the binomial 1 - a q^(n-1)
-    if n < 0:
-        raise DomainError("a finite Pochhammer needs n >= 0")
-    c, e_q, e_t, e_s, e_z = a
-    _exact(c)       # before the read: 0.5 would hit a cached table of Fraction(1, 2)
+    # entry n of base a's table of the kind step, entry k + 1 = step(entry k, a, k);
+    # n and a[0] are checked before the read: 0.5 would hit Fraction(1, 2)'s table
+    if not isinstance(n, int) or n < 0:
+        raise DomainError(f"a finite Pochhammer needs an int n >= 0, got {n!r}")
+    _exact(a[0])
     table = _prefixes(a, step, trunc)
     while len(table) <= n:
-        table.append(step(table[-1], c, e_q + len(table) - 1, e_t, e_s, e_z))
+        table.append(step(table[-1], a, len(table) - 1))
     return table[n]
+
+
+def _times(p, a, k):        # p (1 - a q^k), the step of (a;q)_n
+    return p.mul_binomial(a[0], a[1] + k, *a[2:])
+
+
+def _over(p, a, k):         # p / (1 - a q^k), the step of 1/(a;q)_n
+    return p.div_binomial(a[0], a[1] + k, *a[2:])
+
+
+def _ratio(p, a, k):        # p (1 - a q^k) / (1 - q^(k+1)), the step of (a;q)_j / (q;q)_j
+    return _times(p.div_binomial(1, k + 1), a, k)
+
+
+def _less_q(p, b, k):       # p (b - q^k) for the base (b,), the step of prod_{i<n} (b - q^i)
+    return p.scale(b[0]) - p.shift(k)
 
 
 def poch_finite(a: tuple, n: int, trunc: Truncation) -> TruncatedSeries:
     """(a;q)_n = prod_{k=0}^{n-1} (1 - a q^k) for the monomial
     a = (c, e_q, e_t, e_s, e_z) and n >= 0, memoized: binomial updates
     of 1."""
-    return _prefix(a, n, trunc, TruncatedSeries.mul_binomial)
+    return _prefix(a, n, trunc, _times)
 
 
 def poch_infinite(a: tuple, trunc: Truncation) -> TruncatedSeries:
@@ -120,18 +135,9 @@ def _infinite_product(num: tuple, den: tuple, trunc: Truncation) -> TruncatedSer
 
 
 def combined_poch(b, n: int, trunc: Truncation) -> TruncatedSeries:
-    """prod_{i=0}^{n-1} (b - q^i) for rational b, the polynomial form of
-    (1/b;q)_n b^n.  Valid at b = 0, where it collapses to
-    (-1)^n q^(n(n-1)/2).  Memoized; b is checked before the table read."""
-    return _combined_poch(_exact(b), n, trunc)
-
-
-@functools.cache
-def _combined_poch(b, n: int, trunc: Truncation) -> TruncatedSeries:
-    if not b:
-        return TruncatedSeries.monomial(trunc, -1 if n % 2 else 1, e_q=binom2(n))
-    b = Fraction(b)
-    return poch_finite((1 / b, 0, 0, 0, 0), n, trunc).scale(b ** n)
+    """prod_{i<n} (b - q^i) for rational b: (1/b;q)_n b^n, and (-1)^n q^binom(n,2)
+    at b = 0.  Memoized as the prefix table of the base (b,)."""
+    return _prefix((b,), n, trunc, _less_q)
 
 
 @functools.cache
@@ -148,7 +154,7 @@ def qbinomial(M: int, N: int, trunc: Truncation) -> TruncatedSeries:
 def inv_poch(a: tuple, n: int, trunc: Truncation) -> TruncatedSeries:
     """1/(a;q)_n for the monomial a = (c, e_q, e_t, e_s, e_z) and n >= 0,
     memoized: binomial divisions of 1, so no series is inverted."""
-    return _prefix(a, n, trunc, TruncatedSeries.div_binomial)
+    return _prefix(a, n, trunc, _over)
 
 
 def inv_qq(n: int, trunc: Truncation) -> TruncatedSeries:
@@ -162,15 +168,9 @@ def inv_tq(n: int, trunc: Truncation) -> TruncatedSeries:
 
 
 def poch_ratio(a: tuple, j: int, trunc: Truncation) -> TruncatedSeries:
-    """(a;q)_j / (q;q)_j for the monomial a, memoized; a is checked
-    before the table read."""
-    _exact(a[0])
-    return _poch_ratio(a, j, trunc)
-
-
-@functools.cache
-def _poch_ratio(a: tuple, j: int, trunc: Truncation) -> TruncatedSeries:
-    return poch_finite(a, j, trunc) * inv_qq(j, trunc)
+    """(a;q)_j / (q;q)_j for the monomial a, memoized: binomial updates
+    and divisions of 1."""
+    return _prefix(a, j, trunc, _ratio)
 
 
 @functools.cache

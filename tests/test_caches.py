@@ -20,6 +20,12 @@ from qbailey import cli, macdonald, qfunctions
 PRIVATE_CACHES = {"qfunctions._expansion_n_factor", "qfunctions._expansion_l_factor",
                   "qfunctions._infinite_product"}
 
+# every module-level memo table of the package: a new one is added here
+# on purpose, and clear_caches must reach it
+MODULE_CACHES = {"qfunctions._prefixes", "qfunctions._infinite_product", "qfunctions.qbinomial",
+                 "qfunctions.hermite", "qfunctions._expansion_n_factor",
+                 "qfunctions._expansion_l_factor", "macdonald._r_geometric", "cli.build_parser"}
+
 
 def package_caches():
     # every functools.cache of a qbailey module, found on the heap
@@ -44,6 +50,11 @@ def test_clear_caches_empties_every_package_cache():
     clear_caches()
     assert {name: cache.cache_info().currsize for name, cache in caches.items()} \
         == dict.fromkeys(caches, 0)
+
+
+def test_the_module_level_memo_tables_are_pinned():
+    # per-call memos, such as those of original_index, are not module-level
+    assert {name for name in package_caches() if "<locals>" not in name} == MODULE_CACHES
 
 
 def test_bosonic_prefactor_is_built_once_per_truncation(monkeypatch):

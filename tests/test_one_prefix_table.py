@@ -1,11 +1,12 @@
-"""Every finite q-Pochhammer product is a read of one memoized prefix
-table per base and direction (README, Design notes).  A loop of binomial
-updates anywhere else rebuilds a prefix that a table already holds, or
-keeps a second copy of it.  This guard parses the sources and fails on
-any `mul_binomial`/`div_binomial` call inside a `for` or `while` loop or
-a comprehension, in every module but series.py, where the binomial
-updates are defined.  The one table extends itself through its `step`
-argument, so it names neither method."""
+"""Every finite q-Pochhammer-type product is a read of one memoized
+prefix table per base and kind (README, Design notes).  A loop of
+binomial updates anywhere else rebuilds a prefix that a table already
+holds, or keeps a second copy of it.  This guard parses the sources and
+fails on any `mul_binomial`/`div_binomial` call inside a `for` or
+`while` loop or a comprehension, in every module but series.py, where
+the binomial updates are defined.  The one table grows through its
+kind's step, called once per new entry: the steps make their binomial
+updates outside any loop, so the table's own loop names neither method."""
 
 import ast
 import pathlib

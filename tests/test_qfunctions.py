@@ -411,6 +411,7 @@ def test_inv_poch_matches_inverted_product(case, ns):
 @example((TRS, 0, (1, 1, 0, 0)), [3, 1])               # c = 0
 @example((TRS, Fraction(2, 3), (1, 1, 1, -2)), [4, 0, 2])
 @example((TRS, 1, (0, 0, 1, 2)), [2, 5])               # the wp relation's (s;q)_j
+@example((TR, 1, (1, 0, 0, 0)), [3, 0, 5])             # a = q: the ratio is 1, not (q;q)_j
 def test_poch_ratio_and_both_tables_match_the_products(case, js):
     # poch_ratio(a, j) = (a;q)_j / (q;q)_j for any monomial base; the
     # product and the division table of one base, each extended out of
@@ -474,6 +475,45 @@ def test_infinite_product_matches_the_product_loops(case):
 @given(_truncs, _rationals, st.integers(0, 6))
 def test_combined_poch_matches_product_loop(trunc, b, n):
     assert qf.combined_poch(b, n, trunc) == reference_combined_poch(b, n, trunc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_truncs, _rationals, st.lists(st.integers(0, 6), min_size=1, max_size=4))
+@example(TR, 0, [5, 2, 6])                             # b = 0 read out of order
+def test_combined_poch_table_grows_out_of_order(trunc, b, ns):
+    clear_caches()
+    for n in ns:            # in drawn order, so the table grows out of order
+        assert qf.combined_poch(b, n, trunc) == reference_combined_poch(b, n, trunc)
+
+
+@pytest.mark.parametrize("base", [Q, T, (Fraction(-2, 3), 1, 1, 0, 2)])
+def test_one_base_keeps_a_table_per_kind(base):
+    # poch_finite, inv_poch and poch_ratio read one base in turn, each
+    # from its own table: a table shared between two kinds would serve
+    # the entries of the kind read first
+    clear_caches()
+    series = TruncatedSeries(TR, {base[1:]: base[0]})
+    for n in (4, 2):
+        product = reference_poch(series, n)
+        assert qf.poch_finite(base, n, TR) == product
+        assert qf.inv_poch(base, n, TR) == product.invert()
+        assert qf.poch_ratio(base, n, TR) == product * reference_poch(mono(e_q=1), n).invert()
+    assert qf._prefixes.cache_info().currsize == 3
+
+
+@pytest.mark.parametrize("n", [-2, 2.0, Fraction(2)], ids=repr)
+@pytest.mark.parametrize("build", [
+    lambda n: qf.poch_finite(Q, n, TR), lambda n: qf.inv_poch(T, n, TR),
+    lambda n: qf.inv_qq(n, TR), lambda n: qf.inv_tq(n, TR),
+    lambda n: qf.poch_ratio(T, n, TR), lambda n: qf.combined_poch(0, n, TR),
+    lambda n: qf.combined_poch(Fraction(1, 2), n, TR)],
+    ids=["poch_finite", "inv_poch", "inv_qq", "inv_tq", "poch_ratio", "combined_poch-0",
+         "combined_poch-half"])
+def test_a_finite_pochhammer_refuses_a_non_int_or_negative_index(build, n):
+    # checked before the table read: a float index would reach table[n],
+    # and combined_poch at b = 0 must not build q^binom(n,2) for any n
+    with pytest.raises(DomainError, match="n >= 0"):
+        build(n)
 
 
 def test_inv_poch_zero_base_and_errors():
