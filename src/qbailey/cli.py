@@ -23,40 +23,22 @@ from fractions import Fraction
 
 from . import bailey, hypergeometric as hg, macdonald, qfunctions
 from .errors import DomainError, QBaileyError
-from .report import IdentityReport, _compare, _first_failure, value_mismatch
+from .report import IdentityReport, _compare, _first_failure, _fmt, value_mismatch
 from .series import Truncation
 
 FIXED_POINT = {"q": Fraction(2, 3), "t": Fraction(3, 5), "s": Fraction(5, 7)}
-
-IDENTITY_IDS = ("thm-main", "thm-kks", "thm-conj-pair", "thm-wp", "thm-general",
-                "appx-a", "lemma-b1", "appx-c", "multi-rr", "corollary-special")
-
-# the verify ids that compare two index representations, and the two
-# representations' names (not builders: `_index` looks them up per call)
-_INDEX_PAIRS = {"thm-main": ("fermionic", "bosonic"), "thm-kks": ("fermionic", "fermionic2"),
-                "appx-a": ("original", "fermionic2")}
-
-
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise DomainError(f"not a rational: {text!r}")
 
 
 def _parse_rational_list(text: str, k: int, what: str) -> list[Fraction]:
     if not text:
         return [Fraction(0)] * k
-    vals = [_parse_rational(part) for part in text.split(",")]
+    try:
+        vals = [Fraction(part) for part in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"{what} is not a list of rationals: {text!r}")
     if len(vals) != k:
         raise DomainError(f"{what} needs {k} comma-separated rationals")
     return vals
-
-
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return random.SystemRandom().randrange(2 ** 32)
 
 
 def _parse_pair_id(text: str, trunc: Truncation):
@@ -88,75 +70,109 @@ def _index(rep: str, k: int, trunc: Truncation):
     return getattr(macdonald, f"{rep}_index")(k, trunc)
 
 
-# -- verify dispatch ---------------------------------------------------
+# -- verify runners ----------------------------------------------------
+# A runner's keyword-only parameters are the flags its id reads, with
+# their defaults; it looks public builders up per call, as `_index` does.
 
 
-def _grid_reports(identity: str, sides, names: tuple[str, ...],
-                  args) -> list[IdentityReport]:
-    """One report per point, the fixed point first and then args.points
-    random ones: the two values of sides(l, n, point) compared over
-    l <= lmax, n <= nmax, each (l, n) one sub-check labelled l and n."""
-    lmax, nmax = args.lmax, args.nmax
+def _index_pair(left: str, right: str):
+    """An id that compares two index representations, named for `_index`."""
+    def _run(identity, *, k=1, nq=8, nt=6):
+        trunc = Truncation(nq, nt)
+        return [_compare(identity, lambda: (_index(left, k, trunc), _index(right, k, trunc)),
+                         {"k": k, "lhs": left, "rhs": right})]
+    return _run
 
-    def grid(point, seed):
+
+def _grid_reports(identity: str, sides, names: tuple[str, ...], lmax: int, nmax: int,
+                  points: int, seed: int | None) -> list[IdentityReport]:
+    """One report per point, the fixed point and then `points` random ones
+    (from an entropy seed if none is given): sides(l, n, point) compared
+    over l <= lmax, n <= nmax, each (l, n) one sub-check labelled l and n."""
+    def grid(point, sd):
         subchecks = (({"l": l, "n": n}, value_mismatch(*sides(l, n, point)), {})
                      for l in range(lmax + 1) for n in range(nmax + 1))
         return _first_failure(identity, {"lmax": lmax, "nmax": nmax,
-                                         "point": point.describe()}, None, subchecks, seed)
+                                         "point": point.describe()}, None, subchecks, sd)
 
     fixed = hg.RationalPoint({k: v for k, v in FIXED_POINT.items() if k in names})
-    seed = _resolve_seed(args)
-    return [grid(fixed, None)] + hg.run_at_random_points(grid, names, args.points, seed)
+    if seed is None:
+        seed = random.SystemRandom().randrange(2 ** 32)
+    return [grid(fixed, None)] + hg.run_at_random_points(grid, names, points, seed)
+
+
+def _lemma_b1(identity, *, lmax=4, nmax=4, points=10, seed=None):
+    return _grid_reports(identity, hg.expansion_coeff_sides, ("q", "t"),
+                         lmax, nmax, points, seed)
+
+
+def _appx_c(identity, *, lmax=4, nmax=4, points=10, seed=None):
+    return _grid_reports(identity, hg.wp_expansion_coeff_sides, ("q", "t", "s"),
+                         lmax, nmax, points, seed)
+
+
+def _conj_pair(identity, *, nmax=4, nq=8, nt=6):
+    gamma, delta = bailey.hermite_conjugate_pair(Truncation(nq, nt))
+    return [bailey.verify_conjugate_pair(gamma, delta, nmax)]
+
+
+def _wp(identity, *, nmax=4, nq=8, nt=6, ns=4):
+    gamma_p, delta_p = bailey.wp_conjugate_pair(Truncation(nq, nt, ns))
+    return [bailey.verify_wp_conjugate(gamma_p, delta_p, nmax),
+            bailey.wp_collapse_check(gamma_p, delta_p, nmax)]
+
+
+def _general(identity, *, k=1, b="", c="", nq=8, nt=6):
+    bs, cs = _parse_rational_list(b, k, "--b"), _parse_rational_list(c, k, "--c")
+    return [_compare("parametrized-duality",
+                     lambda: macdonald.generalized_sides(k, bs, cs, Truncation(nq, nt)),
+                     {"k": k, "b": [_fmt(x) for x in bs], "c": [_fmt(x) for x in cs]})]
+
+
+def _special(identity, *, pair="seed", nq=8, nt=6):
+    trunc = Truncation(nq, nt)
+    alpha, beta = _parse_pair_id(pair, trunc)
+    # every family is paired with the ordinary conjugate pair, which
+    # the report names thm31
+    gamma, delta = bailey.hermite_conjugate_pair(trunc)
+    return [bailey.bailey_transform_check(alpha, beta, gamma, delta,
+                                          {"pair": pair, "conjugate": "thm31"})]
+
+
+def _multi_rr(identity, *, k=1, nq=8):
+    return [_compare("multisum-rogers-ramanujan",
+                     lambda: macdonald.multi_rogers_ramanujan(k, nq), {"k": k, "max_q": nq})]
+
+
+# the verify ids, in `verify --help` order; cli-private runners only
+_RUNNERS = {
+    "thm-main": _index_pair("fermionic", "bosonic"),
+    "thm-kks": _index_pair("fermionic", "fermionic2"),
+    "thm-conj-pair": _conj_pair,
+    "thm-wp": _wp,
+    "thm-general": _general,
+    "appx-a": _index_pair("original", "fermionic2"),
+    "lemma-b1": _lemma_b1,
+    "appx-c": _appx_c,
+    "multi-rr": _multi_rr,
+    "corollary-special": _special,
+}
 
 
 def _verify(args) -> list[IdentityReport]:
-    identity = args.identity
-    nq, nt, ns = args.nq, args.nt, args.ns
+    """The reports of args.identity; args holds only the typed flags
+    (their argparse default is SUPPRESS), and an unread one exits 2."""
+    runner = _RUNNERS[args.identity]
+    flags = {f: v for f, v in vars(args).items() if f not in ("command", "identity", "json", "fn")}
+    unread = ", ".join(f"--{f}" for f in sorted(set(flags) - set(runner.__kwdefaults__)))
+    if unread:
+        raise DomainError(f"{args.identity} does not read {unread}")
     for flag in ("nq", "nt", "ns", "nmax", "lmax", "points"):
-        if getattr(args, flag) < 0:
+        if flags.get(flag, 0) < 0:
             raise DomainError(f"--{flag} must be >= 0")
-    if identity in ("thm-main", "thm-kks", "thm-general", "appx-a", "multi-rr"):
-        if args.k < 1:
-            raise DomainError("k must be >= 1")
-    if identity in _INDEX_PAIRS:
-        left, right = _INDEX_PAIRS[identity]
-        trunc = Truncation(nq, nt)
-        return [_compare(identity,
-                         lambda: (_index(left, args.k, trunc), _index(right, args.k, trunc)),
-                         {"k": args.k, "lhs": left, "rhs": right})]
-    if identity == "thm-conj-pair":
-        gamma, delta = bailey.hermite_conjugate_pair(Truncation(nq, nt))
-        return [bailey.verify_conjugate_pair(gamma, delta, args.nmax)]
-    if identity == "thm-wp":
-        trunc = Truncation(nq, nt, ns)
-        gamma_p, delta_p = bailey.wp_conjugate_pair(trunc)
-        return [bailey.verify_wp_conjugate(gamma_p, delta_p, args.nmax),
-                bailey.wp_collapse_check(gamma_p, delta_p, args.nmax)]
-    if identity == "thm-general":
-        b = _parse_rational_list(args.b, args.k, "--b")
-        c = _parse_rational_list(args.c, args.k, "--c")
-        params = {"k": args.k, "b": [f"{x.numerator}/{x.denominator}" for x in b],
-                  "c": [f"{x.numerator}/{x.denominator}" for x in c]}
-        return [_compare("parametrized-duality",
-                         lambda: macdonald.generalized_sides(args.k, b, c, Truncation(nq, nt)),
-                         params)]
-    if identity == "corollary-special":
-        trunc = Truncation(nq, nt)
-        alpha, beta = _parse_pair_id(args.pair, trunc)
-        # every family is paired with the ordinary conjugate pair, which
-        # the report names thm31
-        gamma, delta = bailey.hermite_conjugate_pair(trunc)
-        return [bailey.bailey_transform_check(alpha, beta, gamma, delta,
-                                              {"pair": args.pair, "conjugate": "thm31"})]
-    if identity == "lemma-b1":
-        return _grid_reports(identity, hg.expansion_coeff_sides, ("q", "t"), args)
-    if identity == "appx-c":
-        return _grid_reports(identity, hg.wp_expansion_coeff_sides, ("q", "t", "s"), args)
-    if identity == "multi-rr":
-        return [_compare("multisum-rogers-ramanujan",
-                         lambda: macdonald.multi_rogers_ramanujan(args.k, nq),
-                         {"k": args.k, "max_q": nq})]
-    raise DomainError(f"unknown identity {identity!r}")
+    if flags.get("k", 1) < 1:
+        raise DomainError("k must be >= 1")
+    return runner(args.identity, **flags)
 
 
 # -- selftest ----------------------------------------------------------
@@ -189,7 +205,7 @@ def selftest_reports(seed: int = SELFTEST_SEED) -> list[IdentityReport]:
         # a series identity: only a comes from the point, and n plays no part
         a = point["a"]
         return _compare("classical-heine-1", lambda: hg.heine1_sides(a, Truncation(8, 8, 8)),
-                        {"a": f"{a.numerator}/{a.denominator}"}, sd)
+                        {"a": _fmt(a)}, sd)
     reports.extend(hg.run_at_random_points(heine, ("q", "a"), 3, seed))
 
     def grid(identity, rows, cols, sides, point=None):
@@ -248,10 +264,6 @@ def _emit_reports(reports: list[IdentityReport], as_json: bool) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _cmd_verify(args) -> int:
-    return _emit_reports(_verify(args), args.json)
-
-
 def _cmd_table(args) -> int:
     if args.k < 1:
         raise DomainError("k must be >= 1")
@@ -285,11 +297,6 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _cmd_selftest(args) -> int:
-    seed = args.seed if args.seed is not None else SELFTEST_SEED
-    return _emit_reports(selftest_reports(seed), args.json)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args keeps
@@ -300,23 +307,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "index representations they connect.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run one identity check")
-    p_verify.add_argument("identity", choices=IDENTITY_IDS)
-    p_verify.add_argument("--k", type=int, default=1)
-    p_verify.add_argument("--nq", type=int, default=8)
-    p_verify.add_argument("--nt", type=int, default=6)
-    p_verify.add_argument("--ns", type=int, default=4)
-    p_verify.add_argument("--nmax", type=int, default=4)
-    p_verify.add_argument("--lmax", type=int, default=4)
-    p_verify.add_argument("--points", type=int, default=10)
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--b", type=str, default="",
-                          help="comma-separated rationals, e.g. 1/2,0")
-    p_verify.add_argument("--c", type=str, default="")
-    p_verify.add_argument("--pair", type=str, default="seed",
-                          help="seed or chain(k;b1,..,bk;c1,..,ck)")
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(fn=_cmd_verify)
+    p_verify = sub.add_parser("verify", help="run one identity check",
+                              argument_default=argparse.SUPPRESS)
+    p_verify.add_argument("identity", choices=_RUNNERS)
+    for flag in ("--k", "--nq", "--nt", "--ns", "--nmax", "--lmax", "--points", "--seed"):
+        p_verify.add_argument(flag, type=int)
+    p_verify.add_argument("--b", help="comma-separated rationals, e.g. 1/2,0")
+    p_verify.add_argument("--c")
+    p_verify.add_argument("--pair", help="seed or chain(k;b1,..,bk;c1,..,ck)")
+    p_verify.add_argument("--json", action="store_true", default=False)
+    p_verify.set_defaults(fn=lambda args: _emit_reports(_verify(args), args.json))
 
     p_table = sub.add_parser("table", help="export a coefficient table")
     p_table.add_argument("--k", type=int, default=1)
@@ -331,9 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(fn=_cmd_table)
 
     p_self = sub.add_parser("selftest", help="run the classical-identity layer")
-    p_self.add_argument("--seed", type=int, default=None)
+    p_self.add_argument("--seed", type=int, default=SELFTEST_SEED)
     p_self.add_argument("--json", action="store_true")
-    p_self.set_defaults(fn=_cmd_selftest)
+    p_self.set_defaults(fn=lambda args: _emit_reports(selftest_reports(args.seed), args.json))
 
     return parser
 

@@ -372,6 +372,18 @@ def test_no_series_inversion_on_the_hot_paths(capsys, monkeypatch, argv):
     assert calls == []
 
 
+# argvs that type flags their identity does not read, and those flags
+UNREAD_FLAGS = [
+    (["verify", "thm-general", "--k", "2", "--pair", "chain(2;1/2,1/3;1/4,1/5)"], "--pair"),
+    (["verify", "thm-main", "--k", "2", "--nmax", "99", "--points", "7", "--b", "5",
+      "--lmax", "3"], "--b, --lmax, --nmax, --points"),
+    (["verify", "lemma-b1", "--nq", "500", "--k", "9", "--lmax", "1", "--nmax", "1",
+      "--points", "0"], "--k, --nq"),
+    (["verify", "multi-rr", "--k", "1", "--nq", "10", "--nt", "5"], "--nt"),
+    (["verify", "thm-conj-pair", "--k", "0", "--nq", "4", "--nt", "4", "--nmax", "1"], "--k"),
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "thm-main", "--nq", "-1"],
     ["verify", "multi-rr", "--nq", "-5"],
@@ -383,12 +395,22 @@ def test_no_series_inversion_on_the_hot_paths(capsys, monkeypatch, argv):
     ["verify", "thm-conj-pair", "--nmax", "-3"],
     ["verify", "lemma-b1", "--lmax", "-1"],
     ["verify", "appx-c", "--points", "-1"],
+    *(argv for argv, _ in UNREAD_FLAGS),
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert err.startswith("usage error:") and "Traceback" not in err
     assert "PASS" not in out
+
+
+@pytest.mark.parametrize("argv, unread", UNREAD_FLAGS)
+def test_unread_flags_are_named(capsys, argv, unread):
+    # a typed flag the identity does not read would not be checked, so
+    # the run stops before any check and names every such flag
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {argv[1]} does not read {unread}\n"
 
 
 # -- the argument grammar, property-tested -----------------------------
@@ -531,14 +553,26 @@ def test_one_parser_serves_every_call(capsys):
 CAP_FLAGS = ("--nq", "--nt", "--ns", "--nmax", "--lmax", "--points")
 
 
+VERIFY_FLAGS = sorted({f"--{flag}" for runner in cli._RUNNERS.values()
+                       for flag in runner.__kwdefaults__})
+
+
 @settings(max_examples=60, deadline=None)
-@given(identity=st.sampled_from(cli.IDENTITY_IDS), k=st.integers(1, 2),
-       caps=st.lists(st.integers(-2, 3), min_size=len(CAP_FLAGS), max_size=len(CAP_FLAGS)))
-def test_verify_cap_grammar(identity, k, caps):
-    # a negative cap is a usage error whether or not the identity reads it
-    flags = [x for flag, cap in zip(CAP_FLAGS, caps) for x in (flag, str(cap))]
-    assert_exit(["verify", identity, "--k", str(k), "--seed", "1", *flags],
-                min(caps) >= 0)
+@given(identity=st.sampled_from(list(cli._RUNNERS)), k=st.integers(1, 2),
+       caps=st.lists(st.integers(-2, 3), min_size=len(CAP_FLAGS), max_size=len(CAP_FLAGS)),
+       data=st.data())
+def test_verify_cap_grammar(identity, k, caps, data):
+    # --k, --seed and the caps the identity reads: a negative cap is a
+    # usage error; one more flag that it does not read is a usage error
+    # whatever the caps, and the error names that flag
+    reads = {f"--{flag}" for flag in cli._RUNNERS[identity].__kwdefaults__}
+    typed = [(flag, cap) for flag, cap in zip(("--k", "--seed", *CAP_FLAGS), (k, 1, *caps))
+             if flag in reads]
+    argv = ["verify", identity, *(x for flag, value in typed for x in (flag, str(value)))]
+    assert_exit(argv, all(cap >= 0 for flag, cap in typed if flag in CAP_FLAGS))
+    unread = data.draw(st.sampled_from([f for f in VERIFY_FLAGS if f not in reads]))
+    code, err = run_quiet([*argv, unread, "1"])
+    assert code == 2 and err == f"usage error: {identity} does not read {unread}\n"
 
 
 @settings(max_examples=30, deadline=None)
