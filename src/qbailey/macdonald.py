@@ -118,6 +118,7 @@ def fermionic2_index(k: int, trunc: Truncation) -> TruncatedSeries:
     slower."""
     if k < 1:
         raise DomainError("k must be >= 1")
+    squares = [inv_qq(s, trunc) ** 2 for s in range(trunc.max_t + 1)]     # 1/(q;q)_s^2
     level = [TruncatedSeries.one(trunc)]
     for _ in range(k):
         next_level = []
@@ -127,7 +128,7 @@ def fermionic2_index(k: int, trunc: Truncation) -> TruncatedSeries:
             inner = TruncatedSeries.sum_of_products(
                 trunc, ((f.shift(e_t=s), _r_geometric(p + s + 1, trunc))
                         for p, f in enumerate(level[:trunc.max_t - s + 1])))
-            next_level.append(inner * inv_qq(s, trunc) ** 2)
+            next_level.append(inner * squares[s])
         level = next_level
     total = TruncatedSeries.sum_of_products(
         trunc, ((f, hermite(s, trunc) ** 2) for s, f in enumerate(level)))

@@ -192,9 +192,9 @@ def ultraspherical(n: int, trunc: Truncation, param: str) -> TruncatedSeries:
     x = {"t": (1, 0, 1, 0, 0), "s": (1, 0, 0, 1, 0)}.get(param)
     if x is None:
         raise DomainError(f"ultraspherical parameter must be 't' or 's', got {param!r}")
+    ratios = [poch_ratio(x, j, trunc) for j in range(n + 1)]
     return TruncatedSeries.sum_of_products(
-        trunc, ((poch_ratio(x, j, trunc).shift(e_z=n - 2 * j),
-                 poch_ratio(x, n - j, trunc)) for j in range(n + 1)))
+        trunc, ((ratios[j].shift(e_z=n - 2 * j), ratios[n - j]) for j in range(n + 1)))
 
 
 def ct_z(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:

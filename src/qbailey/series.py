@@ -3,9 +3,16 @@
 The ring is Q[q, t, s][z, z^-1] modulo the ideal generated by
 q^(max_q+1), t^(max_t+1) and s^(max_s+1).  The Laurent variable z is
 never truncated; every construction used by the engine keeps its
-z-support finite.  Coefficients are exact rationals, series are sparse
-maps from exponent tuples to coefficients, and all values are immutable
-after construction.
+z-support finite.  Coefficients are exact rationals and all values are
+immutable after construction.
+
+A series is stored as q-rows over one common denominator.  A row is
+keyed (e_t, e_s, e_z) and holds its first q-exponent and the tuple of
+its integer numerators, from its first nonzero one to its last.  The
+rows are kept sorted by key, no row is empty, and the denominator is
+positive and coprime to the gcd of all numerators (the zero series has
+no rows and denominator 1), so this form is canonical and equality is a
+structural comparison.
 
 A monomial is the exponent tuple (e_q, e_t, e_s, e_z); the canonical
 total order on monomials is the lexicographic order on that tuple, and
@@ -16,8 +23,10 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, NamedTuple, Union
 
 from .errors import DomainError, NonInvertible, TruncationMismatch, TruncationOverflow
@@ -75,109 +84,188 @@ def _norm(c: Coeff) -> Coeff:
     return c
 
 
+def _ratio(c: Coeff) -> tuple[int, int]:
+    """(numerator, denominator) of an int or a reduced Fraction."""
+    return (c, 1) if type(c) is int else (c.numerator, c.denominator)
+
+
 _VAR_INDEX = {"q": 0, "t": 1, "s": 2, "z": 3}
-_UNIT = {(0, 0, 0, 0): 1}
+_UNIT_ROWS = (((0, 0, 0), 0, (1,)),)
 _DENOMINATOR = operator.attrgetter("denominator")
+_FIRST = operator.itemgetter(1)
+_NUMS = operator.itemgetter(2)
+
+
+# -- rows ------------------------------------------------------------------
+#
+# A row is the triple (key, first, nums): key = (e_t, e_s, e_z), first the
+# q-exponent of nums[0], and nums the integer numerators over the series'
+# denominator, nums[0] and nums[-1] nonzero.
+
+def _row(key, first: int, nums):
+    """The row of the numerators nums from q^first on, with its zero ends
+    cut off, or None when every numerator is zero."""
+    if nums[0] and nums[-1]:
+        return key, first, tuple(nums)
+    lo, hi = 0, len(nums)
+    while lo < hi and not nums[lo]:
+        lo += 1
+    while hi > lo and not nums[hi - 1]:
+        hi -= 1
+    return (key, first + lo, tuple(nums[lo:hi])) if lo < hi else None
+
+
+def _scaled(rows, m: int):
+    """The rows with every numerator times the int m."""
+    if m == 1:
+        return rows
+    return [(key, first, tuple(map(m.__mul__, nums))) for key, first, nums in rows]
+
+
+def _combined(rows_a, rows_b) -> list:
+    """The sorted rows of the sum of two sorted row lists over one
+    denominator; equal keys add numerator by numerator."""
+    out = []
+    last = None
+    for row in sorted(chain(rows_a, rows_b)):     # two sorted runs: one merge
+        key = row[0]
+        if key != last:
+            out.append(row)
+            last = key
+            continue
+        _, f1, n1 = out.pop()
+        _, f2, n2 = row
+        lo = min(f1, f2)
+        hi = max(f1 + len(n1), f2 + len(n2))
+        n1 = (0,) * (f1 - lo) + n1 + (0,) * (hi - f1 - len(n1))
+        n2 = (0,) * (f2 - lo) + n2 + (0,) * (hi - f2 - len(n2))
+        merged = _row(key, lo, tuple(map(operator.add, n1, n2)))
+        if merged is None:
+            last = None
+        else:
+            out.append(merged)
+    return out
+
+
+def _shifted(rows, e_q: int, e_t: int, e_s: int, e_z: int, trunc: "Truncation") -> list:
+    """The rows times q^e_q t^e_t s^e_s z^e_z, with the terms past the caps
+    dropped.  Only keys and first exponents move, so the rows stay sorted."""
+    mq, mt, ms = trunc.max_q, trunc.max_t, trunc.s_cap
+    out = []
+    for (t, s, z), first, nums in rows:
+        t, s, first = t + e_t, s + e_s, first + e_q
+        if t < 0 or s < 0 or first < 0:
+            raise DomainError("negative exponent produced by shift")
+        if t > mt or s > ms or first > mq:
+            continue
+        if len(nums) > mq + 1 - first:
+            nums = nums[:mq + 1 - first]
+            while not nums[-1]:
+                nums = nums[:-1]
+        out.append(((t, s, z + e_z), first, nums))
+    return out
+
+
+def _terms_to_rows(terms: dict) -> tuple[int, tuple]:
+    """(den, rows) of a term map of nonzero int and reduced Fraction
+    coefficients within the caps."""
+    vals = terms.values()
+    if all(type(c) is int for c in vals):
+        den = 1
+        nums = terms
+    else:
+        den = math.lcm(*map(_DENOMINATOR, vals))
+        nums = {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+    by_key: dict = {}
+    for (q, t, s, z), n in nums.items():
+        by_key.setdefault((t, s, z), {})[q] = n
+    rows = []
+    for key in sorted(by_key):
+        run = by_key[key]
+        first = min(run)
+        row = [0] * (max(run) - first + 1)
+        for q, n in run.items():
+            row[q - first] = n
+        rows.append((key, first, tuple(row)))
+    return den, tuple(rows)
 
 
 # -- the ring product ---------------------------------------------------
 #
 # Products and sums of products are formed row by row (Kronecker
-# substitution in q): the terms of each operand are grouped into q-rows
-# keyed (e_t, e_s, e_z), brought to integer numerators over the operand's
-# common denominator, and each row is packed into one signed int, one
-# w-bit digit per power of q.  One bigint multiply then forms a whole row
-# product, and the t and s caps are checked once per row pair.  A sum of
-# products a*b brings every pair to one common denominator
+# substitution in q): each stored q-row is packed into one signed int,
+# one w-bit digit per power of q.  One bigint multiply then forms a whole
+# row product, and the t and s caps are checked once per row pair.  A sum
+# of products a*b brings every pair to one common denominator
 # D = lcm(den_a*den_b): each row product is scaled by D/(den_a*den_b),
 # shifted to its absolute q-offset and added as a plain int into one
-# packed accumulator per output row, and the accumulator is unpacked
-# once.  Every digit of it is at most the sum of
-# (D/(den_a*den_b))*L1(a)*L1(b) over the pairs in absolute value (L1 =
-# sum of |numerators|), so with w = bit_length of that sum + 2 the
-# digits, read back in balanced (signed) form, never overflow into one
-# another.  The width must come from the sum of the pair bounds, not
-# their maximum, since the pairs add into the same digits.  A product is
-# the one-pair sum; a one-term factor of a product skips all of this:
-# its product is a shift and a scale.
+# packed accumulator per output row, and each accumulator is decoded
+# once, straight into the numerators of an output row.  Every digit of
+# it is at most the sum of (D/(den_a*den_b))*L1(a)*L1(b) over the pairs
+# in absolute value (L1 = sum of |numerators|), so with w = bit_length
+# of that sum + 2 the digits, read back in balanced (signed) form, never
+# overflow into one another.  The width must come from the sum of the
+# pair bounds, not their maximum, since the pairs add into the same
+# digits.  A product is the one-pair sum; a one-term factor of a product
+# skips all of this: its product is a shift and a scale.
 
-def _term_times(one: dict, terms: dict, trunc: Truncation) -> dict:
-    """Terms of the single term `one` times the series `terms`."""
-    ((q1, t1, s1, z1), c1), = one.items()
-    rq, rt, rs = trunc.max_q - q1, trunc.max_t - t1, trunc.s_cap - s1
-    out = {}
-    for (q2, t2, s2, z2), c2 in terms.items():
-        if q2 > rq or t2 > rt or s2 > rs:
+def _packed_rows(rows, w: int, lo: int, hi: int) -> list:
+    """(key, int) for the rows with terms at q^lo..q^hi, each packed into
+    one int with q^(lo+i) at bit offset w*i (lo <= every first exponent)."""
+    out = []
+    for key, first, nums in rows:
+        if first > hi:
             continue
-        c = c1 * c2
-        if type(c) is not int and c.denominator == 1:
-            c = c.numerator
-        out[(q1 + q2, t1 + t2, s1 + s2, z1 + z2)] = c
+        if first + len(nums) > hi + 1:
+            nums = nums[:hi + 1 - first]
+        v = 0
+        for c in reversed(nums):
+            v = (v << w) + c
+        out.append((key, v << (w * (first - lo))))
     return out
 
 
-def _integer_terms(terms: dict) -> tuple[int, dict, int]:
-    """(den, nums, L1): the common denominator of the coefficients, the
-    terms with their integer numerators over it, and the sum of the
-    absolute numerators."""
-    vals = terms.values()
-    if set(map(type, vals)) == {int}:
-        return 1, terms, sum(map(abs, vals))
-    den = math.lcm(*map(_DENOMINATOR, vals))
-    nums = {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
-    return den, nums, sum(map(abs, nums.values()))
+def _l1(rows) -> int:
+    return sum(map(abs, chain.from_iterable(map(_NUMS, rows))))
 
 
-def _packed_rows(nums: dict, w: int, lo: int, hi: int) -> list:
-    """Rows keyed (e_t, e_s, e_z), sorted by key, of the terms with
-    e_q <= hi, each packed into one int with q^(lo+i) at bit offset w*i
-    (lo <= every e_q)."""
-    rows: dict = {}
-    get = rows.get
-    for (q, t, s, z), c in nums.items():
-        if q > hi:
-            continue
-        key = (t, s, z)
-        rows[key] = get(key, 0) + (c << (w * (q - lo)))
-    return sorted(rows.items())
-
-
-def _sum_of_products(pairs, trunc: Truncation) -> dict:
-    """Terms of the sum of a*b over the pairs (a, b) of term maps."""
+def _sum_of_products(pairs, trunc: Truncation) -> "TruncatedSeries":
+    """The sum of a*b over the pairs (a, b) of series."""
     mq, mt, ms = trunc.max_q, trunc.max_t, trunc.s_cap
     # pass 1: the lowest q-exponents lo_a, lo_b offset every row; a term
     # of one operand above mq - (lowest of the other) cannot reach the
     # output, and a pair with no room left contributes nothing
     live = []
     for a, b in pairs:
-        if not a or not b:
+        rows_a, rows_b = a._rows, b._rows
+        if not rows_a or not rows_b:
             continue
-        if len(a) > len(b):
-            a, b = b, a
-        lo_a, lo_b = min(a)[0], min(b)[0]
+        if len(rows_a) > len(rows_b):
+            a, b, rows_a, rows_b = b, a, rows_b, rows_a
+        lo_a, lo_b = min(map(_FIRST, rows_a)), min(map(_FIRST, rows_b))
         room = mq - lo_a - lo_b
         if room >= 0:
-            live.append((room, (lo_a, *_integer_terms(a)), (lo_b, *_integer_terms(b))))
+            live.append((room, lo_a, a._den, rows_a, lo_b, b._den, rows_b))
     if not live:
-        return {}
-    # each operand is (lo, den, nums, L1)
-    den = math.lcm(*(a[1] * b[1] for _, a, b in live))
-    bound = sum(den // (a[1] * b[1]) * a[3] * b[3] for _, a, b in live)
+        return TruncatedSeries.zero(trunc)
+    den = math.lcm(*(den_a * den_b for _, _, den_a, _, _, den_b, _ in live))
+    bound = sum(den // (den_a * den_b) * _l1(rows_a) * _l1(rows_b)
+                for _, _, den_a, rows_a, _, den_b, rows_b in live)
     w = bound.bit_length() + 2
 
     # pass 2: every row product, scaled to den and shifted to its q-offset,
     # into one accumulator per output row
     acc: dict = {}
     get = acc.get
-    for room, (lo_a, den_a, nums_a, _), (lo_b, den_b, nums_b, _) in live:
+    for room, lo_a, den_a, rows_a, lo_b, den_b, rows_b in live:
         scale = den // (den_a * den_b)
         shift = w * (lo_a + lo_b)
-        rows_b = _packed_rows(nums_b, w, lo_b, lo_b + room)
-        for (ta, sa, za), va in _packed_rows(nums_a, w, lo_a, lo_a + room):
+        packed_b = _packed_rows(rows_b, w, lo_b, lo_b + room)
+        for (ta, sa, za), va in _packed_rows(rows_a, w, lo_a, lo_a + room):
             rt, rs = mt - ta, ms - sa
             if scale != 1:
                 va *= scale
-            for (tb, sb, zb), vb in rows_b:
+            for (tb, sb, zb), vb in packed_b:
                 if tb > rt:
                     break
                 if sb > rs:
@@ -187,32 +275,40 @@ def _sum_of_products(pairs, trunc: Truncation) -> dict:
 
     base = 1 << w
     half, mask = base >> 1, base - 1
-    out = {}
-    for (t, s, z), x in acc.items():
+    rows = []
+    for key in sorted(acc):
+        x = acc[key]
         if not x:
             continue
         i = ((x & -x).bit_length() - 1) // w     # lowest nonzero digit
+        if i > mq:
+            continue
+        first = i
         x >>= w * i
+        nums = []
         while x and i <= mq:
             d = x & mask
             if d >= half:
                 d -= base
             x = (x - d) >> w
-            if d:
-                out[(i, t, s, z)] = d if den == 1 else _norm(Fraction(d, den))
+            nums.append(d)
             i += 1
-    return out
+        while not nums[-1]:                      # cut at the q-cap
+            nums.pop()
+        rows.append((key, first, tuple(nums)))
+    return TruncatedSeries._reduced(trunc, den, rows)
 
 
 class TruncatedSeries:
-    """Sparse exact series over the truncated ring.
+    """Exact series over the truncated ring, stored as sorted q-rows of
+    integer numerators over one common denominator (module docstring).
 
-    No stored coefficient is zero and no stored monomial violates the
-    truncation; construction reduces modulo the truncation ideal by
-    dropping out-of-cap terms.
+    No stored numerator run starts or ends with zero and no stored term
+    violates the truncation; construction reduces modulo the truncation
+    ideal by dropping out-of-cap terms.
     """
 
-    __slots__ = ("trunc", "_terms")
+    __slots__ = ("trunc", "_den", "_rows")
 
     def __init__(self, trunc: Truncation, terms: dict | None = None):
         self.trunc = trunc
@@ -221,59 +317,82 @@ class TruncatedSeries:
             mq, mt, ms = trunc.max_q, trunc.max_t, trunc.s_cap
             for mono, c in terms.items():
                 eq, et, es, ez = mono
-                if eq > mq or et > mt or es > ms:
-                    continue
                 if eq < 0 or et < 0 or es < 0:
                     raise DomainError(f"negative exponent in monomial {tuple(mono)}")
+                if eq > mq or et > mt or es > ms:
+                    continue
                 c = _norm(_exact(c))
                 if c != 0:
                     clean[(eq, et, es, ez)] = c
-        self._terms = clean
+        self._den, self._rows = _terms_to_rows(clean) if clean else (1, ())
 
     @classmethod
-    def _raw(cls, trunc: Truncation, terms: dict) -> "TruncatedSeries":
-        # internal: terms already normalized and within caps
+    def _raw(cls, trunc: Truncation, den: int, rows) -> "TruncatedSeries":
+        # internal: rows sorted, within caps and canonical over den
         out = object.__new__(cls)
         out.trunc = trunc
-        out._terms = terms
+        out._den = den
+        out._rows = tuple(rows)
         return out
 
     @classmethod
+    def _reduced(cls, trunc: Truncation, den: int, rows) -> "TruncatedSeries":
+        # internal: rows sorted and within caps; den and the numerators are
+        # divided by their gcd
+        if den > 1:
+            g = den
+            for row in rows:
+                g = math.gcd(g, *row[2])
+                if g == 1:
+                    break
+            else:
+                den //= g
+                rows = [(key, first, tuple(map(g.__rfloordiv__, nums)))
+                        for key, first, nums in rows]
+        return cls._raw(trunc, den, rows)
+
+    @classmethod
     def zero(cls, trunc: Truncation) -> "TruncatedSeries":
-        return cls._raw(trunc, {})
+        return cls._raw(trunc, 1, ())
 
     @classmethod
     def one(cls, trunc: Truncation) -> "TruncatedSeries":
-        return cls._raw(trunc, {(0, 0, 0, 0): 1})
+        return cls._raw(trunc, 1, _UNIT_ROWS)
 
     @classmethod
     def sum_of_products(cls, trunc: Truncation, pairs) -> "TruncatedSeries":
         """The sum of a * b over the pairs (a, b) of series over trunc,
-        formed in one packed accumulator and unpacked once."""
-        maps = []
+        formed in one packed accumulator and decoded once."""
+        checked = []
         for a, b in pairs:
             if a.trunc != trunc or b.trunc != trunc:
                 raise TruncationMismatch(
                     f"cannot combine series with truncations {a.trunc} and {b.trunc} "
                     f"in a sum over {trunc}")
-            maps.append((a._terms, b._terms))
-        if len(maps) == 1:          # one pair is a product, which skips packing
+            checked.append((a, b))
+        if len(checked) == 1:       # one pair is a product, which skips packing
             return a * b            # when a factor is 1 or a single term
-        return cls._raw(trunc, _sum_of_products(maps, trunc))
+        return _sum_of_products(checked, trunc)
 
     @classmethod
     def from_z_slices(cls, trunc: Truncation, slices: dict) -> "TruncatedSeries":
         """sum_j c_j z^j over the items j: c_j of z-free series over trunc,
         in one pass with no addition; the inverse of z_slices."""
-        out = {}
+        parts = []
         for j, part in slices.items():
             if part.trunc != trunc:
                 raise TruncationMismatch(f"z-slice {j} is over {part.trunc}, not {trunc}")
-            for (q, t, s, z), c in part._terms.items():
+            for (_, _, z), _, _ in part._rows:
                 if z:
                     raise DomainError(f"z-slice {j} has a term in z^{z}")
-                out[(q, t, s, j)] = c
-        return cls._raw(trunc, out)
+            parts.append((j, part))
+        # canonical parts with disjoint supports over their lcm stay canonical
+        den = math.lcm(*(part._den for _, part in parts))
+        rows = [((t, s, j), first, nums)
+                for j, part in parts
+                for (t, s, _), first, nums in _scaled(part._rows, den // part._den)]
+        rows.sort()
+        return cls._raw(trunc, den, rows)
 
     @classmethod
     def monomial(cls, trunc: Truncation, coeff: Coeff = 1, e_q: int = 0,
@@ -288,35 +407,59 @@ class TruncatedSeries:
 
     # -- queries ------------------------------------------------------
 
+    @property
+    def _terms(self) -> dict:
+        """The term map {(e_q, e_t, e_s, e_z): coefficient}, derived from
+        the rows for the cold paths (invert, specialize, rendering)."""
+        den = self._den
+        out = {}
+        for (t, s, z), first, nums in self._rows:
+            for q, n in enumerate(nums, first):
+                if n:
+                    out[(q, t, s, z)] = n if den == 1 else _norm(Fraction(n, den))
+        return out
+
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._rows
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._rows)
 
     def term_count(self) -> int:
-        return len(self._terms)
+        return sum(len(nums) - nums.count(0) for _, _, nums in self._rows)
 
     def coefficient(self, mono) -> Coeff:
         """Stored coefficient of the monomial, or exact zero."""
-        return self._terms.get(tuple(mono), 0)
+        q, t, s, z = mono
+        rows = self._rows
+        i = bisect_left(rows, ((t, s, z),))
+        if i == len(rows) or rows[i][0] != (t, s, z):
+            return 0
+        _, first, nums = rows[i]
+        if not first <= q < first + len(nums):
+            return 0
+        n = nums[q - first]
+        return n if self._den == 1 else _norm(Fraction(n, self._den))
 
     def terms(self) -> Iterator[tuple[Monomial, Coeff]]:
         """Iterate (monomial, coefficient) in canonical order."""
-        for key in sorted(self._terms):
-            yield Monomial(*key), self._terms[key]
+        terms = self._terms
+        for key in sorted(terms):
+            yield Monomial(*key), terms[key]
 
     def z_slices(self) -> dict:
         """{j: c_j}, each c_j z-free and self = sum_j c_j z^j, in one pass
-        over the terms; the inverse of from_z_slices."""
+        over the rows; the inverse of from_z_slices."""
         slices: dict = {}
-        for (q, t, s, z), c in self._terms.items():
-            slices.setdefault(z, {})[(q, t, s, 0)] = c
-        return {z: TruncatedSeries._raw(self.trunc, terms) for z, terms in slices.items()}
+        for (t, s, z), first, nums in self._rows:
+            slices.setdefault(z, []).append(((t, s, 0), first, nums))
+        return {z: TruncatedSeries._reduced(self.trunc, self._den, rows)
+                for z, rows in slices.items()}
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TruncatedSeries):
-            return self.trunc == other.trunc and self._terms == other._terms
+            return (self._rows == other._rows and self._den == other._den
+                    and self.trunc == other.trunc)
         return NotImplemented
 
     def __hash__(self):
@@ -336,36 +479,36 @@ class TruncatedSeries:
             return TruncatedSeries(self.trunc, {(0, 0, 0, 0): other})
         return None
 
+    def _plus(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
+        # self + sign * other over the lcm of the two denominators
+        self._check_compatible(other)
+        den = math.lcm(self._den, other._den)
+        rows = _combined(_scaled(self._rows, den // self._den),
+                         _scaled(other._rows, sign * (den // other._den)))
+        return TruncatedSeries._reduced(self.trunc, den, rows)
+
     def __add__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        self._check_compatible(rhs)
-        acc = dict(self._terms)
-        for key, c in rhs._terms.items():
-            new = acc.get(key, 0) + c
-            if new == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = _norm(new)
-        return TruncatedSeries._raw(self.trunc, acc)
+        return self._plus(rhs, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries._raw(self.trunc, {k: -c for k, c in self._terms.items()})
+        return TruncatedSeries._raw(self.trunc, self._den, _scaled(self._rows, -1))
 
     def __sub__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        return self._plus(rhs, -1)
 
     def __rsub__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return rhs + (-self)
+        return rhs._plus(self, -1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -373,13 +516,20 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
-        small, big = (self, other) if len(self._terms) <= len(other._terms) else (other, self)
-        if small._terms == _UNIT:           # 1 * big is big
-            return big
-        pair = (small._terms, big._terms)
-        if len(pair[0]) == 1:
-            return TruncatedSeries._raw(self.trunc, _term_times(*pair, self.trunc))
-        return TruncatedSeries._raw(self.trunc, _sum_of_products([pair], self.trunc))
+        small, big = (self, other) if len(self._rows) <= len(other._rows) else (other, self)
+        if not small._rows:
+            return small
+        for one, rest in ((small, big), (big, small)):
+            rows = one._rows
+            if len(rows) == 1 and len(rows[0][2]) == 1:
+                if rows == _UNIT_ROWS and one._den == 1:    # 1 * rest is rest
+                    return rest
+                # a one-term factor: rest shifted and scaled
+                ((t, s, z), q, (n,)), = rows
+                shifted = _shifted(rest._rows, q, t, s, z, self.trunc)
+                return TruncatedSeries._reduced(
+                    self.trunc, one._den * rest._den, _scaled(shifted, n))
+        return _sum_of_products([(small, big)], self.trunc)
 
     __rmul__ = __mul__
 
@@ -387,8 +537,8 @@ class TruncatedSeries:
         c = _norm(_exact(c))
         if c == 0:
             return TruncatedSeries.zero(self.trunc)
-        return TruncatedSeries._raw(
-            self.trunc, {k: _norm(v * c) for k, v in self._terms.items()})
+        p, r = _ratio(c)
+        return TruncatedSeries._reduced(self.trunc, self._den * r, _scaled(self._rows, p))
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -408,70 +558,42 @@ class TruncatedSeries:
         Negative shifts are permitted only when every resulting exponent
         stays nonnegative (z excepted).
         """
-        mq, mt = self.trunc.max_q, self.trunc.max_t
-        ms = self.trunc.s_cap
-        out: dict = {}
-        for (q1, t1, s1, z1), c in self._terms.items():
-            eq, et, es = q1 + e_q, t1 + e_t, s1 + e_s
-            if eq < 0 or et < 0 or es < 0:
-                raise DomainError("negative exponent produced by shift")
-            if eq > mq or et > mt or es > ms:
-                continue
-            out[(eq, et, es, z1 + e_z)] = c
-        return TruncatedSeries._raw(self.trunc, out)
+        # a term dropped at a cap can leave a factor common to the rest
+        return TruncatedSeries._reduced(
+            self.trunc, self._den, _shifted(self._rows, e_q, e_t, e_s, e_z, self.trunc))
 
     def mul_binomial(self, c: Coeff, e_q: int = 0, e_t: int = 0, e_s: int = 0,
                      e_z: int = 0) -> "TruncatedSeries":
-        """Multiply by the binomial 1 - c q^e_q t^e_t s^e_s z^e_z: one
-        shift-and-add pass over the terms, no packing."""
+        """Multiply by the binomial 1 - c q^e_q t^e_t s^e_s z^e_z: the rows
+        and their shifted images, added in one merge, no packing."""
         if min(e_q, e_t, e_s) < 0:
             raise DomainError("binomial exponents must be >= 0")
         if not _exact(c):   # the binomial is 1
             return self
-        c = _norm(c)        # an integral Fraction multiplies as an int
-        mq, mt, ms = self.trunc.max_q, self.trunc.max_t, self.trunc.s_cap
-        out = dict(self._terms)
-        for (q1, t1, s1, z1), v in self._terms.items():
-            eq, et, es = q1 + e_q, t1 + e_t, s1 + e_s
-            if eq > mq or et > mt or es > ms:
-                continue
-            key = (eq, et, es, z1 + e_z)
-            new = out.get(key, 0) - c * v     # each key is the image of one term
-            if new:
-                out[key] = _norm(new)
-            else:
-                out.pop(key, None)
-        return TruncatedSeries._raw(self.trunc, out)
+        p, r = _ratio(_norm(c))     # (r g - p m g) / r
+        image = _shifted(self._rows, e_q, e_t, e_s, e_z, self.trunc)
+        return TruncatedSeries._reduced(
+            self.trunc, self._den * r, _combined(_scaled(self._rows, r), _scaled(image, -p)))
 
     def div_binomial(self, c: Coeff, e_q: int = 0, e_t: int = 0, e_s: int = 0,
                      e_z: int = 0) -> "TruncatedSeries":
-        """Divide by 1 - c m, m = q^e_q t^e_t s^e_s z^e_z: h[k] = g[k] + c h[k-m]
-        along each chain k, k+m, ... from its lowest key up to the caps.  A
-        degree-0 m is a scalar; as in invert, c m = 1 or a z-only c m raise."""
+        """Divide by 1 - c m, m = q^e_q t^e_t s^e_s z^e_z, as the product of
+        the binomials 1 + (c m)^(2^i), i = 0, 1, ..., while m^(2^i) is within
+        the caps: 1/(1 - x) = (1 + x)(1 + x^2)(1 + x^4)...  A degree-0 m is
+        a scalar; as in invert, c m = 1 or a z-only c m raise."""
         if min(e_q, e_t, e_s) < 0:
             raise DomainError("binomial exponents must be >= 0")
         if not _exact(c):   # the binomial is 1
             return self
-        mq, mt, ms = self.trunc.max_q, self.trunc.max_t, self.trunc.s_cap
         if not (e_q or e_t or e_s):
             if e_z or c == 1:
                 raise NonInvertible(f"binomial 1 - ({c}) z^{e_z} is not a unit")
             return self.scale(1 / Fraction(1 - c))
-        terms = self._terms
-        out: dict = {}
-        for key in sorted(terms):
-            if key in out:
-                continue
-            q1, t1, s1, z1 = key
-            acc = 0
-            while q1 <= mq and t1 <= mt and s1 <= ms:
-                key = (q1, t1, s1, z1)
-                acc = terms.get(key, 0) + c * acc
-                if type(acc) is not int and acc.denominator == 1:
-                    acc = acc.numerator
-                out[key] = acc       # zeros too: they mark the chain as walked
-                q1, t1, s1, z1 = q1 + e_q, t1 + e_t, s1 + e_s, z1 + e_z
-        return TruncatedSeries._raw(self.trunc, {k: v for k, v in out.items() if v})
+        trunc, out = self.trunc, self
+        while e_q <= trunc.max_q and e_t <= trunc.max_t and e_s <= trunc.s_cap:
+            out = out.mul_binomial(-c, e_q, e_t, e_s, e_z)
+            c, e_q, e_t, e_s, e_z = c * c, 2 * e_q, 2 * e_t, 2 * e_s, 2 * e_z
+        return out
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse modulo the truncation.
@@ -480,12 +602,13 @@ class TruncatedSeries:
         on total (q,t,s)-degree to terminate, no other term of total
         (q,t,s)-degree zero.
         """
-        const = self._terms.get((0, 0, 0, 0), 0)
+        terms = self._terms
+        const = terms.get((0, 0, 0, 0), 0)
         if const == 0:
             raise NonInvertible(
                 f"series has zero constant term: {self._preview()}")
         by_deg: dict[int, list] = {}
-        for key, c in self._terms.items():
+        for key, c in terms.items():
             d = key[0] + key[1] + key[2]
             if d == 0 and key != (0, 0, 0, 0):
                 raise NonInvertible(
@@ -531,23 +654,24 @@ class TruncatedSeries:
         out: dict = {}
         for part in g_by_deg.values():
             out.update(part)
-        return TruncatedSeries._raw(self.trunc, out)
+        return TruncatedSeries(self.trunc, out)
 
     # -- structural maps ----------------------------------------------
 
     def flip_z(self) -> "TruncatedSeries":
         """Negate every z-exponent (the z -> 1/z involution)."""
         return TruncatedSeries._raw(
-            self.trunc, {(k[0], k[1], k[2], -k[3]): c for k, c in self._terms.items()})
+            self.trunc, self._den,
+            sorted(((t, s, -z), first, nums) for (t, s, z), first, nums in self._rows))
 
     def halve_z(self) -> "TruncatedSeries":
         """Halve every z-exponent (z^2 -> z); all of them must be even."""
-        out: dict = {}
-        for (q1, t1, s1, z1), c in self._terms.items():
-            if z1 % 2:
-                raise DomainError(f"halve_z needs even z-exponents, got z^{z1}")
-            out[(q1, t1, s1, z1 // 2)] = c
-        return TruncatedSeries._raw(self.trunc, out)
+        rows = []
+        for (t, s, z), first, nums in self._rows:
+            if z % 2:
+                raise DomainError(f"halve_z needs even z-exponents, got z^{z}")
+            rows.append(((t, s, z // 2), first, nums))
+        return TruncatedSeries._raw(self.trunc, self._den, rows)
 
     def specialize(self, var: str, value) -> "TruncatedSeries":
         """Substitute a variable by a rational value or by another variable.
@@ -587,12 +711,12 @@ class TruncatedSeries:
                     out.pop(k2, None)
                 else:
                     out[k2] = _norm(tot)
-            return TruncatedSeries._raw(self.trunc, out)
+            return TruncatedSeries(self.trunc, out)
         val = Fraction(value)
         if val == 0:
             if var == "z":
                 raise DomainError("z may only be specialized to a nonzero rational")
-            return TruncatedSeries._raw(
+            return TruncatedSeries(
                 self.trunc, {key: c for key, c in self._terms.items() if not key[vi]})
         out = {}
         for key, c in self._terms.items():
@@ -606,27 +730,27 @@ class TruncatedSeries:
                 out.pop(k2, None)
             else:
                 out[k2] = _norm(tot)
-        return TruncatedSeries._raw(self.trunc, out)
+        return TruncatedSeries(self.trunc, out)
 
     # -- rendering ----------------------------------------------------
 
     def render(self) -> str:
         """Canonical text form: terms in canonical monomial order, each
         `num/den * q^a t^b s^c z^e`."""
-        if not self._terms:
+        if not self._rows:
             return "0"
         parts = []
-        for key in sorted(self._terms):
-            c = self._terms[key]
+        for key, c in self.terms():
             num, den = (c, 1) if isinstance(c, int) else (c.numerator, c.denominator)
             parts.append(f"{num}/{den} * q^{key[0]} t^{key[1]} s^{key[2]} z^{key[3]}")
         return " + ".join(parts)
 
     def _preview(self, limit: int = 4) -> str:
-        keys = sorted(self._terms)[:limit]
+        terms = self._terms
+        keys = sorted(terms)[:limit]
         shown = " + ".join(
-            f"{self._terms[k]}*q^{k[0]}t^{k[1]}s^{k[2]}z^{k[3]}" for k in keys)
-        more = "" if len(self._terms) <= limit else " + ..."
+            f"{terms[k]}*q^{k[0]}t^{k[1]}s^{k[2]}z^{k[3]}" for k in keys)
+        more = "" if len(terms) <= limit else " + ..."
         return (shown or "0") + more
 
     def __str__(self):

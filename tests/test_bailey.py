@@ -695,7 +695,7 @@ def test_products_form_only_surviving_terms(monkeypatch):
 
     def counted(pairs, trunc):
         out = packed(pairs, trunc)
-        formed.append(len(out))
+        formed.append(out.term_count())
         return out
 
     monkeypatch.setattr(S, "_sum_of_products", counted)

@@ -1,11 +1,12 @@
-"""The term map, a sparse dict from exponent tuples to coefficients, is
-a decision of series.py alone (README, Design notes).  Every other
-module reads a series through its public API (`==`, `terms()`,
-`coefficient()`, `z_slices()`, ...) and builds one through public
-constructors (`from_z_slices`, `monomial`, ...), so the storage can
-change in series.py and nowhere else.  This guard parses the sources
-and fails on any read of `._terms`, call of `._raw` or import of a
-private name from the series module outside series.py."""
+"""The storage of a series, sorted q-rows of integer numerators over one
+common denominator, is a decision of series.py alone (README, Design
+notes).  Every other module reads a series through its public API
+(`==`, `terms()`, `coefficient()`, `z_slices()`, ...) and builds one
+through public constructors (`from_z_slices`, `monomial`, ...), so the
+storage can change in series.py and nowhere else.  This guard parses the
+sources and fails on any read of the rows (`._rows`, `._den`) or of the
+derived term map (`._terms`), any call of `._raw` or `._reduced`, or any
+import of a private name from the series module outside series.py."""
 
 import ast
 import pathlib
@@ -14,11 +15,11 @@ import qbailey
 
 SRC = pathlib.Path(qbailey.__file__).parent
 
-PRIVATE_ATTRIBUTES = {"_terms", "_raw"}
+PRIVATE_ATTRIBUTES = {"_rows", "_den", "_terms", "_raw", "_reduced"}
 
 
 def _format_leaks(tree, module):
-    """(module, what) of each use of the term map's private surface, in
+    """(module, what) of each use of the storage's private surface, in
     source order: an attribute in PRIVATE_ATTRIBUTES, or an `_`-name
     imported from the series module."""
     leaks = []
@@ -45,7 +46,9 @@ def test_the_guard_finds_leaks():
         "def f(a, b):",
         "    x = a._terms",
         "    return TruncatedSeries._raw(a.trunc, {**x, **b._terms})",
+        "def g(a):",
+        "    return a._rows[0]",
     ])
     assert _format_leaks(ast.parse(source), "m") == [
         ("m", "import _norm"), ("m", "import _exact"), ("m", "._terms"),
-        ("m", "._raw"), ("m", "._terms")]
+        ("m", "._raw"), ("m", "._terms"), ("m", "._rows")]

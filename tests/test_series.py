@@ -49,7 +49,7 @@ def reference_product(f, g):
     for key, c in acc.items():
         if c != 0:
             out[key] = c.numerator if type(c) is Fraction and c.denominator == 1 else c
-    return TruncatedSeries._raw(f.trunc, out)
+    return TruncatedSeries(f.trunc, out)
 
 
 def reference_row_product(f, g):
@@ -115,7 +115,106 @@ def reference_row_product(f, g):
                 c = Fraction(d, den)
                 out[(lo + i, t, s, z)] = c.numerator if c.denominator == 1 else c
             i += 1
-    return TruncatedSeries._raw(f.trunc, out)
+    return TruncatedSeries(f.trunc, out)
+
+
+# -- frozen term-map oracles ---------------------------------------------
+#
+# Copies of the ring methods as they were on the sparse term map, before
+# series were stored as q-rows; each reads the derived `_terms` and
+# returns a term map of normalized coefficients.
+
+def _norm(c):
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def reference_add(f, g, sign=1):
+    acc = dict(f._terms)
+    for key, c in g._terms.items():
+        new = acc.get(key, 0) + sign * c
+        if new == 0:
+            acc.pop(key, None)
+        else:
+            acc[key] = _norm(new)
+    return acc
+
+
+def reference_shift(f, e_q=0, e_t=0, e_s=0, e_z=0):
+    mq, mt, ms = f.trunc.max_q, f.trunc.max_t, f.trunc.s_cap
+    out = {}
+    for (q1, t1, s1, z1), c in f._terms.items():
+        eq, et, es = q1 + e_q, t1 + e_t, s1 + e_s
+        if eq < 0 or et < 0 or es < 0:
+            raise DomainError("negative exponent produced by shift")
+        if eq > mq or et > mt or es > ms:
+            continue
+        out[(eq, et, es, z1 + e_z)] = c
+    return out
+
+
+def reference_scale(f, c):
+    c = _norm(c)
+    if c == 0:
+        return {}
+    return {k: _norm(v * c) for k, v in f._terms.items()}
+
+
+def reference_mul_binomial(f, c, e_q=0, e_t=0, e_s=0, e_z=0):
+    if not c:
+        return f._terms
+    c = _norm(c)
+    mq, mt, ms = f.trunc.max_q, f.trunc.max_t, f.trunc.s_cap
+    out = dict(f._terms)
+    for (q1, t1, s1, z1), v in f._terms.items():
+        eq, et, es = q1 + e_q, t1 + e_t, s1 + e_s
+        if eq > mq or et > mt or es > ms:
+            continue
+        key = (eq, et, es, z1 + e_z)
+        new = out.get(key, 0) - c * v
+        if new:
+            out[key] = _norm(new)
+        else:
+            out.pop(key, None)
+    return out
+
+
+def reference_div_binomial(f, c, e_q=0, e_t=0, e_s=0, e_z=0):
+    if not c:
+        return f._terms
+    mq, mt, ms = f.trunc.max_q, f.trunc.max_t, f.trunc.s_cap
+    if not (e_q or e_t or e_s):
+        if e_z or c == 1:
+            raise NonInvertible(f"binomial 1 - ({c}) z^{e_z} is not a unit")
+        return reference_scale(f, 1 / Fraction(1 - c))
+    terms = f._terms
+    out = {}
+    for key in sorted(terms):
+        if key in out:
+            continue
+        q1, t1, s1, z1 = key
+        acc = 0
+        while q1 <= mq and t1 <= mt and s1 <= ms:
+            key = (q1, t1, s1, z1)
+            acc = _norm(terms.get(key, 0) + c * acc)
+            out[key] = acc
+            q1, t1, s1, z1 = q1 + e_q, t1 + e_t, s1 + e_s, z1 + e_z
+    return {k: v for k, v in out.items() if v}
+
+
+def reference_halve_z(f):
+    out = {}
+    for (q1, t1, s1, z1), c in f._terms.items():
+        if z1 % 2:
+            raise DomainError(f"halve_z needs even z-exponents, got z^{z1}")
+        out[(q1, t1, s1, z1 // 2)] = c
+    return out
+
+
+def reference_z_slices(f):
+    slices = {}
+    for (q, t, s, z), c in f._terms.items():
+        slices.setdefault(z, {})[(q, t, s, 0)] = c
+    return slices
 
 
 def assert_same_product(f, g):
@@ -520,6 +619,13 @@ def assert_canonical(f):
     for (eq, et, es, _), c in f._terms.items():
         assert c != 0 and not (type(c) is Fraction and c.denominator == 1)
         assert eq <= tr.max_q and et <= tr.max_t and es <= tr.s_cap
+    # the stored rows: sorted by key, none empty or with a zero end, over a
+    # positive denominator coprime to every numerator's gcd (1 for zero)
+    keys = [key for key, _, _ in f._rows]
+    assert keys == sorted(set(keys))
+    assert all(nums and nums[0] and nums[-1] for _, _, nums in f._rows)
+    assert f._den > 0 and math.gcd(f._den, *(n for _, _, nums in f._rows for n in nums)) == 1
+    assert f._rows or f._den == 1
 
 
 @st.composite
@@ -634,3 +740,103 @@ def test_from_z_slices_refuses_a_part_with_a_z_term():
         TruncatedSeries.from_z_slices(TR, {0: S({(1, 0, 0, 0): 1}), 2: S({(0, 1, 0, -1): 3})})
     with pytest.raises(TruncationMismatch):
         TruncatedSeries.from_z_slices(TR, {0: TruncatedSeries.one(TRS)})
+
+
+# -- the row storage against the term-map oracles ------------------------
+
+# Fractions whose common denominator reduces: 3/6 is 1/2 and 8/12 is 2/3,
+# so a sum or a scale can leave a factor shared by every numerator
+_reducible = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 4, 6, 12]))
+_row_coeffs = st.sampled_from([st.integers(-3, 3), _reducible, _wide_fractions,
+                               st.one_of(_wide_ints, _reducible)])
+_scalars = st.one_of(st.just(0), st.integers(-3, 3), _reducible,
+                     st.fractions(min_value=-3, max_value=3, max_denominator=7))
+
+
+@st.composite
+def _row_cases(draw):
+    # two series over one truncation, empty, one-term or wide, with z on
+    # both sides of 0; g cancels a whole row of f (one (t, s, z) key)
+    # half of the time
+    tr = draw(_truncations)
+    monos = st.tuples(_exponents(tr.max_q), _exponents(tr.max_t),
+                      _exponents(tr.s_cap), st.integers(-3, 3))
+    sizes = st.sampled_from([(0, 0), (1, 1), (2, 14)])
+    f_terms, g_terms = (draw(st.dictionaries(monos, draw(_row_coeffs), min_size=lo, max_size=hi))
+                        for lo, hi in (draw(sizes), draw(sizes)))
+    if f_terms and draw(st.booleans()):
+        row = draw(st.sampled_from(sorted(f_terms)))[1:]
+        g_terms.update({k: -c for k, c in f_terms.items() if k[1:] == row})
+    return TruncatedSeries(tr, f_terms), TruncatedSeries(tr, g_terms)
+
+
+def _monomials(tr):
+    # exponents below 0, on and beyond the caps, z either side of 0
+    return st.tuples(st.integers(-1, tr.max_q + 1), st.integers(-1, tr.max_t + 1),
+                     st.integers(-1, tr.s_cap + 1), st.integers(-3, 3))
+
+
+def assert_matches(method, oracle):
+    """The method equals the oracle's term map, with the same coefficient
+    types and in canonical row form, or both raise the same error."""
+    try:
+        want = oracle()
+    except (DomainError, NonInvertible) as e:
+        with pytest.raises(type(e)):
+            method()
+        return
+    got = method()
+    assert got._terms == want
+    assert {k: type(c) for k, c in got._terms.items()} == {k: type(c) for k, c in want.items()}
+    assert got == TruncatedSeries(got.trunc, want)
+    assert_canonical(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_row_cases(), st.data())
+@example((S({(0, 0, 0, 1): Fraction(1, 2), (2, 0, 0, 1): Fraction(3, 2)}),
+          S({(0, 0, 0, 1): Fraction(-1, 2), (2, 0, 0, 1): Fraction(-3, 2), (1, 1, 0, -2): 1})),
+         None)
+def test_row_methods_match_the_term_map(case, data):
+    f, g = case
+    tr = f.trunc
+    assert_matches(lambda: f + g, lambda: reference_add(f, g))
+    assert_matches(lambda: f - g, lambda: reference_add(f, g, -1))
+    assert_matches(lambda: f.halve_z(), lambda: reference_halve_z(f))
+    slices = f.z_slices()
+    assert {j: part._terms for j, part in slices.items()} == reference_z_slices(f)
+    for part in slices.values():
+        assert_canonical(part)
+    if data is None:
+        return
+    m = data.draw(_monomials(tr))
+    assert_matches(lambda: f.shift(*m), lambda: reference_shift(f, *m))
+    c = data.draw(_scalars)
+    assert_matches(lambda: f.scale(c), lambda: reference_scale(f, c))
+    m = tuple(max(e, 0) for e in m[:3]) + m[3:]
+    for c in (c, data.draw(st.integers(-3, 3)), data.draw(_reducible)):
+        assert_matches(lambda: f.mul_binomial(c, *m), lambda: reference_mul_binomial(f, c, *m))
+        assert_matches(lambda: f.div_binomial(c, *m), lambda: reference_div_binomial(f, c, *m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_row_cases())
+def test_the_row_form_is_canonical(case):
+    # equal series store equal rows over equal denominators, however they
+    # were reached: a scale and its inverse, and a sum less its summand
+    f, g = case
+    assert f.scale(Fraction(1, 3)).scale(3) == f
+    assert (f + g) - g == f
+    assert f.scale(Fraction(4, 6)).scale(Fraction(3, 2)) == f
+
+
+def test_a_negative_exponent_is_refused_above_a_cap():
+    # the sign is checked before the cap drop, so a monomial with a
+    # negative exponent is refused wherever its other exponents lie
+    tr = Truncation(8, 6)
+    for build in (lambda: TruncatedSeries(tr, {(9, -1, 0, 0): 1}),
+                  lambda: TruncatedSeries.monomial(tr, 1, e_q=9, e_t=-2),
+                  lambda: TruncatedSeries(tr, {(0, -1, 0, 0): 1}),
+                  lambda: TruncatedSeries(Truncation(2, 2, 1), {(0, 3, -1, 0): 1})):
+        with pytest.raises(DomainError, match="negative exponent"):
+            build()
