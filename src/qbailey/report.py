@@ -26,14 +26,13 @@ def _fmt(c) -> str:
 
 
 def first_mismatch(lhs: TruncatedSeries, rhs: TruncatedSeries) -> dict | None:
-    """Smallest monomial (canonical order) where the two series differ."""
+    """Smallest monomial (canonical order) where the two series differ:
+    the first term of lhs - rhs, which refuses unequal truncations."""
     if lhs == rhs:
         return None
-    for mono in sorted({m for m, _ in lhs.terms()} | {m for m, _ in rhs.terms()}):
-        a, b = lhs.coefficient(mono), rhs.coefficient(mono)
-        if a != b:
-            return {"monomial": list(mono), "lhs": _fmt(a), "rhs": _fmt(b)}
-    return None
+    mono, _ = next((lhs - rhs).terms())
+    return {"monomial": list(mono), "lhs": _fmt(lhs.coefficient(mono)),
+            "rhs": _fmt(rhs.coefficient(mono))}
 
 
 def value_mismatch(lhs, rhs) -> dict | None:

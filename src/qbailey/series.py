@@ -12,7 +12,8 @@ its integer numerators, from its first nonzero one to its last.  The
 rows are kept sorted by key, no row is empty, and the denominator is
 positive and coprime to the gcd of all numerators (the zero series has
 no rows and denominator 1), so this form is canonical and equality is a
-structural comparison.
+structural comparison.  No other form is kept: `terms()` alone turns
+rows into terms, and the checked constructor alone turns terms into rows.
 
 A monomial is the exponent tuple (e_q, e_t, e_s, e_z); the canonical
 total order on monomials is the lexicographic order on that tuple, and
@@ -26,7 +27,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterator, NamedTuple, Union
 
 from .errors import DomainError, NonInvertible, TruncationMismatch, TruncationOverflow
@@ -76,6 +77,12 @@ def _exact(c) -> Coeff:
     if not isinstance(c, (int, Fraction)):
         raise DomainError(f"coefficients must be int or Fraction, got {type(c).__name__} {c!r}")
     return c
+
+
+def _check_exponents(e_q, e_t, e_s, e_z):
+    """Refuse a non-int exponent, which no list index or row offset takes."""
+    if not (type(e_q) is type(e_t) is type(e_s) is type(e_z) is int):
+        raise DomainError(f"exponents must be integers, got {(e_q, e_t, e_s, e_z)}")
 
 
 def _norm(c: Coeff) -> Coeff:
@@ -316,14 +323,16 @@ class TruncatedSeries:
         if terms:
             mq, mt, ms = trunc.max_q, trunc.max_t, trunc.s_cap
             for mono, c in terms.items():
-                eq, et, es, ez = mono
+                eq, et, es, ez = mono   # checked before the cap drop, as c is
+                if not (type(eq) is type(et) is type(es) is type(ez) is int):
+                    _check_exponents(eq, et, es, ez)
                 if eq < 0 or et < 0 or es < 0:
                     raise DomainError(f"negative exponent in monomial {tuple(mono)}")
+                c = _exact(c)
                 if eq > mq or et > mt or es > ms:
                     continue
-                c = _norm(_exact(c))
                 if c != 0:
-                    clean[(eq, et, es, ez)] = c
+                    clean[(eq, et, es, ez)] = _norm(c)
         self._den, self._rows = _terms_to_rows(clean) if clean else (1, ())
 
     @classmethod
@@ -407,18 +416,6 @@ class TruncatedSeries:
 
     # -- queries ------------------------------------------------------
 
-    @property
-    def _terms(self) -> dict:
-        """The term map {(e_q, e_t, e_s, e_z): coefficient}, derived from
-        the rows for the cold paths (invert, specialize, rendering)."""
-        den = self._den
-        out = {}
-        for (t, s, z), first, nums in self._rows:
-            for q, n in enumerate(nums, first):
-                if n:
-                    out[(q, t, s, z)] = n if den == 1 else _norm(Fraction(n, den))
-        return out
-
     def is_zero(self) -> bool:
         return not self._rows
 
@@ -442,10 +439,18 @@ class TruncatedSeries:
         return n if self._den == 1 else _norm(Fraction(n, self._den))
 
     def terms(self) -> Iterator[tuple[Monomial, Coeff]]:
-        """Iterate (monomial, coefficient) in canonical order."""
-        terms = self._terms
-        for key in sorted(terms):
-            yield Monomial(*key), terms[key]
+        """Iterate (monomial, coefficient) in canonical order, the one
+        reading of the rows as terms.  The rows are sorted by
+        (e_t, e_s, e_z), so one list per q-exponent, filled row by row,
+        is in canonical order without a sort."""
+        den = self._den
+        by_q: list = [[] for _ in range(max((f + len(n) for _, f, n in self._rows), default=0))]
+        for (t, s, z), first, nums in self._rows:
+            for q, n in enumerate(nums, first):
+                if n:
+                    by_q[q].append((Monomial(q, t, s, z),
+                                    n if den == 1 else _norm(Fraction(n, den))))
+        return chain.from_iterable(by_q)
 
     def z_slices(self) -> dict:
         """{j: c_j}, each c_j z-free and self = sum_j c_j z^j, in one pass
@@ -558,6 +563,7 @@ class TruncatedSeries:
         Negative shifts are permitted only when every resulting exponent
         stays nonnegative (z excepted).
         """
+        _check_exponents(e_q, e_t, e_s, e_z)
         # a term dropped at a cap can leave a factor common to the rest
         return TruncatedSeries._reduced(
             self.trunc, self._den, _shifted(self._rows, e_q, e_t, e_s, e_z, self.trunc))
@@ -566,6 +572,7 @@ class TruncatedSeries:
                      e_z: int = 0) -> "TruncatedSeries":
         """Multiply by the binomial 1 - c q^e_q t^e_t s^e_s z^e_z: the rows
         and their shifted images, added in one merge, no packing."""
+        _check_exponents(e_q, e_t, e_s, e_z)
         if min(e_q, e_t, e_s) < 0:
             raise DomainError("binomial exponents must be >= 0")
         if not _exact(c):   # the binomial is 1
@@ -581,6 +588,7 @@ class TruncatedSeries:
         the binomials 1 + (c m)^(2^i), i = 0, 1, ..., while m^(2^i) is within
         the caps: 1/(1 - x) = (1 + x)(1 + x^2)(1 + x^4)...  A degree-0 m is
         a scalar; as in invert, c m = 1 or a z-only c m raise."""
+        _check_exponents(e_q, e_t, e_s, e_z)
         if min(e_q, e_t, e_s) < 0:
             raise DomainError("binomial exponents must be >= 0")
         if not _exact(c):   # the binomial is 1
@@ -602,7 +610,7 @@ class TruncatedSeries:
         on total (q,t,s)-degree to terminate, no other term of total
         (q,t,s)-degree zero.
         """
-        terms = self._terms
+        terms = dict(self.terms())
         const = terms.get((0, 0, 0, 0), 0)
         if const == 0:
             raise NonInvertible(
@@ -680,7 +688,9 @@ class TruncatedSeries:
         for z when nonzero.  A variable target (e.g. t -> q) transfers
         exponents; it requires cap(var) >= cap(target) so that the
         substitution descends to the quotient ring, and terms pushed
-        beyond the target cap are reduced away.
+        beyond the target cap are reduced away.  Zero keeps the rows free
+        of var; any other target is one pass over the numerators that
+        moves or drops each exponent k of var and multiplies by value**k.
         """
         if var not in _VAR_INDEX:
             raise DomainError(f"unknown variable {var!r}")
@@ -688,49 +698,34 @@ class TruncatedSeries:
         if isinstance(value, str):
             if var == "z" or value not in ("q", "t", "s"):
                 raise DomainError(f"unsupported substitution {var} -> {value}")
-            ti = _VAR_INDEX[value]
-            if vi == ti:
+            if var == value:
                 return self
             if self.trunc.cap(var) < self.trunc.cap(value):
                 raise TruncationOverflow(
                     f"substituting {var} -> {value} needs cap({var}) >= cap({value}); "
                     f"got {self.trunc}")
-            out: dict = {}
-            cap_t = self.trunc.cap(value)
-            for key, c in self._terms.items():
-                e = key[vi]
-                new = list(key)
-                new[vi] = 0
-                new[ti] = key[ti] + e
-                if new[ti] > cap_t:
-                    continue
-                k2 = tuple(new)
-                prev = out.get(k2, 0)
-                tot = prev + c
-                if tot == 0:
-                    out.pop(k2, None)
-                else:
-                    out[k2] = _norm(tot)
-            return TruncatedSeries(self.trunc, out)
-        val = Fraction(value)
-        if val == 0:
-            if var == "z":
-                raise DomainError("z may only be specialized to a nonzero rational")
-            return TruncatedSeries(
-                self.trunc, {key: c for key, c in self._terms.items() if not key[vi]})
-        out = {}
-        for key, c in self._terms.items():
-            e = key[vi]
-            coeff = c * val ** e if e else c
-            new = list(key)
-            new[vi] = 0
-            k2 = tuple(new)
-            tot = out.get(k2, 0) + coeff
-            if tot == 0:
-                out.pop(k2, None)
-            else:
-                out[k2] = _norm(tot)
-        return TruncatedSeries(self.trunc, out)
+            ti = _VAR_INDEX[value]
+        else:
+            val, ti = Fraction(value), None
+            if val == 0:
+                if var == "z":
+                    raise DomainError("z may only be specialized to a nonzero rational")
+                rows = ([(key, 0, nums[:1]) for key, first, nums in self._rows if not first]
+                        if var == "q" else [row for row in self._rows if not row[0][vi - 1]])
+                return TruncatedSeries._reduced(self.trunc, self._den, rows)
+        out: dict = {}
+        for (t, s, z), first, nums in self._rows:
+            for q, n in enumerate(nums, first):
+                if n:
+                    e = [q, t, s, z]
+                    k, e[vi] = e[vi], 0
+                    if ti is not None:
+                        e[ti] += k
+                    elif k:
+                        n *= val ** k
+                    key = tuple(e)
+                    out[key] = out.get(key, 0) + n
+        return TruncatedSeries(self.trunc, out).scale(Fraction(1, self._den))
 
     # -- rendering ----------------------------------------------------
 
@@ -746,11 +741,9 @@ class TruncatedSeries:
         return " + ".join(parts)
 
     def _preview(self, limit: int = 4) -> str:
-        terms = self._terms
-        keys = sorted(terms)[:limit]
         shown = " + ".join(
-            f"{terms[k]}*q^{k[0]}t^{k[1]}s^{k[2]}z^{k[3]}" for k in keys)
-        more = "" if len(terms) <= limit else " + ..."
+            f"{c}*q^{k[0]}t^{k[1]}s^{k[2]}z^{k[3]}" for k, c in islice(self.terms(), limit))
+        more = "" if self.term_count() <= limit else " + ..."
         return (shown or "0") + more
 
     def __str__(self):

@@ -34,7 +34,7 @@ def mono(coeff=1, e_q=0, e_t=0, e_s=0, e_z=0, trunc=TR):
 
 
 def retruncate(f, small):
-    return TruncatedSeries(small, dict(f._terms))
+    return TruncatedSeries(small, dict(f.terms()))
 
 
 def test_family_truncation_projection():

@@ -27,7 +27,7 @@ SMALL = Truncation(5, 3)
 
 
 def retruncate(f, small):
-    return TruncatedSeries(small, dict(f._terms))
+    return TruncatedSeries(small, dict(f.terms()))
 
 
 def edges(dynkin):

@@ -149,7 +149,7 @@ def reference_ct_z(f):
     oracle of the two-factor qf.ct_z."""
     if f.flip_z() != f:
         raise DomainError("ct_z requires a series symmetric under z -> 1/z")
-    return TruncatedSeries(f.trunc, {k: c for (k, c) in f._terms.items() if k[3] == 0})
+    return TruncatedSeries(f.trunc, {k: c for (k, c) in f.terms() if k[3] == 0})
 
 
 def test_ct_z():

@@ -5,8 +5,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qbailey.errors import DomainError
+from qbailey.errors import DomainError, TruncationMismatch
 from qbailey.report import IdentityReport, _compare, _first_failure, first_mismatch
 from qbailey.series import TruncatedSeries, Truncation
 
@@ -118,3 +120,46 @@ def test_first_mismatch_reports_a_one_sided_monomial_as_zero():
     rhs = TruncatedSeries(TR, common)
     assert first_mismatch(lhs, rhs) == {"monomial": [1, 1, 0, -1], "lhs": "-1/2", "rhs": "0/1"}
     assert first_mismatch(rhs, lhs) == {"monomial": [1, 1, 0, -1], "lhs": "0/1", "rhs": "-1/2"}
+
+
+def test_series_over_unequal_truncations_are_refused():
+    # == is False, but no coefficient of the two differs, so a scan of
+    # their terms would pass them; their difference refuses them instead
+    lhs, rhs = TruncatedSeries.one(Truncation(8, 6)), TruncatedSeries.one(Truncation(4, 4))
+    with pytest.raises(TruncationMismatch):
+        first_mismatch(lhs, rhs)
+    with pytest.raises(TruncationMismatch):
+        _compare("x", lambda: (lhs, rhs), {})
+
+
+def reference_first_mismatch(lhs, rhs):
+    """The scan of the union of both sides' monomials that first_mismatch
+    ran before it read lhs - rhs: a frozen copy, kept as its oracle."""
+    def fmt(c):
+        return f"{c.numerator}/{c.denominator}" if isinstance(c, Fraction) else f"{c}/1"
+
+    if lhs == rhs:
+        return None
+    for mono in sorted({m for m, _ in lhs.terms()} | {m for m, _ in rhs.terms()}):
+        a, b = lhs.coefficient(mono), rhs.coefficient(mono)
+        if a != b:
+            return {"monomial": list(mono), "lhs": fmt(a), "rhs": fmt(b)}
+    return None
+
+
+_monos = st.tuples(st.integers(0, TR.max_q), st.integers(0, TR.max_t), st.just(0),
+                   st.integers(-2, 2))
+_coeffs = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3,
+                                                     max_denominator=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_monos, _coeffs, max_size=8),
+       st.dictionaries(_monos, _coeffs, max_size=3),
+       st.dictionaries(_monos, _coeffs, max_size=3))
+def test_first_mismatch_matches_the_union_scan(common, left, right):
+    # two sides that share most terms and differ in a few, or not at all
+    lhs = TruncatedSeries(TR, {**common, **left})
+    rhs = TruncatedSeries(TR, {**common, **right})
+    assert first_mismatch(lhs, rhs) == reference_first_mismatch(lhs, rhs)
+    assert first_mismatch(rhs, lhs) == reference_first_mismatch(rhs, lhs)

@@ -22,7 +22,7 @@ def S(terms, trunc=TR):
 def reference_product(f, g):
     """The ring product as a loop over term pairs: a frozen copy of the
     dict kernel the row-packed product replaced, kept as its oracle."""
-    small, big = f._terms, g._terms
+    small, big = dict(f.terms()), dict(g.terms())
     if len(small) > len(big):
         small, big = big, small
     mq, mt, ms = f.trunc.max_q, f.trunc.max_t, f.trunc.s_cap
@@ -56,7 +56,7 @@ def reference_row_product(f, g):
     """The row-packed product of one pair with its own digit width and
     one unpack: a frozen copy of the kernel that the fused sum of
     products replaced, kept as its oracle."""
-    a, b = f._terms, g._terms
+    a, b = dict(f.terms()), dict(g.terms())
     if len(a) > len(b):
         a, b = b, a
     if not a or not b:
@@ -121,16 +121,16 @@ def reference_row_product(f, g):
 # -- frozen term-map oracles ---------------------------------------------
 #
 # Copies of the ring methods as they were on the sparse term map, before
-# series were stored as q-rows; each reads the derived `_terms` and
-# returns a term map of normalized coefficients.
+# series were stored as q-rows; each reads the term map `dict(f.terms())`
+# and returns a term map of normalized coefficients.
 
 def _norm(c):
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
 def reference_add(f, g, sign=1):
-    acc = dict(f._terms)
-    for key, c in g._terms.items():
+    acc = dict(f.terms())
+    for key, c in g.terms():
         new = acc.get(key, 0) + sign * c
         if new == 0:
             acc.pop(key, None)
@@ -142,7 +142,7 @@ def reference_add(f, g, sign=1):
 def reference_shift(f, e_q=0, e_t=0, e_s=0, e_z=0):
     mq, mt, ms = f.trunc.max_q, f.trunc.max_t, f.trunc.s_cap
     out = {}
-    for (q1, t1, s1, z1), c in f._terms.items():
+    for (q1, t1, s1, z1), c in f.terms():
         eq, et, es = q1 + e_q, t1 + e_t, s1 + e_s
         if eq < 0 or et < 0 or es < 0:
             raise DomainError("negative exponent produced by shift")
@@ -156,16 +156,16 @@ def reference_scale(f, c):
     c = _norm(c)
     if c == 0:
         return {}
-    return {k: _norm(v * c) for k, v in f._terms.items()}
+    return {k: _norm(v * c) for k, v in f.terms()}
 
 
 def reference_mul_binomial(f, c, e_q=0, e_t=0, e_s=0, e_z=0):
     if not c:
-        return f._terms
+        return dict(f.terms())
     c = _norm(c)
     mq, mt, ms = f.trunc.max_q, f.trunc.max_t, f.trunc.s_cap
-    out = dict(f._terms)
-    for (q1, t1, s1, z1), v in f._terms.items():
+    out = dict(f.terms())
+    for (q1, t1, s1, z1), v in f.terms():
         eq, et, es = q1 + e_q, t1 + e_t, s1 + e_s
         if eq > mq or et > mt or es > ms:
             continue
@@ -180,13 +180,13 @@ def reference_mul_binomial(f, c, e_q=0, e_t=0, e_s=0, e_z=0):
 
 def reference_div_binomial(f, c, e_q=0, e_t=0, e_s=0, e_z=0):
     if not c:
-        return f._terms
+        return dict(f.terms())
     mq, mt, ms = f.trunc.max_q, f.trunc.max_t, f.trunc.s_cap
     if not (e_q or e_t or e_s):
         if e_z or c == 1:
             raise NonInvertible(f"binomial 1 - ({c}) z^{e_z} is not a unit")
         return reference_scale(f, 1 / Fraction(1 - c))
-    terms = f._terms
+    terms = dict(f.terms())
     out = {}
     for key in sorted(terms):
         if key in out:
@@ -203,7 +203,7 @@ def reference_div_binomial(f, c, e_q=0, e_t=0, e_s=0, e_z=0):
 
 def reference_halve_z(f):
     out = {}
-    for (q1, t1, s1, z1), c in f._terms.items():
+    for (q1, t1, s1, z1), c in f.terms():
         if z1 % 2:
             raise DomainError(f"halve_z needs even z-exponents, got z^{z1}")
         out[(q1, t1, s1, z1 // 2)] = c
@@ -212,7 +212,7 @@ def reference_halve_z(f):
 
 def reference_z_slices(f):
     slices = {}
-    for (q, t, s, z), c in f._terms.items():
+    for (q, t, s, z), c in f.terms():
         slices.setdefault(z, {})[(q, t, s, 0)] = c
     return slices
 
@@ -601,7 +601,7 @@ def test_invert_of_unit(f):
         TRS, {(0, 0, 0, 0): f.coefficient((0, 0, 0, 0))})
     # g now has constant term exactly 1; drop degree-zero z-terms that
     # would make it a non-unit
-    g = TruncatedSeries(TRS, {k: c for k, c in g._terms.items()
+    g = TruncatedSeries(TRS, {k: c for k, c in g.terms()
                               if not (k[0] == k[1] == k[2] == 0 and k[3] != 0)})
     assert g.invert() * g == TruncatedSeries.one(TRS)
 
@@ -616,7 +616,7 @@ def test_flip_z_is_a_homomorphism(f, g):
 
 def assert_canonical(f):
     tr = f.trunc
-    for (eq, et, es, _), c in f._terms.items():
+    for (eq, et, es, _), c in f.terms():
         assert c != 0 and not (type(c) is Fraction and c.denominator == 1)
         assert eq <= tr.max_q and et <= tr.max_t and es <= tr.s_cap
     # the stored rows: sorted by key, none empty or with a zero end, over a
@@ -786,8 +786,8 @@ def assert_matches(method, oracle):
             method()
         return
     got = method()
-    assert got._terms == want
-    assert {k: type(c) for k, c in got._terms.items()} == {k: type(c) for k, c in want.items()}
+    assert dict(got.terms()) == want
+    assert {k: type(c) for k, c in got.terms()} == {k: type(c) for k, c in want.items()}
     assert got == TruncatedSeries(got.trunc, want)
     assert_canonical(got)
 
@@ -804,7 +804,7 @@ def test_row_methods_match_the_term_map(case, data):
     assert_matches(lambda: f - g, lambda: reference_add(f, g, -1))
     assert_matches(lambda: f.halve_z(), lambda: reference_halve_z(f))
     slices = f.z_slices()
-    assert {j: part._terms for j, part in slices.items()} == reference_z_slices(f)
+    assert {j: dict(part.terms()) for j, part in slices.items()} == reference_z_slices(f)
     for part in slices.values():
         assert_canonical(part)
     if data is None:
@@ -840,3 +840,161 @@ def test_a_negative_exponent_is_refused_above_a_cap():
                   lambda: TruncatedSeries(Truncation(2, 2, 1), {(0, 3, -1, 0): 1})):
         with pytest.raises(DomainError, match="negative exponent"):
             build()
+
+
+def test_bad_input_is_refused_before_the_cap_drop():
+    # every term is checked, the ones past a cap too: a float coefficient
+    # and a non-int exponent are refused wherever the monomial lies, and
+    # the shifts and binomials refuse a non-int exponent
+    tr = Truncation(8, 6)
+    f = TruncatedSeries.one(tr)
+    for build in (lambda: TruncatedSeries(tr, {(9, 0, 0, 0): 0.5}),
+                  lambda: TruncatedSeries.monomial(tr, 0.25, e_q=9),
+                  lambda: TruncatedSeries(tr, {(0, 7, 0, 0): Fraction(1, 2) + 0.5})):
+        with pytest.raises(DomainError, match="int or Fraction"):
+            build()
+    for build in (lambda: TruncatedSeries.monomial(tr, 1, e_q=1.0),
+                  lambda: TruncatedSeries(tr, {(9.0, 0, 0, 0): 1}),
+                  lambda: TruncatedSeries(tr, {(0, 0, 0, Fraction(1, 2)): 1}),
+                  lambda: f.shift(e_q=1.5),
+                  lambda: f.shift(e_z=1.0),
+                  lambda: f.mul_binomial(1, e_q=0.5),
+                  lambda: f.div_binomial(1, e_t=Fraction(1)),
+                  lambda: f.div_binomial(0, e_z=0.5)):
+        with pytest.raises(DomainError, match="exponents must be integers"):
+            build()
+
+
+# -- specialize against the term map -------------------------------------
+
+_VARS = {"q": 0, "t": 1, "s": 2, "z": 3}
+
+
+def reference_specialize(f, var, value):
+    """specialize in three branches over the term map: a frozen copy of
+    the method before it read the rows, kept as its oracle."""
+    if var not in _VARS:
+        raise DomainError(f"unknown variable {var!r}")
+    vi = _VARS[var]
+    terms = dict(f.terms())
+    if isinstance(value, str):
+        if var == "z" or value not in ("q", "t", "s"):
+            raise DomainError(f"unsupported substitution {var} -> {value}")
+        ti = _VARS[value]
+        if vi == ti:
+            return f
+        if f.trunc.cap(var) < f.trunc.cap(value):
+            raise TruncationOverflow(
+                f"substituting {var} -> {value} needs cap({var}) >= cap({value}); "
+                f"got {f.trunc}")
+        out = {}
+        cap_t = f.trunc.cap(value)
+        for key, c in terms.items():
+            e = key[vi]
+            new = list(key)
+            new[vi] = 0
+            new[ti] = key[ti] + e
+            if new[ti] > cap_t:
+                continue
+            k2 = tuple(new)
+            tot = out.get(k2, 0) + c
+            if tot == 0:
+                out.pop(k2, None)
+            else:
+                out[k2] = _norm(tot)
+        return TruncatedSeries(f.trunc, out)
+    val = Fraction(value)
+    if val == 0:
+        if var == "z":
+            raise DomainError("z may only be specialized to a nonzero rational")
+        return TruncatedSeries(f.trunc, {key: c for key, c in terms.items() if not key[vi]})
+    out = {}
+    for key, c in terms.items():
+        e = key[vi]
+        coeff = c * val ** e if e else c
+        new = list(key)
+        new[vi] = 0
+        k2 = tuple(new)
+        tot = out.get(k2, 0) + coeff
+        if tot == 0:
+            out.pop(k2, None)
+        else:
+            out[k2] = _norm(tot)
+    return TruncatedSeries(f.trunc, out)
+
+
+_nonzero_values = st.one_of(st.integers(-3, 3),
+                            st.fractions(min_value=-3, max_value=3, max_denominator=7),
+                            _reducible).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_cases(), _nonzero_values)
+@example((S({(1, 2, 0, -1): Fraction(1, 2), (2, 0, 0, 1): Fraction(3, 4), (0, 1, 0, 0): -2}),
+          S({})), Fraction(-2, 3))
+def test_specialize_matches_the_term_map(case, value):
+    # every variable, to 0, to a nonzero rational, to every variable and
+    # to itself, which returns the series; an error is the same error
+    f, g = case
+    for h in (f, f + g):
+        for var in ("q", "t", "s", "z", "x"):
+            for target in (0, value, "q", "t", "s", "z"):
+                try:
+                    want = reference_specialize(h, var, target)
+                except (DomainError, TruncationOverflow) as e:
+                    with pytest.raises(type(e)) as got:
+                        h.specialize(var, target)
+                    assert str(got.value) == str(e)
+                    continue
+                got = h.specialize(var, target)
+                assert got == want
+                assert_canonical(got)
+                if var == target:
+                    assert got is h
+
+
+# -- terms() and the constructor -------------------------------------------
+
+@st.composite
+def _term_maps(draw):
+    # a term map over one truncation with several terms in each of a few
+    # rows (t, s, z keys), exponents on and past the caps, zero and
+    # reducible coefficients
+    tr = draw(_truncations)
+    keys = draw(st.lists(st.tuples(st.integers(0, tr.max_t + 1), st.integers(0, tr.s_cap + 1),
+                                   st.integers(-3, 3)), min_size=1, max_size=4))
+    monos = st.tuples(st.integers(0, tr.max_q + 2), st.sampled_from(keys)).map(
+        lambda m: (m[0], *m[1]))
+    coeffs = st.one_of(st.just(0), st.integers(-3, 3), _reducible, _wide_fractions)
+    return tr, draw(st.dictionaries(monos, coeffs, max_size=24))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_term_maps())
+def test_terms_read_back_the_constructed_map(case):
+    # terms() gives the map cut to the caps, zeros dropped and integral
+    # Fractions stored as ints, keyed by Monomial in strictly increasing
+    # order; the constructor reads that map back to the same series
+    tr, d = case
+    want = {k: _norm(c) for k, c in d.items()
+            if c and k[0] <= tr.max_q and k[1] <= tr.max_t and k[2] <= tr.s_cap}
+    f = TruncatedSeries(tr, d)
+    got = list(f.terms())
+    assert dict(got) == want
+    assert [type(c) for _, c in got] == [type(want[m]) for m, _ in got]
+    keys = [m for m, _ in got]
+    assert all(type(m) is Monomial for m in keys)
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert len(got) == f.term_count()
+    assert TruncatedSeries(tr, dict(got)) == f
+
+
+@settings(max_examples=100, deadline=None)
+@given(_row_cases())
+def test_kernel_outputs_round_trip_through_terms(case):
+    f, g = case
+    for h in (f * g, f - g, TruncatedSeries.sum_of_products(f.trunc, [(f, g), (g, g)]),
+              f.mul_binomial(Fraction(1, 2), 1, 0, 0, 1)):
+        keys = [m for m, _ in h.terms()]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert TruncatedSeries(h.trunc, dict(h.terms())) == h
