@@ -14,10 +14,15 @@ Two deliberately separate backends:
 * identities among formal series evaluate in the truncated ring.
 
 Every denominator factor at a rational point is checked; a zero aborts
-with the factor named.  A sum or closed form at a point is evaluated
-fraction-free (`_fraction_free_sum`): each factor is a reduced Fraction,
-but the summands and the running sum are kept as plain integer
-numerator/denominator pairs, and each side reduces once, at the end.
+with the factor named.  Each Pochhammer value at a point is one read of
+the point's prefix tables, one per base, direction and kind: a product
+table multiplies by the next factor 1 - x, a reciprocal table divides
+by it and names the factor where 1 - x is 0.  Point values, bases and arguments
+are ints or Fractions; a float is refused.  A sum or closed form at a
+point is evaluated fraction-free (`_fraction_free_sum`): each factor is
+a reduced Fraction, but the summands and the running sum are kept as
+plain integer numerator/denominator pairs, and each side reduces once,
+at the end.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, PoleError
-from .qfunctions import (binom2, hermite, infinite_product, inv_poch, inv_qq, inv_tq,
+from .qfunctions import (_exact, binom2, hermite, infinite_product, inv_poch, inv_qq, inv_tq,
                          poch_finite, poch_infinite, poch_ratio, qbinomial)
 from .series import TruncatedSeries, Truncation
 
@@ -38,11 +43,13 @@ class RationalPoint:
 
     q must not be 0 or a root of unity, which for a rational q means
     +-1.  Other variables may be zero; an operation that needs their
-    inverse will raise a named PoleError.
+    inverse will raise a named PoleError.  Every value must be an int
+    or a Fraction.
 
     The point owns the prefix tables behind `poch_value` and
-    `inv_poch_value`, keyed by base and direction; they grow only as far
-    as a call needs and are freed with the point.
+    `inv_poch_value`, one per base, direction and kind (products or
+    reciprocals); they grow only as far as a call needs and are freed
+    with the point.
     """
 
     values: dict[str, Fraction]
@@ -50,7 +57,7 @@ class RationalPoint:
                                compare=False)
 
     def __post_init__(self):
-        self.values = {k: Fraction(v) for k, v in self.values.items()}
+        self.values = {k: Fraction(_exact(v)) for k, v in self.values.items()}
         q = self.values.get("q")
         if q is None:
             raise DomainError("a rational point must assign q")
@@ -73,78 +80,65 @@ class RationalPoint:
     def describe(self) -> dict:
         return {k: f"{v.numerator}/{v.denominator}" for k, v in sorted(self.values.items())}
 
-    def _prefix_table(self, a: Fraction, n: int) -> "_PrefixTable":
-        """The table whose entry |n| is (a;q)_n for n >= 0 and, for n < 0,
-        the product (1 - a q^-1)(1 - a q^-2)...(1 - a q^n) = (a q^n;q)_{-n}."""
-        # int parts hash in C; hashing the Fraction itself runs Python code
-        key = (a.numerator, a.denominator, n >= 0)
+    def _prefix_table(self, a: Fraction, n: int, divide: bool) -> "_PrefixTable":
+        """The table of base a whose entry |n| is (a;q)_n for n >= 0 and,
+        for n < 0, (1 - a q^-1)(1 - a q^-2)...(1 - a q^n) = (a q^n;q)_{-n},
+        or the reciprocal of that entry if divide.  n is checked at every
+        read, a only when its table is built."""
+        if type(n) is not int:
+            raise DomainError(f"a Pochhammer index must be an int, got {n!r}")
+        try:    # int parts hash in C; hashing the Fraction itself runs Python code
+            key = (a.numerator, a.denominator, n >= 0, divide)
+        except AttributeError:      # a float has none: refused below
+            key = None
         table = self._poch_tables.get(key)
         if table is None:
-            q = self.values["q"]
-            table = self._poch_tables[key] = (
-                _PrefixTable(a, q) if n >= 0 else _PrefixTable(a / q, 1 / q))
+            table = self._poch_tables[key] = _PrefixTable(_exact(a), self.values["q"],
+                                                          n >= 0, divide)
         return table
-
-    def _prefix_reciprocal(self, a: Fraction, n: int) -> Fraction:
-        """The reciprocal of entry |n| of the table for a and n, computed
-        once; a zero entry raises the PoleError naming its factor."""
-        table = self._prefix_table(a, n)
-        m = abs(n)
-        value = table.upto(m)
-        inverse = table.reciprocals[m]
-        if inverse is None:
-            if value == 0:
-                raise _pole(a, n, self)
-            inverse = table.reciprocals[m] = 1 / value
-        return inverse
 
 
 class _PrefixTable:
-    """The prefix products 1, (1 - x), (1 - x)(1 - x r), ... of the
-    factors 1 - x r^k, extended only as far as a call needs, beside a
-    column of their reciprocals, each filled in when first asked for."""
+    """Prefixes of the factors 1 - a q^k of base a, k = 0, 1, ... going
+    up or k = -1, -2, ... going down: entry m is the product of the
+    first m factors, or its reciprocal if divide, one step (times or
+    divided by the next factor 1 - x) from entry m - 1.  Extended only
+    as far as a call needs.  A reciprocal table raises the PoleError
+    naming a zero factor and never grows past it, so the entries below
+    it are still served."""
 
-    __slots__ = ("products", "reciprocals", "x", "ratio")
+    __slots__ = ("entries", "a", "up", "divide", "x", "ratio")
 
-    def __init__(self, x: Fraction, ratio: Fraction):
-        self.products = [Fraction(1)]
-        self.reciprocals = [Fraction(1)]
-        self.x = x          # the next factor is 1 - x
-        self.ratio = ratio
+    def __init__(self, a: Fraction, q: Fraction, up: bool, divide: bool):
+        self.entries = [Fraction(1)]
+        self.a, self.up, self.divide = a, up, divide
+        self.x, self.ratio = (a, q) if up else (a / q, 1 / q)
 
     def upto(self, m: int) -> Fraction:
-        products = self.products
-        while len(products) <= m:
-            products.append(products[-1] * (1 - self.x))
-            self.reciprocals.append(None)
+        entries = self.entries
+        while len(entries) <= m:
+            factor = 1 - self.x
+            if not self.divide:
+                entries.append(entries[-1] * factor)
+            elif factor:
+                entries.append(entries[-1] / factor)
+            else:
+                k = len(entries)
+                raise PoleError(f"(1 - ({self.a}) * q^{k - 1})" if self.up
+                                else f"(1 - ({self.a}) * q^(-{k}))")
             self.x *= self.ratio
-        return products[m]
-
-
-def _pole(a: Fraction, n: int, point: RationalPoint) -> PoleError:
-    """The error naming the first vanishing factor of a product that
-    `RationalPoint._prefix_table` holds as zero."""
-    q = point["q"]
-    if n >= 0:
-        k = next(k for k in range(n) if 1 - a * q ** k == 0)
-        return PoleError(f"(1 - ({a}) * q^{k})")
-    j = next(j for j in range(1, -n + 1) if 1 - a * q ** (-j) == 0)
-    return PoleError(f"(1 - ({a}) * q^(-{j}))")
+        return entries[m]
 
 
 def poch_value(a: Fraction, n: int, point: RationalPoint) -> Fraction:
     """(a;q)_n at the point; negative n via (a;q)_{-m} = 1/(aq^{-m};q)_m."""
-    if n >= 0:
-        return point._prefix_table(a, n).upto(n)
-    return point._prefix_reciprocal(a, n)
+    return point._prefix_table(a, n, n < 0).upto(abs(n))
 
 
 def inv_poch_value(a: Fraction, n: int, point: RationalPoint) -> Fraction:
     """1/(a;q)_n at the point.  For negative n this is the polynomial
     (a q^{n};q)_{-n} (in particular exactly 0 when a = q and n < 0)."""
-    if n < 0:
-        return point._prefix_table(a, n).upto(-n)
-    return point._prefix_reciprocal(a, n)
+    return point._prefix_table(a, n, n >= 0).upto(abs(n))
 
 
 def _fraction_free_sum(summands) -> Fraction:
@@ -182,7 +176,7 @@ def phi_terminating(upper: list[Fraction], lower: list[Fraction], argument: Frac
     if q ** (-n) not in upper:
         raise DomainError(f"terminating series needs an upper parameter q^(-{n})")
     extra_power = 1 + len(lower) - len(upper)
-    argument = Fraction(argument)
+    argument = Fraction(_exact(argument))
     return _fraction_free_sum(
         (argument ** m,
          *(poch_value(a, m, point) for a in upper),
@@ -220,6 +214,7 @@ def classical_sides(name: str, point: RationalPoint, n: int) -> tuple[Fraction, 
     if name == "pfaff-saalschutz":
         a, b, c = point["a"], point["b"], point["c"]
         point.check_nonzero(c, "c")
+        point.check_nonzero(a * b, f"a*b with a={a}, b={b}")
         lhs = phi_terminating([a, b, q ** (-n)], [c, a * b * q ** (1 - n) / c], q, n, point)
         return lhs, _fraction_free_sum([(poch_value(c / a, n, point),
                                          poch_value(c / b, n, point),
@@ -227,6 +222,7 @@ def classical_sides(name: str, point: RationalPoint, n: int) -> tuple[Fraction, 
                                          inv_poch_value(c / (a * b), n, point))])
     if name == "chu-vandermonde-2":
         a, c = point["a"], point["c"]
+        point.check_nonzero(a, "a")
         lhs = phi_terminating([a, q ** (-n)], [c], q, n, point)
         return lhs, _fraction_free_sum([(a ** n, poch_value(c / a, n, point),
                                          inv_poch_value(c, n, point))])

@@ -684,8 +684,8 @@ class TruncatedSeries:
     def specialize(self, var: str, value) -> "TruncatedSeries":
         """Substitute a variable by a rational value or by another variable.
 
-        Rational values are allowed for q, t and s (including zero) and
-        for z when nonzero.  A variable target (e.g. t -> q) transfers
+        Rational values, ints or Fractions (a float is refused), are
+        allowed for q, t and s (including zero) and for z when nonzero.  A variable target (e.g. t -> q) transfers
         exponents; it requires cap(var) >= cap(target) so that the
         substitution descends to the quotient ring, and terms pushed
         beyond the target cap are reduced away.  Zero keeps the rows free
@@ -706,7 +706,7 @@ class TruncatedSeries:
                     f"got {self.trunc}")
             ti = _VAR_INDEX[value]
         else:
-            val, ti = Fraction(value), None
+            val, ti = Fraction(_exact(value)), None
             if val == 0:
                 if var == "z":
                     raise DomainError("z may only be specialized to a nonzero rational")

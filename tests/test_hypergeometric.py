@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import clear_caches
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbailey import cli
@@ -68,6 +68,24 @@ def test_rational_point_validation():
             hg.RationalPoint({"q": Fraction(q)})
         assert str(info.value) == text
     assert hg.RationalPoint({"q": Fraction(89, 97)})["q"] == Fraction(89, 97)
+    # a float would enter as its binary expansion: every point value,
+    # Pochhammer base and index and series argument is refused, before
+    # and after a table of an equal exact base is built
+    point = hg.RationalPoint({"q": Fraction(2, 3)})
+    q, half = point["q"], Fraction(1, 2)
+    for call in (lambda: hg.RationalPoint({"q": 0.1}),
+                 lambda: hg.RationalPoint({"q": Fraction(2, 3), "t": 0.5}),
+                 lambda: hg.poch_value(0.5, 2, point),
+                 lambda: hg.inv_poch_value(0.5, -2, point),
+                 lambda: hg.poch_value(half, 2.0, point),
+                 lambda: hg.inv_poch_value(half, Fraction(2), point),
+                 lambda: hg.phi_terminating([q ** -1], [], 0.5, 1, point)):
+        for _ in range(2):
+            with pytest.raises(DomainError, match="int"):
+                call()
+            for n in (3, -3):
+                hg.poch_value(half, n, point)
+                hg.inv_poch_value(half, n, point)
 
 
 def test_poch_value_negative_convention():
@@ -247,6 +265,19 @@ def test_pole_error_names_factor():
         (lambda: hg.inv_poch_value(Fraction(3, 2), 4, point), "(1 - (3/2) * q^1)"),
         (lambda: hg.s_sum(2, 2, point), "(1 - (3/2) * q^1)"),
     ]
+    # the closed forms divide by a (and by b): a zero is a named pole, so
+    # that run_at_random_points redraws the point
+    q, third = Fraction(2, 3), Fraction(1, 3)
+    cases += [
+        (lambda: hg.classical_sides("chu-vandermonde-2",
+                                    hg.RationalPoint({"q": q, "a": 0, "c": third}), 2), "a"),
+        (lambda: hg.classical_sides("pfaff-saalschutz",
+                                    hg.RationalPoint({"q": q, "a": 0, "b": third, "c": third}),
+                                    2), "a*b with a=0, b=1/3"),
+        (lambda: hg.classical_sides("pfaff-saalschutz",
+                                    hg.RationalPoint({"q": q, "a": third, "b": 0, "c": third}),
+                                    1), "a*b with a=1/3, b=0"),
+    ]
     for call, factor in cases:
         with pytest.raises(PoleError) as err:
             call()
@@ -295,6 +326,18 @@ def _outcome(fn, *args):
         return (type(err).__name__, str(err))
 
 
+# one pole base per direction, read past its pole, below it and past it
+# again, by both kinds in turn: the reciprocal table stops at the pole
+# and still serves the entries below it
+@example((Fraction(2, 3), [
+    (Fraction(9, 4), 5, True), (Fraction(9, 4), 4, False), (Fraction(9, 4), 2, True),
+    (Fraction(9, 4), 6, True), (Fraction(9, 4), 1, False), (Fraction(9, 4), 3, True),
+    (Fraction(8, 27), -5, False), (Fraction(8, 27), -4, True), (Fraction(8, 27), -2, False),
+    (Fraction(8, 27), -3, False), (Fraction(8, 27), -6, True), (Fraction(8, 27), -1, False)]))
+@example((Fraction(-3), [
+    (1, 2, True), (1, 0, True), (1, 3, False), (1, 1, True),
+    (Fraction(-3), -2, False), (Fraction(-3), 0, False), (Fraction(-3), -1, True),
+    (Fraction(-3), -1, False)]))
 @settings(max_examples=300, deadline=None)
 @given(_point_and_calls())
 def test_poch_values_match_reference_loops(case):
@@ -366,6 +409,7 @@ def reference_classical_sides(name, point, n):
     if name == "pfaff-saalschutz":
         a, b, c = point["a"], point["b"], point["c"]
         point.check_nonzero(c, "c")
+        point.check_nonzero(a * b, f"a*b with a={a}, b={b}")
         lhs = reference_phi_terminating([a, b, q ** (-n)], [c, a * b * q ** (1 - n) / c],
                                         q, n, point)
         return lhs, (hg.poch_value(c / a, n, point) * hg.poch_value(c / b, n, point)
@@ -373,6 +417,7 @@ def reference_classical_sides(name, point, n):
                      * hg.inv_poch_value(c / (a * b), n, point))
     if name == "chu-vandermonde-2":
         a, c = point["a"], point["c"]
+        point.check_nonzero(a, "a")
         lhs = reference_phi_terminating([a, q ** (-n)], [c], q, n, point)
         return lhs, a ** n * hg.poch_value(c / a, n, point) * hg.inv_poch_value(c, n, point)
     if name == "qbinomial-theorem":

@@ -845,12 +845,15 @@ def test_a_negative_exponent_is_refused_above_a_cap():
 def test_bad_input_is_refused_before_the_cap_drop():
     # every term is checked, the ones past a cap too: a float coefficient
     # and a non-int exponent are refused wherever the monomial lies, and
-    # the shifts and binomials refuse a non-int exponent
+    # the shifts and binomials refuse a non-int exponent; specialize
+    # refuses a float value, even 0.0
     tr = Truncation(8, 6)
     f = TruncatedSeries.one(tr)
     for build in (lambda: TruncatedSeries(tr, {(9, 0, 0, 0): 0.5}),
                   lambda: TruncatedSeries.monomial(tr, 0.25, e_q=9),
-                  lambda: TruncatedSeries(tr, {(0, 7, 0, 0): Fraction(1, 2) + 0.5})):
+                  lambda: TruncatedSeries(tr, {(0, 7, 0, 0): Fraction(1, 2) + 0.5}),
+                  lambda: f.specialize("z", 0.1),
+                  lambda: f.specialize("q", 0.0)):
         with pytest.raises(DomainError, match="int or Fraction"):
             build()
     for build in (lambda: TruncatedSeries.monomial(tr, 1, e_q=1.0),
