@@ -14,15 +14,19 @@ Two deliberately separate backends:
 * identities among formal series evaluate in the truncated ring.
 
 Every denominator factor at a rational point is checked; a zero aborts
-with the factor named.  Each Pochhammer value at a point is one read of
-the point's prefix tables, one per base, direction and kind: a product
-table multiplies by the next factor 1 - x, a reciprocal table divides
-by it and names the factor where 1 - x is 0.  Point values, bases and arguments
-are ints or Fractions; a float is refused.  A sum or closed form at a
-point is evaluated fraction-free (`_fraction_free_sum`): each factor is
-a reduced Fraction, but the summands and the running sum are kept as
-plain integer numerator/denominator pairs, and each side reduces once,
-at the end.
+with the factor named.  Point values, bases and arguments are ints or
+Fractions; a float is refused, and so is a summation bound that is not
+an int.  A point is evaluated fraction-free.  Each Pochhammer value is
+one read (`_poch_pair`) of the point's prefix tables, one per base,
+direction and kind, whose entries are unreduced int
+numerator/denominator pairs grown by int multiplications alone: a
+product table multiplies by the next factor 1 - x, a reciprocal table
+divides by it and names the factor where 1 - x is 0.  A sum or closed
+form (`_fraction_free_sum`) multiplies the pairs of each summand's
+factors, its powers of the parameters being int pairs too, keeps the
+running sum as one int pair, and reduces once, at the end.
+`poch_value` and `inv_poch_value` reduce the same table entry to a
+Fraction.
 """
 
 from __future__ import annotations
@@ -46,10 +50,9 @@ class RationalPoint:
     inverse will raise a named PoleError.  Every value must be an int
     or a Fraction.
 
-    The point owns the prefix tables behind `poch_value` and
-    `inv_poch_value`, one per base, direction and kind (products or
-    reciprocals); they grow only as far as a call needs and are freed
-    with the point.
+    The point owns the prefix tables behind `_poch_pair`, one per base,
+    direction and kind (products or reciprocals); they grow only as far
+    as a call needs and are freed with the point.
     """
 
     values: dict[str, Fraction]
@@ -80,20 +83,17 @@ class RationalPoint:
     def describe(self) -> dict:
         return {k: f"{v.numerator}/{v.denominator}" for k, v in sorted(self.values.items())}
 
-    def _prefix_table(self, a: Fraction, n: int, divide: bool) -> "_PrefixTable":
-        """The table of base a whose entry |n| is (a;q)_n for n >= 0 and,
-        for n < 0, (1 - a q^-1)(1 - a q^-2)...(1 - a q^n) = (a q^n;q)_{-n},
-        or the reciprocal of that entry if divide.  n is checked at every
-        read, a only when its table is built."""
+    def _prefix_table(self, a: tuple[int, int], n: int, divide: bool) -> "_PrefixTable":
+        """The table of base a (a reduced int pair) whose entry |n| is
+        (a;q)_n for n >= 0 and, for n < 0,
+        (1 - a q^-1)(1 - a q^-2)...(1 - a q^n) = (a q^n;q)_{-n}, or the
+        reciprocal of that entry if divide.  n is checked at every read."""
         if type(n) is not int:
             raise DomainError(f"a Pochhammer index must be an int, got {n!r}")
-        try:    # int parts hash in C; hashing the Fraction itself runs Python code
-            key = (a.numerator, a.denominator, n >= 0, divide)
-        except AttributeError:      # a float has none: refused below
-            key = None
+        key = (a, n >= 0, divide)
         table = self._poch_tables.get(key)
         if table is None:
-            table = self._poch_tables[key] = _PrefixTable(_exact(a), self.values["q"],
+            table = self._poch_tables[key] = _PrefixTable(a, _pair(self.values["q"]),
                                                           n >= 0, divide)
         return table
 
@@ -101,68 +101,116 @@ class RationalPoint:
 class _PrefixTable:
     """Prefixes of the factors 1 - a q^k of base a, k = 0, 1, ... going
     up or k = -1, -2, ... going down: entry m is the product of the
-    first m factors, or its reciprocal if divide, one step (times or
-    divided by the next factor 1 - x) from entry m - 1.  Extended only
-    as far as a call needs.  A reciprocal table raises the PoleError
-    naming a zero factor and never grows past it, so the entries below
-    it are still served."""
+    first m factors, or its reciprocal if divide, as an unreduced int
+    pair (numerator, denominator).  The running x = a q^k is an int
+    pair (xn, xd) that steps by one multiplication of each part, so
+    with 1 - x = (xd - xn)/xd a product step is (n (xd - xn), d xd) and
+    a reciprocal step (n xd, d (xd - xn)); nothing is reduced.
+    Extended only as far as a call needs.  A reciprocal table raises the
+    PoleError naming a zero factor (xn == xd) and never grows past it,
+    so the entries below it are still served."""
 
-    __slots__ = ("entries", "a", "up", "divide", "x", "ratio")
+    __slots__ = ("entries", "a", "up", "divide", "xn", "xd", "rn", "rd")
 
-    def __init__(self, a: Fraction, q: Fraction, up: bool, divide: bool):
-        self.entries = [Fraction(1)]
+    def __init__(self, a: tuple[int, int], q: tuple[int, int], up: bool, divide: bool):
+        self.entries = [(1, 1)]
         self.a, self.up, self.divide = a, up, divide
-        self.x, self.ratio = (a, q) if up else (a / q, 1 / q)
+        (an, ad), (qn, qd) = a, q
+        # x starts at a and steps by q going up, at a/q and by 1/q going down
+        self.xn, self.xd, self.rn, self.rd = (an, ad, qn, qd) if up else (an * qd, ad * qn, qd, qn)
 
-    def upto(self, m: int) -> Fraction:
+    def upto(self, m: int) -> tuple[int, int]:
         entries = self.entries
-        while len(entries) <= m:
-            factor = 1 - self.x
+        if m < len(entries):
+            return entries[m]
+        n, d = entries[-1]
+        xn, xd, rn, rd = self.xn, self.xd, self.rn, self.rd
+        for k in range(len(entries), m + 1):
             if not self.divide:
-                entries.append(entries[-1] * factor)
-            elif factor:
-                entries.append(entries[-1] / factor)
-            else:
-                k = len(entries)
-                raise PoleError(f"(1 - ({self.a}) * q^{k - 1})" if self.up
-                                else f"(1 - ({self.a}) * q^(-{k}))")
-            self.x *= self.ratio
+                n, d = n * (xd - xn), d * xd
+            elif xn != xd:
+                n, d = n * xd, d * (xd - xn)
+            else:       # x stays at the zero factor, so a later read meets it again
+                self.xn, self.xd = xn, xd
+                a = Fraction(*self.a)
+                raise PoleError(f"(1 - ({a}) * q^{k - 1})" if self.up
+                                else f"(1 - ({a}) * q^(-{k}))")
+            entries.append((n, d))
+            xn, xd = xn * rn, xd * rd
+        self.xn, self.xd = xn, xd
         return entries[m]
+
+
+def _pair(x) -> tuple[int, int]:
+    """The reduced int pair (numerator, denominator > 0) of an int or a
+    Fraction."""
+    x = _exact(x)
+    return x.numerator, x.denominator
+
+
+def _power(x: tuple[int, int], k: int) -> tuple[int, int]:
+    """The reduced int pair of x^k, x a reduced int pair (nonzero if k < 0)."""
+    n, d = x
+    if k < 0:
+        n, d, k = (d, n, -k) if n > 0 else (-d, -n, -k)
+    return n ** k, d ** k
+
+
+def _check_bounds(*bounds):
+    """Refuse a summation bound that is not an int before range() or a
+    Pochhammer index meets it."""
+    if not all(type(b) is int for b in bounds):
+        raise DomainError(f"summation bounds must be ints, got {bounds!r}")
+
+
+def _poch_pair(a: tuple[int, int], n: int, point: RationalPoint,
+               inverse: bool) -> tuple[int, int]:
+    """(a;q)_n at the point, or 1/(a;q)_n if inverse, as the unreduced
+    int pair of its table entry; a is a reduced int pair.  The one
+    reader of the prefix tables."""
+    return point._prefix_table(a, n, (n < 0) != inverse).upto(abs(n))
 
 
 def poch_value(a: Fraction, n: int, point: RationalPoint) -> Fraction:
     """(a;q)_n at the point; negative n via (a;q)_{-m} = 1/(aq^{-m};q)_m."""
-    return point._prefix_table(a, n, n < 0).upto(abs(n))
+    return Fraction(*_poch_pair(_pair(a), n, point, False))
 
 
 def inv_poch_value(a: Fraction, n: int, point: RationalPoint) -> Fraction:
     """1/(a;q)_n at the point.  For negative n this is the polynomial
     (a q^{n};q)_{-n} (in particular exactly 0 when a = q and n < 0)."""
-    return point._prefix_table(a, n, n >= 0).upto(abs(n))
+    return Fraction(*_poch_pair(_pair(a), n, point, True))
 
 
 def _fraction_free_sum(summands) -> Fraction:
-    """The sum of the products of each summand's factors (Fractions or
-    ints), fraction-free: a summand multiplies its factors' numerators
-    and denominators as ints, the running sum (num, den) adds it as
-    num*b + a*den over den*b, and one Fraction is built at the end.
-    Each summand's factors are taken in order as it is reached."""
+    """The sum of the products of each summand's factors, each an int
+    pair (numerator, denominator), fraction-free: a summand multiplies
+    its factors' numerators and denominators, the running sum (num, den)
+    adds it as num*b + a*den over den*b, and one Fraction is built at
+    the end.  Each summand's factors are taken in order as it is reached."""
     num, den = 0, 1
     for factors in summands:
         a = b = 1
-        for f in factors:
-            a *= f.numerator
-            b *= f.denominator
+        for n, d in factors:
+            a *= n
+            b *= d
         num, den = num * b + a * den, den * b
     return Fraction(num, den)
 
 
 def qbinomial_value(M: int, N: int, point: RationalPoint) -> Fraction:
+    _check_bounds(M, N)
     if N < 0 or N > M:
         return Fraction(0)
-    q = point["q"]
-    return _fraction_free_sum([(poch_value(q, M, point), inv_poch_value(q, N, point),
-                                inv_poch_value(q, M - N, point))])
+    q = _pair(point["q"])
+    return _fraction_free_sum([(_poch_pair(q, M, point, False), _poch_pair(q, N, point, True),
+                                _poch_pair(q, M - N, point, True))])
+
+
+def _gasper_rahman_factor(q: tuple[int, int], m: int, e: int) -> tuple[int, int]:
+    """((-1)^m q^binom(m,2))^e as a reduced int pair."""
+    num, den = _power(q, binom2(m) * e)
+    return (-num if m * e % 2 else num), den
 
 
 def phi_terminating(upper: list[Fraction], lower: list[Fraction], argument: Fraction,
@@ -172,17 +220,19 @@ def phi_terminating(upper: list[Fraction], lower: list[Fraction], argument: Frac
     carries ((-1)^m q^binom(m,2))^(1 + s - r).  At least one upper
     parameter must be q^(-n), n the termination index; a second one (a
     random point can draw it) ends the series at n all the same."""
+    _check_bounds(n)
     q = point["q"]
     if q ** (-n) not in upper:
         raise DomainError(f"terminating series needs an upper parameter q^(-{n})")
     extra_power = 1 + len(lower) - len(upper)
-    argument = Fraction(_exact(argument))
+    x, qp = _pair(argument), _pair(q)
+    upper, lower = [_pair(a) for a in upper], [_pair(b) for b in lower]
     return _fraction_free_sum(
-        (argument ** m,
-         *(poch_value(a, m, point) for a in upper),
-         inv_poch_value(q, m, point),
-         *(inv_poch_value(b, m, point) for b in lower),
-         ((-1) ** m * q ** binom2(m)) ** extra_power if extra_power else 1)
+        (_power(x, m),
+         *(_poch_pair(a, m, point, False) for a in upper),
+         _poch_pair(qp, m, point, True),
+         *(_poch_pair(b, m, point, True) for b in lower),
+         _gasper_rahman_factor(qp, m, extra_power))
         for m in range(n + 1))
 
 
@@ -191,17 +241,24 @@ def _vwp_sixphi5_sum(a: Fraction, b: Fraction, c: Fraction, n: int,
     # very-well-poised 6phi5; the half-power parameter pair enters only
     # through (1 - a q^(2m)) / (1 - a), so the sum stays rational
     q = point["q"]
-    one_minus_a = point.check_nonzero(1 - a, f"(1 - a) with a={a}")
+    point.check_nonzero(1 - a, f"(1 - a) with a={a}")
     arg = a * q ** (n + 1) / point.check_nonzero(b * c, f"b*c with b={b}, c={c}")
+    ap, bp, cp, qp, xp = (_pair(x) for x in (a, b, c, q, arg))
+    (an, ad), (qn, qd) = ap, qp
+    terminator, aqb, aqc, aqn = (_pair(x) for x in (q ** (-n), a * q / b, a * q / c,
+                                                   a * q ** (n + 1)))
+    # (1 - a q^(2m)) / (1 - a) = (ad qd^2m - an qn^2m) / (qd^2m (ad - an))
+    well_poised = [(ad * qd ** (2 * m) - an * qn ** (2 * m), qd ** (2 * m) * (ad - an))
+                   for m in range(n + 1)]
     return _fraction_free_sum(
-        (poch_value(a, m, point), (1 - a * q ** (2 * m)) / one_minus_a,
-         poch_value(b, m, point), poch_value(c, m, point),
-         poch_value(q ** (-n), m, point),
-         inv_poch_value(q, m, point),
-         inv_poch_value(a * q / b, m, point),
-         inv_poch_value(a * q / c, m, point),
-         inv_poch_value(a * q ** (n + 1), m, point),
-         arg ** m)
+        (_poch_pair(ap, m, point, False), well_poised[m],
+         _poch_pair(bp, m, point, False), _poch_pair(cp, m, point, False),
+         _poch_pair(terminator, m, point, False),
+         _poch_pair(qp, m, point, True),
+         _poch_pair(aqb, m, point, True),
+         _poch_pair(aqc, m, point, True),
+         _poch_pair(aqn, m, point, True),
+         _power(xp, m))
         for m in range(n + 1))
 
 
@@ -210,33 +267,35 @@ def classical_sides(name: str, point: RationalPoint, n: int) -> tuple[Fraction, 
     point: pfaff-saalschutz (3phi2), chu-vandermonde-2 (2phi1),
     qbinomial-theorem (1phi0) or sixphi5 (very-well-poised 6phi5), each
     terminating at n."""
+    _check_bounds(n)
     q = point["q"]
     if name == "pfaff-saalschutz":
         a, b, c = point["a"], point["b"], point["c"]
         point.check_nonzero(c, "c")
         point.check_nonzero(a * b, f"a*b with a={a}, b={b}")
         lhs = phi_terminating([a, b, q ** (-n)], [c, a * b * q ** (1 - n) / c], q, n, point)
-        return lhs, _fraction_free_sum([(poch_value(c / a, n, point),
-                                         poch_value(c / b, n, point),
-                                         inv_poch_value(c, n, point),
-                                         inv_poch_value(c / (a * b), n, point))])
+        return lhs, _fraction_free_sum([(_poch_pair(_pair(c / a), n, point, False),
+                                         _poch_pair(_pair(c / b), n, point, False),
+                                         _poch_pair(_pair(c), n, point, True),
+                                         _poch_pair(_pair(c / (a * b)), n, point, True))])
     if name == "chu-vandermonde-2":
         a, c = point["a"], point["c"]
         point.check_nonzero(a, "a")
         lhs = phi_terminating([a, q ** (-n)], [c], q, n, point)
-        return lhs, _fraction_free_sum([(a ** n, poch_value(c / a, n, point),
-                                         inv_poch_value(c, n, point))])
+        return lhs, _fraction_free_sum([(_power(_pair(a), n),
+                                         _poch_pair(_pair(c / a), n, point, False),
+                                         _poch_pair(_pair(c), n, point, True))])
     if name == "qbinomial-theorem":
         z = point["z"]
         return (phi_terminating([q ** (-n)], [], z, n, point),
-                poch_value(z * q ** (-n), n, point))
+                _fraction_free_sum([(_poch_pair(_pair(z * q ** (-n)), n, point, False),)]))
     if name == "sixphi5":
         a, b, c = point["a"], point["b"], point["c"]
         lhs = _vwp_sixphi5_sum(a, b, c, n, point)
-        return lhs, _fraction_free_sum([(poch_value(a * q, n, point),
-                                         poch_value(a * q / (b * c), n, point),
-                                         inv_poch_value(a * q / b, n, point),
-                                         inv_poch_value(a * q / c, n, point))])
+        return lhs, _fraction_free_sum([(_poch_pair(_pair(a * q), n, point, False),
+                                         _poch_pair(_pair(a * q / (b * c)), n, point, False),
+                                         _poch_pair(_pair(a * q / b), n, point, True),
+                                         _poch_pair(_pair(a * q / c), n, point, True))])
     raise DomainError(f"unknown classical identity {name!r}")
 
 
@@ -262,39 +321,47 @@ def heine1_sides(a: Fraction, trunc: Truncation) -> tuple[TruncatedSeries, Trunc
 # -- the S_{d,n} layer ------------------------------------------------
 
 
+def _q_t_pairs(point: RationalPoint) -> tuple[tuple[int, int], ...]:
+    """The int pairs of q, t and 1/t at the point; t = 0 is a named pole."""
+    t = point.check_nonzero(point["t"], "t")
+    return _pair(point["q"]), _pair(t), _pair(1 / t)
+
+
 def s_sum(d: int, n: int, point: RationalPoint) -> Fraction:
     """Defining sum S_{d,n} = sum_{j=0}^{2n} (t;q)_j (t;q)_{2n-j}
     (1/t;q)_{j+d} t^{j+d} / ((q;q)_j (q;q)_{2n-j} (t;q)_{j+d})."""
-    q, t = point["q"], point["t"]
-    ti = 1 / point.check_nonzero(t, "t")
+    _check_bounds(d, n)
+    q, t, ti = _q_t_pairs(point)
     return _fraction_free_sum(
-        (poch_value(t, j, point), poch_value(t, 2 * n - j, point),
-         poch_value(ti, j + d, point), t ** (j + d),
-         inv_poch_value(q, j, point),
-         inv_poch_value(q, 2 * n - j, point),
-         inv_poch_value(t, j + d, point))
+        (_poch_pair(t, j, point, False), _poch_pair(t, 2 * n - j, point, False),
+         _poch_pair(ti, j + d, point, False), _power(t, j + d),
+         _poch_pair(q, j, point, True),
+         _poch_pair(q, 2 * n - j, point, True),
+         _poch_pair(t, j + d, point, True))
         for j in range(2 * n + 1))
 
 
 def s_closed(d: int, n: int, point: RationalPoint) -> Fraction:
     """Closed form (t^2;q)_{2n} (q^d;q)_{2n} (1/t;q)_d t^d /
     ((q;q)_{2n} (t;q)_{2n+d})."""
-    q, t = point["q"], point["t"]
-    ti = 1 / point.check_nonzero(t, "t")
-    return _fraction_free_sum([(poch_value(t * t, 2 * n, point),
-                                poch_value(q ** d, 2 * n, point),
-                                poch_value(ti, d, point), t ** d,
-                                inv_poch_value(q, 2 * n, point),
-                                inv_poch_value(t, 2 * n + d, point))])
+    _check_bounds(d, n)
+    q, t, ti = _q_t_pairs(point)
+    return _fraction_free_sum([(_poch_pair(_power(t, 2), 2 * n, point, False),
+                                _poch_pair(_power(q, d), 2 * n, point, False),
+                                _poch_pair(ti, d, point, False), _power(t, d),
+                                _poch_pair(q, 2 * n, point, True),
+                                _poch_pair(t, 2 * n + d, point, True))])
 
 
 def s_symmetry_sides(l: int, n: int, point: RationalPoint) -> tuple[Fraction, Fraction]:
     """Both sides of the pairing identity
     sum_j [2l,j]_q S_{j-l-n,n} = -sum_j [2l,j]_q S_{j-l-n+1,n}."""
-    lhs = _fraction_free_sum((qbinomial_value(2 * l, j, point), s_sum(j - l - n, n, point))
+    _check_bounds(l, n)
+    lhs = _fraction_free_sum((_pair(qbinomial_value(2 * l, j, point)),
+                              _pair(s_sum(j - l - n, n, point)))
                              for j in range(2 * l + 1))
-    rhs = -_fraction_free_sum((qbinomial_value(2 * l, j, point),
-                               s_sum(j - l - n + 1, n, point))
+    rhs = -_fraction_free_sum((_pair(qbinomial_value(2 * l, j, point)),
+                               _pair(s_sum(j - l - n + 1, n, point)))
                               for j in range(2 * l + 1))
     return lhs, rhs
 
@@ -309,17 +376,19 @@ def expansion_coeff_sides(l: int, n: int, point: RationalPoint) -> tuple[Fractio
                    ((q;q)_j (q;q)_{2l-j} (t;q)_{j-l+n})
       = t^{2l} / ((q;q)_{l-n} (tq;q)_{l+n}),
     both sides exactly zero when l < n."""
-    q, t = point["q"], point["t"]
-    ti = 1 / point.check_nonzero(t, "t")
+    _check_bounds(l, n)
+    q, t, ti = _q_t_pairs(point)
+    tq = _pair(point["t"] * point["q"])
+    q_powers = [_power(q, j - l - n) for j in range(2 * l + 1)]
     lhs = _fraction_free_sum(
-        (poch_value(q ** (j - l - n), 2 * n, point),
-         poch_value(ti, j - l - n, point), t ** j,
-         inv_poch_value(q, j, point),
-         inv_poch_value(q, 2 * l - j, point),
-         inv_poch_value(t, j - l + n, point))
+        (_poch_pair(q_powers[j], 2 * n, point, False),
+         _poch_pair(ti, j - l - n, point, False), _power(t, j),
+         _poch_pair(q, j, point, True),
+         _poch_pair(q, 2 * l - j, point, True),
+         _poch_pair(t, j - l + n, point, True))
         for j in range(2 * l + 1))
-    rhs = _fraction_free_sum([(t ** (2 * l), inv_poch_value(q, l - n, point),
-                               inv_poch_value(t * q, l + n, point))])
+    rhs = _fraction_free_sum([(_power(t, 2 * l), _poch_pair(q, l - n, point, True),
+                               _poch_pair(tq, l + n, point, True))])
     return lhs, rhs
 
 
@@ -330,24 +399,27 @@ def wp_expansion_coeff_sides(l: int, n: int,
                    ((q;q)_j (q;q)_{2l-j} (t;q)_{j-l+n})
       = (s/t;q)_{l-n} (s;q)_{l+n} t^{2l} / ((q;q)_{l-n} (tq;q)_{l+n});
     at s = 0 it reduces to the unweighted sum."""
-    q, t, s = point["q"], point["t"], point["s"]
-    ti = 1 / point.check_nonzero(t, "t")
+    _check_bounds(l, n)
+    s = point["s"]
+    q, t, ti = _q_t_pairs(point)
+    tq, st, s = _pair(point["t"] * point["q"]), _pair(s / point["t"]), _pair(s)
+    q_powers = [_power(q, j - l - n) for j in range(2 * l + 1)]
     lhs = _fraction_free_sum(
-        (poch_value(s, j, point), poch_value(s, 2 * l - j, point),
-         poch_value(q ** (j - l - n), 2 * n, point),
-         poch_value(ti, j - l - n, point), t ** j,
-         inv_poch_value(q, j, point),
-         inv_poch_value(q, 2 * l - j, point),
-         inv_poch_value(t, j - l + n, point))
+        (_poch_pair(s, j, point, False), _poch_pair(s, 2 * l - j, point, False),
+         _poch_pair(q_powers[j], 2 * n, point, False),
+         _poch_pair(ti, j - l - n, point, False), _power(t, j),
+         _poch_pair(q, j, point, True),
+         _poch_pair(q, 2 * l - j, point, True),
+         _poch_pair(t, j - l + n, point, True))
         for j in range(2 * l + 1))
     # evaluate the vanishing factor first so that l < n cannot hit the
     # negative-index (s/t;q) factor behind an exact zero
-    inv_qq_part = inv_poch_value(q, l - n, point)
-    if inv_qq_part == 0:
+    inv_qq_part = _poch_pair(q, l - n, point, True)
+    if not inv_qq_part[0]:
         return lhs, Fraction(0)
-    rhs = _fraction_free_sum([(poch_value(s * ti, l - n, point),
-                               poch_value(s, l + n, point), t ** (2 * l), inv_qq_part,
-                               inv_poch_value(t * q, l + n, point))])
+    rhs = _fraction_free_sum([(_poch_pair(st, l - n, point, False),
+                               _poch_pair(s, l + n, point, False), _power(t, 2 * l),
+                               inv_qq_part, _poch_pair(tq, l + n, point, True))])
     return lhs, rhs
 
 

@@ -13,7 +13,8 @@ rows are kept sorted by key, no row is empty, and the denominator is
 positive and coprime to the gcd of all numerators (the zero series has
 no rows and denominator 1), so this form is canonical and equality is a
 structural comparison.  No other form is kept: `terms()` alone turns
-rows into terms, and the checked constructor alone turns terms into rows.
+rows into terms (the error and debug preview reads its few straight from
+the rows), and the checked constructor alone turns terms into rows.
 
 A monomial is the exponent tuple (e_q, e_t, e_s, e_z); the canonical
 total order on monomials is the lexicographic order on that tuple, and
@@ -22,6 +23,7 @@ every iteration, rendering and mismatch report uses it.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 from bisect import bisect_left
@@ -741,8 +743,16 @@ class TruncatedSeries:
         return " + ".join(parts)
 
     def _preview(self, limit: int = 4) -> str:
+        """The canonically first `limit` terms, read from a few numerators
+        of each row: the rows are sorted by (e_t, e_s, e_z), so a row
+        holds none of those terms past its first `limit` nonzero ones."""
+        den = self._den
+        firsts = heapq.nsmallest(limit, chain.from_iterable(
+            islice(((q, t, s, z, n) for q, n in enumerate(nums, first) if n), limit)
+            for (t, s, z), first, nums in self._rows))
         shown = " + ".join(
-            f"{c}*q^{k[0]}t^{k[1]}s^{k[2]}z^{k[3]}" for k, c in islice(self.terms(), limit))
+            f"{n if den == 1 else _norm(Fraction(n, den))}*q^{q}t^{t}s^{s}z^{z}"
+            for q, t, s, z, n in firsts)
         more = "" if self.term_count() <= limit else " + ..."
         return (shown or "0") + more
 

@@ -72,26 +72,33 @@ def test_verify_determinism_modulo_wall_time(capsys):
 
 
 def test_rational_points_match_reference_loops(capsys, monkeypatch):
-    # every rational-point report must come out the same when poch_value
-    # and inv_poch_value are the frozen factor-by-factor loops instead.
-    # Every factor must reach them: live, each call through the module's
-    # names is one prefix-table lookup; swapped, no table is read and the
-    # loops run as often as the live functions did.  A sum that bypassed
-    # the names would otherwise pass vacuously.
+    # every rational-point report must come out the same when the pair
+    # reader behind every Pochhammer factor is the frozen
+    # factor-by-factor loops instead.  Every factor must reach them:
+    # live, each read is one prefix-table lookup; swapped, no table is
+    # read and the loops run as often as the live reader did, for each
+    # kind.  A sum that bypassed the reader would otherwise pass
+    # vacuously.
     prefix_table = hg.RationalPoint._prefix_table
 
-    def counted(fn, calls, name):
-        def call(*args):
-            calls[name] += 1
-            return fn(*args)
-        return call
+    def frozen_pair(a, n, point, inverse):
+        ref = reference_inv_poch_value if inverse else reference_poch_value
+        value = ref(Fraction(*a), n, point)
+        return value.numerator, value.denominator
 
-    def outputs(poch, inv_poch):
+    def outputs(pair_reader):
         calls = Counter()
-        monkeypatch.setattr(hg, "poch_value", counted(poch, calls, "poch_value"))
-        monkeypatch.setattr(hg, "inv_poch_value", counted(inv_poch, calls, "inv_poch_value"))
-        monkeypatch.setattr(hg.RationalPoint, "_prefix_table",
-                            counted(prefix_table, calls, "table lookup"))
+
+        def read(a, n, point, inverse):
+            calls["inverse" if inverse else "product"] += 1
+            return pair_reader(a, n, point, inverse)
+
+        def lookup(*args):
+            calls["table lookup"] += 1
+            return prefix_table(*args)
+
+        monkeypatch.setattr(hg, "_poch_pair", read)
+        monkeypatch.setattr(hg.RationalPoint, "_prefix_table", lookup)
         out = []
         for identity in ("lemma-b1", "appx-c"):
             code, text, _ = run(capsys, ["verify", identity, "--lmax", "3",
@@ -113,15 +120,15 @@ def test_rational_points_match_reference_loops(capsys, monkeypatch):
         out += [[str(lhs), str(rhs)] for lhs, rhs in sides]
         return json.dumps(out, sort_keys=True), calls
 
-    tables, live_calls = outputs(hg.poch_value, hg.inv_poch_value)
+    tables, live_calls = outputs(hg._poch_pair)
     assert '"fail"' not in tables
-    oracle_tables, oracle_calls = outputs(reference_poch_value, reference_inv_poch_value)
+    oracle_tables, oracle_calls = outputs(frozen_pair)
     assert oracle_tables == tables
-    assert live_calls["poch_value"] > 0 and live_calls["inv_poch_value"] > 0
-    assert live_calls["table lookup"] == live_calls["poch_value"] + live_calls["inv_poch_value"]
+    assert live_calls["product"] > 0 and live_calls["inverse"] > 0
+    assert live_calls["table lookup"] == live_calls["product"] + live_calls["inverse"]
     assert oracle_calls["table lookup"] == 0
-    assert oracle_calls["poch_value"] == live_calls["poch_value"]
-    assert oracle_calls["inv_poch_value"] == live_calls["inv_poch_value"]
+    assert oracle_calls["product"] == live_calls["product"]
+    assert oracle_calls["inverse"] == live_calls["inverse"]
 
 
 def test_verify_seed_recorded_without_flag(capsys):

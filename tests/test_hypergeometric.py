@@ -338,16 +338,61 @@ def _outcome(fn, *args):
     (1, 2, True), (1, 0, True), (1, 3, False), (1, 1, True),
     (Fraction(-3), -2, False), (Fraction(-3), 0, False), (Fraction(-3), -1, True),
     (Fraction(-3), -1, False)]))
+# bases whose table pairs stay unreduced, in both directions (at q = 2/3,
+# 4/9 = q^2 meets its pole going down and 3/2 = q^-1 going up), and a
+# negative q with a pole base per direction read past its pole, below
+# it and past it again
+@example((Fraction(2, 3), [
+    (Fraction(4, 9), 4, False), (Fraction(4, 9), 5, True), (Fraction(4, 9), -4, False),
+    (Fraction(4, 9), -3, True), (Fraction(4, 9), -1, False),
+    (Fraction(3, 2), 3, False), (Fraction(3, 2), 4, True), (Fraction(3, 2), -5, False),
+    (Fraction(3, 2), -4, True), (Fraction(3, 2), 1, True)]))
+@example((Fraction(-3, 2), [
+    (Fraction(4, 9), 3, True), (Fraction(4, 9), 1, True), (Fraction(4, 9), 5, True),
+    (Fraction(4, 9), 4, False), (Fraction(9, 4), -3, False), (Fraction(9, 4), -1, False),
+    (Fraction(9, 4), -4, False), (Fraction(9, 4), -2, True),
+    (Fraction(5, 7), 6, False), (Fraction(5, 7), -6, True)]))
 @settings(max_examples=300, deadline=None)
 @given(_point_and_calls())
 def test_poch_values_match_reference_loops(case):
+    # the public readers and the pair reader behind every sum's factors
+    # read one set of tables; each agrees with the frozen loops, value
+    # and named pole alike
     q, calls = case
     point = hg.RationalPoint({"q": q})
     oracle_point = hg.RationalPoint({"q": q})
+
+    def pair_value(a, n, point, inverse):
+        return Fraction(*hg._poch_pair((a.numerator, a.denominator), n, point, inverse))
+
     for a, n, inverse in calls:
         fn, ref = ((hg.inv_poch_value, reference_inv_poch_value) if inverse
                    else (hg.poch_value, reference_poch_value))
-        assert _outcome(fn, a, n, point) == _outcome(ref, a, n, oracle_point)
+        want = _outcome(ref, a, n, oracle_point)
+        assert _outcome(pair_value, a, n, point, inverse) == want
+        assert _outcome(fn, a, n, point) == want
+
+
+def test_summation_bounds_must_be_ints():
+    # a float bound used to reach range() as a bare TypeError, or to be
+    # named as a missing upper parameter q^(-2.0)
+    point = hg.RationalPoint({"q": Fraction(2, 3), "t": Fraction(3, 5), "s": Fraction(5, 7),
+                              "a": Fraction(3, 5), "b": Fraction(5, 7), "c": Fraction(7, 11),
+                              "z": Fraction(4, 9)})
+    q = point["q"]
+    calls = [lambda: hg.expansion_coeff_sides(1.0, 1, point),
+             lambda: hg.wp_expansion_coeff_sides(1, Fraction(1), point),
+             lambda: hg.s_sum(1, 1.0, point),
+             lambda: hg.s_closed(1.0, 1, point),
+             lambda: hg.s_symmetry_sides(1.0, 1, point),
+             lambda: hg.qbinomial_value(4, 2.0, point),
+             lambda: hg.phi_terminating([q ** -2], [], q, 2.0, point)]
+    calls += [lambda name=name: hg.classical_sides(name, point, 2.0)
+              for name in ("pfaff-saalschutz", "chu-vandermonde-2", "qbinomial-theorem",
+                           "sixphi5")]
+    for call in calls:
+        with pytest.raises(DomainError, match="summation bounds must be ints"):
+            call()
 
 
 # -- frozen Fraction-loop evaluators: the oracles of the fraction-free sums

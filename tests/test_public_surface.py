@@ -11,12 +11,16 @@ import qbailey
 SRC = pathlib.Path(qbailey.__file__).parent
 
 # Public names no src/qbailey module calls: the API shown in README
-# "Library use", the per-representation builders the CLI looks up by
-# name (macdonald.REPRESENTATIONS), and the test oracle `invert`, kept
-# while perfbench/tracer.py wraps it.  A name the package reads needs no
+# "Library use" (the sums read Pochhammer values as int pairs, so the
+# reduced-Fraction readers `poch_value` and `inv_poch_value` are library
+# API only), the per-representation builders the CLI looks up by name
+# (macdonald.REPRESENTATIONS), and the test oracle `invert`, kept while
+# perfbench/tracer.py wraps it.  A name the package reads needs no
 # entry, and test_library_api_is_unreferenced keeps it out.
 LIBRARY_API = frozenset({
     "bailey.verify_bailey_pair",
+    "hypergeometric.inv_poch_value",
+    "hypergeometric.poch_value",
     "macdonald.bosonic_index",
     "macdonald.fermionic2_index",
     "macdonald.original_index",

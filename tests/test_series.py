@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -1001,3 +1002,30 @@ def test_kernel_outputs_round_trip_through_terms(case):
         keys = [m for m, _ in h.terms()]
         assert all(a < b for a, b in zip(keys, keys[1:]))
         assert TruncatedSeries(h.trunc, dict(h.terms())) == h
+
+
+def _first_terms_text(f):
+    """The preview as the first four terms of terms() give it."""
+    shown = " + ".join(f"{c}*q^{k[0]}t^{k[1]}s^{k[2]}z^{k[3]}" for k, c in islice(f.terms(), 4))
+    return (shown or "0") + (" + ..." if f.term_count() > 4 else "")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_term_maps())
+@example((Truncation(6, 2), {(q, t, 0, z): Fraction(q + 1, 2 + t) for q in range(6)
+                             for t in range(2) for z in (-1, 1)}))
+def test_preview_reads_the_first_terms_from_the_rows(case):
+    # repr and the NonInvertible messages show the canonically first
+    # four terms, read from a few numerators per row, never from terms()
+    tr, d = case
+    f = TruncatedSeries(tr, d)
+    assert repr(f) == f"TruncatedSeries({tr}, {_first_terms_text(f)})"
+    g = f - TruncatedSeries.monomial(tr, f.coefficient((0, 0, 0, 0)))
+    with pytest.raises(NonInvertible) as err:
+        g.invert()
+    assert str(err.value) == f"series has zero constant term: {_first_terms_text(g)}"
+    h = g + one(tr) + TruncatedSeries.monomial(tr, Fraction(1, 3), e_z=5)
+    with pytest.raises(NonInvertible) as err:
+        h.invert()
+    assert str(err.value) == ("series has a z-only term of (q,t,s)-degree zero and is "
+                              f"not a unit: {_first_terms_text(h)}")
