@@ -17,15 +17,15 @@ Every denominator factor at a rational point is checked; a zero aborts
 with the factor named.  Point values, bases and arguments are ints or
 Fractions; a float is refused, and so is a summation bound that is not
 an int.  A point is evaluated fraction-free.  Each Pochhammer value is
-one read (`_poch_pair`) of the point's prefix tables, one per base,
-direction and kind, whose entries are unreduced int
-numerator/denominator pairs grown by int multiplications alone: a
-product table multiplies by the next factor 1 - x, a reciprocal table
-divides by it and names the factor where 1 - x is 0.  A sum or closed
-form (`_fraction_free_sum`) multiplies the pairs of each summand's
-factors, its powers of the parameters being int pairs too, keeps the
-running sum as one int pair, and reduces once, at the end.
-`poch_value` and `inv_poch_value` reduce the same table entry to a
+one read (`_poch_pair`) of the point's prefix table for its base and
+direction, whose entries are reduced int numerator/denominator pairs
+of the products of the factors 1 - x; a reciprocal is the same entry
+with its pair swapped, and a zero numerator there is a pole, named by
+its factor.  A sum or closed form (`_fraction_free_sum`) multiplies the
+pairs of each summand's factors, its powers of the parameters being int
+pairs too, keeps the running sum as one int pair over the least common
+multiple of the denominators so far, and builds one Fraction at the
+end.  `poch_value` and `inv_poch_value` reduce the same pair to a
 Fraction.
 """
 
@@ -34,6 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .errors import DomainError, PoleError
 from .qfunctions import (_exact, binom2, hermite, infinite_product, inv_poch, inv_qq, inv_tq,
@@ -50,9 +51,9 @@ class RationalPoint:
     inverse will raise a named PoleError.  Every value must be an int
     or a Fraction.
 
-    The point owns the prefix tables behind `_poch_pair`, one per base,
-    direction and kind (products or reciprocals); they grow only as far
-    as a call needs and are freed with the point.
+    The point owns the prefix tables behind `_poch_pair`, one plain
+    list of reduced int pairs per base and direction; they grow only as
+    far as a call needs and are freed with the point.
     """
 
     values: dict[str, Fraction]
@@ -83,63 +84,6 @@ class RationalPoint:
     def describe(self) -> dict:
         return {k: f"{v.numerator}/{v.denominator}" for k, v in sorted(self.values.items())}
 
-    def _prefix_table(self, a: tuple[int, int], n: int, divide: bool) -> "_PrefixTable":
-        """The table of base a (a reduced int pair) whose entry |n| is
-        (a;q)_n for n >= 0 and, for n < 0,
-        (1 - a q^-1)(1 - a q^-2)...(1 - a q^n) = (a q^n;q)_{-n}, or the
-        reciprocal of that entry if divide.  n is checked at every read."""
-        if type(n) is not int:
-            raise DomainError(f"a Pochhammer index must be an int, got {n!r}")
-        key = (a, n >= 0, divide)
-        table = self._poch_tables.get(key)
-        if table is None:
-            table = self._poch_tables[key] = _PrefixTable(a, _pair(self.values["q"]),
-                                                          n >= 0, divide)
-        return table
-
-
-class _PrefixTable:
-    """Prefixes of the factors 1 - a q^k of base a, k = 0, 1, ... going
-    up or k = -1, -2, ... going down: entry m is the product of the
-    first m factors, or its reciprocal if divide, as an unreduced int
-    pair (numerator, denominator).  The running x = a q^k is an int
-    pair (xn, xd) that steps by one multiplication of each part, so
-    with 1 - x = (xd - xn)/xd a product step is (n (xd - xn), d xd) and
-    a reciprocal step (n xd, d (xd - xn)); nothing is reduced.
-    Extended only as far as a call needs.  A reciprocal table raises the
-    PoleError naming a zero factor (xn == xd) and never grows past it,
-    so the entries below it are still served."""
-
-    __slots__ = ("entries", "a", "up", "divide", "xn", "xd", "rn", "rd")
-
-    def __init__(self, a: tuple[int, int], q: tuple[int, int], up: bool, divide: bool):
-        self.entries = [(1, 1)]
-        self.a, self.up, self.divide = a, up, divide
-        (an, ad), (qn, qd) = a, q
-        # x starts at a and steps by q going up, at a/q and by 1/q going down
-        self.xn, self.xd, self.rn, self.rd = (an, ad, qn, qd) if up else (an * qd, ad * qn, qd, qn)
-
-    def upto(self, m: int) -> tuple[int, int]:
-        entries = self.entries
-        if m < len(entries):
-            return entries[m]
-        n, d = entries[-1]
-        xn, xd, rn, rd = self.xn, self.xd, self.rn, self.rd
-        for k in range(len(entries), m + 1):
-            if not self.divide:
-                n, d = n * (xd - xn), d * xd
-            elif xn != xd:
-                n, d = n * xd, d * (xd - xn)
-            else:       # x stays at the zero factor, so a later read meets it again
-                self.xn, self.xd = xn, xd
-                a = Fraction(*self.a)
-                raise PoleError(f"(1 - ({a}) * q^{k - 1})" if self.up
-                                else f"(1 - ({a}) * q^(-{k}))")
-            entries.append((n, d))
-            xn, xd = xn * rn, xd * rd
-        self.xn, self.xd = xn, xd
-        return entries[m]
-
 
 def _pair(x) -> tuple[int, int]:
     """The reduced int pair (numerator, denominator > 0) of an int or a
@@ -165,10 +109,47 @@ def _check_bounds(*bounds):
 
 def _poch_pair(a: tuple[int, int], n: int, point: RationalPoint,
                inverse: bool) -> tuple[int, int]:
-    """(a;q)_n at the point, or 1/(a;q)_n if inverse, as the unreduced
-    int pair of its table entry; a is a reduced int pair.  The one
-    reader of the prefix tables."""
-    return point._prefix_table(a, n, (n < 0) != inverse).upto(abs(n))
+    """(a;q)_n at the point, or 1/(a;q)_n if inverse, as a reduced int
+    pair; a is a reduced int pair.  The one reader and grower of the
+    point's prefix tables.
+
+    The table of (a, n >= 0) holds at entry m the product of the first
+    m factors 1 - x: x = a q^k, k = 0, 1, ... going up, and x = a q^-k,
+    k = 1, 2, ... going down, so entry m is (a;q)_m or (a q^-m;q)_m.
+    (a;q)_n reads entry n going up and the reciprocal of entry -n going
+    down, 1/(a;q)_n the other way round; a reciprocal is the entry's
+    pair swapped, and a zero numerator there is a PoleError naming the
+    first zero factor.  A product read past a pole is the exact zero."""
+    if type(n) is not int:
+        raise DomainError(f"a Pochhammer index must be an int, got {n!r}")
+    up, m = n >= 0, abs(n)
+    table = point._poch_tables.get((a, up))
+    if table is None:
+        table = point._poch_tables[a, up] = [(1, 1)]
+    if m >= len(table):
+        # x = a q^(+-j) of the next factor, stepping by q or by 1/q; with
+        # 1 - x = (xd - xn)/xd a step is (num (xd - xn), den xd)
+        (an, ad), (qn, qd) = a, _pair(point.values["q"])
+        rn, rd = (qn, qd) if up else (qd, qn)
+        j = len(table) - 1 if up else len(table)
+        xn, xd = an * rn ** j, ad * rd ** j
+        num, den = table[-1]
+        for _ in range(len(table), m + 1):
+            g = gcd(xn, xd)
+            xn, xd = xn // g, xd // g
+            num, den = num * (xd - xn), den * xd
+            g = gcd(num, den)
+            num, den = num // g, den // g
+            table.append((num, den))
+            xn, xd = xn * rn, xd * rd
+    num, den = table[m]
+    if (n < 0) == inverse:
+        return num, den
+    if not num:
+        k = next(i for i, (e, _) in enumerate(table) if not e)
+        base = Fraction(*a)
+        raise PoleError(f"(1 - ({base}) * q^{k - 1})" if up else f"(1 - ({base}) * q^(-{k}))")
+    return den, num
 
 
 def poch_value(a: Fraction, n: int, point: RationalPoint) -> Fraction:
@@ -184,17 +165,19 @@ def inv_poch_value(a: Fraction, n: int, point: RationalPoint) -> Fraction:
 
 def _fraction_free_sum(summands) -> Fraction:
     """The sum of the products of each summand's factors, each an int
-    pair (numerator, denominator), fraction-free: a summand multiplies
-    its factors' numerators and denominators, the running sum (num, den)
-    adds it as num*b + a*den over den*b, and one Fraction is built at
-    the end.  Each summand's factors are taken in order as it is reached."""
+    pair (numerator, denominator), fraction-free: a summand a/b
+    multiplies its factors' numerators and denominators, the running sum
+    (num, den) adds it over den*b/g, g = gcd(den, b), and one Fraction is
+    built at the end.  Each summand's factors are taken in order as it
+    is reached."""
     num, den = 0, 1
     for factors in summands:
         a = b = 1
         for n, d in factors:
             a *= n
             b *= d
-        num, den = num * b + a * den, den * b
+        g = gcd(den, b)
+        num, den = num * (b // g) + a * (den // g), den * (b // g)
     return Fraction(num, den)
 
 

@@ -75,11 +75,11 @@ def test_rational_points_match_reference_loops(capsys, monkeypatch):
     # every rational-point report must come out the same when the pair
     # reader behind every Pochhammer factor is the frozen
     # factor-by-factor loops instead.  Every factor must reach them:
-    # live, each read is one prefix-table lookup; swapped, no table is
-    # read and the loops run as often as the live reader did, for each
-    # kind.  A sum that bypassed the reader would otherwise pass
-    # vacuously.
-    prefix_table = hg.RationalPoint._prefix_table
+    # swapped, the loops run as often as the live reader did, for each
+    # kind, and no point the run builds holds a prefix table, while live
+    # every point that read a factor does.  A sum that read a table
+    # without the reader would otherwise pass vacuously.
+    post_init = hg.RationalPoint.__post_init__
 
     def frozen_pair(a, n, point, inverse):
         ref = reference_inv_poch_value if inverse else reference_poch_value
@@ -87,18 +87,19 @@ def test_rational_points_match_reference_loops(capsys, monkeypatch):
         return value.numerator, value.denominator
 
     def outputs(pair_reader):
-        calls = Counter()
+        calls, points, readers = Counter(), [], {}
 
         def read(a, n, point, inverse):
             calls["inverse" if inverse else "product"] += 1
+            readers[id(point)] = point
             return pair_reader(a, n, point, inverse)
 
-        def lookup(*args):
-            calls["table lookup"] += 1
-            return prefix_table(*args)
+        def built(point):
+            points.append(point)
+            post_init(point)
 
         monkeypatch.setattr(hg, "_poch_pair", read)
-        monkeypatch.setattr(hg.RationalPoint, "_prefix_table", lookup)
+        monkeypatch.setattr(hg.RationalPoint, "__post_init__", built)
         out = []
         for identity in ("lemma-b1", "appx-c"):
             code, text, _ = run(capsys, ["verify", identity, "--lmax", "3",
@@ -118,17 +119,18 @@ def test_rational_points_match_reference_loops(capsys, monkeypatch):
                   for n in (0, 3, 5)]
         assert all(lhs == rhs for lhs, rhs in sides)
         out += [[str(lhs), str(rhs)] for lhs, rhs in sides]
-        return json.dumps(out, sort_keys=True), calls
+        return json.dumps(out, sort_keys=True), calls, points, readers.values()
 
-    tables, live_calls = outputs(hg._poch_pair)
+    tables, live_calls, live_points, live_readers = outputs(hg._poch_pair)
     assert '"fail"' not in tables
-    oracle_tables, oracle_calls = outputs(frozen_pair)
+    oracle_tables, oracle_calls, oracle_points, _ = outputs(frozen_pair)
     assert oracle_tables == tables
     assert live_calls["product"] > 0 and live_calls["inverse"] > 0
-    assert live_calls["table lookup"] == live_calls["product"] + live_calls["inverse"]
-    assert oracle_calls["table lookup"] == 0
     assert oracle_calls["product"] == live_calls["product"]
     assert oracle_calls["inverse"] == live_calls["inverse"]
+    assert live_readers and all(point._poch_tables for point in live_readers)
+    assert len(oracle_points) == len(live_points) > 0
+    assert not any(point._poch_tables for point in oracle_points)
 
 
 def test_verify_seed_recorded_without_flag(capsys):

@@ -3,6 +3,7 @@ evaluations."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from conftest import clear_caches
@@ -327,8 +328,8 @@ def _outcome(fn, *args):
 
 
 # one pole base per direction, read past its pole, below it and past it
-# again, by both kinds in turn: the reciprocal table stops at the pole
-# and still serves the entries below it
+# again, by both kinds in turn: a reciprocal read meets the pole at and
+# past it and is still served below it
 @example((Fraction(2, 3), [
     (Fraction(9, 4), 5, True), (Fraction(9, 4), 4, False), (Fraction(9, 4), 2, True),
     (Fraction(9, 4), 6, True), (Fraction(9, 4), 1, False), (Fraction(9, 4), 3, True),
@@ -371,6 +372,30 @@ def test_poch_values_match_reference_loops(case):
         want = _outcome(ref, a, n, oracle_point)
         assert _outcome(pair_value, a, n, point, inverse) == want
         assert _outcome(fn, a, n, point) == want
+
+
+def test_one_table_per_base_and_direction():
+    # a reciprocal is its product entry's pair swapped, so reads of both
+    # kinds in one direction share one table
+    point = hg.RationalPoint({"q": Fraction(2, 3)})
+    a = Fraction(5, 7)
+    assert hg.poch_value(a, 5, point) == reference_poch_value(a, 5, point)
+    assert hg.inv_poch_value(a, 3, point) == reference_inv_poch_value(a, 3, point)
+    assert len(point._poch_tables) == 1
+    assert hg.poch_value(a, -2, point) == reference_poch_value(a, -2, point)
+    assert hg.inv_poch_value(a, -4, point) == reference_inv_poch_value(a, -4, point)
+    assert len(point._poch_tables) == 2
+
+
+def test_stored_table_entries_are_reduced():
+    # every table entry is divided by its gcd as it is grown, so the
+    # ints of a reach-sized read stay as small as the values allow
+    point = hg.RationalPoint(FIXED.values)
+    lhs, rhs = hg.expansion_coeff_sides(6, 6, point)
+    assert lhs == rhs
+    entries = [pair for table in point._poch_tables.values() for pair in table]
+    assert len(entries) > 20
+    assert all(gcd(num, den) == 1 for num, den in entries)
 
 
 def test_summation_bounds_must_be_ints():

@@ -6,7 +6,12 @@ fails on any `mul_binomial`/`div_binomial` call inside a `for` or
 `while` loop or a comprehension, in every module but series.py, where
 the binomial updates are defined.  The one table grows through its
 kind's step, called once per new entry: the steps make their binomial
-updates outside any loop, so the table's own loop names neither method."""
+updates outside any loop, so the table's own loop names neither method.
+
+At a rational point the Pochhammer values are int pairs in one prefix
+table per base and direction, and `_poch_pair` is the one code that
+reads or grows them: a second guard fails on any other mention of
+`RationalPoint._poch_tables` in the sources."""
 
 import ast
 import pathlib
@@ -59,3 +64,49 @@ def test_the_guard_finds_binomial_loops():
         "    step = TruncatedSeries.mul_binomial",
     ])
     assert _binomial_calls_in_loops(ast.parse(source)) == [2, 4, 5, 6, 7, 10]
+
+
+def _poch_table_mentions(tree):
+    """Sorted (scope, line) of each mention of `_poch_tables`, the scope
+    being the innermost enclosing function or class, or "<module>"."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name) else None)
+        if name == "_poch_tables":
+            found.add((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+def test_poch_tables_are_read_only_by_the_pair_reader():
+    mentions = {path.stem: _poch_table_mentions(ast.parse(path.read_text()))
+                for path in sorted(SRC.glob("*.py"))}
+    scopes = {(stem, scope) for stem, found in mentions.items() for scope, _ in found}
+    assert scopes == {("hypergeometric", "RationalPoint"), ("hypergeometric", "_poch_pair")}
+    # the one mention in the class is its field declaration
+    assert len([line for scope, line in mentions["hypergeometric"]
+                if scope == "RationalPoint"]) == 1
+
+
+def test_the_guard_finds_poch_table_mentions():
+    source = "\n".join([
+        "class RationalPoint:",
+        "    _poch_tables: dict = field(default_factory=dict)",
+        "    def _prefix_table(self, key):",
+        "        return self._poch_tables[key]",
+        "def _poch_pair(a, n, point, inverse):",
+        "    table = point._poch_tables.get((a, n >= 0))",
+        "def s_sum(d, n, point):",
+        "    tables = point._poch_tables",
+        "_poch_tables = {}",
+    ])
+    assert _poch_table_mentions(ast.parse(source)) == [
+        ("<module>", 9), ("RationalPoint", 2), ("_poch_pair", 6), ("_prefix_table", 4),
+        ("s_sum", 8)]
