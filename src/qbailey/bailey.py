@@ -41,10 +41,10 @@ tables, and the term l of the relation at n is the one pair
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
 from math import isqrt
-from typing import Callable
 
 from .errors import DomainError
 from .qfunctions import (_exact, binom2, combined_poch, hermite, infinite_product, inv_poch,
@@ -106,19 +106,19 @@ class PairFamily:
         return got
 
 
-@dataclass(frozen=True)
-class ChainParams:
+class ChainParams(namedtuple("ChainParams", "b c")):
     """Rational lift parameters; zeros are first-class (handled through
-    the combined polynomial form of (1/b;q)_n b^n).  `of` takes ints and
-    Fractions only, since Fraction(0.1) would store the binary expansion
-    of 0.1."""
+    the combined polynomial form of (1/b;q)_n b^n).  A validated,
+    immutable tuple (b, c): construction refuses lists that are empty
+    or of unequal length.  `of` takes ints and Fractions only, since
+    Fraction(0.1) would store the binary expansion of 0.1."""
 
-    b: tuple
-    c: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.b) != len(self.c) or not self.b:
+    def __new__(cls, b: tuple, c: tuple):
+        if len(b) != len(c) or not b:
             raise DomainError("chain parameter lists must be nonempty and equal length")
+        return super().__new__(cls, b, c)
 
     @classmethod
     def of(cls, b, c) -> "ChainParams":

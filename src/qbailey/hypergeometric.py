@@ -32,7 +32,6 @@ Fraction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -42,26 +41,22 @@ from .qfunctions import (_exact, binom2, hermite, infinite_product, inv_poch, in
 from .series import TruncatedSeries, Truncation
 
 
-@dataclass
 class RationalPoint:
     """Exact assignment of variables to rationals.
 
     q must not be 0 or a root of unity, which for a rational q means
     +-1.  Other variables may be zero; an operation that needs their
     inverse will raise a named PoleError.  Every value must be an int
-    or a Fraction.
+    or a Fraction; the constructor checks all this and stores the
+    values as Fractions.
 
     The point owns the prefix tables behind `_poch_pair`, one plain
     list of reduced int pairs per base and direction; they grow only as
     far as a call needs and are freed with the point.
     """
 
-    values: dict[str, Fraction]
-    _poch_tables: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
-
-    def __post_init__(self):
-        self.values = {k: Fraction(_exact(v)) for k, v in self.values.items()}
+    def __init__(self, values: dict):
+        self.values = {k: Fraction(_exact(v)) for k, v in values.items()}
         q = self.values.get("q")
         if q is None:
             raise DomainError("a rational point must assign q")
@@ -69,6 +64,7 @@ class RationalPoint:
             raise DomainError("q must be nonzero")
         if q in (1, -1):        # the only rational roots of unity
             raise DomainError(f"q={q} is a root of unity of order {1 if q == 1 else 2}")
+        self._poch_tables = {}
 
     def __getitem__(self, name: str) -> Fraction:
         try:
@@ -168,16 +164,18 @@ def _fraction_free_sum(summands) -> Fraction:
     pair (numerator, denominator), fraction-free: a summand a/b
     multiplies its factors' numerators and denominators, the running sum
     (num, den) adds it over den*b/g, g = gcd(den, b), and one Fraction is
-    built at the end.  Each summand's factors are taken in order as it
-    is reached."""
+    built at the end.  A zero summand adds nothing and leaves den alone.
+    Each summand's factors are all taken, in order, as it is reached, so
+    a pole among them is raised even when another factor is zero."""
     num, den = 0, 1
     for factors in summands:
         a = b = 1
         for n, d in factors:
             a *= n
             b *= d
-        g = gcd(den, b)
-        num, den = num * (b // g) + a * (den // g), den * (b // g)
+        if a:
+            g = gcd(den, b)
+            num, den = num * (b // g) + a * (den // g), den * (b // g)
     return Fraction(num, den)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .bailey import ChainParams, chain_lift, seed_pair
@@ -32,16 +32,31 @@ from .series import TruncatedSeries, Truncation
 REPRESENTATIONS = ("bosonic", "fermionic", "fermionic2", "original")
 
 
-@dataclass(frozen=True)
-class DynkinData:
+class DynkinData(namedtuple("DynkinData", "k adjacency")):
     """Adjacency matrix of the odd D-series Dynkin diagram on 2k+1
     nodes: a path 1..(2k-1) with the two fork nodes 2k and 2k+1 both
     attached to node 2k-1.  original_index reads its summation order off
     this matrix by a walk from node 1, so the structure, not the node
-    numbers, decides which entries are free and which are fixed."""
+    numbers, decides which entries are free and which are fixed.  A
+    validated, immutable tuple (k, adjacency): construction refuses a
+    matrix that is not square of size 2k+1, 0/1, symmetric and with a
+    zero diagonal."""
 
-    k: int
-    adjacency: tuple
+    __slots__ = ()
+
+    def __new__(cls, k: int, adjacency: tuple):
+        size = 2 * k + 1
+        if len(adjacency) != size or any(len(r) != size for r in adjacency):
+            raise InternalConsistencyError("adjacency matrix has wrong shape")
+        for i in range(size):
+            if any(a not in (0, 1) for a in adjacency[i]):
+                raise InternalConsistencyError("adjacency entries must be 0 or 1")
+            if adjacency[i][i] != 0:
+                raise InternalConsistencyError("adjacency diagonal must vanish")
+            for j in range(size):
+                if adjacency[i][j] != adjacency[j][i]:
+                    raise InternalConsistencyError("adjacency must be symmetric")
+        return super().__new__(cls, k, adjacency)
 
     @classmethod
     def build(cls, k: int) -> "DynkinData":
@@ -54,19 +69,6 @@ class DynkinData:
         a[2 * k - 2][2 * k - 1] = a[2 * k - 1][2 * k - 2] = 1   # fork edge to 2k
         a[2 * k - 2][2 * k] = a[2 * k][2 * k - 2] = 1           # fork edge to 2k+1
         return cls(k, tuple(tuple(row) for row in a))
-
-    def __post_init__(self):
-        size = 2 * self.k + 1
-        if len(self.adjacency) != size or any(len(r) != size for r in self.adjacency):
-            raise InternalConsistencyError("adjacency matrix has wrong shape")
-        for i in range(size):
-            if any(a not in (0, 1) for a in self.adjacency[i]):
-                raise InternalConsistencyError("adjacency entries must be 0 or 1")
-            if self.adjacency[i][i] != 0:
-                raise InternalConsistencyError("adjacency diagonal must vanish")
-            for j in range(size):
-                if self.adjacency[i][j] != self.adjacency[j][i]:
-                    raise InternalConsistencyError("adjacency must be symmetric")
 
 
 def bosonic_index(k: int, trunc: Truncation) -> TruncatedSeries:

@@ -12,7 +12,6 @@ sorts keys, which makes reports byte-stable up to the wall time.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
@@ -42,15 +41,21 @@ def value_mismatch(lhs, rhs) -> dict | None:
     return None
 
 
-@dataclass
 class IdentityReport:
-    identity: str
-    params: dict
-    truncation: Truncation | None
-    first_mismatch: dict | None
-    wall_time_ms: int
-    term_counts: dict = field(default_factory=dict)
-    seed: int | None = None
+    """The verdict of one identity check: what was checked (identity,
+    params, truncation, seed), the first mismatch or None, the wall time
+    and the term counts of the sides."""
+
+    def __init__(self, identity: str, params: dict, truncation: Truncation | None,
+                 first_mismatch: dict | None, wall_time_ms: int,
+                 term_counts: dict | None = None, seed: int | None = None):
+        self.identity = identity
+        self.params = params
+        self.truncation = truncation
+        self.first_mismatch = first_mismatch
+        self.wall_time_ms = wall_time_ms
+        self.term_counts = {} if term_counts is None else term_counts
+        self.seed = seed
 
     @property
     def passed(self) -> bool:

@@ -27,42 +27,40 @@ import heapq
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Iterator, NamedTuple, Union
 
 from .errors import DomainError, NonInvertible, TruncationMismatch, TruncationOverflow
 
-Coeff = Union[int, Fraction]
+Coeff = int | Fraction
 
 
-class Monomial(NamedTuple):
+class Monomial(namedtuple("Monomial", "e_q e_t e_s e_z")):
     """Exponent tuple; interchangeable with a plain 4-tuple as a dict key."""
 
-    e_q: int
-    e_t: int
-    e_s: int
-    e_z: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Truncation:
+class Truncation(namedtuple("Truncation", "max_q max_t max_s", defaults=(None,))):
     """Per-variable degree caps.  max_s is None when s is absent.
 
-    Two series interoperate only when their truncations are equal.
+    A validated, immutable tuple: construction refuses a non-int or
+    negative cap, and equality and hashing are those of the tuple
+    (max_q, max_t, max_s).  Two series interoperate only when their
+    truncations are equal.
     """
 
-    max_q: int
-    max_t: int
-    max_s: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        caps = (self.max_q, self.max_t) + (() if self.max_s is None else (self.max_s,))
+    def __new__(cls, max_q: int, max_t: int, max_s: int | None = None):
+        caps = (max_q, max_t) + (() if max_s is None else (max_s,))
         if not all(isinstance(cap, int) for cap in caps):
             raise DomainError(f"truncation caps must be integers, got {caps}")
         if min(caps) < 0:
             raise DomainError("truncation caps must be >= 0")
+        return super().__new__(cls, max_q, max_t, max_s)
 
     @property
     def s_cap(self) -> int:

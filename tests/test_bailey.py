@@ -96,6 +96,19 @@ def test_trivial_pair_relation_at_zero():
     assert B.verify_bailey_pair(const, beta, 0).passed
 
 
+def test_chain_params_are_validated_values():
+    params = B.ChainParams.of([0, Fraction(1, 2)], [2, 3])
+    assert (params.b, params.c, params.k) == ((0, Fraction(1, 2)), (2, 3), 2)
+    assert params == B.ChainParams((0, Fraction(1, 2)), (2, 3))
+    with pytest.raises(AttributeError):
+        params.b = ()
+    for b, c in (([], []), ([1], []), ([1, 2], [3])):
+        for build in (B.ChainParams.of, lambda b, c: B.ChainParams(tuple(b), tuple(c))):
+            with pytest.raises(DomainError) as info:
+                build(b, c)
+            assert str(info.value) == "chain parameter lists must be nonempty and equal length"
+
+
 def test_chain_lift_zero_parameters():
     alpha, beta = B.seed_pair(TR)
     a1, b1 = B.chain_lift(alpha, beta, B.ChainParams.of([0], [0]), TR)

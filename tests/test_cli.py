@@ -79,7 +79,7 @@ def test_rational_points_match_reference_loops(capsys, monkeypatch):
     # kind, and no point the run builds holds a prefix table, while live
     # every point that read a factor does.  A sum that read a table
     # without the reader would otherwise pass vacuously.
-    post_init = hg.RationalPoint.__post_init__
+    init = hg.RationalPoint.__init__
 
     def frozen_pair(a, n, point, inverse):
         ref = reference_inv_poch_value if inverse else reference_poch_value
@@ -94,12 +94,12 @@ def test_rational_points_match_reference_loops(capsys, monkeypatch):
             readers[id(point)] = point
             return pair_reader(a, n, point, inverse)
 
-        def built(point):
+        def built(point, values):
             points.append(point)
-            post_init(point)
+            init(point, values)
 
         monkeypatch.setattr(hg, "_poch_pair", read)
-        monkeypatch.setattr(hg.RationalPoint, "__post_init__", built)
+        monkeypatch.setattr(hg.RationalPoint, "__init__", built)
         out = []
         for identity in ("lemma-b1", "appx-c"):
             code, text, _ = run(capsys, ["verify", identity, "--lmax", "3",

@@ -58,10 +58,12 @@ def reference_inv_poch_value(a, n, point):
 
 
 def test_rational_point_validation():
-    with pytest.raises(DomainError):
-        hg.RationalPoint({"t": Fraction(1, 2)})
-    with pytest.raises(DomainError):
-        hg.RationalPoint({"q": Fraction(0)})
+    for values, text in (({"t": Fraction(1, 2)}, "a rational point must assign q"),
+                         ({"q": Fraction(0)}, "q must be nonzero"),
+                         ({"q": 0}, "q must be nonzero")):
+        with pytest.raises(DomainError) as info:
+            hg.RationalPoint(values)
+        assert str(info.value) == text
     # for a rational q the roots of unity are exactly 1 and -1
     for q, text in ((1, "q=1 is a root of unity of order 1"),
                     (-1, "q=-1 is a root of unity of order 2")):
@@ -597,6 +599,22 @@ def test_fraction_free_sums_match_fraction_loops(case):
                            "qbinomial-theorem", "sixphi5")]
     for live, oracle, args in pairs:
         assert _outcome(live, *args, point) == _outcome(oracle, *args, oracle_point)
+
+
+def test_a_zero_summand_adds_nothing_but_reads_every_factor():
+    # a zero summand adds nothing, but a zero factor does not cut its
+    # summand short: a later pole is still met and named
+    point = hg.RationalPoint({"q": Fraction(2, 3)})
+
+    def factors():
+        yield 0, 1
+        yield hg._poch_pair((1, 1), 1, point, True)     # 1/(1;q)_1, a pole
+
+    with pytest.raises(PoleError) as err:
+        hg._fraction_free_sum([[(1, 3)], factors()])
+    assert err.value.factor == "(1 - (1) * q^0)"
+    assert hg._fraction_free_sum([[(0, 1), (5, 7)], [(1, 3)], [(0, 11)]]) == Fraction(1, 3)
+    assert hg._fraction_free_sum([[(0, 7)]]) == 0
 
 
 def test_b_phi_evaluations():

@@ -41,8 +41,15 @@ def test_dynkin_adjacency():
     assert edges(M.DynkinData.build(1)) == {(1, 2), (1, 3)}
     assert edges(M.DynkinData.build(2)) == {(1, 2), (2, 3), (3, 4), (3, 5)}
     assert edges(M.DynkinData.build(3)) == {(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7)}
-    with pytest.raises(InternalConsistencyError):
-        M.DynkinData(1, ((0, 1, 0), (0, 0, 1), (0, 1, 0)))   # asymmetric
+    for adjacency, text in ((((0, 1), (1, 0)), "adjacency matrix has wrong shape"),
+                            (((0, 2, 0), (2, 0, 1), (0, 1, 0)), "adjacency entries must be 0 or 1"),
+                            (((1, 1, 0), (1, 0, 1), (0, 1, 0)), "adjacency diagonal must vanish"),
+                            (((0, 1, 0), (0, 0, 1), (0, 1, 0)), "adjacency must be symmetric")):
+        with pytest.raises(InternalConsistencyError) as info:
+            M.DynkinData(1, adjacency)
+        assert str(info.value) == text
+    with pytest.raises(AttributeError):
+        M.DynkinData.build(1).k = 2
 
 
 def test_constant_terms():

@@ -68,12 +68,13 @@ def test_the_guard_finds_binomial_loops():
 
 def _poch_table_mentions(tree):
     """Sorted (scope, line) of each mention of `_poch_tables`, the scope
-    being the innermost enclosing function or class, or "<module>"."""
+    being the qualified name of the innermost enclosing function or
+    class ("RationalPoint.__init__"), or "<module>"."""
     found = set()
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = node.name
+            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
         name = (node.attr if isinstance(node, ast.Attribute)
                 else node.id if isinstance(node, ast.Name) else None)
         if name == "_poch_tables":
@@ -89,24 +90,28 @@ def test_poch_tables_are_read_only_by_the_pair_reader():
     mentions = {path.stem: _poch_table_mentions(ast.parse(path.read_text()))
                 for path in sorted(SRC.glob("*.py"))}
     scopes = {(stem, scope) for stem, found in mentions.items() for scope, _ in found}
-    assert scopes == {("hypergeometric", "RationalPoint"), ("hypergeometric", "_poch_pair")}
-    # the one mention in the class is its field declaration
+    assert scopes == {("hypergeometric", "RationalPoint.__init__"),
+                      ("hypergeometric", "_poch_pair")}
+    # the one mention in the class is where its constructor creates the tables
     assert len([line for scope, line in mentions["hypergeometric"]
-                if scope == "RationalPoint"]) == 1
+                if scope == "RationalPoint.__init__"]) == 1
 
 
 def test_the_guard_finds_poch_table_mentions():
     source = "\n".join([
         "class RationalPoint:",
-        "    _poch_tables: dict = field(default_factory=dict)",
+        "    def __init__(self, values):",
+        "        self._poch_tables = {}",
         "    def _prefix_table(self, key):",
         "        return self._poch_tables[key]",
+        "    _poch_tables: dict = field(default_factory=dict)",
         "def _poch_pair(a, n, point, inverse):",
         "    table = point._poch_tables.get((a, n >= 0))",
         "def s_sum(d, n, point):",
-        "    tables = point._poch_tables",
+        "    def read(k):",
+        "        return point._poch_tables[k]",
         "_poch_tables = {}",
     ])
     assert _poch_table_mentions(ast.parse(source)) == [
-        ("<module>", 9), ("RationalPoint", 2), ("_poch_pair", 6), ("_prefix_table", 4),
-        ("s_sum", 8)]
+        ("<module>", 12), ("RationalPoint", 6), ("RationalPoint.__init__", 3),
+        ("RationalPoint._prefix_table", 5), ("_poch_pair", 8), ("s_sum.read", 11)]

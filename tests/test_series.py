@@ -701,6 +701,28 @@ def test_truncation_caps_must_be_integers():
     for caps in ((2.5, 2), (2, Fraction(3)), (2, 2, 1.5)):
         with pytest.raises(DomainError, match="integers"):
             Truncation(*caps)
+    with pytest.raises(DomainError) as info:
+        Truncation(2, 2, 1.5)
+    assert str(info.value) == "truncation caps must be integers, got (2, 2, 1.5)"
+    for caps in ((-1, 2), (2, -1), (2, 2, -1)):
+        with pytest.raises(DomainError) as info:
+            Truncation(*caps)
+        assert str(info.value) == "truncation caps must be >= 0"
+
+
+def test_truncation_is_an_immutable_value():
+    # error texts print the repr, and equal caps are one dict key
+    trunc = Truncation(8, 6)
+    assert str(trunc) == repr(trunc) == "Truncation(max_q=8, max_t=6, max_s=None)"
+    assert str(Truncation(4, 3, 2)) == "Truncation(max_q=4, max_t=3, max_s=2)"
+    assert Truncation(max_q=8, max_t=6) == trunc == Truncation(8, 6, None) != Truncation(8, 6, 0)
+    assert hash(trunc) == hash(Truncation(8, 6, None)) == hash((8, 6, None))
+    assert (trunc.s_cap, Truncation(4, 3, 2).s_cap, trunc.cap("t")) == (0, 2, 6)
+    with pytest.raises(AttributeError):
+        trunc.max_q = 9
+    with pytest.raises(AttributeError):
+        trunc.extra = 1
+    assert trunc.max_q == 8
 
 
 def test_inexact_coefficients_are_refused():
