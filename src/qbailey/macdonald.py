@@ -20,11 +20,10 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .bailey import ChainParams, chain_lift, seed_pair
 from .errors import DomainError, InternalConsistencyError
-from .qfunctions import (_exact, binom2, combined_poch, hermite, infinite_product, inv_poch,
+from .qfunctions import (binom2, combined_poch, hermite, infinite_product, inv_poch,
                          inv_qq, inv_poch_infinite, poch_finite, poch_infinite, ultraspherical)
 from .series import TruncatedSeries, Truncation
 
@@ -91,7 +90,7 @@ def fermionic_index(k: int, trunc: Truncation) -> TruncatedSeries:
     lift of the unit pair at b = c = 0 (Andrews, Pacific J. Math. 114 (1984))."""
     if k < 1:
         raise DomainError("k must be >= 1")
-    return _fermionic_side([0] * k, [0] * k, trunc)
+    return _fermionic_side(ChainParams.of([0] * k, [0] * k), trunc)
 
 
 @functools.cache
@@ -264,18 +263,17 @@ def generalized_sides(k: int, b, c,
     fermionic_index and bosonic_index."""
     if k < 1:
         raise DomainError("k must be >= 1")
-    b = [Fraction(_exact(x)) for x in b]
-    c = [Fraction(_exact(x)) for x in c]
     if len(b) != k or len(c) != k:
         raise DomainError("parameter vectors must have length k")
-    return _fermionic_side(b, c, trunc), _bosonic_side(k, b, c, trunc)
+    params = ChainParams.of(b, c)
+    return _fermionic_side(params, trunc), _bosonic_side(k, params.b, params.c, trunc)
 
 
-def _fermionic_side(b, c, trunc):
+def _fermionic_side(params, trunc):
     # sum_n beta_n t^n H_{2n}(z;q), beta the k-fold Bailey-lemma lift of
     # the unit pair with the parameter pairs (b_i, c_i); t^n past the
     # t-cap ends the sum
-    _, beta = chain_lift(*seed_pair(trunc), ChainParams.of(b, c), trunc)
+    _, beta = chain_lift(*seed_pair(trunc), params, trunc)
     return TruncatedSeries.sum_of_products(
         trunc, ((beta[n].shift(e_t=n), hermite(2 * n, trunc))
                 for n in range(trunc.max_t + 1)))

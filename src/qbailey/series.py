@@ -18,7 +18,7 @@ the rows), and the checked constructor alone turns terms into rows.
 
 A monomial is the exponent tuple (e_q, e_t, e_s, e_z); the canonical
 total order on monomials is the lexicographic order on that tuple, and
-every iteration, rendering and mismatch report uses it.
+every iteration and mismatch report uses it.
 """
 
 from __future__ import annotations
@@ -682,68 +682,48 @@ class TruncatedSeries:
         return TruncatedSeries._raw(self.trunc, self._den, rows)
 
     def specialize(self, var: str, value) -> "TruncatedSeries":
-        """Substitute a variable by a rational value or by another variable.
+        """Set q, t or s to 0, or substitute it by another of q, t and s.
 
-        Rational values, ints or Fractions (a float is refused), are
-        allowed for q, t and s (including zero) and for z when nonzero.  A variable target (e.g. t -> q) transfers
-        exponents; it requires cap(var) >= cap(target) so that the
-        substitution descends to the quotient ring, and terms pushed
-        beyond the target cap are reduced away.  Zero keeps the rows free
-        of var; any other target is one pass over the numerators that
-        moves or drops each exponent k of var and multiplies by value**k.
+        Zero keeps the rows free of var.  A variable target (e.g. t -> q)
+        transfers exponents; it requires cap(var) >= cap(target) so that
+        the substitution descends to the quotient ring, and terms pushed
+        beyond the target cap are reduced away.  A float is refused as
+        in the constructor, and so is any other target.
         """
         if var not in _VAR_INDEX:
             raise DomainError(f"unknown variable {var!r}")
         vi = _VAR_INDEX[var]
-        if isinstance(value, str):
-            if var == "z" or value not in ("q", "t", "s"):
-                raise DomainError(f"unsupported substitution {var} -> {value}")
-            if var == value:
-                return self
-            if self.trunc.cap(var) < self.trunc.cap(value):
-                raise TruncationOverflow(
-                    f"substituting {var} -> {value} needs cap({var}) >= cap({value}); "
-                    f"got {self.trunc}")
-            ti = _VAR_INDEX[value]
-        else:
-            val, ti = Fraction(_exact(value)), None
-            if val == 0:
-                if var == "z":
-                    raise DomainError("z may only be specialized to a nonzero rational")
-                rows = ([(key, 0, nums[:1]) for key, first, nums in self._rows if not first]
-                        if var == "q" else [row for row in self._rows if not row[0][vi - 1]])
-                return TruncatedSeries._reduced(self.trunc, self._den, rows)
+        if not isinstance(value, str) and _exact(value) == 0 and var != "z":
+            rows = ([(key, 0, nums[:1]) for key, first, nums in self._rows if not first]
+                    if var == "q" else [row for row in self._rows if not row[0][vi - 1]])
+            return TruncatedSeries._reduced(self.trunc, self._den, rows)
+        if var == "z" or value not in ("q", "t", "s"):
+            raise DomainError(f"unsupported substitution {var} -> {value}")
+        if var == value:
+            return self
+        if self.trunc.cap(var) < self.trunc.cap(value):
+            raise TruncationOverflow(
+                f"substituting {var} -> {value} needs cap({var}) >= cap({value}); "
+                f"got {self.trunc}")
+        ti = _VAR_INDEX[value]
         out: dict = {}
         for (t, s, z), first, nums in self._rows:
             for q, n in enumerate(nums, first):
                 if n:
                     e = [q, t, s, z]
-                    k, e[vi] = e[vi], 0
-                    if ti is not None:
-                        e[ti] += k
-                    elif k:
-                        n *= val ** k
+                    e[ti] += e[vi]
+                    e[vi] = 0
                     key = tuple(e)
                     out[key] = out.get(key, 0) + n
         return TruncatedSeries(self.trunc, out).scale(Fraction(1, self._den))
 
-    # -- rendering ----------------------------------------------------
+    # -- debug text -----------------------------------------------------
 
-    def render(self) -> str:
-        """Canonical text form: terms in canonical monomial order, each
-        `num/den * q^a t^b s^c z^e`."""
-        if not self._rows:
-            return "0"
-        parts = []
-        for key, c in self.terms():
-            num, den = (c, 1) if isinstance(c, int) else (c.numerator, c.denominator)
-            parts.append(f"{num}/{den} * q^{key[0]} t^{key[1]} s^{key[2]} z^{key[3]}")
-        return " + ".join(parts)
-
-    def _preview(self, limit: int = 4) -> str:
-        """The canonically first `limit` terms, read from a few numerators
-        of each row: the rows are sorted by (e_t, e_s, e_z), so a row
-        holds none of those terms past its first `limit` nonzero ones."""
+    def _preview(self) -> str:
+        """The canonically first four terms, read from a few numerators of
+        each row: the rows are sorted by (e_t, e_s, e_z), so a row holds
+        none of those terms past its first four nonzero ones."""
+        limit = 4
         den = self._den
         firsts = heapq.nsmallest(limit, chain.from_iterable(
             islice(((q, t, s, z, n) for q, n in enumerate(nums, first) if n), limit)
@@ -753,9 +733,6 @@ class TruncatedSeries:
             for q, t, s, z, n in firsts)
         more = "" if self.term_count() <= limit else " + ..."
         return (shown or "0") + more
-
-    def __str__(self):
-        return self.render()
 
     def __repr__(self):
         return f"TruncatedSeries({self.trunc}, {self._preview()})"

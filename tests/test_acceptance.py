@@ -12,7 +12,7 @@ from qbailey import cli
 from qbailey import hypergeometric as hg
 from qbailey import macdonald as M
 from qbailey.report import _compare
-from qbailey.series import Truncation
+from qbailey.series import TruncatedSeries, Truncation
 
 
 def _line(num: int, ok: bool, desc: str, elapsed: float | None = None):
@@ -89,8 +89,8 @@ def test_criterion_6_parametrized_identity():
     # the b=c=0 sides reproduce the criterion-1 series bit-for-bit
     for k in (1, 2):
         lhs, rhs = M.generalized_sides(k, [0] * k, [0] * k, trunc)
-        same = (lhs.render() == M.fermionic_index(k, trunc).render()
-                and rhs.render() == M.bosonic_index(k, trunc).render())
+        same = (lhs == M.fermionic_index(k, trunc)
+                and rhs == M.bosonic_index(k, trunc))
         _line(6, same, f"b=c=0 sides match the k={k} criterion-1 series bit-for-bit")
 
 
@@ -158,7 +158,7 @@ def test_criterion_11_positivity_and_symmetry():
     trunc = Truncation(10, 8)
     for k in (1, 2, 3):
         bosonic = M.bosonic_index(k, trunc)
-        unrefined = bosonic.specialize("z", 1)
+        unrefined = sum(bosonic.z_slices().values(), TruncatedSeries.zero(trunc))
         ok = all(isinstance(coeff, int) and coeff >= 0
                  for _, coeff in unrefined.terms())
         _line(11, ok, f"unrefined bosonic coefficients are nonnegative "

@@ -185,7 +185,7 @@ def test_ct_z_matches_the_constant_term_of_the_product(data, caps):
     trunc = Truncation(*caps)
     a = data.draw(symmetric_series(trunc))
     b = data.draw(symmetric_series(trunc))
-    assert qf.ct_z(a, b).render() == reference_ct_z(a * b).render()
+    assert qf.ct_z(a, b) == reference_ct_z(a * b)
 
 
 def test_hermite_inner_orthogonality():
@@ -256,10 +256,10 @@ def test_expansion_coeff_sides_match_reference(trunc):
     clear_caches()
     for n in range(4):
         for l in range(4):
-            assert qf.hermite_expansion_coeff(n, l, trunc).render() == \
-                reference_hermite_expansion_coeff(n, l, trunc).render()
-            assert qf.hermite_expansion_coeff_closed(n, l, trunc).render() == \
-                reference_hermite_expansion_coeff_closed(n, l, trunc).render()
+            assert qf.hermite_expansion_coeff(n, l, trunc) == \
+                reference_hermite_expansion_coeff(n, l, trunc)
+            assert qf.hermite_expansion_coeff_closed(n, l, trunc) == \
+                reference_hermite_expansion_coeff_closed(n, l, trunc)
 
 
 def test_weight_expansion():
@@ -530,8 +530,8 @@ def test_inv_poch_zero_base_and_errors():
 
 
 def test_inexact_pochhammer_base_is_refused():
-    # a float base would store float coefficients, which render() cannot
-    # format; 0.3 equals no exact base whose prefix table may be cached
+    # a float base would store float coefficients in the exact ring;
+    # 0.3 equals no exact base whose prefix table may be cached
     with pytest.raises(DomainError, match="int or Fraction"):
         qf.poch_finite((0.3, 1, 0, 0, 0), 2, TR)
 

@@ -374,17 +374,22 @@ def test_halve_z():
 
 
 def test_specialize_rational():
-    tz2 = TruncatedSeries.monomial(TR, 1, e_t=1, e_z=2)
-    assert tz2.specialize("z", 1) == TruncatedSeries.variable(TR, "t")
+    # q, t and s go to 0, and no variable to any other value; z = 1 is
+    # the sum of the z-slices
     f = one(TRS) + TruncatedSeries.variable(TRS, "s")
     assert f.specialize("s", 0) == one(TRS)
+    assert f.specialize("t", Fraction(0)) == f
     mixed = S({(0, 1, 0, 2): 3, (2, 1, 0, 0): 5, (0, 0, 0, -1): Fraction(1, 2),
                (1, 0, 0, 0): -1})
     assert mixed.specialize("q", 0) == S({(0, 1, 0, 2): 3, (0, 0, 0, -1): Fraction(1, 2)})
-    zi =TruncatedSeries.monomial(TR, 1, e_z=-2)
-    assert zi.specialize("z", Fraction(1, 2)) == S({(0, 0, 0, 0): 4})
-    with pytest.raises(DomainError):
-        zi.specialize("z", 0)
+    assert sum(mixed.z_slices().values(), TruncatedSeries.zero(TR)) == \
+        S({(0, 1, 0, 0): 3, (2, 1, 0, 0): 5, (0, 0, 0, 0): Fraction(1, 2), (1, 0, 0, 0): -1})
+    for var, value in (("z", 1), ("z", 0), ("z", Fraction(1, 2)), ("z", "q"),
+                       ("q", Fraction(1, 2)), ("t", 1), ("s", -1)):
+        with pytest.raises(DomainError, match=f"unsupported substitution {var} -> {value}$"):
+            mixed.specialize(var, value)
+    with pytest.raises(DomainError, match="int or Fraction"):
+        mixed.specialize("q", 0.5)
 
 
 def test_specialize_variable_target():
@@ -402,13 +407,6 @@ def test_specialize_variable_target():
     assert g.specialize("t", "q").is_zero()
 
 
-def test_render_canonical():
-    f = S({(0, 0, 0, -2): 1, (0, 0, 0, 2): Fraction(-1, 2), (1, 0, 0, 0): 3})
-    assert f.render() == ("1/1 * q^0 t^0 s^0 z^-2 + -1/2 * q^0 t^0 s^0 z^2 + "
-                          "3/1 * q^1 t^0 s^0 z^0")
-    assert TruncatedSeries.zero(TR).render() == "0"
-
-
 def test_construction_reduces_mod_ideal():
     f = S({(7, 0, 0, 0): 1, (0, 5, 0, 0): 2, (1, 1, 0, 0): 1})
     assert f == S({(1, 1, 0, 0): 1})
@@ -419,7 +417,7 @@ def test_construction_reduces_mod_ideal():
 def test_determinism_bit_identical():
     def build():
         f = one() + TruncatedSeries.monomial(TR, Fraction(1, 3), e_q=2, e_z=-1)
-        return ((f * f + f) * f).render()
+        return list(((f * f + f) * f).terms())
     assert build() == build()
 
 
@@ -897,8 +895,9 @@ _VARS = {"q": 0, "t": 1, "s": 2, "z": 3}
 
 
 def reference_specialize(f, var, value):
-    """specialize in three branches over the term map: a frozen copy of
-    the method before it read the rows, kept as its oracle."""
+    """specialize in two branches over the term map, a variable target
+    and zero: a frozen copy of the method before it read the rows, kept
+    as its oracle."""
     if var not in _VARS:
         raise DomainError(f"unknown variable {var!r}")
     vi = _VARS[var]
@@ -929,24 +928,9 @@ def reference_specialize(f, var, value):
             else:
                 out[k2] = _norm(tot)
         return TruncatedSeries(f.trunc, out)
-    val = Fraction(value)
-    if val == 0:
-        if var == "z":
-            raise DomainError("z may only be specialized to a nonzero rational")
-        return TruncatedSeries(f.trunc, {key: c for key, c in terms.items() if not key[vi]})
-    out = {}
-    for key, c in terms.items():
-        e = key[vi]
-        coeff = c * val ** e if e else c
-        new = list(key)
-        new[vi] = 0
-        k2 = tuple(new)
-        tot = out.get(k2, 0) + coeff
-        if tot == 0:
-            out.pop(k2, None)
-        else:
-            out[k2] = _norm(tot)
-    return TruncatedSeries(f.trunc, out)
+    if value != 0 or var == "z":
+        raise DomainError(f"unsupported substitution {var} -> {value}")
+    return TruncatedSeries(f.trunc, {key: c for key, c in terms.items() if not key[vi]})
 
 
 _nonzero_values = st.one_of(st.integers(-3, 3),
@@ -959,8 +943,9 @@ _nonzero_values = st.one_of(st.integers(-3, 3),
 @example((S({(1, 2, 0, -1): Fraction(1, 2), (2, 0, 0, 1): Fraction(3, 4), (0, 1, 0, 0): -2}),
           S({})), Fraction(-2, 3))
 def test_specialize_matches_the_term_map(case, value):
-    # every variable, to 0, to a nonzero rational, to every variable and
-    # to itself, which returns the series; an error is the same error
+    # every variable, to 0, to every variable and to itself, which
+    # returns the series; an error is the same error, and a nonzero
+    # rational is always one
     f, g = case
     for h in (f, f + g):
         for var in ("q", "t", "s", "z", "x"):
@@ -1051,3 +1036,12 @@ def test_preview_reads_the_first_terms_from_the_rows(case):
         h.invert()
     assert str(err.value) == ("series has a z-only term of (q,t,s)-degree zero and is "
                               f"not a unit: {_first_terms_text(h)}")
+
+
+def test_a_series_has_no_text_form_but_its_repr():
+    # a series is read through terms(); str falls back to the preview
+    assert "render" not in TruncatedSeries.__dict__
+    assert "__str__" not in TruncatedSeries.__dict__
+    f = S({(0, 0, 0, -2): 1, (0, 0, 0, 2): Fraction(-1, 2), (1, 0, 0, 0): 3})
+    assert str(f) == repr(f) == (f"TruncatedSeries({TR}, 1*q^0t^0s^0z^-2 + "
+                                 "-1/2*q^0t^0s^0z^2 + 3*q^1t^0s^0z^0)")
