@@ -32,9 +32,9 @@ t-power; it is absorbed against the t^l prefactor of the delta entries
 through the polynomial form prod_i (t - s q^i), so the verifier works
 on the t-free entry cores and never forms a negative exponent.  The
 weights are tabulated once per check, at its first sub-check and so on
-its clock, A[d] = prod_{i<d} (t - s q^i) / (q;q)_d and
-B[j] = (s;q)_j / (tq;q)_j, the latter from the shared Pochhammer prefix
-tables, and the term l of the relation at n is the one pair
+its clock, A[d] = prod_{i<d} (t - s q^i) / (q;q)_d, one shift-and-subtract
+step per d, and B[j] = (s;q)_j / (tq;q)_j, from the shared Pochhammer
+prefix tables; the term l of the relation at n is the one pair
 (t^n A[l-n] B[l+n], core(l)).
 """
 
@@ -47,8 +47,8 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import DomainError
-from .qfunctions import (_exact, binom2, combined_poch, hermite, infinite_product, inv_poch,
-                         inv_qq, inv_tq, poch_finite, poch_infinite, poch_ratio, ultraspherical)
+from .qfunctions import (_exact, combined_poch, hermite, infinite_product, inv_poch, inv_qq,
+                         inv_tq, poch_finite, poch_infinite, poch_ratio, ultraspherical)
 from .report import IdentityReport, _compare, _first_failure, first_mismatch
 from .series import TruncatedSeries, Truncation
 
@@ -131,21 +131,20 @@ class ChainParams(namedtuple("ChainParams", "b c")):
 
 def seed_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
     """The elementary unit Bailey pair:
-    alpha_n = (-1)^n q^binom(n,2) (1 - t q^(2n)) (tq;q)_{n-1} / (q;q)_n
-    (the (t;q)_n / (1-t) factor pre-cancelled), beta_n = [n = 0]."""
+    alpha_n = P(0,n) (1 - t q^(2n)) (tq;q)_{n-1} / (q;q)_n, P(0,n) =
+    (-1)^n q^binom(n,2) (combined_poch), beta_n = [n = 0]."""
     one = TruncatedSeries.one(trunc)
 
     def alpha(n: int) -> TruncatedSeries:
         if n == 0:
             return one
         num = poch_finite((1, 1, 1, 0, 0), n - 1, trunc).mul_binomial(1, e_q=2 * n, e_t=1)
-        sign = -1 if n % 2 else 1
-        return num.scale(sign).shift(e_q=binom2(n)) * inv_qq(n, trunc)
+        return num * combined_poch(0, n, trunc) * inv_qq(n, trunc)
 
     def beta(n: int) -> TruncatedSeries:
         return one if n == 0 else TruncatedSeries.zero(trunc)
 
-    # the largest n with binom2(n) <= max_q
+    # the largest n with binom(n, 2) <= max_q
     alpha_bound = (1 + isqrt(1 + 8 * trunc.max_q)) // 2
     return (PairFamily(trunc, alpha, support_bound=alpha_bound),
             PairFamily(trunc, beta, support_bound=0))
@@ -338,15 +337,14 @@ def wp_conjugate_pair(trunc: Truncation) -> tuple[PairFamily, PairFamily]:
 def _wp_weight_tables(trunc: Truncation, l_max: int, j_max: int) -> tuple[list, list]:
     # A[d] for d <= l_max, up to the first vanishing product, and B[j]
     # for j <= j_max, the weight tables of verify_wp_conjugate
-    t = TruncatedSeries.variable(trunc, "t")
-    s_series = TruncatedSeries.variable(trunc, "s")
     a_table = [TruncatedSeries.one(trunc)]
     running = a_table[0]                     # prod_{i<d} (t - s q^i)
     while len(a_table) <= l_max:
-        running = running * (t - s_series.shift(e_q=len(a_table) - 1))
+        d = len(a_table)
+        running = running.shift(e_t=1) - running.shift(e_q=d - 1, e_s=1)
         if running.is_zero():
             break
-        a_table.append(running * inv_qq(len(a_table), trunc))
+        a_table.append(running * inv_qq(d, trunc))
     b_table = [poch_finite((1, 0, 0, 1, 0), j, trunc) * inv_tq(j, trunc)
                for j in range(j_max + 1)]
     return a_table, b_table

@@ -36,8 +36,8 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, PoleError
-from .qfunctions import (_exact, binom2, hermite, infinite_product, inv_poch, inv_qq, inv_tq,
-                         poch_finite, poch_infinite, poch_ratio, qbinomial)
+from .qfunctions import (_exact, binom2, combined_poch, hermite, infinite_product, inv_poch,
+                         inv_qq, inv_tq, poch_finite, poch_infinite, poch_ratio, qbinomial)
 from .series import TruncatedSeries, Truncation
 
 
@@ -177,15 +177,6 @@ def _fraction_free_sum(summands) -> Fraction:
             g = gcd(den, b)
             num, den = num * (b // g) + a * (den // g), den * (b // g)
     return Fraction(num, den)
-
-
-def qbinomial_value(M: int, N: int, point: RationalPoint) -> Fraction:
-    _check_bounds(M, N)
-    if N < 0 or N > M:
-        return Fraction(0)
-    q = _pair(point["q"])
-    return _fraction_free_sum([(_poch_pair(q, M, point, False), _poch_pair(q, N, point, True),
-                                _poch_pair(q, M - N, point, True))])
 
 
 def _gasper_rahman_factor(q: tuple[int, int], m: int, e: int) -> tuple[int, int]:
@@ -336,15 +327,18 @@ def s_closed(d: int, n: int, point: RationalPoint) -> Fraction:
 
 def s_symmetry_sides(l: int, n: int, point: RationalPoint) -> tuple[Fraction, Fraction]:
     """Both sides of the pairing identity
-    sum_j [2l,j]_q S_{j-l-n,n} = -sum_j [2l,j]_q S_{j-l-n+1,n}."""
+    sum_j [2l,j]_q S_{j-l-n,n} = -sum_j [2l,j]_q S_{j-l-n+1,n}, each
+    [2l,j]_q = (q;q)_2l / ((q;q)_j (q;q)_{2l-j}) three pair reads."""
     _check_bounds(l, n)
-    lhs = _fraction_free_sum((_pair(qbinomial_value(2 * l, j, point)),
-                              _pair(s_sum(j - l - n, n, point)))
-                             for j in range(2 * l + 1))
-    rhs = -_fraction_free_sum((_pair(qbinomial_value(2 * l, j, point)),
-                               _pair(s_sum(j - l - n + 1, n, point)))
-                              for j in range(2 * l + 1))
-    return lhs, rhs
+    q = _pair(point["q"])
+
+    def side(shift: int) -> Fraction:
+        return _fraction_free_sum(
+            (_poch_pair(q, 2 * l, point, False), _poch_pair(q, j, point, True),
+             _poch_pair(q, 2 * l - j, point, True), _pair(s_sum(j - l - n + shift, n, point)))
+            for j in range(2 * l + 1))
+
+    return side(0), -side(1)
 
 
 # -- expansion-coefficient summation identities -----------------------
@@ -414,8 +408,7 @@ def b_defining_sum(n: int, trunc: Truncation) -> TruncatedSeries:
     pairs = []
     for sig in range(n + 1):
         h = hermite(sig, trunc)
-        sign = -1 if (n - sig) % 2 else 1
-        signed = inv_qq(n - sig, trunc).scale(sign).shift(e_q=binom2(n - sig))
+        signed = inv_qq(n - sig, trunc) * combined_poch(0, n - sig, trunc)
         pairs.append((inv_qq(sig, trunc) ** 2 * signed, h * h))
     return TruncatedSeries.sum_of_products(trunc, pairs)
 
@@ -430,9 +423,8 @@ def phi_defining_sum(n: int, nprime: int, trunc: Truncation) -> TruncatedSeries:
     (q;q)_{s+n'} / ((q;q)_s^2 (q;q)_{n-s})."""
     pairs = []
     for sig in range(n + 1):
-        sign = -1 if (n - sig) % 2 else 1
         num = poch_finite((1, 1, 0, 0, 0), sig + nprime, trunc) * inv_qq(sig, trunc) ** 2
-        pairs.append((num, inv_qq(n - sig, trunc).scale(sign).shift(e_q=binom2(n - sig))))
+        pairs.append((num, inv_qq(n - sig, trunc) * combined_poch(0, n - sig, trunc)))
     return TruncatedSeries.sum_of_products(trunc, pairs)
 
 

@@ -13,19 +13,20 @@ ct_z(a, b) checks the symmetry hypothesis on each factor rather than
 trusting the caller, and forms only the z^0 terms of a * b, from the
 z-slices of a and b whose exponents cancel (TruncatedSeries.z_slices).
 
-The memoized builders are wrapped in functools.cache, keyed by their
-arguments including the truncation; cached series are shared between
-callers, which is safe because series are immutable.  Each table's
-cache_info() and cache_clear() report on and empty it.  Every finite
-Pochhammer-type product is a read of one prefix table per base, kind and
-truncation, kept in the cache of _prefixes.  The four kinds are (a;q)_n
+The five memo tables (_prefixes, _infinite_product, qbinomial, hermite,
+_expansion_n_factor) are functools.cache tables keyed by their arguments
+including the truncation; cached series are shared, which is safe as
+series are immutable, and cache_info()/cache_clear() report on and empty
+each.  Every finite Pochhammer-type product is a read of one prefix
+table per base, kind and truncation (the cache of _prefixes): (a;q)_n
 (poch_finite), 1/(a;q)_n (inv_poch), (a;q)_j / (q;q)_j (poch_ratio) and
-prod_{i<n} (b - q^i) (combined_poch).  Every n-free product of infinite
-Pochhammers, (a_1,...;q)_inf / (b_1,...;q)_inf, is a read of
-infinite_product, kept in the cache of _infinite_product keyed by its
-two tuples of bases in their order; the orthogonality weights and the
-package's prefactors are such reads.  These two reads check their bases
-before they read a table.
+prod_{i<n} (b - q^i) (combined_poch; b = 0 gives (-1)^n q^binom(n,2)).
+Any other two-term factor x - y q^i is one shift-and-subtract step.
+Every n-free product of infinite Pochhammers, (a_1,...;q)_inf /
+(b_1,...;q)_inf, is a read of infinite_product, kept in the cache of
+_infinite_product keyed by its two tuples of bases in their order; the
+orthogonality weights and the package's prefactors are such reads.
+These two reads check their bases before they read a table.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ def _prefixes(a: tuple, step, trunc: Truncation) -> list:
 
 def _prefix(a: tuple, n: int, trunc: Truncation, step) -> TruncatedSeries:
     # entry n of base a's table of the kind step, entry k + 1 = step(entry k, a, k);
-    # n and a[0] are checked before the read: 0.5 would hit Fraction(1, 2)'s table
-    if not isinstance(n, int) or n < 0:
+    # n and a[0] are checked before the read: 0.5 would hit Fraction(1, 2)'s table, True 1's
+    if type(n) is not int or n < 0:
         raise DomainError(f"a finite Pochhammer needs an int n >= 0, got {n!r}")
     _exact(a[0])
     table = _prefixes(a, step, trunc)
@@ -279,22 +280,17 @@ def hermite_expansion_coeff(n: int, l: int, trunc: Truncation) -> TruncatedSerie
     route (constant-term pairing), independent of the closed form."""
     if n < 0 or l < 0:
         raise DomainError("expansion coefficient indices must be >= 0")
-    integral = ct_z(_expansion_n_factor(n, trunc), _expansion_l_factor(l, trunc))
+    integral = ct_z(_expansion_n_factor(n, trunc), hermite(2 * l, trunc))
     return (integral * poch_infinite((1, 1, 0, 0, 0), trunc)
             * inv_qq(2 * l, trunc)).scale(Fraction(1, 2))
 
 
 @functools.cache
 def _expansion_n_factor(n: int, trunc: Truncation) -> TruncatedSeries:
-    # C_{2n}(z,t;q) / (t z^2, t z^-2;q)_inf, the integrand's n-part
+    # C_{2n}(z,t;q) (z^2, z^-2;q)_inf / (t z^2, t z^-2;q)_inf: the integrand but H_{2l}
     return (ultraspherical(2 * n, trunc, "t")
-            * infinite_product((), ((1, 0, 1, 0, 2), (1, 0, 1, 0, -2)), trunc))
-
-
-@functools.cache
-def _expansion_l_factor(l: int, trunc: Truncation) -> TruncatedSeries:
-    # H_{2l}(z;q) (z^2, z^-2;q)_inf, the integrand's l-part
-    return hermite(2 * l, trunc) * hermite_weight(trunc)
+            * infinite_product(((1, 0, 0, 0, 2), (1, 0, 0, 0, -2)),
+                               ((1, 0, 1, 0, 2), (1, 0, 1, 0, -2)), trunc))
 
 
 def hermite_expansion_coeff_closed(n: int, l: int, trunc: Truncation) -> TruncatedSeries:
@@ -318,32 +314,30 @@ def weight_expansion_sides(trunc: Truncation) -> tuple[TruncatedSeries, Truncate
     The bilateral terms use index-combined polynomial forms so that no
     negative q- or t-power is ever formed:
       k >= 0:  prod_{i<k} (t - q^i) / (t;q)_k
-      k = -m:  (-1)^m prod_{j=1..m} (q^j - t) / (1 - t q^j)
+      k = -m:  prod_{j=1..m} (t - q^j) / (1 - t q^j)
     and each side truncates because the minimum total degree of the
     k-th term grows with |k|.
     """
     lhs = infinite_product(((1, 0, 0, 0, 2), (1, 0, 0, 0, -2)),
                            ((1, 0, 1, 0, 2), (1, 0, 1, 0, -2)), trunc)
 
-    t = TruncatedSeries.variable(trunc, "t")
     pairs = []
 
-    # k >= 0 branch
+    # k >= 0 branch; num (t - q^k) is one shift-and-subtract step
     num = TruncatedSeries.one(trunc)
     k = 0
     while not num.is_zero():
         pairs.append((num.shift(e_z=2 * k), inv_poch((1, 0, 1, 0, 0), k, trunc)))
-        num = num * (t - TruncatedSeries.monomial(trunc, 1, e_q=k))
+        num = num.shift(e_t=1) - num.shift(e_q=k)
         k += 1
     # k = -m branch
     num = TruncatedSeries.one(trunc)
     m = 1
     while True:
-        num = num * (TruncatedSeries.monomial(trunc, 1, e_q=m) - t)
+        num = num.shift(e_t=1) - num.shift(e_q=m)
         if num.is_zero():
             break
-        sign = -1 if m % 2 else 1
-        pairs.append((num.scale(sign).shift(e_z=-2 * m), inv_tq(m, trunc)))
+        pairs.append((num.shift(e_z=-2 * m), inv_tq(m, trunc)))
         m += 1
     bilateral = TruncatedSeries.sum_of_products(trunc, pairs)
 

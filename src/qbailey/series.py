@@ -46,8 +46,8 @@ class Monomial(namedtuple("Monomial", "e_q e_t e_s e_z")):
 class Truncation(namedtuple("Truncation", "max_q max_t max_s", defaults=(None,))):
     """Per-variable degree caps.  max_s is None when s is absent.
 
-    A validated, immutable tuple: construction refuses a non-int or
-    negative cap, and equality and hashing are those of the tuple
+    A validated, immutable tuple: construction refuses a cap that is
+    not an int (a bool is not) or is negative, and equality and hashing are those of the tuple
     (max_q, max_t, max_s).  Two series interoperate only when their
     truncations are equal.
     """
@@ -56,7 +56,7 @@ class Truncation(namedtuple("Truncation", "max_q max_t max_s", defaults=(None,))
 
     def __new__(cls, max_q: int, max_t: int, max_s: int | None = None):
         caps = (max_q, max_t) + (() if max_s is None else (max_s,))
-        if not all(isinstance(cap, int) for cap in caps):
+        if not all(type(cap) is int for cap in caps):
             raise DomainError(f"truncation caps must be integers, got {caps}")
         if min(caps) < 0:
             raise DomainError("truncation caps must be >= 0")
@@ -407,12 +407,6 @@ class TruncatedSeries:
     def monomial(cls, trunc: Truncation, coeff: Coeff = 1, e_q: int = 0,
                  e_t: int = 0, e_s: int = 0, e_z: int = 0) -> "TruncatedSeries":
         return cls(trunc, {(e_q, e_t, e_s, e_z): coeff})
-
-    @classmethod
-    def variable(cls, trunc: Truncation, name: str) -> "TruncatedSeries":
-        exps = [0, 0, 0, 0]
-        exps[_VAR_INDEX[name]] = 1
-        return cls(trunc, {tuple(exps): 1})
 
     # -- queries ------------------------------------------------------
 

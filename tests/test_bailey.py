@@ -67,7 +67,7 @@ def test_seed_pair_entries():
     for n in range(1, 5):
         assert beta[n].is_zero()
     assert alpha[0] == one()
-    q = TruncatedSeries.variable(TR, "q")
+    q = TruncatedSeries.monomial(TR, 1, e_q=1)
     expected_a1 = (one() - mono(e_q=2, e_t=1)) * (one() - q).invert()
     assert alpha[1] == -expected_a1
 
@@ -208,7 +208,7 @@ def test_lifted_beta_matches_chain_enumeration(trunc, b, c):
 def test_conjugate_pair_entries():
     gamma, delta = B.hermite_conjugate_pair(TR)
     assert delta[0] == one()
-    q = TruncatedSeries.variable(TR, "q")
+    q = TruncatedSeries.monomial(TR, 1, e_q=1)
     expected_d1 = (mono(e_z=-1) + one() + q + mono(e_z=1)).shift(e_t=1)
     assert delta[1] == expected_d1
     expected_g0 = qf.poch_infinite((1, 0, 2, 0, 0), TR) * (
@@ -314,7 +314,7 @@ def test_pair_family_entry_is_factor_times_part():
     # entry n is factor * part(n), the factor 1 unless given; entries
     # are memoized, so an entry read twice generates its part once, and
     # a part is generated again on each read
-    q = TruncatedSeries.variable(TR, "q")
+    q = TruncatedSeries.monomial(TR, 1, e_q=1)
     factor = one() - q
 
     def part(n):
@@ -383,8 +383,8 @@ def test_wp_relation_n0_by_hand():
     # loop and bounds), exercising the absorbed weight prod_i (t - s q^i)
     trunc = Truncation(4, 3, 2)
     gamma_p, delta_p = B.wp_conjugate_pair(trunc)
-    t = TruncatedSeries.variable(trunc, "t")
-    s = TruncatedSeries.variable(trunc, "s")
+    t = TruncatedSeries.monomial(trunc, 1, e_t=1)
+    s = TruncatedSeries.monomial(trunc, 1, e_s=1)
     rhs = TruncatedSeries.zero(trunc)
     running = TruncatedSeries.one(trunc)
     for l in range(trunc.max_t + trunc.s_cap + 1):
@@ -401,7 +401,7 @@ def reference_wp_families(trunc):
     n-free factor built again for each n; the frozen oracle of
     bailey.wp_conjugate_pair."""
     one = TruncatedSeries.one(trunc)
-    s = TruncatedSeries.variable(trunc, "s")
+    s = TruncatedSeries.monomial(trunc, 1, e_s=1)
 
     def gamma(n):
         tail = qf.poch_infinite((1, 2 * n, 2, 0, 0), trunc)
@@ -441,7 +441,7 @@ def test_wp_delta_factor_is_one_infinite_product_read(caps):
     # first multiplied out, (1+s) (s^2 q;q)_inf / (s,sq;q)_inf, and
     # core(0) is (1-s) times it
     trunc = Truncation(*caps)
-    s = TruncatedSeries.variable(trunc, "s")
+    s = TruncatedSeries.monomial(trunc, 1, e_s=1)
     frozen = ((s + 1) * qf.poch_infinite((1, 1, 0, 2, 0), trunc)
               * qf.inv_poch_infinite((1, 0, 0, 1, 0), trunc)
               * qf.inv_poch_infinite((1, 1, 0, 1, 0), trunc))
@@ -458,8 +458,8 @@ def reference_wp_rhs(delta_p, n):
     at the first vanishing product; the frozen oracle of the tabulated
     weights in bailey.verify_wp_conjugate."""
     trunc = delta_p.trunc
-    t = TruncatedSeries.variable(trunc, "t")
-    s_series = TruncatedSeries.variable(trunc, "s")
+    t = TruncatedSeries.monomial(trunc, 1, e_t=1)
+    s_series = TruncatedSeries.monomial(trunc, 1, e_s=1)
     pairs = []
     running = TruncatedSeries.one(trunc)
     s_poch = qf.poch_finite((1, 0, 0, 1, 0), 2 * n, trunc)
@@ -517,8 +517,8 @@ def test_wp_weights_end_early_at_the_early_zero_truncation():
     # d = max_t + max_s - 1, so the "early-zero" case above covers the
     # tables ending before l_max
     trunc = Truncation(2, 3, 4)
-    t = TruncatedSeries.variable(trunc, "t")
-    s = TruncatedSeries.variable(trunc, "s")
+    t = TruncatedSeries.monomial(trunc, 1, e_t=1)
+    s = TruncatedSeries.monomial(trunc, 1, e_s=1)
     running = TruncatedSeries.one(trunc)
     for i in range(trunc.max_t + trunc.s_cap - 1):
         running = running * (t - s.shift(e_q=i))

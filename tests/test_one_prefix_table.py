@@ -8,9 +8,16 @@ the binomial updates are defined.  The one table grows through its
 kind's step, called once per new entry: the steps make their binomial
 updates outside any loop, so the table's own loop names neither method.
 
+A product by a two-term factor x - y q^i is one shift-and-subtract step,
+p.shift(x) - p.shift(y q^i), as combined_poch's step is.  A second guard
+fails on a `*` inside a loop or a comprehension, outside series.py, one
+of whose operands is a `+` or `-` with a `monomial(...)`,
+`variable(...)` or `.shift(...)` call on one side: a binomial built by
+hand and multiplied in through the full kernel product.
+
 At a rational point the Pochhammer values are int pairs in one prefix
 table per base and direction, and `_poch_pair` is the one code that
-reads or grows them: a second guard fails on any other mention of
+reads or grows them: a third guard fails on any other mention of
 `RationalPoint._poch_tables` in the sources."""
 
 import ast
@@ -23,14 +30,13 @@ SRC = pathlib.Path(qbailey.__file__).parent
 _LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
-def _binomial_calls_in_loops(tree):
-    """Sorted line numbers of the mul_binomial/div_binomial calls that
+def _in_loops(tree, matches):
+    """Sorted line numbers of the nodes that matches() accepts and that
     lie inside a loop or a comprehension."""
     lines = set()
 
     def visit(node, in_loop):
-        if (in_loop and isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("mul_binomial", "div_binomial")):
+        if in_loop and matches(node):
             lines.add(node.lineno)
         for child in ast.iter_child_nodes(node):
             visit(child, in_loop or isinstance(node, _LOOPS))
@@ -39,11 +45,53 @@ def _binomial_calls_in_loops(tree):
     return sorted(lines)
 
 
+def _called(node, names):
+    """Whether node is a call of a function or method named in names."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (func.attr if isinstance(func, ast.Attribute)
+            else func.id if isinstance(func, ast.Name) else None) in names
+
+
+def _binomial_calls_in_loops(tree):
+    """Sorted line numbers of the mul_binomial/div_binomial calls that
+    lie inside a loop or a comprehension."""
+    return _in_loops(tree, lambda node: _called(node, ("mul_binomial", "div_binomial")))
+
+
+def _is_binomial_product(node):
+    # a * (x - y) or a *= x + y, x or y a monomial, variable or shift call
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        operands = (node.left, node.right)
+    elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult):
+        operands = (node.value,)
+    else:
+        return False
+    return any(isinstance(x, ast.BinOp) and isinstance(x.op, (ast.Add, ast.Sub))
+               and any(_called(side, ("monomial", "variable", "shift"))
+                       for side in (x.left, x.right))
+               for x in operands)
+
+
+def _binomial_products_in_loops(tree):
+    """Sorted line numbers of the products by a hand-built binomial that
+    lie inside a loop or a comprehension."""
+    return _in_loops(tree, _is_binomial_product)
+
+
+def _found(guard):
+    return [f"{path.stem}:{line}" for path in sorted(SRC.glob("*.py"))
+            if path.name != "series.py"
+            for line in guard(ast.parse(path.read_text()))]
+
+
 def test_no_binomial_update_loop_outside_the_prefix_table():
-    found = [f"{path.stem}:{line}" for path in sorted(SRC.glob("*.py"))
-             if path.name != "series.py"
-             for line in _binomial_calls_in_loops(ast.parse(path.read_text()))]
-    assert found == []
+    assert _found(_binomial_calls_in_loops) == []
+
+
+def test_no_binomial_product_loop_outside_series():
+    assert _found(_binomial_products_in_loops) == []
 
 
 def test_the_guard_finds_binomial_loops():
@@ -64,6 +112,27 @@ def test_the_guard_finds_binomial_loops():
         "    step = TruncatedSeries.mul_binomial",
     ])
     assert _binomial_calls_in_loops(ast.parse(source)) == [2, 4, 5, 6, 7, 10]
+
+
+def test_the_guard_finds_binomial_products():
+    source = "\n".join([
+        "while not num.is_zero():",
+        "    num = num * (t - TruncatedSeries.monomial(trunc, 1, e_q=k))",
+        "for m in range(n):",
+        "    num = num * (monomial(trunc, 1, e_q=m) - t)",
+        "[p * (t - s.shift(e_q=d)) for d in range(n)]",
+        "for k in range(n):",
+        "    num *= TruncatedSeries.variable(trunc, 't') + one",
+        "{k: (one - p.shift(e_q=k)) * p for k in range(n)}",
+        "for r in range(n):",
+        "    total += adj[r][j] * (l + m)",
+        "    x = p * (t - s) * q.shift(e_q=r)",
+        "    p = p.shift(e_t=1) - p.shift(e_q=r)",
+        "num = num * (t - TruncatedSeries.monomial(trunc, 1, e_q=k))",
+        "for k in range(n):",
+        "    y = p * inv_qq(k, trunc).shift(e_t=k)",
+    ])
+    assert _binomial_products_in_loops(ast.parse(source)) == [2, 4, 5, 7, 8]
 
 
 def _poch_table_mentions(tree):

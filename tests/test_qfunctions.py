@@ -117,8 +117,8 @@ def test_hermite_support_and_symmetry():
 
 def test_ultraspherical():
     assert qf.ultraspherical(0, TR, "t") == one()
-    t = TruncatedSeries.variable(TR, "t")
-    q = TruncatedSeries.variable(TR, "q")
+    t = TruncatedSeries.monomial(TR, 1, e_t=1)
+    q = TruncatedSeries.monomial(TR, 1, e_q=1)
     ratio = (one() - t) * (one() - q).invert()
     assert qf.ultraspherical(1, TR, "t") == ratio * (mono(e_z=1) + mono(e_z=-1))
     # parameter equal to q collapses every Pochhammer ratio, and with it
@@ -189,7 +189,7 @@ def test_ct_z_matches_the_constant_term_of_the_product(data, caps):
 
 
 def test_hermite_inner_orthogonality():
-    q = TruncatedSeries.variable(TR, "q")
+    q = TruncatedSeries.monomial(TR, 1, e_q=1)
     inv_euler = qf.inv_poch_infinite(Q, TR)
     assert qf.hermite_inner(0, 0, TR) == inv_euler.scale(2)
     assert qf.hermite_inner(1, 2, TR).is_zero()
@@ -207,7 +207,7 @@ def test_ultraspherical_inner_orthogonality():
 
 
 def test_hermite_linearize():
-    q = TruncatedSeries.variable(TR, "q")
+    q = TruncatedSeries.monomial(TR, 1, e_q=1)
     for m in range(4):
         assert qf.hermite_linearize(m, 0, TR) == qf.hermite(m, TR)
     assert qf.hermite_linearize(1, 1, TR) == qf.hermite(2, TR) + (one() - q)
@@ -501,7 +501,7 @@ def test_one_base_keeps_a_table_per_kind(base):
     assert qf._prefixes.cache_info().currsize == 3
 
 
-@pytest.mark.parametrize("n", [-2, 2.0, Fraction(2)], ids=repr)
+@pytest.mark.parametrize("n", [-2, 2.0, Fraction(2), True], ids=repr)
 @pytest.mark.parametrize("build", [
     lambda n: qf.poch_finite(Q, n, TR), lambda n: qf.inv_poch(T, n, TR),
     lambda n: qf.inv_qq(n, TR), lambda n: qf.inv_tq(n, TR),
@@ -511,7 +511,8 @@ def test_one_base_keeps_a_table_per_kind(base):
          "combined_poch-half"])
 def test_a_finite_pochhammer_refuses_a_non_int_or_negative_index(build, n):
     # checked before the table read: a float index would reach table[n],
-    # and combined_poch at b = 0 must not build q^binom(n,2) for any n
+    # True would be served entry 1, and combined_poch at b = 0 must not
+    # build q^binom(n,2) for any n
     with pytest.raises(DomainError, match="n >= 0"):
         build(n)
 

@@ -248,7 +248,7 @@ def test_add_examples():
 
 def test_mul_telescoping():
     geo = S({(i, 0, 0, 0): 1 for i in range(TR.max_q + 1)})
-    f = one() - TruncatedSeries.variable(TR, "q")
+    f = one() - TruncatedSeries.monomial(TR, 1, e_q=1)
     assert f * geo == one()
 
 
@@ -304,7 +304,7 @@ def test_truncation_mismatch_is_usage_error():
 
 
 def test_invert_geometric():
-    t = TruncatedSeries.variable(TR, "t")
+    t = TruncatedSeries.monomial(TR, 1, e_t=1)
     inv = (one() - t).invert()
     assert inv == S({(0, i, 0, 0): 1 for i in range(TR.max_t + 1)})
     assert one().invert() == one()
@@ -313,7 +313,7 @@ def test_invert_geometric():
 
 
 def test_invert_errors():
-    t = TruncatedSeries.variable(TR, "t")
+    t = TruncatedSeries.monomial(TR, 1, e_t=1)
     with pytest.raises(NonInvertible):
         t.invert()
     # a z-only term of (q,t,s)-degree zero blocks the graded iteration
@@ -376,7 +376,7 @@ def test_halve_z():
 def test_specialize_rational():
     # q, t and s go to 0, and no variable to any other value; z = 1 is
     # the sum of the z-slices
-    f = one(TRS) + TruncatedSeries.variable(TRS, "s")
+    f = one(TRS) + TruncatedSeries.monomial(TRS, 1, e_s=1)
     assert f.specialize("s", 0) == one(TRS)
     assert f.specialize("t", Fraction(0)) == f
     mixed = S({(0, 1, 0, 2): 3, (2, 1, 0, 0): 5, (0, 0, 0, -1): Fraction(1, 2),
@@ -696,7 +696,9 @@ def test_unit_factors_return_the_operand():
 
 
 def test_truncation_caps_must_be_integers():
-    for caps in ((2.5, 2), (2, Fraction(3)), (2, 2, 1.5)):
+    # a bool is refused too: a report over Truncation(True, 2) would
+    # serialize "max_q": true
+    for caps in ((2.5, 2), (2, Fraction(3)), (2, 2, 1.5), (True, 2), (2, False), (2, 2, True)):
         with pytest.raises(DomainError, match="integers"):
             Truncation(*caps)
     with pytest.raises(DomainError) as info:
