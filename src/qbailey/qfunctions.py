@@ -13,11 +13,11 @@ ct_z(a, b) checks the symmetry hypothesis on each factor rather than
 trusting the caller, and forms only the z^0 terms of a * b, from the
 z-slices of a and b whose exponents cancel (TruncatedSeries.z_slices).
 
-The five memo tables (_prefixes, _infinite_product, qbinomial, hermite,
-_expansion_n_factor) are functools.cache tables keyed by their arguments
-including the truncation; cached series are shared, which is safe as
-series are immutable, and cache_info()/cache_clear() report on and empty
-each.  Every finite Pochhammer-type product is a read of one prefix
+The six memo tables (_prefixes, _infinite_product, _qbinomial, _hermite,
+_ultraspherical, _expansion_n_factor) are functools.cache tables keyed by
+their arguments including the truncation; cached series are shared, which
+is safe as series are immutable, and cache_info()/cache_clear() report on
+and empty each.  Every finite Pochhammer-type product is a read of one prefix
 table per base, kind and truncation (the cache of _prefixes): (a;q)_n
 (poch_finite), 1/(a;q)_n (inv_poch), (a;q)_j / (q;q)_j (poch_ratio) and
 prod_{i<n} (b - q^i) (combined_poch; b = 0 gives (-1)^n q^binom(n,2)).
@@ -26,7 +26,8 @@ Every n-free product of infinite Pochhammers, (a_1,...;q)_inf /
 (b_1,...;q)_inf, is a read of infinite_product, kept in the cache of
 _infinite_product keyed by its two tuples of bases in their order; the
 orthogonality weights and the package's prefactors are such reads.
-These two reads check their bases before they read a table.
+These two reads check their bases, and qbinomial, hermite and
+ultraspherical their degrees, before they read a table.
 """
 
 from __future__ import annotations
@@ -48,6 +49,13 @@ def _exact(x):
     return x
 
 
+def _degree(n, what: str) -> int:
+    # n if it is an int >= 0, checked before a table read: True would hit 1's entry, 2.0 2's
+    if type(n) is not int or n < 0:
+        raise DomainError(f"{what} needs an int n >= 0, got {n!r}")
+    return n
+
+
 def binom2(n: int) -> int:
     """binom(n, 2) = n(n-1)/2, the q-exponent of (-1)^n q^binom(n,2)."""
     return n * (n - 1) // 2
@@ -61,9 +69,8 @@ def _prefixes(a: tuple, step, trunc: Truncation) -> list:
 
 def _prefix(a: tuple, n: int, trunc: Truncation, step) -> TruncatedSeries:
     # entry n of base a's table of the kind step, entry k + 1 = step(entry k, a, k);
-    # n and a[0] are checked before the read: 0.5 would hit Fraction(1, 2)'s table, True 1's
-    if type(n) is not int or n < 0:
-        raise DomainError(f"a finite Pochhammer needs an int n >= 0, got {n!r}")
+    # n and a[0] are checked before the read: 0.5 would hit Fraction(1, 2)'s table
+    _degree(n, "a finite Pochhammer")
     _exact(a[0])
     table = _prefixes(a, step, trunc)
     while len(table) <= n:
@@ -141,15 +148,21 @@ def combined_poch(b, n: int, trunc: Truncation) -> TruncatedSeries:
     return _prefix((b,), n, trunc, _less_q)
 
 
-@functools.cache
 def qbinomial(M: int, N: int, trunc: Truncation) -> TruncatedSeries:
     """Gaussian binomial coefficient as a truncated q-polynomial;
     zero unless 0 <= N <= M.  q-Pascal recursion, memoized."""
+    if type(M) is not int or type(N) is not int:
+        raise DomainError(f"qbinomial needs int M and N, got {M!r} and {N!r}")
+    return _qbinomial(M, N, trunc)
+
+
+@functools.cache
+def _qbinomial(M: int, N: int, trunc: Truncation) -> TruncatedSeries:
     if N < 0 or N > M or M < 0:
         return TruncatedSeries.zero(trunc)
     if N == 0 or N == M:
         return TruncatedSeries.one(trunc)
-    return qbinomial(M - 1, N - 1, trunc) + qbinomial(M - 1, N, trunc).shift(e_q=N)
+    return _qbinomial(M - 1, N - 1, trunc) + _qbinomial(M - 1, N, trunc).shift(e_q=N)
 
 
 def inv_poch(a: tuple, n: int, trunc: Truncation) -> TruncatedSeries:
@@ -174,28 +187,35 @@ def poch_ratio(a: tuple, j: int, trunc: Truncation) -> TruncatedSeries:
     return _prefix(a, j, trunc, _ratio)
 
 
-@functools.cache
 def hermite(n: int, trunc: Truncation) -> TruncatedSeries:
     """Continuous q-Hermite polynomial H_n(z;q) = sum_j [n,j]_q z^(n-2j),
     memoized: the q-binomials are its z-slices."""
-    if n < 0:
-        raise DomainError("hermite degree must be >= 0")
+    return _hermite(_degree(n, "hermite"), trunc)
+
+
+@functools.cache
+def _hermite(n: int, trunc: Truncation) -> TruncatedSeries:
     return TruncatedSeries.from_z_slices(
-        trunc, {n - 2 * j: qbinomial(n, j, trunc) for j in range(n + 1)})
+        trunc, {n - 2 * j: _qbinomial(n, j, trunc) for j in range(n + 1)})
 
 
 def ultraspherical(n: int, trunc: Truncation, param: str) -> TruncatedSeries:
     """Continuous q-ultraspherical polynomial
     C_n(z,x;q) = sum_j (x;q)_j (x;q)_{n-j} / ((q;q)_j (q;q)_{n-j}) z^(n-2j),
-    with parameter x one of the ring variables t or s, named by param."""
-    if n < 0:
-        raise DomainError("ultraspherical degree must be >= 0")
-    x = {"t": (1, 0, 1, 0, 0), "s": (1, 0, 0, 1, 0)}.get(param)
-    if x is None:
+    x = t or s named by param; memoized: the product for each j <= n/2 is
+    formed once, as both the z^(n-2j)- and the z^(2j-n)-slice."""
+    if param not in ("t", "s"):
         raise DomainError(f"ultraspherical parameter must be 't' or 's', got {param!r}")
-    ratios = [poch_ratio(x, j, trunc) for j in range(n + 1)]
-    return TruncatedSeries.sum_of_products(
-        trunc, ((ratios[j].shift(e_z=n - 2 * j), ratios[n - j]) for j in range(n + 1)))
+    return _ultraspherical(_degree(n, "ultraspherical"), trunc, param)
+
+
+@functools.cache
+def _ultraspherical(n: int, trunc: Truncation, param: str) -> TruncatedSeries:
+    x = {"t": (1, 0, 1, 0, 0), "s": (1, 0, 0, 1, 0)}[param]
+    parts = {}
+    for j in range(n // 2 + 1):
+        parts[n - 2 * j] = parts[2 * j - n] = poch_ratio(x, j, trunc) * poch_ratio(x, n - j, trunc)
+    return TruncatedSeries.from_z_slices(trunc, parts)
 
 
 def ct_z(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:

@@ -215,6 +215,9 @@ def _terms_to_rows(terms: dict) -> tuple[int, tuple]:
 # pair bounds, not their maximum, since the pairs add into the same
 # digits.  A product is the one-pair sum; a one-term factor of a product
 # skips all of this: its product is a shift and a scale.
+# The caps bound q, t and s, never z, so when z -> 1/z fixes every operand
+# it fixes the sum: the mirror path forms only the row pairs that land on
+# e_z >= 0 and copies each e_z > 0 row to -e_z (TruncatedSeries._symmetric).
 
 def _packed_rows(rows, w: int, lo: int, hi: int) -> list:
     """(key, int) for the rows with terms at q^lo..q^hi, each packed into
@@ -243,6 +246,7 @@ def _sum_of_products(pairs, trunc: Truncation) -> "TruncatedSeries":
     # of one operand above mq - (lowest of the other) cannot reach the
     # output, and a pair with no room left contributes nothing
     live = []
+    mirror = True
     for a, b in pairs:
         rows_a, rows_b = a._rows, b._rows
         if not rows_a or not rows_b:
@@ -253,6 +257,7 @@ def _sum_of_products(pairs, trunc: Truncation) -> "TruncatedSeries":
         room = mq - lo_a - lo_b
         if room >= 0:
             live.append((room, lo_a, a._den, rows_a, lo_b, b._den, rows_b))
+            mirror = mirror and a._symmetric() and b._symmetric()
     if not live:
         return TruncatedSeries.zero(trunc)
     den = math.lcm(*(den_a * den_b for _, _, den_a, _, _, den_b, _ in live))
@@ -272,6 +277,15 @@ def _sum_of_products(pairs, trunc: Truncation) -> "TruncatedSeries":
             rt, rs = mt - ta, ms - sa
             if scale != 1:
                 va *= scale
+            if mirror:
+                for (tb, sb, zb), vb in packed_b:
+                    if tb > rt:
+                        break
+                    if sb > rs or za + zb < 0:
+                        continue
+                    key = (ta + tb, sa + sb, za + zb)
+                    acc[key] = get(key, 0) + (va * vb << shift)
+                continue
             for (tb, sb, zb), vb in packed_b:
                 if tb > rt:
                     break
@@ -303,7 +317,9 @@ def _sum_of_products(pairs, trunc: Truncation) -> "TruncatedSeries":
         while not nums[-1]:                      # cut at the q-cap
             nums.pop()
         rows.append((key, first, tuple(nums)))
-    return TruncatedSeries._reduced(trunc, den, rows)
+        if mirror and key[2]:
+            rows.append(((key[0], key[1], -key[2]), first, rows[-1][2]))
+    return TruncatedSeries._reduced(trunc, den, sorted(rows) if mirror else rows, mirror or None)
 
 
 class TruncatedSeries:
@@ -315,7 +331,7 @@ class TruncatedSeries:
     ideal by dropping out-of-cap terms.
     """
 
-    __slots__ = ("trunc", "_den", "_rows")
+    __slots__ = ("trunc", "_den", "_rows", "_sym")
 
     def __init__(self, trunc: Truncation, terms: dict | None = None):
         self.trunc = trunc
@@ -334,18 +350,20 @@ class TruncatedSeries:
                 if c != 0:
                     clean[(eq, et, es, ez)] = _norm(c)
         self._den, self._rows = _terms_to_rows(clean) if clean else (1, ())
+        self._sym = None
 
     @classmethod
-    def _raw(cls, trunc: Truncation, den: int, rows) -> "TruncatedSeries":
+    def _raw(cls, trunc: Truncation, den: int, rows, sym=None) -> "TruncatedSeries":
         # internal: rows sorted, within caps and canonical over den
         out = object.__new__(cls)
         out.trunc = trunc
         out._den = den
         out._rows = tuple(rows)
+        out._sym = sym      # whether z -> 1/z fixes it; None until _symmetric reads it
         return out
 
     @classmethod
-    def _reduced(cls, trunc: Truncation, den: int, rows) -> "TruncatedSeries":
+    def _reduced(cls, trunc: Truncation, den: int, rows, sym=None) -> "TruncatedSeries":
         # internal: rows sorted and within caps; den and the numerators are
         # divided by their gcd
         if den > 1:
@@ -358,7 +376,7 @@ class TruncatedSeries:
                 den //= g
                 rows = [(key, first, tuple(map(g.__rfloordiv__, nums)))
                         for key, first, nums in rows]
-        return cls._raw(trunc, den, rows)
+        return cls._raw(trunc, den, rows, sym)
 
     @classmethod
     def zero(cls, trunc: Truncation) -> "TruncatedSeries":
@@ -455,6 +473,13 @@ class TruncatedSeries:
         return {z: TruncatedSeries._reduced(self.trunc, self._den, rows)
                 for z, rows in slices.items()}
 
+    def _symmetric(self) -> bool:
+        # flip_z() == self, scanned on the first read and kept: series never change
+        if self._sym is None:
+            rows = self._rows
+            self._sym = rows == tuple(sorted([((t, s, -z), f, n) for (t, s, z), f, n in rows]))
+        return self._sym
+
     def __eq__(self, other) -> bool:
         if isinstance(other, TruncatedSeries):
             return (self._rows == other._rows and self._den == other._den
@@ -540,7 +565,7 @@ class TruncatedSeries:
         return TruncatedSeries._reduced(self.trunc, self._den * r, _scaled(self._rows, p))
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:     # True is not the exponent 1
             raise DomainError("series powers must be nonnegative integers")
         result = TruncatedSeries.one(self.trunc)
         base = self

@@ -563,7 +563,7 @@ def test_wp_families_are_built_once_across_relation_and_collapse(monkeypatch):
     assert max(core_calls.values()) == 1
     assert max(count for (_, param), count in degrees.items() if param == "s") == 1
     # the ordinary gamma of the collapse check is the independent side:
-    # it builds C_{2n}(z,t) once more for each n
+    # it reads C_{2n}(z,t) once more for each n
     assert {n: degrees[2 * n, "t"] for n in range(4)} == dict.fromkeys(range(4), 2)
 
 

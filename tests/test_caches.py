@@ -1,7 +1,7 @@
 """The shared cache-clearing helper reaches every memo table of the
 package, the private ones included, so a test that clears
 before it compares or watches builders never runs against a warm
-cache.  The module-level tables are pinned: there are seven, five of
+cache.  The module-level tables are pinned: there are eight, six of
 them in qfunctions."""
 
 import contextlib
@@ -15,18 +15,20 @@ from test_macdonald import EULER_BASES
 
 from qbailey import cli, macdonald, qfunctions
 
-# the private per-n integrand factor, and the memo behind
-# infinite_product, which every n-free product of infinite Pochhammers
-# reads
-PRIVATE_CACHES = {"qfunctions._expansion_n_factor", "qfunctions._infinite_product"}
+# the private per-n integrand factor, the memo behind infinite_product,
+# which every n-free product of infinite Pochhammers reads, and the memos
+# behind qbinomial, hermite and ultraspherical, which check their degrees
+# before they read them
+PRIVATE_CACHES = {"qfunctions._expansion_n_factor", "qfunctions._infinite_product",
+                  "qfunctions._qbinomial", "qfunctions._hermite", "qfunctions._ultraspherical"}
 
-# the seven module-level memo tables of the package: a new one is added
+# the eight module-level memo tables of the package: a new one is added
 # here on purpose, and clear_caches must reach it.  The l-part of the
 # expansion integrand has no table of its own: it is the memoized
 # hermite(2l), the Hermite weight sitting on the n-part
-MODULE_CACHES = {"qfunctions._prefixes", "qfunctions._infinite_product", "qfunctions.qbinomial",
-                 "qfunctions.hermite", "qfunctions._expansion_n_factor",
-                 "macdonald._r_geometric", "cli.build_parser"}
+MODULE_CACHES = {"qfunctions._prefixes", "qfunctions._infinite_product", "qfunctions._qbinomial",
+                 "qfunctions._hermite", "qfunctions._ultraspherical",
+                 "qfunctions._expansion_n_factor", "macdonald._r_geometric", "cli.build_parser"}
 
 
 def package_caches():

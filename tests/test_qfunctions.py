@@ -517,6 +517,34 @@ def test_a_finite_pochhammer_refuses_a_non_int_or_negative_index(build, n):
         build(n)
 
 
+DEGREE_BUILDS = {
+    "hermite": lambda n: qf.hermite(n, TR),
+    "ultraspherical-t": lambda n: qf.ultraspherical(n, TR, "t"),
+    "ultraspherical-s": lambda n: qf.ultraspherical(n, TRS, "s"),
+    "qbinomial-M": lambda n: qf.qbinomial(n, 1, TR),
+    "qbinomial-N": lambda n: qf.qbinomial(4, n, TR),
+}
+
+
+@pytest.mark.parametrize("n", [-1, 2.0, Fraction(2), True], ids=repr)
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("name", DEGREE_BUILDS)
+def test_memoized_polynomials_refuse_a_non_int_degree_whatever_the_cache_holds(name, n, warm):
+    # 2.0 == 2 and True == 1 with equal hashes: the degree is checked before
+    # the table read, so neither is served the entry of the int, cold or
+    # warm.  A negative degree is refused too, but by the q-binomial, which
+    # is zero there
+    build = DEGREE_BUILDS[name]
+    clear_caches()
+    if warm and n != -1:
+        build(int(n))
+    if n == -1 and name.startswith("qbinomial"):
+        assert build(n).is_zero()
+        return
+    with pytest.raises(DomainError, match="n >= 0|int M and N"):
+        build(n)
+
+
 def test_inv_poch_zero_base_and_errors():
     # (0 qt;q)_n = 1, the zero-parameter factor of the chain lift
     for n in range(4):

@@ -1,13 +1,17 @@
 """Ring-level tests for the truncated series core."""
 
+import contextlib
+import io
 import math
 from fractions import Fraction
 from itertools import islice
 
 import pytest
+from conftest import clear_caches
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qbailey import cli, series
 from qbailey.errors import (DomainError, NonInvertible, TruncationMismatch,
                             TruncationOverflow)
 from qbailey.series import Monomial, TruncatedSeries, Truncation
@@ -563,6 +567,187 @@ def test_sum_of_products_edges():
     assert all(type(c) is int for _, c in got.terms())
     # products that cancel leave no zero coefficient
     assert TruncatedSeries.sum_of_products(TR, [(low, low), (-low, low)]).is_zero()
+
+
+# -- the mirror path ------------------------------------------------------
+
+def reference_sum_of_products(pairs, trunc):
+    """The fused sum of products that forms every row pair: a frozen copy
+    of the kernel before it gained its mirror path, kept as its oracle.
+    Its rows are read back as terms, so the public constructor alone
+    makes its output canonical."""
+    mq, mt, ms = trunc.max_q, trunc.max_t, trunc.s_cap
+
+    def packed_rows(rows, w, lo, hi):
+        out = []
+        for key, first, nums in rows:
+            if first > hi:
+                continue
+            if first + len(nums) > hi + 1:
+                nums = nums[:hi + 1 - first]
+            v = 0
+            for c in reversed(nums):
+                v = (v << w) + c
+            out.append((key, v << (w * (first - lo))))
+        return out
+
+    def l1(rows):
+        return sum(abs(n) for _, _, nums in rows for n in nums)
+
+    live = []
+    for a, b in pairs:
+        rows_a, rows_b = a._rows, b._rows
+        if not rows_a or not rows_b:
+            continue
+        if len(rows_a) > len(rows_b):
+            a, b, rows_a, rows_b = b, a, rows_b, rows_a
+        lo_a, lo_b = min(r[1] for r in rows_a), min(r[1] for r in rows_b)
+        room = mq - lo_a - lo_b
+        if room >= 0:
+            live.append((room, lo_a, a._den, rows_a, lo_b, b._den, rows_b))
+    if not live:
+        return TruncatedSeries.zero(trunc)
+    den = math.lcm(*(den_a * den_b for _, _, den_a, _, _, den_b, _ in live))
+    bound = sum(den // (den_a * den_b) * l1(rows_a) * l1(rows_b)
+                for _, _, den_a, rows_a, _, den_b, rows_b in live)
+    w = bound.bit_length() + 2
+
+    acc = {}
+    for room, lo_a, den_a, rows_a, lo_b, den_b, rows_b in live:
+        scale = den // (den_a * den_b)
+        shift = w * (lo_a + lo_b)
+        packed_b = packed_rows(rows_b, w, lo_b, lo_b + room)
+        for (ta, sa, za), va in packed_rows(rows_a, w, lo_a, lo_a + room):
+            rt, rs = mt - ta, ms - sa
+            if scale != 1:
+                va *= scale
+            for (tb, sb, zb), vb in packed_b:
+                if tb > rt:
+                    break
+                if sb > rs:
+                    continue
+                key = (ta + tb, sa + sb, za + zb)
+                acc[key] = acc.get(key, 0) + (va * vb << shift)
+
+    base = 1 << w
+    half, mask = base >> 1, base - 1
+    terms = {}
+    for (t, s, z), x in sorted(acc.items()):
+        if not x:
+            continue
+        i = ((x & -x).bit_length() - 1) // w
+        x >>= w * i
+        while x and i <= mq:
+            d = x & mask
+            if d >= half:
+                d -= base
+            x = (x - d) >> w
+            if d:
+                terms[(i, t, s, z)] = Fraction(d, den)
+            i += 1
+    return TruncatedSeries(trunc, terms)
+
+
+def assert_symmetry_kept_right(*series):
+    # a symmetry the kernel marked, or scanned and kept, is the true one
+    for f in series:
+        assert f._sym is None or f._sym == (f.flip_z() == f)
+
+
+@st.composite
+def _mirror_cases(draw):
+    # 1-4 pairs over one truncation, with or without s; each operand is
+    # drawn symmetric (f + f.flip_z()), z-free or as it comes, skewed (rows
+    # at e_z and -e_z with unequal numerators: f + 2 f.flip_z()), or
+    # symmetric plus a single row at e_z < 0 that no row at -e_z matches
+    tr = draw(_truncations)
+    monos = st.tuples(_exponents(tr.max_q), _exponents(tr.max_t),
+                      _exponents(tr.s_cap), st.integers(-3, 3))
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        pair = []
+        for _ in range(2):
+            f = TruncatedSeries(tr, draw(st.dictionaries(monos, draw(_coeff_kinds), max_size=10)))
+            kind = draw(st.sampled_from(
+                ["symmetric", "z-free", "asymmetric", "skewed", "unmatched"]))
+            if kind == "z-free":
+                f = TruncatedSeries(tr, {(q, t, s, 0): c for (q, t, s, _), c in f.terms()})
+            elif kind == "skewed":
+                f = f + f.flip_z().scale(2)
+            elif kind != "asymmetric":
+                f = f + f.flip_z()
+            if kind == "unmatched":
+                e_q, e_t, e_s = draw(monos)[:3]
+                e_z = -1 - max((abs(m.e_z) for m, _ in f.terms()), default=0)
+                f = f + TruncatedSeries.monomial(tr, draw(_coeffs.filter(bool)),
+                                                 e_q, e_t, e_s, e_z)
+            pair.append(f)
+        pairs.append(tuple(pair))
+    return tr, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mirror_cases())
+@example((TRS, [(S({(0, 0, 0, 1): Fraction(1, 2), (0, 0, 0, -1): Fraction(1, 2),
+                    (1, 1, 0, 0): 3}, TRS),
+                 S({(0, 0, 1, 2): 2, (0, 0, 1, -2): 2, (2, 0, 0, -3): Fraction(-1, 3)}, TRS)),
+                (S({(1, 0, 0, 1): 1, (1, 0, 0, -1): 1}, TRS),
+                 S({(0, 1, 0, 0): Fraction(5, 7)}, TRS))]))
+def test_the_mirror_path_matches_the_full_kernel(case):
+    # sum_of_products and * against the frozen kernel; a sum of two or
+    # more pairs whose operands are all symmetric comes out marked, so the
+    # mirror path is among the paths compared
+    trunc, pairs = case
+    got = TruncatedSeries.sum_of_products(trunc, pairs)
+    assert got == reference_sum_of_products(pairs, trunc)
+    assert_canonical(got)
+    products = [f * g for f, g in pairs]
+    assert products == [reference_sum_of_products([pair], trunc) for pair in pairs]
+    operands = [f for pair in pairs for f in pair]
+    assert_symmetry_kept_right(got, *products, *operands)
+    if len(pairs) > 1 and got and all(f.flip_z() == f for f in operands):
+        assert got._sym is True
+
+
+def test_a_symmetric_series_is_scanned_once():
+    # the scan's answer is kept: a second read does not sort the rows again
+    h = S({(0, 0, 0, 2): 1, (1, 0, 0, 0): 1, (0, 0, 0, -2): 1})
+    lone = h + S({(0, 1, 0, -1): 1})
+    assert h._sym is None and lone._sym is None
+    assert h._symmetric() and not lone._symmetric()
+    h._rows = lone._rows    # a stale read would now see the unmatched row
+    assert h._symmetric() and not lone._symmetric()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "thm-conj-pair", "--nmax", "4", "--nq", "8", "--nt", "8"],
+    ["verify", "thm-wp", "--nmax", "3", "--nq", "6", "--nt", "6", "--ns", "4"]],
+    ids=["thm-conj-pair", "thm-wp"])
+def test_the_conjugate_pair_runs_take_the_mirror_path(monkeypatch, argv):
+    # a mirror path that silently stopped running would change no output:
+    # count the sums whose output the kernel marked symmetric as it formed it
+    clear_caches()
+    kernel = series._sum_of_products
+    marked = []
+
+    def watched(pairs, trunc):
+        out = kernel(pairs, trunc)
+        marked.append(out._sym is True)
+        return out
+
+    monkeypatch.setattr(series, "_sum_of_products", watched)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert sum(marked) >= 1
+
+
+def test_a_power_needs_an_int_exponent():
+    # True == 1 and 2.0 == 2, but neither is an exponent
+    f = S({(1, 0, 0, 1): 2, (0, 1, 0, 0): Fraction(1, 3)})
+    for n in (True, False, 2.0, Fraction(2), -1):
+        with pytest.raises(DomainError, match="^series powers must be nonnegative integers$"):
+            f ** n
+    assert f ** 0 == one() and f ** 1 == f and f ** 2 == f * f
 
 
 def test_sum_of_products_truncation_mismatch():
